@@ -1,44 +1,98 @@
 #!/usr/bin/env python3
-"""Regenerate the golden QASM/QIR outputs for the benchmark programs.
+"""Regenerate, or with --check verify, the golden QASM/QIR outputs of the
+benchmark programs.
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
-circuit.
+circuit. ``--check`` compiles and verifies the same way but writes nothing;
+it compares every output byte for byte with ``tests/goldens/`` and exits 1
+naming the first mismatch.
+
+    python3 scripts/regen_goldens.py           # rewrite tests/goldens/
+    python3 scripts/regen_goldens.py --check   # verify them
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qbc.backends import read_qasm3  # noqa: E402
+from qbc.backends import BackendError, read_qasm3  # noqa: E402
 from qbc.pipeline import Options, compile_source, compile_to_circuit  # noqa: E402
 from qbc.run import distribution  # noqa: E402
 
 BENCHMARKS = ["bell", "bv", "dj", "grover", "simon", "period", "teleport"]
+GOLDEN_DIR = ROOT / "tests" / "goldens"
 
 
-def main() -> int:
-    golden_dir = ROOT / "tests" / "goldens"
-    golden_dir.mkdir(exist_ok=True)
+class GoldenError(Exception):
+    """The re-ingested QASM's distribution differs from the circuit's."""
+
+
+def goldens(name: str) -> dict[str, str | None]:
+    """Golden file name -> its text, or None where the backend cannot
+    express the program (teleport's branches have no QIR).
+
+    Raises GoldenError if the re-ingested QASM's distribution differs.
+    """
+    src_path = ROOT / "benchmarks" / f"{name}.qw"
+    source = src_path.read_text()
+    opts = Options()
+    qasm = compile_source(source, str(src_path), opts, "qasm")
+    circuit = compile_to_circuit(source, str(src_path), opts)
+    want = distribution(circuit, all_bits=True)
+    got = distribution(read_qasm3(qasm), all_bits=True)
+    if not _close(want, got):
+        raise GoldenError(f"{name}: re-ingested distribution differs")
+    try:
+        qir = compile_source(source, str(src_path), opts, "qir")
+    except BackendError:
+        qir = None
+    return {f"{name}.qasm": qasm, f"{name}.ll": qir}
+
+
+def check() -> str | None:
+    """The first way the goldens differ from the compiler's output, or None."""
     for name in BENCHMARKS:
-        src_path = ROOT / "benchmarks" / f"{name}.qw"
-        source = src_path.read_text()
-        opts = Options()
-        qasm = compile_source(source, str(src_path), opts, "qasm")
-        circuit = compile_to_circuit(source, str(src_path), opts)
-        want = distribution(circuit, all_bits=True)
-        got = distribution(read_qasm3(qasm), all_bits=True)
-        assert _close(want, got), f"{name}: re-ingested distribution differs"
-        (golden_dir / f"{name}.qasm").write_text(qasm, newline="\n")
         try:
-            qir = compile_source(source, str(src_path), opts, "qir")
-            (golden_dir / f"{name}.ll").write_text(qir, newline="\n")
-        except Exception as e:  # teleport branches: QASM only
-            print(f"{name}: no QIR golden ({e})")
+            files = goldens(name)
+        except GoldenError as e:
+            return str(e)
+        for fname, text in files.items():
+            path = GOLDEN_DIR / fname
+            if text is None:
+                if path.exists():
+                    return f"{fname}: golden exists but no output is emitted"
+            elif not path.exists():
+                return f"{fname}: golden missing"
+            elif path.read_bytes() != text.encode("utf-8"):
+                return f"{fname}: compiler output differs from the golden"
+    return None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare with tests/goldens/ and write nothing")
+    args = ap.parse_args(argv)
+    if args.check:
+        problem = check()
+        if problem:
+            print(f"golden mismatch: {problem}", file=sys.stderr)
+            return 1
+        print("goldens: ok")
+        return 0
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in BENCHMARKS:
+        for fname, text in goldens(name).items():
+            if text is None:
+                print(f"{name}: no {fname}")
+            else:
+                (GOLDEN_DIR / fname).write_text(text, newline="\n")
         print(f"{name}: ok")
     return 0
 

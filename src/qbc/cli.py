@@ -70,11 +70,19 @@ def main(argv=None) -> int:
     )
     p_compile.add_argument("-o", dest="out", default=None, help="output file")
 
-    p_run = sub.add_parser("run", help="simulate and print a histogram")
+    p_run = sub.add_parser(
+        "run", help="simulate and print a histogram",
+        description="Compile and simulate the entry kernel, printing how "
+        "often each returned bitstring was seen. The simulator runs each "
+        "measurement branch once and shares the shots out binomially at "
+        "each measurement, so the same seed always gives the same "
+        "histogram.")
     _add_common(p_run)
     _add_opt_flags(p_run)
-    p_run.add_argument("--shots", type=int, default=1024)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--shots", type=int, default=1024,
+                       help="number of shots (>= 0; default 1024)")
+    p_run.add_argument("--seed", type=int, default=0,
+                       help="sampling seed (default 0; QBC_SEED overrides)")
 
     p_stats = sub.add_parser("stats", help="print compile statistics")
     _add_common(p_stats)

@@ -1,15 +1,25 @@
 """
-Execution of gate-level modules: shot sampling, exact output distributions,
-and unitary extraction for verification.
+Execution of gate-level modules: sampled histograms, exact output
+distributions, and unitary extraction for verification.
+
+``simulate`` and ``distribution`` share one shot-branching executor. It runs
+each stretch of ops between measurements once per live measurement branch,
+not once per shot. At every ``measure`` and ``qfree`` the branch's state
+splits into its outcomes (``StateVector.branch``), and each child carries a
+weight: in exact mode the branch probability times the outcome probability,
+in sampling mode a binomial share of the branch's shots. Branches of weight
+zero are dropped, so a sampled run never keeps more live branches than it
+has shots. Children are visited depth first in outcome order, which draws
+the binomials in a fixed order: the same seed gives the same histogram.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .qcirc import GateKind, QCircFn, QCircModule, QOp
+from .qcirc import QCircFn, QCircModule, QOp
 from .simulator import AncillaNotClean, StateVector, apply_gate
 
 
@@ -18,10 +28,13 @@ class SimulationError(Exception):
 
 
 def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
-             bits: dict[int, int]) -> Optional[int]:
-    """Run one non-measure op against the state; returns nothing."""
+             bits: dict[int, int]) -> None:
+    """Run one op that does not branch the state."""
     if op.kind == "qalloc":
-        sv.alloc(op.results[0])
+        try:
+            sv.alloc(op.results[0])
+        except ValueError as e:
+            raise SimulationError(f"qalloc %{op.results[0]}: {e}") from e
         qmap[op.results[0]] = op.results[0]
     elif op.kind == "gate":
         keys = [qmap[v] for v in op.operands]
@@ -30,7 +43,7 @@ def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
         if op.condition is not None:
             bit, want = op.condition
             if bits[bit] != int(want):
-                return None
+                return
         sv.gate(
             op.gate.name,
             keys[op.num_controls:],
@@ -38,7 +51,7 @@ def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
             op.param,
         )
     elif op.kind == "qfree":
-        sv.free(qmap[op.operands[0]])
+        sv.measure(qmap[op.operands[0]])
     elif op.kind == "qfreez":
         try:
             sv.freez(qmap[op.operands[0]])
@@ -46,30 +59,75 @@ def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
             raise SimulationError(f"qfreez %{op.operands[0]}: {e}") from e
     else:
         raise SimulationError(f"cannot execute op kind {op.kind}")
-    return None
 
 
-def simulate(m: QCircModule, shots: int, seed: int) -> dict[str, int]:
-    """Sampled histogram of the entry function's returned bits."""
-    rng = np.random.default_rng(seed)
+# Ops that end a stretch of straight-line execution.
+_STOPS = ("measure", "qfree", "ret")
+
+
+def _execute(m: QCircModule, weight: float,
+             split: Callable[[float, Sequence[float]], Sequence[float]],
+             all_bits: bool = False) -> dict:
+    """Total weight of each output key over all measurement branches.
+
+    ``split(w, probs)`` shares a branch's weight ``w`` out over the outcome
+    probabilities of its children. Keys are the returned bits, or with
+    ``all_bits`` every measured bit in measurement order.
+    """
     fn = m.entry_fn
     if fn.qubit_params:
         raise SimulationError("entry function takes qubits")
-    hist: dict[str, int] = {}
-    for _ in range(shots):
-        sv = StateVector(rng)
-        qmap: dict[int, int] = {}
-        bits: dict[int, int] = {}
-        key = ""
-        for op in fn.ops:
-            if op.kind == "measure":
-                bits[op.results[0]] = sv.measure(qmap[op.operands[0]])
-            elif op.kind == "ret":
-                key = "".join(str(bits[v]) for v in op.operands)
-            else:
-                _exec_op(sv, op, qmap, bits)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    ops = fn.ops
+    measure_order = [op.results[0] for op in ops if op.kind == "measure"]
+    out: dict = {}
+    # Each entry: next op index, state, value -> qubit key, measured bits,
+    # weight.
+    stack = [(0, StateVector(), {}, {}, weight)] if weight else []
+    while stack:
+        i, sv, qmap, bits, w = stack.pop()
+        while i < len(ops) and ops[i].kind not in _STOPS:
+            _exec_op(sv, ops[i], qmap, bits)
+            i += 1
+        if i == len(ops):
+            key = ""
+        elif ops[i].kind == "ret":
+            order = measure_order if all_bits else ops[i].operands
+            key = "".join(str(bits[v]) for v in order)
+        else:
+            op = ops[i]
+            children = sv.branch(qmap[op.operands[0]])
+            weights = split(w, [p for _, p, _ in children])
+            # Pushed in reverse so that outcome 0 is visited first.
+            for (outcome, _, sub), cw in reversed(list(zip(children,
+                                                           weights))):
+                if cw:
+                    nbits = dict(bits)
+                    if op.kind == "measure":
+                        nbits[op.results[0]] = outcome
+                    stack.append((i + 1, sub, dict(qmap), nbits, cw))
+            continue
+        out[key] = out.get(key, 0) + w
+    return out
+
+
+def simulate(m: QCircModule, shots: int, seed: int) -> dict[str, int]:
+    """Sampled histogram of the entry function's returned bits.
+
+    The shots are shared out binomially at each measurement, so the counts
+    follow the exact multinomial of ``distribution``; one seed always gives
+    the same histogram.
+    """
+    if shots < 0:
+        raise SimulationError(f"shot count must be >= 0, got {shots}")
+    rng = np.random.default_rng(seed)
+
+    def split(n: int, probs: Sequence[float]) -> Sequence[int]:
+        if len(probs) == 1:
+            return (n,)
+        ones = int(rng.binomial(n, probs[1]))
+        return (n - ones, ones)
+
+    return _execute(m, shots, split)
 
 
 def distribution(m: QCircModule, all_bits: bool = False) -> dict[str, float]:
@@ -79,35 +137,8 @@ def distribution(m: QCircModule, all_bits: bool = False) -> dict[str, float]:
     rather than the returned bits, which is the view a classical register
     file exposes.
     """
-    fn = m.entry_fn
-    if fn.qubit_params:
-        raise SimulationError("entry function takes qubits")
-    out: dict[str, float] = {}
-    measure_order = [op.results[0] for op in fn.ops if op.kind == "measure"]
-
-    def walk(i: int, sv: StateVector, qmap: dict, bits: dict, prob: float):
-        for j in range(i, len(fn.ops)):
-            op = fn.ops[j]
-            if op.kind == "measure":
-                for outcome, p, sub in sv.branch(qmap[op.operands[0]]):
-                    nbits = dict(bits)
-                    nbits[op.results[0]] = outcome
-                    walk(j + 1, sub, dict(qmap), nbits, prob * p)
-                return
-            if op.kind == "qfree":
-                for _outcome, p, sub in sv.branch(qmap[op.operands[0]]):
-                    walk(j + 1, sub, dict(qmap), dict(bits), prob * p)
-                return
-            if op.kind == "ret":
-                order = measure_order if all_bits else op.operands
-                key = "".join(str(bits[v]) for v in order)
-                out[key] = out.get(key, 0.0) + prob
-                return
-            _exec_op(sv, op, qmap, bits)
-        out[""] = out.get("", 0.0) + prob
-
-    walk(0, StateVector(), {}, {}, 1.0)
-    return out
+    return _execute(m, 1.0, lambda w, probs: [w * p for p in probs],
+                    all_bits)
 
 
 def module_unitary(fn: QCircFn) -> np.ndarray:

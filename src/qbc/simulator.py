@@ -138,33 +138,44 @@ def apply_gate(
     controls: Sequence[int] = (),
     param: float = 0.0,
 ) -> None:
-    """Apply one gate in place to ``state`` (shape (2^n,) or (2^n, cols))."""
-    idx = np.arange(1 << n)
-    cmask = 0
+    """Apply one gate in place to ``state`` (shape (2^n,) or (2^n, cols)).
+
+    The gate acts on a view with one axis per qubit and a last axis for the
+    columns (of length 1 for a vector): controls fix their axis to 1 and
+    each target axis is split into its 0 and 1 halves.
+    """
+    assert state.flags.c_contiguous, "gates apply to a contiguous state"
+    view = state.reshape((2,) * n + (-1,))
+    idx: list = [slice(None)] * n
     for c in controls:
-        cmask |= _bit(n, c)
-    sel = (idx & cmask) == cmask
+        idx[c] = 1
+
+    def at(*bits: int) -> tuple:
+        sub = list(idx)
+        for t, b in zip(targets, bits):
+            sub[t] = b
+        return tuple(sub)
+
     if kind == "P":
-        t = _bit(n, targets[0])
-        rows = idx[sel & ((idx & t) != 0)]
-        state[rows] *= np.exp(1j * param)
+        view[at(1)] *= np.exp(1j * param)
         return
-    if kind == "SWAP":
-        t1, t2 = _bit(n, targets[0]), _bit(n, targets[1])
-        rows = idx[sel & ((idx & t1) != 0) & ((idx & t2) == 0)]
-        other = (rows ^ t1) ^ t2
-        tmp = state[rows].copy()
-        state[rows] = state[other]
-        state[other] = tmp
+    if kind in ("SWAP", "X"):
+        lo, hi = (at(1, 0), at(0, 1)) if kind == "SWAP" else (at(0), at(1))
+        tmp = view[lo].copy()
+        view[lo] = view[hi]
+        view[hi] = tmp
         return
     m = _GATE_1Q[kind]
-    t = _bit(n, targets[0])
-    rows0 = idx[sel & ((idx & t) == 0)]
-    rows1 = rows0 | t
-    a0 = state[rows0].copy()
-    a1 = state[rows1].copy()
-    state[rows0] = m[0, 0] * a0 + m[0, 1] * a1
-    state[rows1] = m[1, 0] * a0 + m[1, 1] * a1
+    s0, s1 = at(0), at(1)
+    if m[0, 1] == 0 and m[1, 0] == 0:
+        if m[0, 0] != 1:
+            view[s0] *= m[0, 0]
+        view[s1] *= m[1, 1]
+        return
+    a0 = view[s0].copy()
+    a1 = view[s1]
+    view[s0] = m[0, 0] * a0 + m[0, 1] * a1
+    view[s1] = m[1, 0] * a0 + m[1, 1] * a1
 
 
 def apply_unitary_at(state: np.ndarray, mat: np.ndarray,
@@ -244,13 +255,12 @@ class StateVector:
             [self.pos(k) for k in controls],
             param,
         )
-        norm = float(np.linalg.norm(self.state))
+        norm = math.sqrt(np.vdot(self.state, self.state).real)
         assert abs(norm - 1.0) <= NORM_TOL, f"norm drifted to {norm}"
 
     def _prob_one(self, key: object) -> float:
-        b = _bit(self.n, self.pos(key))
-        idx = np.arange(1 << self.n)
-        return float(np.sum(np.abs(self.state[idx[(idx & b) != 0]]) ** 2))
+        shaped = self.state.reshape(1 << self.pos(key), 2, -1)
+        return float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
 
     def _project_out(self, key: object, outcome: int, prob: float) -> None:
         pos = self.pos(key)
@@ -264,9 +274,6 @@ class StateVector:
         self._project_out(key, outcome, p1 if outcome else 1.0 - p1)
         return outcome
 
-    def free(self, key: object) -> None:
-        self.measure(key)
-
     def freez(self, key: object) -> None:
         p1 = self._prob_one(key)
         if p1 > FREEZ_TOL:
@@ -276,14 +283,15 @@ class StateVector:
         self._project_out(key, 0, 1.0 - p1)
 
     def branch(self, key: object) -> list[tuple[int, float, "StateVector"]]:
-        """Both measurement branches with probabilities (for exact sweeps)."""
+        """Each measurement outcome of nonzero probability, with that
+        probability and the projected state; ``self`` is left unchanged."""
         p1 = self._prob_one(key)
         out = []
         for outcome, prob in ((0, 1.0 - p1), (1, p1)):
             if prob <= 1e-15:
                 continue
             sv = StateVector(self.rng)
-            sv.state = self.state.copy()
+            sv.state = self.state  # _project_out rebinds, never writes
             sv.order = list(self.order)
             sv._project_out(key, outcome, prob)
             out.append((outcome, prob, sv))

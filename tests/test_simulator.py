@@ -1,6 +1,7 @@
 """Statevector simulation, gate application, and the translation oracle."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,10 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from qbc.bases import Basis, BuiltinBasis, Prim, basis, lit
 from qbc.qcirc import Gate, GateKind, g
-from qbc.run import simulate, distribution, module_unitary, gates_to_fn
+from qbc.pipeline import Options, compile_to_circuit
+from qbc.run import (
+    SimulationError,
+    distribution,
+    gates_to_fn,
+    module_unitary,
+    simulate,
+)
 from qbc.qcirc import QCircFn, QCircModule, QOp
 from qbc.simulator import (
     StateVector,
+    apply_gate,
     fourier_column,
     span_projector,
     translation_unitary,
@@ -139,8 +148,6 @@ def test_qfreez_on_one_raises():
     ]
     fn.next_id = 2
     m = QCircModule({"main": fn}, "main")
-    from qbc.run import SimulationError
-
     with pytest.raises(SimulationError):
         simulate(m, shots=1, seed=0)
 
@@ -178,3 +185,184 @@ def test_gate_unitarity(a, b):
     gates = [g(H, a), g(GateKind.T, b), g(X, (a + 1) % 4, controls=(a,))]
     u = unitary_of(gates, 4)
     assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The gate kernel against dense matrices built here from the gate's action
+# on each basis state.
+
+_DENSE_1Q = {
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "S": [[1, 0], [0, 1j]],
+    "SDG": [[1, 0], [0, -1j]],
+    "T": [[1, 0], [0, np.exp(1j * math.pi / 4)]],
+    "TDG": [[1, 0], [0, np.exp(-1j * math.pi / 4)]],
+}
+
+
+def _dense(n, kind, targets, controls, param):
+    if kind == "P":
+        core = np.diag([1, np.exp(1j * param)])
+    elif kind == "SWAP":
+        core = np.eye(4)[[0, 2, 1, 3]]
+    else:
+        core = np.array(_DENSE_1Q[kind], dtype=complex)
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    for col in range(1 << n):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        if not all(bits[c] for c in controls):
+            u[col, col] = 1
+            continue
+        sub = int("".join(str(bits[t]) for t in targets), 2)
+        for a in range(len(core)):
+            out = list(bits)
+            for i, t in enumerate(targets):
+                out[t] = (a >> (len(targets) - 1 - i)) & 1
+            u[int("".join(map(str, out)), 2), col] += core[a, sub]
+    return u
+
+
+@pytest.mark.parametrize("kind,targets,controls", [
+    ("P", [1], [3]),
+    ("SWAP", [0, 3], [2]),
+    ("X", [2], [0, 3]),
+    ("H", [1], [3, 0]),
+])
+def test_apply_gate_controlled_non_adjacent(kind, targets, controls):
+    u = np.eye(16, dtype=complex)
+    apply_gate(u, 4, kind, targets, controls, 0.7)
+    assert np.allclose(u, _dense(4, kind, targets, controls, 0.7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_gate_matches_dense_matrix(data):
+    kind = data.draw(st.sampled_from(["P", "SWAP", *_DENSE_1Q]), label="kind")
+    k = 2 if kind == "SWAP" else 1
+    n = data.draw(st.integers(k, 5), label="n")
+    order = data.draw(st.permutations(range(n)), label="order")
+    nctl = data.draw(st.integers(0, n - k), label="controls")
+    targets, controls = order[:k], order[k:k + nctl]
+    param = data.draw(st.floats(-math.pi, math.pi), label="param")
+    cols = data.draw(st.sampled_from([None, 3]), label="cols")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n,) if cols is None else (1 << n, cols)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = _dense(n, kind, targets, controls, param) @ state
+    apply_gate(state, n, kind, targets, controls, param)
+    assert np.allclose(state, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# StateVector sampling and branching.
+
+
+def _bell_state(rng=None):
+    sv = StateVector(rng)
+    sv.alloc("a")
+    sv.alloc("b")
+    sv.gate("H", ["a"])
+    sv.gate("X", ["b"], ["a"])
+    return sv
+
+
+def test_measure_samples_and_collapses():
+    ones = 0
+    for seed in range(200):
+        sv = _bell_state(np.random.default_rng(seed))
+        a = sv.measure("a")
+        assert sv.order == ["b"]
+        assert sv.measure("b") == a
+        ones += a
+    assert 60 < ones < 140
+
+
+def test_branch_leaves_state_unchanged():
+    sv = _bell_state()
+    before = sv.state.copy()
+    children = sv.branch("a")
+    assert [(o, round(p, 12)) for o, p, _ in children] == [(0, 0.5), (1, 0.5)]
+    assert np.array_equal(sv.state, before) and sv.order == ["a", "b"]
+    for outcome, _, sub in children:
+        assert sub.order == ["b"]
+        assert np.allclose(sub.state, np.eye(2)[outcome])
+
+
+def test_branch_drops_impossible_outcome():
+    sv = StateVector()
+    sv.alloc("a")
+    assert [o for o, _, _ in sv.branch("a")] == [0]
+
+
+# ---------------------------------------------------------------------------
+# The shot-branching executor against the exact distribution.
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+BENCHMARKS = ["bell", "bv", "dj", "grover", "simon", "period", "teleport"]
+
+
+def _compiled(name):
+    path = BENCH / f"{name}.qw"
+    return compile_to_circuit(path.read_text(), str(path), Options())
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_simulate_agrees_with_distribution(name):
+    qc = _compiled(name)
+    shots = 4096
+    hist = simulate(qc, shots=shots, seed=11)
+    dist = distribution(qc)
+    assert sum(hist.values()) == shots
+    for key in set(hist) | set(dist):
+        p = dist.get(key, 0.0)
+        assert p > 0.0, f"{key} sampled but has probability 0"
+        sigma = math.sqrt(shots * p * (1.0 - p))
+        assert abs(hist.get(key, 0) - shots * p) <= 5 * sigma + 1, key
+
+
+def test_qfree_branches_without_recording_a_bit():
+    # Discarding half of a Bell pair leaves the other half a fair coin.
+    fn = QCircFn("main")
+    fn.ops = [
+        QOp("qalloc", results=(0,)),
+        QOp("qalloc", results=(1,)),
+        QOp("gate", (0,), (2,), gate=H),
+        QOp("gate", (2, 1), (3, 4), gate=X, num_controls=1),
+        QOp("qfree", (3,)),
+        QOp("measure", (4,), (5,)),
+        QOp("ret", (5,)),
+    ]
+    fn.next_id = 6
+    m = QCircModule({"main": fn}, "main")
+    assert distribution(m) == pytest.approx({"0": 0.5, "1": 0.5})
+    assert distribution(m, all_bits=True) == pytest.approx({"0": 0.5, "1": 0.5})
+    hist = simulate(m, shots=4000, seed=2)
+    assert set(hist) == {"0", "1"} and sum(hist.values()) == 4000
+    assert abs(hist["0"] - 2000) < 5 * math.sqrt(1000) + 1
+
+
+def test_simulate_million_shots():
+    hist = simulate(_compiled("grover"), shots=10**6, seed=5)
+    assert sum(hist.values()) == 10**6
+    assert max(hist, key=hist.get) == "1111"
+
+
+def test_simulate_zero_shots_is_empty():
+    assert simulate(_bell_module(), shots=0, seed=1) == {}
+
+
+def test_simulate_negative_shots_raises():
+    with pytest.raises(SimulationError, match="shot count"):
+        simulate(_bell_module(), shots=-5, seed=1)
+
+
+def test_live_qubit_limit_raises_simulation_error():
+    fn = QCircFn("main")
+    fn.ops = [QOp("qalloc", results=(i,)) for i in range(21)]
+    fn.ops.append(QOp("ret", ()))
+    fn.next_id = 21
+    with pytest.raises(SimulationError, match="20 live qubits"):
+        distribution(QCircModule({"main": fn}, "main"))
