@@ -21,7 +21,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qbc.backends import BackendError, read_qasm3  # noqa: E402
+from qbc.backends import read_qasm3  # noqa: E402
+from qbc.diagnostics import CompileError  # noqa: E402
 from qbc.pipeline import Options, compile_source, compile_to_circuit  # noqa: E402
 from qbc.run import distribution  # noqa: E402
 
@@ -50,7 +51,7 @@ def goldens(name: str) -> dict[str, str | None]:
         raise GoldenError(f"{name}: re-ingested distribution differs")
     try:
         qir = compile_source(source, str(src_path), opts, "qir")
-    except BackendError:
+    except CompileError:  # the QIR backend rejected the program
         qir = None
     return {f"{name}.qasm": qasm, f"{name}.ll": qir}
 

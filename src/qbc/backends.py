@@ -149,13 +149,19 @@ def read_qasm3(text: str) -> QCircModule:
     import re
 
     fn = QCircFn("main")
-    wires: dict[int, int] = {}
+    wires: dict[int, int] = {}  # live register index -> its current value
+    measured: set[int] = set()
+    last_use: dict[int, int] = {}  # register index -> fn.ops index of its last gate
     cbits: dict[int, int] = {}
     n_qubits = 0
 
     def wire(i: int) -> int:
+        """The index's current value, allocated just before its first use."""
         if i not in wires:
-            raise BackendError(f"unallocated qubit q[{i}]")
+            if i >= n_qubits or i in measured:
+                raise BackendError(f"unallocated qubit q[{i}]")
+            wires[i] = fn.new_id()
+            fn.ops.append(QOp("qalloc", results=(wires[i],)))
         return wires[i]
 
     def q_indices(args: str) -> list[int]:
@@ -169,6 +175,7 @@ def read_qasm3(text: str) -> QCircModule:
                           num_controls=nctrl, condition=cond))
         for i, r in zip(idxs, results):
             wires[i] = r
+            last_use[i] = len(fn.ops) - 1
 
     gate_re = re.compile(
         r"(?:ctrl\((\d+)\) @ )?(\w+)(?:\(([^)]*)\))? ((?:q\[\d+\](?:, )?)+);"
@@ -182,10 +189,6 @@ def read_qasm3(text: str) -> QCircModule:
         mt = re.match(r"qubit\[(\d+)\] q;", stmt)
         if mt:
             n_qubits = int(mt.group(1))
-            for i in range(n_qubits):
-                v = fn.new_id()
-                fn.ops.append(QOp("qalloc", results=(v,)))
-                wires[i] = v
             return
         if re.match(r"bit\[\d+\] c;", stmt) or stmt.startswith("OPENQASM") \
                 or stmt.startswith("include"):
@@ -196,6 +199,7 @@ def read_qasm3(text: str) -> QCircModule:
             fn.ops.append(QOp("measure", (wire(int(mt.group(1))),), (b,)))
             cbits[int(mt.group(2))] = b
             wires.pop(int(mt.group(1)))
+            measured.add(int(mt.group(1)))
             return
         mt = re.match(r"if \(c\[(\d+)\] == (\d)\) \{ (.*) \}", stmt)
         if mt:
@@ -226,10 +230,16 @@ def read_qasm3(text: str) -> QCircModule:
 
     for raw in text.splitlines():
         run_stmt(raw, None)
-    ordered = [cbits[i] for i in sorted(cbits)]
+    # Free each index still live just after its last gate, so the circuit
+    # holds no more live qubits than the one the text was emitted from.
+    frees: dict[int, list[int]] = {}
     for i in sorted(wires):
-        fn.ops.append(QOp("qfree", (wires[i],)))
-    fn.ops.append(QOp("ret", tuple(ordered)))
+        frees.setdefault(last_use[i], []).append(wires[i])
+    ops, fn.ops = fn.ops, []
+    for k, op in enumerate(ops):
+        fn.ops.append(op)
+        fn.ops.extend(QOp("qfree", (v,)) for v in frees.get(k, ()))
+    fn.ops.append(QOp("ret", tuple(cbits[i] for i in sorted(cbits))))
     return QCircModule({"main": fn}, "main")
 
 

@@ -94,6 +94,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"qbc: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as e:
+        print(f"qbc: {args.file}: not UTF-8 (byte {e.start}: {e.reason})",
+              file=sys.stderr)
+        return EXIT_DIAGNOSTICS
 
     opts = _options(args)
     try:

@@ -2,15 +2,27 @@
 Gate-level optimization: cancellation of adjacent inverse pairs, the HXH/HZH
 conjugation rules, phase merging, the relaxed multi-controlled-X-on-|->
 rewrite, and Selinger-style decomposition of multi-controlled gates.
+
+The rewrite rules run under a worklist driver. Each function gets one
+producer map and one consumer map (value -> (op index, position)) that every
+rewrite updates in place. Deleted ops are only marked dead and are dropped
+at the end, so an op's index stays its place in program order. Rules fire in
+a fixed order: the relaxed |-> rule at the lowest matching qalloc, else the
+pair rules and then HXH at the lowest matching op. An op that no rewrite
+touched since it last failed to match cannot match, so only touched ops are
+re-queued, with their producers two hops back (HXH looks two consumers
+ahead), and the qallocs their wires start from are marked dirty. Every
+rewrite deletes at least one gate, so the pass takes linear time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Optional
 
 from .qcirc import (
-    Gate, GateKind, HERMITIAN, QCircFn, QCircModule, QOp, append_gates, g,
+    Gate, GateKind, HERMITIAN, QCircFn, QCircModule, QOp, adjoint_gates,
+    append_gates, g,
 )
 
 H, X, Z, S, SDG, T, TDG, P, SWAP = (
@@ -21,52 +33,11 @@ H, X, Z, S, SDG, T, TDG, P, SWAP = (
 _INVERSE_PAIRS = {(S, SDG), (SDG, S), (T, TDG), (TDG, T)}
 
 
-def _producers(fn: QCircFn) -> dict[int, tuple[int, int]]:
-    out = {}
-    for i, op in enumerate(fn.ops):
-        for k, r in enumerate(op.results):
-            out[r] = (i, k)
-    return out
-
-
-def _consumers(fn: QCircFn) -> dict[int, tuple[int, int]]:
-    out = {}
-    for i, op in enumerate(fn.ops):
-        for k, v in enumerate(op.operands):
-            out[v] = (i, k)
-    return out
-
-
-def _delete_gates(fn: QCircFn, indices: set[int]) -> None:
-    """Remove gate ops, forwarding each operand to its matching result."""
-    forward: dict[int, int] = {}
-    for i in indices:
-        op = fn.ops[i]
-        for v, r in zip(op.operands, op.results):
-            forward[r] = v
-
-    def resolve(v: int) -> int:
-        while v in forward:
-            v = forward[v]
-        return v
-
-    kept = []
-    for i, op in enumerate(fn.ops):
-        if i in indices:
-            continue
-        op.operands = tuple(resolve(v) for v in op.operands)
-        if op.condition is not None:
-            op.condition = (resolve(op.condition[0]), op.condition[1])
-        kept.append(op)
-    fn.ops = kept
-
-
-def _wiring_match(fn: QCircFn, i: int, j: int) -> bool:
-    """g_j consumes exactly g_i's results, controls->controls, targets aligned."""
-    a, b = fn.ops[i], fn.ops[j]
+def _wiring_match(a: QOp, b: QOp) -> bool:
+    """b consumes exactly a's results, controls->controls, targets aligned."""
     if set(b.operands) != set(a.results):
         return False
-    amap = dict(zip(a.results, a.operands))  # result -> the wire's pre-g_i value
+    amap = dict(zip(a.results, a.operands))  # result -> the wire's pre-a value
     actrl = set(a.operands[: a.num_controls])
     atgt = list(a.operands[a.num_controls:])
     bctrl = {amap[v] for v in b.operands[: b.num_controls]}
@@ -78,174 +49,205 @@ def _wiring_match(fn: QCircFn, i: int, j: int) -> bool:
     return atgt == btgt
 
 
-def _try_pair_rules(fn: QCircFn, i: int) -> bool:
-    op = fn.ops[i]
-    if op.kind != "gate" or op.condition is not None:
+class _Rewriter:
+    """One function's ops and use-def maps, kept current as rules fire."""
+
+    def __init__(self, fn: QCircFn):
+        self.ops = fn.ops
+        self.dead = [False] * len(fn.ops)
+        self.producer: dict[int, int] = {}  # value -> op index
+        self.consumer: dict[int, tuple[int, int]] = {}  # value -> (op, position)
+        self.root: dict[int, int] = {}  # qubit value -> its wire's qalloc index
+        for i, op in enumerate(fn.ops):
+            for r in op.results:
+                self.producer[r] = i
+            for k, v in enumerate(op.operands):
+                self.consumer[v] = (i, k)
+            if op.kind == "qalloc":
+                self.root[op.results[0]] = i
+            elif op.kind == "gate":
+                for v, r in zip(op.operands, op.results):
+                    if v in self.root:
+                        self.root[r] = self.root[v]
+        # Min-heaps of op indices that may match: gates for the pair and HXH
+        # rules, qallocs for the relaxed rule. Heap order is program order.
+        self.work = [i for i, op in enumerate(fn.ops) if op.kind == "gate"]
+        self.dirty = [i for i, op in enumerate(fn.ops) if op.kind == "qalloc"]
+
+    def run(self) -> list[QOp]:
+        while self._fire_lowest(self.dirty, self._relaxed_minus_target) \
+                or self._fire_lowest(self.work, self._local_rules):
+            pass
+        return [op for op, dead in zip(self.ops, self.dead) if not dead]
+
+    def _fire_lowest(self, queue: list[int], rule) -> bool:
+        while queue:
+            i = heapq.heappop(queue)
+            if not self.dead[i] and rule(i):
+                return True
         return False
-    consumers = _consumers(fn)
-    nexts = {consumers.get(r) for r in op.results}
-    if None in nexts or len({ix for ix, _ in nexts}) != 1:
+
+    def _requeue(self, touched) -> None:
+        """Queue the touched ops and their producers up to two hops back, and
+        mark dirty the qalloc of every wire the touched ops carry."""
+        hop = {i for i in touched if not self.dead[i]}
+        for i in hop:
+            for v in self.ops[i].operands:
+                if v in self.root:
+                    heapq.heappush(self.dirty, self.root[v])
+        queued = set(hop)
+        for _ in range(2):
+            hop = {self.producer[v] for i in hop
+                   for v in self.ops[i].operands if v in self.producer}
+            queued |= hop
+        for i in queued:
+            heapq.heappush(self.work, i)
+
+    def _delete(self, indices: set[int], changed=()) -> None:
+        """Remove gate ops, forwarding each operand to its result's consumer,
+        and re-queue around them and the ``changed`` ops the rule altered."""
+        for i in indices:
+            self.dead[i] = True
+        touched = set(changed)
+        for i in sorted(indices):
+            op = self.ops[i]
+            for v, r in zip(op.operands, op.results):
+                loc = self.consumer.pop(r, None)
+                if loc is None:
+                    del self.consumer[v]
+                    continue
+                j, pos = loc
+                c = self.ops[j]
+                c.operands = c.operands[:pos] + (v,) + c.operands[pos + 1:]
+                self.consumer[v] = loc
+                touched.add(j)
+        self._requeue(touched)
+
+    def _local_rules(self, i: int) -> bool:
+        return self._pair_rules(i) or self._hxh(i)
+
+    def _pair_rules(self, i: int) -> bool:
+        op = self.ops[i]
+        if op.kind != "gate" or op.condition is not None:
+            return False
+        nexts = {self.consumer.get(r) for r in op.results}
+        if None in nexts or len({ix for ix, _ in nexts}) != 1:
+            return False
+        j = next(iter(nexts))[0]
+        nxt = self.ops[j]
+        if nxt.kind != "gate" or nxt.condition is not None:
+            return False
+        if not _wiring_match(op, nxt):
+            return False
+        a, b = op.gate, nxt.gate
+        if a == b and a in HERMITIAN or (a, b) in _INVERSE_PAIRS:
+            self._delete({i, j})
+            return True
+        if a is P and b is P:
+            theta = op.param + nxt.param
+            theta = math.remainder(theta, 2 * math.pi)
+            if abs(theta) <= 1e-12:
+                self._delete({i, j})
+            else:
+                op.param = theta
+                self._delete({j}, changed={i})
+            return True
         return False
-    j = next(iter(nexts))[0]
-    nxt = fn.ops[j]
-    if nxt.kind != "gate" or nxt.condition is not None:
-        return False
-    if not _wiring_match(fn, i, j):
-        return False
-    a, b = op.gate, nxt.gate
-    if a == b and a in HERMITIAN:
-        _delete_gates(fn, {i, j})
+
+    def _hxh(self, i: int) -> bool:
+        """H (uncontrolled) conjugating the target of an X or Z gate."""
+        first = self.ops[i]
+        if first.kind != "gate" or first.gate is not H or first.num_controls \
+                or first.condition is not None:
+            return False
+        mid_loc = self.consumer.get(first.results[0])
+        if mid_loc is None:
+            return False
+        j, pos = mid_loc
+        mid = self.ops[j]
+        if mid.kind != "gate" or mid.gate not in (X, Z) or mid.condition is not None:
+            return False
+        if pos < mid.num_controls:
+            return False
+        last_loc = self.consumer.get(mid.results[pos])
+        if last_loc is None:
+            return False
+        k, _ = last_loc
+        last = self.ops[k]
+        if last.kind != "gate" or last.gate is not H or last.num_controls \
+                or last.condition is not None:
+            return False
+        mid.gate = Z if mid.gate is X else X
+        self._delete({i, k}, changed={j})
         return True
-    if (a, b) in _INVERSE_PAIRS:
-        _delete_gates(fn, {i, j})
-        return True
-    if a is P and b is P:
-        theta = op.param + nxt.param
-        theta = math.remainder(theta, 2 * math.pi)
-        if abs(theta) <= 1e-12:
-            _delete_gates(fn, {i, j})
-        else:
-            op.param = theta
-            _delete_gates(fn, {j})
-        return True
-    return False
 
+    def _relaxed_minus_target(self, i: int) -> bool:
+        """qalloc -> X -> H -> (MCX targets)* -> H -> X -> qfree(z): MCX => MCZ."""
 
-def _try_hxh(fn: QCircFn, i: int) -> bool:
-    """H (uncontrolled) conjugating the target of an X or Z gate."""
-    first = fn.ops[i]
-    if first.kind != "gate" or first.gate is not H or first.num_controls \
-            or first.condition is not None:
-        return False
-    consumers = _consumers(fn)
-    mid_loc = consumers.get(first.results[0])
-    if mid_loc is None:
-        return False
-    j, pos = mid_loc
-    mid = fn.ops[j]
-    if mid.kind != "gate" or mid.gate not in (X, Z) or mid.condition is not None:
-        return False
-    if pos < mid.num_controls:
-        return False
-    mid_result = mid.results[pos]
-    last_loc = consumers.get(mid_result)
-    if last_loc is None:
-        return False
-    k, _ = last_loc
-    last = fn.ops[k]
-    if last.kind != "gate" or last.gate is not H or last.num_controls \
-            or last.condition is not None:
-        return False
-    mid.gate = Z if mid.gate is X else X
-    _delete_gates(fn, {i, k})
-    return True
+        def only_consumer(v):
+            loc = self.consumer.get(v)
+            return None if loc is None else loc[0]
 
+        def plain_gate(v, kind):
+            j = only_consumer(v)
+            if j is None:
+                return None
+            o = self.ops[j]
+            if o.kind != "gate" or o.gate is not kind or o.condition is not None \
+                    or o.num_controls:
+                return None
+            return j
 
-def _try_relaxed_minus_target(fn: QCircFn) -> bool:
-    """qalloc -> X -> H -> (MCX targets)* -> H -> X -> qfree(z): MCX => MCZ."""
-    producers = _producers(fn)
-    consumers = _consumers(fn)
-
-    def only_consumer(v):
-        loc = consumers.get(v)
-        return None if loc is None else loc[0]
-
-    for i, op in enumerate(fn.ops):
-        if op.kind != "qalloc":
-            continue
         chain = [i]
-        v = op.results[0]
-
-        def next_gate(v, kind, plain):
-            j = only_consumer(v)
+        v = self.ops[i].results[0]
+        for kind in (X, H):
+            j = plain_gate(v, kind)
             if j is None:
-                return None, None
-            o = fn.ops[j]
-            if o.kind != "gate" or o.gate is not kind or o.condition is not None:
-                return None, None
-            if plain and (o.num_controls or len(o.operands) != 1):
-                return None, None
-            return j, o.results[0]
-
-        jx, v = next_gate(v, X, True)
-        if jx is None:
-            continue
-        jh, v = next_gate(v, H, True)
-        if jh is None:
-            continue
-        chain += [jx, jh]
+                return False
+            chain.append(j)
+            v = self.ops[j].results[0]
         mcx_indices = []
-        ok = True
-        while True:
-            j = only_consumer(v)
+        while (j := only_consumer(v)) is not None:
+            o = self.ops[j]
+            if not (o.kind == "gate" and o.gate is X and o.num_controls >= 1
+                    and o.condition is None and o.operands[-1] == v):
+                break
+            mcx_indices.append(j)
+            v = o.results[-1]
+        if not mcx_indices:
+            return False
+        for kind in (H, X):
+            j = plain_gate(v, kind)
             if j is None:
-                ok = False
-                break
-            o = fn.ops[j]
-            if o.kind == "gate" and o.gate is X and o.num_controls >= 1 \
-                    and o.condition is None and o.operands[-1] == v:
-                mcx_indices.append(j)
-                v = o.results[-1]
-                continue
-            if o.kind == "gate" and o.gate is H and not o.num_controls \
-                    and len(o.operands) == 1 and o.condition is None:
-                jh2 = j
-                v = o.results[0]
-                break
-            ok = False
-            break
-        if not ok or not mcx_indices:
-            continue
-        jx2 = only_consumer(v)
-        if jx2 is None:
-            continue
-        o2 = fn.ops[jx2]
-        if o2.kind != "gate" or o2.gate is not X or o2.num_controls \
-                or o2.condition is not None:
-            continue
-        v2 = o2.results[0]
-        jf = only_consumer(v2)
-        if jf is None or fn.ops[jf].kind not in ("qfree", "qfreez"):
-            continue
+                return False
+            chain.append(j)
+            v = self.ops[j].results[0]
+        jf = only_consumer(v)
+        if jf is None or self.ops[jf].kind not in ("qfree", "qfreez"):
+            return False
+        chain.append(jf)
         # Rewrite each MCX into an MCZ on its controls, dropping the ancilla.
         for j in mcx_indices:
-            o = fn.ops[j]
-            ctrls = list(o.operands[: o.num_controls])
-            ctrl_res = list(o.results[: o.num_controls])
-            o.operands = tuple(ctrls)
-            o.results = tuple(ctrl_res)
+            o = self.ops[j]
+            o.operands = o.operands[: o.num_controls]
+            o.results = o.results[: o.num_controls]
             o.gate = Z
-            o.num_controls = len(ctrls) - 1
-        # Thread the ancilla value straight through the rewritten gates.
-        forward = {}
-        anc_v = fn.ops[i].results[0]
-        for j in (jx, jh):
-            forward[fn.ops[j].results[0]] = None
-        kept = []
-        for idx, o in enumerate(fn.ops):
-            if idx in (i, jx, jh, jh2, jx2, jf):
-                continue
-            kept.append(o)
-        fn.ops = kept
+            o.num_controls -= 1
+        for j in chain:
+            self.dead[j] = True
+        self._requeue(mcx_indices)
         return True
-    return False
 
 
 def peephole(m: QCircModule) -> QCircModule:
-    """Apply the cancellation rule set to a fixpoint on every function."""
+    """Apply the cancellation rule set to a fixpoint on every function.
+
+    Rewrites fire in a fixed order: the relaxed |-> rule at the lowest
+    matching qalloc first, else the pair rules and then HXH at the lowest
+    matching op. A worklist finds that match without rescanning the function.
+    """
     for fn in m.functions.values():
-        budget = (fn.count_gates() + 1) ** 2
-        changed = True
-        while changed and budget > 0:
-            budget -= 1
-            changed = False
-            if _try_relaxed_minus_target(fn):
-                changed = True
-                continue
-            for i in range(len(fn.ops)):
-                if _try_pair_rules(fn, i) or _try_hxh(fn, i):
-                    changed = True
-                    break
+        fn.ops = _Rewriter(fn).run()
     return m
 
 
@@ -292,22 +294,13 @@ def _mcx_gates(controls: list[int], target: int, alloc) -> list[Gate]:
     anc = alloc()
     front = ccix_gates(controls[0], controls[1], anc)
     middle = _mcx_gates([anc] + controls[2:], target, alloc)
-    from .qcirc import adjoint_gates
-
     return front + middle + adjoint_gates(front)
-
-
-def _controlled_core(kind: GateKind, param: float, anc: int,
-                     targets: tuple[int, ...]) -> list[Gate]:
-    return [Gate(kind, targets, (anc,), param)]
 
 
 def decompose_multicontrol(m: QCircModule) -> QCircModule:
     """Rewrite every gate with two or more controls into <=1-control gates."""
-    from .qcirc import adjoint_gates
-
     for fn in m.functions.values():
-        new_ops: list[QOp] = []
+        old_ops, fn.ops = fn.ops, []
         rename: dict[int, int] = {}
 
         def resolve(v: int) -> int:
@@ -315,12 +308,12 @@ def decompose_multicontrol(m: QCircModule) -> QCircModule:
                 v = rename[v]
             return v
 
-        for op in fn.ops:
+        for op in old_ops:
             op.operands = tuple(resolve(v) for v in op.operands)
             if op.condition is not None:
                 op.condition = (resolve(op.condition[0]), op.condition[1])
             if op.kind != "gate" or op.num_controls < 2:
-                new_ops.append(op)
+                fn.ops.append(op)
                 continue
             k = op.num_controls
             n_vals = len(op.operands)
@@ -344,29 +337,16 @@ def decompose_multicontrol(m: QCircModule) -> QCircModule:
             else:
                 anc = alloc()
                 and_in = _mcx_gates(ctrl_pos, anc, alloc)
-                core = _controlled_core(op.gate, op.param, anc, tgt_pos)
+                core = [Gate(op.gate, tgt_pos, (anc,), op.param)]
                 gates = and_in + core + adjoint_gates(and_in)
             wires = list(op.operands)
             for _ in anc_positions:
                 a = fn.new_id()
-                new_ops.append(QOp("qalloc", results=(a,)))
+                fn.ops.append(QOp("qalloc", results=(a,)))
                 wires.append(a)
-            _append(fn, new_ops, wires, gates, op.condition)
+            append_gates(fn, wires, gates, op.condition)
             for pos in range(n_vals, len(wires)):
-                new_ops.append(QOp("qfreez", (wires[pos],)))
+                fn.ops.append(QOp("qfreez", (wires[pos],)))
             for old, new in zip(op.results, wires[:n_vals]):
                 rename[old] = new
-        fn.ops = new_ops
     return m
-
-
-def _append(fn: QCircFn, ops: list[QOp], wires: list[int], gates: list[Gate],
-            condition) -> None:
-    for gt in gates:
-        positions = list(gt.controls) + list(gt.targets)
-        operands = tuple(wires[p] for p in positions)
-        results = tuple(fn.new_id() for _ in positions)
-        ops.append(QOp("gate", operands, results, gate=gt.kind, param=gt.param,
-                       num_controls=len(gt.controls), condition=condition))
-        for p, r in zip(positions, results):
-            wires[p] = r

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .backends import emit_qasm3, emit_qir_base
+from .backends import BackendError, emit_qasm3, emit_qir_base
 from .canon_ast import canonicalize_ast
 from .diagnostics import CompileError, Diagnostic
 from .expand import expand
@@ -62,11 +62,12 @@ def to_qwir(tp, opts: Options) -> QwModule:
     return m
 
 
-def to_gates(m: QwModule, opts: Options) -> QCircModule:
+def to_gates(m: QwModule, opts: Options,
+             file: Optional[str] = None) -> QCircModule:
     try:
         qc = lower_module(m)
     except LowerError as e:
-        raise CompileError(Diagnostic("error", str(e)))
+        raise CompileError(Diagnostic("error", str(e), file=file))
     verify_circuit(qc)
     if opts.opt_level >= 1:
         qc = peephole(qc)
@@ -84,21 +85,24 @@ def compile_source(source: str, file: str, opts: Options, emit: str) -> str:
     m = to_qwir(tp, opts)
     if emit == "qwerty-ir":
         return print_module(m)
-    qc = to_gates(m, opts)
+    qc = to_gates(m, opts, file)
     if emit == "qcircuit-ir":
         return print_qcirc(qc)
-    if emit == "qasm":
-        return emit_qasm3(qc, reuse_qubits=opts.reuse_qubits,
-                          allow_multi_control=not opts.decompose)
-    if emit == "qir":
-        return emit_qir_base(qc, reuse_qubits=opts.reuse_qubits)
+    try:
+        if emit == "qasm":
+            return emit_qasm3(qc, reuse_qubits=opts.reuse_qubits,
+                              allow_multi_control=not opts.decompose)
+        if emit == "qir":
+            return emit_qir_base(qc, reuse_qubits=opts.reuse_qubits)
+    except BackendError as e:
+        raise CompileError(Diagnostic("error", str(e), file=file))
     raise CompileError(Diagnostic("error", f"unknown emit target {emit!r}"))
 
 
 def compile_to_circuit(source: str, file: str, opts: Options) -> QCircModule:
     tp = front(source, file, opts)
     m = to_qwir(tp, opts)
-    return to_gates(m, opts)
+    return to_gates(m, opts, file)
 
 
 @dataclass
@@ -126,7 +130,7 @@ def stats_for(source: str, file: str, opts: Options) -> Stats:
     direct, indirect = count_calls(m)
     gates = qubits = None
     try:
-        qc = to_gates(m, opts)
+        qc = to_gates(m, opts, file)
         fn = qc.entry_fn
         gates = fn.count_gates()
         qubits = sum(1 for op in fn.ops if op.kind == "qalloc")

@@ -33,3 +33,24 @@ def test_run_past_live_qubit_limit_is_a_diagnostic(capsys):
     err = capsys.readouterr().err
     assert err.startswith("qbc: simulation error:")
     assert "20 live qubits" in err
+
+
+def test_backend_rejection_is_a_diagnostic(capsys):
+    for name, flags in [("teleport", []), ("grover", ["--no-decompose"])]:
+        path = str(BENCH / f"{name}.qw")
+        assert main(["compile", path, "--emit", "qir", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: error:"), err
+
+
+def test_non_utf8_input_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "latin1.qw"
+    path.write_bytes("qpu main() -> bit[1] { 'é' }\n".encode("latin-1"))
+    assert main(["compile", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"qbc: {path}: not UTF-8")
+
+
+def test_gate_lowering_error_names_the_file(capsys):
+    path = str(BENCH / "bell.qw")
+    assert main(["compile", path, "--no-inline"]) == 1
+    assert capsys.readouterr().err.startswith(f"{path}: error:")

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from qbc.qcirc import (
-    Gate, GateKind, QCircFn, QCircModule, QOp, g, parse_qcirc, print_qcirc,
-    verify_circuit, CircuitError,
+    Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g, parse_qcirc,
+    print_qcirc, verify_circuit, CircuitError,
 )
 from qbc.peephole import (
     ccix_gates, ccx_gates, decompose_multicontrol, peephole,
 )
+from qbc.pipeline import Options, compile_to_circuit
 from qbc.run import gates_to_fn, module_unitary
 from qbc.simulator import unitary_of
 
@@ -141,6 +142,43 @@ def test_relaxed_minus_target_rule():
     assert np.allclose(before, after, atol=1e-9)
 
 
+def _append_minus_chain(fn, wires, anc_gates, controls_list):
+    """qalloc, ``anc_gates`` on the ancilla, one MCX onto it per control
+    tuple, H, X, qfreez."""
+    a = fn.new_id()
+    fn.ops.append(QOp("qalloc", results=(a,)))
+    wires.append(a)
+    anc = len(wires) - 1
+    append_gates(fn, wires, [g(k, anc) for k in anc_gates]
+                 + [g(X, anc, controls=c) for c in controls_list]
+                 + [g(H, anc), g(X, anc)])
+    fn.ops.append(QOp("qfreez", (wires[anc],)))
+
+
+def test_relaxed_minus_target_after_pair_cancels():
+    # The relaxed rule can match only once the X.X pair in front of it is gone.
+    fn = gates_to_fn("main", 2, [])
+    _append_minus_chain(fn, [0, 1], [X, X, X, H], [(0, 1)])
+    m = QCircModule({"main": fn}, "main")
+    before = module_unitary(fn)
+    peephole(m)
+    verify_circuit(m)
+    kinds = [(op.gate, op.num_controls) for op in fn.ops if op.kind == "gate"]
+    assert kinds == [(Z, 1)]
+    assert [op.operands for op in fn.ops if op.kind == "gate"] == [(0, 1)]
+    assert not any(op.kind in ("qalloc", "qfreez") for op in fn.ops)
+    assert np.allclose(before, module_unitary(fn), atol=1e-9)
+
+
+def test_peephole_qft_round_trip_cancels_to_nothing():
+    # A scaling case: 672 gates reach the peephole, which cancels them all;
+    # a pass that rescans the function after each rewrite takes seconds here.
+    src = ("qpu main[N]() -> bit[N] {\n    'p'[N] | (std[N] >> fourier[N])"
+           " | (fourier[N] >> std[N]) | pm[N].measure\n}\n")
+    m = compile_to_circuit(src, "qft.qw", Options(dims={"N": 24}))
+    assert gate_count(m) == 0
+
+
 def test_ccx_gates_match_toffoli():
     u = unitary_of(ccx_gates(0, 1, 2), 3)
     want = np.eye(8)
@@ -196,16 +234,28 @@ def test_peephole_never_increases_gate_count_random():
     kinds = [X, Z, H, S, SDG, T, TDG, P, SWAP]
     for trial in range(60):
         n = int(rng.integers(2, 7))
-        gates = []
+        fn = gates_to_fn("main", n, [])
+        wires = list(range(n))
+        chains = 0
         for _ in range(int(rng.integers(1, 61))):
+            if chains < 3 and rng.random() < 0.05:
+                # A relaxed-|-> chain that matches at once, after a pair
+                # cancels, or never.
+                chains += 1
+                controls = [tuple(int(c) for c in rng.choice(
+                    n, size=int(rng.integers(1, 3)), replace=False))
+                    for _ in range(int(rng.integers(1, 4)))]
+                lead = [[X, H], [X, X, X, H], [Z, X, H]][int(rng.integers(0, 3))]
+                _append_minus_chain(fn, wires, lead, controls)
+                continue
             kind = kinds[int(rng.integers(0, len(kinds)))]
             qs = list(rng.choice(n, size=2 if kind is SWAP else 1, replace=False))
             free = [q for q in range(n) if q not in qs]
             nc = int(rng.integers(0, min(2, len(free)) + 1))
             ctrl = tuple(free[:nc])
             param = float(rng.uniform(-math.pi, math.pi)) if kind is P else 0.0
-            gates.append(Gate(kind, tuple(qs), ctrl, param))
-        m = fn_module(gates, n)
+            append_gates(fn, wires, [Gate(kind, tuple(qs), ctrl, param)])
+        m = QCircModule({"main": fn}, "main")
         before_u = unitary_of_module(m, n)
         before_count = gate_count(m)
         peephole(m)
@@ -213,6 +263,9 @@ def test_peephole_never_increases_gate_count_random():
         assert gate_count(m) <= before_count
         after_u = unitary_of_module(m, n)
         assert np.allclose(before_u, after_u, atol=1e-9)
+        text = print_qcirc(m)
+        peephole(m)
+        assert print_qcirc(m) == text  # the first pass reached a fixpoint
 
 
 def test_decompose_preserves_unitary_random():
