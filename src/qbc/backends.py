@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .qcirc import Gate, GateKind, QCircFn, QCircModule, QOp, g
+from .qcirc import (
+    N_TARGETS, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
+)
 
 
 class BackendError(Exception):
@@ -167,16 +168,6 @@ def read_qasm3(text: str) -> QCircModule:
     def q_indices(args: str) -> list[int]:
         return [int(x) for x in re.findall(r"q\[(\d+)\]", args)]
 
-    def apply_gate(kind: GateKind, nctrl: int, idxs: list[int],
-                   param: float, cond) -> None:
-        operands = tuple(wire(i) for i in idxs)
-        results = tuple(fn.new_id() for _ in idxs)
-        fn.ops.append(QOp("gate", operands, results, gate=kind, param=param,
-                          num_controls=nctrl, condition=cond))
-        for i, r in zip(idxs, results):
-            wires[i] = r
-            last_use[i] = len(fn.ops) - 1
-
     gate_re = re.compile(
         r"(?:ctrl\((\d+)\) @ )?(\w+)(?:\(([^)]*)\))? ((?:q\[\d+\](?:, )?)+);"
     )
@@ -226,7 +217,16 @@ def read_qasm3(text: str) -> QCircModule:
         kind, nctrl = table[name]
         if nctrl_mod is not None:
             nctrl = int(nctrl_mod)
-        apply_gate(kind, nctrl, idxs, param, cond)
+        if len(idxs) != nctrl + N_TARGETS[kind] or len(set(idxs)) != len(idxs):
+            raise BackendError(f"bad qubit operands: {stmt}")
+        # Allocate every operand before the gate takes its result ids.
+        vals = [wire(i) for i in idxs]
+        positions = tuple(range(len(idxs)))
+        gate = Gate(kind, positions[nctrl:], positions[:nctrl], param)
+        append_gates(fn, vals, [gate], cond)
+        for i, v in zip(idxs, vals):
+            wires[i] = v
+            last_use[i] = len(fn.ops) - 1
 
     for raw in text.splitlines():
         run_stmt(raw, None)
@@ -254,7 +254,7 @@ _QIR_PLAIN = {
 _QIR_ADJ = {GateKind.SDG: "s", GateKind.TDG: "t"}
 
 
-def _legalize_for_qir(op: QOp, fn_new_id) -> list[tuple[GateKind, int, tuple, float]]:
+def _legalize_for_qir(op: QOp) -> list[tuple[GateKind, int, tuple, float]]:
     """Split a gate into (kind, nctrl, operand positions, param) pieces that
     map directly onto Base-Profile intrinsics."""
     kind, nctrl = op.gate, op.num_controls
@@ -337,7 +337,7 @@ def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
     for op in fn.ops:
         if op.kind == "gate":
             idxs = [regs.index_of[v] for v in op.operands]
-            for kind, nctrl, pos, param in _legalize_for_qir(op, fn.new_id):
+            for kind, nctrl, pos, param in _legalize_for_qir(op):
                 args = [idxs[p] for p in pos]
                 if kind is GateKind.P:
                     name = "__quantum__qis__rz__body"

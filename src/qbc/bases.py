@@ -382,16 +382,3 @@ def builtin_vectors(e: BuiltinBasis) -> list[BasisVector]:
     return [
         BasisVector(e.prim, format(k, f"0{e.dim}b")) for k in range(1 << e.dim)
     ]
-
-
-def element_has_phases(e: BasisElement) -> bool:
-    return isinstance(e, BasisLiteral) and any(
-        v.phase is not None for v in e.vectors
-    )
-
-
-def basis_vector_count(b: Basis) -> int:
-    n = 1
-    for e in b.elements:
-        n *= (1 << e.dim) if isinstance(e, BuiltinBasis) else len(e.vectors)
-    return n

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .ast_nodes import (
-    AngleLit, BasisLitNode, BuiltinBasisNode, CondNode, DimLit, EmbedNode,
-    ExprNode, LetNode, MeasureNode, PipeNode, PredNode, Program, QpuFn,
+    AngleLit, BasisLitNode, BuiltinBasisNode, CondNode, EmbedNode,
+    ExprNode, LetNode, MeasureNode, PipeNode, PredNode, Program,
     QubitLitNode, TensorNode, TransNode, AdjointNode, VarNode, VecNode,
     DiscardNode,
 )
@@ -29,14 +29,6 @@ def _rewrite(e: ExprNode, file: str) -> ExprNode:
     while changed:
         e, changed = _rewrite_once(e, file)
     return e
-
-
-def _kids(e):
-    return [
-        (f, getattr(e, f))
-        for f in e.__dataclass_fields__
-        if f not in ("pos",)
-    ]
 
 
 def _rewrite_once(e: ExprNode, file: str) -> tuple[ExprNode, bool]:

@@ -9,7 +9,6 @@ defaults, and inference from capture lengths or the piped-in register width.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .ast_nodes import (

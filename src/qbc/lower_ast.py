@@ -12,14 +12,13 @@ from typing import Optional
 
 from . import bases
 from .ast_nodes import (
-    AngleLit, BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode,
-    EmbedNode, ExprNode, LetNode, MeasureNode, PipeNode, Pos, PredNode,
-    Program, QpuFn, QubitLitNode, TensorNode, TransNode, AdjointNode,
-    VarNode,
+    CondNode, DiscardNode, EmbedNode, ExprNode, LetNode, MeasureNode,
+    PipeNode, Pos, PredNode, Program, QpuFn, QubitLitNode, TensorNode,
+    TransNode, AdjointNode, VarNode,
 )
 from .bases import Prim
 from .diagnostics import err
-from .qwir import ANGLE, FnBuilder, QwFunc, QwModule, QwOp, QwTy, bit, func, qubit
+from .qwir import FnBuilder, QwModule, bit, func, qubit
 from .typecheck import TypedProgram, basis_of, fold_angle
 
 

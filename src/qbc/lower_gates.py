@@ -14,12 +14,11 @@ chain naturally: both branches' gates thread the same slots.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .bases import Basis, BasisLiteral, BasisVector, PhaseParam, Prim
-from .diagnostics import err
-from .qcirc import Gate, GateKind, QCircFn, QCircModule, QOp, g
-from .qwir import QwBlock, QwFunc, QwModule, QwOp
+from .qcirc import (
+    Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
+)
+from .qwir import QwFunc, QwModule, QwOp
 from .synth import embed_gates, lower_translation, measurement_rotation
 
 
@@ -70,19 +69,10 @@ class _GateLowerer:
         return len(self.slot_val) - 1
 
     def emit_gates(self, slots: list[int], gates: list[Gate], condition) -> None:
-        for gt in gates:
-            positions = list(gt.controls) + list(gt.targets)
-            operands = tuple(self.slot_val[slots[p]] for p in positions)
-            results = tuple(self.fn.new_id() for _ in positions)
-            self.fn.ops.append(QOp(
-                "gate", operands, results, gate=gt.kind, param=gt.param,
-                num_controls=len(gt.controls), condition=condition,
-            ))
-            for p, r in zip(positions, results):
-                self.slot_val[slots[p]] = r
-
-    def consume(self, slot: int) -> int:
-        return self.slot_val[slot]
+        wires = [self.slot_val[s] for s in slots]
+        append_gates(self.fn, wires, gates, condition)
+        for s, v in zip(slots, wires):
+            self.slot_val[s] = v
 
     def run(self) -> QCircFn:
         if any(self.src.types[p].kind == "qubit" for p in self.src.params):
@@ -119,17 +109,17 @@ class _GateLowerer:
             bits = []
             for s in slots:
                 b = self.fn.new_id()
-                self.fn.ops.append(QOp("measure", (self.consume(s),), (b,)))
+                self.fn.ops.append(QOp("measure", (self.slot_val[s],), (b,)))
                 bits.append(b)
             self.bmap[op.results[0]] = bits
         elif k == "qbdiscard":
             if condition is not None:
                 raise LowerError("discard inside a conditional")
             for s in self.qmap[op.operands[0]]:
-                self.fn.ops.append(QOp("qfree", (self.consume(s),)))
+                self.fn.ops.append(QOp("qfree", (self.slot_val[s],)))
         elif k == "qbdiscardz":
             for s in self.qmap[op.operands[0]]:
-                self.fn.ops.append(QOp("qfreez", (self.consume(s),)))
+                self.fn.ops.append(QOp("qfreez", (self.slot_val[s],)))
         elif k == "qbpack":
             ids = []
             for v in op.operands:
@@ -161,7 +151,7 @@ class _GateLowerer:
             anc_slots = [self.alloc_slot() for _ in range(anc)]
             self.emit_gates(slots + anc_slots, gates, condition)
             for s in anc_slots:
-                self.fn.ops.append(QOp("qfreez", (self.consume(s),)))
+                self.fn.ops.append(QOp("qfreez", (self.slot_val[s],)))
             self.qmap[op.results[0]] = slots
         elif k == "fconst":
             self.angles[op.results[0]] = op.attrs["value"]

@@ -28,9 +28,6 @@ from .ast_nodes import (
 from .diagnostics import err
 from .lexer import Token, tokenize
 
-BUILTIN_PRIMS = ("std", "pm", "ij", "fourier")
-
-
 class Parser:
     def __init__(self, tokens: list[Token], file: str):
         self.toks = tokens

@@ -109,31 +109,22 @@ def compile_to_circuit(source: str, file: str, opts: Options) -> QCircModule:
 class Stats:
     direct_calls: int
     indirect_calls: int
-    gates: Optional[int]
-    qubits: Optional[int]
+    gates: int
+    qubits: int
 
     def render(self) -> str:
-        lines = [
+        return "\n".join([
             f"direct_calls={self.direct_calls}",
             f"indirect_calls={self.indirect_calls}",
-        ]
-        if self.gates is not None:
-            lines.append(f"gates={self.gates}")
-        if self.qubits is not None:
-            lines.append(f"qubits={self.qubits}")
-        return "\n".join(lines)
+            f"gates={self.gates}",
+            f"qubits={self.qubits}",
+        ])
 
 
 def stats_for(source: str, file: str, opts: Options) -> Stats:
     tp = front(source, file, opts)
     m = to_qwir(tp, opts)
     direct, indirect = count_calls(m)
-    gates = qubits = None
-    try:
-        qc = to_gates(m, opts, file)
-        fn = qc.entry_fn
-        gates = fn.count_gates()
-        qubits = sum(1 for op in fn.ops if op.kind == "qalloc")
-    except CompileError:
-        pass
-    return Stats(direct, indirect, gates, qubits)
+    fn = to_gates(m, opts, file).entry_fn
+    qubits = sum(1 for op in fn.ops if op.kind == "qalloc")
+    return Stats(direct, indirect, fn.count_gates(), qubits)

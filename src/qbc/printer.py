@@ -5,10 +5,10 @@ from __future__ import annotations
 from .ast_nodes import (
     AngleBin, AngleDim, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
     BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CIndex, CLit,
-    CNot, CondNode, CReduce, CRepeat, CSlice, CVar, ClassicalFn, DimBin,
-    DimLit, DimVar, DiscardNode, EmbedNode, LetNode, MeasureNode, ParamNode,
-    PipeNode, PredNode, Program, QpuFn, QubitLitNode, RepeatNode, TensorNode,
-    TransNode, TypeNode, AdjointNode, VarNode, VecNode,
+    CNot, CondNode, CReduce, CRepeat, CSlice, CVar, DimBin, DimLit, DimVar,
+    DiscardNode, EmbedNode, LetNode, MeasureNode, ParamNode, PipeNode,
+    PredNode, Program, QubitLitNode, RepeatNode, TensorNode, TransNode,
+    TypeNode, AdjointNode, VarNode, VecNode,
 )
 
 # Precedence levels for deciding parenthesization (higher binds tighter).

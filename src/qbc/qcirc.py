@@ -2,13 +2,15 @@
 Gate-level dataflow IR: qubit alloc/free, measurement, and controlled gates
 with value semantics (every qubit value is produced once and consumed once).
 
-Synthesis routines build flat ``Gate`` lists over register positions; those
-lists get wired into dataflow ops when a module is assembled.
+Synthesis routines build flat ``Gate`` lists over register positions.
+``append_gates`` is the one place that wires such lists into dataflow
+``gate`` ops: gate lowering, multi-control decomposition and the QASM reader
+all go through it (``parse_qcirc`` builds gate ops from text).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 

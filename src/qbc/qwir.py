@@ -11,11 +11,9 @@ arguments); cond blocks may reference values from the enclosing block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
 
 from .ast_nodes import ClassicalFn
-from .bases import Basis, Prim, check_span_equivalence
-from .diagnostics import err
+from .bases import Basis, check_span_equivalence
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,6 @@ class QwFunc:
         self.types[v] = ty
         return v
 
-    def signature(self) -> QwTy:
-        qdims = [self.types[p].dim for p in self.params if self.types[p].kind == "qubit"]
-        fin = sum(qdims)
-        if not self.result_types:
-            return func(fin, "none", 0, self.reversible)
-        rt = self.result_types[0]
-        return func(fin, rt.kind, rt.dim, self.reversible)
-
 
 @dataclass
 class QwModule:
@@ -105,9 +95,6 @@ class QwModule:
 
 class VerifyError(Exception):
     pass
-
-
-STATIONARY_KINDS = {"fconst", "func_const", "func_adj", "func_pred", "lambda"}
 
 
 def is_stationary(op: QwOp, fn: QwFunc) -> bool:

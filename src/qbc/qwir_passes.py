@@ -10,10 +10,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bases import Basis, BasisLiteral, BasisVector, Prim
-from .diagnostics import err
 from .qwir import (
-    QwBlock, QwFunc, QwModule, QwOp, QwTy, bit, func, is_stationary, qubit,
-    verify,
+    QwBlock, QwFunc, QwModule, QwOp, bit, func, is_stationary, qubit,
 )
 
 

@@ -1,6 +1,6 @@
 """
-Execution of gate-level modules: sampled histograms, exact output
-distributions, and unitary extraction for verification.
+Execution of gate-level modules: sampled histograms and exact output
+distributions.
 
 ``simulate`` and ``distribution`` share one shot-branching executor. It runs
 each stretch of ops between measurements once per live measurement branch,
@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qcirc import QCircFn, QCircModule, QOp
-from .simulator import AncillaNotClean, StateVector, apply_gate
+from .qcirc import QCircModule, QOp
+from .simulator import AncillaNotClean, StateVector
 
 
 class SimulationError(Exception):
@@ -29,7 +29,8 @@ class SimulationError(Exception):
 
 def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
              bits: dict[int, int]) -> None:
-    """Run one op that does not branch the state."""
+    """Run one op that does not branch the state (neither ``measure`` nor
+    ``qfree``)."""
     if op.kind == "qalloc":
         try:
             sv.alloc(op.results[0])
@@ -50,8 +51,6 @@ def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
             keys[: op.num_controls],
             op.param,
         )
-    elif op.kind == "qfree":
-        sv.measure(qmap[op.operands[0]])
     elif op.kind == "qfreez":
         try:
             sv.freez(qmap[op.operands[0]])
@@ -140,98 +139,3 @@ def distribution(m: QCircModule, all_bits: bool = False) -> dict[str, float]:
     return _execute(m, 1.0, lambda w, probs: [w * p for p in probs],
                     all_bits)
 
-
-def module_unitary(fn: QCircFn) -> np.ndarray:
-    """Unitary over ``fn.qubit_params``, requiring clean ancilla round trips.
-
-    Allocated qubits are appended after the parameters; the extracted block
-    is valid only if every column with ancillas at |0> returns them to |0>,
-    which is asserted.
-    """
-    n_params = len(fn.qubit_params)
-    alloc_ids = [op.results[0] for op in fn.ops if op.kind == "qalloc"]
-    n = n_params + len(alloc_ids)
-    if n > 12:
-        raise SimulationError("module unitary limited to 12 qubits")
-    pos = {v: i for i, v in enumerate(fn.qubit_params)}
-    for a in alloc_ids:
-        pos[a] = len(pos)
-    u = np.eye(1 << n, dtype=complex)
-    qmap = dict(pos)
-    for op in fn.ops:
-        if op.kind in ("qalloc", "qfreez", "qfree"):
-            continue
-        if op.kind == "ret" and not op.operands:
-            continue
-        if op.kind != "gate":
-            raise SimulationError(f"op kind {op.kind} has no unitary")
-        if op.condition is not None:
-            raise SimulationError("classically conditioned gate has no unitary")
-        keys = [qmap[v] for v in op.operands]
-        for v, r in zip(op.operands, op.results):
-            qmap[r] = qmap[v]
-        apply_gate(
-            u,
-            n,
-            op.gate.name,
-            keys[op.num_controls:],
-            keys[: op.num_controls],
-            op.param,
-        )
-    if not alloc_ids:
-        return u
-    # Extract the block where all ancillas are |0> on input and output.
-    a = len(alloc_ids)
-    cols = np.arange(1 << n_params) << a
-    sub = u[:, cols]
-    block = sub[cols, :]
-    offblock = np.delete(sub, cols, axis=0)
-    if not np.allclose(offblock, 0.0, atol=1e-9):
-        raise SimulationError("ancillas not returned to |0>")
-    return block
-
-
-def module_unitary_dynamic(fn: QCircFn) -> np.ndarray:
-    """Unitary over ``fn.qubit_params`` by columnwise simulation.
-
-    Unlike ``module_unitary`` this allocates and frees ancillas as the op
-    stream does, so only live qubits cost memory; qfreez enforces ancilla
-    cleanliness per column.
-    """
-    n = len(fn.qubit_params)
-    size = 1 << n
-    u = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        sv = StateVector()
-        qmap: dict[int, int] = {}
-        for i, p in enumerate(fn.qubit_params):
-            sv.alloc(p)
-            qmap[p] = p
-            if (col >> (n - 1 - i)) & 1:
-                sv.gate("X", [p])
-        for op in fn.ops:
-            if op.kind == "ret":
-                continue
-            if op.kind == "measure":
-                raise SimulationError("measure has no unitary")
-            _exec_op(sv, op, qmap, {})
-        if sv.n != n:
-            raise SimulationError("ancillas still live at end")
-        # Undo any positional drift from interleaved alloc/free.
-        perm = [sv.pos(p) for p in fn.qubit_params]
-        state = sv.state.reshape([2] * n).transpose(perm).reshape(-1) \
-            if perm != list(range(n)) else sv.state
-        u[:, col] = state
-    return u
-
-
-def gates_to_fn(name: str, n: int, gates) -> QCircFn:
-    """Wrap a position-based gate list as a function over n qubit params."""
-    from .qcirc import append_gates
-
-    fn = QCircFn(name)
-    fn.qubit_params = tuple(range(n))
-    fn.next_id = n
-    wires = list(range(n))
-    append_gates(fn, wires, list(gates))
-    return fn

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import bases
 from .ast_nodes import (
     AngleBin, AngleLit, AngleNeg, AnglePi, AngleExpr,
-    BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode, DimLit, EmbedNode,
+    BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode, EmbedNode,
     ExprNode, LetNode, MeasureNode, PipeNode, Pos, PredNode, Program, QpuFn,
     QubitLitNode, RepeatNode, TensorNode, TransNode, AdjointNode, VarNode,
     CallNode, BitsNode, AngleNode, ClassicalFn, CExpr, CVar, CLit, CBin,
     CNot, CIndex, CSlice, CReduce, CRepeat,
 )
 from .bases import Prim, check_span_equivalence, fully_spans, validate_literal
-from .diagnostics import CompileError, Diagnostic, err
+from .diagnostics import err
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class TypeChecker:
     def __init__(self, program: Program, file: str = "<input>"):
         self.program = program
         self.file = file
-        self.types: dict[int, Ty] = {}
         self.fn_types: dict[str, FTy] = {}
         self.classicals: dict[str, ClassicalFn] = {}
 
@@ -123,7 +122,7 @@ class TypeChecker:
             raise err(f"missing entry kernel '{self.program.entry}'", Pos(1, 1), self.file)
         if self.fn_types[entry.name].in_dim != 0:
             raise err("entry kernel must take no qubits", entry.pos, self.file)
-        return TypedProgram(self.program, self.types, self.fn_types, self.classicals, self.file)
+        return TypedProgram(self.program, self.fn_types, self.classicals, self.file)
 
     def _signature(self, q: QpuFn) -> FTy:
         in_dim = 0
@@ -208,15 +207,7 @@ class TypeChecker:
                     q.pos, self.file,
                 )
 
-    def _remember(self, e, ty: Ty) -> Ty:
-        self.types[id(e)] = ty
-        return ty
-
     def _expr(self, e: ExprNode, env, uses, rev: bool) -> Ty:
-        ty = self._expr_inner(e, env, uses, rev)
-        return self._remember(e, ty)
-
-    def _expr_inner(self, e: ExprNode, env, uses, rev: bool) -> Ty:
         if isinstance(e, QubitLitNode):
             if e.phase is not None:
                 fold_angle(e.phase, e.pos, self.file)
@@ -435,13 +426,9 @@ def _walk_exprs(e):
 @dataclass
 class TypedProgram:
     program: Program
-    types: dict[int, Ty]
     fn_types: dict[str, FTy]
     classicals: dict[str, ClassicalFn]
     file: str
-
-    def type_of(self, node) -> Ty:
-        return self.types[id(node)]
 
 
 def typecheck(program: Program, file: str = "<input>") -> TypedProgram:

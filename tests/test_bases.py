@@ -25,7 +25,8 @@ from qbc.bases import (
     normalize_element,
     validate_literal,
 )
-from qbc.simulator import span_projector, spans_equal
+
+from oracles import span_projector, spans_equal
 
 
 def test_normalize_sorts_vectors():

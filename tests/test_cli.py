@@ -54,3 +54,17 @@ def test_gate_lowering_error_names_the_file(capsys):
     path = str(BENCH / "bell.qw")
     assert main(["compile", path, "--no-inline"]) == 1
     assert capsys.readouterr().err.startswith(f"{path}: error:")
+
+
+def test_stats_prints_circuit_counts(capsys):
+    assert main(["stats", str(BENCH / "bell.qw")]) == 0
+    out = capsys.readouterr().out
+    assert "gates=" in out and "qubits=" in out
+
+
+def test_stats_reports_gate_lowering_error(capsys):
+    path = str(BENCH / "bell.qw")
+    assert main(["stats", path, "--no-inline"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}: error: residual lambda op")
+    assert captured.out == ""

@@ -1,6 +1,8 @@
-"""Gate-level IR verifier, peephole rules, and multi-control decomposition."""
+"""Gate-level IR verifier, peephole rules, multi-control decomposition, and
+the QASM reader's operand checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,12 @@ from qbc.qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g, parse_qcirc,
     print_qcirc, verify_circuit, CircuitError,
 )
+from qbc.backends import BackendError, read_qasm3
 from qbc.peephole import (
     ccix_gates, ccx_gates, decompose_multicontrol, peephole,
 )
 from qbc.pipeline import Options, compile_to_circuit
-from qbc.run import gates_to_fn, module_unitary
-from qbc.simulator import unitary_of
+from oracles import gates_to_fn, module_unitary, unitary_of
 
 H, X, Z, S, SDG, T, TDG, P, SWAP = (
     GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
@@ -286,9 +288,7 @@ def test_decompose_preserves_unitary_random():
         want = unitary_of_module(m, n)
         decompose_multicontrol(m)
         verify_circuit(m)
-        from qbc.run import module_unitary_dynamic
-
-        got = _phase_normalized(module_unitary_dynamic(m.entry_fn), want)
+        got = _phase_normalized(module_unitary(m.entry_fn), want)
         assert np.allclose(got, want, atol=1e-9)
 
 
@@ -300,3 +300,13 @@ def test_qcirc_print_parse_roundtrip():
     text = print_qcirc(m)
     m2 = parse_qcirc(text)
     assert print_qcirc(m2) == text
+
+
+@pytest.mark.parametrize("stmt", [
+    "ctrl(1) @ x q[0];", "cx q[0], q[0];", "x q[0], q[1];", "swap q[0];",
+    "ccx q[0], q[1];",
+])
+def test_read_qasm3_rejects_bad_qubit_operands(stmt):
+    text = f"OPENQASM 3.0;\nqubit[3] q;\nbit[1] c;\n{stmt}\n"
+    with pytest.raises(BackendError, match=re.escape(stmt)):
+        read_qasm3(text)

@@ -16,7 +16,8 @@ from qbc.qwir_passes import (
     generate_specializations, inline, lift_lambdas, predicate_block,
     qubit_index_analysis, specialization_analysis,
 )
-from qbc.simulator import apply_unitary_at, span_projector, translation_unitary
+
+from oracles import apply_unitary_at, span_projector, translation_unitary
 
 STD, PM, IJ = Prim.STD, Prim.PM, Prim.IJ
 

@@ -10,21 +10,12 @@ from hypothesis import given, settings, strategies as st
 from qbc.bases import Basis, BuiltinBasis, Prim, basis, lit
 from qbc.qcirc import Gate, GateKind, g
 from qbc.pipeline import Options, compile_to_circuit
-from qbc.run import (
-    SimulationError,
-    distribution,
-    gates_to_fn,
-    module_unitary,
-    simulate,
-)
+from qbc.run import SimulationError, distribution, simulate
 from qbc.qcirc import QCircFn, QCircModule, QOp
-from qbc.simulator import (
-    StateVector,
-    apply_gate,
-    fourier_column,
-    span_projector,
-    translation_unitary,
-    unitary_of,
+from qbc.simulator import StateVector, apply_gate
+
+from oracles import (
+    fourier_column, module_unitary, translation_unitary, unitary_of,
 )
 
 H = GateKind.H
@@ -165,6 +156,42 @@ def test_module_unitary_with_clean_ancilla():
     fn.next_id = 7
     u = module_unitary(fn)
     assert np.allclose(u, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["measure", "qfree"])
+def test_module_unitary_rejects_measure_and_qfree(kind):
+    fn = QCircFn("f", qubit_params=(0,))
+    fn.ops = [
+        QOp("qalloc", results=(1,)),
+        QOp(kind, (1,), (2,) if kind == "measure" else ()),
+    ]
+    fn.next_id = 3
+    with pytest.raises(SimulationError, match=kind):
+        module_unitary(fn)
+
+
+def test_module_unitary_rejects_dirty_ancilla():
+    # CX copies the parameter into the ancilla and leaves it there.
+    fn = QCircFn("f", qubit_params=(0,))
+    fn.ops = [
+        QOp("qalloc", results=(1,)),
+        QOp("gate", (0, 1), (2, 3), gate=X, num_controls=1),
+        QOp("qfreez", (3,)),
+    ]
+    fn.next_id = 4
+    with pytest.raises(SimulationError, match="qfreez"):
+        module_unitary(fn)
+
+
+@pytest.mark.parametrize("n_params,n_ancillas", [(10, 1), (11, 0)])
+def test_module_unitary_live_qubit_limit(n_params, n_ancillas):
+    # Each parameter holds a reference qubit too: 2 * 10 + 1 > 20.
+    fn = QCircFn("f", qubit_params=tuple(range(n_params)))
+    fn.ops = [QOp("qalloc", results=(n_params + i,)) for i in range(n_ancillas)]
+    fn.ops += [QOp("qfreez", (n_params + i,)) for i in range(n_ancillas)]
+    fn.next_id = n_params + n_ancillas
+    with pytest.raises(SimulationError, match="20 live qubits"):
+        module_unitary(fn)
 
 
 def test_norm_preserved_random_circuit():

@@ -11,13 +11,14 @@ from qbc.ast_nodes import (
 )
 from qbc.bases import Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, lit
 from qbc.qcirc import GateKind
-from qbc.simulator import translation_unitary, unitary_of
 from qbc.synth import (
     AlignedPair, align, collect_vector_phases, emit_standardization,
     factor_ordered, iqft_gates, lower_translation, pair_permutation,
     plan_standardization, qft_gates, synth_classical, synth_permutation,
     StdEntry,
 )
+
+from oracles import translation_unitary, unitary_of
 
 STD, PM, IJ, FOURIER = Prim.STD, Prim.PM, Prim.IJ, Prim.FOURIER
 
