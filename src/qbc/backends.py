@@ -194,15 +194,20 @@ def read_qasm3(text: str) -> QCircModule:
             return
         mt = re.match(r"if \(c\[(\d+)\] == (\d)\) \{ (.*) \}", stmt)
         if mt:
-            cond = (cbits[int(mt.group(1))], bool(int(mt.group(2))))
-            run_stmt(mt.group(3), cond)
+            bit = cbits.get(int(mt.group(1)))
+            if bit is None:
+                raise BackendError(f"condition on an unmeasured bit: {stmt}")
+            run_stmt(mt.group(3), (bit, bool(int(mt.group(2)))))
             return
         mt = gate_re.match(stmt)
         if not mt:
             raise BackendError(f"cannot parse: {stmt}")
         nctrl_mod, name, param_s, args = mt.groups()
         idxs = q_indices(args)
-        param = float(param_s) if param_s else 0.0
+        try:
+            param = float(param_s) if param_s else 0.0
+        except ValueError:  # the emitter writes angles as float reprs
+            raise BackendError(f"angle is not a number: {stmt}") from None
         table = {
             "x": (GateKind.X, 0), "y": (GateKind.Y, 0), "z": (GateKind.Z, 0),
             "h": (GateKind.H, 0), "s": (GateKind.S, 0), "sdg": (GateKind.SDG, 0),

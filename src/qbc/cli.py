@@ -41,7 +41,7 @@ def _options(args) -> Options:
         try:
             dims[name.strip()] = int(value)
         except ValueError:
-            print(f"bad -D binding {p!r}", file=sys.stderr)
+            print(f"qbc: bad -D binding {p!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
     return Options(
         opt_level=getattr(args, "opt_level", 1),
@@ -106,17 +106,26 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.cmd == "compile":
             text = compile_source(source, args.file, opts, args.emit)
-            if args.out:
+            if not args.out:
+                sys.stdout.write(text)
+                return EXIT_OK
+            try:
                 with open(args.out, "w", encoding="utf-8", newline="\n") as f:
                     f.write(text)
-            else:
-                sys.stdout.write(text)
+            except OSError as e:
+                print(f"qbc: {e}", file=sys.stderr)
+                return EXIT_USAGE
             return EXIT_OK
         if args.cmd == "run":
-            qc = compile_to_circuit(source, args.file, opts)
             seed = args.seed
             if "QBC_SEED" in os.environ:
-                seed = int(os.environ["QBC_SEED"])
+                try:
+                    seed = int(os.environ["QBC_SEED"])
+                except ValueError:
+                    print(f"qbc: bad QBC_SEED {os.environ['QBC_SEED']!r}",
+                          file=sys.stderr)
+                    return EXIT_USAGE
+            qc = compile_to_circuit(source, args.file, opts)
             hist = simulate(qc, shots=args.shots, seed=seed)
             for key in sorted(hist):
                 sys.stdout.write(f"{key}\t{hist[key]}\n")

@@ -22,7 +22,7 @@ from .printer import print_program
 from .qcirc import QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
 from .qwir_passes import (
-    canonicalize_ir, count_calls, generate_specializations, inline,
+    PassError, canonicalize_ir, count_calls, generate_specializations, inline,
     lift_lambdas, prune_unreachable,
 )
 from .typecheck import typecheck
@@ -51,12 +51,15 @@ def front(source: str, file: str, opts: Options):
 def to_qwir(tp, opts: Options) -> QwModule:
     m = lower_to_ir(tp)
     verify(m)
-    if opts.inline:
-        lift_lambdas(m)
-        canonicalize_ir(m)
-        inline(m)
-        verify(m)
-    generate_specializations(m)
+    try:
+        if opts.inline:
+            lift_lambdas(m)
+            canonicalize_ir(m)
+            inline(m)
+            verify(m)
+        generate_specializations(m)
+    except PassError as e:
+        raise CompileError(Diagnostic("error", str(e), file=tp.file))
     prune_unreachable(m)
     verify(m)
     return m

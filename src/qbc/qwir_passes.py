@@ -1,12 +1,14 @@
 """
 Rewrites on the basis-level IR: adjointing and predicating single blocks,
-lambda lifting, canonicalization, inlining, and the function-specialization
-closure that determines which (adjoint, controls) variants must exist.
+lambda lifting, canonicalization, inlining, and the generation of the
+adjoint and predicated functions that decorated calls still need.
+
+``inline`` expects a canonicalized module (``canonicalize_ir``); the one
+input it rejects is a recursive call cycle reachable from the entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .bases import Basis, BasisLiteral, BasisVector, Prim
@@ -349,53 +351,50 @@ def _lift_in_block(m: QwModule, fn: QwFunc, block: QwBlock, counter: list[int]) 
 
 
 def _lift_one(m: QwModule, fn: QwFunc, op: QwOp, counter: list[int]) -> None:
-    region = op.regions[0]
-    fty = fn.types[op.results[0]]
     sym = f"{fn.name}__lambda{counter[0]}"
     counter[0] += 1
     # Region values move into a fresh function with remapped ids.
-    new_fn = QwFunc(sym, [], [], fty.rev, QwBlock())
-    remap: dict[int, int] = {}
-
-    def clone_block(b: QwBlock) -> QwBlock:
-        nb = QwBlock()
-        for a in b.args:
-            na = new_fn.new_value(fn.types[a])
-            remap[a] = na
-            nb.args.append(na)
-        for o in b.ops:
-            regions = [clone_block(r) for r in o.regions]
-            results = []
-            for r in o.results:
-                nr = new_fn.new_value(fn.types[r])
-                remap[r] = nr
-                results.append(nr)
-            nb.ops.append(QwOp(o.kind, [remap[v] for v in o.operands], results,
-                               dict(o.attrs), regions))
-        return nb
-
-    new_fn.block = clone_block(region)
-    new_fn.params = list(new_fn.block.args)
-    term = new_fn.block.ops[-1]
-    term.kind = "ret"
-    new_fn.result_types = [new_fn.types[v] for v in term.operands]
-    m.functions[sym] = new_fn
+    new_fn = QwFunc(sym, [], [], fn.types[op.results[0]].rev, QwBlock())
+    _add_function(m, new_fn, _clone_into(new_fn, fn, op.regions[0]))
     op.kind = "func_const"
     op.attrs = {"sym": sym}
     op.regions = []
 
 
+def _add_function(m: QwModule, fn: QwFunc, block: QwBlock) -> None:
+    """Make ``block`` the body of ``fn``, with its args as the parameters and
+    its terminator turned into ``ret``, and add ``fn`` to ``m``."""
+    fn.block = block
+    fn.params = list(block.args)
+    term = block.ops[-1]
+    term.kind = "ret"
+    fn.result_types = [fn.types[v] for v in term.operands]
+    m.functions[fn.name] = fn
+
+
 # ---------------------------------------------------------------------------
 # Canonicalization
+#
+# A rewrite that drops an op records what replaces each of its results in a
+# per-function substitution map. Operands are looked up through the map,
+# chains included, when an op is visited, so no rewrite walks the function
+# to replace uses.
 
 
 def canonicalize_ir(m: QwModule) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for fn in list(m.functions.values()):
-            if _canon_block(m, fn, fn.block):
-                changed = True
+    for fn in m.functions.values():
+        _canonicalize_fn(fn, {})
+
+
+def _canonicalize_fn(fn: QwFunc, subst: dict[int, int]) -> None:
+    while _canon_block(fn, fn.block, subst):
+        pass
+
+
+def _lookup(subst: dict[int, int], v: int) -> int:
+    while v in subst:
+        v = subst[v]
+    return v
 
 
 def _def_map(block: QwBlock) -> dict[int, QwOp]:
@@ -406,12 +405,15 @@ def _def_map(block: QwBlock) -> dict[int, QwOp]:
     return defs
 
 
-def _use_counts(block: QwBlock, counts: dict[int, int]) -> None:
+def _use_counts(block: QwBlock, counts: dict[int, int],
+                subst: dict[int, int]) -> None:
+    """Count the uses of each value, substituting every operand first."""
     for op in block.ops:
+        op.operands = [_lookup(subst, v) for v in op.operands]
         for v in op.operands:
             counts[v] = counts.get(v, 0) + 1
         for r in op.regions:
-            _use_counts(r, counts)
+            _use_counts(r, counts, subst)
 
 
 def _resolve_callee(defs: dict[int, QwOp], v: int):
@@ -437,17 +439,21 @@ def _resolve_callee(defs: dict[int, QwOp], v: int):
             return None
 
 
-def _canon_block(m: QwModule, fn: QwFunc, block: QwBlock) -> bool:
+DROPPABLE = {"func_const", "func_adj", "func_pred", "fconst", "lambda",
+             "qbpack", "qbunpack", "bitpack", "bitunpack"}
+
+
+def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
     changed = False
     for op in block.ops:
         for r in op.regions:
-            if _canon_block(m, fn, r):
+            if _canon_block(fn, r, subst):
                 changed = True
 
     defs = _def_map(block)
     new_ops: list[QwOp] = []
-    rewrote = False
     for op in block.ops:
+        op.operands = [_lookup(subst, v) for v in op.operands]
         if op.kind == "call_indirect":
             resolved = _resolve_callee(defs, op.operands[0])
             if resolved is not None:
@@ -456,124 +462,92 @@ def _canon_block(m: QwModule, fn: QwFunc, block: QwBlock) -> bool:
                     "call", caps + op.operands[1:], op.results,
                     {"sym": sym, "adj": adj, "pred": pred},
                 ))
-                rewrote = True
+                changed = True
                 continue
             cond_op = defs.get(op.operands[0])
             if cond_op is not None and cond_op.kind == "cond" \
                     and len(cond_op.results) == 1:
                 _push_call_into_cond(fn, cond_op, op)
-                new_ops.append(op)  # replaced in place by push
-                rewrote = True
+                changed = True
                 continue
-        if op.kind == "func_adj":
+        elif op.kind == "func_adj":
             inner = defs.get(op.operands[0])
             if inner is not None and inner.kind == "func_adj":
-                _replace_uses(block, op.results[0], inner.operands[0])
-                rewrote = True
+                subst[op.results[0]] = inner.operands[0]
+                changed = True
                 continue
-        if op.kind == "qbunpack":
+        elif op.kind == "qbunpack":
             src = defs.get(op.operands[0])
             if src is not None and src.kind == "qbpack":
                 src_dims = tuple(fn.types[v].dim for v in src.operands)
                 if src_dims == tuple(op.attrs["sizes"]):
-                    for r, v in zip(op.results, src.operands):
-                        _replace_uses(block, r, v)
-                    rewrote = True
+                    subst.update(zip(op.results, src.operands))
+                    changed = True
                     continue
-        if op.kind == "qbpack":
+        elif op.kind == "qbpack":
             if len(op.operands) == 1:
-                _replace_uses(block, op.results[0], op.operands[0])
-                rewrote = True
+                subst[op.results[0]] = op.operands[0]
+                changed = True
                 continue
-            srcs = {id(defs.get(v)) for v in op.operands}
-            if len(srcs) == 1:
-                src = defs.get(op.operands[0])
-                if src is not None and src.kind == "qbunpack" \
-                        and list(src.results) == list(op.operands):
-                    _replace_uses(block, op.results[0], src.operands[0])
-                    rewrote = True
-                    continue
+            src = defs.get(op.operands[0])
+            if src is not None and src.kind == "qbunpack" \
+                    and list(src.results) == op.operands:
+                subst[op.results[0]] = src.operands[0]
+                changed = True
+                continue
         new_ops.append(op)
-    block.ops = new_ops
 
     # Drop dead stationary ops and dead pure-renaming pack/unpack ops
     # (removing a dead pack releases its operands for their real consumer).
+    block.ops = new_ops
     counts: dict[int, int] = {}
-    _use_counts(block, counts)
-    kept = []
-    for op in block.ops:
-        dead = op.results and all(counts.get(r, 0) == 0 for r in op.results)
-        if dead and op.kind in ("func_const", "func_adj", "func_pred",
-                                "fconst", "lambda", "qbpack", "qbunpack",
-                                "bitpack", "bitunpack"):
-            rewrote = True
-            continue
-        kept.append(op)
+    _use_counts(block, counts, subst)
+    kept = [op for op in block.ops
+            if not (op.kind in DROPPABLE and op.results
+                    and all(counts.get(r, 0) == 0 for r in op.results))]
+    changed = changed or len(kept) < len(block.ops)
     block.ops = kept
-    return changed or rewrote
-
-
-def _replace_uses(block: QwBlock, old: int, new: int) -> None:
-    for op in block.ops:
-        op.operands = [new if v == old else v for v in op.operands]
-        for r in op.regions:
-            _replace_uses(r, old, new)
+    return changed
 
 
 def _push_call_into_cond(fn: QwFunc, cond_op: QwOp, call_op: QwOp) -> None:
-    """Clone a call_indirect of a cond's function result into both branches."""
-    extra_args = call_op.operands[1:]
-    new_results = []
-    for r in call_op.results:
-        new_results.append(r)
+    """Clone a call_indirect of a cond's function result into both branches.
+
+    The cond then defines the call's results, and the caller drops the call.
+    """
     for region in cond_op.regions:
         term = region.ops[-1]
         (branch_fv,) = term.operands
         inner_results = [fn.new_value(fn.types[r]) for r in call_op.results]
         region.ops.insert(
             len(region.ops) - 1,
-            QwOp("call_indirect", [branch_fv] + list(extra_args), inner_results),
+            QwOp("call_indirect", [branch_fv] + call_op.operands[1:], inner_results),
         )
-        term.operands = list(inner_results)
+        term.operands = inner_results
     cond_op.results = list(call_op.results)
-    # The call op itself dissolves: its results now come from the cond.
-    call_op.kind = "nop"
-    call_op.operands = []
-    call_op.results = []
-
-
-def _strip_nops(m: QwModule) -> None:
-    def strip(block: QwBlock):
-        block.ops = [op for op in block.ops if op.kind != "nop"]
-        for op in block.ops:
-            for r in op.regions:
-                strip(r)
-
-    for fn in m.functions.values():
-        strip(fn.block)
 
 
 # ---------------------------------------------------------------------------
 # Inlining
 
 
+def _iter_ops(block: QwBlock):
+    for op in block.ops:
+        yield op
+        for r in op.regions:
+            yield from _iter_ops(r)
+
+
+def _callees(fn: QwFunc) -> list[str]:
+    """The functions ``fn`` calls or takes as a value, in op order."""
+    return [op.attrs["sym"] for op in _iter_ops(fn.block)
+            if op.kind in ("call", "func_const")]
+
+
 def count_calls(m: QwModule) -> tuple[int, int]:
     """(direct call count, indirect call count) across all functions."""
-    direct = indirect = 0
-
-    def walk(block: QwBlock):
-        nonlocal direct, indirect
-        for op in block.ops:
-            if op.kind == "call":
-                direct += 1
-            elif op.kind == "call_indirect":
-                indirect += 1
-            for r in op.regions:
-                walk(r)
-
-    for fn in m.functions.values():
-        walk(fn.block)
-    return direct, indirect
+    kinds = [op.kind for fn in m.functions.values() for op in _iter_ops(fn.block)]
+    return kinds.count("call"), kinds.count("call_indirect")
 
 
 def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
@@ -599,8 +573,8 @@ def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
     return clone(block)
 
 
-def specialize_block(m: QwModule, fn: QwFunc, callee: QwFunc,
-                     adj: bool, pred: Optional[Basis]) -> QwBlock:
+def specialize_block(fn: QwFunc, callee: QwFunc, adj: bool,
+                     pred: Optional[Basis]) -> QwBlock:
     """Clone callee's block into fn's value space, adjointed/predicated."""
     block = _clone_into(fn, callee, callee.block)
     if adj:
@@ -610,51 +584,80 @@ def specialize_block(m: QwModule, fn: QwFunc, callee: QwFunc,
     return block
 
 
-def inline(m: QwModule, max_rounds: int = 1000) -> None:
-    """Inline direct calls (transforming callees for adj/pred) to fixpoint."""
-    canonicalize_ir(m)
-    _strip_nops(m)
-    for _ in range(max_rounds):
-        target = None
+def inline(m: QwModule) -> None:
+    """Inline every call (transforming callees for adj/pred), then drop the
+    functions the entry no longer reaches.
+
+    ``m`` must already be canonicalized (``canonicalize_ir``). Each round
+    splices every call of every function, and every call inside a spliced
+    body, then canonicalizes the functions it changed; resolving a
+    ``call_indirect`` there can leave new calls for the next round. The one
+    error is a call cycle reachable from the entry, which raises
+    ``PassError`` before anything is spliced.
+    """
+    prune_unreachable(m)
+    _check_acyclic(m)
+    pending = True
+    while pending:
+        pending = False
         for fn in m.functions.values():
-            found = _find_call(fn.block)
-            if found is not None:
-                target = (fn, *found)
-                break
-        if target is None:
-            break
-        fn, block, i = target
-        op = block.ops[i]
-        callee = m.functions[op.attrs["sym"]]
-        spliced = specialize_block(
-            m, fn, callee, op.attrs.get("adj", False), op.attrs.get("pred")
-        )
-        term = spliced.ops[-1]
-        block.ops[i : i + 1] = spliced.ops[:-1]
-        for arg, operand in zip(spliced.args, op.operands):
-            _replace_uses_fn(fn, arg, operand)
-        for old, new in zip(op.results, term.operands):
-            _replace_uses_fn(fn, old, new)
-        canonicalize_ir(m)
-        _strip_nops(m)
-    else:
-        raise PassError("inlining did not converge")
+            subst: dict[int, int] = {}
+            if _splice_calls(m, fn, fn.block, subst):
+                _canonicalize_fn(fn, subst)
+                pending = True
     prune_unreachable(m)
 
 
-def _replace_uses_fn(fn: QwFunc, old: int, new: int) -> None:
-    _replace_uses(fn.block, old, new)
+def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
+                  subst: dict[int, int]) -> bool:
+    """Replace each call in ``block`` and its regions by the callee's
+    specialized body, visiting the spliced ops next; returns whether any
+    call was spliced.
 
-
-def _find_call(block: QwBlock) -> Optional[tuple[QwBlock, int]]:
-    for i, op in enumerate(block.ops):
+    ``subst`` maps the body's args to the call's operands and the call's
+    results to the values the body returns.
+    """
+    spliced = False
+    ops: list[QwOp] = []
+    todo = block.ops[::-1]
+    while todo:
+        op = todo.pop()
+        op.operands = [_lookup(subst, v) for v in op.operands]
         if op.kind == "call":
-            return block, i
+            body = specialize_block(fn, m.functions[op.attrs["sym"]],
+                                    op.attrs.get("adj", False), op.attrs.get("pred"))
+            subst.update(zip(body.args, op.operands))
+            subst.update(zip(op.results, body.ops[-1].operands))
+            todo.extend(reversed(body.ops[:-1]))
+            spliced = True
+            continue
         for r in op.regions:
-            found = _find_call(r)
-            if found is not None:
-                return found
-    return None
+            spliced = _splice_calls(m, fn, r, subst) or spliced
+        ops.append(op)
+    block.ops = ops
+    return spliced
+
+
+def _check_acyclic(m: QwModule) -> None:
+    """Raise PassError on a cycle of calls and function values reachable
+    from the entry, naming it; an iterative depth-first search."""
+    on_path: dict[str, bool] = {}  # True while on the path, False once done
+    path: list[str] = []
+    succs = [iter([m.entry])]  # succs[i + 1] walks the callees of path[i]
+    while succs:
+        sym = next(succs[-1], None)
+        if sym is None:
+            succs.pop()
+            if path:
+                on_path[path.pop()] = False
+        elif on_path.get(sym):
+            cycle = path[path.index(sym):] + [sym]
+            raise PassError("recursive call cycle "
+                            + " -> ".join(f"@{s}" for s in cycle))
+        elif sym not in on_path and sym in m.functions:
+            on_path[sym] = True
+            path.append(sym)
+            succs.append(iter(_callees(m.functions[sym])))
 
 
 def prune_unreachable(m: QwModule) -> None:
@@ -662,185 +665,23 @@ def prune_unreachable(m: QwModule) -> None:
     work = [m.entry]
     while work:
         name = work.pop()
-        if name in reachable or name not in m.functions:
-            continue
-        reachable.add(name)
-
-        def scan(block: QwBlock):
-            for op in block.ops:
-                sym = op.attrs.get("sym")
-                if sym is not None and sym not in reachable:
-                    work.append(sym)
-                for r in op.regions:
-                    scan(r)
-
-        scan(m.functions[name].block)
+        if name not in reachable and name in m.functions:
+            reachable.add(name)
+            work.extend(_callees(m.functions[name]))
     m.functions = {k: v for k, v in m.functions.items() if k in reachable}
 
 
 # ---------------------------------------------------------------------------
-# Specialization analysis (transitive closure over the call graph)
+# Specialization
 
 
-@dataclass(frozen=True, order=True)
-class SpecKey:
-    name: str
-    adjoint: bool
-    num_controls: int
+def generate_specializations(m: QwModule) -> None:
+    """Materialize the adjoint/predicated variant of each decorated call's
+    callee and retarget the call at a plain forward call of it.
 
-
-def _callee_triples(m: QwModule, fn: QwFunc) -> list[SpecKey]:
-    """Callee specializations requested by a forward invocation of fn."""
-    out: list[SpecKey] = []
-    param_sources = _param_value_sources(m)
-
-    def resolve(block: QwBlock, defs: dict[int, QwOp], v: int,
-                adj: bool, nc: int) -> list[SpecKey]:
-        op = defs.get(v)
-        if op is None:
-            # Function-typed block argument: resolved interprocedurally.
-            found = []
-            for key in param_sources.get((fn.name, v), ()):
-                found.append(SpecKey(key.name, key.adjoint ^ adj, key.num_controls + nc))
-            return found
-        if op.kind == "func_const":
-            return [SpecKey(op.attrs["sym"], adj, nc)]
-        if op.kind == "func_adj":
-            return resolve(block, defs, op.operands[0], not adj, nc)
-        if op.kind == "func_pred":
-            return resolve(block, defs, op.operands[0], adj,
-                           nc + op.attrs["basis"].dim)
-        if op.kind == "cond":
-            found = []
-            for region in op.regions:
-                rdefs = _all_defs(region, dict(defs))
-                term = region.ops[-1]
-                for t in term.operands:
-                    found.extend(resolve(region, rdefs, t, adj, nc))
-            return found
-        return []
-
-    def walk(block: QwBlock, defs: dict[int, QwOp]):
-        for op in block.ops:
-            defs_local = defs
-            if op.kind == "call":
-                pred = op.attrs.get("pred")
-                out.append(SpecKey(
-                    op.attrs["sym"], op.attrs.get("adj", False),
-                    pred.dim if pred is not None else 0,
-                ))
-            elif op.kind == "call_indirect":
-                out.extend(resolve(block, defs_local, op.operands[0], False, 0))
-            for r in op.regions:
-                walk(r, _all_defs(r, dict(defs_local)))
-            for res in op.results:
-                defs[res] = op
-
-    defs: dict[int, QwOp] = {}
-    walk(fn.block, defs)
-    return out
-
-
-def _all_defs(block: QwBlock, seed: dict[int, QwOp]) -> dict[int, QwOp]:
-    for op in block.ops:
-        for r in op.results:
-            seed[r] = op
-    return seed
-
-
-def _param_value_sources(m: QwModule) -> dict[tuple[str, int], set]:
-    """Which function values can flow into each function-typed parameter."""
-    sources: dict[tuple[str, int], set] = {}
-    changed = True
-    while changed:
-        changed = False
-        for fn in m.functions.values():
-            defs = _all_defs(fn.block, {})
-
-            def resolve(v: int, adj=False, nc=0):
-                op = defs.get(v)
-                if op is None:
-                    return {
-                        SpecKey(k.name, k.adjoint ^ adj, k.num_controls + nc)
-                        for k in sources.get((fn.name, v), set())
-                    }
-                if op.kind == "func_const":
-                    return {SpecKey(op.attrs["sym"], adj, nc)}
-                if op.kind == "func_adj":
-                    return resolve(op.operands[0], not adj, nc)
-                if op.kind == "func_pred":
-                    return resolve(op.operands[0], adj, nc + op.attrs["basis"].dim)
-                return set()
-
-            def walk(block: QwBlock):
-                nonlocal changed
-                for op in block.ops:
-                    if op.kind == "call":
-                        callee = m.functions.get(op.attrs["sym"])
-                        if callee is None:
-                            continue
-                        for pv, arg in zip(callee.params, op.operands):
-                            if callee.types[pv].kind == "func":
-                                got = resolve(arg)
-                                slot = sources.setdefault((callee.name, pv), set())
-                                if not got <= slot:
-                                    slot |= got
-                                    changed = True
-                    for r in op.regions:
-                        walk(r)
-
-            walk(fn.block)
-    return sources
-
-
-def specialization_analysis(m: QwModule) -> set[SpecKey]:
-    """Transitive closure of required (function, adjoint, controls) variants."""
-    vertices: set[SpecKey] = {SpecKey(name, False, 0) for name in m.functions}
-    edges: set[tuple[SpecKey, SpecKey]] = set()
-    for fn in m.functions.values():
-        base = SpecKey(fn.name, False, 0)
-        for callee in _callee_triples(m, fn):
-            vertices.add(callee)
-            edges.add((base, callee))
-    changed = True
-    while changed:
-        changed = False
-        for fn in sorted(m.functions):
-            v = SpecKey(fn, False, 0)
-            for (src, dst) in sorted(edges):
-                if src != v:
-                    continue
-                for u in sorted(vertices):
-                    if u.name != fn:
-                        continue
-                    v2 = SpecKey(dst.name, u.adjoint ^ dst.adjoint,
-                                 u.num_controls + dst.num_controls)
-                    if v2 not in vertices or (u, v2) not in edges:
-                        vertices.add(v2)
-                        edges.add((u, v2))
-                        changed = True
-    # Prune anything unreachable from the entry's forward form.
-    reached: set[SpecKey] = set()
-    work = [SpecKey(m.entry, False, 0)]
-    while work:
-        v = work.pop()
-        if v in reached:
-            continue
-        reached.add(v)
-        for (src, dst) in edges:
-            if src == v and dst not in reached:
-                work.append(dst)
-    return {v for v in vertices if v in reached}
-
-
-def generate_specializations(m: QwModule) -> dict[SpecKey, str]:
-    """Materialize adjoint/predicated variants for every decorated call site.
-
-    Returns a map from specialization keys to generated symbol names. Call
-    sites are retargeted at plain forward calls of the generated functions.
+    Runs to a closure: a generated body may hold decorated calls itself.
     """
     generated: dict[tuple, str] = {}
-    out: dict[SpecKey, str] = {}
     work = True
     while work:
         work = False
@@ -863,26 +704,11 @@ def generate_specializations(m: QwModule) -> dict[SpecKey, str]:
                     if pred is not None:
                         sym += f"__ctrl{pred.dim}_{_basis_slug(pred)}"
                     new_fn = QwFunc(sym, [], [], callee.reversible, QwBlock())
-                    block = specialize_block(m, new_fn, callee, adj, pred)
-                    new_fn.block = block
-                    new_fn.params = list(block.args)
-                    term = block.ops[-1]
-                    term.kind = "ret"
-                    new_fn.result_types = [new_fn.types[v] for v in term.operands]
-                    m.functions[sym] = new_fn
+                    _add_function(m, new_fn,
+                                  specialize_block(new_fn, callee, adj, pred))
                     generated[key] = sym
                     work = True
-                nc = pred.dim if pred is not None else 0
-                out[SpecKey(callee.name, adj, nc)] = generated[key]
                 op.attrs = {"sym": generated[key], "adj": False, "pred": None}
-    return out
-
-
-def _iter_ops(block: QwBlock):
-    for op in block.ops:
-        yield op
-        for r in op.regions:
-            yield from _iter_ops(r)
 
 
 def _basis_slug(b: Basis) -> str:

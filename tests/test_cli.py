@@ -68,3 +68,32 @@ def test_stats_reports_gate_lowering_error(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{path}: error: residual lambda op")
     assert captured.out == ""
+
+
+def test_recursion_is_a_diagnostic(tmp_path, capsys):
+    cases = {
+        "self.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | f }\n",
+                    "@f -> @f"),
+        "mutual.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | g }\n"
+                      "qpu g(q: qubit[1]) -> qubit[1] rev { q | f }\n",
+                      "@f -> @g -> @f"),
+    }
+    for name, (helpers, cycle) in cases.items():
+        path = tmp_path / name
+        path.write_text(helpers + "qpu main() -> bit[1] { '0' | f | std.measure }\n")
+        assert main(["compile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{path}: error: recursive call cycle {cycle}\n"
+
+
+def test_bad_seed_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("QBC_SEED", "abc")
+    assert main(["run", str(BENCH / "bell.qw")]) == 2
+    assert capsys.readouterr().err == "qbc: bad QBC_SEED 'abc'\n"
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.qasm"
+    assert main(["compile", str(BENCH / "bell.qw"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qbc: ") and str(out) in err

@@ -304,7 +304,7 @@ def test_qcirc_print_parse_roundtrip():
 
 @pytest.mark.parametrize("stmt", [
     "ctrl(1) @ x q[0];", "cx q[0], q[0];", "x q[0], q[1];", "swap q[0];",
-    "ccx q[0], q[1];",
+    "ccx q[0], q[1];", "if (c[0] == 1) { x q[0]; }", "p(pi/2) q[0];",
 ])
 def test_read_qasm3_rejects_bad_qubit_operands(stmt):
     text = f"OPENQASM 3.0;\nqubit[3] q;\nbit[1] c;\n{stmt}\n"

@@ -1,5 +1,5 @@
 """Basis-level IR: verifier, adjoint/predication rewrites, lambda lifting,
-canonicalization, inlining, and the specialization closure."""
+canonicalization, inlining, and the generated adjoint/predicated functions."""
 
 import math
 
@@ -12,9 +12,9 @@ from qbc.qwir import (
     func, print_module, qubit, verify,
 )
 from qbc.qwir_passes import (
-    SpecKey, adjoint_block, canonicalize_ir, count_calls,
+    PassError, adjoint_block, canonicalize_ir, count_calls,
     generate_specializations, inline, lift_lambdas, predicate_block,
-    qubit_index_analysis, specialization_analysis,
+    qubit_index_analysis,
 )
 
 from oracles import apply_unitary_at, span_projector, translation_unitary
@@ -237,8 +237,6 @@ def test_adjoint_rejects_measurement():
     (r,) = b.emit("qbmeas", [arg], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [r])
     fn = b.finish([bit(1)])
-    from qbc.qwir_passes import PassError
-
     with pytest.raises(PassError):
         adjoint_block(fn, fn.block)
 
@@ -424,7 +422,34 @@ def test_double_adjoint_cancels():
     assert calls and calls[0].attrs["adj"] is False
 
 
-# -- specialization analysis -----------------------------------------------------
+def test_canonicalize_keeps_defs_that_cond_branches_reach_through_a_fold():
+    # The branches use %p; folding %p = qbpack(%a) leaves them reading %a,
+    # so the qbunpack that defines %a is live.
+    b = FnBuilder("main", False)
+    (c,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
+    (m_bit,) = b.emit("qbmeas", [c], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+    (w,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
+    (a,) = b.emit("qbunpack", [w], [qubit(1)], {"sizes": (1,)})
+    (p,) = b.emit("qbpack", [a], [qubit(1)])
+    regions = []
+    for out in (PM, STD):
+        b.push_block()
+        b.emit("yield", [trans_op(b, p, basis(BuiltinBasis(STD, 1)),
+                                  basis(BuiltinBasis(out, 1)))])
+        regions.append(b.pop_block())
+    (r,) = b.emit("cond", [m_bit], [qubit(1)], {}, regions)
+    (bits,) = b.emit("qbmeas", [r], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+    b.emit("ret", [bits])
+    m = QwModule({"main": b.finish([bit(1)])}, entry="main")
+    verify(m)
+    canonicalize_ir(m)
+    verify(m)
+    assert [op.kind for op in m.entry_fn.block.ops].count("qbpack") == 0
+    for region in regions:
+        assert region.ops[0].operands == [a]
+
+
+# -- generated specializations ---------------------------------------------------
 
 
 def _chain_module() -> QwModule:
@@ -459,55 +484,53 @@ def _chain_module() -> QwModule:
     return QwModule({"main": main, "f": f, "g": g, "h": h}, entry="main")
 
 
-def test_specialization_transitive_adjoint():
+def _forward_calls_only(m: QwModule) -> bool:
+    return all(not op.attrs.get("adj") and op.attrs.get("pred") is None
+               for fn in m.functions.values() for op in fn.block.ops
+               if op.kind == "call")
+
+
+def test_generate_specializations_materializes_and_retargets():
     m = _chain_module()
-    keys = specialization_analysis(m)
-    assert SpecKey("h", True, 0) in keys
-    assert SpecKey("g", True, 0) in keys
-    assert SpecKey("f", False, 0) in keys
-    # Fixpoint: rerunning adds nothing.
-    assert specialization_analysis(m) == keys
+    generate_specializations(m)
+    verify(m)
+    assert _forward_calls_only(m)
+    # f calls adj g, and g__adj calls adj h: the adjoint is transitive.
+    assert {"g__adj", "h__adj"} <= set(m.functions)
+    assert not any(name.startswith("f__") for name in m.functions)
+    # Closure: a second run adds nothing.
+    names = set(m.functions)
+    generate_specializations(m)
+    assert set(m.functions) == names
 
 
-def test_specialization_entry_only():
+def test_generate_specializations_without_calls_adds_nothing():
     b = FnBuilder("main", False)
     (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
     (bits,) = b.emit("qbmeas", [q], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [bits])
     m = QwModule({"main": b.finish([bit(1)])}, entry="main")
-    assert specialization_analysis(m) == {SpecKey("main", False, 0)}
+    generate_specializations(m)
+    assert list(m.functions) == ["main"]
+    generate_specializations(m)
+    assert list(m.functions) == ["main"]
 
 
-def test_specialization_pred_of_adj_accumulates():
+def test_generate_specializations_pred_of_adj_accumulates():
     m = _chain_module()
     # Predicate the call to f with a 2-qubit basis.
-    main = m.functions["main"]
-    b = FnBuilder("main2", False)
+    b = FnBuilder("main", False)
     (q,) = b.emit("qbprep", [], [qubit(3)], {"prim": STD, "eigenbits": "000"})
     (out,) = b.emit("call", [q], [qubit(3)],
                     {"sym": "f", "adj": False, "pred": basis(lit("00", "11"))})
     (bits,) = b.emit("qbmeas", [out], [bit(3)], {"basis": basis(BuiltinBasis(STD, 3))})
     b.emit("ret", [bits])
     m.functions["main"] = b.finish([bit(3)])
-    m.functions["main"].name = "main"
-    keys = specialization_analysis(m)
-    assert SpecKey("f", False, 2) in keys
-    assert SpecKey("g", True, 2) in keys
-    assert SpecKey("h", True, 2) in keys
-
-
-def test_generate_specializations_materializes_and_retargets():
-    m = _chain_module()
-    generated = generate_specializations(m)
-    assert SpecKey("g", True, 0) in generated
-    # All calls are now forward.
-    for fn in m.functions.values():
-        for op in fn.block.ops:
-            if op.kind == "call":
-                assert not op.attrs.get("adj") and op.attrs.get("pred") is None
+    generate_specializations(m)
     verify(m)
-    # The adjoint specialization of h exists because g__adj calls it.
-    assert any(name.startswith("h__adj") for name in m.functions)
+    assert _forward_calls_only(m)
+    for prefix in ("f__ctrl2_", "g__adj__ctrl2_", "h__adj__ctrl2_"):
+        assert any(name.startswith(prefix) for name in m.functions), prefix
 
 
 def test_inline_preserves_distribution():
@@ -519,8 +542,89 @@ def test_inline_preserves_distribution():
     canonicalize_ir(m1)
     inline(m1)
     d1 = distribution(lower_module(m1))
-    # Compare against interpreting the uninlined module through generate +
-    # inline-free lowering only after manual inline here; the inlined path
-    # is the reference.
     assert abs(sum(d1.values()) - 1.0) < 1e-12
     assert d1 == {"0": pytest.approx(0.5), "1": pytest.approx(0.5)}
+
+
+# -- inlining compiled programs --------------------------------------------------
+
+
+NESTED_HELPERS = """
+qpu h(q: qubit[1]) -> qubit[1] rev {
+    q | ({'0', '1'} >> {'1' @ (pi/4), '0'})
+}
+qpu g(q: qubit[1]) -> qubit[1] rev {
+    q | h | (std >> pm)
+}
+qpu f(q: qubit[2]) -> qubit[2] rev {
+    q | (g + ~g) | ({'01', '10'} >> {'10', '01'})
+}
+"""
+
+
+@pytest.mark.parametrize("body, want", [
+    ("'01' | f | ~f | std[2].measure", "01"),
+    ("'10' | ({'1'} & g) | ({'1'} & ~g) | std[2].measure", "10"),
+    ("'101' | ({'1'} & f) | ({'1'} & ~f) | std[3].measure", "101"),
+])
+def test_inline_nested_helpers_and_their_inverses(body, want):
+    from qbc.pipeline import Options, compile_to_circuit
+    from qbc.run import distribution
+
+    src = NESTED_HELPERS + f"qpu main() -> bit[{len(want)}] {{\n    {body}\n}}\n"
+    qc = compile_to_circuit(src, "nested.qw", Options())
+    assert distribution(qc) == {want: pytest.approx(1.0)}
+
+
+def test_inline_more_call_sites_than_any_round_cap():
+    from qbc.pipeline import Options, compile_to_circuit
+    from qbc.run import distribution
+
+    # Three helpers pipe 400 flips each and main calls all three: 1203 call
+    # sites. The 1200 flips cancel in pairs, so the qubit stays |0>.
+    chain = "".join("    | flip0\n" for _ in range(400))
+    helpers = "".join(f"qpu {name}(q: qubit[1]) -> qubit[1] rev {{\n    q\n{chain}}}\n"
+                      for name in ("a", "b", "c"))
+    src = ("qpu flip0(q: qubit[1]) -> qubit[1] rev {\n"
+           "    q | ({'0', '1'} >> {'1' @ (pi/4), '0'})\n}\n" + helpers
+           + "qpu main() -> bit[1] {\n    '0' | a | b | c | std.measure\n}\n")
+    qc = compile_to_circuit(src, "flips.qw", Options())
+    assert distribution(qc) == {"0": pytest.approx(1.0)}
+
+
+def test_inline_resolves_chains_of_pass_through_calls():
+    # main calls f, f calls g, g calls h and h returns its argument: the
+    # measured value is the prepared one, reached through a chain of
+    # substitutions that no canonicalization rewrite shortens.
+    def passing(name, callee):
+        b = FnBuilder(name, True)
+        v = b.param(qubit(1))
+        if callee is not None:
+            (v,) = b.emit("call", [v], [qubit(1)],
+                          {"sym": callee, "adj": False, "pred": None})
+        b.emit("ret", [v])
+        return b.finish([qubit(1)])
+
+    b = FnBuilder("main", False)
+    (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "1"})
+    (out,) = b.emit("call", [q], [qubit(1)], {"sym": "f", "adj": False, "pred": None})
+    (bits,) = b.emit("qbmeas", [out], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+    b.emit("ret", [bits])
+    m = QwModule({"main": b.finish([bit(1)]), "f": passing("f", "g"),
+                  "g": passing("g", "h"), "h": passing("h", None)}, entry="main")
+    inline(m)
+    verify(m)
+    assert list(m.functions) == ["main"]
+    assert [op.kind for op in m.entry_fn.block.ops] == ["qbprep", "qbmeas", "ret"]
+    assert m.entry_fn.block.ops[1].operands == [q]
+
+
+def test_inline_rejects_recursion():
+    b = FnBuilder("f", True)
+    arg = b.param(qubit(1))
+    (v,) = b.emit("call", [arg], [qubit(1)], {"sym": "f", "adj": False, "pred": None})
+    b.emit("ret", [v])
+    m = _chain_module()
+    m.functions["f"] = b.finish([qubit(1)])
+    with pytest.raises(PassError, match="recursive call cycle @f -> @f"):
+        inline(m)
