@@ -490,15 +490,26 @@ def _forward_calls_only(m: QwModule) -> bool:
                if op.kind == "call")
 
 
+def test_specialization_transitive_adjoint():
+    m = _chain_module()
+    generate_specializations(m)
+    # f calls adj g, and g__adj calls adj h: the adjoint is transitive.
+    assert {"g__adj", "h__adj"} <= set(m.functions)
+    assert not any(name.startswith("f__") for name in m.functions)
+    # Closure: a second run adds nothing.
+    names = set(m.functions)
+    generate_specializations(m)
+    assert set(m.functions) == names
+
+
 def test_generate_specializations_materializes_and_retargets():
     m = _chain_module()
     generate_specializations(m)
     verify(m)
     assert _forward_calls_only(m)
-    # f calls adj g, and g__adj calls adj h: the adjoint is transitive.
-    assert {"g__adj", "h__adj"} <= set(m.functions)
-    assert not any(name.startswith("f__") for name in m.functions)
-    # Closure: a second run adds nothing.
+    # The adjoint specialization of h exists because g__adj calls it.
+    assert "h__adj" in m.functions
+    # Retargeted calls stay forward on a second run.
     names = set(m.functions)
     generate_specializations(m)
     assert set(m.functions) == names
