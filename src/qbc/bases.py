@@ -11,6 +11,7 @@ expanded vector lists would be exponentially large.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -348,11 +349,14 @@ def _elements_equal(a: BasisElement, b: BasisElement) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=1024)
 def check_span_equivalence(b_in: Basis, b_out: Basis) -> Optional[SpanMismatch]:
     """Return None iff span(b_in) = span(b_out); else a mismatch diagnostic.
 
     Runs the two-deque pop/compare/factor loop; polynomial in the number of
-    elements and vectors, never in 2^dim.
+    elements and vectors, never in 2^dim. Memoized on the pair: both bases
+    and the result are frozen, and one compile checks each translation once
+    in the type checker and again in every ``qwir.verify``.
     """
     ldeque: deque = deque(normalize_element(e) for e in b_in.elements)
     rdeque: deque = deque(normalize_element(e) for e in b_out.elements)

@@ -13,6 +13,13 @@ touched since it last failed to match cannot match, so only touched ops are
 re-queued, with their producers two hops back (HXH looks two consumers
 ahead), and the qallocs their wires start from are marked dirty. Every
 rewrite deletes at least one gate, so the pass takes linear time.
+
+Toffolis flagged as halves of a compute/uncompute pair (``QOp.pair``, +1
+and -1) decompose into relative-phase Toffolis whose phases cancel only
+between the two halves. So the pair rule cancels two gates only when their
+flags sum to 0, and HXH and the relaxed |-> rule, which would change a
+flagged op's kind or controls and so strand its partner's phase, never
+rewrite a flagged op.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ class _Rewriter:
         nxt = self.ops[j]
         if nxt.kind != "gate" or nxt.condition is not None:
             return False
-        if not _wiring_match(op, nxt):
+        if not _wiring_match(op, nxt) or op.pair + nxt.pair:
             return False
         a, b = op.gate, nxt.gate
         if a == b and a in HERMITIAN or (a, b) in _INVERSE_PAIRS:
@@ -165,7 +172,8 @@ class _Rewriter:
             return False
         j, pos = mid_loc
         mid = self.ops[j]
-        if mid.kind != "gate" or mid.gate not in (X, Z) or mid.condition is not None:
+        if mid.kind != "gate" or mid.gate not in (X, Z) or mid.condition is not None \
+                or mid.pair:
             return False
         if pos < mid.num_controls:
             return False
@@ -210,7 +218,8 @@ class _Rewriter:
         while (j := only_consumer(v)) is not None:
             o = self.ops[j]
             if not (o.kind == "gate" and o.gate is X and o.num_controls >= 1
-                    and o.condition is None and o.operands[-1] == v):
+                    and o.condition is None and not o.pair
+                    and o.operands[-1] == v):
                 break
             mcx_indices.append(j)
             v = o.results[-1]
@@ -297,8 +306,22 @@ def _mcx_gates(controls: list[int], target: int, alloc) -> list[Gate]:
     return front + middle + adjoint_gates(front)
 
 
+def _is_z_phase(op: QOp) -> bool:
+    """P(+-pi), which is Z."""
+    return op.gate is P and math.isclose(
+        abs(math.remainder(op.param, 2 * math.pi)), math.pi, abs_tol=1e-12)
+
+
 def decompose_multicontrol(m: QCircModule) -> QCircModule:
-    """Rewrite every gate with two or more controls into <=1-control gates."""
+    """Rewrite every gate with two or more controls into <=1-control gates.
+
+    A Toffoli flagged as the compute (uncompute) half of a mirrored pair
+    becomes ``ccix_gates`` (their adjoint): 4 T each, and the relative
+    phases of the two halves cancel. C^kZ and C^kP(+-pi) become H.C^kX.H,
+    C^kY becomes Sdg.C^kX.S, and any other controlled gate is controlled on
+    an ancilla holding the AND of its controls. C^kX takes ``k - 2``
+    ancillas, each computed and uncomputed by relative-phase Toffolis.
+    """
     for fn in m.functions.values():
         old_ops, fn.ops = fn.ops, []
         rename: dict[int, int] = {}
@@ -326,9 +349,13 @@ def decompose_multicontrol(m: QCircModule) -> QCircModule:
 
             ctrl_pos = list(range(k))
             tgt_pos = tuple(range(k, n_vals))
-            if op.gate is GateKind.X:
+            if op.gate is X and op.pair and k == 2:
+                gates = ccix_gates(0, 1, 2)
+                if op.pair < 0:
+                    gates = adjoint_gates(gates)
+            elif op.gate is X:
                 gates = _mcx_gates(ctrl_pos, tgt_pos[0], alloc)
-            elif op.gate is GateKind.Z:
+            elif op.gate is Z or _is_z_phase(op):
                 gates = [g(H, tgt_pos[0])] \
                     + _mcx_gates(ctrl_pos, tgt_pos[0], alloc) + [g(H, tgt_pos[0])]
             elif op.gate is GateKind.Y:

@@ -19,7 +19,7 @@ from .lower_gates import LowerError, lower_module
 from .parser import parse
 from .peephole import decompose_multicontrol, peephole
 from .printer import print_program
-from .qcirc import QCircModule, print_qcirc, verify_circuit
+from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
 from .qwir_passes import (
     PassError, canonicalize_ir, count_calls, generate_specializations, inline,
@@ -113,6 +113,8 @@ class Stats:
     direct_calls: int
     indirect_calls: int
     gates: int
+    t_count: int
+    cx_count: int
     qubits: int
 
     def render(self) -> str:
@@ -120,6 +122,8 @@ class Stats:
             f"direct_calls={self.direct_calls}",
             f"indirect_calls={self.indirect_calls}",
             f"gates={self.gates}",
+            f"t_count={self.t_count}",
+            f"cx_count={self.cx_count}",
             f"qubits={self.qubits}",
         ])
 
@@ -129,5 +133,11 @@ def stats_for(source: str, file: str, opts: Options) -> Stats:
     m = to_qwir(tp, opts)
     direct, indirect = count_calls(m)
     fn = to_gates(m, opts, file).entry_fn
-    qubits = sum(1 for op in fn.ops if op.kind == "qalloc")
-    return Stats(direct, indirect, fn.count_gates(), qubits)
+    gates = [op for op in fn.ops if op.kind == "gate"]
+    return Stats(
+        direct, indirect, len(gates),
+        t_count=sum(op.gate in (GateKind.T, GateKind.TDG) for op in gates),
+        cx_count=sum(op.gate is GateKind.X and op.num_controls == 1
+                     for op in gates),
+        qubits=sum(1 for op in fn.ops if op.kind == "qalloc"),
+    )

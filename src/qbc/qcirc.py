@@ -48,12 +48,19 @@ N_TARGETS = {k: (2 if k is GateKind.SWAP else 1) for k in GateKind}
 
 @dataclass(frozen=True)
 class Gate:
-    """A gate over register positions (synthesis-level, not dataflow)."""
+    """A gate over register positions (synthesis-level, not dataflow).
+
+    ``pair`` marks a Toffoli that a classical embed computes (+1) and later
+    uncomputes with its exact mirror (-1), with nothing between the two that
+    changes its controls. Such a pair may be decomposed into relative-phase
+    Toffolis whose phases cancel; an unflagged gate (0) is always exact.
+    """
 
     kind: GateKind
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     param: float = 0.0
+    pair: int = 0
 
     def __post_init__(self):
         assert len(self.targets) == N_TARGETS[self.kind]
@@ -62,7 +69,8 @@ class Gate:
 
     def adjoint(self) -> "Gate":
         param = -self.param if self.kind is GateKind.P else self.param
-        return Gate(ADJOINT_KIND[self.kind], self.targets, self.controls, param)
+        return Gate(ADJOINT_KIND[self.kind], self.targets, self.controls,
+                    param, -self.pair)
 
     def shifted(self, offset: int) -> "Gate":
         return Gate(
@@ -70,9 +78,11 @@ class Gate:
             tuple(t + offset for t in self.targets),
             tuple(c + offset for c in self.controls),
             self.param,
+            self.pair,
         )
 
     def with_controls(self, extra: tuple[int, ...]) -> "Gate":
+        """The gate with more controls; an extra control drops ``pair``."""
         return Gate(self.kind, self.targets, self.controls + extra, self.param)
 
 
@@ -98,7 +108,8 @@ class QOp:
       measure:           (qubit,)               -> (bit,)
       gate:              (*controls, *targets)  -> same count of qubits
       ret:               (*bits,)               -> ()
-    Gates may carry a classical condition (bit value id, expected outcome).
+    Gates may carry a classical condition (bit value id, expected outcome)
+    and the ``pair`` flag of the ``Gate`` they were built from.
     """
 
     kind: str
@@ -108,6 +119,7 @@ class QOp:
     param: float = 0.0
     num_controls: int = 0
     condition: Optional[tuple[int, bool]] = None
+    pair: int = 0
 
 
 @dataclass
@@ -236,6 +248,7 @@ def append_gates(fn: QCircFn, wires: list[int], gates: list[Gate],
                 param=gt.param,
                 num_controls=len(gt.controls),
                 condition=condition,
+                pair=gt.pair,
             )
         )
         for p, r in zip(positions, results):

@@ -464,12 +464,6 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                 ))
                 changed = True
                 continue
-            cond_op = defs.get(op.operands[0])
-            if cond_op is not None and cond_op.kind == "cond" \
-                    and len(cond_op.results) == 1:
-                _push_call_into_cond(fn, cond_op, op)
-                changed = True
-                continue
         elif op.kind == "func_adj":
             inner = defs.get(op.operands[0])
             if inner is not None and inner.kind == "func_adj":
@@ -495,6 +489,14 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                 subst[op.results[0]] = src.operands[0]
                 changed = True
                 continue
+        if op.kind in ("call_indirect", "func_adj", "func_pred"):
+            cond_op = defs.get(op.operands[0])
+            if cond_op is not None and cond_op.kind == "cond" \
+                    and len(cond_op.results) == 1:
+                _push_into_cond(fn, cond_op, op)
+                defs.update((r, cond_op) for r in op.results)
+                changed = True
+                continue
         new_ops.append(op)
 
     # Drop dead stationary ops and dead pure-renaming pack/unpack ops
@@ -510,21 +512,25 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
     return changed
 
 
-def _push_call_into_cond(fn: QwFunc, cond_op: QwOp, call_op: QwOp) -> None:
-    """Clone a call_indirect of a cond's function result into both branches.
+def _push_into_cond(fn: QwFunc, cond_op: QwOp, op: QwOp) -> None:
+    """Clone ``op`` (a call_indirect, func_adj or func_pred of the cond's
+    function result) into both branches.
 
-    The cond then defines the call's results, and the caller drops the call.
+    The cond then defines op's results, and the caller drops op; this is
+    sound because every function value the front end lowers has exactly one
+    use. Repeated, it turns every wrapped or called function value of a
+    cond, nested conds included, into a direct call inside each branch.
     """
     for region in cond_op.regions:
         term = region.ops[-1]
-        (branch_fv,) = term.operands
-        inner_results = [fn.new_value(fn.types[r]) for r in call_op.results]
+        inner_results = [fn.new_value(fn.types[r]) for r in op.results]
         region.ops.insert(
             len(region.ops) - 1,
-            QwOp("call_indirect", [branch_fv] + call_op.operands[1:], inner_results),
+            QwOp(op.kind, term.operands + op.operands[1:], inner_results,
+                 dict(op.attrs)),
         )
         term.operands = inner_results
-    cond_op.results = list(call_op.results)
+    cond_op.results = list(op.results)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ the destandardizations mirrored on the way out.
 Classical functions become compute-copy-uncompute networks: AND/OR nodes
 compute into fresh ancillas via (possibly negated) Toffolis, XOR structure
 is streamed directly onto targets as CNOT chains, and every ancilla is
-uncomputed and released clean.
+uncomputed and released clean. Each AND's Toffoli is flagged as one half of
+a mirrored pair, which decomposition may realize with relative-phase
+Toffolis; a sign oracle whose output is one AND kicks its phase with a CZ.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .bases import (
 )
 from .qcirc import Gate, GateKind, adjoint_gates, g
 
-X, H, S, SDG, P, SWAP = (
-    GateKind.X, GateKind.H, GateKind.S, GateKind.SDG, GateKind.P, GateKind.SWAP,
+X, Z, H, S, SDG, P, SWAP = (
+    GateKind.X, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG, GateKind.P,
+    GateKind.SWAP,
 )
 
 PERMUTATION_LIMIT = 12
@@ -538,8 +541,7 @@ class _Bag:
 
 class _ClassicalSynth:
     def __init__(self, n_inputs: int):
-        self.gates: list[Gate] = []
-        self.compute_segments: list[list[Gate]] = []
+        self.segments: list[list[Gate]] = []  # compute segments, in order
         self.next_pos = n_inputs
         self.num_ancillas = 0
 
@@ -558,8 +560,7 @@ class _ClassicalSynth:
         seg = [Gate(X, (anc,), (p,)) for p in sorted(bag.positions)]
         if bag.flip:
             seg.append(g(X, anc))
-        self.gates.extend(seg)
-        self.compute_segments.append(seg)
+        self.segments.append(seg)
         return anc, False
 
     def and_bags(self, a: _Bag, b: _Bag) -> _Bag:
@@ -568,16 +569,18 @@ class _ClassicalSynth:
             return b if ca else _Bag.const(False)
         if cb is not None:
             return a if cb else _Bag.const(False)
+        if a == b:
+            return a
+        if a == b.inverted():
+            return _Bag.const(False)
         pa, na = self._materialize(a)
         pb, nb = self._materialize(b)
         anc = self.alloc()
-        seg: list[Gate] = []
         flips = [g(X, p) for p, neg in ((pa, na), (pb, nb)) if neg]
-        seg.extend(flips)
-        seg.append(Gate(X, (anc,), (pa, pb)))
-        seg.extend(reversed(flips))
-        self.gates.extend(seg)
-        self.compute_segments.append(seg)
+        # The uncompute mirrors this Toffoli, and nothing in between changes
+        # its controls: the two form a relative-phase pair.
+        toffoli = Gate(X, (anc,), (pa, pb), pair=1)
+        self.segments.append(flips + [toffoli] + flips[::-1])
         return _Bag.wire(anc)
 
     def or_bags(self, a: _Bag, b: _Bag) -> _Bag:
@@ -619,12 +622,38 @@ class _ClassicalSynth:
         raise SynthError(f"bad classical node {type(e).__name__}")
 
 
+def _phase_kick(segments: list[list[Gate]], bag: _Bag) -> Optional[list[Gate]]:
+    """The last segment with its Toffoli turned into a CZ on the AND's
+    inputs, if ``bag`` is exactly that AND's wire; else None."""
+    if not segments or bag.flip:
+        return None
+    toffoli = next((gt for gt in segments[-1] if gt.pair), None)
+    if toffoli is None or bag.positions != {toffoli.targets[0]}:
+        return None
+    a, b = toffoli.controls
+    return [Gate(Z, (b,), (a,)) if gt is toffoli else gt for gt in segments[-1]]
+
+
+def _close_gap(gt: Gate, gap: int) -> Gate:
+    """``gt`` with every position above ``gap`` moved down by one."""
+    move = lambda ps: tuple(p - (p > gap) for p in ps)
+    return Gate(gt.kind, move(gt.targets), move(gt.controls), gt.param, gt.pair)
+
+
 def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, int]:
     """Build U_f gates; returns (gates, n_inputs, n_outputs, n_ancillas).
 
+    Every AND computes into a fresh ancilla with a Toffoli flagged as the
+    compute half of a mirrored pair (``Gate.pair``), and the uncompute runs
+    the compute segments' adjoints in reverse, so all ancillas finish at |0>.
+
     xor mode lays out [inputs, outputs, ancillas]; outputs receive
-    y ^= f(x) via CNOT chains. sign mode lays out [inputs, ancillas] where
-    the first ancilla is driven as a |-> target. All ancillas finish at |0>.
+    y ^= f(x) via CNOT chains. sign mode applies (-1)^f(x). When f's output
+    is exactly the last AND's wire (not negated), that AND's Toffoli becomes
+    a CZ on its two inputs (the phase-oracle form) and the layout is
+    [inputs, ancillas], with neither that AND's ancilla nor a phase target.
+    Otherwise sign mode lays out [inputs, target, ancillas] and copies f
+    onto the target, driven as |->.
     """
     n = sum(p.type.dim.value for p in cfn.params)
     k = cfn.ret_type.dim.value
@@ -635,31 +664,41 @@ def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, 
         d = p.type.dim.value
         env[p.name] = [_Bag.wire(at + i) for i in range(d)]
         at += d
-
     if mode == "sign":
-        target0 = synth.alloc()
-        targets = [target0]
-        prep = [g(X, target0), g(H, target0)]
-        synth.gates = prep + synth.gates
+        targets = [synth.alloc()]
     else:
         targets = [n + j for j in range(k)]
-        prep = []
 
     bags = synth.eval(cfn.body, env)
-    assert len(bags) == k if mode == "xor" else len(bags) == 1
+    assert len(bags) == len(targets)
+    segments = synth.segments
+    if mode == "sign":
+        kick = _phase_kick(segments, bags[0])
+        if kick is not None:
+            segments = segments[:-1]
+            gates = _compute(segments) + kick + _uncompute(segments)
+            # Drop the unused target; the last AND's ancilla is the highest
+            # position and no gate touches it any more.
+            return [_close_gap(gt, n) for gt in gates], n, 0, synth.num_ancillas - 2
     copy: list[Gate] = []
     for tgt, bag in zip(targets, bags):
         if bag.flip:
             copy.append(g(X, tgt))
         for p in sorted(bag.positions):
             copy.append(Gate(X, (tgt,), (p,)))
-    gates = list(synth.gates) + copy
-    # Uncompute ancilla segments in reverse so everything returns to |0>.
-    for seg in reversed(synth.compute_segments):
-        gates.extend(adjoint_gates(seg))
+    gates = _compute(segments) + copy + _uncompute(segments)
     if mode == "sign":
-        gates += [g(H, target0), g(X, target0)]
+        (t,) = targets
+        gates = [g(X, t), g(H, t)] + gates + [g(H, t), g(X, t)]
     return gates, n, (k if mode == "xor" else 0), synth.num_ancillas
+
+
+def _compute(segments: list[list[Gate]]) -> list[Gate]:
+    return [gt for seg in segments for gt in seg]
+
+
+def _uncompute(segments: list[list[Gate]]) -> list[Gate]:
+    return [gt for seg in reversed(segments) for gt in adjoint_gates(seg)]
 
 
 def embed_gates(cfn: ClassicalFn, mode: str,
@@ -668,7 +707,9 @@ def embed_gates(cfn: ClassicalFn, mode: str,
 
     With a predicate, data positions shift right by pred.dim, every gate is
     controlled on the predicate patterns, and the predicate's own primitive
-    bases are unconditionally standardized around the whole circuit.
+    bases are unconditionally standardized around the whole circuit. The
+    extra controls clear the ANDs' pair flags (``Gate.with_controls``), so a
+    predicated embed decomposes into exact multi-controlled gates.
     """
     core, n, k, anc = synth_classical(cfn, mode)
     width = n + k

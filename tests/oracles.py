@@ -22,7 +22,7 @@ from qbc.bases import (
     Prim,
     builtin_vectors,
 )
-from qbc.qcirc import Gate, QCircFn, append_gates
+from qbc.qcirc import Gate, QCircFn, QOp, append_gates
 from qbc.run import SimulationError, _exec_op
 from qbc.simulator import StateVector, apply_gate
 
@@ -156,12 +156,22 @@ def unitary_of(gates: Iterable, n: int) -> np.ndarray:
     return u
 
 
-def gates_to_fn(name: str, n: int, gates: Iterable[Gate]) -> QCircFn:
-    """Wrap a position-based gate list as a function over n qubit params."""
+def gates_to_fn(name: str, n: int, gates: Iterable[Gate],
+                ancillas: int = 0) -> QCircFn:
+    """Wrap a position-based gate list as a function over n qubit params.
+
+    Positions n to n + ancillas - 1 are qalloc'd ancillas, freed with
+    ``qfreez`` after the last gate (as gate lowering does for an embed).
+    """
     fn = QCircFn(name)
     fn.qubit_params = tuple(range(n))
     fn.next_id = n
-    append_gates(fn, list(range(n)), list(gates))
+    wires = list(range(n))
+    for _ in range(ancillas):
+        wires.append(fn.new_id())
+        fn.ops.append(QOp("qalloc", results=(wires[-1],)))
+    append_gates(fn, wires, list(gates))
+    fn.ops.extend(QOp("qfreez", (w,)) for w in wires[n:])
     return fn
 
 

@@ -2,6 +2,7 @@
 the QASM reader's operand checks."""
 
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -15,13 +16,15 @@ from qbc.backends import BackendError, read_qasm3
 from qbc.peephole import (
     ccix_gates, ccx_gates, decompose_multicontrol, peephole,
 )
-from qbc.pipeline import Options, compile_to_circuit
+from qbc.pipeline import Options, compile_source, compile_to_circuit
 from oracles import gates_to_fn, module_unitary, unitary_of
 
 H, X, Z, S, SDG, T, TDG, P, SWAP = (
     GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
     GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
 )
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def fn_module(gates, n) -> QCircModule:
@@ -229,6 +232,73 @@ def test_decompose_leaves_single_controls():
     m = fn_module([g(X, 1, controls=(0,))], 2)
     decompose_multicontrol(m)
     assert gate_count(m) == 1
+
+
+def _toffoli(pair):
+    return Gate(X, (2,), (0, 1), pair=pair)
+
+
+@pytest.mark.parametrize("first, second, cancels", [
+    (1, -1, True), (-1, 1, True), (0, 0, True),
+    (1, 0, False), (0, -1, False), (1, 1, False), (-1, -1, False),
+])
+def test_peephole_cancels_flagged_toffolis_only_as_a_pair(first, second, cancels):
+    m = fn_module([_toffoli(first), _toffoli(second)], 3)
+    peephole(m)
+    assert gate_count(m) == (0 if cancels else 2)
+
+
+def _t_count(m) -> int:
+    return sum(op.gate in (T, TDG) for op in m.entry_fn.ops if op.kind == "gate")
+
+
+def test_decompose_flagged_pair_is_exact_with_half_the_t():
+    # compute, something diagonal on the controls and the target's value,
+    # uncompute: 8 T instead of 14, and exactly the unflagged unitary.
+    middle = [g(Z, 3, controls=(2,)), g(S, 0)]
+    flagged = fn_module([_toffoli(1)] + middle + [_toffoli(-1)], 4)
+    exact = fn_module([_toffoli(0)] + middle + [_toffoli(0)], 4)
+    want = unitary_of_module(exact, 4)
+    decompose_multicontrol(flagged)
+    decompose_multicontrol(exact)
+    assert (_t_count(flagged), _t_count(exact)) == (8, 14)
+    assert np.allclose(module_unitary(flagged.entry_fn), want, atol=1e-9)
+    # Either half alone leaves a relative phase.
+    lone = fn_module([_toffoli(1)], 3)
+    decompose_multicontrol(lone)
+    assert not np.allclose(module_unitary(lone.entry_fn), unitary_of([_toffoli(0)], 3))
+
+
+@pytest.mark.parametrize("param", [math.pi, -math.pi, 3 * math.pi])
+def test_decompose_controlled_pi_phase_as_controlled_z(param):
+    m = fn_module([Gate(P, (3,), (0, 1, 2), param)], 4)
+    want = unitary_of_module(m, 4)
+    decompose_multicontrol(m)
+    assert _t_count(m) == 15  # H.C3X.H: ccix, ccx, ccix-dagger
+    assert sum(op.kind == "qalloc" for op in m.entry_fn.ops) == 1
+    assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
+
+
+def test_no_decompose_output_shows_exact_toffolis():
+    path = BENCH / "grover.qw"
+    source = path.read_text()
+    opts = Options(decompose=False)
+    qasm = compile_source(source, str(path), opts, "qasm")
+    text = compile_source(source, str(path), opts, "qcircuit-ir")
+    assert "ctrl(2) @ x" in qasm
+    assert not re.search(r"^\s*(t|tdg) ", qasm, re.M)
+    qc = compile_to_circuit(source, str(path), opts)
+    assert {op.pair for op in qc.entry_fn.ops} == {-1, 0, 1}
+    assert print_qcirc(qc) == text  # the flag is never printed
+    for op in qc.entry_fn.ops:
+        op.pair = 0
+    exact = _t_count(decompose_multicontrol(qc))
+    relative = _t_count(compile_to_circuit(source, str(path), Options()))
+    assert relative < exact
+    # A re-parsed or re-ingested circuit carries no flags: exact Toffolis.
+    for again in (parse_qcirc(text), read_qasm3(qasm)):
+        assert not any(op.pair for op in again.entry_fn.ops)
+        assert _t_count(decompose_multicontrol(again)) == exact
 
 
 def test_peephole_never_increases_gate_count_random():

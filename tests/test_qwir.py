@@ -587,6 +587,49 @@ def test_inline_nested_helpers_and_their_inverses(body, want):
     assert distribution(qc) == {want: pytest.approx(1.0)}
 
 
+COND_HELPERS = """
+qpu g(q: qubit[1]) -> qubit[1] rev {
+    q | std.flip
+}
+qpu h(q: qubit[1]) -> qubit[1] rev {
+    q | ({'0', '1'} >> {'0', '1' @ (pi/2)})
+}
+"""
+
+
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize("m_bit, want", [("1", "11"), ("0", "10")])
+def test_predicated_conditional_function_value(m_bit, want, opt_level):
+    # func_pred of a cond's function value: pushed into both branches,
+    # where it resolves to a direct call of g or of h's adjoint.
+    from qbc.pipeline import Options, compile_to_circuit
+    from qbc.run import distribution
+
+    src = COND_HELPERS + (
+        "qpu main() -> bit[2] {\n"
+        f"    let m = '{m_bit}' | std.measure;\n"
+        "    ('1' + '0') | ({'1'} & (g if m else ~h)) | std[2].measure\n}\n")
+    qc = compile_to_circuit(src, "cond.qw", Options(opt_level=opt_level))
+    assert distribution(qc) == {want: pytest.approx(1.0)}
+
+
+def test_wrapped_function_values_distribute_through_nested_conds():
+    from qbc.pipeline import Options, front, to_qwir
+    from qbc.qwir_passes import _iter_ops
+
+    src = COND_HELPERS + (
+        "qpu main() -> bit[2] {\n"
+        "    let m = '0' | std.measure;\n"
+        "    let n = '1' | std.measure;\n"
+        "    ('1' + '0') | ~({'1'} & (h if m else (g if n else ~h)))"
+        " | std[2].measure\n}\n")
+    m = to_qwir(front(src, "nested.qw", Options()), Options())
+    kinds = [op.kind for op in _iter_ops(m.entry_fn.block)]
+    assert kinds.count("cond") == 2
+    assert not set(kinds) & {"call", "call_indirect", "func_const",
+                             "func_adj", "func_pred"}
+
+
 def test_inline_more_call_sites_than_any_round_cap():
     from qbc.pipeline import Options, compile_to_circuit
     from qbc.run import distribution

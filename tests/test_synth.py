@@ -1,24 +1,29 @@
 """Translation synthesis against the brute-force translation unitary."""
 
+import functools
 import math
-from itertools import permutations
+import operator
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qbc.ast_nodes import (
-    ClassicalFn, CBin, CIndex, CLit, CReduce, CVar, DimLit, ParamNode, TypeNode,
+    ClassicalFn, CBin, CIndex, CLit, CNot, CReduce, CSlice, CVar, DimLit,
+    ParamNode, TypeNode,
 )
 from qbc.bases import Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, lit
-from qbc.qcirc import GateKind
+from qbc.peephole import decompose_multicontrol, peephole
+from qbc.qcirc import GateKind, QCircModule, adjoint_gates, g, verify_circuit
 from qbc.synth import (
-    AlignedPair, align, collect_vector_phases, emit_standardization,
-    factor_ordered, iqft_gates, lower_translation, pair_permutation,
-    plan_standardization, qft_gates, synth_classical, synth_permutation,
-    StdEntry,
+    AlignedPair, align, collect_vector_phases, embed_gates,
+    emit_standardization, factor_ordered, iqft_gates, lower_translation,
+    pair_permutation, plan_standardization, qft_gates, synth_classical,
+    synth_permutation, StdEntry,
 )
 
-from oracles import translation_unitary, unitary_of
+from oracles import gates_to_fn, module_unitary, translation_unitary, unitary_of
 
 STD, PM, IJ, FOURIER = Prim.STD, Prim.PM, Prim.IJ, Prim.FOURIER
 
@@ -415,6 +420,15 @@ def test_classical_or_demorgan():
     _truth_check(cfn, lambda x: int(x != 0), 2, 1)
 
 
+def test_classical_and_of_a_wire_with_itself():
+    # x & x and x & ~x fold before synthesis (a Toffoli with one control
+    # twice is not a gate).
+    x = CIndex(CVar("x0"), DimLit(0))
+    _truth_check(_cfn("same", [2], 1, CBin("&", x, x)), lambda v: v >> 1, 2, 1)
+    _truth_check(_cfn("never", [2], 1, CBin("&", x, CNot(x))), lambda v: 0, 2, 1)
+    _truth_check(_cfn("always", [2], 1, CBin("|", CNot(x), x)), lambda v: 1, 2, 1)
+
+
 def test_classical_slices_and_repeat():
     from qbc.ast_nodes import CSlice, CRepeat, CIndex
 
@@ -429,3 +443,109 @@ def test_classical_slices_and_repeat():
         return int(lo, 2) ^ int(rep, 2)
 
     _truth_check(cfn, fpy, 3, 2)
+
+
+# -- relative-phase AND pairs ---------------------------------------------------
+
+
+def _bit_exprs(n):
+    """Single-bit classical expressions over x0: bit[n]."""
+    x0 = CVar("x0")
+    vectors = st.one_of(
+        st.just(x0), st.just(CNot(x0)),
+        st.tuples(st.integers(0, n - 2), st.integers(2, n)).filter(
+            lambda t: t[1] - t[0] >= 2).map(
+            lambda t: CSlice(x0, DimLit(t[0]), DimLit(t[1]))),
+    )
+    leaves = st.one_of(
+        st.integers(0, n - 1).map(lambda i: CIndex(x0, DimLit(i))),
+        st.tuples(st.sampled_from(["and", "or", "xor"]), vectors).map(
+            lambda t: CReduce(*t)),
+    )
+    return st.recursive(leaves, lambda inner: st.one_of(
+        inner.map(CNot),
+        st.tuples(st.sampled_from(["&", "|", "^"]), inner, inner).map(
+            lambda t: CBin(*t)),
+    ), max_leaves=3)
+
+
+def _eval_bits(e, bits):
+    if isinstance(e, CVar):
+        return list(bits)
+    if isinstance(e, CIndex):
+        return [_eval_bits(e.operand, bits)[e.index.value]]
+    if isinstance(e, CSlice):
+        return _eval_bits(e.operand, bits)[e.lo.value:e.hi.value]
+    if isinstance(e, CNot):
+        return [1 - b for b in _eval_bits(e.operand, bits)]
+    if isinstance(e, CReduce):
+        op = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}[e.op]
+        return [functools.reduce(op, _eval_bits(e.operand, bits))]
+    op = {"&": operator.and_, "|": operator.or_, "^": operator.xor}[e.op]
+    return [op(a, b) for a, b in zip(_eval_bits(e.left, bits),
+                                     _eval_bits(e.right, bits))]
+
+
+def _oracle_matrix(truth, n, mode, pred_bit):
+    """U_f over [predicate?, x, y?]: y ^= f(x) (xor) or (-1)^f(x) (sign),
+    only where the predicate qubit reads pred_bit."""
+    width = n + (mode == "xor") + (pred_bit is not None)
+    u = np.zeros((1 << width, 1 << width))
+    for i in range(1 << width):
+        x = (i >> (mode == "xor")) & ((1 << n) - 1)
+        active = pred_bit is None or (i >> (width - 1)) == int(pred_bit)
+        f = truth[x] if active else 0
+        if mode == "xor":
+            u[i ^ f, i] = 1.0
+        else:
+            u[i, i] = -1.0 if f else 1.0
+    return u
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_embed_unitary_is_exact_with_and_without_relative_phase_pairs(data):
+    """Flagged AND pairs decompose into relative-phase Toffolis; the embed's
+    unitary must stay exactly U_f (no phase slack) across peephole on/off x
+    decompose on/off, with and without a predicate, plain and adjoint."""
+    n = data.draw(st.integers(2, 4), label="n")
+    body = data.draw(_bit_exprs(n), label="body")
+    pred_bit = data.draw(st.sampled_from("01"), label="predicate")
+    cfn = _cfn("f", [n], 1, body)
+    truth = [_eval_bits(body, [(x >> (n - 1 - i)) & 1 for i in range(n)])[0]
+             for x in range(1 << n)]
+    for mode, pb, adj in product(("xor", "sign"), (None, pred_bit), (False, True)):
+        pred = None if pb is None else basis(lit(pb))
+        gates, width, anc = embed_gates(cfn, mode, pred)
+        assume(2 * width + anc <= 16)
+        if adj:
+            gates = adjoint_gates(gates)
+        want = _oracle_matrix(truth, n, mode, pb)
+        for peep, dec in product((False, True), repeat=2):
+            m = QCircModule({"main": gates_to_fn("main", width, gates, anc)}, "main")
+            if peep:
+                peephole(m)
+            if dec:
+                decompose_multicontrol(m)
+                assert all(op.num_controls <= 1 for op in m.entry_fn.ops
+                           if op.kind == "gate")
+            verify_circuit(m)
+            got = module_unitary(m.entry_fn)
+            assert np.allclose(got, want, atol=1e-9), (mode, pb, adj, peep, dec)
+
+
+def test_sign_oracle_of_one_and_kicks_phase_without_target():
+    # and_reduce of three bits: one AND into an ancilla, then a CZ on that
+    # ancilla and the third bit; no |-> target and no second ancilla.
+    cfn = _cfn("conj", [3], 1, CReduce("and", CVar("x0")))
+    gates, n, k, anc = synth_classical(cfn, "sign")
+    assert (n, k, anc) == (3, 0, 1)
+    assert [(gt.kind, gt.controls, gt.targets, gt.pair) for gt in gates] == [
+        (GateKind.X, (0, 1), (3,), 1),
+        (GateKind.Z, (3,), (2,), 0),
+        (GateKind.X, (0, 1), (3,), -1),
+    ]
+    # A negated output keeps the |-> target at position n.
+    cfn = _cfn("nand", [3], 1, CNot(CReduce("and", CVar("x0"))))
+    gates, n, k, anc = synth_classical(cfn, "sign")
+    assert anc == 3 and gates[:2] == [g(GateKind.X, 3), g(GateKind.H, 3)]
