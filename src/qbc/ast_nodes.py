@@ -53,7 +53,7 @@ DimExpr = Union[DimLit, DimVar, DimBin]
 
 
 # --------------------------------------------------------------------------
-# Angle expressions (float-valued; folded during canonicalization)
+# Angle expressions (float-valued; evaluated by typecheck.fold_angle)
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,7 @@ class AngleBin:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class AngleDim:
-    """A dimension expression used inside an angle (e.g. pi / 2**k sizes)."""
-
-    dim: DimExpr
-    pos: Pos = _pos_field()
-
-
-AngleExpr = Union[AngleLit, AnglePi, AngleVar, AngleNeg, AngleBin, AngleDim]
+AngleExpr = Union[AngleLit, AnglePi, AngleVar, AngleNeg, AngleBin]
 
 
 # --------------------------------------------------------------------------

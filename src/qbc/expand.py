@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .ast_nodes import (
-    AngleBin, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
+    AngleBin, AngleNeg, AngleVar, AngleNode,
     BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CExpr, CIndex,
     ClassicalFn, CLit, CNot, CondNode, CReduce, CRepeat, CSlice, CVar,
     DimBin, DimExpr, DimLit, DimVar, DiscardNode, EmbedNode, ExprNode,
@@ -21,6 +21,7 @@ from .ast_nodes import (
     AdjointNode, VarNode, VecNode,
 )
 from .diagnostics import err
+from .typecheck import fold_angle
 
 
 class _Unbound(Exception):
@@ -157,7 +158,7 @@ class Expander:
                 out.append((k, "bits", v.bits))
             else:
                 assert isinstance(v, AngleNode)
-                out.append((k, "angle", _fold_angle(v.angle)))
+                out.append((k, "angle", fold_angle(v.angle, v.pos, self.file)))
         return tuple(out)
 
     # -- qpu instantiation -----------------------------------------------------
@@ -215,7 +216,7 @@ class Expander:
     def _expand_expr(self, e, dims, captures, env):
         """Return (expanded expr, shape info)."""
         if isinstance(e, QubitLitNode):
-            phase = _fold_phase(e.phase, dims, captures, self.file)
+            phase = _subst_angle(e.phase, captures, self.file)
             return QubitLitNode(e.chars, phase, pos=e.pos), _Info.value(len(e.chars))
         if isinstance(e, BasisLitNode):
             vecs = []
@@ -223,7 +224,7 @@ class Expander:
                 chars = v.chars
                 if v.repeat is not None:
                     chars = chars * self._eval(v.repeat, dims, v.pos)
-                phase = _fold_phase(v.phase, dims, captures, self.file)
+                phase = _subst_angle(v.phase, captures, self.file)
                 vecs.append(VecNode(chars, None, phase, pos=v.pos))
             dim = len(vecs[0].chars) if vecs else 0
             return BasisLitNode(tuple(vecs), pos=e.pos), _Info.basis(dim)
@@ -308,7 +309,7 @@ class Expander:
         if isinstance(e, CallNode):
             return self._resolve_fn(e, dims, captures, env, hint=None)
         if isinstance(e, AngleNode):
-            return AngleNode(_fold_phase(e.angle, dims, captures, self.file), pos=e.pos), _Info(_ANGLE)
+            return AngleNode(_subst_angle(e.angle, captures, self.file), pos=e.pos), _Info(_ANGLE)
         if isinstance(e, BitsNode):
             return e, _Info(_BITS, out_dim=len(e.bits))
         if isinstance(e, LetNode):
@@ -394,7 +395,7 @@ class Expander:
             else:
                 if info.kind != _ANGLE:
                     raise err(f"capture '{p.name}' must be an angle", call.pos, self.file)
-                inner_captures[p.name] = na if isinstance(na, AngleNode) else AngleNode(na)
+                inner_captures[p.name] = na if isinstance(na, AngleNode) else AngleNode(na, pos=a.pos)
         for name, default in zip(target.dim_vars, target.dim_defaults):
             if name not in inner_dims and default is not None:
                 inner_dims[name] = default
@@ -522,13 +523,8 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str], file
     raise err(f"unexpected classical node {type(e).__name__}", getattr(e, "pos", Pos()), file)
 
 
-def _fold_phase(a, dims, captures, file):
-    if a is None:
-        return None
-    return _subst_angle(a, captures, file)
-
-
 def _subst_angle(a, captures, file):
+    """``a`` (an angle expression or None) with captured angles substituted."""
     if isinstance(a, AngleVar):
         if a.name in captures and isinstance(captures[a.name], AngleNode):
             return captures[a.name].angle
@@ -543,21 +539,6 @@ def _subst_angle(a, captures, file):
             pos=a.pos,
         )
     return a
-
-
-def _fold_angle(a) -> float:
-    import math
-
-    if isinstance(a, AngleLit):
-        return a.value
-    if isinstance(a, AnglePi):
-        return math.pi
-    if isinstance(a, AngleNeg):
-        return -_fold_angle(a.operand)
-    if isinstance(a, AngleBin):
-        x, y = _fold_angle(a.left), _fold_angle(a.right)
-        return {"+": x + y, "-": x - y, "*": x * y, "/": x / y if y else float("nan")}[a.op]
-    raise err("angle is not a constant", getattr(a, "pos", Pos()))
 
 
 def expand(program: Program, bindings: dict[str, int], file: str = "<input>") -> Program:

@@ -1,5 +1,5 @@
 """
-Lowering of typed, canonicalized ASTs into the basis-level IR.
+Lowering of typed, tensor-flattened ASTs into the basis-level IR.
 
 Tensor products of function values become lambdas that unpack, call each
 part, and repack; basis translations in value position become lambdas

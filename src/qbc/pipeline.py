@@ -1,13 +1,20 @@
 """
-Fixed compilation pipeline: parse -> expand -> typecheck -> AST canonicalize
+Fixed compilation pipeline: parse -> expand -> typecheck -> flatten tensors
 -> lower to basis IR -> lift/canonicalize/inline (unless disabled) ->
 specialize -> lower to gates -> peephole (at -O1) -> multi-control
 decomposition (unless disabled) -> backend.
+
+Each rewrite has one home. The front end typechecks the expanded program
+once, so diagnostics point into the source as written; the only AST rewrite,
+tensor flattening (``canon_ast``), cannot change a type, so its output is
+handed on with that typecheck's signatures. Adjoints, predicates and constant
+angles are resolved in the basis IR (``qwir_passes``), and gate-level
+rewrites happen in ``peephole``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .backends import BackendError, emit_qasm3, emit_qir_base
@@ -22,7 +29,7 @@ from .printer import print_program
 from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
 from .qwir_passes import (
-    PassError, canonicalize_ir, count_calls, generate_specializations, inline,
+    PassError, canonicalize_ir, generate_specializations, inline,
     lift_lambdas, prune_unreachable,
 )
 from .typecheck import typecheck
@@ -34,7 +41,6 @@ class Options:
     inline: bool = True
     decompose: bool = True
     reuse_qubits: bool = False
-    canonicalize: bool = True
     dims: dict[str, int] = field(default_factory=dict)
 
 
@@ -42,10 +48,7 @@ def front(source: str, file: str, opts: Options):
     prog = parse(source, file)
     prog = expand(prog, opts.dims, file)
     tp = typecheck(prog, file)
-    if opts.canonicalize:
-        canonical = canonicalize_ast(prog, file)
-        tp = typecheck(canonical, file)
-    return tp
+    return replace(tp, program=canonicalize_ast(tp.program))
 
 
 def to_qwir(tp, opts: Options) -> QwModule:
@@ -110,8 +113,6 @@ def compile_to_circuit(source: str, file: str, opts: Options) -> QCircModule:
 
 @dataclass
 class Stats:
-    direct_calls: int
-    indirect_calls: int
     gates: int
     t_count: int
     cx_count: int
@@ -119,8 +120,6 @@ class Stats:
 
     def render(self) -> str:
         return "\n".join([
-            f"direct_calls={self.direct_calls}",
-            f"indirect_calls={self.indirect_calls}",
             f"gates={self.gates}",
             f"t_count={self.t_count}",
             f"cx_count={self.cx_count}",
@@ -129,13 +128,10 @@ class Stats:
 
 
 def stats_for(source: str, file: str, opts: Options) -> Stats:
-    tp = front(source, file, opts)
-    m = to_qwir(tp, opts)
-    direct, indirect = count_calls(m)
-    fn = to_gates(m, opts, file).entry_fn
+    fn = compile_to_circuit(source, file, opts).entry_fn
     gates = [op for op in fn.ops if op.kind == "gate"]
     return Stats(
-        direct, indirect, len(gates),
+        len(gates),
         t_count=sum(op.gate in (GateKind.T, GateKind.TDG) for op in gates),
         cx_count=sum(op.gate is GateKind.X and op.num_controls == 1
                      for op in gates),

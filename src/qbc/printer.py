@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .ast_nodes import (
-    AngleBin, AngleDim, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
+    AngleBin, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
     BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CIndex, CLit,
     CNot, CondNode, CReduce, CRepeat, CSlice, CVar, DimBin, DimLit, DimVar,
     DiscardNode, EmbedNode, LetNode, MeasureNode, ParamNode, PipeNode,
@@ -34,8 +34,6 @@ def print_angle(a) -> str:
         return a.name
     if isinstance(a, AngleNeg):
         return f"-{print_angle(a.operand)}"
-    if isinstance(a, AngleDim):
-        return print_dim(a.dim)
     assert isinstance(a, AngleBin)
     return f"({print_angle(a.left)} {a.op} {print_angle(a.right)})"
 

@@ -1,4 +1,4 @@
-"""Lexer, parser, printer round-trips, expansion, typing, canonicalization."""
+"""Lexer, parser, printer round-trips, expansion, typing, tensor flattening."""
 
 import math
 
@@ -13,7 +13,9 @@ from qbc.canon_ast import canonicalize_ast
 from qbc.diagnostics import CompileError
 from qbc.expand import expand
 from qbc.parser import parse
+from qbc.pipeline import Options, compile_source, compile_to_circuit
 from qbc.printer import print_program
+from qbc.run import distribution
 from qbc.typecheck import typecheck
 
 BV = open("benchmarks/bv.qw").read()
@@ -186,67 +188,79 @@ def test_mixed_prim_vector_rejected():
     assert "mixed" in str(e.value)
 
 
-def test_canonicalize_double_adjoint():
-    src = "qpu main() -> bit[1] { '0' | ~~(std >> pm) | pm.measure }"
-    prog = expand(parse(src), {})
-    typecheck(prog)
-    canon = canonicalize_ast(prog)
-    body = canon.qpu("main").body
-    fn = body.fn  # second pipe stage
-    assert isinstance(body.value.fn, TransNode)
+# Each pair is a program and its hand-canonical twin. Their adjoint,
+# predicate and angle rewrites happen in the basis IR, and the circuits must
+# come out identical.
+TWINS = {
+    "double_adjoint": (
+        "qpu main() -> bit[1] { '0' | ~~(std >> pm) | pm.measure }",
+        "qpu main() -> bit[1] { '0' | (std >> pm) | pm.measure }",
+    ),
+    "adjoint_translation": (
+        "qpu main() -> bit[1] { '0' | ~(std >> pm) | std.measure }",
+        "qpu main() -> bit[1] { '0' | (pm >> std) | std.measure }",
+    ),
+    "std_predicate": (
+        "qpu main() -> bit[3] { '000' | (std[2] & (std >> pm)) | std[3].measure }",
+        "qpu main() -> bit[3] { '000' | (std[2] >> std[2]) + (std >> pm) | std[3].measure }",
+    ),
+    "predicated_translation": (
+        "qpu main() -> bit[2] { '00' | ({'1'} & (std >> {'1','0'})) | std[2].measure }",
+        "qpu main() -> bit[2] { '00' | (({'1'} + std) >> ({'1'} + {'1','0'})) | std[2].measure }",
+    ),
+    "constant_angle": (
+        "qpu main() -> bit[1] { '1'@(pi/2 + pi/2) | std.measure }",
+        "qpu main() -> bit[1] { '1'@(pi) | std.measure }",
+    ),
+    "constant_basis_angle": (
+        "qpu main() -> bit[1] { 'p' | ({'0','1'} >> {'0','1' @ (pi/4 + pi/4)}) | pm.measure }",
+        "qpu main() -> bit[1] { 'p' | ({'0','1'} >> {'0','1' @ (pi/2)}) | pm.measure }",
+    ),
+}
 
 
-def test_canonicalize_adjoint_translation_flips():
-    src = "qpu main() -> bit[1] { '0' | ~(std >> pm) | std.measure }"
-    canon = canonicalize_ast(expand(parse(src), {}))
-    stage = canon.qpu("main").body.value.fn
-    assert isinstance(stage, TransNode)
-    assert isinstance(stage.b_in, BuiltinBasisNode) and stage.b_in.prim == "pm"
+@pytest.mark.parametrize("name", TWINS)
+def test_twin_programs_emit_identical_circuits(name):
+    src, twin = TWINS[name]
+    for opt_level in (0, 1):
+        for decompose in (False, True):
+            opts = Options(opt_level=opt_level, decompose=decompose)
+            assert (compile_source(src, "twin.qw", opts, "qcircuit-ir")
+                    == compile_source(twin, "twin.qw", opts, "qcircuit-ir"))
 
 
-def test_canonicalize_std_pred_becomes_identity_tensor():
-    src = "qpu main() -> bit[3] { '000' | (std[2] & (std >> pm)) | std[3].measure }"
-    canon = canonicalize_ast(expand(parse(src), {}))
-    stage = canon.qpu("main").body.value.fn
-    assert isinstance(stage, TensorNode)
-    assert isinstance(stage.parts[0], TransNode)
+def test_canonicalize_flattens_nested_tensors():
+    src = """
+qpu main() -> bit[4] {
+    ('0' + ('1' + ('p' + 'm')))
+        | (std >> pm) + ((pm >> std) + (std[2] >> std[2]))
+        | std[2].measure + (pm.measure + pm.measure)
+}
+"""
+    tp = full_front(src)
+    flat = canonicalize_ast(tp.program)
+    body = flat.qpu("main").body
+    assert [len(t.parts) for t in (body.value.value, body.value.fn, body.fn)] == [4, 3, 3]
+    assert typecheck(flat).fn_types == tp.fn_types
+    ir = compile_source(open("benchmarks/period.qw").read(), "period.qw",
+                        Options(), "qwerty-ir")
+    packs = [line for line in ir.splitlines() if "qbpack" in line]
+    assert len(packs) == 1 and packs[0].endswith(": qubit[8]")
 
 
-def test_canonicalize_pred_translation_widens():
-    src = "qpu main() -> bit[2] { '00' | ({'1'} & (std >> {'1','0'})) | std[2].measure }"
-    canon = canonicalize_ast(expand(parse(src), {}))
-    stage = canon.qpu("main").body.value.fn
-    assert isinstance(stage, TransNode)
-    assert isinstance(stage.b_in, TensorNode)
+def test_deep_pipe_compiles():
+    src = "qpu main() -> bit[1] {\n    '0'\n" + "    | std.flip\n" * 800 \
+        + "    | std.measure\n}\n"
+    qc = compile_to_circuit(src, "deep.qw", Options())
+    assert distribution(qc) == {"0": 1.0}
 
 
-def test_canonicalize_folds_angles():
-    src = "qpu main() -> bit[1] { '1'@(pi/2 + pi/2) | std.measure }"
-    canon = canonicalize_ast(expand(parse(src), {}))
-    lit = canon.qpu("main").body.value
-    assert isinstance(lit, QubitLitNode)
-    from qbc.ast_nodes import AngleLit
-
-    assert isinstance(lit.phase, AngleLit)
-    assert abs(lit.phase.value - math.pi) < 1e-12
-
-
-def test_canonicalize_preserves_semantics_corpus():
-    from qbc.pipeline import Options, front, to_qwir, to_gates
-    from qbc.run import distribution
-
-    for path in ["benchmarks/bv.qw", "benchmarks/bell.qw", "benchmarks/dj.qw",
-                 "benchmarks/teleport.qw"]:
-        src = open(path).read()
-        dists = []
-        for canonicalize in (True, False):
-            opts = Options(canonicalize=canonicalize)
-            qc = to_gates(to_qwir(front(src, path, opts), opts), opts)
-            dists.append(distribution(qc))
-        d1, d2 = dists
-        assert set(d1) == set(d2)
-        for key in d1:
-            assert abs(d1[key] - d2[key]) < 1e-9
+def test_capture_angle_error_points_at_the_argument():
+    src = ("qpu rot(a: angle, q: qubit[1]) -> qubit[1] rev { q | ({'1'} >> {'1' @ a}) }\n"
+           "qpu main() -> bit[1] { '1' | rot(pi/0) | std.measure }\n")
+    with pytest.raises(CompileError) as e:
+        full_front(src)
+    assert str(e.value) == "<input>:2:34: error: division by zero in angle"
 
 
 def test_parse_precedence_pipe_vs_trans():
