@@ -5,16 +5,18 @@ to round-trip register allocation.
 
 Both emitters are deterministic: identical modules produce byte-identical
 text. Register indices are assigned in allocation order; freed indices are
-reused only when requested.
+reused only when requested. A qubit value's register is that of the
+``qalloc`` its wire began at, read from ``qcirc.wire_starts``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
 
 from .qcirc import (
-    N_TARGETS, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
+    N_TARGETS, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
+    wire_starts,
 )
 
 
@@ -22,45 +24,33 @@ class BackendError(Exception):
     pass
 
 
-@dataclass
-class _RegAlloc:
-    reuse: bool
-    index_of: dict[int, int]
-    free: list[int]
-    total: int = 0
-
-    def alloc(self, value: int) -> int:
-        if self.reuse and self.free:
-            idx = self.free.pop(0)
-        else:
-            idx = self.total
-            self.total += 1
-        self.index_of[value] = idx
-        return idx
-
-    def forward(self, old: int, new: int) -> None:
-        self.index_of[new] = self.index_of[old]
-
-    def release(self, value: int) -> None:
-        self.free.append(self.index_of[value])
-
-
 def _allocate(fn: QCircFn, reuse: bool):
-    """Assign register indices to every qubit value and slots to measures."""
-    regs = _RegAlloc(reuse, {}, [])
+    """Register indices of every qubit value, the register count, and the
+    slot of every measured bit.
+
+    Each ``qalloc`` takes the next fresh index or, with ``reuse``, the index
+    freed longest ago by a ``measure``, ``qfree`` or ``qfreez``. Every other
+    qubit value has the index of the ``qalloc`` its wire began at
+    (``wire_starts``).
+    """
+    start = wire_starts(fn)
+    reg: dict[int, int] = {}  # qalloc result -> register index
+    free: deque[int] = deque()
+    total = 0
     creg: dict[int, int] = {}
     for op in fn.ops:
         if op.kind == "qalloc":
-            regs.alloc(op.results[0])
-        elif op.kind == "gate":
-            for v, r in zip(op.operands, op.results):
-                regs.forward(v, r)
-        elif op.kind == "measure":
-            creg[op.results[0]] = len(creg)
-            regs.release(op.operands[0])
-        elif op.kind in ("qfree", "qfreez"):
-            regs.release(op.operands[0])
-    return regs, creg
+            if reuse and free:
+                reg[op.results[0]] = free.popleft()
+            else:
+                reg[op.results[0]] = total
+                total += 1
+        elif op.kind in ("measure", "qfree", "qfreez"):
+            free.append(reg[start[op.operands[0]]])
+            if op.kind == "measure":
+                creg[op.results[0]] = len(creg)
+    index_of = {v: reg[s] for v, s in start.items()}
+    return index_of, total, creg
 
 
 _PLAIN = {
@@ -84,21 +74,21 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
     fn = m.entry_fn
     if fn.qubit_params:
         raise BackendError("cannot emit a function that takes qubits")
-    regs, creg = _allocate(fn, reuse_qubits)
-    n = max(regs.total, 1)
+    index_of, total, creg = _allocate(fn, reuse_qubits)
+    n = max(total, 1)
     k = len(creg)
     lines = ['OPENQASM 3.0;', 'include "stdgates.inc";', f"qubit[{n}] q;"]
     if k:
         lines.append(f"bit[{k}] c;")
     for op in fn.ops:
         if op.kind == "gate":
-            stmt = _qasm_gate(op, regs.index_of, allow_multi_control)
+            stmt = _qasm_gate(op, index_of, allow_multi_control)
             if op.condition is not None:
                 bit, want = op.condition
                 stmt = f"if (c[{creg[bit]}] == {int(want)}) {{ {stmt} }}"
             lines.append(stmt)
         elif op.kind == "measure":
-            qi = regs.index_of[op.operands[0]]
+            qi = index_of[op.operands[0]]
             lines.append(f"measure q[{qi}] -> c[{creg[op.results[0]]}];")
         elif op.kind in ("qalloc", "qfree", "qfreez", "ret"):
             continue
@@ -323,8 +313,8 @@ def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
                 "Base-Profile QIR cannot branch on measurement results; "
                 "use the OpenQASM backend"
             )
-    regs, creg = _allocate(fn, reuse_qubits)
-    n = max(regs.total, 1)
+    index_of, total, creg = _allocate(fn, reuse_qubits)
+    n = max(total, 1)
     k = len(creg)
 
     def qref(i: int) -> str:
@@ -341,7 +331,7 @@ def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
     used: set[str] = set()
     for op in fn.ops:
         if op.kind == "gate":
-            idxs = [regs.index_of[v] for v in op.operands]
+            idxs = [index_of[v] for v in op.operands]
             for kind, nctrl, pos, param in _legalize_for_qir(op):
                 args = [idxs[p] for p in pos]
                 if kind is GateKind.P:
@@ -373,7 +363,7 @@ def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
                 used.add(f"declare void @{name}({sig})")
                 body.append(f"  call void @{name}({call_args})")
         elif op.kind == "measure":
-            qi = regs.index_of[op.operands[0]]
+            qi = index_of[op.operands[0]]
             ri = creg[op.results[0]]
             used.add("declare void @__quantum__qis__mz__body(%Qubit*, %Result*)")
             body.append(

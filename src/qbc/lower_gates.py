@@ -120,27 +120,15 @@ class _GateLowerer:
         elif k == "qbdiscardz":
             for s in self.qmap[op.operands[0]]:
                 self.fn.ops.append(QOp("qfreez", (self.slot_val[s],)))
-        elif k == "qbpack":
-            ids = []
-            for v in op.operands:
-                ids.extend(self.qmap[v])
-            self.qmap[op.results[0]] = ids
-        elif k == "qbunpack":
-            ids = self.qmap[op.operands[0]]
+        elif k in ("qbpack", "bitpack"):
+            vmap = self.qmap if k == "qbpack" else self.bmap
+            vmap[op.results[0]] = [x for v in op.operands for x in vmap[v]]
+        elif k in ("qbunpack", "bitunpack"):
+            vmap = self.qmap if k == "qbunpack" else self.bmap
+            ids = vmap[op.operands[0]]
             at = 0
             for r, s in zip(op.results, op.attrs["sizes"]):
-                self.qmap[r] = ids[at : at + s]
-                at += s
-        elif k == "bitpack":
-            ids = []
-            for v in op.operands:
-                ids.extend(self.bmap[v])
-            self.bmap[op.results[0]] = ids
-        elif k == "bitunpack":
-            ids = self.bmap[op.operands[0]]
-            at = 0
-            for r, s in zip(op.results, op.attrs["sizes"]):
-                self.bmap[r] = ids[at : at + s]
+                vmap[r] = ids[at : at + s]
                 at += s
         elif k == "embed":
             cfn = self.m.classicals[op.attrs["fn"]]

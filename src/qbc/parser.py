@@ -10,10 +10,15 @@ Expression precedence, loosest to tightest:
     ~e                (adjoint)
     postfix: [N] repeat, [[N]] dim bindings, (args), .measure/.flip/.xor/.sign, @angle
 Classical bodies use | ^ & ~ with indexing, slicing, and reductions.
+
+Parentheses, ``~`` and unary ``-`` may nest at most ``MAX_NESTING`` levels
+deep, counted together across quantum, classical, angle and dimension
+expressions; deeper input is a positioned diagnostic, not a RecursionError.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 from .ast_nodes import (
@@ -28,12 +33,16 @@ from .ast_nodes import (
 from .diagnostics import err
 from .lexer import Token, tokenize
 
+MAX_NESTING = 100
+
+
 class Parser:
     def __init__(self, tokens: list[Token], file: str):
         self.toks = tokens
         self.i = 0
         self.file = file
         self.classical_names: set[str] = set()
+        self.depth = 0  # open parentheses, ~ and unary - around the cursor
 
     # -- token plumbing ---------------------------------------------------
 
@@ -58,6 +67,18 @@ class Parser:
         if self.at(kind):
             return self.take()
         return None
+
+    @contextmanager
+    def nested(self, t: Token):
+        """Parse one level deeper than ``t``, which opens the level."""
+        if self.depth == MAX_NESTING:
+            raise err(f"expression nests deeper than {MAX_NESTING} levels",
+                      t.pos, self.file)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     # -- program ----------------------------------------------------------
 
@@ -227,7 +248,8 @@ class Parser:
     def parse_unary(self) -> ExprNode:
         if self.at("~"):
             t = self.take()
-            return AdjointNode(self.parse_unary(), pos=t.pos)
+            with self.nested(t):
+                return AdjointNode(self.parse_unary(), pos=t.pos)
         return self.parse_postfix()
 
     def parse_postfix(self) -> ExprNode:
@@ -292,7 +314,7 @@ class Parser:
                     )
             elif self.at("@"):
                 t = self.take()
-                angle = self.parse_angle_atom()
+                angle = self.parse_angle_unary()
                 if isinstance(e, QubitLitNode) and e.phase is None:
                     e = QubitLitNode(e.chars, angle, pos=e.pos)
                 elif isinstance(e, RepeatNode) and isinstance(e.operand, QubitLitNode):
@@ -373,7 +395,8 @@ class Parser:
             return VarNode(t.text, pos=t.pos)
         if t.kind == "(":
             self.take()
-            e = self.parse_expr()
+            with self.nested(t):
+                e = self.parse_expr()
             self.expect(")")
             return e
         raise err(f"unexpected token {t.text or t.kind!r}", t.pos, self.file)
@@ -387,7 +410,7 @@ class Parser:
             self.expect("]")
         phase = None
         if self.accept("@"):
-            phase = self.parse_angle_atom()
+            phase = self.parse_angle_unary()
         return VecNode(t.text, repeat, phase, pos=t.pos)
 
     # -- dims and angles ----------------------------------------------------
@@ -418,23 +441,11 @@ class Parser:
             return DimVar(t.text, pos=t.pos)
         if t.kind == "(":
             self.take()
-            e = self.parse_dim_expr()
+            with self.nested(t):
+                e = self.parse_dim_expr()
             self.expect(")")
             return e
         raise err(f"expected a dimension, found {t.text!r}", t.pos, self.file)
-
-    def parse_angle_atom(self) -> "AngleExpr":
-        # An angle directly after '@': a single factor unless parenthesized.
-        t = self.peek()
-        if t.kind == "(":
-            self.take()
-            e = self.parse_angle_expr()
-            self.expect(")")
-            return e
-        if t.kind == "-":
-            self.take()
-            return AngleNeg(self.parse_angle_atom(), pos=t.pos)
-        return self.parse_angle_factor()
 
     def parse_angle_expr(self):
         e = self.parse_angle_term()
@@ -453,10 +464,13 @@ class Parser:
         return e
 
     def parse_angle_unary(self):
+        # Also the angle directly after '@': a single, possibly negated
+        # factor unless parenthesized.
         t = self.peek()
         if t.kind == "-":
             self.take()
-            return AngleNeg(self.parse_angle_unary(), pos=t.pos)
+            with self.nested(t):
+                return AngleNeg(self.parse_angle_unary(), pos=t.pos)
         return self.parse_angle_factor()
 
     def parse_angle_factor(self):
@@ -475,7 +489,8 @@ class Parser:
             return AngleVar(t.text, pos=t.pos)
         if t.kind == "(":
             self.take()
-            e = self.parse_angle_expr()
+            with self.nested(t):
+                e = self.parse_angle_expr()
             self.expect(")")
             return e
         raise err(f"expected an angle, found {t.text!r}", t.pos, self.file)
@@ -523,7 +538,8 @@ class Parser:
         t = self.peek()
         if t.kind == "~":
             self.take()
-            return CNot(self.parse_cunary(), pos=t.pos)
+            with self.nested(t):
+                return CNot(self.parse_cunary(), pos=t.pos)
         return self.parse_cpostfix()
 
     def parse_cpostfix(self) -> CExpr:
@@ -550,13 +566,15 @@ class Parser:
         if t.kind in ("xor_reduce", "and_reduce", "or_reduce"):
             self.take()
             self.expect("(")
-            inner = self.parse_cexpr()
+            with self.nested(t):
+                inner = self.parse_cexpr()
             self.expect(")")
             return CReduce(t.kind.split("_")[0], inner, pos=t.pos)
         if t.kind == "repeat":
             self.take()
             self.expect("(")
-            inner = self.parse_cexpr()
+            with self.nested(t):
+                inner = self.parse_cexpr()
             self.expect(",")
             count = self.parse_dim_expr()
             self.expect(")")
@@ -566,7 +584,8 @@ class Parser:
             return CVar(t.text, pos=t.pos)
         if t.kind == "(":
             self.take()
-            e = self.parse_cexpr()
+            with self.nested(t):
+                e = self.parse_cexpr()
             self.expect(")")
             return e
         raise err(f"unexpected token {t.text!r} in classical body", t.pos, self.file)

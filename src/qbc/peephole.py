@@ -29,7 +29,7 @@ import math
 
 from .qcirc import (
     Gate, GateKind, HERMITIAN, QCircFn, QCircModule, QOp, adjoint_gates,
-    append_gates, g,
+    append_gates, g, wire_starts,
 )
 
 H, X, Z, S, SDG, T, TDG, P, SWAP = (
@@ -64,18 +64,15 @@ class _Rewriter:
         self.dead = [False] * len(fn.ops)
         self.producer: dict[int, int] = {}  # value -> op index
         self.consumer: dict[int, tuple[int, int]] = {}  # value -> (op, position)
-        self.root: dict[int, int] = {}  # qubit value -> its wire's qalloc index
         for i, op in enumerate(fn.ops):
             for r in op.results:
                 self.producer[r] = i
             for k, v in enumerate(op.operands):
                 self.consumer[v] = (i, k)
-            if op.kind == "qalloc":
-                self.root[op.results[0]] = i
-            elif op.kind == "gate":
-                for v, r in zip(op.operands, op.results):
-                    if v in self.root:
-                        self.root[r] = self.root[v]
+        # Qubit value -> the index of its wire's qalloc (parameter wires have
+        # none).
+        self.root = {v: self.producer[s] for v, s in wire_starts(fn).items()
+                     if s in self.producer}
         # Min-heaps of op indices that may match: gates for the pair and HXH
         # rules, qallocs for the relaxed rule. Heap order is program order.
         self.work = [i for i, op in enumerate(fn.ops) if op.kind == "gate"]

@@ -5,7 +5,11 @@ with value semantics (every qubit value is produced once and consumed once).
 Synthesis routines build flat ``Gate`` lists over register positions.
 ``append_gates`` is the one place that wires such lists into dataflow
 ``gate`` ops: gate lowering, multi-control decomposition and the QASM reader
-all go through it (``parse_qcirc`` builds gate ops from text).
+all go through it. ``wire_starts`` is the one place that follows them back:
+it names the qubit behind every value by the value its wire began at, and
+the executor, both backends, the peephole pass and the test oracles read
+that map instead of tracking wires themselves. Only ``verify_circuit``
+keeps its own tracking, since it must stay correct on malformed input.
 """
 
 from __future__ import annotations
@@ -255,6 +259,24 @@ def append_gates(fn: QCircFn, wires: list[int], gates: list[Gate],
             wires[p] = r
 
 
+def wire_starts(fn: QCircFn) -> dict[int, int]:
+    """Map every qubit value of ``fn`` to the value its wire began at: its
+    ``qalloc`` result, or the qubit parameter it descends from through gates.
+
+    A gate's i-th result continues the wire of its i-th operand, so two
+    values share a start exactly when they are the same qubit at different
+    points of the program. Expects a verified function.
+    """
+    start = {p: p for p in fn.qubit_params}
+    for op in fn.ops:
+        if op.kind == "qalloc":
+            start[op.results[0]] = op.results[0]
+        elif op.kind == "gate":
+            for v, r in zip(op.operands, op.results):
+                start[r] = start[v]
+    return start
+
+
 def print_qcirc(m: QCircModule) -> str:
     lines = []
     for name, fn in m.functions.items():
@@ -290,85 +312,3 @@ def _print_qop(op: QOp) -> str:
         bit, val = op.condition
         s += f" if %{bit} == {int(val)}"
     return s
-
-
-def parse_qcirc(text: str) -> QCircModule:
-    """Parse the textual form printed by ``print_qcirc`` (round-trip aid)."""
-    import re
-
-    m = QCircModule(functions={}, entry="main")
-    fn: Optional[QCircFn] = None
-    first = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("qcfunc"):
-            mt = re.match(r"qcfunc @(\w+)\((.*)\) \{", line)
-            assert mt, line
-            params = tuple(
-                int(p.strip().split(":")[0][1:])
-                for p in mt.group(2).split(",")
-                if p.strip()
-            )
-            fn = QCircFn(mt.group(1), qubit_params=params)
-            m.functions[fn.name] = fn
-            if first is None:
-                first = fn.name
-            continue
-        if line == "}":
-            fn.next_id = 1 + max(
-                [max(op.results, default=-1) for op in fn.ops]
-                + [max(op.operands, default=-1) for op in fn.ops]
-                + [max(fn.qubit_params, default=-1)],
-                default=-1,
-            )
-            continue
-        assert fn is not None
-        fn.ops.append(_parse_qop(line))
-    m.entry = "main" if "main" in m.functions else first
-    return m
-
-
-def _parse_qop(line: str) -> QOp:
-    import re
-
-    if line.startswith("qfree ") or line.startswith("qfreez "):
-        kind, v = line.split()
-        return QOp(kind, (int(v[1:]),))
-    if line.startswith("ret"):
-        rest = line[3:].strip()
-        ops = tuple(int(v.strip()[1:]) for v in rest.split(",")) if rest else ()
-        return QOp("ret", ops)
-    mt = re.match(r"%(\d+) = qalloc$", line)
-    if mt:
-        return QOp("qalloc", results=(int(mt.group(1)),))
-    mt = re.match(r"%(\d+) = measure %(\d+)$", line)
-    if mt:
-        return QOp("measure", (int(mt.group(2)),), (int(mt.group(1)),))
-    mt = re.match(
-        r"(.+) = gate (\w+)(\(([^)]*)\))?( \[(.*?)\])? \((.*?)\)( if %(\d+) == (\d))?$",
-        line,
-    )
-    assert mt, f"bad qcirc line: {line}"
-    results = tuple(int(v.strip()[1:]) for v in mt.group(1).split(","))
-    kind = GateKind(mt.group(2).split("(")[0])
-    param = float(mt.group(4)) if mt.group(4) else 0.0
-    ctrls = (
-        tuple(int(v.strip()[1:]) for v in mt.group(6).split(","))
-        if mt.group(6)
-        else ()
-    )
-    tgts = tuple(int(v.strip()[1:]) for v in mt.group(7).split(","))
-    cond = None
-    if mt.group(9):
-        cond = (int(mt.group(9)), bool(int(mt.group(10))))
-    return QOp(
-        "gate",
-        ctrls + tgts,
-        results,
-        gate=kind,
-        param=param,
-        num_controls=len(ctrls),
-        condition=cond,
-    )

@@ -11,6 +11,11 @@ in sampling mode a binomial share of the branch's shots. Branches of weight
 zero are dropped, so a sampled run never keeps more live branches than it
 has shots. Children are visited depth first in outcome order, which draws
 the binomials in a fixed order: the same seed gives the same histogram.
+
+Which qubit an op acts on depends only on the program, so it is read from
+``qcirc.wire_starts``, computed once per call: a qubit's state-vector key is
+the value its wire began at. A branch carries only its state, its measured
+bits and its weight.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qcirc import QCircModule, QOp
+from .qcirc import QCircModule, QOp, wire_starts
 from .simulator import AncillaNotClean, StateVector
 
 
@@ -27,24 +32,22 @@ class SimulationError(Exception):
     pass
 
 
-def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
+def _exec_op(sv: StateVector, op: QOp, start: dict[int, int],
              bits: dict[int, int]) -> None:
     """Run one op that does not branch the state (neither ``measure`` nor
-    ``qfree``)."""
+    ``qfree``). ``start`` is ``wire_starts`` of the function: a qubit's
+    state-vector key is the value its wire began at."""
     if op.kind == "qalloc":
         try:
             sv.alloc(op.results[0])
         except ValueError as e:
             raise SimulationError(f"qalloc %{op.results[0]}: {e}") from e
-        qmap[op.results[0]] = op.results[0]
     elif op.kind == "gate":
-        keys = [qmap[v] for v in op.operands]
-        for v, r in zip(op.operands, op.results):
-            qmap[r] = qmap[v]
         if op.condition is not None:
             bit, want = op.condition
             if bits[bit] != int(want):
                 return
+        keys = [start[v] for v in op.operands]
         sv.gate(
             op.gate.name,
             keys[op.num_controls:],
@@ -53,7 +56,7 @@ def _exec_op(sv: StateVector, op: QOp, qmap: dict[int, int],
         )
     elif op.kind == "qfreez":
         try:
-            sv.freez(qmap[op.operands[0]])
+            sv.freez(start[op.operands[0]])
         except AncillaNotClean as e:
             raise SimulationError(f"qfreez %{op.operands[0]}: {e}") from e
     else:
@@ -77,15 +80,15 @@ def _execute(m: QCircModule, weight: float,
     if fn.qubit_params:
         raise SimulationError("entry function takes qubits")
     ops = fn.ops
+    start = wire_starts(fn)
     measure_order = [op.results[0] for op in ops if op.kind == "measure"]
     out: dict = {}
-    # Each entry: next op index, state, value -> qubit key, measured bits,
-    # weight.
-    stack = [(0, StateVector(), {}, {}, weight)] if weight else []
+    # Each entry: next op index, state, measured bits, weight.
+    stack = [(0, StateVector(), {}, weight)] if weight else []
     while stack:
-        i, sv, qmap, bits, w = stack.pop()
+        i, sv, bits, w = stack.pop()
         while i < len(ops) and ops[i].kind not in _STOPS:
-            _exec_op(sv, ops[i], qmap, bits)
+            _exec_op(sv, ops[i], start, bits)
             i += 1
         if i == len(ops):
             key = ""
@@ -94,7 +97,7 @@ def _execute(m: QCircModule, weight: float,
             key = "".join(str(bits[v]) for v in order)
         else:
             op = ops[i]
-            children = sv.branch(qmap[op.operands[0]])
+            children = sv.branch(start[op.operands[0]])
             weights = split(w, [p for _, p, _ in children])
             # Pushed in reverse so that outcome 0 is visited first.
             for (outcome, _, sub), cw in reversed(list(zip(children,
@@ -103,7 +106,7 @@ def _execute(m: QCircModule, weight: float,
                     nbits = dict(bits)
                     if op.kind == "measure":
                         nbits[op.results[0]] = outcome
-                    stack.append((i + 1, sub, dict(qmap), nbits, cw))
+                    stack.append((i + 1, sub, nbits, cw))
             continue
         out[key] = out.get(key, 0) + w
     return out

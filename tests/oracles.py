@@ -22,7 +22,7 @@ from qbc.bases import (
     Prim,
     builtin_vectors,
 )
-from qbc.qcirc import Gate, QCircFn, QOp, append_gates
+from qbc.qcirc import Gate, QCircFn, QOp, append_gates, wire_starts
 from qbc.run import SimulationError, _exec_op
 from qbc.simulator import StateVector, apply_gate
 
@@ -197,10 +197,10 @@ def module_unitary(fn: QCircFn) -> np.ndarray:
     for p, ref in zip(params, refs):
         sv.gate("H", [ref])
         sv.gate("X", [p], [ref])
-    qmap = {p: p for p in params}
+    start = wire_starts(fn)
     for op in fn.ops:
         if op.kind != "ret":
-            _exec_op(sv, op, qmap, {})
+            _exec_op(sv, op, start, {})
     if sv.order != params + refs:
         raise SimulationError("qubits other than the parameters live at end")
     size = 1 << len(params)

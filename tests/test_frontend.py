@@ -255,6 +255,32 @@ def test_deep_pipe_compiles():
     assert distribution(qc) == {"0": 1.0}
 
 
+def _nested_parens(depth):
+    return ("qpu main() -> bit[1] { " + "(" * depth + "'0' | std.measure"
+            + ")" * depth + " }\n")
+
+
+def test_nesting_at_the_limit_compiles():
+    qc = compile_to_circuit(_nested_parens(100), "nested.qw", Options())
+    assert distribution(qc) == {"0": 1.0}
+
+
+@pytest.mark.parametrize("src, where", [
+    (_nested_parens(101), "1:124"),
+    ("qpu f(q: qubit[1]) -> qubit[1] rev { q | std.flip }\n"
+     "qpu main() -> bit[1] { '0' | " + "~" * 101 + "f | std.measure }\n",
+     "2:130"),
+    ("classical c(x: bit[1]) -> bit[1] { " + "(" * 101 + "x" + ")" * 101
+     + " }\nqpu main() -> bit[1] { '0' | c.xor | std.measure }\n", "1:136"),
+], ids=["parentheses", "adjoints", "classical_parentheses"])
+def test_nesting_past_the_limit_is_a_diagnostic(src, where):
+    # The diagnostic points at the token that opens the 101st level.
+    with pytest.raises(CompileError) as e:
+        parse(src)
+    assert str(e.value) == \
+        f"<input>:{where}: error: expression nests deeper than 100 levels"
+
+
 def test_capture_angle_error_points_at_the_argument():
     src = ("qpu rot(a: angle, q: qubit[1]) -> qubit[1] rev { q | ({'1'} >> {'1' @ a}) }\n"
            "qpu main() -> bit[1] { '1' | rot(pi/0) | std.measure }\n")

@@ -1,8 +1,15 @@
 """The compiler's output for each benchmark equals its golden byte for byte,
-and the re-ingested golden QASM has the compiled circuit's distribution."""
+the re-ingested golden QASM has the compiled circuit's distribution, and
+with qubit reuse the emitted register is no wider than the circuit's peak
+of live qubits."""
 
 import importlib.util
 import pathlib
+import re
+
+import pytest
+
+from qbc.pipeline import Options, compile_source, compile_to_circuit
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
     "regen_goldens.py"
@@ -32,7 +39,6 @@ def _peak_live(m) -> int:
 
 def test_reingested_golden_holds_no_more_live_qubits():
     from qbc.backends import read_qasm3
-    from qbc.pipeline import Options, compile_to_circuit
     from qbc.run import distribution
 
     root = SCRIPT.parent.parent
@@ -44,3 +50,20 @@ def test_reingested_golden_holds_no_more_live_qubits():
     got = distribution(golden, all_bits=True)
     assert set(want) == set(got)
     assert all(abs(want[k] - got[k]) < 1e-9 for k in want)
+
+
+@pytest.mark.parametrize("name", [
+    "bell", "bv", "dj", "grover", "period", "simon", "teleport"])
+def test_reused_register_width_is_peak_live_qubits(name):
+    path = SCRIPT.parent.parent / "benchmarks" / f"{name}.qw"
+    source = path.read_text()
+    for opt_level in (0, 1):
+        for decompose in (False, True):
+            opts = Options(opt_level=opt_level, decompose=decompose,
+                           reuse_qubits=True)
+            peak = _peak_live(compile_to_circuit(source, str(path), opts))
+            qasm = compile_source(source, str(path), opts, "qasm")
+            width = re.search(r"^qubit\[(\d+)\] q;$", qasm, re.M).group(1)
+            assert int(width) == peak, (opt_level, decompose)
+            if name == "grover" and opt_level == 1 and decompose:
+                assert peak == 6

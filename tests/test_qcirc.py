@@ -1,5 +1,5 @@
-"""Gate-level IR verifier, peephole rules, multi-control decomposition, and
-the QASM reader's operand checks."""
+"""Gate-level IR verifier and wire map, peephole rules, multi-control
+decomposition, and the QASM reader's operand checks."""
 
 import math
 import pathlib
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qbc.qcirc import (
-    Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g, parse_qcirc,
-    print_qcirc, verify_circuit, CircuitError,
+    Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
+    print_qcirc, verify_circuit, wire_starts, CircuitError,
 )
 from qbc.backends import BackendError, read_qasm3
 from qbc.peephole import (
@@ -58,6 +58,31 @@ def test_verify_rejects_dangling_qubit():
     fn.next_id = 1
     with pytest.raises(CircuitError):
         verify_circuit(QCircModule({"f": fn}, "f"))
+
+
+def test_wire_starts_maps_each_qubit_value_to_its_wire():
+    # Parameters 0 and 1 and the qalloc'd 2 pass through a Toffoli, a swap
+    # and an H; 2's wire is freed and qalloc 9 starts a new one. The
+    # measured bit 11 is no qubit.
+    fn = QCircFn("f", qubit_params=(0, 1), next_id=12)
+    fn.ops = [
+        QOp("qalloc", results=(2,)),
+        QOp("gate", (0, 1, 2), (3, 4, 5), gate=X, num_controls=2),
+        QOp("gate", (3, 5), (6, 7), gate=SWAP),
+        QOp("gate", (4,), (8,), gate=H),
+        QOp("qfree", (7,)),
+        QOp("qalloc", results=(9,)),
+        QOp("gate", (9,), (10,), gate=H),
+        QOp("measure", (10,), (11,)),
+        QOp("ret", (11,)),
+    ]
+    verify_circuit(QCircModule({"f": fn}, "f"))
+    assert wire_starts(fn) == {
+        0: 0, 3: 0, 6: 0,
+        1: 1, 4: 1, 8: 1,
+        2: 2, 5: 2, 7: 2,
+        9: 9, 10: 9,
+    }
 
 
 def test_verify_rejects_control_equals_target():
@@ -295,10 +320,10 @@ def test_no_decompose_output_shows_exact_toffolis():
     exact = _t_count(decompose_multicontrol(qc))
     relative = _t_count(compile_to_circuit(source, str(path), Options()))
     assert relative < exact
-    # A re-parsed or re-ingested circuit carries no flags: exact Toffolis.
-    for again in (parse_qcirc(text), read_qasm3(qasm)):
-        assert not any(op.pair for op in again.entry_fn.ops)
-        assert _t_count(decompose_multicontrol(again)) == exact
+    # A re-ingested circuit carries no flags: exact Toffolis.
+    again = read_qasm3(qasm)
+    assert not any(op.pair for op in again.entry_fn.ops)
+    assert _t_count(decompose_multicontrol(again)) == exact
 
 
 def test_peephole_never_increases_gate_count_random():
@@ -360,16 +385,6 @@ def test_decompose_preserves_unitary_random():
         verify_circuit(m)
         got = _phase_normalized(module_unitary(m.entry_fn), want)
         assert np.allclose(got, want, atol=1e-9)
-
-
-def test_qcirc_print_parse_roundtrip():
-    gates = [g(H, 0), Gate(P, (1,), (0,), 0.25), g(SWAP, 0, 1)]
-    fn = gates_to_fn("main", 2, gates)
-    fn.ops.append(QOp("qfree", (fn.ops[-1].results[0],)))
-    m = QCircModule({"main": fn}, "main")
-    text = print_qcirc(m)
-    m2 = parse_qcirc(text)
-    assert print_qcirc(m2) == text
 
 
 @pytest.mark.parametrize("stmt", [
