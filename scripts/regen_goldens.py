@@ -4,9 +4,10 @@ benchmark programs.
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
-circuit. ``--check`` compiles and verifies the same way but writes nothing;
+circuit. Rewriting prints, for each file it writes, whether its bytes
+changed. ``--check`` compiles and verifies the same way but writes nothing;
 it compares every output byte for byte with ``tests/goldens/`` and exits 1
-naming the first mismatch.
+naming every mismatch.
 
     python3 scripts/regen_goldens.py           # rewrite tests/goldens/
     python3 scripts/regen_goldens.py --check   # verify them
@@ -56,23 +57,26 @@ def goldens(name: str) -> dict[str, str | None]:
     return {f"{name}.qasm": qasm, f"{name}.ll": qir}
 
 
-def check() -> str | None:
-    """The first way the goldens differ from the compiler's output, or None."""
+def check() -> list[str]:
+    """Every way the goldens differ from the compiler's output."""
+    problems = []
     for name in BENCHMARKS:
         try:
             files = goldens(name)
         except GoldenError as e:
-            return str(e)
+            problems.append(str(e))
+            continue
         for fname, text in files.items():
             path = GOLDEN_DIR / fname
             if text is None:
                 if path.exists():
-                    return f"{fname}: golden exists but no output is emitted"
+                    problems.append(
+                        f"{fname}: golden exists but no output is emitted")
             elif not path.exists():
-                return f"{fname}: golden missing"
+                problems.append(f"{fname}: golden missing")
             elif path.read_bytes() != text.encode("utf-8"):
-                return f"{fname}: compiler output differs from the golden"
-    return None
+                problems.append(f"{fname}: compiler output differs from the golden")
+    return problems
 
 
 def main(argv=None) -> int:
@@ -81,20 +85,25 @@ def main(argv=None) -> int:
                     help="compare with tests/goldens/ and write nothing")
     args = ap.parse_args(argv)
     if args.check:
-        problem = check()
-        if problem:
+        problems = check()
+        for problem in problems:
             print(f"golden mismatch: {problem}", file=sys.stderr)
+        if problems:
             return 1
         print("goldens: ok")
         return 0
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in BENCHMARKS:
         for fname, text in goldens(name).items():
+            path = GOLDEN_DIR / fname
             if text is None:
                 print(f"{name}: no {fname}")
-            else:
-                (GOLDEN_DIR / fname).write_text(text, newline="\n")
-        print(f"{name}: ok")
+                continue
+            data = text.encode("utf-8")
+            status = "unchanged" if path.exists() and path.read_bytes() == data \
+                else "changed"
+            path.write_bytes(data)
+            print(f"{fname}: {status}")
     return 0
 
 

@@ -11,9 +11,10 @@ Expression precedence, loosest to tightest:
     postfix: [N] repeat, [[N]] dim bindings, (args), .measure/.flip/.xor/.sign, @angle
 Classical bodies use | ^ & ~ with indexing, slicing, and reductions.
 
-Parentheses, ``~`` and unary ``-`` may nest at most ``MAX_NESTING`` levels
-deep, counted together across quantum, classical, angle and dimension
-expressions; deeper input is a positioned diagnostic, not a RecursionError.
+Parentheses, ``~``, unary ``-`` and the ``else`` arms of a chained
+conditional may nest at most ``MAX_NESTING`` levels deep, counted together
+across quantum, classical, angle and dimension expressions; deeper input is
+a positioned diagnostic, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class Parser:
         self.i = 0
         self.file = file
         self.classical_names: set[str] = set()
-        self.depth = 0  # open parentheses, ~ and unary - around the cursor
+        self.depth = 0  # open parentheses, ~, unary - and else arms
 
     # -- token plumbing ---------------------------------------------------
 
@@ -207,8 +208,8 @@ class Parser:
         if self.at("if"):
             kw = self.take()
             flag = self.parse_pipe()
-            self.expect("else")
-            els = self.parse_expr()
+            with self.nested(self.expect("else")):
+                els = self.parse_expr()
             return CondNode(e, flag, els, pos=kw.pos)
         return e
 

@@ -1,7 +1,8 @@
 """
 Gate-level optimization: cancellation of adjacent inverse pairs, the HXH/HZH
 conjugation rules, phase merging, the relaxed multi-controlled-X-on-|->
-rewrite, and Selinger-style decomposition of multi-controlled gates.
+rewrite, and decomposition of multi-controlled gates through a relative-phase
+AND ladder.
 
 The rewrite rules run under a worklist driver. Each function gets one
 producer map and one consumer map (value -> (op index, position)) that every
@@ -20,6 +21,14 @@ between the two halves. So the pair rule cancels two gates only when their
 flags sum to 0, and HXH and the relaxed |-> rule, which would change a
 flagged op's kind or controls and so strand its partner's phase, never
 rewrite a flagged op.
+
+Decomposition runs after the rewrite rules and emits nothing they could
+cancel. A gate with k >= 2 controls becomes a ladder of relative-phase
+Toffolis (``rccx_gates``, 4 T) that ANDs its controls into fresh ancillas,
+one exact core, and the mirrored ladder. A rung's relative phase lies on
+its controls, which nothing before its mirror changes, so the whole is
+exact with no correction gates. C^kZ takes ``ccz_gates`` as its core
+rather than H.ccx.H, so no H pair meets at the target.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from .qcirc import (
     append_gates, g, wire_starts,
 )
 
-H, X, Z, S, SDG, T, TDG, P, SWAP = (
-    GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
+H, X, Y, Z, S, SDG, T, TDG, P, SWAP = (
+    GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
     GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
 )
 
@@ -262,6 +271,7 @@ def peephole(m: QCircModule) -> QCircModule:
 
 
 def ccx_gates(a: int, b: int, t: int) -> list[Gate]:
+    """The exact Toffoli, 7 T."""
     return [
         g(H, t),
         g(X, t, controls=(b,)), g(TDG, t),
@@ -274,8 +284,19 @@ def ccx_gates(a: int, b: int, t: int) -> list[Gate]:
     ]
 
 
-def ccix_gates(a: int, b: int, t: int) -> list[Gate]:
-    """Doubly-controlled iX with four T gates (phase cancels when paired)."""
+def ccz_gates(a: int, b: int, t: int) -> list[Gate]:
+    """The exact CCZ: ``ccx_gates`` without its two H gates on the target."""
+    return [gt for gt in ccx_gates(a, b, t) if gt.kind is not H]
+
+
+def rccx_gates(a: int, b: int, t: int) -> list[Gate]:
+    """A relative-phase Toffoli with four T gates (Maslov, PRA 93, 022311,
+    2016).
+
+    It is CCX times a phase of -i on ``a = b = 1``, a diagonal on the two
+    controls alone, so ``rccx · M · rccx†`` is the exact Toffoli pair
+    whenever M leaves both controls unchanged.
+    """
     return [
         g(H, t),
         g(T, t),
@@ -284,23 +305,7 @@ def ccix_gates(a: int, b: int, t: int) -> list[Gate]:
         g(X, t, controls=(a,)), g(TDG, t),
         g(X, t, controls=(b,)),
         g(H, t),
-        g(S, a), g(S, b),
-        g(X, b, controls=(a,)), g(SDG, b), g(X, b, controls=(a,)),
     ]
-
-
-def _mcx_gates(controls: list[int], target: int, alloc) -> list[Gate]:
-    k = len(controls)
-    if k == 0:
-        return [g(X, target)]
-    if k == 1:
-        return [g(X, target, controls=(controls[0],))]
-    if k == 2:
-        return ccx_gates(controls[0], controls[1], target)
-    anc = alloc()
-    front = ccix_gates(controls[0], controls[1], anc)
-    middle = _mcx_gates([anc] + controls[2:], target, alloc)
-    return front + middle + adjoint_gates(front)
 
 
 def _is_z_phase(op: QOp) -> bool:
@@ -312,12 +317,17 @@ def _is_z_phase(op: QOp) -> bool:
 def decompose_multicontrol(m: QCircModule) -> QCircModule:
     """Rewrite every gate with two or more controls into <=1-control gates.
 
-    A Toffoli flagged as the compute (uncompute) half of a mirrored pair
-    becomes ``ccix_gates`` (their adjoint): 4 T each, and the relative
-    phases of the two halves cancel. C^kZ and C^kP(+-pi) become H.C^kX.H,
-    C^kY becomes Sdg.C^kX.S, and any other controlled gate is controlled on
-    an ancilla holding the AND of its controls. C^kX takes ``k - 2``
-    ancillas, each computed and uncomputed by relative-phase Toffolis.
+    A gate with ``k`` controls becomes a ladder, one exact core and the
+    mirrored ladder (Selinger, PRA 87, 042302, 2013). The ladder ANDs
+    controls into fresh ancillas with ``rccx_gates``; each rung's relative
+    phase sits on its controls, which neither later rungs nor the core
+    change, so its mirror cancels it exactly. C^kX ANDs its first ``k - 1``
+    controls into ``k - 2`` ancillas, and its core is ``ccx_gates`` on that
+    AND and the last control; C^kZ and C^kP(+-pi) use ``ccz_gates`` and C^kY
+    Sdg.ccx.S there. Any other C^kU ANDs all ``k`` controls into ``k - 1``
+    ancillas and controls U on the last. A Toffoli flagged as the compute
+    (uncompute) half of a mirrored pair becomes one ``rccx_gates`` (its
+    adjoint).
     """
     for fn in m.functions.values():
         old_ops, fn.ops = fn.ops, []
@@ -335,39 +345,34 @@ def decompose_multicontrol(m: QCircModule) -> QCircModule:
             if op.kind != "gate" or op.num_controls < 2:
                 fn.ops.append(op)
                 continue
-            k = op.num_controls
-            n_vals = len(op.operands)
-            anc_positions: list[int] = []
-
-            def alloc() -> int:
-                p = n_vals + len(anc_positions)
-                anc_positions.append(p)
-                return p
-
-            ctrl_pos = list(range(k))
-            tgt_pos = tuple(range(k, n_vals))
+            k, n_vals = op.num_controls, len(op.operands)
+            # An exact core takes the last control itself; any other U is
+            # controlled on the AND of all k. Rung i ANDs control i into
+            # ancilla position n_vals + i - 1; ``a`` holds the AND so far.
+            exact = op.gate in (X, Z, Y) or _is_z_phase(op)
+            anded = k - 1 if exact else k
+            ladder, a = [], 0
+            for c, anc in enumerate(range(n_vals, n_vals + anded - 1), 1):
+                ladder += rccx_gates(a, c, anc)
+                a = anc
             if op.gate is X and op.pair and k == 2:
-                gates = ccix_gates(0, 1, 2)
+                core = rccx_gates(a, k - 1, k)
                 if op.pair < 0:
-                    gates = adjoint_gates(gates)
+                    core = adjoint_gates(core)
             elif op.gate is X:
-                gates = _mcx_gates(ctrl_pos, tgt_pos[0], alloc)
-            elif op.gate is Z or _is_z_phase(op):
-                gates = [g(H, tgt_pos[0])] \
-                    + _mcx_gates(ctrl_pos, tgt_pos[0], alloc) + [g(H, tgt_pos[0])]
-            elif op.gate is GateKind.Y:
-                gates = [g(SDG, tgt_pos[0])] \
-                    + _mcx_gates(ctrl_pos, tgt_pos[0], alloc) + [g(S, tgt_pos[0])]
+                core = ccx_gates(a, k - 1, k)
+            elif op.gate is Y:
+                core = [g(SDG, k)] + ccx_gates(a, k - 1, k) + [g(S, k)]
+            elif exact:
+                core = ccz_gates(a, k - 1, k)
             else:
-                anc = alloc()
-                and_in = _mcx_gates(ctrl_pos, anc, alloc)
-                core = [Gate(op.gate, tgt_pos, (anc,), op.param)]
-                gates = and_in + core + adjoint_gates(and_in)
+                core = [Gate(op.gate, tuple(range(k, n_vals)), (a,), op.param)]
+            gates = ladder + core + adjoint_gates(ladder)
             wires = list(op.operands)
-            for _ in anc_positions:
-                a = fn.new_id()
-                fn.ops.append(QOp("qalloc", results=(a,)))
-                wires.append(a)
+            for _ in range(anded - 1):
+                anc = fn.new_id()
+                fn.ops.append(QOp("qalloc", results=(anc,)))
+                wires.append(anc)
             append_gates(fn, wires, gates, op.condition)
             for pos in range(n_vals, len(wires)):
                 fn.ops.append(QOp("qfreez", (wires[pos],)))

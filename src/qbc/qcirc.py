@@ -57,7 +57,11 @@ class Gate:
     ``pair`` marks a Toffoli that a classical embed computes (+1) and later
     uncomputes with its exact mirror (-1), with nothing between the two that
     changes its controls. Such a pair may be decomposed into relative-phase
-    Toffolis whose phases cancel; an unflagged gate (0) is always exact.
+    Toffolis, each CCX times a diagonal D on its two controls: the pair is
+    then CCX·D·M·D†·CCX, which equals the exact CCX·M·CCX whenever the middle
+    M commutes with D, that is, leaves both controls' values unchanged
+    (diagonal gates on them, or using them only as controls). An unflagged
+    gate (0) is always exact.
     """
 
     kind: GateKind

@@ -62,7 +62,7 @@ def test_stats_prints_circuit_counts(capsys):
     assert "gates=" in out and "qubits=" in out
     assert main(["stats", str(BENCH / "grover.qw")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["gates=350", "t_count=93", "cx_count=129", "qubits=13"]
+    assert lines == ["gates=248", "t_count=93", "cx_count=93", "qubits=13"]
 
 
 def test_stats_reports_gate_lowering_error(capsys):

@@ -260,9 +260,24 @@ def _nested_parens(depth):
             + ")" * depth + " }\n")
 
 
+def _else_chain(elses):
+    return ("qpu main() -> bit[1] {\n    let m = '1' | std.measure;\n"
+            "    let q = " + "'0' if m else " * elses + "'1';\n"
+            "    q | std.measure\n}\n")
+
+
 def test_nesting_at_the_limit_compiles():
     qc = compile_to_circuit(_nested_parens(100), "nested.qw", Options())
     assert distribution(qc) == {"0": 1.0}
+
+
+def test_else_chain_at_the_limit_parses():
+    # Each else arm nests one level. (Expansion, not the parser, rejects
+    # conditionals whose arms are not function values.)
+    cond, arms = parse(_else_chain(100)).qpus[0].body.body.value, 0
+    while isinstance(cond, CondNode):
+        cond, arms = cond.els, arms + 1
+    assert arms == 100
 
 
 @pytest.mark.parametrize("src, where", [
@@ -272,9 +287,13 @@ def test_nesting_at_the_limit_compiles():
      "2:130"),
     ("classical c(x: bit[1]) -> bit[1] { " + "(" * 101 + "x" + ")" * 101
      + " }\nqpu main() -> bit[1] { '0' | c.xor | std.measure }\n", "1:136"),
-], ids=["parentheses", "adjoints", "classical_parentheses"])
+    (_else_chain(101), "3:1422"),
+    (_else_chain(1200), "3:1422"),
+], ids=["parentheses", "adjoints", "classical_parentheses", "else_chain",
+        "long_else_chain"])
 def test_nesting_past_the_limit_is_a_diagnostic(src, where):
-    # The diagnostic points at the token that opens the 101st level.
+    # The diagnostic points at the token that opens the 101st level: a
+    # parenthesis, a ~ or an else.
     with pytest.raises(CompileError) as e:
         parse(src)
     assert str(e.value) == \

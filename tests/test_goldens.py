@@ -23,7 +23,7 @@ def _regen_goldens():
 
 
 def test_goldens_match_compiler_output():
-    assert _regen_goldens().check() is None
+    assert _regen_goldens().check() == []
 
 
 def _peak_live(m) -> int:
@@ -67,3 +67,26 @@ def test_reused_register_width_is_peak_live_qubits(name):
             assert int(width) == peak, (opt_level, decompose)
             if name == "grover" and opt_level == 1 and decompose:
                 assert peak == 6
+
+
+def test_check_names_every_mismatch_and_rewrite_reports_each_file(
+        tmp_path, monkeypatch, capsys):
+    regen = _regen_goldens()
+    for path in regen.GOLDEN_DIR.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "grover.qasm").write_text("stale\n")
+    (tmp_path / "bell.ll").write_text("stale\n")
+    (tmp_path / "dj.qasm").unlink()
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.main(["--check"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "golden mismatch: bell.ll: compiler output differs from the golden",
+        "golden mismatch: dj.qasm: golden missing",
+        "golden mismatch: grover.qasm: compiler output differs from the golden",
+    ]
+    assert regen.main([]) == 0
+    changed = [line for line in capsys.readouterr().out.splitlines()
+               if line.endswith(": changed")]
+    assert changed == ["bell.ll: changed", "dj.qasm: changed",
+                       "grover.qasm: changed"]
+    assert regen.check() == []

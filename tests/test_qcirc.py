@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from qbc.qcirc import (
-    Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
+    Gate, GateKind, QCircFn, QCircModule, QOp, adjoint_gates, append_gates, g,
     print_qcirc, verify_circuit, wire_starts, CircuitError,
 )
 from qbc.backends import BackendError, read_qasm3
 from qbc.peephole import (
-    ccix_gates, ccx_gates, decompose_multicontrol, peephole,
+    ccx_gates, decompose_multicontrol, peephole, rccx_gates,
 )
 from qbc.pipeline import Options, compile_source, compile_to_circuit
 from oracles import gates_to_fn, module_unitary, unitary_of
@@ -216,18 +216,20 @@ def test_ccx_gates_match_toffoli():
     assert np.allclose(u, want, atol=1e-9)
 
 
-def test_ccix_gates_match_controlled_ix():
-    u = unitary_of(ccix_gates(0, 1, 2), 3)
-    want = np.eye(8, dtype=complex)
-    want[6:8, 6:8] = 1j * np.array([[0, 1], [1, 0]])
-    assert np.allclose(u, want, atol=1e-9)
-
-
-def _phase_normalized(u, want):
-    idx = np.unravel_index(np.argmax(np.abs(want)), want.shape)
-    if abs(u[idx]) < 1e-12:
-        return u
-    return u * (want[idx] / u[idx])
+def test_rccx_gates_are_toffoli_times_a_control_phase():
+    toffoli = unitary_of([g(X, 2, controls=(0, 1))], 3)
+    lone = unitary_of(rccx_gates(0, 1, 2), 3)
+    # -i on controls 11, whatever the target: a diagonal on the controls only.
+    assert np.allclose(toffoli.conj().T @ lone,
+                       np.diag(np.repeat([1, 1, 1, -1j], 2)), atol=1e-9)
+    # Mirrored around a middle that keeps both controls' values (diagonals
+    # on them, the target as a control), the phases cancel exactly.
+    middle = [g(S, 0), g(T, 1), g(Z, 1, controls=(0,)),
+              g(X, 3, controls=(2,)), g(H, 3, controls=(2,)), g(P, 0, param=0.3)]
+    core = rccx_gates(0, 1, 2)
+    exact = [g(X, 2, controls=(0, 1))]
+    assert np.allclose(unitary_of(core + middle + adjoint_gates(core), 4),
+                       unitary_of(exact + middle + exact, 4), atol=1e-9)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -237,9 +239,7 @@ def test_decompose_mcx(k):
     decompose_multicontrol(m)
     verify_circuit(m)
     assert all(op.num_controls <= 1 for op in m.entry_fn.ops if op.kind == "gate")
-    got = module_unitary(m.entry_fn)
-    got = _phase_normalized(got, want)
-    assert np.allclose(got, want, atol=1e-9)
+    assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
 
 
 def test_decompose_mcz_and_mcp():
@@ -249,8 +249,7 @@ def test_decompose_mcz_and_mcp():
         decompose_multicontrol(m)
         verify_circuit(m)
         assert all(op.num_controls <= 1 for op in m.entry_fn.ops if op.kind == "gate")
-        got = _phase_normalized(module_unitary(m.entry_fn), want)
-        assert np.allclose(got, want, atol=1e-9), kind
+        assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9), kind
 
 
 def test_decompose_leaves_single_controls():
@@ -294,14 +293,49 @@ def test_decompose_flagged_pair_is_exact_with_half_the_t():
     assert not np.allclose(module_unitary(lone.entry_fn), unitary_of([_toffoli(0)], 3))
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind, param", [
+    (X, 0.0), (Z, 0.0), (GateKind.Y, 0.0), (P, math.pi), (P, 0.7), (H, 0.0),
+], ids=["x", "z", "y", "p_pi", "p_0.7", "h"])
+def test_decompose_ladder_is_exact(k, kind, param):
+    m = fn_module([Gate(kind, (k,), tuple(range(k)), param)], k + 1)
+    want = unitary_of_module(m, k + 1)
+    decompose_multicontrol(m)
+    verify_circuit(m)
+    assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
+    ancillas = sum(op.kind == "qalloc" for op in m.entry_fn.ops)
+    if kind in (X, Z, GateKind.Y) or param == math.pi:
+        # k - 2 relative-phase ANDs and their mirrors around an exact
+        # Toffoli (CCZ for Z and P(pi)).
+        assert (_t_count(m), ancillas) == (8 * (k - 2) + 7, k - 2)
+    else:
+        # k - 1 ANDs and mirrors around one singly controlled U, which
+        # stays a single gate with no T of its own.
+        assert (_t_count(m), ancillas) == (8 * (k - 1), k - 1)
+
+
 @pytest.mark.parametrize("param", [math.pi, -math.pi, 3 * math.pi])
 def test_decompose_controlled_pi_phase_as_controlled_z(param):
     m = fn_module([Gate(P, (3,), (0, 1, 2), param)], 4)
     want = unitary_of_module(m, 4)
     decompose_multicontrol(m)
-    assert _t_count(m) == 15  # H.C3X.H: ccix, ccx, ccix-dagger
+    assert _t_count(m) == 15  # rccx, ccz, rccx-dagger
     assert sum(op.kind == "qalloc" for op in m.entry_fn.ops) == 1
     assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
+
+
+_PROGRAMS = ("bell", "bv", "dj", "grover", "period", "simon", "teleport")
+
+
+@pytest.mark.parametrize("name, dims", [(name, {}) for name in _PROGRAMS]
+                         + [("grover", {"N": 8})],
+                         ids=list(_PROGRAMS) + ["grover_N8"])
+def test_decomposed_output_leaves_peephole_nothing_to_cancel(name, dims):
+    # Decomposition emits no pair a second peephole pass could cancel.
+    path = BENCH / f"{name}.qw"
+    m = compile_to_circuit(path.read_text(), str(path), Options(dims=dims))
+    before = gate_count(m)
+    assert gate_count(peephole(m)) == before
 
 
 def test_no_decompose_output_shows_exact_toffolis():
@@ -383,8 +417,7 @@ def test_decompose_preserves_unitary_random():
         want = unitary_of_module(m, n)
         decompose_multicontrol(m)
         verify_circuit(m)
-        got = _phase_normalized(module_unitary(m.entry_fn), want)
-        assert np.allclose(got, want, atol=1e-9)
+        assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
 
 
 @pytest.mark.parametrize("stmt", [
