@@ -62,7 +62,8 @@ class BasisVector:
     """One vector of a basis literal: a prim, eigenbits, and optional phase.
 
     Bit i of ``eigenbits`` is '1' iff position i is the minus eigenstate of
-    ``prim``. ``prim`` is never FOURIER.
+    ``prim``. ``prim`` is never FOURIER. A zero phase is stored as +0.0, so
+    equal vectors (0.0 == -0.0) are also identical and synthesize alike.
     """
 
     prim: Prim
@@ -72,6 +73,8 @@ class BasisVector:
     def __post_init__(self):
         assert self.prim is not Prim.FOURIER
         assert self.eigenbits and set(self.eigenbits) <= {"0", "1"}
+        if isinstance(self.phase, float):
+            object.__setattr__(self, "phase", self.phase + 0.0)
 
     @property
     def dim(self) -> int:

@@ -14,6 +14,8 @@ KEYWORDS = {
     "measure", "flip", "xor", "sign",
 }
 
+DIGITS = "0123456789"  # not str.isdigit(), which accepts '²' that int() rejects
+
 # "]]" is intentionally absent: it lexes as two "]" so nested indexing works.
 PUNCT = [
     "[[", ">>", "->", "|", "&", "~", "+", "-", "*", "/", "@",
@@ -63,13 +65,13 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             col += j - i + 1
             i = j + 1
             continue
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in DIGITS:
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in DIGITS:
                     j += 1
                 tokens.append(Token("FLOAT", source[i:j], pos))
             else:

@@ -14,6 +14,8 @@ chain naturally: both branches' gates thread the same slots.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .bases import Basis, BasisLiteral, BasisVector, PhaseParam, Prim
 from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
@@ -68,7 +70,7 @@ class _GateLowerer:
         self.slot_val.append(q)
         return len(self.slot_val) - 1
 
-    def emit_gates(self, slots: list[int], gates: list[Gate], condition) -> None:
+    def emit_gates(self, slots: list[int], gates: Sequence[Gate], condition) -> None:
         wires = [self.slot_val[s] for s in slots]
         append_gates(self.fn, wires, gates, condition)
         for s, v in zip(slots, wires):

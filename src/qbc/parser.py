@@ -42,7 +42,6 @@ class Parser:
         self.toks = tokens
         self.i = 0
         self.file = file
-        self.classical_names: set[str] = set()
         self.depth = 0  # open parentheses, ~, unary - and else arms
 
     # -- token plumbing ---------------------------------------------------
@@ -84,22 +83,15 @@ class Parser:
     # -- program ----------------------------------------------------------
 
     def parse_program(self) -> Program:
-        # Pre-scan for classical names so embeds parse unambiguously.
-        for t in self.toks:
-            if t.kind == "classical":
-                pass
         qpus, classicals = [], []
-        idx = 0
         while not self.at("EOF"):
             if self.at("classical"):
                 classicals.append(self.parse_classical())
-                self.classical_names.add(classicals[-1].name)
             elif self.at("qpu"):
                 qpus.append(self.parse_qpu())
             else:
                 t = self.peek()
                 raise err(f"expected 'qpu' or 'classical', found {t.text!r}", t.pos, self.file)
-            idx += 1
         return Program(tuple(qpus), tuple(classicals))
 
     def parse_dim_vars(self) -> tuple[tuple[str, ...], tuple[Optional[int], ...]]:

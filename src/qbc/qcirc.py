@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class GateKind(Enum):
@@ -174,15 +174,14 @@ def _verify_fn(fn: QCircFn) -> None:
     root: dict[int, int] = {p: p for p in fn.qubit_params}
     allocated: set[int] = set()
 
-    def use_qubit(v: int, where: str) -> None:
+    def use_qubit(v: int, i: int, op: QOp) -> None:
         if v not in qubit_vals:
-            raise CircuitError(f"{fn.name}: {where} uses undefined qubit %{v}")
+            raise CircuitError(f"{fn.name}: {_at(i, op)} uses undefined qubit %{v}")
         if v in consumed:
-            raise CircuitError(f"{fn.name}: qubit %{v} used twice ({where})")
+            raise CircuitError(f"{fn.name}: qubit %{v} used twice ({_at(i, op)})")
         consumed.add(v)
 
     for i, op in enumerate(fn.ops):
-        where = f"op {i} ({op.kind})"
         if op.kind == "qalloc":
             (res,) = op.results
             if res in defined:
@@ -192,28 +191,28 @@ def _verify_fn(fn: QCircFn) -> None:
             root[res] = res
             allocated.add(res)
         elif op.kind in ("qfree", "qfreez"):
-            use_qubit(op.operands[0], where)
+            use_qubit(op.operands[0], i, op)
         elif op.kind == "measure":
-            use_qubit(op.operands[0], where)
+            use_qubit(op.operands[0], i, op)
             (res,) = op.results
             defined.add(res)
             bit_vals.add(res)
         elif op.kind == "gate":
             if len(op.operands) != len(op.results):
-                raise CircuitError(f"{fn.name}: {where} operand/result mismatch")
+                raise CircuitError(f"{fn.name}: {_at(i, op)} operand/result mismatch")
             seen = set()
             for v in op.operands:
                 if v in seen:
                     raise CircuitError(
-                        f"{fn.name}: {where} repeats qubit %{v} in one gate"
+                        f"{fn.name}: {_at(i, op)} repeats qubit %{v} in one gate"
                     )
                 seen.add(v)
-                use_qubit(v, where)
+                use_qubit(v, i, op)
             ntgt = len(op.operands) - op.num_controls
             if ntgt != N_TARGETS[op.gate]:
-                raise CircuitError(f"{fn.name}: {where} wrong target count")
+                raise CircuitError(f"{fn.name}: {_at(i, op)} wrong target count")
             if op.condition is not None and op.condition[0] not in bit_vals:
-                raise CircuitError(f"{fn.name}: {where} conditions on non-bit")
+                raise CircuitError(f"{fn.name}: {_at(i, op)} conditions on non-bit")
             for v, res in zip(op.operands, op.results):
                 if res in defined:
                     raise CircuitError(f"{fn.name}: %{res} redefined")
@@ -240,7 +239,12 @@ def _verify_fn(fn: QCircFn) -> None:
         )
 
 
-def append_gates(fn: QCircFn, wires: list[int], gates: list[Gate],
+def _at(i: int, op: QOp) -> str:
+    """Where op ``i`` is, for a verifier message; built only on failure."""
+    return f"op {i} ({op.kind})"
+
+
+def append_gates(fn: QCircFn, wires: list[int], gates: Sequence[Gate],
                  condition: Optional[tuple[int, bool]] = None) -> None:
     """Wire position-based gates into ``fn``, updating ``wires`` in place."""
     for gt in gates:

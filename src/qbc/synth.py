@@ -17,6 +17,7 @@ Toffolis; a sign oracle whose output is one AND kicks its phase with a CZ.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -68,15 +69,7 @@ def plan_standardization(b_in: Basis, b_out: Basis) -> tuple[StdPlan, StdPlan]:
     Inseparable fourier elements standardize as one conditional unit, with
     padding keeping both sides aligned on qubit positions.
     """
-    def seed(b: Basis) -> deque:
-        dq: deque = deque()
-        at = 0
-        for e in b.elements:
-            dq.append((e, at))
-            at += e.dim
-        return dq
-
-    ldq, rdq = seed(b_in), seed(b_out)
+    ldq, rdq = deque(_with_offsets(b_in)), deque(_with_offsets(b_out))
     lstd: list[StdEntry] = []
     rstd: list[StdEntry] = []
     while ldq and rdq:
@@ -201,28 +194,24 @@ class PhaseTuple:
 
 def collect_vector_phases(b: Basis) -> list[PhaseTuple]:
     out = []
-    at = 0
-    for i, e in enumerate(b.elements):
+    for i, (e, at) in enumerate(_with_offsets(b)):
         if isinstance(e, BasisLiteral):
             for v in e.vectors:
                 if v.phase is not None:
                     if not isinstance(v.phase, float):
                         raise SynthError("unresolved symbolic phase")
                     out.append(PhaseTuple(v.eigenbits, v.phase, at, i))
-        at += e.dim
     return out
 
 
 def _element_groups(b: Basis, skip_index: int) -> list[PredGroup]:
     """Control groups from the other non-fully-spanning elements of b."""
     groups = []
-    at = 0
-    for i, e in enumerate(b.elements):
+    for i, (e, at) in enumerate(_with_offsets(b)):
         if i != skip_index and isinstance(e, BasisLiteral) and not fully_spans(e):
             qs = tuple(range(at, at + e.dim))
             patterns = tuple(sorted(v.eigenbits for v in e.vectors))
             groups.append((qs, patterns))
-        at += e.dim
     return groups
 
 
@@ -461,8 +450,13 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
 # Full translation lowering
 
 
-def lower_translation(b_in: Basis, b_out: Basis) -> list[Gate]:
-    """Gates over positions [0, dim) realizing the basis translation."""
+@functools.lru_cache(maxsize=1024)
+def lower_translation(b_in: Basis, b_out: Basis) -> tuple[Gate, ...]:
+    """Gates over positions [0, dim) realizing the basis translation.
+
+    Memoized on the pair (a compile meets few distinct translations many
+    times): the result is one shared tuple and must not be mutated.
+    """
     lstd, rstd = plan_standardization(b_in, b_out)
     pairs = align(b_in, b_out)
     pred_groups: dict[int, PredGroup] = {}
@@ -486,7 +480,7 @@ def lower_translation(b_in: Basis, b_out: Basis) -> list[Gate]:
         gates += with_predicates(base, others)
     gates += emit_vector_phases(b_out, sign=+1)
     gates += emit_standardization(rstd, stdward=False, groups=all_groups)
-    return gates
+    return tuple(gates)
 
 
 def _check_predicates_unconditional(lstd: StdPlan, rstd: StdPlan,
@@ -504,7 +498,7 @@ def _check_predicates_unconditional(lstd: StdPlan, rstd: StdPlan,
             )
 
 
-def measurement_rotation(b: Basis) -> list[Gate]:
+def measurement_rotation(b: Basis) -> tuple[Gate, ...]:
     """Rotate span(b) onto the computational basis (b fully spans)."""
     return lower_translation(b, basis(BuiltinBasis(Prim.STD, b.dim)))
 

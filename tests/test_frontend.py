@@ -1,5 +1,6 @@
 """Lexer, parser, printer round-trips, expansion, typing, tensor flattening."""
 
+import glob
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from qbc.ast_nodes import (
     QubitLitNode, TensorNode, TransNode, AdjointNode, PredNode,
 )
 from qbc.canon_ast import canonicalize_ast
+from qbc.cli import main
 from qbc.diagnostics import CompileError
 from qbc.expand import expand
 from qbc.parser import parse
@@ -342,3 +344,49 @@ def test_position_reporting():
     except CompileError as e:
         d = e.diagnostics[0]
         assert d.pos is not None and d.pos.line == 2
+
+
+def _zero_phases(first, second):
+    return ("qpu main() -> bit[2] {\n"
+            f"    ('p' + 'p') | ({{'0', '1'}} >> {{'0', '1' @ ({first})}})"
+            f" + ({{'0', '1'}} >> {{'0', '1' @ ({second})}}) | std[2].measure\n"
+            "}\n")
+
+
+SIGNED_ZERO = _zero_phases("0.0", "-0.0")
+
+
+def test_zero_phases_of_either_sign_emit_the_same_gate():
+    # A phase of -0.0 is stored as +0.0, so the two translations are one
+    # basis pair and synthesize to the same gate, whichever sign is
+    # compiled first.
+    for src in (_zero_phases("-0.0", "0.0"), SIGNED_ZERO):
+        qasm = compile_source(src, "zero.qw", Options(), "qasm")
+        assert "p(0.0) q[0];" in qasm
+        assert "p(0.0) q[1];" in qasm
+        assert "-0.0" not in qasm
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob("benchmarks/*.qw")))
+def test_repeated_compiles_are_byte_identical(path):
+    # Synthesis state kept between compiles must not change what a later
+    # compile emits, whatever was compiled in between.
+    src = open(path).read()
+    first = compile_source(src, path, Options(), "qasm")
+    compile_source(SIGNED_ZERO, "zero.qw", Options(), "qasm")
+    assert compile_source(src, path, Options(), "qasm") == first
+
+
+@pytest.mark.parametrize("src, where", [
+    ("qpu main[N = ²]() -> bit[N] { '0'[N] | std[N].measure }\n", "1:14"),
+    ("qpu main() -> bit[1] { '1' | ({'1'} >> {'1' @ (1.²)}) "
+     "| std.measure }\n", "1:50"),
+], ids=["dimension_default", "float_fraction"])
+def test_non_ascii_digit_is_a_diagnostic(tmp_path, capsys, src, where):
+    # str.isdigit() accepts a superscript two; the lexer must not, or int()
+    # and float() raise on the token.
+    path = tmp_path / "digit.qw"
+    path.write_text(src, encoding="utf-8")
+    assert main(["compile", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"{path}:{where}: error: unexpected character '²'\n"

@@ -60,6 +60,37 @@ def test_verify_rejects_dangling_qubit():
         verify_circuit(QCircModule({"f": fn}, "f"))
 
 
+@pytest.mark.parametrize("ops, message", [
+    ([QOp("gate", (5,), (6,), gate=H)], "op 0 (gate) uses undefined qubit %5"),
+    ([QOp("qfree", (7,))], "op 0 (qfree) uses undefined qubit %7"),
+    ([QOp("gate", (0,), (1,), gate=H), QOp("measure", (0,), (2,))],
+     "qubit %0 used twice (op 1 (measure))"),
+    ([QOp("gate", (0, 0), (1, 2), gate=X, num_controls=1)],
+     "op 0 (gate) repeats qubit %0 in one gate"),
+    ([QOp("gate", (0,), (1, 2), gate=H)], "op 0 (gate) operand/result mismatch"),
+    ([QOp("gate", (0,), (1,), gate=SWAP)], "op 0 (gate) wrong target count"),
+    ([QOp("gate", (0,), (1,), gate=H, condition=(0, True))],
+     "op 0 (gate) conditions on non-bit"),
+    ([QOp("qalloc", results=(0,))], "%0 redefined"),
+    ([QOp("gate", (0,), (0,), gate=H)], "%0 redefined"),
+    ([QOp("ret", ()), QOp("qfree", (0,))], "ret not last op"),
+    ([QOp("ret", (0,))], "ret of non-bit %0"),
+    ([QOp("qalloc", results=(1,)), QOp("qalloc", results=(2,)),
+      QOp("gate", (2,), (3,), gate=H)],
+     "allocated qubits never consumed: %1, %3"),
+    ([QOp("bogus")], "unknown op kind bogus"),
+], ids=["undefined", "undefined_freed", "used_twice", "repeated_operand",
+        "result_count", "target_count", "condition_non_bit", "realloc",
+        "gate_redefines", "ret_not_last", "ret_non_bit", "dangling",
+        "unknown_kind"])
+def test_verify_names_each_violation(ops, message):
+    # One parameter qubit %0; each case breaks exactly one invariant.
+    fn = QCircFn("f", ops, qubit_params=(0,), next_id=8)
+    with pytest.raises(CircuitError) as e:
+        verify_circuit(QCircModule({"f": fn}, "f"))
+    assert str(e.value) == "f: " + message
+
+
 def test_wire_starts_maps_each_qubit_value_to_its_wire():
     # Parameters 0 and 1 and the qalloc'd 2 pass through a Toffoli, a swap
     # and an H; 2's wire is freed and qalloc 9 starts a new one. The

@@ -15,6 +15,7 @@ from qbc.ast_nodes import (
 )
 from qbc.bases import Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, lit
 from qbc.peephole import decompose_multicontrol, peephole
+from qbc.pipeline import Options, compile_source
 from qbc.qcirc import GateKind, QCircModule, adjoint_gates, g, verify_circuit
 from qbc.synth import (
     AlignedPair, align, collect_vector_phases, embed_gates,
@@ -183,6 +184,34 @@ def test_translation_swap():
     _check_translation(basis(lit("01", "10")), basis(lit("10", "01")))
     got = u_of(lower_translation(basis(lit("01", "10")), basis(lit("10", "01"))), 2)
     assert np.allclose(got, np.eye(4)[[0, 2, 1, 3]], atol=1e-9)
+
+
+def test_translation_is_memoized_on_the_basis_pair():
+    # Equal, separately built pairs share one immutable result, and a zero
+    # phase of either sign is the same key because it is stored as +0.0.
+    first = lower_translation(basis(lit("0", ("1", 0.0))), basis(lit("1", "0")))
+    again = lower_translation(basis(lit("0", ("1", -0.0))), basis(lit("1", "0")))
+    assert isinstance(first, tuple) and again is first
+    assert math.copysign(1.0, BasisVector(STD, "1", -0.0).phase) == 1.0
+
+
+def test_translation_cache_misses_once_per_distinct_pair():
+    # 40 stage calls over four distinct translations, plus the measurement's
+    # std[1] rotation: five pairs, so five misses and 36 hits.
+    defs = []
+    for v in range(2):
+        a, b = f"pi * {v + 1} / 8", f"pi * {v + 5} / 8"
+        defs.append(f"qpu flip{v}(q: qubit[1]) -> qubit[1] rev {{\n"
+                    f"    q | ({{'0', '1'}} >> {{'1' @ ({a}), '0'}})\n}}\n")
+        defs.append(f"qpu keep{v}(q: qubit[1]) -> qubit[1] rev {{\n"
+                    f"    q | ({{'0', '1'}} >> {{'0' @ ({a}), '1' @ ({b})}})\n}}\n")
+    calls = "".join(f"    | {s}\n" for s in ["flip0", "keep1", "keep0", "flip1"] * 10)
+    src = ("\n".join(defs) + "\nqpu main() -> bit[1] {\n    '0'\n" + calls
+           + "    | std.measure\n}\n")
+    lower_translation.cache_clear()
+    compile_source(src, "pipe.qw", Options(), "qasm")
+    info = lower_translation.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 36, 5)
 
 
 def test_translation_conditional_standardization():
