@@ -1,8 +1,22 @@
 """
-Gate-level optimization: cancellation of adjacent inverse pairs, the HXH/HZH
-conjugation rules, phase merging, the relaxed multi-controlled-X-on-|->
-rewrite, and decomposition of multi-controlled gates through a relative-phase
-AND ladder.
+Gate-level optimization: phase folding over affine parities, cancellation of
+adjacent inverse pairs, the HXH/HZH conjugation rules, phase merging, the
+relaxed multi-controlled-X-on-|-> rewrite, and decomposition of
+multi-controlled gates through a relative-phase AND ladder.
+
+Phase folding (Amy, Maslov and Mosca, IEEE TCAD 33(10), 2014) makes one
+forward walk per function. Every qubit value holds an affine parity of path
+variables: a ``qalloc`` starts at the constant 0 and a qubit parameter at a
+fresh variable; X, CX and SWAP update parities, and any other non-diagonal
+gate, a conditioned gate, or the target of a multi-controlled X gives its
+wires fresh variables. A diagonal gate multiplies each path by a phase that
+depends only on its wire's parity, so all such phases on one parity (a term)
+can be summed and applied once, wherever that parity is first held. A term
+on a constant parity is a global phase and is dropped. Controlled diagonals
+such as CZ and CP are left as they are: their terms sit on parities no wire
+holds, and emitting them would need new CX gates. Folding leaves the
+gates between a term's phases in place, so the X pairs it uncovers are left
+for the rewrite rules below.
 
 The rewrite rules run under a worklist driver. Each function gets one
 producer map and one consumer map (value -> (op index, position)) that every
@@ -264,6 +278,121 @@ def peephole(m: QCircModule) -> QCircModule:
     for fn in m.functions.values():
         fn.ops = _Rewriter(fn).run()
     return m
+
+
+# ---------------------------------------------------------------------------
+# Phase folding
+
+_ANGLE = {Z: math.pi, S: math.pi / 2, SDG: -math.pi / 2, T: math.pi / 4,
+          TDG: -math.pi / 4}
+
+# The fewest of t, tdg, s, sdg and z that make P(k * pi/4), for k = 0..7.
+_EIGHTHS = ((), (T,), (S,), (S, T), (Z,), (Z, T), (SDG,), (TDG,))
+
+
+def _phase_gates(theta: float) -> tuple[tuple[GateKind, float], ...]:
+    """(kind, param) of the gates that make P(theta): none for 0, at most
+    two Clifford+T gates for a multiple of pi/4, else one ``p``."""
+    theta = math.remainder(theta, 2 * math.pi)
+    k = round(theta / (math.pi / 4))
+    if abs(theta - k * math.pi / 4) <= 1e-12:
+        return tuple((kind, 0.0) for kind in _EIGHTHS[k % 8])
+    return ((P, theta),)
+
+
+def fold_phases(m: QCircModule) -> QCircModule:
+    """Merge the uncontrolled, unconditioned diagonal gates of each function
+    that sit on one affine parity (see the module docstring).
+
+    A term of one gate on a non-constant parity is left alone. Any other
+    term on a non-constant parity becomes ``_phase_gates`` of its summed
+    angle at its first gate, unless its gates are those already; a term on
+    a constant parity is deleted. No term gains gates, and the circuit is
+    unchanged up to a global phase.
+    """
+    for fn in m.functions.values():
+        _fold_fn(fn)
+    return m
+
+
+def _fold_fn(fn: QCircFn) -> None:
+    # A parity is (the set of its path variables, its constant bit). Sets
+    # rather than bitmasks: a mask is as wide as the number of variables
+    # made so far, so its XORs and hashes would slow as the walk goes on.
+    parity: dict[int, tuple[frozenset, int]] = {}
+    made = 0
+
+    def var() -> tuple[frozenset, int]:
+        nonlocal made
+        made += 1
+        return frozenset((made,)), 0
+
+    for v in fn.qubit_params:
+        parity[v] = var()
+    # Variable set -> [summed angle, op indices, first op's constant bit].
+    terms: dict[frozenset, list] = {}
+    for i, op in enumerate(fn.ops):
+        if op.kind == "qalloc":
+            parity[op.results[0]] = (frozenset(), 0)
+        if op.kind != "gate":
+            continue
+        ins = [parity.pop(v) for v in op.operands]
+        nc = op.num_controls
+        if op.condition is not None:
+            outs = [var() for _ in ins]
+        elif op.gate in _ANGLE or op.gate is P:
+            outs = ins
+            if not nc:
+                angle = op.param if op.gate is P else _ANGLE[op.gate]
+                key, const = ins[0]
+                term = terms.get(key)
+                if term is None:
+                    term = terms[key] = [0.0, [], const]
+                term[0] += -angle if const else angle
+                term[1].append(i)
+        elif op.gate is X and not nc:
+            outs = [(ins[0][0], ins[0][1] ^ 1)]
+        elif op.gate is X and nc == 1:
+            (cv, cc), (tv, tc) = ins
+            outs = [ins[0], (tv ^ cv, tc ^ cc)]
+        elif op.gate is SWAP and not nc:
+            outs = ins[::-1]
+        else:
+            outs = ins[:nc] + [var() for _ in ins[nc:]]
+        for r, p in zip(op.results, outs):
+            parity[r] = p
+
+    emit: dict[int, tuple] = {}
+    for key, (angle, indices, const) in terms.items():
+        if not key:
+            emit.update((i, ()) for i in indices)
+        elif len(indices) > 1:
+            gates = _phase_gates(-angle if const else angle)
+            if gates != tuple((fn.ops[i].gate, fn.ops[i].param)
+                              for i in indices):
+                emit[indices[0]] = gates
+                emit.update((i, ()) for i in indices[1:])
+    if not emit:
+        return
+    # Rebuild the ops, forwarding each deleted gate's operand to its result's
+    # one consumer.
+    rename: dict[int, int] = {}
+    ops = []
+    for i, op in enumerate(fn.ops):
+        if rename:
+            op.operands = tuple([rename.pop(v, v) for v in op.operands])
+        if i not in emit:
+            ops.append(op)
+            continue
+        (v,), (r,) = op.operands, op.results
+        gates = emit[i]
+        if not gates:
+            rename[r] = v
+        for n, (kind, param) in enumerate(gates, 1):
+            out = r if n == len(gates) else fn.new_id()
+            ops.append(QOp("gate", (v,), (out,), gate=kind, param=param))
+            v = out
+    fn.ops = ops
 
 
 # ---------------------------------------------------------------------------

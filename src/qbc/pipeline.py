@@ -1,15 +1,18 @@
 """
 Fixed compilation pipeline: parse -> expand -> typecheck -> flatten tensors
 -> lower to basis IR -> lift/canonicalize/inline (unless disabled) ->
-specialize -> lower to gates -> peephole (at -O1) -> multi-control
-decomposition (unless disabled) -> backend.
+specialize -> lower to gates -> fold phases and peephole (at -O1) ->
+multi-control decomposition (unless disabled) -> backend.
 
 Each rewrite has one home. The front end typechecks the expanded program
 once, so diagnostics point into the source as written; the only AST rewrite,
 tensor flattening (``canon_ast``), cannot change a type, so its output is
 handed on with that typecheck's signatures. Adjoints, predicates and constant
 angles are resolved in the basis IR (``qwir_passes``), and gate-level
-rewrites happen in ``peephole``.
+rewrites happen in ``peephole``. Phase folding runs just before its rewrite
+rules, which cancel the gates that folding leaves adjacent, and before
+decomposition: on the benchmark programs, folding a decomposed circuit again
+merges nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .expand import expand
 from .lower_ast import lower_to_ir
 from .lower_gates import LowerError, lower_module
 from .parser import parse
-from .peephole import decompose_multicontrol, peephole
+from .peephole import decompose_multicontrol, fold_phases, peephole
 from .printer import print_program
 from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
@@ -76,7 +79,7 @@ def to_gates(m: QwModule, opts: Options,
         raise CompileError(Diagnostic("error", str(e), file=file))
     verify_circuit(qc)
     if opts.opt_level >= 1:
-        qc = peephole(qc)
+        qc = peephole(fold_phases(qc))
         verify_circuit(qc)
     if opts.decompose:
         qc = decompose_multicontrol(qc)

@@ -193,11 +193,13 @@ class PhaseTuple:
 
 
 def collect_vector_phases(b: Basis) -> list[PhaseTuple]:
+    """The nonzero phases of b's literal vectors; a zero phase, of either
+    sign, is the identity and emits nothing."""
     out = []
     for i, (e, at) in enumerate(_with_offsets(b)):
         if isinstance(e, BasisLiteral):
             for v in e.vectors:
-                if v.phase is not None:
+                if v.phase is not None and v.phase != 0.0:
                     if not isinstance(v.phase, float):
                         raise SynthError("unresolved symbolic phase")
                     out.append(PhaseTuple(v.eigenbits, v.phase, at, i))

@@ -1,6 +1,7 @@
 """Numeric oracles the tests check the compiler against: statevectors of
 basis vectors, span projectors, translation unitaries, gate-list unitaries,
-and the unitary of a gate-level function.
+the unitary of a gate-level function and equality up to a global phase;
+also the source of a pipe chain of single-qubit stages.
 
 These are brute force on purpose and live beside the tests, not in the
 compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
@@ -205,3 +206,38 @@ def module_unitary(fn: QCircFn) -> np.ndarray:
         raise SimulationError("qubits other than the parameters live at end")
     size = 1 << len(params)
     return sv.state.reshape(size, size) * math.sqrt(size)
+
+
+def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray,
+                             atol: float = 1e-9) -> bool:
+    """Whether u = e^{i phi} v for some phi, read off v's largest entry."""
+    if u.shape != v.shape:
+        return False
+    k = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    if abs(v[k]) <= atol:
+        return bool(np.allclose(u, v, atol=atol))
+    phase = u[k] / v[k]
+    return bool(abs(abs(phase) - 1.0) <= atol
+                and np.allclose(u, phase * v, atol=atol))
+
+
+def pipe_chain_source(stages: Sequence[str]) -> str:
+    """A program that pipes '0' through single-qubit stage calls and
+    measures it.
+
+    Stage ``flip<v>`` is ``{'0', '1'} >> {'1' @ (a), '0'}`` and ``keep<v>``
+    is ``{'0', '1'} >> {'0' @ (a), '1' @ (b)}``, with a = pi (v + 1) / 8 and
+    b = pi (v + 5) / 8. A flip emits ``x; p(a)`` and a keep
+    ``x; p(a); x; p(b)``, so only the flips move |0>.
+    """
+    defs = []
+    for name in sorted(set(stages)):
+        v = int(name[4:])
+        a, b = f"pi * {v + 1} / 8", f"pi * {v + 5} / 8"
+        out = (f"'1' @ ({a}), '0'" if name.startswith("flip")
+               else f"'0' @ ({a}), '1' @ ({b})")
+        defs.append(f"qpu {name}(q: qubit[1]) -> qubit[1] rev {{\n"
+                    f"    q | ({{'0', '1'}} >> {{{out}}})\n}}\n")
+    calls = "".join(f"    | {s}\n" for s in stages)
+    return ("\n".join(defs) + "\nqpu main() -> bit[1] {\n    '0'\n" + calls
+            + "    | std.measure\n}\n")

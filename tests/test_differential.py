@@ -1,6 +1,8 @@
-"""Every way of compiling a benchmark gives the same exact distribution:
+"""Every way of compiling a program gives the same exact distribution:
 -O0/-O1 x decompose on/off, each circuit re-read from its QASM with and
-without qubit reuse, and the front end with and without tensor flattening."""
+without qubit reuse, and the front end with and without tensor flattening.
+The programs are the benchmarks and three that give phase folding work: a
+pipe chain, a predicated oracle and a phase conditioned on a measurement."""
 
 import pathlib
 
@@ -12,9 +14,34 @@ from qbc.parser import parse
 from qbc.pipeline import Options, compile_source, front, to_gates, to_qwir
 from qbc.run import distribution
 from qbc.typecheck import typecheck
+from oracles import pipe_chain_source
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCHMARKS = ["bell", "bv", "dj", "grover", "period", "simon", "teleport"]
+
+PROGRAMS = {name: (BENCH / f"{name}.qw", {}) for name in BENCHMARKS} | {
+    "pipe_chain": (pipe_chain_source(
+        ["flip0", "keep1", "flip2", "keep3", "flip1"] * 7), {}),
+    "predicated_oracle": ("""\
+classical all_ones[N](x: bit[N]) -> bit[1] {
+    and_reduce(x)
+}
+
+qpu main[N]() -> bit[N + 1] {
+    ('1' + 'p'[N]) | ({'1'} & all_ones[[N]].sign) | std[N + 1].measure
+}
+""", {"N": 3}),
+    "conditioned_phase": ("""\
+qpu main() -> bit[1] {
+    let (a: qubit[1], b: qubit[1]) = 'p' + 'p';
+    let m: bit[1] = a | std.measure;
+    b | ({'0', '1'} >> {'0', '1' @ (pi / 4)})
+        | (({'0', '1'} >> {'0', '1' @ (pi / 2)}) if m else id[1])
+        | ({'0', '1'} >> {'0', '1' @ (pi / 4)})
+        | pm.measure
+}
+""", {}),
+}
 
 
 def _assert_close(want, got):
@@ -22,17 +49,21 @@ def _assert_close(want, got):
         assert abs(want.get(key, 0.0) - got.get(key, 0.0)) < 1e-9, key
 
 
-@pytest.mark.parametrize("name", BENCHMARKS)
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_compile_options_agree_on_distribution(name):
-    path = str(BENCH / f"{name}.qw")
-    src = open(path).read()
-    tp = front(src, path, Options())
+    src, dims = PROGRAMS[name]
+    if isinstance(src, pathlib.Path):
+        path, src = str(src), src.read_text()
+    else:
+        path = f"{name}.qw"
+    tp = front(src, path, Options(dims=dims))
     # Flattening keeps every signature the one typecheck computed.
     assert typecheck(tp.program, path).fn_types == tp.fn_types
     want = None
     for opt_level in (0, 1):
         for decompose in (False, True):
-            opts = Options(opt_level=opt_level, decompose=decompose)
+            opts = Options(opt_level=opt_level, decompose=decompose,
+                           dims=dims)
             got = distribution(to_gates(to_qwir(tp, opts), opts, path),
                                all_bits=True)
             want = want or got
@@ -41,7 +72,7 @@ def test_compile_options_agree_on_distribution(name):
                 opts.reuse_qubits = reuse
                 qasm = compile_source(src, path, opts, "qasm")
                 _assert_close(want, distribution(read_qasm3(qasm), all_bits=True))
-    unflattened = typecheck(expand(parse(src, path), {}, path), path)
-    opts = Options()
+    unflattened = typecheck(expand(parse(src, path), dims, path), path)
+    opts = Options(dims=dims)
     _assert_close(want, distribution(
         to_gates(to_qwir(unflattened, opts), opts, path), all_bits=True))

@@ -357,14 +357,19 @@ SIGNED_ZERO = _zero_phases("0.0", "-0.0")
 
 
 def test_zero_phases_of_either_sign_emit_the_same_gate():
-    # A phase of -0.0 is stored as +0.0, so the two translations are one
-    # basis pair and synthesize to the same gate, whichever sign is
-    # compiled first.
-    for src in (_zero_phases("-0.0", "0.0"), SIGNED_ZERO):
-        qasm = compile_source(src, "zero.qw", Options(), "qasm")
-        assert "p(0.0) q[0];" in qasm
-        assert "p(0.0) q[1];" in qasm
-        assert "-0.0" not in qasm
+    # A zero phase of either sign is the identity, so neither translation
+    # emits a phase gate, whichever sign is compiled first.
+    texts = [compile_source(src, "zero.qw", Options(opt_level=level), "qasm")
+             for level in (0, 1)
+             for src in (_zero_phases("-0.0", "0.0"), SIGNED_ZERO)]
+    assert "p(" not in texts[0]
+    assert "x " not in texts[0]
+    assert len(set(texts)) == 1
+    # A zero phase on the input side is negated, to -0.0: still no gate.
+    src = ("qpu main() -> bit[1] {\n"
+           "    'p' | ({'0', '1' @ (0.0)} >> {'0', '1'}) | std.measure\n}\n")
+    assert "p(" not in compile_source(src, "zero.qw", Options(opt_level=0),
+                                      "qasm")
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob("benchmarks/*.qw")))

@@ -1,5 +1,5 @@
-"""Gate-level IR verifier and wire map, peephole rules, multi-control
-decomposition, and the QASM reader's operand checks."""
+"""Gate-level IR verifier and wire map, phase folding, peephole rules,
+multi-control decomposition, and the QASM reader's operand checks."""
 
 import math
 import pathlib
@@ -14,13 +14,16 @@ from qbc.qcirc import (
 )
 from qbc.backends import BackendError, read_qasm3
 from qbc.peephole import (
-    ccx_gates, decompose_multicontrol, peephole, rccx_gates,
+    ccx_gates, decompose_multicontrol, fold_phases, peephole, rccx_gates,
 )
-from qbc.pipeline import Options, compile_source, compile_to_circuit
-from oracles import gates_to_fn, module_unitary, unitary_of
+from qbc.pipeline import Options, compile_source, compile_to_circuit, stats_for
+from oracles import (
+    equal_up_to_global_phase, gates_to_fn, module_unitary, pipe_chain_source,
+    unitary_of,
+)
 
-H, X, Z, S, SDG, T, TDG, P, SWAP = (
-    GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
+H, X, Y, Z, S, SDG, T, TDG, P, SWAP = (
+    GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
     GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
 )
 
@@ -449,6 +452,94 @@ def test_decompose_preserves_unitary_random():
         decompose_multicontrol(m)
         verify_circuit(m)
         assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
+
+
+# (kind, controls) of the gates the phase-folding tests draw from.
+_CLASSICAL = [(X, 0), (X, 1), (SWAP, 0), (X, 2), (SWAP, 1)]
+_DIAGONAL = [(Z, 0), (S, 0), (SDG, 0), (T, 0), (TDG, 0), (P, 0), (Z, 1),
+             (P, 1)]
+_ANY = _CLASSICAL + _DIAGONAL + [(H, 0), (Y, 0)]
+
+
+def _random_gates(rng, wires, kinds, count):
+    gates = []
+    for _ in range(count):
+        kind, nc = kinds[int(rng.integers(0, len(kinds)))]
+        size = nc + (2 if kind is SWAP else 1)
+        if size > len(wires):
+            continue
+        qs = [int(q) for q in rng.choice(wires, size=size, replace=False)]
+        param = 0.0
+        if kind is P:  # half the angles are multiples of pi/4
+            param = float(rng.uniform(-math.pi, math.pi)) if rng.random() < 0.5 \
+                else int(rng.integers(-8, 9)) * math.pi / 4
+        gates.append(Gate(kind, tuple(qs[nc:]), tuple(qs[:nc]), param))
+    return gates
+
+
+def test_fold_phases_is_exact_up_to_global_phase_random():
+    # Rounds of any gates on the parameters, then a diagonal middle on all
+    # wires between a classical computation and its mirror, so the qalloc'd
+    # ancillas end in |0>.
+    rng = np.random.default_rng(11)
+    removed = 0
+    for trial in range(80):
+        n, anc = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        gates = []
+        for _ in range(int(rng.integers(1, 4))):
+            gates += _random_gates(rng, range(n), _ANY, int(rng.integers(0, 12)))
+            compute = _random_gates(rng, range(n + anc), _CLASSICAL,
+                                    int(rng.integers(0, 8)))
+            gates += compute + _random_gates(
+                rng, range(n + anc), _DIAGONAL, int(rng.integers(0, 12)))
+            gates += adjoint_gates(compute)
+        m = QCircModule({"main": gates_to_fn("main", n, gates, anc)}, "main")
+        want, before = module_unitary(m.entry_fn), gate_count(m)
+        fold_phases(m)
+        verify_circuit(m)
+        assert gate_count(m) <= before
+        assert equal_up_to_global_phase(module_unitary(m.entry_fn), want)
+        removed += before - gate_count(m)
+        text = print_qcirc(m)
+        fold_phases(m)
+        assert print_qcirc(m) == text  # one pass reaches a fixpoint
+    assert removed > 0
+
+
+def test_fold_phases_emits_each_term_once_as_clifford_t():
+    # T on a parameter and P(pi/2) on its copy in an ancilla make 3pi/4 on
+    # one parity, emitted as s then t at the T; the phases on the other
+    # ancilla's constant parity are global and go.
+    gates = [g(T, 0), g(X, 1, controls=(0,)), g(P, 1, param=math.pi / 2),
+             g(X, 1, controls=(0,)), g(X, 2), g(T, 2), g(S, 2), g(X, 2)]
+    m = QCircModule({"main": gates_to_fn("main", 1, gates, 2)}, "main")
+    fold_phases(m)
+    ops = [op for op in m.entry_fn.ops if op.kind == "gate"]
+    assert [(op.gate, op.num_controls) for op in ops] == [
+        (S, 0), (T, 0), (X, 1), (X, 1), (X, 0), (X, 0)]
+    assert ops[0].operands == (0,) and ops[1].operands == ops[0].results
+    assert peephole(m).entry_fn.count_gates() == 2
+
+
+@pytest.mark.parametrize("flips", [20, 21])
+def test_pipe_chain_folds_to_its_flip_parity(flips):
+    rng = np.random.default_rng(flips)
+    stages = [f"{kind}{int(rng.integers(0, 4))}"
+              for kind in ["flip"] * flips + ["keep"] * (40 - flips)]
+    rng.shuffle(stages)
+    src = pipe_chain_source(stages)
+    m = compile_to_circuit(src, "pipe.qw", Options())
+    assert [(op.gate, op.num_controls) for op in m.entry_fn.ops
+            if op.kind == "gate"] == [(X, 0)] * (flips % 2)
+    # -O0 folds nothing: each flip is x; p and each keep x; p; x; p.
+    m = compile_to_circuit(src, "pipe.qw", Options(opt_level=0))
+    assert gate_count(m) == 2 * flips + 4 * (40 - flips)
+
+
+def test_grover_n8_counts_are_unchanged_by_folding():
+    path = BENCH / "grover.qw"
+    stats = stats_for(path.read_text(), str(path), Options(dims={"N": 8}))
+    assert (stats.gates, stats.t_count, stats.cx_count) == (760, 285, 285)
 
 
 @pytest.mark.parametrize("stmt", [

@@ -24,7 +24,10 @@ from qbc.synth import (
     synth_permutation, StdEntry,
 )
 
-from oracles import gates_to_fn, module_unitary, translation_unitary, unitary_of
+from oracles import (
+    gates_to_fn, module_unitary, pipe_chain_source, translation_unitary,
+    unitary_of,
+)
 
 STD, PM, IJ, FOURIER = Prim.STD, Prim.PM, Prim.IJ, Prim.FOURIER
 
@@ -198,16 +201,7 @@ def test_translation_is_memoized_on_the_basis_pair():
 def test_translation_cache_misses_once_per_distinct_pair():
     # 40 stage calls over four distinct translations, plus the measurement's
     # std[1] rotation: five pairs, so five misses and 36 hits.
-    defs = []
-    for v in range(2):
-        a, b = f"pi * {v + 1} / 8", f"pi * {v + 5} / 8"
-        defs.append(f"qpu flip{v}(q: qubit[1]) -> qubit[1] rev {{\n"
-                    f"    q | ({{'0', '1'}} >> {{'1' @ ({a}), '0'}})\n}}\n")
-        defs.append(f"qpu keep{v}(q: qubit[1]) -> qubit[1] rev {{\n"
-                    f"    q | ({{'0', '1'}} >> {{'0' @ ({a}), '1' @ ({b})}})\n}}\n")
-    calls = "".join(f"    | {s}\n" for s in ["flip0", "keep1", "keep0", "flip1"] * 10)
-    src = ("\n".join(defs) + "\nqpu main() -> bit[1] {\n    '0'\n" + calls
-           + "    | std.measure\n}\n")
+    src = pipe_chain_source(["flip0", "keep1", "keep0", "flip1"] * 10)
     lower_translation.cache_clear()
     compile_source(src, "pipe.qw", Options(), "qasm")
     info = lower_translation.cache_info()
