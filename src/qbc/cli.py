@@ -26,8 +26,6 @@ def _add_opt_flags(p: argparse.ArgumentParser) -> None:
                    default=1, help="disable gate-level optimization")
     p.add_argument("-O1", dest="opt_level", action="store_const", const=1,
                    help="enable gate-level optimization (default)")
-    p.add_argument("--no-inline", action="store_true",
-                   help="keep calls in the basis-level IR")
     p.add_argument("--no-decompose", action="store_true",
                    help="keep multi-controlled gates")
     p.add_argument("--reuse-qubits", action="store_true",
@@ -45,7 +43,6 @@ def _options(args) -> Options:
             raise SystemExit(EXIT_USAGE)
     return Options(
         opt_level=getattr(args, "opt_level", 1),
-        inline=not getattr(args, "no_inline", False),
         decompose=not getattr(args, "no_decompose", False),
         reuse_qubits=getattr(args, "reuse_qubits", False),
         dims=dims,

@@ -56,11 +56,11 @@ class _Lowerer:
             return self._qubit_literal(b, e)
         if isinstance(e, TensorNode):
             parts = [self.value(b, p, env) for p in e.parts]
-            (v,) = b.emit(
-                "qbpack", parts,
-                [qubit(sum(b.fn.types[p].dim for p in parts))],
-            )
-            return v
+            # Typechecking makes the parts all qubits or all bits.
+            dim = sum(b.fn.types[p].dim for p in parts)
+            if b.fn.types[parts[0]].kind == "bit":
+                return b.emit("bitpack", parts, [bit(dim)])[0]
+            return b.emit("qbpack", parts, [qubit(dim)])[0]
         if isinstance(e, PipeNode):
             v = self.value(b, e.value, env)
             fv = self.fn_value(b, e.fn, env)

@@ -1,8 +1,9 @@
 """
 Fixed compilation pipeline: parse -> expand -> typecheck -> flatten tensors
--> lower to basis IR -> lift/canonicalize/inline (unless disabled) ->
-specialize -> lower to gates -> fold phases and peephole (at -O1) ->
-multi-control decomposition (unless disabled) -> backend.
+-> lower to basis IR -> lift lambdas, canonicalize, reject recursion ->
+specialize each adjoint/predicated callee once -> inline -> lower to gates
+-> fold phases and peephole (at -O1) -> multi-control decomposition (unless
+disabled) -> backend.
 
 Each rewrite has one home. The front end typechecks the expanded program
 once, so diagnostics point into the source as written; the only AST rewrite,
@@ -32,8 +33,8 @@ from .printer import print_program
 from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
 from .qwir_passes import (
-    PassError, canonicalize_ir, generate_specializations, inline,
-    lift_lambdas, prune_unreachable,
+    PassError, canonicalize_ir, check_acyclic, generate_specializations,
+    inline, lift_lambdas, prune_unreachable,
 )
 from .typecheck import typecheck
 
@@ -41,7 +42,6 @@ from .typecheck import typecheck
 @dataclass
 class Options:
     opt_level: int = 1
-    inline: bool = True
     decompose: bool = True
     reuse_qubits: bool = False
     dims: dict[str, int] = field(default_factory=dict)
@@ -58,15 +58,15 @@ def to_qwir(tp, opts: Options) -> QwModule:
     m = lower_to_ir(tp)
     verify(m)
     try:
-        if opts.inline:
-            lift_lambdas(m)
-            canonicalize_ir(m)
-            inline(m)
-            verify(m)
+        lift_lambdas(m)
+        canonicalize_ir(m)
+        prune_unreachable(m)
+        check_acyclic(m)
         generate_specializations(m)
+        verify(m)
+        inline(m)
     except PassError as e:
         raise CompileError(Diagnostic("error", str(e), file=tp.file))
-    prune_unreachable(m)
     verify(m)
     return m
 

@@ -1,10 +1,11 @@
 """
 Rewrites on the basis-level IR: adjointing and predicating single blocks,
-lambda lifting, canonicalization, inlining, and the generation of the
-adjoint and predicated functions that decorated calls still need.
+lambda lifting, canonicalization, the adjoint and predicated forms of
+functions, and inlining.
 
-``inline`` expects a canonicalized module (``canonicalize_ir``); the one
-input it rejects is a recursive call cycle reachable from the entry.
+The pipeline lifts lambdas, canonicalizes, rejects call cycles
+(``check_acyclic``), makes each adjoint or predicated form a decorated call
+needs once (``generate_specializations``), then inlines (``inline``).
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def _lift_in_block(m: QwModule, fn: QwFunc, block: QwBlock, counter: list[int]) 
 
 
 def _lift_one(m: QwModule, fn: QwFunc, op: QwOp, counter: list[int]) -> None:
-    sym = f"{fn.name}__lambda{counter[0]}"
+    sym = f"{fn.name}.lambda{counter[0]}"
     counter[0] += 1
     # Region values move into a fresh function with remapped ids.
     new_fn = QwFunc(sym, [], [], fn.types[op.results[0]].rev, QwBlock())
@@ -579,34 +580,24 @@ def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
     return clone(block)
 
 
-def specialize_block(fn: QwFunc, callee: QwFunc, adj: bool,
-                     pred: Optional[Basis]) -> QwBlock:
-    """Clone callee's block into fn's value space, adjointed/predicated."""
-    block = _clone_into(fn, callee, callee.block)
-    if adj:
-        block = adjoint_block(fn, block)
-    if pred is not None:
-        block = predicate_block(fn, block, pred)
-    return block
-
-
 def inline(m: QwModule) -> None:
-    """Inline every call (transforming callees for adj/pred), then drop the
-    functions the entry no longer reaches.
+    """Inline every call, then drop the functions the entry no longer
+    reaches.
 
-    ``m`` must already be canonicalized (``canonicalize_ir``). Each round
-    splices every call of every function, and every call inside a spliced
-    body, then canonicalizes the functions it changed; resolving a
+    ``m`` must already be canonicalized (``canonicalize_ir``). A splice
+    copies the body of the function the call runs (``_specialize``). Each
+    round splices every call of every function, and every call inside a
+    spliced body, then canonicalizes the functions it changed; resolving a
     ``call_indirect`` there can leave new calls for the next round. The one
     error is a call cycle reachable from the entry, which raises
     ``PassError`` before anything is spliced.
     """
     prune_unreachable(m)
-    _check_acyclic(m)
+    check_acyclic(m)
     pending = True
     while pending:
         pending = False
-        for fn in m.functions.values():
+        for fn in list(m.functions.values()):
             subst: dict[int, int] = {}
             if _splice_calls(m, fn, fn.block, subst):
                 _canonicalize_fn(fn, subst)
@@ -616,9 +607,9 @@ def inline(m: QwModule) -> None:
 
 def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
                   subst: dict[int, int]) -> bool:
-    """Replace each call in ``block`` and its regions by the callee's
-    specialized body, visiting the spliced ops next; returns whether any
-    call was spliced.
+    """Replace each call in ``block`` and its regions by a copy of the body
+    of the function it runs, visiting the spliced ops next; returns whether
+    any call was spliced.
 
     ``subst`` maps the body's args to the call's operands and the call's
     results to the values the body returns.
@@ -630,8 +621,11 @@ def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
         op = todo.pop()
         op.operands = [_lookup(subst, v) for v in op.operands]
         if op.kind == "call":
-            body = specialize_block(fn, m.functions[op.attrs["sym"]],
-                                    op.attrs.get("adj", False), op.attrs.get("pred"))
+            # A call still decorated here was exposed after round one, when
+            # every body it can name has been spliced, so its form is not
+            # cloned from a retargeted call.
+            callee = _specialize(m, op)
+            body = _clone_into(fn, callee, callee.block)
             subst.update(zip(body.args, op.operands))
             subst.update(zip(op.results, body.ops[-1].operands))
             todo.extend(reversed(body.ops[:-1]))
@@ -644,7 +638,7 @@ def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
     return spliced
 
 
-def _check_acyclic(m: QwModule) -> None:
+def check_acyclic(m: QwModule) -> None:
     """Raise PassError on a cycle of calls and function values reachable
     from the entry, naming it; an iterative depth-first search."""
     on_path: dict[str, bool] = {}  # True while on the path, False once done
@@ -681,43 +675,49 @@ def prune_unreachable(m: QwModule) -> None:
 # Specialization
 
 
+def _form_name(call: QwOp) -> str:
+    """The name of the function ``call`` runs. An adjoint or predicated form
+    spells its whole (callee, adj, pred) key, joined by ``.``, which no
+    identifier holds, so ``m.functions`` is the cache of forms."""
+    pred = call.attrs.get("pred")
+    return (call.attrs["sym"] + (".adj" if call.attrs.get("adj") else "")
+            + ("" if pred is None else f".pred{pred}"))
+
+
+def _specialize(m: QwModule, call: QwOp) -> QwFunc:
+    """The function ``call`` runs: its callee, or the callee's adjoint and/or
+    predicated form, which is made the first time a call asks for it."""
+    name = _form_name(call)
+    if name not in m.functions:
+        callee = m.functions[call.attrs["sym"]]
+        if not callee.reversible:
+            raise PassError(f"cannot specialize irreversible @{callee.name}")
+        fn = QwFunc(name, [], [], True, QwBlock())
+        block = _clone_into(fn, callee, callee.block)
+        if call.attrs.get("adj"):
+            block = adjoint_block(fn, block)
+        if call.attrs.get("pred") is not None:
+            block = predicate_block(fn, block, call.attrs["pred"])
+        _add_function(m, fn, block)
+    return m.functions[name]
+
+
 def generate_specializations(m: QwModule) -> None:
-    """Materialize the adjoint/predicated variant of each decorated call's
-    callee and retarget the call at a plain forward call of it.
+    """Make the adjoint/predicated form of each decorated call's callee,
+    then retarget every call at a forward call of the function it runs.
 
-    Runs to a closure: a generated body may hold decorated calls itself.
+    ``m`` must be free of call cycles (``check_acyclic``). Forms are made to
+    a closure, as a form may hold decorated calls itself, and all of them
+    before any call is retargeted, so each is cloned from a body whose
+    decorated calls still name the function they decorate.
     """
-    generated: dict[tuple, str] = {}
-    work = True
+    calls: list[QwOp] = []
+    work = list(m.functions.values())
     while work:
-        work = False
-        for fn in list(m.functions.values()):
-            for op in _iter_ops(fn.block):
-                if op.kind != "call":
-                    continue
-                adj = op.attrs.get("adj", False)
-                pred = op.attrs.get("pred")
-                if not adj and pred is None:
-                    continue
-                callee = m.functions[op.attrs["sym"]]
-                if not callee.reversible:
-                    raise PassError(
-                        f"cannot specialize irreversible @{callee.name}"
-                    )
-                key = (callee.name, adj, str(pred) if pred is not None else "")
-                if key not in generated:
-                    sym = callee.name + ("__adj" if adj else "")
-                    if pred is not None:
-                        sym += f"__ctrl{pred.dim}_{_basis_slug(pred)}"
-                    new_fn = QwFunc(sym, [], [], callee.reversible, QwBlock())
-                    _add_function(m, new_fn,
-                                  specialize_block(new_fn, callee, adj, pred))
-                    generated[key] = sym
-                    work = True
-                op.attrs = {"sym": generated[key], "adj": False, "pred": None}
-
-
-def _basis_slug(b: Basis) -> str:
-    import hashlib
-
-    return hashlib.sha1(str(b).encode()).hexdigest()[:6]
+        for op in _iter_ops(work.pop().block):
+            if op.kind == "call":
+                calls.append(op)
+                if _form_name(op) not in m.functions:
+                    work.append(_specialize(m, op))
+    for op in calls:
+        op.attrs = {"sym": _form_name(op), "adj": False, "pred": None}

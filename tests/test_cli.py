@@ -50,10 +50,25 @@ def test_non_utf8_input_is_a_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"qbc: {path}: not UTF-8")
 
 
-def test_gate_lowering_error_names_the_file(capsys):
-    path = str(BENCH / "bell.qw")
-    assert main(["compile", path, "--no-inline"]) == 1
-    assert capsys.readouterr().err.startswith(f"{path}: error:")
+# A function-valued conditional nested in another reaches gate lowering,
+# which supports one level of conditions.
+NESTED_COND = """
+qpu g(q: qubit[1]) -> qubit[1] rev { q | std.flip }
+qpu h(q: qubit[1]) -> qubit[1] rev { q | ({'0', '1'} >> {'0', '1' @ (pi/2)}) }
+qpu main() -> bit[2] {
+    let m = '0' | std.measure;
+    let n = '1' | std.measure;
+    ('1' + '0') | ~({'1'} & (h if m else (g if n else ~h))) | std[2].measure
+}
+"""
+
+
+def test_gate_lowering_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "nested.qw"
+    path.write_text(NESTED_COND)
+    assert main(["compile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: error: nested conditionals are not supported")
 
 
 def test_stats_prints_circuit_counts(capsys):
@@ -65,25 +80,34 @@ def test_stats_prints_circuit_counts(capsys):
     assert lines == ["gates=248", "t_count=93", "cx_count=93", "qubits=13"]
 
 
-def test_stats_reports_gate_lowering_error(capsys):
-    path = str(BENCH / "bell.qw")
-    assert main(["stats", path, "--no-inline"]) == 1
+def test_stats_reports_gate_lowering_error(tmp_path, capsys):
+    path = tmp_path / "nested.qw"
+    path.write_text(NESTED_COND)
+    assert main(["stats", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"{path}: error: residual lambda op")
+    assert captured.err.startswith(
+        f"{path}: error: nested conditionals are not supported")
     assert captured.out == ""
 
 
 def test_recursion_is_a_diagnostic(tmp_path, capsys):
+    main_f = "qpu main() -> bit[1] { '0' | f | std.measure }\n"
     cases = {
-        "self.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | f }\n",
+        "self.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | f }\n" + main_f,
                     "@f -> @f"),
         "mutual.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | g }\n"
-                      "qpu g(q: qubit[1]) -> qubit[1] rev { q | f }\n",
+                      "qpu g(q: qubit[1]) -> qubit[1] rev { q | f }\n" + main_f,
                       "@f -> @g -> @f"),
+        # The cycle names the user's function, not its predicated and
+        # adjoint forms.
+        "specialized.qw": ("qpu g(q: qubit[1]) -> qubit[1] rev { q | ~g }\n"
+                           "qpu main() -> bit[2] "
+                           "{ '10' | ({'1'} & g) | std[2].measure }\n",
+                           "@g -> @g"),
     }
-    for name, (helpers, cycle) in cases.items():
+    for name, (source, cycle) in cases.items():
         path = tmp_path / name
-        path.write_text(helpers + "qpu main() -> bit[1] { '0' | f | std.measure }\n")
+        path.write_text(source)
         assert main(["compile", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"{path}: error: recursive call cycle {cycle}\n"

@@ -395,3 +395,15 @@ def test_non_ascii_digit_is_a_diagnostic(tmp_path, capsys, src, where):
     assert main(["compile", str(path)]) == 1
     assert capsys.readouterr().err == \
         f"{path}:{where}: error: unexpected character '²'\n"
+
+
+def test_tensor_of_measured_bits_compiles(tmp_path):
+    path = tmp_path / "bits.qw"
+    path.write_text("qpu main() -> bit[2] {\n"
+                    "    let m: bit[1] = 'p' | std.measure;\n"
+                    "    let r: bit[1] = 'p' | std.measure;\n"
+                    "    m + r\n}\n")
+    assert main(["compile", str(path)]) == 0
+    qc = compile_to_circuit(path.read_text(), str(path), Options())
+    assert distribution(qc) == {k: pytest.approx(0.25)
+                                for k in ("00", "01", "10", "11")}

@@ -362,7 +362,7 @@ def test_lift_and_canonicalize_to_direct_call():
     m = _module_with_lambda()
     verify(m)
     lift_lambdas(m)
-    assert any(name.startswith("main__lambda") for name in m.functions)
+    assert any(name.startswith("main.lambda") for name in m.functions)
     canonicalize_ir(m)
     kinds = [op.kind for op in m.functions["main"].block.ops]
     assert "call" in kinds and "call_indirect" not in kinds
@@ -493,9 +493,9 @@ def _forward_calls_only(m: QwModule) -> bool:
 def test_specialization_transitive_adjoint():
     m = _chain_module()
     generate_specializations(m)
-    # f calls adj g, and g__adj calls adj h: the adjoint is transitive.
-    assert {"g__adj", "h__adj"} <= set(m.functions)
-    assert not any(name.startswith("f__") for name in m.functions)
+    # f calls adj g, and g.adj calls adj h: the adjoint is transitive.
+    assert {"g.adj", "h.adj"} <= set(m.functions)
+    assert not any(name.startswith("f.") for name in m.functions)
     # Closure: a second run adds nothing.
     names = set(m.functions)
     generate_specializations(m)
@@ -507,8 +507,8 @@ def test_generate_specializations_materializes_and_retargets():
     generate_specializations(m)
     verify(m)
     assert _forward_calls_only(m)
-    # The adjoint specialization of h exists because g__adj calls it.
-    assert "h__adj" in m.functions
+    # The adjoint specialization of h exists because g.adj calls it.
+    assert "h.adj" in m.functions
     # Retargeted calls stay forward on a second run.
     names = set(m.functions)
     generate_specializations(m)
@@ -540,7 +540,7 @@ def test_generate_specializations_pred_of_adj_accumulates():
     generate_specializations(m)
     verify(m)
     assert _forward_calls_only(m)
-    for prefix in ("f__ctrl2_", "g__adj__ctrl2_", "h__adj__ctrl2_"):
+    for prefix in ("f.pred{", "g.adj.pred{", "h.adj.pred{"):
         assert any(name.startswith(prefix) for name in m.functions), prefix
 
 
@@ -585,6 +585,66 @@ def test_inline_nested_helpers_and_their_inverses(body, want):
     src = NESTED_HELPERS + f"qpu main() -> bit[{len(want)}] {{\n    {body}\n}}\n"
     qc = compile_to_circuit(src, "nested.qw", Options())
     assert distribution(qc) == {want: pytest.approx(1.0)}
+
+
+SHADOWED_IDENTITY = """
+qpu {name}(q: qubit[1]) -> qubit[1] rev {{
+    q
+}}
+qpu main() -> bit[2] {{
+    '00' | ({name} + id[1]) | ({{'1'}} & std.flip) | std[2].measure
+}}
+"""
+
+SHADOWED_ADJOINT = """
+qpu g(q: qubit[1]) -> qubit[1] rev {
+    q | ({'0', '1'} >> {'0', '1' @ (pi/2)})
+}
+qpu g__adj(q: qubit[1]) -> qubit[1] rev {
+    q | std.flip
+}
+qpu main() -> bit[2] {
+    ('0' + 'p') | (g__adj + ~g) | (id[1] + g) | (id[1] + (pm >> std))
+        | std[2].measure
+}
+"""
+
+
+# Generated functions are named with a '.', which no identifier holds: main's
+# third lambda (std.flip) is main.lambda2 and the adjoint of g is g.adj, so
+# the user's functions keep their bodies.
+@pytest.mark.parametrize("src, want", [
+    (SHADOWED_IDENTITY.format(name="main__lambda2"), "00"),
+    (SHADOWED_IDENTITY.format(name="main__lambda3"), "00"),
+    (SHADOWED_ADJOINT, "10"),
+], ids=["main__lambda2", "main__lambda3", "g__adj"])
+def test_generated_functions_do_not_shadow_user_functions(src, want):
+    from qbc.pipeline import Options, compile_to_circuit
+    from qbc.run import distribution
+
+    qc = compile_to_circuit(src, "shadow.qw", Options())
+    assert distribution(qc) == {want: pytest.approx(1.0)}
+
+
+def test_each_specialization_is_made_once(monkeypatch):
+    from qbc import qwir_passes
+    from qbc.pipeline import Options, compile_to_circuit
+    from qbc.run import distribution
+
+    made = []
+
+    def counting(fn, block):
+        made.append(fn.name)
+        return adjoint_block(fn, block)
+
+    monkeypatch.setattr(qwir_passes, "adjoint_block", counting)
+    src = NESTED_HELPERS + ("qpu main() -> bit[1] {\n"
+                            "    '0' | ~g | ~g | g | g | std.measure\n}\n")
+    qc = compile_to_circuit(src, "twice.qw", Options())
+    assert distribution(qc) == {"0": pytest.approx(1.0)}
+    # Two ~g call sites, one adjoint of g (and one of each function g calls).
+    assert made.count("g.adj") == 1
+    assert len(made) == len(set(made))
 
 
 COND_HELPERS = """
