@@ -4,19 +4,31 @@ decomposed gate module, plus a reader for the emitted OpenQASM subset used
 to round-trip register allocation.
 
 Both emitters are deterministic: identical modules produce byte-identical
-text. Register indices are assigned in allocation order; freed indices are
-reused only when requested. A qubit value's register is that of the
-``qalloc`` its wire began at, read from ``qcirc.wire_starts``.
+text. Register indices are assigned in allocation order; with
+``reuse_qubits``, an index freed by a ``qfreez`` (a qubit known to be |0>)
+is reused, and a measured or ``qfree``d one never is. A qubit value's
+register is that of the ``qalloc`` its wire began at, read from
+``qcirc.wire_starts``.
+
+The gate vocabulary lives in ``qcirc``: OpenQASM names are ``GateKind``
+values (with a ``c`` prefix or ``cp(qcirc.PHASE)`` for one control and
+``ctrl(k) @`` beyond), the reader inverts that naming, and the QIR writer
+maps each (kind, controls) pair it can call to one intrinsic.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from .qcirc import (
-    N_TARGETS, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
-    wire_starts,
+    N_TARGETS, PHASE, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
+    g, wire_starts,
+)
+
+
+X, Y, Z, H, S, SDG, T, TDG, P, SWAP = (
+    GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG,
+    GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
 )
 
 
@@ -29,9 +41,11 @@ def _allocate(fn: QCircFn, reuse: bool):
     slot of every measured bit.
 
     Each ``qalloc`` takes the next fresh index or, with ``reuse``, the index
-    freed longest ago by a ``measure``, ``qfree`` or ``qfreez``. Every other
-    qubit value has the index of the ``qalloc`` its wire began at
-    (``wire_starts``).
+    freed longest ago by a ``qfreez``, whose qubit is known to be |0>. A
+    measured or ``qfree``d qubit is left in an unknown state, and Base-Profile
+    QIR forbids using a qubit after it is measured, so its index is never
+    reused. Every other qubit value has the index of the ``qalloc`` its wire
+    began at (``wire_starts``).
     """
     start = wire_starts(fn)
     reg: dict[int, int] = {}  # qalloc result -> register index
@@ -45,28 +59,16 @@ def _allocate(fn: QCircFn, reuse: bool):
             else:
                 reg[op.results[0]] = total
                 total += 1
-        elif op.kind in ("measure", "qfree", "qfreez"):
+        elif op.kind == "qfreez":
             free.append(reg[start[op.operands[0]]])
-            if op.kind == "measure":
-                creg[op.results[0]] = len(creg)
+        elif op.kind == "measure":
+            creg[op.results[0]] = len(creg)
     index_of = {v: reg[s] for v, s in start.items()}
     return index_of, total, creg
 
 
-_PLAIN = {
-    GateKind.X: "x", GateKind.Y: "y", GateKind.Z: "z", GateKind.H: "h",
-    GateKind.S: "s", GateKind.SDG: "sdg", GateKind.T: "t", GateKind.TDG: "tdg",
-}
-
-_CTRL1 = {
-    GateKind.X: "cx", GateKind.Y: "cy", GateKind.Z: "cz", GateKind.H: "ch",
-    GateKind.SWAP: "cswap",
-}
-
-_CTRL1_PHASE = {
-    GateKind.S: math.pi / 2, GateKind.SDG: -math.pi / 2,
-    GateKind.T: math.pi / 4, GateKind.TDG: -math.pi / 4,
-}
+# The kinds stdgates.inc has a one-control gate for, named with a "c".
+_C_PREFIXED = (X, Y, Z, H, SWAP)
 
 
 def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
@@ -97,43 +99,37 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
     return "\n".join(lines) + "\n"
 
 
-def _fmt_angle(theta: float) -> str:
-    return repr(theta)
-
-
 def _qasm_gate(op: QOp, index_of: dict[int, int], allow_multi: bool) -> str:
-    qs = [index_of[v] for v in op.operands]
-    ctrls, tgts = qs[: op.num_controls], qs[op.num_controls:]
-    args = ", ".join(f"q[{i}]" for i in ctrls + tgts)
-    kind = op.gate
-    if op.num_controls == 0:
-        if kind is GateKind.P:
-            return f"p({_fmt_angle(op.param)}) {args};"
-        if kind is GateKind.SWAP:
-            return f"swap {args};"
-        return f"{_PLAIN[kind]} {args};"
-    if op.num_controls == 1:
-        if kind is GateKind.P:
-            return f"cp({_fmt_angle(op.param)}) {args};"
-        if kind in _CTRL1_PHASE:
-            return f"cp({_fmt_angle(_CTRL1_PHASE[kind])}) {args};"
-        return f"{_CTRL1[kind]} {args};"
+    args = ", ".join(f"q[{index_of[v]}]" for v in op.operands)
+    kind, nctrl = op.gate, op.num_controls
+    name = kind.value
+    if kind is P:
+        name += f"({op.param!r})"
+    if nctrl == 0:
+        return f"{name} {args};"
+    if nctrl == 1:
+        if kind in _C_PREFIXED:
+            return f"c{name} {args};"
+        return f"cp({PHASE.get(kind, op.param)!r}) {args};"
     if not allow_multi:
         raise BackendError(
             "gate with multiple controls survived; run multi-control "
             "decomposition or pass the flag that permits ctrl @"
         )
-    if kind is GateKind.P:
-        base = f"p({_fmt_angle(op.param)})"
-    elif kind in _PLAIN:
-        base = _PLAIN[kind]
-    else:
-        base = "swap"
-    return f"ctrl({op.num_controls}) @ {base} {args};"
+    return f"ctrl({nctrl}) @ {name} {args};"
 
 
 # ---------------------------------------------------------------------------
 # OpenQASM subset reader (round-trips what emit_qasm3 produces)
+
+
+# Gate name -> (kind, controls): the inverse of ``_qasm_gate``'s naming, and
+# stdgates.inc's Toffoli.
+_QASM_GATES = (
+    {kind.value: (kind, 0) for kind in GateKind}
+    | {"c" + kind.value: (kind, 1) for kind in _C_PREFIXED}
+    | {"cp": (P, 1), "ccx": (X, 2)}
+)
 
 
 def read_qasm3(text: str) -> QCircModule:
@@ -198,18 +194,9 @@ def read_qasm3(text: str) -> QCircModule:
             param = float(param_s) if param_s else 0.0
         except ValueError:  # the emitter writes angles as float reprs
             raise BackendError(f"angle is not a number: {stmt}") from None
-        table = {
-            "x": (GateKind.X, 0), "y": (GateKind.Y, 0), "z": (GateKind.Z, 0),
-            "h": (GateKind.H, 0), "s": (GateKind.S, 0), "sdg": (GateKind.SDG, 0),
-            "t": (GateKind.T, 0), "tdg": (GateKind.TDG, 0),
-            "p": (GateKind.P, 0), "swap": (GateKind.SWAP, 0),
-            "cx": (GateKind.X, 1), "cy": (GateKind.Y, 1), "cz": (GateKind.Z, 1),
-            "ch": (GateKind.H, 1), "cp": (GateKind.P, 1),
-            "cswap": (GateKind.SWAP, 1), "ccx": (GateKind.X, 2),
-        }
-        if name not in table:
+        if name not in _QASM_GATES:
             raise BackendError(f"unknown gate {name}")
-        kind, nctrl = table[name]
+        kind, nctrl = _QASM_GATES[name]
         if nctrl_mod is not None:
             nctrl = int(nctrl_mod)
         if len(idxs) != nctrl + N_TARGETS[kind] or len(set(idxs)) != len(idxs):
@@ -242,65 +229,48 @@ def read_qasm3(text: str) -> QCircModule:
 # Base-Profile QIR
 
 
-_QIR_PLAIN = {
-    GateKind.X: "x", GateKind.Y: "y", GateKind.Z: "z", GateKind.H: "h",
-    GateKind.S: "s", GateKind.T: "t",
+# (kind, controls) -> the Base-Profile intrinsic it calls, after
+# ``__quantum__qis__``. P is rz, equal up to a global phase.
+_QIR_INTRINSICS = {
+    (X, 0): "x__body", (Y, 0): "y__body", (Z, 0): "z__body",
+    (H, 0): "h__body", (S, 0): "s__body", (SDG, 0): "s__adj",
+    (T, 0): "t__body", (TDG, 0): "t__adj", (P, 0): "rz__body",
+    (X, 1): "cnot__body", (Z, 1): "cz__body", (X, 2): "ccx__body",
 }
-_QIR_ADJ = {GateKind.SDG: "s", GateKind.TDG: "t"}
 
 
-def _legalize_for_qir(op: QOp) -> list[tuple[GateKind, int, tuple, float]]:
-    """Split a gate into (kind, nctrl, operand positions, param) pieces that
-    map directly onto Base-Profile intrinsics."""
+def _legalize_for_qir(op: QOp) -> list[Gate]:
+    """The gate as gates over its operand positions (controls first) that
+    each have an intrinsic in ``_QIR_INTRINSICS``."""
     kind, nctrl = op.gate, op.num_controls
     qs = tuple(range(len(op.operands)))
     ctrls, tgts = qs[:nctrl], qs[nctrl:]
-    out: list[tuple[GateKind, int, tuple, float]] = []
-
-    def cp(theta: float, c: int, t: int) -> None:
-        out.append((GateKind.P, 0, (c,), theta / 2))
-        out.append((GateKind.X, 1, (c, t), 0.0))
-        out.append((GateKind.P, 0, (t,), -theta / 2))
-        out.append((GateKind.X, 1, (c, t), 0.0))
-        out.append((GateKind.P, 0, (t,), theta / 2))
-
-    if nctrl == 0:
-        if kind is GateKind.SWAP:
-            a, b = tgts
-            out += [(GateKind.X, 1, (a, b), 0.0), (GateKind.X, 1, (b, a), 0.0),
-                    (GateKind.X, 1, (a, b), 0.0)]
-        else:
-            out.append((kind, 0, tgts, op.param))
-    elif nctrl == 1:
-        c = ctrls[0]
-        if kind in (GateKind.X, GateKind.Z):
-            out.append((kind, 1, (c,) + tgts, 0.0))
-        elif kind is GateKind.Y:
-            t = tgts[0]
-            out += [(GateKind.SDG, 0, (t,), 0.0), (GateKind.X, 1, (c, t), 0.0),
-                    (GateKind.S, 0, (t,), 0.0)]
-        elif kind is GateKind.H:
-            t = tgts[0]
-            out += [(GateKind.S, 0, (t,), 0.0), (GateKind.H, 0, (t,), 0.0),
-                    (GateKind.T, 0, (t,), 0.0), (GateKind.X, 1, (c, t), 0.0),
-                    (GateKind.TDG, 0, (t,), 0.0), (GateKind.H, 0, (t,), 0.0),
-                    (GateKind.SDG, 0, (t,), 0.0)]
-        elif kind is GateKind.P:
-            cp(op.param, c, tgts[0])
-        elif kind in _CTRL1_PHASE:
-            cp(_CTRL1_PHASE[kind], c, tgts[0])
-        elif kind is GateKind.SWAP:
-            a, b = tgts
-            out += [(GateKind.X, 1, (b, a), 0.0), (GateKind.X, 2, (c, a, b), 0.0),
-                    (GateKind.X, 1, (b, a), 0.0)]
-    elif nctrl == 2 and kind is GateKind.X:
-        out.append((GateKind.X, 2, qs, 0.0))
-    else:
+    if (kind, nctrl) in _QIR_INTRINSICS:
+        return [Gate(kind, tgts, ctrls, op.param)]
+    if nctrl == 0:  # SWAP
+        a, b = tgts
+        return [g(X, b, controls=(a,)), g(X, a, controls=(b,)),
+                g(X, b, controls=(a,))]
+    if nctrl > 1:
         raise BackendError(
             "multi-controlled gate survived; run decomposition before the "
             "QIR backend"
         )
-    return out
+    (c,) = ctrls
+    if kind is SWAP:
+        a, b = tgts
+        return [g(X, a, controls=(b,)), g(X, b, controls=(c, a)),
+                g(X, a, controls=(b,))]
+    (t,) = tgts
+    if kind is Y:
+        return [g(SDG, t), g(X, t, controls=(c,)), g(S, t)]
+    if kind is H:
+        return [g(S, t), g(H, t), g(T, t), g(X, t, controls=(c,)), g(TDG, t),
+                g(H, t), g(SDG, t)]
+    theta = PHASE.get(kind, op.param)
+    return [g(P, c, param=theta / 2), g(X, t, controls=(c,)),
+            g(P, t, param=-theta / 2), g(X, t, controls=(c,)),
+            g(P, t, param=theta / 2)]
 
 
 def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
@@ -332,36 +302,18 @@ def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
     for op in fn.ops:
         if op.kind == "gate":
             idxs = [index_of[v] for v in op.operands]
-            for kind, nctrl, pos, param in _legalize_for_qir(op):
-                args = [idxs[p] for p in pos]
-                if kind is GateKind.P:
-                    name = "__quantum__qis__rz__body"
-                    sig = "double, %Qubit*"
-                    call_args = f"double {_fmt_angle(param)}, {qref(args[0])}"
-                elif nctrl == 0 and kind in _QIR_PLAIN:
-                    name = f"__quantum__qis__{_QIR_PLAIN[kind]}__body"
-                    sig = "%Qubit*"
-                    call_args = qref(args[0])
-                elif nctrl == 0 and kind in _QIR_ADJ:
-                    name = f"__quantum__qis__{_QIR_ADJ[kind]}__adj"
-                    sig = "%Qubit*"
-                    call_args = qref(args[0])
-                elif nctrl == 1 and kind is GateKind.X:
-                    name = "__quantum__qis__cnot__body"
-                    sig = "%Qubit*, %Qubit*"
-                    call_args = f"{qref(args[0])}, {qref(args[1])}"
-                elif nctrl == 1 and kind is GateKind.Z:
-                    name = "__quantum__qis__cz__body"
-                    sig = "%Qubit*, %Qubit*"
-                    call_args = f"{qref(args[0])}, {qref(args[1])}"
-                elif nctrl == 2 and kind is GateKind.X:
-                    name = "__quantum__qis__ccx__body"
-                    sig = "%Qubit*, %Qubit*, %Qubit*"
-                    call_args = ", ".join(qref(a) for a in args)
-                else:
-                    raise BackendError(f"no intrinsic for {kind} with {nctrl} controls")
-                used.add(f"declare void @{name}({sig})")
-                body.append(f"  call void @{name}({call_args})")
+            for gt in _legalize_for_qir(op):
+                name = _QIR_INTRINSICS[gt.kind, len(gt.controls)]
+                qubits = [idxs[p] for p in gt.controls + gt.targets]
+                sig = ["%Qubit*"] * len(qubits)
+                call_args = [qref(i) for i in qubits]
+                if gt.kind is P:
+                    sig.insert(0, "double")
+                    call_args.insert(0, f"double {gt.param!r}")
+                used.add(f"declare void @__quantum__qis__{name}"
+                         f"({', '.join(sig)})")
+                body.append(f"  call void @__quantum__qis__{name}"
+                            f"({', '.join(call_args)})")
         elif op.kind == "measure":
             qi = index_of[op.operands[0]]
             ri = creg[op.results[0]]

@@ -233,36 +233,6 @@ def _is_sorted_literal(e: BasisElement) -> bool:
     return all(v.phase is None for v in e.vectors) and bits == sorted(bits)
 
 
-def factor_full_span(bl: BasisLiteral, n: int) -> Optional[BasisLiteral]:
-    """Factor a fully-spanning n-qubit prefix from ``bl``; None on failure.
-
-    ``bl`` must be normalized. On success the remainder literal satisfies
-    span(bl) = (full n-qubit space) (x) span(remainder).
-    """
-    assert bl.dim > n
-    m = len(bl.vectors)
-    if m % (1 << n) != 0:
-        return None
-    prefixes = {v.eigenbits[:n] for v in bl.vectors}
-    if len(prefixes) < (1 << n):
-        return None
-    suffix_counts: dict[str, int] = {}
-    for v in bl.vectors:
-        suf = v.eigenbits[n:]
-        suffix_counts[suf] = suffix_counts.get(suf, 0) + 1
-    if any(c < (1 << n) for c in suffix_counts.values()):
-        return None
-    # The >= checks plus pairwise-distinct eigenbits force exact counts.
-    assert len(prefixes) == 1 << n
-    assert all(c == 1 << n for c in suffix_counts.values())
-    remainder = tuple(
-        BasisVector(bl.prim, v.eigenbits[n:])
-        for v in bl.vectors
-        if v.eigenbits[:n] == "0" * n
-    )
-    return BasisLiteral(remainder)
-
-
 def factor_literal(bl: BasisLiteral, bl2: BasisLiteral) -> Optional[BasisLiteral]:
     """Factor literal ``bl2`` as a prefix of ``bl``; None on failure.
 
@@ -312,12 +282,10 @@ def factor_element(
         bigdeque.appendleft(BuiltinBasis(big.prim, delta))
         return True
     if fully_spans(small) and isinstance(big, BasisLiteral):
-        remainder = factor_full_span(big, small.dim)
-        if remainder is not None:
-            assert _is_sorted_literal(remainder)
-            bigdeque.appendleft(remainder)
-            return True
-        return False
+        # A fully spanning prefix is every vector of its dimension in big's
+        # prim; a literal is never Fourier, and the first of them is 0...0.
+        small = BasisLiteral(
+            tuple(builtin_vectors(BuiltinBasis(big.prim, small.dim))))
     if isinstance(big, BasisLiteral) and isinstance(small, BasisLiteral):
         remainder = factor_literal(big, small)
         if remainder is not None:

@@ -29,7 +29,7 @@ class _Unbound(Exception):
         self.name = name
 
 
-def eval_dim(d: DimExpr, env: dict[str, int]) -> int:
+def eval_dim(d: DimExpr, env: dict[str, int], file: str) -> int:
     if isinstance(d, DimLit):
         return d.value
     if isinstance(d, DimVar):
@@ -37,7 +37,7 @@ def eval_dim(d: DimExpr, env: dict[str, int]) -> int:
             raise _Unbound(d.name)
         return env[d.name]
     assert isinstance(d, DimBin)
-    a, b = eval_dim(d.left, env), eval_dim(d.right, env)
+    a, b = eval_dim(d.left, env, file), eval_dim(d.right, env, file)
     if d.op == "+":
         return a + b
     if d.op == "-":
@@ -45,28 +45,29 @@ def eval_dim(d: DimExpr, env: dict[str, int]) -> int:
     if d.op == "*":
         return a * b
     if b == 0 or a % b != 0:
-        raise err(f"dimension {a}/{b} is not an integer", d.pos)
+        raise err(f"dimension {a}/{b} is not an integer", d.pos, file)
     return a // b
 
 
-def _solve_dim(d: DimExpr, target: int, env: dict[str, int], pos: Pos) -> None:
+def _solve_dim(d: DimExpr, target: int, env: dict[str, int], pos: Pos,
+               file: str) -> None:
     """Unify eval(d) = target, binding at most one new variable (affine)."""
     try:
-        got = eval_dim(d, env)
+        got = eval_dim(d, env, file)
         if got != target:
-            raise err(f"dimension mismatch: expected {target}, found {got}", pos)
+            raise err(f"dimension mismatch: expected {target}, found {got}", pos, file)
         return
     except _Unbound as u:
         var = u.name
-    probe1 = eval_dim(d, {**env, var: 1})
-    probe2 = eval_dim(d, {**env, var: 2})
+    probe1 = eval_dim(d, {**env, var: 1}, file)
+    probe2 = eval_dim(d, {**env, var: 2}, file)
     slope = probe2 - probe1
     intercept = probe1 - slope
     if slope == 0 or (target - intercept) % slope != 0:
-        raise err(f"cannot solve dimension for {var}", pos)
+        raise err(f"cannot solve dimension for {var}", pos, file)
     value = (target - intercept) // slope
     if value < 1:
-        raise err(f"inferred non-positive dimension {var} = {value}", pos)
+        raise err(f"inferred non-positive dimension {var} = {value}", pos, file)
     env[var] = value
 
 
@@ -130,7 +131,7 @@ class Expander:
             if p.default is None:
                 raise err(f"entry capture '{p.name}' needs a default value", p.pos, self.file)
             if isinstance(p.default, BitsNode):
-                _solve_dim(p.type.dim, len(p.default.bits), dim_env, p.pos)
+                _solve_dim(p.type.dim, len(p.default.bits), dim_env, p.pos, self.file)
             captures[p.name] = p.default
         for name in main.dim_vars:
             if name not in dim_env:
@@ -183,9 +184,9 @@ class Expander:
                 continue
             ty = self._subst_type(p.type, dim_env)
             if p.type.kind == "qubit":
-                value_env[p.name] = _Info.value(eval_dim(ty.dim, {}))
+                value_env[p.name] = _Info.value(eval_dim(ty.dim, {}, self.file))
             elif p.type.kind == "bit":
-                value_env[p.name] = _Info(_BITS, out_dim=eval_dim(ty.dim, {}))
+                value_env[p.name] = _Info(_BITS, out_dim=eval_dim(ty.dim, {}, self.file))
             else:
                 value_env[p.name] = _Info(_ANGLE)
             new_params.append(ParamNode(p.name, ty, None, pos=p.pos))
@@ -204,7 +205,7 @@ class Expander:
         if t.kind == "angle":
             return t
         try:
-            dim = eval_dim(t.dim, dim_env)
+            dim = eval_dim(t.dim, dim_env, self.file)
         except _Unbound as u:
             raise err(f"dimension variable {u.name} is unbound", t.pos, self.file)
         if dim < 1:
@@ -320,7 +321,7 @@ class Expander:
                 ty = e.types[0]
                 if ty is not None:
                     ty = self._subst_type(ty, dims)
-                    if eval_dim(ty.dim, {}) != vi.out_dim:
+                    if eval_dim(ty.dim, {}, self.file) != vi.out_dim:
                         raise err("let type does not match value", e.pos, self.file)
                 inner_env[e.names[0]] = _Info(
                     _BITS if vi.kind == _BITS else vi.kind, out_dim=vi.out_dim
@@ -332,7 +333,7 @@ class Expander:
                     if ty is None:
                         raise err("destructuring let requires types", e.pos, self.file)
                     sty = self._subst_type(ty, dims)
-                    d = eval_dim(sty.dim, {})
+                    d = eval_dim(sty.dim, {}, self.file)
                     inner_env[name] = _Info(vi.kind, out_dim=d)
                     types.append(sty)
                     total += d
@@ -347,7 +348,7 @@ class Expander:
 
     def _eval(self, d: DimExpr, dims: dict[str, int], pos: Pos) -> int:
         try:
-            return eval_dim(d, dims)
+            return eval_dim(d, dims, self.file)
         except _Unbound as u:
             raise err(f"dimension variable {u.name} is unbound", pos, self.file)
 
@@ -390,7 +391,7 @@ class Expander:
             if p.type.kind == "bit":
                 if info.kind != _BITS or not isinstance(na, BitsNode):
                     raise err(f"capture '{p.name}' must be a constant bit string", call.pos, self.file)
-                _solve_dim(p.type.dim, len(na.bits), inner_dims, call.pos)
+                _solve_dim(p.type.dim, len(na.bits), inner_dims, call.pos, self.file)
                 inner_captures[p.name] = na
             else:
                 if info.kind != _ANGLE:
@@ -401,7 +402,7 @@ class Expander:
                 inner_dims[name] = default
         if hint is not None and qubit_params:
             try:
-                _solve_dim(qubit_params[0].type.dim, hint, inner_dims, call.pos)
+                _solve_dim(qubit_params[0].type.dim, hint, inner_dims, call.pos, self.file)
             except _Unbound:
                 pass
         missing = [v for v in target.dim_vars if v not in inner_dims]
@@ -412,9 +413,9 @@ class Expander:
                 call.pos, self.file,
             )
         inst = self._instantiate_qpu(target, inner_dims, inner_captures)
-        in_dim = eval_dim(qubit_params[0].type.dim, inner_dims) if qubit_params else 0
+        in_dim = eval_dim(qubit_params[0].type.dim, inner_dims, self.file) if qubit_params else 0
         ret = target.ret_type
-        out_dim = eval_dim(ret.dim, inner_dims)
+        out_dim = eval_dim(ret.dim, inner_dims, self.file)
         return VarNode(inst, pos=call.pos), _Info.fn(in_dim, out_dim)
 
     def _resolve_embed(self, e: EmbedNode, dims, captures, env, hint):
@@ -430,7 +431,7 @@ class Expander:
             na, info = self._expand_expr(a, dims, captures, env)
             if info.kind != _BITS or not isinstance(na, BitsNode):
                 raise err(f"capture '{p.name}' must be a constant bit string", e.pos, self.file)
-            _solve_dim(p.type.dim, len(na.bits), inner_dims, e.pos)
+            _solve_dim(p.type.dim, len(na.bits), inner_dims, e.pos, self.file)
             inner_captures[p.name] = na.bits
         for name, default in zip(target.dim_vars, target.dim_defaults):
             if name not in inner_dims and default is not None:
@@ -444,7 +445,7 @@ class Expander:
             if e.mode == "xor":
                 in_expr = DimBin("+", in_expr, target.ret_type.dim)
             try:
-                _solve_dim(in_expr, hint, inner_dims, e.pos)
+                _solve_dim(in_expr, hint, inner_dims, e.pos, self.file)
             except _Unbound:
                 pass
         missing = [v for v in target.dim_vars if v not in inner_dims]
@@ -455,8 +456,8 @@ class Expander:
                 e.pos, self.file,
             )
         inst = self._instantiate_classical(target, inner_dims, inner_captures)
-        n = sum(eval_dim(p.type.dim, inner_dims) for p in free_params)
-        k = eval_dim(target.ret_type.dim, inner_dims)
+        n = sum(eval_dim(p.type.dim, inner_dims, self.file) for p in free_params)
+        k = eval_dim(target.ret_type.dim, inner_dims, self.file)
         if e.mode == "sign" and k != 1:
             raise err(".sign requires a single output bit", e.pos, self.file)
         width = n + k if e.mode == "xor" else n
@@ -502,14 +503,14 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str], file
     if isinstance(e, CIndex):
         return CIndex(
             _expand_cexpr(e.operand, dims, captures, file),
-            DimLit(eval_dim(e.index, dims)),
+            DimLit(eval_dim(e.index, dims, file)),
             pos=e.pos,
         )
     if isinstance(e, CSlice):
         return CSlice(
             _expand_cexpr(e.operand, dims, captures, file),
-            DimLit(eval_dim(e.lo, dims)),
-            DimLit(eval_dim(e.hi, dims)),
+            DimLit(eval_dim(e.lo, dims, file)),
+            DimLit(eval_dim(e.hi, dims, file)),
             pos=e.pos,
         )
     if isinstance(e, CReduce):
@@ -517,7 +518,7 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str], file
     if isinstance(e, CRepeat):
         return CRepeat(
             _expand_cexpr(e.operand, dims, captures, file),
-            DimLit(eval_dim(e.count, dims)),
+            DimLit(eval_dim(e.count, dims, file)),
             pos=e.pos,
         )
     raise err(f"unexpected classical node {type(e).__name__}", getattr(e, "pos", Pos()), file)

@@ -16,7 +16,7 @@ on a constant parity is a global phase and is dropped. Controlled diagonals
 such as CZ and CP are left as they are: their terms sit on parities no wire
 holds, and emitting them would need new CX gates. Folding leaves the
 gates between a term's phases in place, so the X pairs it uncovers are left
-for the rewrite rules below.
+for the rewrite rules below. Each diagonal kind's angle is ``qcirc.PHASE``.
 
 The rewrite rules run under a worklist driver. Each function gets one
 producer map and one consumer map (value -> (op index, position)) that every
@@ -27,7 +27,9 @@ pair rules and then HXH at the lowest matching op. An op that no rewrite
 touched since it last failed to match cannot match, so only touched ops are
 re-queued, with their producers two hops back (HXH looks two consumers
 ahead), and the qallocs their wires start from are marked dirty. Every
-rewrite deletes at least one gate, so the pass takes linear time.
+rewrite deletes at least one gate, so the pass takes linear time. The pair
+rule cancels a gate followed by its ``qcirc.ADJOINT_KIND`` and merges two P
+gates into one.
 
 Toffolis flagged as halves of a compute/uncompute pair (``QOp.pair``, +1
 and -1) decompose into relative-phase Toffolis whose phases cancel only
@@ -51,16 +53,14 @@ import heapq
 import math
 
 from .qcirc import (
-    Gate, GateKind, HERMITIAN, QCircFn, QCircModule, QOp, adjoint_gates,
-    append_gates, g, wire_starts,
+    ADJOINT_KIND, PHASE, Gate, GateKind, QCircFn, QCircModule, QOp,
+    adjoint_gates, append_gates, g, wire_starts,
 )
 
 H, X, Y, Z, S, SDG, T, TDG, P, SWAP = (
     GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
     GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
 )
-
-_INVERSE_PAIRS = {(S, SDG), (SDG, S), (T, TDG), (TDG, T)}
 
 
 def _wiring_match(a: QOp, b: QOp) -> bool:
@@ -167,7 +167,7 @@ class _Rewriter:
         if not _wiring_match(op, nxt) or op.pair + nxt.pair:
             return False
         a, b = op.gate, nxt.gate
-        if a == b and a in HERMITIAN or (a, b) in _INVERSE_PAIRS:
+        if a is not P and ADJOINT_KIND[a] is b:
             self._delete({i, j})
             return True
         if a is P and b is P:
@@ -283,9 +283,6 @@ def peephole(m: QCircModule) -> QCircModule:
 # ---------------------------------------------------------------------------
 # Phase folding
 
-_ANGLE = {Z: math.pi, S: math.pi / 2, SDG: -math.pi / 2, T: math.pi / 4,
-          TDG: -math.pi / 4}
-
 # The fewest of t, tdg, s, sdg and z that make P(k * pi/4), for k = 0..7.
 _EIGHTHS = ((), (T,), (S,), (S, T), (Z,), (Z, T), (SDG,), (TDG,))
 
@@ -340,10 +337,10 @@ def _fold_fn(fn: QCircFn) -> None:
         nc = op.num_controls
         if op.condition is not None:
             outs = [var() for _ in ins]
-        elif op.gate in _ANGLE or op.gate is P:
+        elif op.gate in PHASE or op.gate is P:
             outs = ins
             if not nc:
-                angle = op.param if op.gate is P else _ANGLE[op.gate]
+                angle = op.param if op.gate is P else PHASE[op.gate]
                 key, const = ins[0]
                 term = terms.get(key)
                 if term is None:

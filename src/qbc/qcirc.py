@@ -10,16 +10,25 @@ it names the qubit behind every value by the value its wire began at, and
 the executor, both backends, the peephole pass and the test oracles read
 that map instead of tracking wires themselves. Only ``verify_circuit``
 keeps its own tracking, since it must stay correct on malformed input.
+
+This module is also the one home of the gate vocabulary: a ``GateKind``'s
+value is its OpenQASM name, ``N_TARGETS`` its target count,
+``ADJOINT_KIND`` its inverse and ``PHASE`` the phase a diagonal kind puts
+on |1>. The peephole pass and both backends read these tables rather than
+keeping their own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 
 class GateKind(Enum):
+    """A gate kind; its value is the kind's OpenQASM 3 (stdgates.inc) name."""
+
     X = "x"
     Y = "y"
     Z = "z"
@@ -32,8 +41,6 @@ class GateKind(Enum):
     SWAP = "swap"
 
 
-HERMITIAN = {GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.SWAP}
-
 ADJOINT_KIND = {
     GateKind.X: GateKind.X,
     GateKind.Y: GateKind.Y,
@@ -45,6 +52,15 @@ ADJOINT_KIND = {
     GateKind.T: GateKind.TDG,
     GateKind.TDG: GateKind.T,
     GateKind.P: GateKind.P,  # with negated param
+}
+
+# The phase each diagonal kind puts on |1>; P carries its own in ``param``.
+PHASE = {
+    GateKind.Z: math.pi,
+    GateKind.S: math.pi / 2,
+    GateKind.SDG: -math.pi / 2,
+    GateKind.T: math.pi / 4,
+    GateKind.TDG: -math.pi / 4,
 }
 
 N_TARGETS = {k: (2 if k is GateKind.SWAP else 1) for k in GateKind}

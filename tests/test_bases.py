@@ -17,8 +17,8 @@ from qbc.bases import (
     Prim,
     basis,
     check_span_equivalence,
+    builtin_vectors,
     factor_element,
-    factor_full_span,
     factor_literal,
     fully_spans,
     lit,
@@ -76,8 +76,13 @@ def test_fully_spans():
     assert not fully_spans(lit("0"))
 
 
+def full_span(prim: Prim, n: int) -> BasisLiteral:
+    """Every n-qubit vector of ``prim``, as a sorted literal."""
+    return BasisLiteral(tuple(builtin_vectors(BuiltinBasis(prim, n))))
+
+
 def test_factor_full_span_success():
-    rem = factor_full_span(lit("00", "01", "10", "11"), 1)
+    rem = factor_literal(lit("00", "01", "10", "11"), full_span(Prim.STD, 1))
     assert rem == lit("0", "1")
     # Oracle: span is H2 (x) span(remainder).
     assert spans_equal(
@@ -87,11 +92,11 @@ def test_factor_full_span_success():
 
 
 def test_factor_full_span_not_divisible():
-    assert factor_full_span(lit("00", "01", "10"), 1) is None
+    assert factor_literal(lit("00", "01", "10"), full_span(Prim.STD, 1)) is None
 
 
 def test_factor_full_span_entangled():
-    assert factor_full_span(lit("00", "11"), 1) is None
+    assert factor_literal(lit("00", "11"), full_span(Prim.STD, 1)) is None
     # Oracle agrees: not a tensor product with the full 1-qubit space.
     assert not spans_equal(
         basis(lit("00", "11")), basis(BuiltinBasis(Prim.STD, 1), lit("0", "1"))
@@ -276,7 +281,7 @@ def test_factoring_soundness(b):
         if not isinstance(e, BasisLiteral) or e.dim < 2:
             continue
         norm = normalize_element(e)
-        rem = factor_full_span(norm, 1)
+        rem = factor_literal(norm, full_span(e.prim, 1))
         if rem is not None:
             assert spans_equal(
                 basis(norm), basis(BuiltinBasis(e.prim, 1), rem)

@@ -71,6 +71,33 @@ def test_gate_lowering_error_names_the_file(tmp_path, capsys):
     assert err.startswith(f"{path}: error: nested conditionals are not supported")
 
 
+# Each program ends in one of the dimension solver's four messages.
+DIM_ERRORS = {
+    "not an integer": "qpu main() -> bit[1] {\n    '0'[3 / 2] | std.measure\n}\n",
+    "cannot solve dimension for N": """
+qpu f[N](q: qubit[2 * N]) -> qubit[2 * N] rev { q }
+qpu main() -> bit[3] { '000' | f | std[3].measure }
+""",
+    "inferred non-positive dimension N = -1": """
+qpu f[N](q: qubit[N + 3]) -> qubit[N + 3] rev { q }
+qpu main() -> bit[2] { '00' | f | std[2].measure }
+""",
+}
+
+
+def test_dimension_errors_name_the_file(tmp_path, capsys):
+    path = str(BENCH / "simon.qw")
+    assert main(["compile", path, "-D", "N=13"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:8:13: error: dimension mismatch"), err
+    for message, source in DIM_ERRORS.items():
+        path = tmp_path / "dims.qw"
+        path.write_text(source)
+        assert main(["compile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:") and message in err, err
+
+
 def test_stats_prints_circuit_counts(capsys):
     assert main(["stats", str(BENCH / "bell.qw")]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,9 @@
 """Every way of compiling a program gives the same exact distribution:
 -O0/-O1 x decompose on/off, each circuit re-read from its QASM with and
 without qubit reuse, and the front end with and without tensor flattening.
-The programs are the benchmarks and three that give phase folding work: a
-pipe chain, a predicated oracle and a phase conditioned on a measurement."""
+The programs are the benchmarks, three that give phase folding work (a
+pipe chain, a predicated oracle and a phase conditioned on a measurement)
+and two that allocate after a measurement or a discard."""
 
 import pathlib
 
@@ -39,6 +40,22 @@ qpu main() -> bit[1] {
         | (({'0', '1'} >> {'0', '1' @ (pi / 2)}) if m else id[1])
         | ({'0', '1'} >> {'0', '1' @ (pi / 4)})
         | pm.measure
+}
+""", {}),
+    # With qubit reuse, a register freed by a measurement or a discard must
+    # not be taken over by a later allocation in its unknown state.
+    "alloc_after_measure": ("""\
+qpu main() -> bit[2] {
+    let m: bit[1] = 'p' | std.measure;
+    let r: bit[1] = '1' | std.measure;
+    m + r
+}
+""", {}),
+    "alloc_after_discard": ("""\
+qpu main() -> bit[2] {
+    let m: bit[1] = ('p' + '0') | (discard + std.measure);
+    let r: bit[1] = '0' | std.measure;
+    m + r
 }
 """, {}),
 }
