@@ -190,13 +190,16 @@ def read_qasm3(text: str) -> QCircModule:
             raise BackendError(f"cannot parse: {stmt}")
         nctrl_mod, name, param_s, args = mt.groups()
         idxs = q_indices(args)
+        if name not in _QASM_GATES:
+            raise BackendError(f"unknown gate {name}")
+        kind, nctrl = _QASM_GATES[name]
+        # P takes exactly one angle and every other kind none.
+        if (param_s is not None) != (kind is GateKind.P) or param_s == "":
+            raise BackendError(f"bad parameter list: {stmt}")
         try:
             param = float(param_s) if param_s else 0.0
         except ValueError:  # the emitter writes angles as float reprs
             raise BackendError(f"angle is not a number: {stmt}") from None
-        if name not in _QASM_GATES:
-            raise BackendError(f"unknown gate {name}")
-        kind, nctrl = _QASM_GATES[name]
         if nctrl_mod is not None:
             nctrl = int(nctrl_mod)
         if len(idxs) != nctrl + N_TARGETS[kind] or len(set(idxs)) != len(idxs):

@@ -29,7 +29,9 @@ re-queued, with their producers two hops back (HXH looks two consumers
 ahead), and the qallocs their wires start from are marked dirty. Every
 rewrite deletes at least one gate, so the pass takes linear time. The pair
 rule cancels a gate followed by its ``qcirc.ADJOINT_KIND`` and merges two P
-gates into one.
+gates into one. The pair and HXH rules match gates that all carry one
+condition, the same (bit, value) or none; the relaxed rule matches only
+unconditioned gates.
 
 Toffolis flagged as halves of a compute/uncompute pair (``QOp.pair``, +1
 and -1) decompose into relative-phase Toffolis whose phases cancel only
@@ -155,14 +157,14 @@ class _Rewriter:
 
     def _pair_rules(self, i: int) -> bool:
         op = self.ops[i]
-        if op.kind != "gate" or op.condition is not None:
+        if op.kind != "gate":
             return False
         nexts = {self.consumer.get(r) for r in op.results}
         if None in nexts or len({ix for ix, _ in nexts}) != 1:
             return False
         j = next(iter(nexts))[0]
         nxt = self.ops[j]
-        if nxt.kind != "gate" or nxt.condition is not None:
+        if nxt.kind != "gate" or nxt.condition != op.condition:
             return False
         if not _wiring_match(op, nxt) or op.pair + nxt.pair:
             return False
@@ -182,18 +184,18 @@ class _Rewriter:
         return False
 
     def _hxh(self, i: int) -> bool:
-        """H (uncontrolled) conjugating the target of an X or Z gate."""
+        """H (uncontrolled) conjugating the target of an X or Z gate, all
+        three under one condition."""
         first = self.ops[i]
-        if first.kind != "gate" or first.gate is not H or first.num_controls \
-                or first.condition is not None:
+        if first.kind != "gate" or first.gate is not H or first.num_controls:
             return False
         mid_loc = self.consumer.get(first.results[0])
         if mid_loc is None:
             return False
         j, pos = mid_loc
         mid = self.ops[j]
-        if mid.kind != "gate" or mid.gate not in (X, Z) or mid.condition is not None \
-                or mid.pair:
+        if mid.kind != "gate" or mid.gate not in (X, Z) \
+                or mid.condition != first.condition or mid.pair:
             return False
         if pos < mid.num_controls:
             return False
@@ -203,7 +205,7 @@ class _Rewriter:
         k, _ = last_loc
         last = self.ops[k]
         if last.kind != "gate" or last.gate is not H or last.num_controls \
-                or last.condition is not None:
+                or last.condition != first.condition:
             return False
         mid.gate = Z if mid.gate is X else X
         self._delete({i, k}, changed={j})

@@ -1,16 +1,18 @@
 """
 Fixed compilation pipeline: parse -> expand -> typecheck -> flatten tensors
 -> lower to basis IR -> lift lambdas, canonicalize, reject recursion ->
-specialize each adjoint/predicated callee once -> inline -> lower to gates
--> fold phases and peephole (at -O1) -> multi-control decomposition (unless
-disabled) -> backend.
+specialize each adjoint/predicated callee once -> inline, canonicalizing
+each round -> lower to gates -> fold phases and peephole (at -O1) ->
+multi-control decomposition (unless disabled) -> backend.
 
 Each rewrite has one home. The front end typechecks the expanded program
 once, so diagnostics point into the source as written; the only AST rewrite,
 tensor flattening (``canon_ast``), cannot change a type, so its output is
 handed on with that typecheck's signatures. Adjoints, predicates and constant
-angles are resolved in the basis IR (``qwir_passes``), and gate-level
-rewrites happen in ``peephole``. Phase folding runs just before its rewrite
+angles are resolved in the basis IR (``qwir_passes``), whose canonicalization
+also fuses each run of chained translations into one and drops identity
+translations, at every -O level, so gate lowering synthesizes a run once.
+Gate-level rewrites happen in ``peephole``. Phase folding runs just before its rewrite
 rules, which cancel the gates that folding leaves adjacent, and before
 decomposition: on the benchmark programs, folding a decomposed circuit again
 merges nothing.

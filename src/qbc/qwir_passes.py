@@ -10,9 +10,12 @@ needs once (``generate_specializations``), then inlines (``inline``).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .bases import Basis, BasisLiteral, BasisVector, Prim
+from .bases import (
+    Basis, BasisElement, BasisLiteral, BasisVector, Prim, builtin_vectors,
+)
 from .qwir import (
     QwBlock, QwFunc, QwModule, QwOp, bit, func, is_stationary, qubit,
 )
@@ -380,6 +383,18 @@ def _add_function(m: QwModule, fn: QwFunc, block: QwBlock) -> None:
 # per-function substitution map. Operands are looked up through the map,
 # chains included, when an op is visited, so no rewrite walks the function
 # to replace uses.
+#
+# A qbtrans whose qubit operand is the result of another qbtrans in the same
+# block is fused into that op: ``A >> B`` then ``C >> D`` is ``A >> D'``, and
+# qubit linearity makes the later op the earlier one's only use. ``D'`` is
+# built per element of B, C and D, which must line up in count and dims:
+# where ``B_k == C_k`` it is ``D_k``; where ``B_k`` and ``C_k`` are literals
+# of one prim with one set of eigenbits (a std/pm/ij builtin counts as its
+# full literal) and ``D_k`` is a literal too, vector i of ``D'_k`` is the
+# ``D_k`` vector j at which ``C_k`` holds the eigenbits of ``B_k``'s vector
+# i, with phase phi(B_k, i) - phi(C_k, j) + phi(D_k, j). Any other shape, or
+# an op with angle operands, is left unfused. A run composes into one
+# ``_Chain`` and builds its ``Basis`` once, at the end of the walk.
 
 
 def canonicalize_ir(m: QwModule) -> None:
@@ -440,11 +455,102 @@ def _resolve_callee(defs: dict[int, QwOp], v: int):
             return None
 
 
+def _vectors(e: BasisElement) -> tuple[BasisVector, ...]:
+    """A literal's vectors, or a std/pm/ij builtin's in index order."""
+    if isinstance(e, BasisLiteral):
+        return e.vectors
+    return tuple(builtin_vectors(e))
+
+
+def _size(e: BasisElement) -> int:
+    return len(e.vectors) if isinstance(e, BasisLiteral) else 1 << e.dim
+
+
+def _compose_literal(b: BasisElement, pick: Optional[list], c: BasisElement,
+                     d: BasisElement) -> Optional[list]:
+    """The pick list of ``b`` (``pick`` chooses its vectors, None for all of
+    them in order) carried through ``c >> d``; None if the literal rule does
+    not apply."""
+    if Prim.FOURIER in (b.prim, d.prim) or b.prim is not c.prim:
+        return None
+    size = _size(b) if pick is None else len(pick)
+    if not size == _size(c) == _size(d):
+        return None
+    bv, cv, dv = _vectors(b), _vectors(c), _vectors(d)
+    at = {v.eigenbits: j for j, v in enumerate(cv)}
+    if pick is None:
+        pick = [(i, v.phase) for i, v in enumerate(bv)]
+    out = []
+    for i, phase in pick:
+        j = at.get(bv[i].eigenbits)
+        if j is None:
+            return None
+        pc, pd = cv[j].phase, dv[j].phase
+        if phase is not None or pc is not None or pd is not None:
+            phase = math.remainder((phase or 0.0) - (pc or 0.0) + (pd or 0.0),
+                                   2 * math.pi)
+        out.append((j, phase))
+    return out
+
+
+class _Chain:
+    """The output basis of a run of fused translations, composed lazily.
+
+    It starts as the first op's ``b_out``. ``picks[k]`` is None while
+    element k is ``elems[k]`` itself, else a list whose entry i is
+    ``(j, phase)``: the run's vector i there is vector j of ``elems[k]``
+    with that phase.
+    """
+
+    def __init__(self, head: QwOp):
+        self.head = head
+        self.elems: tuple[BasisElement, ...] = head.attrs["b_out"].elements
+        self.picks: list[Optional[list]] = [None] * len(self.elems)
+
+    def fuse(self, c: Basis, d: Basis) -> bool:
+        """Compose ``c >> d`` onto the run; False, changing nothing, where
+        the rule does not apply."""
+        if not len(self.elems) == len(c.elements) == len(d.elements):
+            return False
+        picks = []
+        for b, pick, ck, dk in zip(self.elems, self.picks, c.elements,
+                                   d.elements):
+            if not b.dim == ck.dim == dk.dim:
+                return False
+            if pick is None and b == ck:
+                picks.append(None)
+                continue
+            pick = _compose_literal(b, pick, ck, dk)
+            if pick is None:
+                return False
+            picks.append(pick)
+        self.elems, self.picks = d.elements, picks
+        return True
+
+    def basis(self) -> Basis:
+        out = []
+        for e, pick in zip(self.elems, self.picks):
+            if pick is not None:
+                ev = _vectors(e)
+                e = BasisLiteral(tuple(BasisVector(e.prim, ev[j].eigenbits, ph)
+                                       for j, ph in pick))
+            out.append(e)
+        return Basis(tuple(out))
+
+
 DROPPABLE = {"func_const", "func_adj", "func_pred", "fconst", "lambda",
              "qbpack", "qbunpack", "bitpack", "bitunpack"}
 
 
 def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
+    """One walk of the rewrites over ``block`` and its regions; returns
+    whether any fired. The rewrites: a call_indirect of a statically known
+    function value becomes a call; a double func_adj goes; a qbunpack of a
+    qbpack, a one-operand qbpack and a qbpack of a qbunpack's results are
+    renamings and go; a qbtrans whose ``b_in == b_out`` goes and one fed by
+    a qbtrans is fused into it; a call_indirect, func_adj or func_pred of a
+    cond's function result moves into both branches; dead stationary ops
+    and pack/unpack ops go."""
     changed = False
     for op in block.ops:
         for r in op.regions:
@@ -452,10 +558,26 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                 changed = True
 
     defs = _def_map(block)
+    chains: dict[int, _Chain] = {}  # a run's head result -> the run
     new_ops: list[QwOp] = []
     for op in block.ops:
         op.operands = [_lookup(subst, v) for v in op.operands]
-        if op.kind == "call_indirect":
+        if op.kind == "qbtrans":
+            q = op.operands[0]
+            if op.attrs["b_in"] == op.attrs["b_out"]:
+                subst[op.results[0]] = q
+                changed = True
+                continue
+            src = defs.get(q)
+            if src is not None and src.kind == "qbtrans" \
+                    and len(src.operands) == len(op.operands) == 1:
+                chain = chains.get(q) or _Chain(src)
+                if chain.fuse(op.attrs["b_in"], op.attrs["b_out"]):
+                    chains[q] = chain
+                    subst[op.results[0]] = q
+                    changed = True
+                    continue
+        elif op.kind == "call_indirect":
             resolved = _resolve_callee(defs, op.operands[0])
             if resolved is not None:
                 sym, adj, pred, caps = resolved
@@ -499,6 +621,10 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                 changed = True
                 continue
         new_ops.append(op)
+
+    # A fused head whose composite is its input goes in the next walk.
+    for chain in chains.values():
+        chain.head.attrs = {**chain.head.attrs, "b_out": chain.basis()}
 
     # Drop dead stationary ops and dead pure-renaming pack/unpack ops
     # (removing a dead pack releases its operands for their real consumer).

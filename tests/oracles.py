@@ -227,17 +227,23 @@ def pipe_chain_source(stages: Sequence[str]) -> str:
 
     Stage ``flip<v>`` is ``{'0', '1'} >> {'1' @ (a), '0'}`` and ``keep<v>``
     is ``{'0', '1'} >> {'0' @ (a), '1' @ (b)}``, with a = pi (v + 1) / 8 and
-    b = pi (v + 5) / 8. A flip emits ``x; p(a)`` and a keep
-    ``x; p(a); x; p(b)``, so only the flips move |0>.
+    b = pi (v + 5) / 8, so only the flips move |0>. A ``pm_`` prefix names
+    the same stage written in the pm basis (``p`` for ``0``, ``m`` for
+    ``1``). The basis IR fuses a run of std stages into one translation;
+    a std stage next to a pm stage is not fused, and on its own a flip
+    emits ``x; p(a)`` and a keep ``x; p(a); x; p(b)``.
     """
     defs = []
     for name in sorted(set(stages)):
-        v = int(name[4:])
+        pm = name.startswith("pm_")
+        kind = name[3:] if pm else name
+        zero, one = ("p", "m") if pm else ("0", "1")
+        v = int(kind[4:])
         a, b = f"pi * {v + 1} / 8", f"pi * {v + 5} / 8"
-        out = (f"'1' @ ({a}), '0'" if name.startswith("flip")
-               else f"'0' @ ({a}), '1' @ ({b})")
+        out = (f"'{one}' @ ({a}), '{zero}'" if kind.startswith("flip")
+               else f"'{zero}' @ ({a}), '{one}' @ ({b})")
         defs.append(f"qpu {name}(q: qubit[1]) -> qubit[1] rev {{\n"
-                    f"    q | ({{'0', '1'}} >> {{{out}}})\n}}\n")
+                    f"    q | ({{'{zero}', '{one}'}} >> {{{out}}})\n}}\n")
     calls = "".join(f"    | {s}\n" for s in stages)
     return ("\n".join(defs) + "\nqpu main() -> bit[1] {\n    '0'\n" + calls
             + "    | std.measure\n}\n")

@@ -179,6 +179,43 @@ def test_peephole_keeps_distinct_controls():
     assert gate_count(m) == 2
 
 
+def _measured_then(*stmts):
+    """q[1] and q[2] measured into c[0] and c[1], then ``stmts`` on q[0]."""
+    return read_qasm3("OPENQASM 3.0;\nqubit[3] q;\nbit[2] c;\n"
+                      "measure q[1] -> c[0];\nmeasure q[2] -> c[1];\n"
+                      + "\n".join(stmts) + "\n")
+
+
+@pytest.mark.parametrize("first, second, left", [
+    ("if (c[0] == 1) { x q[0]; }", "if (c[0] == 1) { x q[0]; }", 0),
+    ("if (c[0] == 0) { s q[0]; }", "if (c[0] == 0) { sdg q[0]; }", 0),
+    ("if (c[1] == 1) { p(0.25) q[0]; }", "if (c[1] == 1) { p(0.5) q[0]; }", 1),
+    ("if (c[0] == 1) { x q[0]; }", "if (c[1] == 1) { x q[0]; }", 2),
+    ("if (c[0] == 1) { x q[0]; }", "if (c[0] == 0) { x q[0]; }", 2),
+    ("if (c[0] == 1) { x q[0]; }", "x q[0];", 2),
+    ("x q[0];", "if (c[0] == 1) { x q[0]; }", 2),
+], ids=["same", "same-polarity-0", "phase-merge", "other-bit",
+        "other-polarity", "then-unconditioned", "after-unconditioned"])
+def test_peephole_pair_rule_under_one_condition(first, second, left):
+    m = _measured_then(first, second)
+    peephole(m)
+    verify_circuit(m)
+    assert gate_count(m) == left
+
+
+def test_peephole_hxh_under_one_condition():
+    cond = "if (c[0] == 1) {{ {} q[0]; }}"
+    m = _measured_then(cond.format("h"), cond.format("x"), cond.format("h"))
+    peephole(m)
+    (op,) = [op for op in m.entry_fn.ops if op.kind == "gate"]
+    assert op.gate is Z and op.condition is not None and op.condition[1]
+    # An unconditioned H, or one under the other bit, is left as it is.
+    for first in ("h q[0];", "if (c[1] == 1) { h q[0]; }"):
+        m = _measured_then(first, cond.format("x"), cond.format("h"))
+        peephole(m)
+        assert gate_count(m) == 3
+
+
 def test_relaxed_minus_target_rule():
     # qalloc -> X -> H -> CCX target -> H -> X -> qfreez  becomes a CZ.
     fn = QCircFn("main")
@@ -527,13 +564,27 @@ def test_pipe_chain_folds_to_its_flip_parity(flips):
     stages = [f"{kind}{int(rng.integers(0, 4))}"
               for kind in ["flip"] * flips + ["keep"] * (40 - flips)]
     rng.shuffle(stages)
+    # The basis IR fuses the 40 stages into one translation, and -O1 folds
+    # that to the parity of the flips.
     src = pipe_chain_source(stages)
+    assert compile_source(src, "pipe.qw", Options(), "qwerty-ir") \
+        .count("qbtrans") == 1
     m = compile_to_circuit(src, "pipe.qw", Options())
     assert [(op.gate, op.num_controls) for op in m.entry_fn.ops
             if op.kind == "gate"] == [(X, 0)] * (flips % 2)
-    # -O0 folds nothing: each flip is x; p and each keep x; p; x; p.
+    # With every other stage written in the pm basis nothing fuses, and -O0
+    # folds nothing: each flip is x; p and each keep x; p; x; p, inside an
+    # h pair in the pm basis.
+    mixed = [("pm_" if i % 2 else "") + s for i, s in enumerate(stages)]
+    src = pipe_chain_source(mixed)
+    assert compile_source(src, "pipe.qw", Options(), "qwerty-ir") \
+        .count("qbtrans") == 40
     m = compile_to_circuit(src, "pipe.qw", Options(opt_level=0))
-    assert gate_count(m) == 2 * flips + 4 * (40 - flips)
+    assert gate_count(m) == sum((2 if "flip" in s else 4)
+                                + (2 if s.startswith("pm_") else 0)
+                                for s in mixed)
+    assert gate_count(compile_to_circuit(src, "pipe.qw", Options())) \
+        < gate_count(m)
 
 
 def test_grover_n8_counts_are_unchanged_by_folding():
@@ -545,6 +596,7 @@ def test_grover_n8_counts_are_unchanged_by_folding():
 @pytest.mark.parametrize("stmt", [
     "ctrl(1) @ x q[0];", "cx q[0], q[0];", "x q[0], q[1];", "swap q[0];",
     "ccx q[0], q[1];", "if (c[0] == 1) { x q[0]; }", "p(pi/2) q[0];",
+    "x(0.3) q[0];", "h(1.0) q[0];", "p q[0];", "cp q[0], q[1];",
 ])
 def test_read_qasm3_rejects_bad_qubit_operands(stmt):
     text = f"OPENQASM 3.0;\nqubit[3] q;\nbit[1] c;\n{stmt}\n"

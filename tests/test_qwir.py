@@ -1,12 +1,17 @@
 """Basis-level IR: verifier, adjoint/predication rewrites, lambda lifting,
-canonicalization, inlining, and the generated adjoint/predicated functions."""
+canonicalization (fusing chained translations included), inlining, and the
+generated adjoint/predicated functions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbc.bases import Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, lit
+from qbc.bases import (
+    Basis, BasisLiteral, BasisVector, BuiltinBasis, PhaseParam, Prim, basis, lit,
+)
 from qbc.qwir import (
     ANGLE, FnBuilder, QwBlock, QwFunc, QwModule, QwOp, VerifyError, bit,
     func, print_module, qubit, verify,
@@ -742,3 +747,215 @@ def test_inline_rejects_recursion():
     m.functions["f"] = b.finish([qubit(1)])
     with pytest.raises(PassError, match="recursive call cycle @f -> @f"):
         inline(m)
+
+
+# -- fusing chained translations ------------------------------------------------
+
+
+def _chain(*pairs, n):
+    """A function over one qubit[n] that runs each (b_in, b_out) in turn;
+    a pair may carry a third item, the value of an angle operand."""
+    b = simple_fn(n=n)
+    v = b.fn.params[0]
+    for pair in pairs:
+        angles = []
+        if len(pair) == 3:
+            angles = b.emit("fconst", [], [ANGLE], {"value": pair[2]})
+        (v,) = b.emit("qbtrans", [v] + angles, [qubit(n)],
+                      {"b_in": pair[0], "b_out": pair[1]})
+    b.emit("ret", [v])
+    return b.finish([qubit(n)])
+
+
+def _canonicalized(fn):
+    want = block_unitary(fn, fn.block)
+    m = QwModule({"f": fn}, entry="f")
+    canonicalize_ir(m)
+    verify(m)
+    assert np.allclose(block_unitary(fn, fn.block), want, atol=1e-9)
+    return [op for op in fn.block.ops if op.kind == "qbtrans"]
+
+
+def test_fusion_composes_literals_by_eigenbits_and_phases():
+    # {'0','1'} >> {'1'@a,'0'} then {'1'@c,'0'} >> {'0'@d,'1'}: vector 0 of
+    # the first output is '1'@a, which the second input holds at 0, so it
+    # goes to '0' with phase a - c + d.
+    a, c, d = 0.5, 0.25, 2.0
+    fn = _chain((basis(lit("0", "1")), basis(lit(("1", a), "0"))),
+                (basis(lit(("1", c), "0")), basis(lit(("0", d), "1"))), n=1)
+    (op,) = _canonicalized(fn)
+    assert op.attrs["b_in"] == basis(lit("0", "1"))
+    assert op.attrs["b_out"] == basis(lit(("0", a - c + d), "1"))
+
+
+def test_fusion_of_a_translation_and_its_inverse_leaves_nothing():
+    std2, fourier2 = basis(BuiltinBasis(STD, 2)), basis(BuiltinBasis(Prim.FOURIER, 2))
+    assert _canonicalized(_chain((std2, fourier2), (fourier2, std2), n=2)) == []
+    swap_in, swap_out = basis(lit("01", "10")), basis(lit("10", "01"))
+    assert _canonicalized(_chain((swap_in, swap_out), (swap_in, swap_out),
+                                 n=2)) == []
+
+
+def test_fusion_counts_a_builtin_as_its_full_literal():
+    fn = _chain((basis(BuiltinBasis(PM, 1)), basis(lit("m", "p"))),
+                (basis(lit("m", ("p", 1.0))), basis(BuiltinBasis(PM, 1))), n=1)
+    (op,) = _canonicalized(fn)
+    assert op.attrs["b_out"] == basis(lit("p", ("m", -1.0)))
+
+
+@pytest.mark.parametrize("first, second", [
+    # mismatched prims
+    ((basis(lit("0", "1")), basis(lit("1", "0"))),
+     (basis(lit("p", "m")), basis(lit("m", "p")))),
+    # fourier against a literal, and a literal into fourier
+    ((basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(Prim.FOURIER, 1))),
+     (basis(lit("0", "1")), basis(lit("1", "0")))),
+    ((basis(lit("0", "1")), basis(lit("1", "0"))),
+     (basis(lit("0", "1")), basis(BuiltinBasis(Prim.FOURIER, 1)))),
+    # an angle operand on either op
+    ((basis(lit("0", "1")), basis(lit(("1", PhaseParam(0)), "0")), 0.5),
+     (basis(lit("0", "1")), basis(lit("1", "0")))),
+    ((basis(lit("0", "1")), basis(lit("1", "0"))),
+     (basis(lit("0", "1")), basis(lit(("1", PhaseParam(0)), "0")), 0.5)),
+    # different eigenbits, and a partial literal against a full one
+    ((basis(lit("00", "11")), basis(lit("11", "00"))),
+     (basis(lit("01", "10")), basis(lit("10", "01")))),
+    ((basis(lit("0")), basis(lit(("0", 1.0)))),
+     (basis(lit("0", "1")), basis(lit("1", "0")))),
+], ids=["prims", "fourier-literal", "literal-fourier", "angle-first",
+        "angle-second", "eigenbits", "partial"])
+def test_fusion_leaves_unfusable_pairs(first, second):
+    n = first[0].dim
+    assert len(_canonicalized(_chain(first, second, n=n))) == 2
+
+
+def test_fusion_needs_elements_of_equal_dims():
+    one, two = BuiltinBasis(STD, 1), BuiltinBasis(STD, 2)
+    flip = lit("1", "0")
+    fn = _chain((basis(one, two), basis(flip, two)),
+                (basis(two, one), basis(two, flip)), n=3)
+    assert len(_canonicalized(fn)) == 2
+    fn = _chain((basis(one, one), basis(flip, one)),
+                (basis(two), basis(lit("11", "10", "01", "00"))), n=2)
+    assert len(_canonicalized(fn)) == 2
+
+
+def test_qft_round_trip_leaves_no_translation_in_the_basis_ir():
+    from qbc.pipeline import Options, compile_source
+
+    src = ("qpu main[N]() -> bit[N] {\n    'p'[N] | (std[N] >> fourier[N])"
+           " | (fourier[N] >> std[N]) | pm[N].measure\n}\n")
+    ir = compile_source(src, "qft.qw", Options(dims={"N": 4}), "qwerty-ir")
+    assert "qbtrans" not in ir
+
+
+# Random runs of stages for the whole pipeline: each stage is a pair of
+# bases with its source text.
+
+_PRIMS = (STD, PM, IJ)
+# The lexer reads no exponent, so a phase is a multiple of 1/1000 or of pi/4.
+_PHASES = st.one_of(st.none(), st.integers(-3141, 3141).map(lambda k: k / 1000),
+                    st.integers(-3, 4).map(lambda k: k * math.pi / 4))
+
+
+def _elem_src(e) -> str:
+    if isinstance(e, BuiltinBasis):
+        return str(e)
+    return "{" + ", ".join(
+        f"'{v.chars()}'" + ("" if v.phase is None else f" @ ({v.phase!r})")
+        for v in e.vectors) + "}"
+
+
+def _basis_src(b: Basis) -> str:
+    return " + ".join(_elem_src(e) for e in b.elements)
+
+
+@st.composite
+def _element_pair(draw, dim):
+    """An (input, output) pair of elements of one span: a std/pm/ij builtin
+    or a literal with its vectors in any order and any phases."""
+    bits = [format(k, f"0{dim}b") for k in range(1 << dim)]
+    full = draw(st.booleans()) or draw(st.booleans())
+    if not full:
+        bits = draw(st.lists(st.sampled_from(bits), min_size=1,
+                             max_size=len(bits) - 1, unique=True))
+    prim_in = draw(st.sampled_from(_PRIMS))
+    prim_out = draw(st.sampled_from(_PRIMS)) if full else prim_in
+
+    def element(prim):
+        if full and draw(st.booleans()):
+            return BuiltinBasis(prim, dim)
+        order = draw(st.permutations(bits))
+        return BasisLiteral(tuple(BasisVector(prim, b, draw(_PHASES))
+                                  for b in order))
+
+    return element(prim_in), element(prim_out)
+
+
+@st.composite
+def _stage(draw, n):
+    """(b_in, b_out, source) of one stage on n qubits."""
+    shapes = ["whole"] + (["tensor", "pred", "qft", "iqft"] if n == 2 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape in ("qft", "iqft"):
+        pair = [basis(BuiltinBasis(STD, 2)), basis(BuiltinBasis(Prim.FOURIER, 2))]
+        b_in, b_out = pair if shape == "qft" else pair[::-1]
+        return b_in, b_out, f"({b_in} >> {b_out})"
+    if shape == "tensor":
+        (i0, o0), (i1, o1) = draw(_element_pair(1)), draw(_element_pair(1))
+        b_in, b_out = basis(i0, i1), basis(o0, o1)
+    else:
+        e_in, e_out = draw(_element_pair(n if shape == "whole" else 1))
+        b_in, b_out = basis(e_in), basis(e_out)
+    text = f"({_basis_src(b_in)} >> {_basis_src(b_out)})"
+    if shape == "pred":
+        one = lit("1")
+        return (basis(one, *b_in.elements), basis(one, *b_out.elements),
+                f"({{'1'}} & {text})")
+    return b_in, b_out, text
+
+
+def _lower_with_params(m):
+    """Gate lowering whose prepped qubits become parameters and whose
+    measurements go, so that ``module_unitary`` reads the stages' unitary
+    (the program preps std zeros and measures in std: neither emits a
+    gate)."""
+    from qbc.lower_gates import lower_module
+    from qbc.qcirc import QOp
+
+    qc = lower_module(m)
+    fn = qc.entry_fn
+    fn.qubit_params = tuple(op.results[0] for op in fn.ops
+                            if op.kind == "qalloc")
+    fn.ops = [op for op in fn.ops
+              if op.kind not in ("qalloc", "measure", "ret")] + [QOp("ret")]
+    return qc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_runs_keep_the_product_of_their_stages(data):
+    from unittest import mock
+
+    from qbc import pipeline
+    from oracles import equal_up_to_global_phase, module_unitary
+
+    n = data.draw(st.integers(1, 2), label="n")
+    stages = data.draw(st.lists(_stage(n), min_size=2, max_size=6),
+                       label="stages")
+    want = np.eye(1 << n)
+    for b_in, b_out, _ in stages:
+        want = translation_unitary(b_in, b_out) @ want
+    src = (f"qpu main() -> bit[{n}] {{\n    '{'0' * n}'\n"
+           + "".join(f"    | {text}\n" for _, _, text in stages)
+           + f"    | std[{n}].measure\n}}\n")
+    tp = pipeline.front(src, "stages.qw", pipeline.Options())
+    with mock.patch.object(pipeline, "lower_module", _lower_with_params):
+        for opt_level, decompose in itertools.product((0, 1), (False, True)):
+            opts = pipeline.Options(opt_level=opt_level, decompose=decompose)
+            qc = pipeline.to_gates(pipeline.to_qwir(tp, opts), opts)
+            got = module_unitary(qc.entry_fn)
+            if opt_level == 0:
+                assert np.allclose(got, want, atol=1e-9), src
+            else:
+                assert equal_up_to_global_phase(got, want), src

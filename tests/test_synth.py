@@ -199,13 +199,20 @@ def test_translation_is_memoized_on_the_basis_pair():
 
 
 def test_translation_cache_misses_once_per_distinct_pair():
-    # 40 stage calls over four distinct translations, plus the measurement's
-    # std[1] rotation: five pairs, so five misses and 36 hits.
-    src = pipe_chain_source(["flip0", "keep1", "keep0", "flip1"] * 10)
+    # 40 stage calls over four distinct translations, std and pm in turn so
+    # that the basis IR fuses none, plus the measurement's std[1] rotation:
+    # five pairs, so five misses and 36 hits.
+    src = pipe_chain_source(["flip0", "pm_keep1", "keep0", "pm_flip1"] * 10)
     lower_translation.cache_clear()
     compile_source(src, "pipe.qw", Options(), "qasm")
     info = lower_translation.cache_info()
     assert (info.misses, info.hits, info.currsize) == (5, 36, 5)
+    # All in std, the 40 stages fuse into one translation: two pairs.
+    src = pipe_chain_source(["flip0", "keep1", "keep0", "flip1"] * 10)
+    lower_translation.cache_clear()
+    compile_source(src, "pipe.qw", Options(), "qasm")
+    info = lower_translation.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
 
 
 def test_translation_conditional_standardization():
