@@ -310,16 +310,6 @@ class SpanMismatch:
         return self.message
 
 
-def _elements_equal(a: BasisElement, b: BasisElement) -> bool:
-    if isinstance(a, BuiltinBasis) and isinstance(b, BuiltinBasis):
-        return a == b
-    if isinstance(a, BasisLiteral) and isinstance(b, BasisLiteral):
-        return a == b
-    # Builtin vs literal of the same span: equal only if both fully span,
-    # which the caller checks separately.
-    return False
-
-
 @functools.lru_cache(maxsize=1024)
 def check_span_equivalence(b_in: Basis, b_out: Basis) -> Optional[SpanMismatch]:
     """Return None iff span(b_in) = span(b_out); else a mismatch diagnostic.
@@ -335,9 +325,9 @@ def check_span_equivalence(b_in: Basis, b_out: Basis) -> Optional[SpanMismatch]:
         left = ldeque.popleft()
         right = rdeque.popleft()
         if left.dim == right.dim:
-            if _elements_equal(left, right):
-                continue
-            if fully_spans(left) and fully_spans(right):
+            # A builtin and a literal are never equal; they share a span
+            # only if both fully span.
+            if left == right or fully_spans(left) and fully_spans(right):
                 continue
             return SpanMismatch("basis elements span different spaces", left, right)
         if left.dim > right.dim:

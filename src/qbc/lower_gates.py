@@ -21,6 +21,7 @@ from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
 )
 from .qwir import QwFunc, QwModule, QwOp
+from .qwir_passes import undo_swaps
 from .synth import embed_gates, lower_translation, measurement_rotation
 
 
@@ -182,14 +183,10 @@ class _GateLowerer:
             # physically, only when the flag is set, so both branches agree
             # on the else-route slot order.
             out = list(then_slots)
-            for k in range(len(out)):
-                want = else_slots[k]
-                if out[k] == want:
-                    continue
-                j = out.index(want, k + 1)
-                self.emit_gates([out[k], out[j]], [g(GateKind.SWAP, 0, 1)],
+            for i, j in undo_swaps([else_slots.index(s) for s in out]):
+                self.emit_gates([out[i], out[j]], [g(GateKind.SWAP, 0, 1)],
                                 (flag, True))
-                out[k], out[j] = out[j], out[k]
+                out[i], out[j] = out[j], out[i]
         out_slots = else_slots
         at = 0
         for r in op.results:

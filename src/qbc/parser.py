@@ -19,6 +19,7 @@ a positioned diagnostic, not a RecursionError.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Optional
 
@@ -471,12 +472,11 @@ class Parser:
         if t.kind == "pi":
             self.take()
             return AnglePi(pos=t.pos)
-        if t.kind == "FLOAT":
+        if t.kind in ("FLOAT", "INT"):
             self.take()
-            return AngleLit(float(t.text), pos=t.pos)
-        if t.kind == "INT":
-            self.take()
-            return AngleLit(float(t.text), pos=t.pos)
+            if not math.isfinite(value := float(t.text)):
+                raise err("angle literal is too large", t.pos, self.file)
+            return AngleLit(value, pos=t.pos)
         if t.kind == "IDENT":
             self.take()
             return AngleVar(t.text, pos=t.pos)

@@ -1,8 +1,7 @@
 """
 Gate-level optimization: phase folding over affine parities, cancellation of
-adjacent inverse pairs, the HXH/HZH conjugation rules, phase merging, the
-relaxed multi-controlled-X-on-|-> rewrite, and decomposition of
-multi-controlled gates through a relative-phase AND ladder.
+adjacent inverse pairs, the HXH/HZH conjugation rules, phase merging, and
+decomposition of multi-controlled gates through a relative-phase AND ladder.
 
 Phase folding (Amy, Maslov and Mosca, IEEE TCAD 33(10), 2014) makes one
 forward walk per function. Every qubit value holds an affine parity of path
@@ -22,23 +21,19 @@ The rewrite rules run under a worklist driver. Each function gets one
 producer map and one consumer map (value -> (op index, position)) that every
 rewrite updates in place. Deleted ops are only marked dead and are dropped
 at the end, so an op's index stays its place in program order. Rules fire in
-a fixed order: the relaxed |-> rule at the lowest matching qalloc, else the
-pair rules and then HXH at the lowest matching op. An op that no rewrite
-touched since it last failed to match cannot match, so only touched ops are
-re-queued, with their producers two hops back (HXH looks two consumers
-ahead), and the qallocs their wires start from are marked dirty. Every
-rewrite deletes at least one gate, so the pass takes linear time. The pair
-rule cancels a gate followed by its ``qcirc.ADJOINT_KIND`` and merges two P
-gates into one. The pair and HXH rules match gates that all carry one
-condition, the same (bit, value) or none; the relaxed rule matches only
-unconditioned gates.
+a fixed order: the pair rules and then HXH, at the lowest matching op. An op
+that no rewrite touched since it last failed to match cannot match, so only
+touched ops are re-queued, with their producers two hops back (HXH looks two
+consumers ahead). Every rewrite deletes at least one gate, so the pass takes
+linear time. The pair rule cancels a gate followed by its
+``qcirc.ADJOINT_KIND`` and merges two P gates into one. Both rules match
+gates that all carry one condition, the same (bit, value) or none.
 
 Toffolis flagged as halves of a compute/uncompute pair (``QOp.pair``, +1
 and -1) decompose into relative-phase Toffolis whose phases cancel only
 between the two halves. So the pair rule cancels two gates only when their
-flags sum to 0, and HXH and the relaxed |-> rule, which would change a
-flagged op's kind or controls and so strand its partner's phase, never
-rewrite a flagged op.
+flags sum to 0, and HXH, which would change a flagged op's kind and so
+strand its partner's phase, never rewrites a flagged op.
 
 Decomposition runs after the rewrite rules and emits nothing they could
 cancel. A gate with k >= 2 controls becomes a ladder of relative-phase
@@ -56,7 +51,7 @@ import math
 
 from .qcirc import (
     ADJOINT_KIND, PHASE, Gate, GateKind, QCircFn, QCircModule, QOp,
-    adjoint_gates, append_gates, g, wire_starts,
+    adjoint_gates, append_gates, g,
 )
 
 H, X, Y, Z, S, SDG, T, TDG, P, SWAP = (
@@ -82,7 +77,8 @@ def _wiring_match(a: QOp, b: QOp) -> bool:
 
 
 class _Rewriter:
-    """One function's ops and use-def maps, kept current as rules fire."""
+    """One function's ops, use-def maps and worklist of gates that may
+    match, kept current as rules fire."""
 
     def __init__(self, fn: QCircFn):
         self.ops = fn.ops
@@ -94,36 +90,20 @@ class _Rewriter:
                 self.producer[r] = i
             for k, v in enumerate(op.operands):
                 self.consumer[v] = (i, k)
-        # Qubit value -> the index of its wire's qalloc (parameter wires have
-        # none).
-        self.root = {v: self.producer[s] for v, s in wire_starts(fn).items()
-                     if s in self.producer}
-        # Min-heaps of op indices that may match: gates for the pair and HXH
-        # rules, qallocs for the relaxed rule. Heap order is program order.
+        # A min-heap of the gate indices that may match; heap order is
+        # program order.
         self.work = [i for i, op in enumerate(fn.ops) if op.kind == "gate"]
-        self.dirty = [i for i, op in enumerate(fn.ops) if op.kind == "qalloc"]
 
     def run(self) -> list[QOp]:
-        while self._fire_lowest(self.dirty, self._relaxed_minus_target) \
-                or self._fire_lowest(self.work, self._local_rules):
-            pass
+        while self.work:
+            i = heapq.heappop(self.work)
+            if not self.dead[i] and not self._pair_rules(i):
+                self._hxh(i)
         return [op for op, dead in zip(self.ops, self.dead) if not dead]
 
-    def _fire_lowest(self, queue: list[int], rule) -> bool:
-        while queue:
-            i = heapq.heappop(queue)
-            if not self.dead[i] and rule(i):
-                return True
-        return False
-
     def _requeue(self, touched) -> None:
-        """Queue the touched ops and their producers up to two hops back, and
-        mark dirty the qalloc of every wire the touched ops carry."""
+        """Queue the touched ops and their producers up to two hops back."""
         hop = {i for i in touched if not self.dead[i]}
-        for i in hop:
-            for v in self.ops[i].operands:
-                if v in self.root:
-                    heapq.heappush(self.dirty, self.root[v])
         queued = set(hop)
         for _ in range(2):
             hop = {self.producer[v] for i in hop
@@ -151,9 +131,6 @@ class _Rewriter:
                 self.consumer[v] = loc
                 touched.add(j)
         self._requeue(touched)
-
-    def _local_rules(self, i: int) -> bool:
-        return self._pair_rules(i) or self._hxh(i)
 
     def _pair_rules(self, i: int) -> bool:
         op = self.ops[i]
@@ -211,71 +188,13 @@ class _Rewriter:
         self._delete({i, k}, changed={j})
         return True
 
-    def _relaxed_minus_target(self, i: int) -> bool:
-        """qalloc -> X -> H -> (MCX targets)* -> H -> X -> qfree(z): MCX => MCZ."""
-
-        def only_consumer(v):
-            loc = self.consumer.get(v)
-            return None if loc is None else loc[0]
-
-        def plain_gate(v, kind):
-            j = only_consumer(v)
-            if j is None:
-                return None
-            o = self.ops[j]
-            if o.kind != "gate" or o.gate is not kind or o.condition is not None \
-                    or o.num_controls:
-                return None
-            return j
-
-        chain = [i]
-        v = self.ops[i].results[0]
-        for kind in (X, H):
-            j = plain_gate(v, kind)
-            if j is None:
-                return False
-            chain.append(j)
-            v = self.ops[j].results[0]
-        mcx_indices = []
-        while (j := only_consumer(v)) is not None:
-            o = self.ops[j]
-            if not (o.kind == "gate" and o.gate is X and o.num_controls >= 1
-                    and o.condition is None and not o.pair
-                    and o.operands[-1] == v):
-                break
-            mcx_indices.append(j)
-            v = o.results[-1]
-        if not mcx_indices:
-            return False
-        for kind in (H, X):
-            j = plain_gate(v, kind)
-            if j is None:
-                return False
-            chain.append(j)
-            v = self.ops[j].results[0]
-        jf = only_consumer(v)
-        if jf is None or self.ops[jf].kind not in ("qfree", "qfreez"):
-            return False
-        chain.append(jf)
-        # Rewrite each MCX into an MCZ on its controls, dropping the ancilla.
-        for j in mcx_indices:
-            o = self.ops[j]
-            o.operands = o.operands[: o.num_controls]
-            o.results = o.results[: o.num_controls]
-            o.gate = Z
-            o.num_controls -= 1
-        for j in chain:
-            self.dead[j] = True
-        self._requeue(mcx_indices)
-        return True
-
 
 def peephole(m: QCircModule) -> QCircModule:
     """Apply the cancellation rule set to a fixpoint on every function.
 
-    Rewrites fire in a fixed order: the relaxed |-> rule at the lowest
-    matching qalloc first, else the pair rules and then HXH at the lowest
-    matching op. A worklist finds that match without rescanning the function.
+    Rewrites fire in a fixed order: the pair rules and then HXH, at the
+    lowest matching op. A worklist finds that match without rescanning the
+    function.
     """
     for fn in m.functions.values():
         fn.ops = _Rewriter(fn).run()

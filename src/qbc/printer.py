@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from .ast_nodes import (
     AngleBin, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
     BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CIndex, CLit,
@@ -26,8 +28,10 @@ def print_dim(d) -> str:
 
 def print_angle(a) -> str:
     if isinstance(a, AngleLit):
+        # Positional digits, which the lexer reads back to the same float;
+        # repr would write 1e-05.
         v = a.value
-        return str(int(v)) if v == int(v) else repr(v)
+        return str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f")
     if isinstance(a, AnglePi):
         return "pi"
     if isinstance(a, AngleVar):

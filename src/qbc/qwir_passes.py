@@ -181,7 +181,7 @@ def qubit_index_analysis(fn: QwFunc, block: QwBlock) -> dict[int, tuple[int, ...
     return idx
 
 
-def _undo_swaps(perm: list[int]) -> list[tuple[int, int]]:
+def undo_swaps(perm: list[int]) -> list[tuple[int, int]]:
     """Position swaps that, applied in order after ``perm``, restore identity."""
     arr = list(perm)
     swaps = []
@@ -300,7 +300,7 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
     for v in term.operands:
         if fn.types[v].kind == "qubit":
             perm.extend(index[v])
-    swaps = _undo_swaps(perm)
+    swaps = undo_swaps(perm)
     if swaps:
         packed = fn.new_value(qubit(n))
         new.ops.append(QwOp("qbpack", out_vals, [packed]))

@@ -12,7 +12,8 @@ compute into fresh ancillas via (possibly negated) Toffolis, XOR structure
 is streamed directly onto targets as CNOT chains, and every ancilla is
 uncomputed and released clean. Each AND's Toffoli is flagged as one half of
 a mirrored pair, which decomposition may realize with relative-phase
-Toffolis; a sign oracle whose output is one AND kicks its phase with a CZ.
+Toffolis. A sign oracle has no target: it kicks its phase straight onto the
+wires f XORs, with one Z each, or with a CZ when f is one AND.
 """
 
 from __future__ import annotations
@@ -630,12 +631,6 @@ def _phase_kick(segments: list[list[Gate]], bag: _Bag) -> Optional[list[Gate]]:
     return [Gate(Z, (b,), (a,)) if gt is toffoli else gt for gt in segments[-1]]
 
 
-def _close_gap(gt: Gate, gap: int) -> Gate:
-    """``gt`` with every position above ``gap`` moved down by one."""
-    move = lambda ps: tuple(p - (p > gap) for p in ps)
-    return Gate(gt.kind, move(gt.targets), move(gt.controls), gt.param, gt.pair)
-
-
 def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, int]:
     """Build U_f gates; returns (gates, n_inputs, n_outputs, n_ancillas).
 
@@ -644,12 +639,14 @@ def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, 
     the compute segments' adjoints in reverse, so all ancillas finish at |0>.
 
     xor mode lays out [inputs, outputs, ancillas]; outputs receive
-    y ^= f(x) via CNOT chains. sign mode applies (-1)^f(x). When f's output
-    is exactly the last AND's wire (not negated), that AND's Toffoli becomes
-    a CZ on its two inputs (the phase-oracle form) and the layout is
-    [inputs, ancillas], with neither that AND's ancilla nor a phase target.
-    Otherwise sign mode lays out [inputs, target, ancillas] and copies f
-    onto the target, driven as |->.
+    y ^= f(x) via CNOT chains. sign mode lays out [inputs, ancillas] and
+    applies (-1)^f(x) as a phase kick between compute and uncompute, with no
+    phase target. When f's output is exactly the last AND's wire (not
+    negated), that AND's Toffoli becomes a CZ on its two inputs and its
+    ancilla goes unused. Otherwise f is an XOR of wires, each of which gets
+    a Z; a negated f makes the first of them X.Z.X, which is -Z. A
+    constant-true f applies -I as X.Z.X.Z on one fresh ancilla, so that a
+    predicate's controls make it a relative phase.
     """
     n = sum(p.type.dim.value for p in cfn.params)
     k = cfn.ret_type.dim.value
@@ -660,32 +657,32 @@ def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, 
         d = p.type.dim.value
         env[p.name] = [_Bag.wire(at + i) for i in range(d)]
         at += d
-    if mode == "sign":
-        targets = [synth.alloc()]
-    else:
-        targets = [n + j for j in range(k)]
 
     bags = synth.eval(cfn.body, env)
-    assert len(bags) == len(targets)
     segments = synth.segments
-    if mode == "sign":
-        kick = _phase_kick(segments, bags[0])
-        if kick is not None:
+    if mode == "xor":
+        middle: list[Gate] = []
+        for j, bag in enumerate(bags):
+            if bag.flip:
+                middle.append(g(X, n + j))
+            middle += [Gate(X, (n + j,), (p,)) for p in sorted(bag.positions)]
+    else:
+        (bag,) = bags
+        middle = _phase_kick(segments, bag)
+        if middle is not None:
+            # The last AND's ancilla is the highest position, and no gate
+            # touches it any more.
             segments = segments[:-1]
-            gates = _compute(segments) + kick + _uncompute(segments)
-            # Drop the unused target; the last AND's ancilla is the highest
-            # position and no gate touches it any more.
-            return [_close_gap(gt, n) for gt in gates], n, 0, synth.num_ancillas - 2
-    copy: list[Gate] = []
-    for tgt, bag in zip(targets, bags):
+            synth.num_ancillas -= 1
+        else:
+            middle = [g(Z, p) for p in sorted(bag.positions)]
         if bag.flip:
-            copy.append(g(X, tgt))
-        for p in sorted(bag.positions):
-            copy.append(Gate(X, (tgt,), (p,)))
-    gates = _compute(segments) + copy + _uncompute(segments)
-    if mode == "sign":
-        (t,) = targets
-        gates = [g(X, t), g(H, t)] + gates + [g(H, t), g(X, t)]
+            # -Z is X.Z.X. A constant-true f has no wire to flip, so it puts
+            # -I = X.Z.X.Z on a fresh ancilla.
+            middle = middle or [g(Z, synth.alloc())] * 2
+            x = g(X, middle[0].targets[0])
+            middle = [x, middle[0], x] + middle[1:]
+    gates = _compute(segments) + middle + _uncompute(segments)
     return gates, n, (k if mode == "xor" else 0), synth.num_ancillas
 
 

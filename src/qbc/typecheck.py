@@ -85,13 +85,7 @@ def basis_of(e: ExprNode, file: str, fold: bool = True) -> bases.Basis:
                 if v.phase is not None and fold:
                     phase = fold_angle(v.phase, v.pos, file)
                 try:
-                    vecs.append(
-                        bases.BasisVector(
-                            bases.vector_from_chars(v.chars).prim,
-                            bases.vector_from_chars(v.chars).eigenbits,
-                            phase,
-                        )
-                    )
+                    vecs.append(bases.vector_from_chars(v.chars, phase))
                 except ValueError as ex:
                     raise err(str(ex), v.pos, file)
             elements.append(bases.BasisLiteral(tuple(vecs)))

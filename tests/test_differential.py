@@ -2,8 +2,10 @@
 -O0/-O1 x decompose on/off, each circuit re-read from its QASM with and
 without qubit reuse, and the front end with and without tensor flattening.
 The programs are the benchmarks, three that give phase folding work (a
-pipe chain, a predicated oracle and a phase conditioned on a measurement)
-and two that allocate after a measurement or a discard."""
+pipe chain, a predicated oracle and a phase conditioned on a measurement),
+two that allocate after a measurement or a discard, four sign oracles
+whose phase kick has no target wire, and a conditional that swaps wires.
+Where a program's distribution is known, every way must give it."""
 
 import pathlib
 
@@ -58,6 +60,69 @@ qpu main() -> bit[2] {
     m + r
 }
 """, {}),
+    # Sign oracles kick their phase in synthesis: a negated AND, a
+    # predicated parity, and a constant-true f with no input wire, bare
+    # (a global phase) and predicated (a relative one).
+    "negated_sign_oracle": ("""\
+classical nand[N](x: bit[N]) -> bit[1] {
+    ~and_reduce(x)
+}
+
+qpu main[N]() -> bit[N] {
+    'p'[N] | nand.sign | pm[N].measure
+}
+""", {"N": 3}),
+    "predicated_parity_oracle": ("""\
+classical dot[N](s: bit[N], x: bit[N]) -> bit[1] {
+    xor_reduce(s & x)
+}
+
+qpu main() -> bit[4] {
+    ('1' + 'p'[3]) | ({'1'} & dot('101').sign) | (std + pm[3]).measure
+}
+""", {}),
+    "constant_sign_oracle": ("""\
+classical f[N](s: bit[N]) -> bit[1] {
+    xor_reduce(s)
+}
+
+qpu main() -> bit[1] {
+    'p' | (f('1').sign + id) | pm.measure
+}
+""", {}),
+    "predicated_constant_sign_oracle": ("""\
+classical f[N](s: bit[N]) -> bit[1] {
+    xor_reduce(s)
+}
+
+qpu main() -> bit[2] {
+    ('p' + 'p') | ({'1'} & (f('1').sign + id)) | pm[2].measure
+}
+""", {}),
+    # A conditional whose then-branch renames its qubits: gate lowering
+    # routes the branches' slots into one order with a conditioned swap.
+    "conditional_wire_swap": ("""\
+qpu sw(q: qubit[2]) -> qubit[2] rev {
+    let (a: qubit[1], b: qubit[1]) = q;
+    b + a
+}
+
+qpu main() -> bit[3] {
+    let m: bit[1] = 'p' | std.measure;
+    let r: bit[2] = '01' | (sw if m else id[2]) | std[2].measure;
+    m + r
+}
+""", {}),
+}
+
+# Distributions that pin each sign oracle's phase, and the swap's routing.
+EXPECTED = {
+    "negated_sign_oracle": {"000": 0.5625} | {
+        f"{i:03b}": 0.0625 for i in range(1, 8)},
+    "predicated_parity_oracle": {"1101": 1.0},
+    "constant_sign_oracle": {"0": 1.0},
+    "predicated_constant_sign_oracle": {"10": 1.0},
+    "conditional_wire_swap": {"001": 0.5, "110": 0.5},
 }
 
 
@@ -76,7 +141,7 @@ def test_compile_options_agree_on_distribution(name):
     tp = front(src, path, Options(dims=dims))
     # Flattening keeps every signature the one typecheck computed.
     assert typecheck(tp.program, path).fn_types == tp.fn_types
-    want = None
+    want = EXPECTED.get(name)
     for opt_level in (0, 1):
         for decompose in (False, True):
             opts = Options(opt_level=opt_level, decompose=decompose,

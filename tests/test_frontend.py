@@ -397,6 +397,31 @@ def test_non_ascii_digit_is_a_diagnostic(tmp_path, capsys, src, where):
         f"{path}:{where}: error: unexpected character '²'\n"
 
 
+@pytest.mark.parametrize("angle", [
+    "0.00001 * 0.1", "0.000000000000000000000000000001", "123456.789 / 7",
+    "100000000000000000000000.5",
+])
+def test_printed_angles_compile_to_the_same_circuit(angle):
+    # --emit ast writes each angle literal with positional digits, so its
+    # output reads back to the same floats: repr would write 1e-05.
+    src = ("qpu main() -> bit[2] {\n"
+           f"    'p'[2] | ({{'1'}} & ({{'0', '1'}} >> {{'0', '1' @ ({angle})}}))"
+           " | pm[2].measure\n}\n")
+    text = compile_source(src, "angle.qw", Options(), "ast")
+    assert "e-" not in text and "e+" not in text
+    assert compile_source(text, "again.qw", Options(), "qasm") == \
+        compile_source(src, "angle.qw", Options(), "qasm")
+
+
+def test_infinite_angle_literal_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "big.qw"
+    path.write_text("qpu main() -> bit[1] {\n    '1' @ (" + "9" * 400
+                    + ") | std.measure\n}\n")
+    assert main(["compile", "--emit", "ast", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"{path}:2:12: error: angle literal is too large\n"
+
+
 def test_tensor_of_measured_bits_compiles(tmp_path):
     path = tmp_path / "bits.qw"
     path.write_text("qpu main() -> bit[2] {\n"

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import pathlib
 from itertools import permutations, product
 
 import numpy as np
@@ -29,6 +30,7 @@ from oracles import (
     unitary_of,
 )
 
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 STD, PM, IJ, FOURIER = Prim.STD, Prim.PM, Prim.IJ, Prim.FOURIER
 
 
@@ -575,7 +577,43 @@ def test_sign_oracle_of_one_and_kicks_phase_without_target():
         (GateKind.Z, (3,), (2,), 0),
         (GateKind.X, (0, 1), (3,), -1),
     ]
-    # A negated output keeps the |-> target at position n.
+    # A negated output computes both ANDs and kicks -Z = X.Z.X onto the
+    # last one's wire (position 4); there is still no phase target.
     cfn = _cfn("nand", [3], 1, CNot(CReduce("and", CVar("x0"))))
     gates, n, k, anc = synth_classical(cfn, "sign")
-    assert anc == 3 and gates[:2] == [g(GateKind.X, 3), g(GateKind.H, 3)]
+    assert (n, k, anc) == (3, 0, 2)
+    assert [(gt.kind, gt.controls, gt.targets, gt.pair) for gt in gates] == [
+        (GateKind.X, (0, 1), (3,), 1),
+        (GateKind.X, (3, 2), (4,), 1),
+        (GateKind.X, (), (4,), 0),
+        (GateKind.Z, (), (4,), 0),
+        (GateKind.X, (), (4,), 0),
+        (GateKind.X, (3, 2), (4,), -1),
+        (GateKind.X, (0, 1), (3,), -1),
+    ]
+
+
+def test_sign_oracle_of_a_constant_puts_its_phase_on_a_fresh_ancilla():
+    # A constant-true f has no wire to kick: -I = X.Z.X.Z goes on a fresh
+    # ancilla, so a predicate's controls turn it into a relative phase.
+    x0 = CIndex(CVar("x0"), DimLit(0))
+    cfn = _cfn("one", [1], 1, CNot(CBin("^", x0, x0)))
+    gates, n, k, anc = synth_classical(cfn, "sign")
+    assert (n, k, anc) == (1, 0, 1)
+    assert gates == [g(GateKind.X, 1), g(GateKind.Z, 1), g(GateKind.X, 1),
+                     g(GateKind.Z, 1)]
+    assert np.allclose(u_of(gates, 2), -np.eye(4), atol=1e-9)
+    # A constant-false f kicks nothing.
+    gates, n, k, anc = synth_classical(_cfn("zero", [1], 1, CBin("^", x0, x0)),
+                                       "sign")
+    assert (gates, anc) == ([], 0)
+
+
+@pytest.mark.parametrize("name", ["bv", "dj"])
+def test_xor_sign_oracle_needs_no_phase_target(name):
+    # bv and dj kick one Z per input bit their parity reads, at -O0 too, so
+    # the register holds exactly the N=4 input qubits.
+    path = BENCH / f"{name}.qw"
+    qasm = compile_source(path.read_text(), str(path), Options(opt_level=0),
+                          "qasm")
+    assert "qubit[4] q;" in qasm
