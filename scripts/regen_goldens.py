@@ -5,9 +5,10 @@ benchmark programs.
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
 circuit. Rewriting prints, for each file it writes, whether its bytes
-changed. ``--check`` compiles and verifies the same way but writes nothing;
-it compares every output byte for byte with ``tests/goldens/`` and exits 1
-naming every mismatch.
+changed; for a changed QASM golden it also prints the old and new declared
+width and depth, so a layout change shows in review. ``--check`` compiles
+and verifies the same way but writes nothing; it compares every output byte
+for byte with ``tests/goldens/`` and exits 1 naming every mismatch.
 
     python3 scripts/regen_goldens.py           # rewrite tests/goldens/
     python3 scripts/regen_goldens.py --check   # verify them
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qbc.backends import read_qasm3  # noqa: E402
+from qbc.backends import BackendError, allocate, read_qasm3  # noqa: E402
 from qbc.diagnostics import CompileError  # noqa: E402
 from qbc.pipeline import Options, compile_source, compile_to_circuit  # noqa: E402
 from qbc.run import distribution  # noqa: E402
@@ -100,11 +102,30 @@ def main(argv=None) -> int:
                 print(f"{name}: no {fname}")
                 continue
             data = text.encode("utf-8")
-            status = "unchanged" if path.exists() and path.read_bytes() == data \
-                else "changed"
+            old = path.read_bytes() if path.exists() else None
+            if old == data:
+                status = "unchanged"
+            else:
+                status = "changed"
+                if fname.endswith(".qasm") and old is not None:
+                    was = _shape(old.decode("utf-8", "replace"))
+                    if was:
+                        status += f" ({was} -> {_shape(text)})"
             path.write_bytes(data)
             print(f"{fname}: {status}")
     return 0
+
+
+def _shape(qasm: str) -> str | None:
+    """QASM text's declared width and depth, or None if it does not read."""
+    width = re.search(r"^qubit\[(\d+)\] q;$", qasm, re.M)
+    if width is None:
+        return None
+    try:
+        fn = read_qasm3(qasm).entry_fn
+    except BackendError:
+        return None
+    return f"qubit[{width.group(1)}] depth {allocate(fn, reuse=False).depth}"
 
 
 def _close(a: dict, b: dict) -> bool:

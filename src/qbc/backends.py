@@ -4,11 +4,13 @@ decomposed gate module, plus a reader for the emitted OpenQASM subset used
 to round-trip register allocation.
 
 Both emitters are deterministic: identical modules produce byte-identical
-text. Register indices are assigned in allocation order; with
-``reuse_qubits``, an index freed by a ``qfreez`` (a qubit known to be |0>)
-is reused, and a measured or ``qfree``d one never is. A qubit value's
-register is that of the ``qalloc`` its wire began at, read from
-``qcirc.wire_starts``.
+text. One allocator, ``allocate``, places qubits for both. Without
+``reuse_qubits`` every ``qalloc`` takes a fresh register. With it (the
+pipeline's default at -O1), a ``qalloc`` takes the register freed by a
+``qfreez`` (a qubit known to be |0>) whose last gate sits lowest in QASM
+depth, so the register is no wider than the peak number of live qubits and
+reuse costs no depth on the benchmark programs. A measured or ``qfree``d
+register is never reused. A gate's results keep its operands' registers.
 
 The gate vocabulary lives in ``qcirc``: OpenQASM names are ``GateKind``
 values (with a ``c`` prefix or ``cp(qcirc.PHASE)`` for one control and
@@ -18,11 +20,12 @@ maps each (kind, controls) pair it can call to one intrinsic.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+from typing import NamedTuple
 
 from .qcirc import (
     N_TARGETS, PHASE, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
-    g, wire_starts,
+    g,
 )
 
 
@@ -36,35 +39,58 @@ class BackendError(Exception):
     pass
 
 
-def _allocate(fn: QCircFn, reuse: bool):
-    """Register indices of every qubit value, the register count, and the
-    slot of every measured bit.
+class Registers(NamedTuple):
+    """Where ``allocate`` puts a function's qubits and measured bits."""
 
-    Each ``qalloc`` takes the next fresh index or, with ``reuse``, the index
-    freed longest ago by a ``qfreez``, whose qubit is known to be |0>. A
-    measured or ``qfree``d qubit is left in an unknown state, and Base-Profile
-    QIR forbids using a qubit after it is measured, so its index is never
-    reused. Every other qubit value has the index of the ``qalloc`` its wire
-    began at (``wire_starts``).
+    index_of: dict[int, int]  # qubit value -> register index
+    width: int  # the register count the backends declare, at least 1
+    creg: dict[int, int]  # measured bit -> its slot
+    depth: int  # the longest chain of gates along any register
+
+
+def allocate(fn: QCircFn, reuse: bool) -> Registers:
+    """Register indices of every qubit value, in one walk over ``fn``.
+
+    Each ``qalloc`` takes a fresh index or, with ``reuse``, the register
+    freed by a ``qfreez`` (its qubit is known to be |0>) whose last gate has
+    the lowest level, ties going to the lowest index; a fresh index only
+    when none is free. A gate's level is one more than the highest among its
+    registers', as in QASM depth, to which a measurement or a condition adds
+    nothing: the register that went idle earliest delays the new qubit's
+    first gate least. A measured or ``qfree``d qubit is in an unknown state,
+    and Base-Profile QIR forbids using a qubit after it is measured, so its
+    register is never reused.
     """
-    start = wire_starts(fn)
-    reg: dict[int, int] = {}  # qalloc result -> register index
-    free: deque[int] = deque()
-    total = 0
+    index_of: dict[int, int] = {}
+    level: list[int] = []  # register -> level of its last gate
+    free: list[tuple[int, int]] = []  # min-heap of (level, zeroed register)
     creg: dict[int, int] = {}
     for op in fn.ops:
-        if op.kind == "qalloc":
+        kind = op.kind
+        if kind == "gate":
+            operands = op.operands
+            if len(operands) == 1:  # most gates; no max to take
+                r = index_of[operands[0]]
+                level[r] += 1
+                index_of[op.results[0]] = r
+                continue
+            regs = [index_of[v] for v in operands]
+            d = 1 + max([level[r] for r in regs])
+            for r, v in zip(regs, op.results):
+                index_of[v] = r
+                level[r] = d
+        elif kind == "qalloc":
             if reuse and free:
-                reg[op.results[0]] = free.popleft()
+                index_of[op.results[0]] = heapq.heappop(free)[1]
             else:
-                reg[op.results[0]] = total
-                total += 1
-        elif op.kind == "qfreez":
-            free.append(reg[start[op.operands[0]]])
-        elif op.kind == "measure":
+                index_of[op.results[0]] = len(level)
+                level.append(0)
+        elif kind == "qfreez":
+            r = index_of[op.operands[0]]
+            heapq.heappush(free, (level[r], r))
+        elif kind == "measure":
             creg[op.results[0]] = len(creg)
-    index_of = {v: reg[s] for v, s in start.items()}
-    return index_of, total, creg
+    return Registers(index_of, max(len(level), 1), creg, max(level, default=0))
 
 
 # The kinds stdgates.inc has a one-control gate for, named with a "c".
@@ -76,8 +102,7 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
     fn = m.entry_fn
     if fn.qubit_params:
         raise BackendError("cannot emit a function that takes qubits")
-    index_of, total, creg = _allocate(fn, reuse_qubits)
-    n = max(total, 1)
+    index_of, n, creg, _ = allocate(fn, reuse_qubits)
     k = len(creg)
     lines = ['OPENQASM 3.0;', 'include "stdgates.inc";', f"qubit[{n}] q;"]
     if k:
@@ -286,8 +311,7 @@ def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
                 "Base-Profile QIR cannot branch on measurement results; "
                 "use the OpenQASM backend"
             )
-    index_of, total, creg = _allocate(fn, reuse_qubits)
-    n = max(total, 1)
+    index_of, n, creg, _ = allocate(fn, reuse_qubits)
     k = len(creg)
 
     def qref(i: int) -> str:

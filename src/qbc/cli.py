@@ -23,13 +23,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_opt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-O0", dest="opt_level", action="store_const", const=0,
-                   default=1, help="disable gate-level optimization")
+                   default=1, help="disable gate-level optimization and give "
+                   "every allocation a fresh register")
     p.add_argument("-O1", dest="opt_level", action="store_const", const=1,
-                   help="enable gate-level optimization (default)")
+                   help="enable gate-level optimization and reuse zeroed "
+                   "registers, earliest-finished first (default)")
     p.add_argument("--no-decompose", action="store_true",
                    help="keep multi-controlled gates")
-    p.add_argument("--reuse-qubits", action="store_true",
-                   help="reuse freed register indices in backends")
 
 
 def _options(args) -> Options:
@@ -44,7 +44,6 @@ def _options(args) -> Options:
     return Options(
         opt_level=getattr(args, "opt_level", 1),
         decompose=not getattr(args, "no_decompose", False),
-        reuse_qubits=getattr(args, "reuse_qubits", False),
         dims=dims,
     )
 
@@ -81,7 +80,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default 0; QBC_SEED overrides)")
 
-    p_stats = sub.add_parser("stats", help="print compile statistics")
+    p_stats = sub.add_parser(
+        "stats", help="print compile statistics",
+        description="Print the gate, T and CX counts of the compiled circuit "
+        "and the register width its OpenQASM declares under the same "
+        "options.")
     _add_common(p_stats)
     _add_opt_flags(p_stats)
 

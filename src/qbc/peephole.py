@@ -27,7 +27,9 @@ touched ops are re-queued, with their producers two hops back (HXH looks two
 consumers ahead). Every rewrite deletes at least one gate, so the pass takes
 linear time. The pair rule cancels a gate followed by its
 ``qcirc.ADJOINT_KIND`` and merges two P gates into one. Both rules match
-gates that all carry one condition, the same (bit, value) or none.
+gates that all carry one condition, the same (bit, value) or none. Once no
+rule matches, a ``qalloc`` whose qubit goes straight to a ``qfreez`` (an
+ancilla whose gates were all folded or cancelled) is dropped with it.
 
 Toffolis flagged as halves of a compute/uncompute pair (``QOp.pair``, +1
 and -1) decompose into relative-phase Toffolis whose phases cancel only
@@ -99,6 +101,12 @@ class _Rewriter:
             i = heapq.heappop(self.work)
             if not self.dead[i] and not self._pair_rules(i):
                 self._hxh(i)
+        # An ancilla that no gate touches any more is dropped with its free.
+        for i, op in enumerate(self.ops):
+            if op.kind == "qalloc":
+                j, _ = self.consumer[op.results[0]]
+                if self.ops[j].kind == "qfreez":
+                    self.dead[i] = self.dead[j] = True
         return [op for op, dead in zip(self.ops, self.dead) if not dead]
 
     def _requeue(self, touched) -> None:

@@ -16,6 +16,13 @@ Gate-level rewrites happen in ``peephole``. Phase folding runs just before its r
 rules, which cancel the gates that folding leaves adjacent, and before
 decomposition: on the benchmark programs, folding a decomposed circuit again
 merges nothing.
+
+At -O1 (or with ``Options.reuse_qubits`` at -O0) the backends reuse zeroed
+registers: a ``qalloc`` takes the register freed by a ``qfreez`` whose last
+gate sits lowest in depth (``backends.allocate``) and a fresh one only when
+none is free. On every benchmark program that keeps the depth of fresh
+registers. -O0 alone gives every ``qalloc`` a fresh register. ``qbc stats``
+reports the width the backends declare under the same options.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .backends import BackendError, emit_qasm3, emit_qir_base
+from .backends import BackendError, allocate, emit_qasm3, emit_qir_base
 from .canon_ast import canonicalize_ast
 from .diagnostics import CompileError, Diagnostic
 from .expand import expand
@@ -45,8 +52,13 @@ from .typecheck import typecheck
 class Options:
     opt_level: int = 1
     decompose: bool = True
-    reuse_qubits: bool = False
+    reuse_qubits: bool = False  # reuse zeroed registers at -O0 too
     dims: dict[str, int] = field(default_factory=dict)
+
+
+def _reuse(opts: Options) -> bool:
+    """Whether the backends reuse registers freed by a ``qfreez``."""
+    return opts.reuse_qubits or opts.opt_level >= 1
 
 
 def front(source: str, file: str, opts: Options):
@@ -101,10 +113,10 @@ def compile_source(source: str, file: str, opts: Options, emit: str) -> str:
         return print_qcirc(qc)
     try:
         if emit == "qasm":
-            return emit_qasm3(qc, reuse_qubits=opts.reuse_qubits,
+            return emit_qasm3(qc, reuse_qubits=_reuse(opts),
                               allow_multi_control=not opts.decompose)
         if emit == "qir":
-            return emit_qir_base(qc, reuse_qubits=opts.reuse_qubits)
+            return emit_qir_base(qc, reuse_qubits=_reuse(opts))
     except BackendError as e:
         raise CompileError(Diagnostic("error", str(e), file=file))
     raise CompileError(Diagnostic("error", f"unknown emit target {emit!r}"))
@@ -140,5 +152,5 @@ def stats_for(source: str, file: str, opts: Options) -> Stats:
         t_count=sum(op.gate in (GateKind.T, GateKind.TDG) for op in gates),
         cx_count=sum(op.gate is GateKind.X and op.num_controls == 1
                      for op in gates),
-        qubits=sum(1 for op in fn.ops if op.kind == "qalloc"),
+        qubits=allocate(fn, _reuse(opts)).width,
     )

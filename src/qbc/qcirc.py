@@ -5,11 +5,13 @@ with value semantics (every qubit value is produced once and consumed once).
 Synthesis routines build flat ``Gate`` lists over register positions.
 ``append_gates`` is the one place that wires such lists into dataflow
 ``gate`` ops: gate lowering, multi-control decomposition and the QASM reader
-all go through it. ``wire_starts`` is the one place that follows them back:
-it names the qubit behind every value by the value its wire began at, and
-the executor, both backends, the peephole pass and the test oracles read
-that map instead of tracking wires themselves. Only ``verify_circuit``
-keeps its own tracking, since it must stay correct on malformed input.
+all go through it. ``wire_starts`` follows them back: it names the qubit
+behind every value by the value its wire began at, and the executor and
+the test oracles read that map instead of tracking wires themselves. Two
+walks keep their own tracking: ``verify_circuit``, since it must stay
+correct on malformed input, and ``backends.allocate``, which gives a gate's
+results its operands' registers in the walk that also places each
+allocation and tracks depth.
 
 This module is also the one home of the gate vocabulary: a ``GateKind``'s
 value is its OpenQASM name, ``N_TARGETS`` its target count,

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .ast_nodes import (
     CBin, CExpr, CIndex, CLit, CNot, CReduce, CRepeat, CSlice, CVar,
     ClassicalFn,
@@ -396,11 +398,18 @@ def _transform_gates(src: int, dst: int, d: int) -> list[tuple[int, int]]:
     return steps
 
 
-def _apply_steps(steps: list[tuple[int, int]], value: int) -> int:
+def _map_values(steps: list[tuple[int, int]], f: np.ndarray,
+                inv: np.ndarray) -> None:
+    """Send every value of the table ``f`` through the steps in order, in
+    place, keeping ``inv`` its inverse.
+
+    A step's target bit is never among its controls, so it pairs the values
+    it moves, and each moved entry's new value names its row in ``inv``.
+    """
     for controls, target in steps:
-        if value & controls == controls:
-            value ^= target
-    return value
+        hit = np.flatnonzero(f & controls == controls)
+        f[hit] ^= target
+        inv[f[hit]] = hit
 
 
 def synth_permutation(perm: Sequence[int]) -> list[Gate]:
@@ -409,6 +418,8 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
     Bidirectional transformation-based synthesis: rows are fixed in index
     order, transforming whichever of the input/output side needs fewer bit
     flips; output-side gates are emitted reversed after input-side gates.
+    The table and its inverse are kept as arrays, so finding a row's source
+    is a lookup and each step is one vectorized mask.
     """
     size = len(perm)
     d = size.bit_length() - 1
@@ -418,25 +429,29 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
         raise SynthError(f"permutation too wide ({d} > {PERMUTATION_LIMIT})")
     if sorted(perm) != list(range(size)):
         raise SynthError("not a permutation")
-    f = list(perm)
+    f = np.array(perm, dtype=np.int64)
+    inv = np.empty_like(f)
+    inv[f] = np.arange(size)
     gates_in: list[tuple[int, int]] = []
     gates_out: list[tuple[int, int]] = []
     for x in range(size):
-        y = f[x]
+        y = int(f[x])
         if y == x:
             continue
-        x_in = f.index(x)
+        x_in = int(inv[x])
         cost_out = bin(x ^ y).count("1")
         cost_in = bin(x ^ x_in).count("1")
         if cost_out <= cost_in:
             steps = _transform_gates(y, x, d)
-            f = [_apply_steps(steps, v) for v in f]
+            _map_values(steps, f, inv)
             gates_out.extend(steps)
         else:
+            # f then reads each row through the steps: the inverse's values
+            # go through them backwards.
             steps = _transform_gates(x, x_in, d)
-            f = [f[_apply_steps(steps, r)] for r in range(size)]
+            _map_values(steps[::-1], inv, f)
             gates_in.extend(reversed(steps))
-    assert f == list(range(size)), "synthesis did not reach identity"
+    assert (f == np.arange(size)).all(), "synthesis did not reach identity"
 
     def to_gate(controls_mask: int, target_mask: int) -> Gate:
         # Bit k of a mask refers to qubit d-1-k (qubit 0 is the MSB).

@@ -102,9 +102,17 @@ def test_stats_prints_circuit_counts(capsys):
     assert main(["stats", str(BENCH / "bell.qw")]) == 0
     out = capsys.readouterr().out
     assert "gates=" in out and "qubits=" in out
-    assert main(["stats", str(BENCH / "grover.qw")]) == 0
+    path = BENCH / "grover.qw"
+    assert main(["stats", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["gates=248", "t_count=93", "cx_count=93", "qubits=13"]
+    assert lines == ["gates=248", "t_count=93", "cx_count=93", "qubits=6"]
+    # qubits= is the width the emitted QASM declares: reused at -O1, one
+    # register per allocation at -O0.
+    for flags, width in (([], 6), (["-O0"], 13)):
+        assert main(["stats", str(path), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"qubits={width}"
+        assert main(["compile", str(path), *flags]) == 0
+        assert f"\nqubit[{width}] q;\n" in capsys.readouterr().out
 
 
 def test_stats_reports_gate_lowering_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every way of compiling a program gives the same exact distribution:
 -O0/-O1 x decompose on/off, each circuit re-read from its QASM with and
-without qubit reuse, and the front end with and without tensor flattening.
+without qubit reuse (-O1 always reuses), and the front end with and without
+tensor flattening.
 The programs are the benchmarks, three that give phase folding work (a
 pipe chain, a predicated oracle and a phase conditioned on a measurement),
 two that allocate after a measurement or a discard, four sign oracles
@@ -158,3 +159,13 @@ def test_compile_options_agree_on_distribution(name):
     opts = Options(dims=dims)
     _assert_close(want, distribution(
         to_gates(to_qwir(unflattened, opts), opts, path), all_bits=True))
+
+
+def test_idle_ancilla_is_dropped_at_O1():
+    # f('1') is constant, so -O1 folds away the only gates on the sign
+    # kick's ancilla, and the ancilla goes with them.
+    src, dims = PROGRAMS["constant_sign_oracle"]
+    for opt_level, width in ((0, 2), (1, 1)):
+        opts = Options(opt_level=opt_level, dims=dims)
+        qasm = compile_source(src, "constant.qw", opts, "qasm")
+        assert f"\nqubit[{width}] q;\n" in qasm, opt_level

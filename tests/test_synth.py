@@ -17,12 +17,12 @@ from qbc.ast_nodes import (
 from qbc.bases import Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, lit
 from qbc.peephole import decompose_multicontrol, peephole
 from qbc.pipeline import Options, compile_source
-from qbc.qcirc import GateKind, QCircModule, adjoint_gates, g, verify_circuit
+from qbc.qcirc import Gate, GateKind, QCircModule, adjoint_gates, g, verify_circuit
 from qbc.synth import (
     AlignedPair, align, collect_vector_phases, embed_gates,
     emit_standardization, factor_ordered, iqft_gates, lower_translation,
     pair_permutation, plan_standardization, qft_gates, synth_classical,
-    synth_permutation, StdEntry,
+    synth_permutation, StdEntry, _transform_gates,
 )
 
 from oracles import (
@@ -177,6 +177,56 @@ def test_synth_permutation_basis_states_exact():
             for x in range(1 << n):
                 col = u[:, x]
                 assert abs(col[perm[x]] - 1.0) < 1e-9
+
+
+def _rescanning_synth_permutation(perm):
+    """The list-based synthesis ``synth_permutation`` replaced, which finds
+    each row's source with ``index`` and rebuilds the table per row: the
+    reference its gate lists must equal."""
+    size = len(perm)
+    d = size.bit_length() - 1
+
+    def apply_steps(steps, value):
+        for controls, target in steps:
+            if value & controls == controls:
+                value ^= target
+        return value
+
+    f = list(perm)
+    gates_in, gates_out = [], []
+    for x in range(size):
+        y = f[x]
+        if y == x:
+            continue
+        x_in = f.index(x)
+        if bin(x ^ y).count("1") <= bin(x ^ x_in).count("1"):
+            steps = _transform_gates(y, x, d)
+            f = [apply_steps(steps, v) for v in f]
+            gates_out.extend(steps)
+        else:
+            steps = _transform_gates(x, x_in, d)
+            f = [f[apply_steps(steps, r)] for r in range(size)]
+            gates_in.extend(reversed(steps))
+    return [
+        Gate(GateKind.X, (d - t.bit_length(),),
+             tuple(d - 1 - k for k in range(d - 1, -1, -1) if c & (1 << k)))
+        for c, t in gates_in + gates_out[::-1]]
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_synth_permutation_matches_rescanning_synthesis(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3):
+        perm = [int(v) for v in rng.permutation(1 << d)]
+        gates = synth_permutation(perm)
+        assert gates == _rescanning_synth_permutation(perm)
+        # Run the network classically: qubit 0 is the index's top bit.
+        for x in range(1 << d):
+            bits = [(x >> (d - 1 - q)) & 1 for q in range(d)]
+            for gt in gates:
+                if all(bits[c] for c in gt.controls):
+                    bits[gt.targets[0]] ^= 1
+            assert int("".join(map(str, bits)), 2) == perm[x]
 
 
 def _check_translation(b_in: Basis, b_out: Basis):
