@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate, or with --check verify, the golden QASM/QIR outputs of the
-benchmark programs.
+"""Regenerate, or with --check verify, the golden basis IR, QASM and QIR
+outputs of the benchmark programs.
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
@@ -39,13 +39,16 @@ class GoldenError(Exception):
 
 def goldens(name: str) -> dict[str, str | None]:
     """Golden file name -> its text, or None where the backend cannot
-    express the program (teleport's branches have no QIR).
+    express the program (teleport's branches have no QIR). ``.qwir`` holds
+    the inlined basis IR (``--emit qwerty-ir``), ``.qasm`` and ``.ll`` the
+    backends' output.
 
     Raises GoldenError if the re-ingested QASM's distribution differs.
     """
     src_path = ROOT / "benchmarks" / f"{name}.qw"
     source = src_path.read_text()
     opts = Options()
+    qwir = compile_source(source, str(src_path), opts, "qwerty-ir")
     qasm = compile_source(source, str(src_path), opts, "qasm")
     circuit = compile_to_circuit(source, str(src_path), opts)
     want = distribution(circuit, all_bits=True)
@@ -56,7 +59,7 @@ def goldens(name: str) -> dict[str, str | None]:
         qir = compile_source(source, str(src_path), opts, "qir")
     except CompileError:  # the QIR backend rejected the program
         qir = None
-    return {f"{name}.qasm": qasm, f"{name}.ll": qir}
+    return {f"{name}.qwir": qwir, f"{name}.qasm": qasm, f"{name}.ll": qir}
 
 
 def check() -> list[str]:
