@@ -22,9 +22,10 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from qbc.backends import BackendError, allocate, read_qasm3  # noqa: E402
+from qasm_reader import read_qasm3  # noqa: E402
+from qbc.backends import BackendError, allocate  # noqa: E402
 from qbc.diagnostics import CompileError  # noqa: E402
 from qbc.pipeline import Options, compile_source, compile_to_circuit  # noqa: E402
 from qbc.run import distribution  # noqa: E402

@@ -350,6 +350,12 @@ class ClassicalFn:
     body: CExpr
     pos: Pos = _pos_field()
 
+    def embed_width(self, mode: str) -> int:
+        """The register an embed of this expanded function acts on: its
+        inputs, and in ``xor`` mode its outputs after them."""
+        n = sum(p.type.dim.value for p in self.params)
+        return n + self.ret_type.dim.value if mode == "xor" else n
+
 
 @dataclass(frozen=True)
 class Program:

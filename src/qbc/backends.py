@@ -1,7 +1,6 @@
 """
 Text backends: OpenQASM 3 and Base-Profile QIR emission from a lowered,
-decomposed gate module, plus a reader for the emitted OpenQASM subset used
-to round-trip register allocation.
+decomposed gate module.
 
 Both emitters are deterministic: identical modules produce byte-identical
 text. One allocator, ``allocate``, places qubits for both. Without
@@ -14,8 +13,8 @@ register is never reused. A gate's results keep its operands' registers.
 
 The gate vocabulary lives in ``qcirc``: OpenQASM names are ``GateKind``
 values (with a ``c`` prefix or ``cp(qcirc.PHASE)`` for one control and
-``ctrl(k) @`` beyond), the reader inverts that naming, and the QIR writer
-maps each (kind, controls) pair it can call to one intrinsic.
+``ctrl(k) @`` beyond), and the QIR writer maps each (kind, controls) pair it
+can call to one intrinsic.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import heapq
 from typing import NamedTuple
 
 from .qcirc import (
-    N_TARGETS, PHASE, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
-    g,
+    PHASE, Gate, GateKind, QCircFn, QCircModule, QOp, g,
 )
 
 
@@ -142,115 +140,6 @@ def _qasm_gate(op: QOp, index_of: dict[int, int], allow_multi: bool) -> str:
             "decomposition or pass the flag that permits ctrl @"
         )
     return f"ctrl({nctrl}) @ {name} {args};"
-
-
-# ---------------------------------------------------------------------------
-# OpenQASM subset reader (round-trips what emit_qasm3 produces)
-
-
-# Gate name -> (kind, controls): the inverse of ``_qasm_gate``'s naming, and
-# stdgates.inc's Toffoli.
-_QASM_GATES = (
-    {kind.value: (kind, 0) for kind in GateKind}
-    | {"c" + kind.value: (kind, 1) for kind in _C_PREFIXED}
-    | {"cp": (P, 1), "ccx": (X, 2)}
-)
-
-
-def read_qasm3(text: str) -> QCircModule:
-    import re
-
-    fn = QCircFn("main")
-    wires: dict[int, int] = {}  # live register index -> its current value
-    measured: set[int] = set()
-    last_use: dict[int, int] = {}  # register index -> fn.ops index of its last gate
-    cbits: dict[int, int] = {}
-    n_qubits = 0
-
-    def wire(i: int) -> int:
-        """The index's current value, allocated just before its first use."""
-        if i not in wires:
-            if i >= n_qubits or i in measured:
-                raise BackendError(f"unallocated qubit q[{i}]")
-            wires[i] = fn.new_id()
-            fn.ops.append(QOp("qalloc", results=(wires[i],)))
-        return wires[i]
-
-    def q_indices(args: str) -> list[int]:
-        return [int(x) for x in re.findall(r"q\[(\d+)\]", args)]
-
-    gate_re = re.compile(
-        r"(?:ctrl\((\d+)\) @ )?(\w+)(?:\(([^)]*)\))? ((?:q\[\d+\](?:, )?)+);"
-    )
-
-    def run_stmt(stmt: str, cond) -> None:
-        nonlocal n_qubits
-        stmt = stmt.strip()
-        if not stmt:
-            return
-        mt = re.match(r"qubit\[(\d+)\] q;", stmt)
-        if mt:
-            n_qubits = int(mt.group(1))
-            return
-        if re.match(r"bit\[\d+\] c;", stmt) or stmt.startswith("OPENQASM") \
-                or stmt.startswith("include"):
-            return
-        mt = re.match(r"measure q\[(\d+)\] -> c\[(\d+)\];", stmt)
-        if mt:
-            b = fn.new_id()
-            fn.ops.append(QOp("measure", (wire(int(mt.group(1))),), (b,)))
-            cbits[int(mt.group(2))] = b
-            wires.pop(int(mt.group(1)))
-            measured.add(int(mt.group(1)))
-            return
-        mt = re.match(r"if \(c\[(\d+)\] == (\d)\) \{ (.*) \}", stmt)
-        if mt:
-            bit = cbits.get(int(mt.group(1)))
-            if bit is None:
-                raise BackendError(f"condition on an unmeasured bit: {stmt}")
-            run_stmt(mt.group(3), (bit, bool(int(mt.group(2)))))
-            return
-        mt = gate_re.match(stmt)
-        if not mt:
-            raise BackendError(f"cannot parse: {stmt}")
-        nctrl_mod, name, param_s, args = mt.groups()
-        idxs = q_indices(args)
-        if name not in _QASM_GATES:
-            raise BackendError(f"unknown gate {name}")
-        kind, nctrl = _QASM_GATES[name]
-        # P takes exactly one angle and every other kind none.
-        if (param_s is not None) != (kind is GateKind.P) or param_s == "":
-            raise BackendError(f"bad parameter list: {stmt}")
-        try:
-            param = float(param_s) if param_s else 0.0
-        except ValueError:  # the emitter writes angles as float reprs
-            raise BackendError(f"angle is not a number: {stmt}") from None
-        if nctrl_mod is not None:
-            nctrl = int(nctrl_mod)
-        if len(idxs) != nctrl + N_TARGETS[kind] or len(set(idxs)) != len(idxs):
-            raise BackendError(f"bad qubit operands: {stmt}")
-        # Allocate every operand before the gate takes its result ids.
-        vals = [wire(i) for i in idxs]
-        positions = tuple(range(len(idxs)))
-        gate = Gate(kind, positions[nctrl:], positions[:nctrl], param)
-        append_gates(fn, vals, [gate], cond)
-        for i, v in zip(idxs, vals):
-            wires[i] = v
-            last_use[i] = len(fn.ops) - 1
-
-    for raw in text.splitlines():
-        run_stmt(raw, None)
-    # Free each index still live just after its last gate, so the circuit
-    # holds no more live qubits than the one the text was emitted from.
-    frees: dict[int, list[int]] = {}
-    for i in sorted(wires):
-        frees.setdefault(last_use[i], []).append(wires[i])
-    ops, fn.ops = fn.ops, []
-    for k, op in enumerate(ops):
-        fn.ops.append(op)
-        fn.ops.extend(QOp("qfree", (v,)) for v in frees.get(k, ()))
-    fn.ops.append(QOp("ret", tuple(cbits[i] for i in sorted(cbits))))
-    return QCircModule({"main": fn}, "main")
 
 
 # ---------------------------------------------------------------------------

@@ -233,37 +233,24 @@ def _is_sorted_literal(e: BasisElement) -> bool:
     return all(v.phase is None for v in e.vectors) and bits == sorted(bits)
 
 
-def factor_literal(bl: BasisLiteral, bl2: BasisLiteral) -> Optional[BasisLiteral]:
-    """Factor literal ``bl2`` as a prefix of ``bl``; None on failure.
-
-    Both literals must be normalized.
-    """
-    assert bl.dim > bl2.dim
-    if bl.prim is not bl2.prim:
+def factor_ordered(lit: BasisLiteral, n: int) -> Optional[tuple[BasisLiteral, BasisLiteral]]:
+    """Order-preserving prefix factoring: ``lit`` is prefix (x) remainder
+    vector for vector, where the prefix holds the first ``n`` qubits and
+    both keep ``lit``'s prim; None if it is not."""
+    prefixes: list[str] = []
+    suffixes: list[str] = []
+    for v in lit.vectors:
+        if v.eigenbits[:n] not in prefixes:
+            prefixes.append(v.eigenbits[:n])
+        if v.eigenbits[n:] not in suffixes:
+            suffixes.append(v.eigenbits[n:])
+    if len(prefixes) * len(suffixes) != len(lit.vectors):
         return None
-    m, m2 = len(bl.vectors), len(bl2.vectors)
-    if m % m2 != 0:
+    expect = [p + s for p in prefixes for s in suffixes]
+    if expect != [v.eigenbits for v in lit.vectors]:
         return None
-    n = bl2.dim
-    wanted = {v.eigenbits for v in bl2.vectors}
-    prefixes = {v.eigenbits[:n] for v in bl.vectors}
-    if len(prefixes) < m2 or not prefixes <= wanted:
-        return None
-    suffix_counts: dict[str, int] = {}
-    for v in bl.vectors:
-        suf = v.eigenbits[n:]
-        suffix_counts[suf] = suffix_counts.get(suf, 0) + 1
-    if any(c < m2 for c in suffix_counts.values()):
-        return None
-    assert prefixes == wanted
-    assert all(c == m2 for c in suffix_counts.values())
-    first = bl2.vectors[0].eigenbits
-    remainder = tuple(
-        BasisVector(bl.prim, v.eigenbits[n:])
-        for v in bl.vectors
-        if v.eigenbits[:n] == first
-    )
-    return BasisLiteral(remainder)
+    mk = lambda bits: BasisLiteral(tuple(BasisVector(lit.prim, x) for x in bits))
+    return mk(prefixes), mk(suffixes)
 
 
 def factor_element(
@@ -287,12 +274,13 @@ def factor_element(
         small = BasisLiteral(
             tuple(builtin_vectors(BuiltinBasis(big.prim, small.dim))))
     if isinstance(big, BasisLiteral) and isinstance(small, BasisLiteral):
-        remainder = factor_literal(big, small)
-        if remainder is not None:
-            assert _is_sorted_literal(remainder)
-            bigdeque.appendleft(remainder)
+        # Both are normalized, so big factors in order exactly when its
+        # span does, and its prefixes must be small's vectors.
+        factored = factor_ordered(big, small.dim)
+        if factored is not None and factored[0] == small:
+            assert _is_sorted_literal(factored[1])
+            bigdeque.appendleft(factored[1])
             return True
-        return False
     return False
 
 

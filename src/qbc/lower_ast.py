@@ -2,8 +2,9 @@
 Lowering of typed, tensor-flattened ASTs into the basis-level IR.
 
 Tensor products of function values become lambdas that unpack, call each
-part, and repack; basis translations in value position become lambdas
-wrapping a translation op; the pipe operator always emits indirect calls.
+part, and repack; translations, measurements, discards and embeds in value
+position become lambdas wrapping that one op (``_op_lambda``); the pipe
+operator always emits indirect calls. Ops are built with ``FnBuilder``.
 """
 
 from __future__ import annotations
@@ -102,39 +103,27 @@ class _Lowerer:
                 runs[-1] = (prim, runs[-1][1] + bitc)
             else:
                 runs.append((prim, bitc))
-        vals = []
-        for prim, eigenbits in runs:
-            (v,) = b.emit(
-                "qbprep", [], [qubit(len(eigenbits))],
-                {"prim": prim, "eigenbits": eigenbits},
-            )
-            vals.append(v)
-        if len(vals) > 1:
-            (v,) = b.emit("qbpack", vals, [qubit(len(e.chars))])
-        else:
-            v = vals[0]
+        vals = [b.emit("qbprep", [], [qubit(len(eigenbits))],
+                       {"prim": prim, "eigenbits": eigenbits})[0]
+                for prim, eigenbits in runs]
+        (v,) = vals if len(vals) == 1 else b.emit("qbpack", vals,
+                                                  [qubit(len(e.chars))])
         if e.phase is not None:
+            # The phase goes on the first run's vector.
             theta = fold_angle(e.phase, e.pos, self.file)
             prim0, bits0 = runs[0]
-            plain = bases.BasisVector(prim0, bits0)
-            phased = bases.BasisVector(prim0, bits0, theta)
-            if len(runs) > 1:
-                parts = b.emit("qbunpack", [v],
-                               [qubit(len(r[1])) for r in runs],
-                               {"sizes": tuple(len(r[1]) for r in runs)})
-                (head,) = b.emit(
-                    "qbtrans", [parts[0]], [qubit(len(bits0))],
-                    {"b_in": bases.basis(bases.BasisLiteral((plain,))),
-                     "b_out": bases.basis(bases.BasisLiteral((phased,)))},
-                )
-                (v,) = b.emit("qbpack", [head] + list(parts[1:]),
-                              [qubit(len(e.chars))])
-            else:
-                (v,) = b.emit(
-                    "qbtrans", [v], [qubit(len(bits0))],
-                    {"b_in": bases.basis(bases.BasisLiteral((plain,))),
-                     "b_out": bases.basis(bases.BasisLiteral((phased,)))},
-                )
+            parts = [v] if len(runs) == 1 else b.emit(
+                "qbunpack", [v], [qubit(len(r[1])) for r in runs],
+                {"sizes": tuple(len(r[1]) for r in runs)})
+
+            def one(*phase):
+                return bases.basis(bases.BasisLiteral((
+                    bases.BasisVector(prim0, bits0, *phase),)))
+
+            (parts[0],) = b.emit("qbtrans", parts[:1], [qubit(len(bits0))],
+                                 {"b_in": one(), "b_out": one(theta)})
+            (v,) = parts if len(parts) == 1 else b.emit(
+                "qbpack", parts, [qubit(len(e.chars))])
         return v
 
     # -- function values ------------------------------------------------------
@@ -143,44 +132,18 @@ class _Lowerer:
         if isinstance(e, TransNode):
             b_in = basis_of(e.b_in, self.file)
             b_out = basis_of(e.b_out, self.file)
-            n = b_in.dim
-            region = b.push_block([qubit(n)])
-            (r,) = b.emit("qbtrans", [region.args[0]], [qubit(n)],
-                          {"b_in": b_in, "b_out": b_out})
-            b.emit("yield", [r])
-            b.pop_block()
-            (fv,) = b.emit("lambda", [], [func(n, "qubit", n, True)], {},
-                           [region])
-            return fv
+            return self._op_lambda(b, "qbtrans", b_in.dim, [qubit(b_in.dim)],
+                                   {"b_in": b_in, "b_out": b_out})
         if isinstance(e, MeasureNode):
             basis = basis_of(e.basis, self.file)
-            n = basis.dim
-            region = b.push_block([qubit(n)])
-            (r,) = b.emit("qbmeas", [region.args[0]], [bit(n)], {"basis": basis})
-            b.emit("yield", [r])
-            b.pop_block()
-            (fv,) = b.emit("lambda", [], [func(n, "bit", n, False)], {}, [region])
-            return fv
+            return self._op_lambda(b, "qbmeas", basis.dim, [bit(basis.dim)],
+                                   {"basis": basis})
         if isinstance(e, DiscardNode):
-            n = e.dim.value
-            region = b.push_block([qubit(n)])
-            b.emit("qbdiscard", [region.args[0]], [])
-            b.emit("yield", [])
-            b.pop_block()
-            (fv,) = b.emit("lambda", [], [func(n, "none", 0, False)], {}, [region])
-            return fv
+            return self._op_lambda(b, "qbdiscard", e.dim.value, [])
         if isinstance(e, EmbedNode):
-            c = self.tp.classicals[e.fn]
-            n = sum(p.type.dim.value for p in c.params)
-            k = c.ret_type.dim.value
-            w = n + k if e.mode == "xor" else n
-            region = b.push_block([qubit(w)])
-            (r,) = b.emit("embed", [region.args[0]], [qubit(w)],
-                          {"fn": e.fn, "mode": e.mode, "pred": None})
-            b.emit("yield", [r])
-            b.pop_block()
-            (fv,) = b.emit("lambda", [], [func(w, "qubit", w, True)], {}, [region])
-            return fv
+            w = self.tp.classicals[e.fn].embed_width(e.mode)
+            return self._op_lambda(b, "embed", w, [qubit(w)],
+                                   {"fn": e.fn, "mode": e.mode, "pred": None})
         if isinstance(e, VarNode):
             fty = self.tp.fn_types.get(e.name)
             if fty is None:
@@ -222,6 +185,20 @@ class _Lowerer:
             f"cannot lower {type(e).__name__} as a function value",
             getattr(e, "pos", Pos()), self.file,
         )
+
+    def _op_lambda(self, b: FnBuilder, kind: str, n: int, result_tys: list,
+                   attrs=None) -> int:
+        """A lambda whose body runs one ``kind`` op on its qubit[n] argument
+        and yields the op's results; it is reversible exactly when it
+        yields qubits."""
+        region = b.push_block([qubit(n)])
+        b.emit("yield", b.emit(kind, region.args, result_tys, attrs))
+        b.pop_block()
+        kind, dim = ((result_tys[0].kind, result_tys[0].dim) if result_tys
+                     else ("none", 0))
+        (fv,) = b.emit("lambda", [], [func(n, kind, dim, kind == "qubit")], {},
+                       [region])
+        return fv
 
     def _tensor_fn(self, b: FnBuilder, e: TensorNode, env) -> int:
         parts = [self.fn_value(b, p, env) for p in e.parts]

@@ -36,6 +36,9 @@ from .diagnostics import err
 from .lexer import Token, tokenize
 
 MAX_NESTING = 100
+# Binary operators' binding levels, loosest 0.
+ARITH_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1}
+CLASSICAL_LEVELS = {"|": 0, "^": 1, "&": 2}
 
 
 class Parser:
@@ -409,21 +412,20 @@ class Parser:
 
     # -- dims and angles ----------------------------------------------------
 
-    def parse_dim_expr(self) -> DimExpr:
-        e = self.parse_dim_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_dim_term()
-            e = DimBin(op.kind, e, rhs, pos=op.pos)
+    def binary(self, operand, levels: dict[str, int], node, lowest: int = 0):
+        """A left-associative chain of ``operand``s joined by the operators
+        in ``levels`` (operator kind -> binding level, loosest 0) binding at
+        ``lowest`` or tighter; ``node(kind, lhs, rhs, pos=...)`` builds each
+        link."""
+        e = operand()
+        while levels.get(self.peek().kind, -1) >= lowest:
+            t = self.take()
+            rhs = self.binary(operand, levels, node, levels[t.kind] + 1)
+            e = node(t.kind, e, rhs, pos=t.pos)
         return e
 
-    def parse_dim_term(self) -> DimExpr:
-        e = self.parse_dim_atom()
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
-            rhs = self.parse_dim_atom()
-            e = DimBin(op.kind, e, rhs, pos=op.pos)
-        return e
+    def parse_dim_expr(self) -> DimExpr:
+        return self.binary(self.parse_dim_atom, ARITH_LEVELS, DimBin)
 
     def parse_dim_atom(self) -> DimExpr:
         t = self.peek()
@@ -442,20 +444,7 @@ class Parser:
         raise err(f"expected a dimension, found {t.text!r}", t.pos, self.file)
 
     def parse_angle_expr(self):
-        e = self.parse_angle_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_angle_term()
-            e = AngleBin(op.kind, e, rhs, pos=op.pos)
-        return e
-
-    def parse_angle_term(self):
-        e = self.parse_angle_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
-            rhs = self.parse_angle_unary()
-            e = AngleBin(op.kind, e, rhs, pos=op.pos)
-        return e
+        return self.binary(self.parse_angle_unary, ARITH_LEVELS, AngleBin)
 
     def parse_angle_unary(self):
         # Also the angle directly after '@': a single, possibly negated
@@ -507,25 +496,7 @@ class Parser:
         )
 
     def parse_cexpr(self) -> CExpr:
-        e = self.parse_cxor()
-        while self.at("|"):
-            t = self.take()
-            e = CBin("|", e, self.parse_cxor(), pos=t.pos)
-        return e
-
-    def parse_cxor(self) -> CExpr:
-        e = self.parse_cand()
-        while self.at("^"):
-            t = self.take()
-            e = CBin("^", e, self.parse_cand(), pos=t.pos)
-        return e
-
-    def parse_cand(self) -> CExpr:
-        e = self.parse_cunary()
-        while self.at("&"):
-            t = self.take()
-            e = CBin("&", e, self.parse_cunary(), pos=t.pos)
-        return e
+        return self.binary(self.parse_cunary, CLASSICAL_LEVELS, CBin)
 
     def parse_cunary(self) -> CExpr:
         t = self.peek()

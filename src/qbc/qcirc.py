@@ -108,7 +108,10 @@ class Gate:
         )
 
     def with_controls(self, extra: tuple[int, ...]) -> "Gate":
-        """The gate with more controls; an extra control drops ``pair``."""
+        """The gate with more controls; an extra control drops ``pair``,
+        since a controlled half no longer mirrors its partner. A predicated
+        embed keeps its ANDs' pairs by controlling only the gates between
+        them (``synth.embed_gates``)."""
         return Gate(self.kind, self.targets, self.controls + extra, self.param)
 
 

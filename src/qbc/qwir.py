@@ -81,6 +81,16 @@ class QwFunc:
         self.types[v] = ty
         return v
 
+    def emit(self, block: QwBlock, kind: str, operands=(), result_tys=(),
+             attrs=None, regions=()) -> list[int]:
+        """Append a ``kind`` op to ``block`` with a fresh value per result
+        type, and return those values. The op keeps its own copies of the
+        lists and of ``attrs``, so a caller may reuse or change them."""
+        results = [self.new_value(t) for t in result_tys]
+        block.ops.append(QwOp(kind, list(operands), list(results),
+                              dict(attrs or {}), list(regions)))
+        return results
+
 
 @dataclass
 class QwModule:
@@ -337,7 +347,8 @@ def _print_op(fn: QwFunc, op: QwOp, ind: str) -> list[str]:
 
 
 class FnBuilder:
-    """Convenience construction wrapper used by lowering and tests."""
+    """Builds one function for lowering and tests: parameters, and ops
+    emitted by ``QwFunc.emit`` into the innermost open block."""
 
     def __init__(self, name: str, reversible: bool = False):
         self.fn = QwFunc(name, [], [], reversible, QwBlock())
@@ -353,12 +364,10 @@ class FnBuilder:
         self.fn.block.args.append(v)
         return v
 
-    def emit(self, kind: str, operands=(), result_tys=(), attrs=None, regions=None) -> list[int]:
-        results = [self.fn.new_value(t) for t in result_tys]
-        self.block.ops.append(
-            QwOp(kind, list(operands), results, attrs or {}, regions or [])
-        )
-        return results
+    def emit(self, kind: str, operands=(), result_tys=(), attrs=None,
+             regions=()) -> list[int]:
+        return self.fn.emit(self.block, kind, operands, result_tys, attrs,
+                            regions)
 
     def push_block(self, arg_tys=()) -> QwBlock:
         b = QwBlock(args=[self.fn.new_value(t) for t in arg_tys])

@@ -6,6 +6,12 @@ functions, and inlining.
 The pipeline lifts lambdas, canonicalizes, rejects call cycles
 (``check_acyclic``), makes each adjoint or predicated form a decorated call
 needs once (``generate_specializations``), then inlines (``inline``).
+
+Every op these rewrites build with fresh results comes from
+``QwFunc.emit``; ``_copy_op`` copies one with its operands renamed, and
+predication runs each op it controls through one pack, apply, unpack step
+(``pred_apply`` in ``predicate_block``). Only block arguments are made with
+``QwFunc.new_value`` directly.
 """
 
 from __future__ import annotations
@@ -25,8 +31,13 @@ class PassError(Exception):
     pass
 
 
-SWAP_IN = BasisLiteral((BasisVector(Prim.STD, "01"), BasisVector(Prim.STD, "10")))
-SWAP_OUT = BasisLiteral((BasisVector(Prim.STD, "10"), BasisVector(Prim.STD, "01")))
+# The qbtrans attributes of a two-qubit SWAP.
+SWAP = {
+    "b_in": Basis((BasisLiteral((BasisVector(Prim.STD, "01"),
+                                 BasisVector(Prim.STD, "10"))),)),
+    "b_out": Basis((BasisLiteral((BasisVector(Prim.STD, "10"),
+                                  BasisVector(Prim.STD, "01"))),)),
+}
 
 
 def _concat_pred(outer: Optional[Basis], inner: Optional[Basis]) -> Optional[Basis]:
@@ -43,6 +54,14 @@ def _concat_pred(outer: Optional[Basis], inner: Optional[Basis]) -> Optional[Bas
 
 
 ADJOINTABLE = {"qbtrans", "qbpack", "qbunpack", "embed", "call", "call_indirect"}
+
+
+def _copy_op(fn: QwFunc, block: QwBlock, op: QwOp, val_map: dict[int, int]) -> None:
+    """Append ``op`` to ``block`` with its operands mapped through
+    ``val_map`` and fresh results, which ``val_map`` then maps op's to."""
+    results = fn.emit(block, op.kind, [val_map[v] for v in op.operands],
+                      [fn.types[r] for r in op.results], op.attrs, op.regions)
+    val_map.update(zip(op.results, results))
 
 
 def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
@@ -71,11 +90,7 @@ def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
         else:
             val_map[a] = na
     for op in stationary_ops:
-        results = [fn.new_value(fn.types[r]) for r in op.results]
-        new.ops.append(QwOp(op.kind, [val_map[v] for v in op.operands], results,
-                            dict(op.attrs), list(op.regions)))
-        for old, nv in zip(op.results, results):
-            val_map[old] = nv
+        _copy_op(fn, new, op, val_map)
 
     term_qubits = [v for v in term.operands if fn.types[v].kind == "qubit"]
     if len(term_qubits) != len(qubit_args):
@@ -86,61 +101,41 @@ def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
     for op in reversed(quantum_ops):
         _emit_adjoint(fn, new, op, val_map)
 
-    out_ops = []
-    for old_arg, _ in qubit_args:
-        out_ops.append(val_map[old_arg])
-    new.ops.append(QwOp(term.kind, out_ops, [], {}, []))
+    fn.emit(new, term.kind, [val_map[old_arg] for old_arg, _ in qubit_args])
     return new
 
 
 def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -> None:
+    """Append the inverse of ``op`` to ``new``: it consumes the values
+    ``val_map`` gives op's results, and ``val_map`` then maps op's qubit
+    operands to its results."""
     t = fn.types
+    if op.kind == "qbpack":
+        results = fn.emit(new, "qbunpack", [val_map[op.results[0]]],
+                          [t[v] for v in op.operands],
+                          {"sizes": tuple(t[v].dim for v in op.operands)})
+        val_map.update(zip(op.operands, results))
+        return
+    if op.kind == "qbunpack":
+        q = op.operands[0]
+        (val_map[q],) = fn.emit(new, "qbpack", [val_map[r] for r in op.results],
+                                [t[q]])
+        return
+    # The rest consume one qubit value, after any captures or function
+    # value and before any phase angles, and yield one.
+    qpos = 0 if op.kind == "qbtrans" else len(op.operands) - 1
+    q = op.operands[qpos]
+    operands = [val_map[op.results[0] if i == qpos else v]
+                for i, v in enumerate(op.operands)]
+    attrs = op.attrs
     if op.kind == "qbtrans":
-        q = op.operands[0]
-        r = op.results[0]
-        nr = fn.new_value(t[q])
-        angles = [val_map[a] for a in op.operands[1:]]
-        new.ops.append(QwOp(
-            "qbtrans", [val_map[r]] + angles, [nr],
-            {"b_in": op.attrs["b_out"], "b_out": op.attrs["b_in"]},
-        ))
-        val_map[q] = nr
-    elif op.kind == "qbpack":
-        r = op.results[0]
-        sizes = tuple(t[v].dim for v in op.operands)
-        results = [fn.new_value(t[v]) for v in op.operands]
-        new.ops.append(QwOp("qbunpack", [val_map[r]], results, {"sizes": sizes}))
-        for old, nv in zip(op.operands, results):
-            val_map[old] = nv
-    elif op.kind == "qbunpack":
-        q = op.operands[0]
-        nr = fn.new_value(t[q])
-        new.ops.append(QwOp("qbpack", [val_map[r] for r in op.results], [nr]))
-        val_map[q] = nr
-    elif op.kind == "embed":
-        q, r = op.operands[0], op.results[0]
-        nr = fn.new_value(t[q])
-        # Bennett embeddings and sign flips are self-adjoint.
-        new.ops.append(QwOp("embed", [val_map[r]], [nr], dict(op.attrs)))
-        val_map[q] = nr
+        attrs = {"b_in": attrs["b_out"], "b_out": attrs["b_in"]}
     elif op.kind == "call":
-        q, r = op.operands[-1], op.results[0]
-        caps = [val_map[c] for c in op.operands[:-1]]
-        nr = fn.new_value(t[q])
-        attrs = dict(op.attrs)
-        attrs["adj"] = not attrs.get("adj", False)
-        new.ops.append(QwOp("call", caps + [val_map[r]], [nr], attrs))
-        val_map[q] = nr
+        attrs = {**attrs, "adj": not attrs.get("adj", False)}
     elif op.kind == "call_indirect":
-        fv, q = op.operands[0], op.operands[-1]
-        r = op.results[0]
-        adj_fv = fn.new_value(t[fv])
-        new.ops.append(QwOp("func_adj", [val_map[fv]], [adj_fv]))
-        nr = fn.new_value(t[q])
-        new.ops.append(QwOp("call_indirect", [adj_fv, val_map[r]], [nr]))
-        val_map[q] = nr
-    else:
-        raise PassError(f"op {op.kind} is not adjointable")
+        (operands[0],) = fn.emit(new, "func_adj", operands[:1], [t[op.operands[0]]])
+    # Bennett embeddings and sign flips are self-adjoint.
+    (val_map[q],) = fn.emit(new, op.kind, operands, [t[q]], attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,83 +211,56 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
         if fn.types[a].kind == "qubit":
             wide = fn.new_value(qubit(p + n))
             new.args.append(wide)
-            pred_q = fn.new_value(qubit(p))
-            body_q = fn.new_value(qubit(n))
-            new.ops.append(QwOp("qbunpack", [wide], [pred_q, body_q], {"sizes": (p, n)}))
-            val_map[a] = body_q
+            pred_q, val_map[a] = fn.emit(new, "qbunpack", [wide],
+                                         [qubit(p), qubit(n)], {"sizes": (p, n)})
         else:
             na = fn.new_value(fn.types[a])
             new.args.append(na)
             val_map[a] = na
 
-    def pred_apply(kind: str, body_vals: list[int], attrs: dict,
-                   extra_pre: list[int] = ()) -> list[int]:
-        """pack pred+body, run the predicated op, unpack, return body values."""
+    def pred_apply(kind: str, body_vals: list[int], attrs: dict, pre=(),
+                   post=(), predicated: bool = True) -> list[int]:
+        """Pack the predicate and ``body_vals``, run ``kind`` on the packed
+        value between ``pre`` and ``post`` operands, unpack, and return the
+        new body values. A qbtrans gets the predicate prepended to its
+        bases. With ``predicated=False`` the op runs on ``body_vals``
+        alone."""
         nonlocal pred_q
+        if predicated:
+            body_vals = [pred_q] + body_vals
+            if kind == "qbtrans":
+                attrs = {k: Basis(pred.elements + attrs[k].elements)
+                         for k in ("b_in", "b_out")}
         dims = [fn.types[v].dim for v in body_vals]
-        packed = fn.new_value(qubit(p + sum(dims)))
-        new.ops.append(QwOp("qbpack", [pred_q] + body_vals, [packed]))
-        out = fn.new_value(qubit(p + sum(dims)))
-        new.ops.append(QwOp(kind, list(extra_pre) + [packed], [out], attrs))
-        pred_q = fn.new_value(qubit(p))
-        outs = [fn.new_value(qubit(d)) for d in dims]
-        new.ops.append(QwOp("qbunpack", [out], [pred_q] + outs,
-                            {"sizes": tuple([p] + dims)}))
+        (packed,) = fn.emit(new, "qbpack", body_vals, [qubit(sum(dims))])
+        (out,) = fn.emit(new, kind, [*pre, packed, *post], [qubit(sum(dims))],
+                         attrs)
+        outs = fn.emit(new, "qbunpack", [out], [qubit(d) for d in dims],
+                       {"sizes": tuple(dims)})
+        if predicated:
+            pred_q = outs.pop(0)
         return outs
 
     for op in block.ops[:-1]:
-        if is_stationary(op, fn):
-            results = [fn.new_value(fn.types[r]) for r in op.results]
-            new.ops.append(QwOp(op.kind, [val_map[v] for v in op.operands],
-                                results, dict(op.attrs), list(op.regions)))
-            for old, nv in zip(op.results, results):
-                val_map[old] = nv
-        elif op.kind == "qbtrans":
-            b_in: Basis = op.attrs["b_in"]
-            b_out: Basis = op.attrs["b_out"]
-            angles = [val_map[a] for a in op.operands[1:]]
-            q = val_map[op.operands[0]]
-            dims = [fn.types[q].dim]
-            packed = fn.new_value(qubit(p + dims[0]))
-            new.ops.append(QwOp("qbpack", [pred_q, q], [packed]))
-            out = fn.new_value(qubit(p + dims[0]))
-            new.ops.append(QwOp(
-                "qbtrans", [packed] + angles, [out],
-                {"b_in": Basis(pred.elements + b_in.elements),
-                 "b_out": Basis(pred.elements + b_out.elements)},
-            ))
-            pred_q = fn.new_value(qubit(p))
-            nq = fn.new_value(qubit(dims[0]))
-            new.ops.append(QwOp("qbunpack", [out], [pred_q, nq],
-                                {"sizes": (p, dims[0])}))
-            val_map[op.results[0]] = nq
-        elif op.kind in ("qbpack", "qbunpack"):
-            results = [fn.new_value(fn.types[r]) for r in op.results]
-            new.ops.append(QwOp(op.kind, [val_map[v] for v in op.operands],
-                                results, dict(op.attrs)))
-            for old, nv in zip(op.results, results):
-                val_map[old] = nv
-        elif op.kind == "embed":
-            attrs = dict(op.attrs)
-            attrs["pred"] = _concat_pred(pred, attrs.get("pred"))
-            (nq,) = pred_apply("embed", [val_map[op.operands[0]]], attrs)
-            val_map[op.results[0]] = nq
-        elif op.kind == "call":
-            attrs = dict(op.attrs)
-            attrs["pred"] = _concat_pred(pred, attrs.get("pred"))
-            caps = [val_map[c] for c in op.operands[:-1]]
-            (nq,) = pred_apply("call", [val_map[op.operands[-1]]], attrs,
-                               extra_pre=caps)
-            val_map[op.results[0]] = nq
+        if is_stationary(op, fn) or op.kind in ("qbpack", "qbunpack"):
+            _copy_op(fn, new, op, val_map)
+            continue
+        if op.kind == "qbtrans":
+            (nq,) = pred_apply("qbtrans", [val_map[op.operands[0]]], op.attrs,
+                               post=[val_map[a] for a in op.operands[1:]])
+        elif op.kind in ("embed", "call"):
+            attrs = {**op.attrs, "pred": _concat_pred(pred, op.attrs.get("pred"))}
+            (nq,) = pred_apply(op.kind, [val_map[op.operands[-1]]], attrs,
+                               pre=[val_map[c] for c in op.operands[:-1]])
         elif op.kind == "call_indirect":
-            fv = val_map[op.operands[0]]
-            pfv = fn.new_value(fn.types[op.operands[0]])
-            new.ops.append(QwOp("func_pred", [fv], [pfv], {"basis": pred}))
+            fv = op.operands[0]
+            pfv = fn.emit(new, "func_pred", [val_map[fv]], [fn.types[fv]],
+                          {"basis": pred})
             (nq,) = pred_apply("call_indirect", [val_map[op.operands[-1]]], {},
-                               extra_pre=[pfv])
-            val_map[op.results[0]] = nq
+                               pre=pfv)
         else:
             raise PassError(f"op {op.kind} cannot be predicated")
+        val_map[op.results[0]] = nq
 
     # Undo renaming-based swaps outside the predicated space.
     out_vals = [val_map[v] for v in term.operands if fn.types[v].kind == "qubit"]
@@ -302,36 +270,15 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
             perm.extend(index[v])
     swaps = undo_swaps(perm)
     if swaps:
-        packed = fn.new_value(qubit(n))
-        new.ops.append(QwOp("qbpack", out_vals, [packed]))
-        singles = [fn.new_value(qubit(1)) for _ in range(n)]
-        new.ops.append(QwOp("qbunpack", [packed], list(singles), {"sizes": (1,) * n}))
+        (packed,) = fn.emit(new, "qbpack", out_vals, [qubit(n)])
+        out_vals = fn.emit(new, "qbunpack", [packed], [qubit(1)] * n,
+                           {"sizes": (1,) * n})
         for (i, j) in swaps:
-            a, b = singles[i], singles[j]
-            pair = fn.new_value(qubit(2))
-            new.ops.append(QwOp("qbpack", [a, b], [pair]))
-            swapped = fn.new_value(qubit(2))
-            new.ops.append(QwOp("qbtrans", [pair], [swapped], {
-                "b_in": Basis((SWAP_IN,)), "b_out": Basis((SWAP_OUT,)),
-            }))
-            na, nb = fn.new_value(qubit(1)), fn.new_value(qubit(1))
-            new.ops.append(QwOp("qbunpack", [swapped], [na, nb], {"sizes": (1, 1)}))
-            wide = fn.new_value(qubit(p + 2))
-            new.ops.append(QwOp("qbpack", [pred_q, na, nb], [wide]))
-            swapped2 = fn.new_value(qubit(p + 2))
-            new.ops.append(QwOp("qbtrans", [wide], [swapped2], {
-                "b_in": Basis(pred.elements + (SWAP_IN,)),
-                "b_out": Basis(pred.elements + (SWAP_OUT,)),
-            }))
-            pred_q = fn.new_value(qubit(p))
-            na2, nb2 = fn.new_value(qubit(1)), fn.new_value(qubit(1))
-            new.ops.append(QwOp("qbunpack", [swapped2], [pred_q, na2, nb2],
-                                {"sizes": (p, 1, 1)}))
-            singles[i], singles[j] = na2, nb2
-        out_vals = singles
-    final = fn.new_value(qubit(p + n))
-    new.ops.append(QwOp("qbpack", [pred_q] + out_vals, [final]))
-    new.ops.append(QwOp(term.kind, [final], [], {}, []))
+            pair = [out_vals[i], out_vals[j]]
+            pair = pred_apply("qbtrans", pair, SWAP, predicated=False)
+            out_vals[i], out_vals[j] = pred_apply("qbtrans", pair, SWAP)
+    (final,) = fn.emit(new, "qbpack", [pred_q] + out_vals, [qubit(p + n)])
+    fn.emit(new, term.kind, [final])
     return new
 
 
@@ -649,14 +596,10 @@ def _push_into_cond(fn: QwFunc, cond_op: QwOp, op: QwOp) -> None:
     cond, nested conds included, into a direct call inside each branch.
     """
     for region in cond_op.regions:
-        term = region.ops[-1]
-        inner_results = [fn.new_value(fn.types[r]) for r in op.results]
-        region.ops.insert(
-            len(region.ops) - 1,
-            QwOp(op.kind, term.operands + op.operands[1:], inner_results,
-                 dict(op.attrs)),
-        )
-        term.operands = inner_results
+        term = region.ops.pop()
+        term.operands = fn.emit(region, op.kind, term.operands + op.operands[1:],
+                                [fn.types[r] for r in op.results], op.attrs)
+        region.ops.append(term)
     cond_op.results = list(op.results)
 
 
@@ -693,14 +636,10 @@ def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
             remap[a] = na
             nb.args.append(na)
         for o in b.ops:
-            regions = [clone(r) for r in o.regions]
-            results = []
-            for r in o.results:
-                nr = fn.new_value(src_fn.types[r])
-                remap[r] = nr
-                results.append(nr)
-            nb.ops.append(QwOp(o.kind, [remap[v] for v in o.operands], results,
-                               dict(o.attrs), regions))
+            results = fn.emit(nb, o.kind, [remap[v] for v in o.operands],
+                              [src_fn.types[r] for r in o.results], o.attrs,
+                              [clone(r) for r in o.regions])
+            remap.update(zip(o.results, results))
         return nb
 
     return clone(block)

@@ -33,7 +33,7 @@ from .ast_nodes import (
 )
 from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Padding,
-    Prim, basis, builtin_vectors, fully_spans,
+    Prim, basis, builtin_vectors, factor_ordered, fully_spans,
 )
 from .qcirc import Gate, GateKind, adjoint_gates, g
 
@@ -262,24 +262,6 @@ def _literal_product(a: BasisLiteral, b: BasisLiteral) -> BasisLiteral:
         for u in a.vectors
         for v in b.vectors
     ))
-
-
-def factor_ordered(lit: BasisLiteral, n: int) -> Optional[tuple[BasisLiteral, BasisLiteral]]:
-    """Order-preserving prefix factoring: lit == prefix (x) remainder exactly."""
-    prefixes: list[str] = []
-    suffixes: list[str] = []
-    for v in lit.vectors:
-        if v.eigenbits[:n] not in prefixes:
-            prefixes.append(v.eigenbits[:n])
-        if v.eigenbits[n:] not in suffixes:
-            suffixes.append(v.eigenbits[n:])
-    if len(prefixes) * len(suffixes) != len(lit.vectors):
-        return None
-    expect = [p + s for p in prefixes for s in suffixes]
-    if expect != [v.eigenbits for v in lit.vectors]:
-        return None
-    mk = lambda bits: BasisLiteral(tuple(BasisVector(Prim.STD, x) for x in bits))
-    return mk(prefixes), mk(suffixes)
 
 
 @dataclass(frozen=True)
@@ -648,6 +630,17 @@ def _phase_kick(segments: list[list[Gate]], bag: _Bag) -> Optional[list[Gate]]:
 
 def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, int]:
     """Build U_f gates; returns (gates, n_inputs, n_outputs, n_ancillas).
+    The gates are ``_classical_parts``' compute, middle and uncompute.
+    """
+    compute, middle, n, anc = _classical_parts(cfn, mode)
+    gates = compute + middle + adjoint_gates(compute)
+    return gates, n, cfn.embed_width(mode) - n, anc
+
+
+def _classical_parts(cfn: ClassicalFn,
+                     mode: str) -> tuple[list[Gate], list[Gate], int, int]:
+    """U_f as (compute, middle, n_inputs, n_ancillas); the uncompute is the
+    compute's adjoint.
 
     Every AND computes into a fresh ancilla with a Toffoli flagged as the
     compute half of a mirrored pair (``Gate.pair``), and the uncompute runs
@@ -664,8 +657,7 @@ def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, 
     predicate's controls make it a relative phase.
     """
     n = sum(p.type.dim.value for p in cfn.params)
-    k = cfn.ret_type.dim.value
-    synth = _ClassicalSynth(n + (k if mode == "xor" else 0))
+    synth = _ClassicalSynth(cfn.embed_width(mode))
     env: dict[str, list[_Bag]] = {}
     at = 0
     for p in cfn.params:
@@ -697,43 +689,38 @@ def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, 
             middle = middle or [g(Z, synth.alloc())] * 2
             x = g(X, middle[0].targets[0])
             middle = [x, middle[0], x] + middle[1:]
-    gates = _compute(segments) + middle + _uncompute(segments)
-    return gates, n, (k if mode == "xor" else 0), synth.num_ancillas
-
-
-def _compute(segments: list[list[Gate]]) -> list[Gate]:
-    return [gt for seg in segments for gt in seg]
-
-
-def _uncompute(segments: list[list[Gate]]) -> list[Gate]:
-    return [gt for seg in reversed(segments) for gt in adjoint_gates(seg)]
+    compute = [gt for seg in segments for gt in seg]
+    return compute, middle, n, synth.num_ancillas
 
 
 def embed_gates(cfn: ClassicalFn, mode: str,
                 pred: Optional[Basis]) -> tuple[list[Gate], int, int]:
     """Gates for an embed op: (gates, data width, ancilla count).
 
-    With a predicate, data positions shift right by pred.dim, every gate is
-    controlled on the predicate patterns, and the predicate's own primitive
-    bases are unconditionally standardized around the whole circuit. The
-    extra controls clear the ANDs' pair flags (``Gate.with_controls``), so a
-    predicated embed decomposes into exact multi-controlled gates.
+    With a predicate, data positions shift right by pred.dim and only the
+    middle of U_f, the copy to the outputs or the phase kick, is controlled
+    on the predicate patterns, with the predicate's own primitive bases
+    standardized around it. The ANDs' compute and uncompute run
+    unconditionally: they only write ancillas that the uncompute returns to
+    |0>, so they keep their relative-phase pair flags (``Gate.pair``).
     """
-    core, n, k, anc = synth_classical(cfn, mode)
-    width = n + k
+    compute, middle, _, anc = _classical_parts(cfn, mode)
+    width = cfn.embed_width(mode)
+    uncompute = adjoint_gates(compute)
     if pred is None:
-        return core, width, anc
+        return compute + middle + uncompute, width, anc
     p = pred.dim
-    shifted = [gt.shifted(p) for gt in core]
     groups = _element_groups(pred, skip_index=-1)
     plan = StdPlan(tuple(
         StdEntry(e.prim, e.dim, off, False)
         for e, off in _with_offsets(pred)
         if not isinstance(e, Padding)
     ))
-    gates = emit_standardization(plan, stdward=True)
-    gates += with_predicates(shifted, groups)
+    gates = [gt.shifted(p) for gt in compute]
+    gates += emit_standardization(plan, stdward=True)
+    gates += with_predicates([gt.shifted(p) for gt in middle], groups)
     gates += emit_standardization(plan, stdward=False)
+    gates += [gt.shifted(p) for gt in uncompute]
     return gates, p + width, anc
 
 

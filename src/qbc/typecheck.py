@@ -313,13 +313,10 @@ class TypeChecker:
             c = self.program.classical(e.fn)
             if c is None:
                 raise err(f"unknown classical function '{e.fn}'", e.pos, self.file)
-            n = sum(p.type.dim.value for p in c.params)
-            k = c.ret_type.dim.value
-            if e.mode == "sign":
-                if k != 1:
-                    raise err(".sign requires one output bit", e.pos, self.file)
-                return FTy(n, VTy("qubit", n), True)
-            return FTy(n + k, VTy("qubit", n + k), True)
+            if e.mode == "sign" and c.ret_type.dim.value != 1:
+                raise err(".sign requires one output bit", e.pos, self.file)
+            w = c.embed_width(e.mode)
+            return FTy(w, VTy("qubit", w), True)
         if isinstance(e, CondNode):
             if rev:
                 raise err(

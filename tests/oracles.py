@@ -1,6 +1,7 @@
 """Numeric oracles the tests check the compiler against: statevectors of
 basis vectors, span projectors, translation unitaries, gate-list unitaries,
 the unitary of a gate-level function and equality up to a global phase;
+a reference prefix factoring of basis literals by prefix and suffix counts;
 also the source of a pipe chain of single-qubit stages.
 
 These are brute force on purpose and live beside the tests, not in the
@@ -219,6 +220,38 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray,
     phase = u[k] / v[k]
     return bool(abs(abs(phase) - 1.0) <= atol
                 and np.allclose(u, phase * v, atol=atol))
+
+
+def factor_literal_by_counts(bl: BasisLiteral,
+                            bl2: BasisLiteral) -> BasisLiteral | None:
+    """The remainder of factoring normalized literal ``bl2`` out of
+    normalized literal ``bl`` as a prefix, or None: the prefixes must be
+    exactly ``bl2``'s and each suffix must follow every one of them. The
+    span check once factored this way; ``bases.factor_element`` is checked
+    against it."""
+    assert bl.dim > bl2.dim
+    if bl.prim is not bl2.prim:
+        return None
+    m, m2 = len(bl.vectors), len(bl2.vectors)
+    if m % m2 != 0:
+        return None
+    n = bl2.dim
+    wanted = {v.eigenbits for v in bl2.vectors}
+    prefixes = {v.eigenbits[:n] for v in bl.vectors}
+    if len(prefixes) < m2 or not prefixes <= wanted:
+        return None
+    suffix_counts: dict[str, int] = {}
+    for v in bl.vectors:
+        suf = v.eigenbits[n:]
+        suffix_counts[suf] = suffix_counts.get(suf, 0) + 1
+    if any(c < m2 for c in suffix_counts.values()):
+        return None
+    first = bl2.vectors[0].eigenbits
+    return BasisLiteral(tuple(
+        BasisVector(bl.prim, v.eigenbits[n:])
+        for v in bl.vectors
+        if v.eigenbits[:n] == first
+    ))
 
 
 def pipe_chain_source(stages: Sequence[str]) -> str:

@@ -10,13 +10,14 @@ import subprocess
 import numpy as np
 import pytest
 
-from qbc.backends import emit_qasm3, emit_qir_base, read_qasm3, _legalize_for_qir
+from qbc.backends import emit_qasm3, emit_qir_base, _legalize_for_qir
 from qbc.diagnostics import CompileError
 from qbc.pipeline import Options, compile_source
 from qbc.qcirc import (
     N_TARGETS, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
 )
 from oracles import module_unitary, unitary_of
+from qasm_reader import read_qasm3
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCHMARKS = ["bell", "bv", "dj", "grover", "period", "simon", "teleport"]

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qbc.bases import (
     Basis,
@@ -19,14 +19,14 @@ from qbc.bases import (
     check_span_equivalence,
     builtin_vectors,
     factor_element,
-    factor_literal,
+    factor_ordered,
     fully_spans,
     lit,
     normalize_element,
     validate_literal,
 )
 
-from oracles import span_projector, spans_equal
+from oracles import factor_literal_by_counts, span_projector, spans_equal
 
 
 def test_normalize_sorts_vectors():
@@ -82,8 +82,8 @@ def full_span(prim: Prim, n: int) -> BasisLiteral:
 
 
 def test_factor_full_span_success():
-    rem = factor_literal(lit("00", "01", "10", "11"), full_span(Prim.STD, 1))
-    assert rem == lit("0", "1")
+    prefix, rem = factor_ordered(lit("00", "01", "10", "11"), 1)
+    assert prefix == full_span(Prim.STD, 1) and rem == lit("0", "1")
     # Oracle: span is H2 (x) span(remainder).
     assert spans_equal(
         basis(lit("00", "01", "10", "11")),
@@ -92,11 +92,11 @@ def test_factor_full_span_success():
 
 
 def test_factor_full_span_not_divisible():
-    assert factor_literal(lit("00", "01", "10"), full_span(Prim.STD, 1)) is None
+    assert factor_ordered(lit("00", "01", "10"), 1) is None
 
 
 def test_factor_full_span_entangled():
-    assert factor_literal(lit("00", "11"), full_span(Prim.STD, 1)) is None
+    assert factor_ordered(lit("00", "11"), 1) is None
     # Oracle agrees: not a tensor product with the full 1-qubit space.
     assert not spans_equal(
         basis(lit("00", "11")), basis(BuiltinBasis(Prim.STD, 1), lit("0", "1"))
@@ -104,13 +104,14 @@ def test_factor_full_span_entangled():
 
 
 def test_factor_literal_appendix_case():
-    rem = factor_literal(lit("10", "11"), lit("1"))
-    assert rem == lit("0", "1")
+    dq = deque()
+    assert factor_element(lit("10", "11"), lit("1"), dq)
+    assert list(dq) == [lit("0", "1")]
 
 
 def test_factor_literal_full_prefix():
-    rem = factor_literal(lit("00", "01", "10", "11"), lit("0", "1"))
-    assert rem == lit("0", "1")
+    prefix, rem = factor_ordered(lit("00", "01", "10", "11"), 1)
+    assert prefix == lit("0", "1") and rem == lit("0", "1")
     assert spans_equal(
         basis(lit("00", "01", "10", "11")), basis(lit("0", "1"), rem)
     )
@@ -119,7 +120,14 @@ def test_factor_literal_full_prefix():
 def test_factor_literal_prim_mismatch():
     pm_lit = lit("pp", "pm")
     std_lit = lit("0")
-    assert factor_literal(pm_lit, std_lit) is None
+    assert factor_ordered(pm_lit, 1) == (lit("p"), lit("p", "m"))
+    assert not factor_element(pm_lit, std_lit, deque())
+
+
+def test_factor_element_prefixes_must_be_the_small_literal():
+    # {10, 11} is |1> (x) H2 in order, but its prefix is not '0'.
+    assert factor_ordered(lit("10", "11"), 1) == (lit("1"), lit("0", "1"))
+    assert not factor_element(lit("10", "11"), lit("0"), deque())
 
 
 def test_factor_element_fourier():
@@ -281,8 +289,47 @@ def test_factoring_soundness(b):
         if not isinstance(e, BasisLiteral) or e.dim < 2:
             continue
         norm = normalize_element(e)
-        rem = factor_literal(norm, full_span(e.prim, 1))
-        if rem is not None:
+        factored = factor_ordered(norm, 1)
+        if factored is not None and factored[0] == full_span(e.prim, 1):
+            rem = factored[1]
             assert spans_equal(
                 basis(norm), basis(BuiltinBasis(e.prim, 1), rem)
             )
+
+
+@st.composite
+def normalized_literal_pair(draw):
+    """A normalized literal and a narrower one to factor out of it as a
+    prefix; half the time the wide one is a product with the narrow one's
+    vectors in front, so that factoring succeeds."""
+    prims = [Prim.STD, Prim.PM, Prim.IJ]
+
+    def eigenbits(d):
+        bits = [format(k, f"0{d}b") for k in range(1 << d)]
+        return sorted(draw(st.lists(st.sampled_from(bits), min_size=1,
+                                    unique=True)))
+
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    prim = draw(st.sampled_from(prims))
+    small = eigenbits(n)
+    if draw(st.booleans()):
+        big = sorted(p + s for p in small for s in eigenbits(k))
+    else:
+        big = eigenbits(n + k)
+    small_prim = prim if draw(st.booleans()) else draw(st.sampled_from(prims))
+    return (BasisLiteral(tuple(BasisVector(prim, b) for b in big)),
+            BasisLiteral(tuple(BasisVector(small_prim, b) for b in small)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(normalized_literal_pair())
+def test_factor_element_agrees_with_factoring_by_counts(pair):
+    # Two full spans take factor_element's builtin shortcut instead.
+    big, small = pair
+    assume(not (fully_spans(big) and fully_spans(small)))
+    dq = deque()
+    got = dq[0] if factor_element(big, small, dq) else None
+    # A fully spanning prefix is every vector of its dimension in any prim.
+    if fully_spans(small):
+        small = full_span(big.prim, small.dim)
+    assert got == factor_literal_by_counts(big, small)

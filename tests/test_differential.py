@@ -12,13 +12,13 @@ import pathlib
 
 import pytest
 
-from qbc.backends import read_qasm3
 from qbc.expand import expand
 from qbc.parser import parse
 from qbc.pipeline import Options, compile_source, front, to_gates, to_qwir
 from qbc.run import distribution
 from qbc.typecheck import typecheck
 from oracles import pipe_chain_source
+from qasm_reader import read_qasm3
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCHMARKS = ["bell", "bv", "dj", "grover", "period", "simon", "teleport"]

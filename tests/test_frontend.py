@@ -310,6 +310,31 @@ def test_capture_angle_error_points_at_the_argument():
     assert str(e.value) == "<input>:2:34: error: division by zero in angle"
 
 
+def _shape(e):
+    """A binary expression tree as nested (lhs, op, rhs) tuples."""
+    if hasattr(e, "left"):
+        return (_shape(e.left), e.op, _shape(e.right))
+    return getattr(e, "name", None) or getattr(e, "value", None) \
+        or type(e).__name__
+
+
+def test_parse_binary_precedence_and_left_associativity():
+    prog = parse(
+        "classical c[N](x: bit[N - 1 - 1 * 2]) -> bit[1] {"
+        " x[0] ^ x[1] & x[2] | x[3] ^ x[4] ^ x[5] }\n"
+        "qpu main() -> bit[1] {"
+        " '0' | ({'0', '1'} >> {'0', '1' @ (pi - pi / 2 / 4 + 1)})"
+        " | std.measure }\n")
+    c = prog.classical("c")
+    assert _shape(c.params[0].type.dim) == (("N", "-", 1), "-", (1, "*", 2))
+    x = "CIndex"
+    assert _shape(c.body) == (
+        (x, "^", (x, "&", x)), "|", ((x, "^", x), "^", x))
+    angle = prog.qpu("main").body.value.fn.b_out.vectors[1].phase
+    assert _shape(angle) == (
+        ("AnglePi", "-", (("AnglePi", "/", 2.0), "/", 4.0)), "+", 1.0)
+
+
 def test_parse_precedence_pipe_vs_trans():
     src = "qpu main() -> bit[1] { '0' | std >> pm | pm.measure }"
     prog = parse(src)

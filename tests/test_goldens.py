@@ -39,7 +39,7 @@ def _peak_live(m) -> int:
 
 
 def test_reingested_golden_holds_no_more_live_qubits():
-    from qbc.backends import read_qasm3
+    from qasm_reader import read_qasm3
     from qbc.run import distribution
 
     path = ROOT / "benchmarks" / "grover.qw"

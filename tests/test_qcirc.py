@@ -12,11 +12,12 @@ from qbc.qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, adjoint_gates, append_gates, g,
     print_qcirc, verify_circuit, wire_starts, CircuitError,
 )
-from qbc.backends import BackendError, read_qasm3
+from qbc.backends import BackendError
 from qbc.peephole import (
     ccx_gates, decompose_multicontrol, fold_phases, peephole, rccx_gates,
 )
 from qbc.pipeline import Options, compile_source, compile_to_circuit, stats_for
+from qasm_reader import read_qasm3
 from oracles import (
     equal_up_to_global_phase, gates_to_fn, module_unitary, pipe_chain_source,
     unitary_of,

@@ -106,6 +106,22 @@ def test_verify_ok_simple():
     verify(m)
 
 
+def test_emit_gives_each_op_its_own_lists_and_attrs():
+    # Callers rename returned values in place (predication's swap undo);
+    # that must not rewrite the op that defined them.
+    fn = QwFunc("f", [], [], True, QwBlock())
+    operands, attrs = [], {"sizes": (1, 1)}
+    (a,) = fn.emit(fn.block, "qbprep", operands, [qubit(2)],
+                   {"prim": Prim.STD, "eigenbits": "00"})
+    outs = fn.emit(fn.block, "qbunpack", [a], [qubit(1), qubit(1)], attrs)
+    outs[0], attrs["sizes"] = 99, ()
+    operands.append(a)
+    prep, unpack = fn.block.ops
+    assert prep.operands == [] and unpack.results == [1, 2]
+    assert unpack.attrs == {"sizes": (1, 1)}
+    assert [fn.types[v] for v in (a, 1, 2)] == [qubit(2), qubit(1), qubit(1)]
+
+
 def test_verify_rejects_double_use():
     b = simple_fn()
     v1 = trans_op(b, b.fn.params[0], basis(BuiltinBasis(STD, 2)),

@@ -14,20 +14,22 @@ from qbc.ast_nodes import (
     ClassicalFn, CBin, CIndex, CLit, CNot, CReduce, CSlice, CVar, DimLit,
     ParamNode, TypeNode,
 )
-from qbc.bases import Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, lit
+from qbc.bases import (
+    Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, factor_ordered, lit,
+)
 from qbc.peephole import decompose_multicontrol, peephole
-from qbc.pipeline import Options, compile_source
+from qbc.pipeline import Options, compile_source, stats_for
 from qbc.qcirc import Gate, GateKind, QCircModule, adjoint_gates, g, verify_circuit
 from qbc.synth import (
     AlignedPair, align, collect_vector_phases, embed_gates,
-    emit_standardization, factor_ordered, iqft_gates, lower_translation,
+    emit_standardization, iqft_gates, lower_translation,
     pair_permutation, plan_standardization, qft_gates, synth_classical,
     synth_permutation, StdEntry, _transform_gates,
 )
 
 from oracles import (
-    gates_to_fn, module_unitary, pipe_chain_source, translation_unitary,
-    unitary_of,
+    gates_to_fn, module_unitary, pipe_chain_source, span_projector,
+    translation_unitary, unitary_of,
 )
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -614,6 +616,49 @@ def test_embed_unitary_is_exact_with_and_without_relative_phase_pairs(data):
             verify_circuit(m)
             got = module_unitary(m.entry_fn)
             assert np.allclose(got, want, atol=1e-9), (mode, pb, adj, peep, dec)
+
+
+@pytest.mark.parametrize("mode", ["xor", "sign"])
+@pytest.mark.parametrize("pred", [lit("01", "10"), lit("m")],
+                         ids=["two_patterns", "pm"])
+def test_predicated_embed_controls_only_its_copy_or_kick(mode, pred):
+    # all_ones of three bits computes two ANDs (the sign kick turns the
+    # second into a CZ). They run unconditionally and keep their pair flags;
+    # the predicate controls only the copy or the kick.
+    cfn = _cfn("all_ones", [3], 1, CReduce("and", CVar("x0")))
+    gates, width, anc = embed_gates(cfn, mode, basis(pred))
+    ands = 2 if mode == "xor" else 1
+    paired = [gt for gt in gates if gt.pair]
+    assert sorted(gt.pair for gt in paired) == [-1] * ands + [1] * ands
+    assert all(min(gt.controls) >= pred.dim for gt in paired)
+    proj = span_projector(basis(pred))
+    u_f = _oracle_matrix([int(x == 7) for x in range(8)], 3, mode, None)
+    want = np.kron(proj, u_f) + np.kron(np.eye(len(proj)) - proj,
+                                        np.eye(len(u_f)))
+    for peep, dec in product((False, True), repeat=2):
+        m = QCircModule({"main": gates_to_fn("main", width, gates, anc)}, "main")
+        if peep:
+            peephole(m)
+        if dec:
+            decompose_multicontrol(m)
+        verify_circuit(m)
+        assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9), \
+            (peep, dec)
+
+
+def test_predicated_sign_oracle_t_count():
+    # Controlling only the kick: 23 T at N=4, where controlling every gate
+    # of the oracle took 67.
+    src = """\
+classical all_ones[N](x: bit[N]) -> bit[1] {
+    and_reduce(x)
+}
+
+qpu main[N]() -> bit[N + 1] {
+    ('1' + 'p'[N]) | ({'1'} & all_ones[[N]].sign) | std[N + 1].measure
+}
+"""
+    assert stats_for(src, "oracle.qw", Options(dims={"N": 4})).t_count == 23
 
 
 def test_sign_oracle_of_one_and_kicks_phase_without_target():
