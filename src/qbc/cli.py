@@ -1,4 +1,8 @@
-"""Command-line driver: check, compile, run, and stats subcommands."""
+"""Command-line driver: check, compile, run, and stats subcommands.
+
+Only ``run`` loads the simulator, and with it numpy: the other commands
+start without it.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ import sys
 
 from .diagnostics import CompileError
 from .pipeline import Options, compile_source, compile_to_circuit, front, stats_for
-from .run import SimulationError, simulate
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -46,6 +49,30 @@ def _options(args) -> Options:
         decompose=not getattr(args, "no_decompose", False),
         dims=dims,
     )
+
+
+def _run(args, source: str, opts: Options) -> int:
+    """Compile, simulate and print the histogram; a compile error reaches
+    ``main``."""
+    from .run import SimulationError, simulate
+
+    seed = args.seed
+    if "QBC_SEED" in os.environ:
+        try:
+            seed = int(os.environ["QBC_SEED"])
+        except ValueError:
+            print(f"qbc: bad QBC_SEED {os.environ['QBC_SEED']!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    qc = compile_to_circuit(source, args.file, opts)
+    try:
+        hist = simulate(qc, shots=args.shots, seed=seed)
+    except SimulationError as e:
+        print(f"qbc: simulation error: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+    for key in sorted(hist):
+        sys.stdout.write(f"{key}\t{hist[key]}\n")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -117,28 +144,13 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
             return EXIT_OK
         if args.cmd == "run":
-            seed = args.seed
-            if "QBC_SEED" in os.environ:
-                try:
-                    seed = int(os.environ["QBC_SEED"])
-                except ValueError:
-                    print(f"qbc: bad QBC_SEED {os.environ['QBC_SEED']!r}",
-                          file=sys.stderr)
-                    return EXIT_USAGE
-            qc = compile_to_circuit(source, args.file, opts)
-            hist = simulate(qc, shots=args.shots, seed=seed)
-            for key in sorted(hist):
-                sys.stdout.write(f"{key}\t{hist[key]}\n")
-            return EXIT_OK
+            return _run(args, source, opts)
         if args.cmd == "stats":
             print(stats_for(source, args.file, opts).render())
             return EXIT_OK
     except CompileError as e:
         for d in e.diagnostics:
             print(d.render(), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except SimulationError as e:
-        print(f"qbc: simulation error: {e}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     return EXIT_USAGE
 

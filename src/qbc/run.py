@@ -16,6 +16,9 @@ Which qubit an op acts on depends only on the program, so it is read from
 ``qcirc.wire_starts``, computed once per call: a qubit's state-vector key is
 the value its wire began at. A branch carries only its state, its measured
 bits and its weight.
+
+This module and ``qbc.simulator`` are qbc's only numpy users: the compiler
+never imports them, and ``qbc.cli`` loads them for ``qbc run`` alone.
 """
 
 from __future__ import annotations

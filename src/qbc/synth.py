@@ -22,10 +22,9 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import groupby, product as iproduct
+from operator import itemgetter
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .ast_nodes import (
     CBin, CExpr, CIndex, CLit, CNot, CReduce, CRepeat, CSlice, CVar,
@@ -380,28 +379,48 @@ def _transform_gates(src: int, dst: int, d: int) -> list[tuple[int, int]]:
     return steps
 
 
-def _map_values(steps: list[tuple[int, int]], f: np.ndarray,
-                inv: np.ndarray) -> None:
+def _map_values(steps: list[tuple[int, int]], f: list[int],
+                inv: list[int]) -> None:
     """Send every value of the table ``f`` through the steps in order, in
     place, keeping ``inv`` its inverse.
 
-    A step's target bit is never among its controls, so it pairs the values
-    it moves, and each moved entry's new value names its row in ``inv``.
+    A step's target bit is never among its controls, so a run of steps with
+    the same controls flips the XOR of their targets in exactly the values
+    that hold the controls. Those values come in pairs: each v0 = controls
+    | s, for s a submask of the bits outside the controls and the lowest
+    flipped bit, trades rows with v0 ^ flip. Only those pairs are visited,
+    by swapping their rows in ``inv``.
     """
-    for controls, target in steps:
-        hit = np.flatnonzero(f & controls == controls)
-        f[hit] ^= target
-        inv[f[hit]] = hit
+    full = len(f) - 1
+    for controls, run in groupby(steps, key=itemgetter(0)):
+        flip = 0
+        for _, target in run:
+            flip ^= target
+        free = full & ~(controls | (flip & -flip))
+        s = free
+        while True:
+            v0 = controls | s
+            v1 = v0 ^ flip
+            a = inv[v0]
+            b = inv[v1]
+            inv[v0] = b
+            inv[v1] = a
+            f[a] = v1
+            f[b] = v0
+            if not s:
+                break
+            s = (s - 1) & free
 
 
 def synth_permutation(perm: Sequence[int]) -> list[Gate]:
     """Ancilla-free multi-controlled-X network realizing the permutation.
 
-    Bidirectional transformation-based synthesis: rows are fixed in index
-    order, transforming whichever of the input/output side needs fewer bit
-    flips; output-side gates are emitted reversed after input-side gates.
-    The table and its inverse are kept as arrays, so finding a row's source
-    is a lookup and each step is one vectorized mask.
+    Bidirectional transformation-based synthesis (Miller, Maslov and
+    Dueck, DAC 2003): rows are fixed in index order, transforming whichever
+    of the input/output side needs fewer bit flips; output-side gates are
+    emitted reversed after input-side gates. The table and its inverse are
+    kept as lists of ints, so finding a row's source is a lookup and each
+    step touches only the values it moves.
     """
     size = len(perm)
     d = size.bit_length() - 1
@@ -411,16 +430,17 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
         raise SynthError(f"permutation too wide ({d} > {PERMUTATION_LIMIT})")
     if sorted(perm) != list(range(size)):
         raise SynthError("not a permutation")
-    f = np.array(perm, dtype=np.int64)
-    inv = np.empty_like(f)
-    inv[f] = np.arange(size)
+    f = [int(v) for v in perm]
+    inv = [0] * size
+    for x, y in enumerate(f):
+        inv[y] = x
     gates_in: list[tuple[int, int]] = []
     gates_out: list[tuple[int, int]] = []
     for x in range(size):
-        y = int(f[x])
+        y = f[x]
         if y == x:
             continue
-        x_in = int(inv[x])
+        x_in = inv[x]
         cost_out = bin(x ^ y).count("1")
         cost_in = bin(x ^ x_in).count("1")
         if cost_out <= cost_in:
@@ -433,7 +453,7 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
             steps = _transform_gates(x, x_in, d)
             _map_values(steps[::-1], inv, f)
             gates_in.extend(reversed(steps))
-    assert (f == np.arange(size)).all(), "synthesis did not reach identity"
+    assert f == list(range(size)), "synthesis did not reach identity"
 
     def to_gate(controls_mask: int, target_mask: int) -> Gate:
         # Bit k of a mask refers to qubit d-1-k (qubit 0 is the MSB).
@@ -654,7 +674,8 @@ def _classical_parts(cfn: ClassicalFn,
     ancilla goes unused. Otherwise f is an XOR of wires, each of which gets
     a Z; a negated f makes the first of them X.Z.X, which is -Z. A
     constant-true f applies -I as X.Z.X.Z on one fresh ancilla, so that a
-    predicate's controls make it a relative phase.
+    predicate's controls on its Z gates make it a relative phase. In sign
+    mode every X of the middle is such a conjugation.
     """
     n = sum(p.type.dim.value for p in cfn.params)
     synth = _ClassicalSynth(cfn.embed_width(mode))
@@ -702,7 +723,10 @@ def embed_gates(cfn: ClassicalFn, mode: str,
     on the predicate patterns, with the predicate's own primitive bases
     standardized around it. The ANDs' compute and uncompute run
     unconditionally: they only write ancillas that the uncompute returns to
-    |0>, so they keep their relative-phase pair flags (``Gate.pair``).
+    |0>, so they keep their relative-phase pair flags (``Gate.pair``). The
+    X gates that negate a sign kick run unconditionally too, since
+    U·C(V)·U† = C(U·V·U†) for a U on data wires: only the kick's Z gates
+    take the predicate's controls.
     """
     compute, middle, _, anc = _classical_parts(cfn, mode)
     width = cfn.embed_width(mode)
@@ -718,7 +742,10 @@ def embed_gates(cfn: ClassicalFn, mode: str,
     ))
     gates = [gt.shifted(p) for gt in compute]
     gates += emit_standardization(plan, stdward=True)
-    gates += with_predicates([gt.shifted(p) for gt in middle], groups)
+    for conj, run in groupby(middle,
+                             key=lambda gt: mode == "sign" and gt.kind is X):
+        run = [gt.shifted(p) for gt in run]
+        gates += run if conj else with_predicates(run, groups)
     gates += emit_standardization(plan, stdward=False)
     gates += [gt.shifted(p) for gt in uncompute]
     return gates, p + width, anc

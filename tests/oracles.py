@@ -2,7 +2,8 @@
 basis vectors, span projectors, translation unitaries, gate-list unitaries,
 the unitary of a gate-level function and equality up to a global phase;
 a reference prefix factoring of basis literals by prefix and suffix counts;
-also the source of a pipe chain of single-qubit stages.
+a reference permutation synthesis over numpy tables; also the source of a
+pipe chain of single-qubit stages.
 
 These are brute force on purpose and live beside the tests, not in the
 compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
@@ -24,9 +25,10 @@ from qbc.bases import (
     Prim,
     builtin_vectors,
 )
-from qbc.qcirc import Gate, QCircFn, QOp, append_gates, wire_starts
+from qbc.qcirc import Gate, GateKind, QCircFn, QOp, append_gates, wire_starts
 from qbc.run import SimulationError, _exec_op
 from qbc.simulator import StateVector, apply_gate
+from qbc.synth import _transform_gates
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -252,6 +254,45 @@ def factor_literal_by_counts(bl: BasisLiteral,
         for v in bl.vectors
         if v.eigenbits[:n] == first
     ))
+
+
+def synth_permutation_by_arrays(perm: Sequence[int]) -> list[Gate]:
+    """The bidirectional transformation-based synthesis of
+    ``synth.synth_permutation`` with the table and its inverse kept as
+    numpy arrays, each step a mask over all rows: the reference its gate
+    lists must equal, gate for gate."""
+    size = len(perm)
+    d = size.bit_length() - 1
+    f = np.array(perm, dtype=np.int64)
+    inv = np.empty_like(f)
+    inv[f] = np.arange(size)
+
+    def map_values(steps, f, inv):
+        for controls, target in steps:
+            hit = np.flatnonzero(f & controls == controls)
+            f[hit] ^= target
+            inv[f[hit]] = hit
+
+    gates_in: list[tuple[int, int]] = []
+    gates_out: list[tuple[int, int]] = []
+    for x in range(size):
+        y = int(f[x])
+        if y == x:
+            continue
+        x_in = int(inv[x])
+        if bin(x ^ y).count("1") <= bin(x ^ x_in).count("1"):
+            steps = _transform_gates(y, x, d)
+            map_values(steps, f, inv)
+            gates_out.extend(steps)
+        else:
+            steps = _transform_gates(x, x_in, d)
+            map_values(steps[::-1], inv, f)
+            gates_in.extend(reversed(steps))
+    assert (f == np.arange(size)).all()
+    return [
+        Gate(GateKind.X, (d - t.bit_length(),),
+             tuple(d - 1 - k for k in range(d - 1, -1, -1) if c & (1 << k)))
+        for c, t in gates_in + gates_out[::-1]]
 
 
 def pipe_chain_source(stages: Sequence[str]) -> str:

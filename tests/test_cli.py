@@ -1,11 +1,60 @@
 """The `qbc` command line: every input ends in output with exit 0 or a
 diagnostic with exit 1."""
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from qbc.cli import main
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "benchmarks"
+
+# Runs `qbc check` and every `qbc compile --emit` on each benchmark, then
+# `qbc run` on the first, in one fresh interpreter, and reports the exit
+# codes, the histogram, and whether numpy was loaded before and after the
+# run.
+_NUMPY_PROBE = """\
+import contextlib, io, json, sys
+from qbc import cli
+emits = ["ast", "qwerty-ir", "qcircuit-ir", "qasm", "qir"]
+codes = {}
+for path in sys.argv[1:]:
+    for argv in [["check"]] + [["compile", "--emit", e] for e in emits]:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes[" ".join(argv + [path])] = cli.main(argv + [path])
+compiled_without_numpy = "numpy" not in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    run_code = cli.main(["run", sys.argv[1], "--shots", "16"])
+print(json.dumps({"codes": codes, "compiled_without_numpy":
+                  compiled_without_numpy, "run_code": run_code,
+                  "run_out": out.getvalue(),
+                  "run_loaded_numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_compiling_never_imports_numpy():
+    # A subprocess, since pytest's own process has numpy loaded already.
+    paths = [str(BENCH / "bell.qw")] + sorted(
+        str(p) for p in BENCH.glob("*.qw") if p.name != "bell.qw")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *paths],
+                          env=env, capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert len(report["codes"]) == 6 * 7
+    # Only the QIR backend's rejection of teleport ends in a diagnostic.
+    assert {k: v for k, v in report["codes"].items() if v} == {
+        f"compile --emit qir {BENCH / 'teleport.qw'}": 1}
+    assert report["compiled_without_numpy"]
+    assert report["run_code"] == 0 and report["run_loaded_numpy"]
+    counts = dict(line.split("\t") for line in report["run_out"].splitlines())
+    assert set(counts) <= {"00", "11"}
+    assert sum(int(c) for c in counts.values()) == 16
 
 
 def test_run_prints_histogram(capsys):

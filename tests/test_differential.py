@@ -61,9 +61,9 @@ qpu main() -> bit[2] {
     m + r
 }
 """, {}),
-    # Sign oracles kick their phase in synthesis: a negated AND, a
-    # predicated parity, and a constant-true f with no input wire, bare
-    # (a global phase) and predicated (a relative one).
+    # Sign oracles kick their phase in synthesis: a negated AND, bare and
+    # predicated, a predicated parity, and a constant-true f with no input
+    # wire, bare (a global phase) and predicated (a relative one).
     "negated_sign_oracle": ("""\
 classical nand[N](x: bit[N]) -> bit[1] {
     ~and_reduce(x)
@@ -100,6 +100,17 @@ qpu main() -> bit[2] {
     ('p' + 'p') | ({'1'} & (f('1').sign + id)) | pm[2].measure
 }
 """, {}),
+    # Under a predicate, a negated kick's X gates run unconditionally and
+    # only its Z gates are controlled.
+    "predicated_negated_sign_oracle": ("""\
+classical nand[N](x: bit[N]) -> bit[1] {
+    ~and_reduce(x)
+}
+
+qpu main[N]() -> bit[N + 1] {
+    ('p' + 'p'[N]) | ({'1'} & nand[[N]].sign) | pm[N + 1].measure
+}
+""", {"N": 3}),
     # A conditional whose then-branch renames its qubits: gate lowering
     # routes the branches' slots into one order with a conditioned swap.
     "conditional_wire_swap": ("""\
@@ -123,6 +134,8 @@ EXPECTED = {
     "predicated_parity_oracle": {"1101": 1.0},
     "constant_sign_oracle": {"0": 1.0},
     "predicated_constant_sign_oracle": {"10": 1.0},
+    "predicated_negated_sign_oracle": {"1000": 0.765625} | {
+        f"{i:04b}": 0.015625 for i in range(16) if i != 8},
     "conditional_wire_swap": {"001": 0.5, "110": 0.5},
 }
 

@@ -29,7 +29,7 @@ from qbc.synth import (
 
 from oracles import (
     gates_to_fn, module_unitary, pipe_chain_source, span_projector,
-    translation_unitary, unitary_of,
+    synth_permutation_by_arrays, translation_unitary, unitary_of,
 )
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -229,6 +229,29 @@ def test_synth_permutation_matches_rescanning_synthesis(d):
                 if all(bits[c] for c in gt.controls):
                     bits[gt.targets[0]] ^= 1
             assert int("".join(map(str, bits)), 2) == perm[x]
+
+
+@pytest.mark.parametrize("d", range(3))
+def test_synth_permutation_matches_array_synthesis_exhaustive(d):
+    for perm in permutations(range(1 << d)):
+        assert synth_permutation(perm) == synth_permutation_by_arrays(perm), perm
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_synth_permutation_matches_array_synthesis(d):
+    rng = np.random.default_rng(200 + d)
+    for _ in range(3 if d <= 8 else 1):
+        perm = [int(v) for v in rng.permutation(1 << d)]
+        assert synth_permutation(perm) == synth_permutation_by_arrays(perm)
+
+
+def test_synth_permutation_numpy_input_gives_int_positions():
+    perm = np.random.default_rng(5).permutation(16)
+    gates = synth_permutation(perm)
+    assert gates == synth_permutation([int(v) for v in perm])
+    for gt in gates:
+        for q in gt.targets + gt.controls:
+            assert type(q) is int
 
 
 def _check_translation(b_in: Basis, b_out: Basis):
@@ -644,6 +667,68 @@ def test_predicated_embed_controls_only_its_copy_or_kick(mode, pred):
         verify_circuit(m)
         assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9), \
             (peep, dec)
+
+
+_A, _B = CIndex(CVar("x0"), DimLit(0)), CIndex(CVar("x0"), DimLit(1))
+
+
+@pytest.mark.parametrize("body,widths,ands", [
+    (CNot(CBin("^", _A, _A)), [1], 0),
+    (CNot(CReduce("and", CVar("x0"))), [3], 2),
+    # The X conjugates a wire that is also the AND's control.
+    (CBin("^", CNot(_A), CBin("&", _A, _B)), [2], 1),
+], ids=["constant_true", "nand", "not_a_xor_and"])
+@pytest.mark.parametrize("pred", [lit("1"), lit("01", "10"), lit("m")],
+                         ids=["one", "two_patterns", "pm"])
+def test_predicated_negated_kick_controls_only_its_z_gates(body, widths,
+                                                           ands, pred):
+    # U.C(V).U^dag = C(U.V.U^dag) for U on data wires: the two X gates that
+    # negate the kick run unconditionally and every Z takes the predicate.
+    cfn = _cfn("f", widths, 1, body)
+    gates, width, anc = embed_gates(cfn, "sign", basis(pred))
+    p = pred.dim
+    kick_xs = [gt for gt in gates
+               if gt.kind is GateKind.X and not gt.pair and gt.targets[0] >= p]
+    assert len(kick_xs) == 2 and all(not gt.controls for gt in kick_xs)
+    zs = [gt for gt in gates if gt.kind is GateKind.Z]
+    assert zs and all(set(range(p)) <= set(gt.controls) for gt in zs)
+    paired = [gt for gt in gates if gt.pair]
+    assert sorted(gt.pair for gt in paired) == [-1] * ands + [1] * ands
+    n = sum(widths)
+    truth = [_eval_bits(body, [(x >> (n - 1 - i)) & 1 for i in range(n)])[0]
+             for x in range(1 << n)]
+    proj = span_projector(basis(pred))
+    u_f = _oracle_matrix(truth, n, "sign", None)
+    want = np.kron(proj, u_f) + np.kron(np.eye(len(proj)) - proj,
+                                        np.eye(len(u_f)))
+    for peep, dec in product((False, True), repeat=2):
+        m = QCircModule({"main": gates_to_fn("main", width, gates, anc)}, "main")
+        if peep:
+            peephole(m)
+        if dec:
+            decompose_multicontrol(m)
+        verify_circuit(m)
+        assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9), \
+            (peep, dec)
+
+
+def test_predicated_constant_kick_emits_no_cx():
+    # -I on the kick's ancilla is X.Z.X.Z, and only its Z gates take the
+    # predicate's control.
+    src = """\
+classical f[N](s: bit[N]) -> bit[1] {
+    xor_reduce(s)
+}
+
+qpu main() -> bit[2] {
+    ('p' + 'p') | ({'1'} & (f('1').sign + id)) | pm[2].measure
+}
+"""
+    for level in (0, 1):
+        qasm = compile_source(src, "kick.qw", Options(opt_level=level), "qasm")
+        gates = [line.split()[0] for line in qasm.splitlines()
+                 if line.split()[0] in ("x", "cx", "cz")]
+        assert gates == ["x", "cz", "x", "cz"], (level, qasm)
 
 
 def test_predicated_sign_oracle_t_count():
