@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate, or with --check verify, the golden basis IR, QASM and QIR
-outputs of the benchmark programs.
+outputs of the benchmark programs and of ``tests/goldens/forms.qw``, which
+reaches every exact gate form of ``qbc.qcirc.exact_form`` that the
+backends and multi-control decomposition use.
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
@@ -32,6 +34,9 @@ from qbc.run import distribution  # noqa: E402
 
 BENCHMARKS = ["bell", "bv", "dj", "grover", "simon", "period", "teleport"]
 GOLDEN_DIR = ROOT / "tests" / "goldens"
+# Golden name -> the program it compiles.
+SOURCES = {name: ROOT / "benchmarks" / f"{name}.qw" for name in BENCHMARKS}
+SOURCES["forms"] = GOLDEN_DIR / "forms.qw"
 
 
 class GoldenError(Exception):
@@ -46,7 +51,7 @@ def goldens(name: str) -> dict[str, str | None]:
 
     Raises GoldenError if the re-ingested QASM's distribution differs.
     """
-    src_path = ROOT / "benchmarks" / f"{name}.qw"
+    src_path = SOURCES[name]
     source = src_path.read_text()
     opts = Options()
     qwir = compile_source(source, str(src_path), opts, "qwerty-ir")
@@ -66,7 +71,7 @@ def goldens(name: str) -> dict[str, str | None]:
 def check() -> list[str]:
     """Every way the goldens differ from the compiler's output."""
     problems = []
-    for name in BENCHMARKS:
+    for name in SOURCES:
         try:
             files = goldens(name)
         except GoldenError as e:
@@ -99,7 +104,7 @@ def main(argv=None) -> int:
         print("goldens: ok")
         return 0
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in BENCHMARKS:
+    for name in SOURCES:
         for fname, text in goldens(name).items():
             path = GOLDEN_DIR / fname
             if text is None:
