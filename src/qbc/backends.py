@@ -13,8 +13,10 @@ register is never reused. A gate's results keep its operands' registers.
 
 The gate vocabulary lives in ``qcirc``: OpenQASM names are ``GateKind``
 values (with a ``c`` prefix or ``cp(qcirc.PHASE)`` for one control and
-``ctrl(k) @`` beyond), and the QIR writer maps each (kind, controls) pair it
-can call to one intrinsic.
+``ctrl(k) @`` beyond, which only an undecomposed circuit has). The QIR
+writer keeps one table, ``_QIR_INTRINSICS``, mapping each (kind, controls)
+pair it can call to one intrinsic; it writes any other gate with at most
+one control as its ``qcirc.exact_form``, and rejects the rest.
 """
 
 from __future__ import annotations
@@ -23,13 +25,8 @@ import heapq
 from typing import NamedTuple
 
 from .qcirc import (
-    PHASE, Gate, GateKind, QCircFn, QCircModule, QOp, g,
-)
-
-
-X, Y, Z, H, S, SDG, T, TDG, P, SWAP = (
-    GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG,
-    GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
+    PHASE, Gate, H, P, QCircFn, QCircModule, QOp, S, SDG, SWAP, T, TDG, X, Y,
+    Z, exact_form,
 )
 
 
@@ -95,8 +92,7 @@ def allocate(fn: QCircFn, reuse: bool) -> Registers:
 _C_PREFIXED = (X, Y, Z, H, SWAP)
 
 
-def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
-               allow_multi_control: bool = False) -> str:
+def emit_qasm3(m: QCircModule, reuse_qubits: bool = False) -> str:
     fn = m.entry_fn
     if fn.qubit_params:
         raise BackendError("cannot emit a function that takes qubits")
@@ -107,7 +103,7 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
         lines.append(f"bit[{k}] c;")
     for op in fn.ops:
         if op.kind == "gate":
-            stmt = _qasm_gate(op, index_of, allow_multi_control)
+            stmt = _qasm_gate(op, index_of)
             if op.condition is not None:
                 bit, want = op.condition
                 stmt = f"if (c[{creg[bit]}] == {int(want)}) {{ {stmt} }}"
@@ -122,7 +118,7 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False,
     return "\n".join(lines) + "\n"
 
 
-def _qasm_gate(op: QOp, index_of: dict[int, int], allow_multi: bool) -> str:
+def _qasm_gate(op: QOp, index_of: dict[int, int]) -> str:
     args = ", ".join(f"q[{index_of[v]}]" for v in op.operands)
     kind, nctrl = op.gate, op.num_controls
     name = kind.value
@@ -134,11 +130,6 @@ def _qasm_gate(op: QOp, index_of: dict[int, int], allow_multi: bool) -> str:
         if kind in _C_PREFIXED:
             return f"c{name} {args};"
         return f"cp({PHASE.get(kind, op.param)!r}) {args};"
-    if not allow_multi:
-        raise BackendError(
-            "gate with multiple controls survived; run multi-control "
-            "decomposition or pass the flag that permits ctrl @"
-        )
     return f"ctrl({nctrl}) @ {name} {args};"
 
 
@@ -158,36 +149,19 @@ _QIR_INTRINSICS = {
 
 def _legalize_for_qir(op: QOp) -> list[Gate]:
     """The gate as gates over its operand positions (controls first) that
-    each have an intrinsic in ``_QIR_INTRINSICS``."""
+    each have an intrinsic in ``_QIR_INTRINSICS``: itself, or its
+    ``qcirc.exact_form``."""
     kind, nctrl = op.gate, op.num_controls
     qs = tuple(range(len(op.operands)))
     ctrls, tgts = qs[:nctrl], qs[nctrl:]
     if (kind, nctrl) in _QIR_INTRINSICS:
         return [Gate(kind, tgts, ctrls, op.param)]
-    if nctrl == 0:  # SWAP
-        a, b = tgts
-        return [g(X, b, controls=(a,)), g(X, a, controls=(b,)),
-                g(X, b, controls=(a,))]
     if nctrl > 1:
         raise BackendError(
             "multi-controlled gate survived; run decomposition before the "
             "QIR backend"
         )
-    (c,) = ctrls
-    if kind is SWAP:
-        a, b = tgts
-        return [g(X, a, controls=(b,)), g(X, b, controls=(c, a)),
-                g(X, a, controls=(b,))]
-    (t,) = tgts
-    if kind is Y:
-        return [g(SDG, t), g(X, t, controls=(c,)), g(S, t)]
-    if kind is H:
-        return [g(S, t), g(H, t), g(T, t), g(X, t, controls=(c,)), g(TDG, t),
-                g(H, t), g(SDG, t)]
-    theta = PHASE.get(kind, op.param)
-    return [g(P, c, param=theta / 2), g(X, t, controls=(c,)),
-            g(P, t, param=-theta / 2), g(X, t, controls=(c,)),
-            g(P, t, param=theta / 2)]
+    return exact_form(kind, ctrls, tgts, op.param)
 
 
 def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:

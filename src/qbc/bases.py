@@ -160,23 +160,6 @@ def basis(*elements: BasisElement) -> Basis:
     return Basis(tuple(elements))
 
 
-def lit(*specs: str, prim: Optional[Prim] = None) -> BasisLiteral:
-    """Build a literal from qubit-literal strings like '01' or ('1', pi)."""
-    vectors = []
-    for spec in specs:
-        if isinstance(spec, tuple):
-            chars, phase = spec
-        else:
-            chars, phase = spec, None
-        vectors.append(vector_from_chars(chars, phase))
-    out = BasisLiteral(tuple(vectors))
-    if prim is not None:
-        out = BasisLiteral(
-            tuple(BasisVector(prim, v.eigenbits, v.phase) for v in out.vectors)
-        )
-    return out
-
-
 def vector_from_chars(chars: str, phase: Optional[Phase] = None) -> BasisVector:
     """Parse a uniform-prim qubit literal such as '01' or 'pm' into a vector."""
     prims = {CHAR_TO_PRIM_BIT[c][0] for c in chars}

@@ -42,8 +42,12 @@ cancel. A gate with k >= 2 controls becomes a ladder of relative-phase
 Toffolis (``rccx_gates``, 4 T) that ANDs its controls into fresh ancillas,
 one exact core, and the mirrored ladder. A rung's relative phase lies on
 its controls, which nothing before its mirror changes, so the whole is
-exact with no correction gates. C^kZ takes ``ccz_gates`` as its core
-rather than H.ccx.H, so no H pair meets at the target.
+exact with no correction gates. C^kZ's core is the table's CCZ rather than
+H.CCX.H, so no H pair meets at the target.
+
+Folding and decomposition read their exact gates from ``qcirc.exact_form``
+and hand their rewrites to ``qcirc.substitute``. Only the relative-phase
+rung, which is not an exact form, lives here.
 """
 
 from __future__ import annotations
@@ -52,13 +56,8 @@ import heapq
 import math
 
 from .qcirc import (
-    ADJOINT_KIND, PHASE, Gate, GateKind, QCircFn, QCircModule, QOp,
-    adjoint_gates, append_gates, g,
-)
-
-H, X, Y, Z, S, SDG, T, TDG, P, SWAP = (
-    GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
-    GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
+    ADJOINT_KIND, PHASE, Gate, H, P, QCircFn, QCircModule, QOp, SWAP, T, TDG,
+    X, Z, adjoint_gates, exact_form, g, substitute,
 )
 
 
@@ -212,29 +211,16 @@ def peephole(m: QCircModule) -> QCircModule:
 # ---------------------------------------------------------------------------
 # Phase folding
 
-# The fewest of t, tdg, s, sdg and z that make P(k * pi/4), for k = 0..7.
-_EIGHTHS = ((), (T,), (S,), (S, T), (Z,), (Z, T), (SDG,), (TDG,))
-
-
-def _phase_gates(theta: float) -> tuple[tuple[GateKind, float], ...]:
-    """(kind, param) of the gates that make P(theta): none for 0, at most
-    two Clifford+T gates for a multiple of pi/4, else one ``p``."""
-    theta = math.remainder(theta, 2 * math.pi)
-    k = round(theta / (math.pi / 4))
-    if abs(theta - k * math.pi / 4) <= 1e-12:
-        return tuple((kind, 0.0) for kind in _EIGHTHS[k % 8])
-    return ((P, theta),)
-
-
 def fold_phases(m: QCircModule) -> QCircModule:
     """Merge the uncontrolled, unconditioned diagonal gates of each function
     that sit on one affine parity (see the module docstring).
 
     A term of one gate on a non-constant parity is left alone. Any other
-    term on a non-constant parity becomes ``_phase_gates`` of its summed
-    angle at its first gate, unless its gates are those already; a term on
-    a constant parity is deleted. No term gains gates, and the circuit is
-    unchanged up to a global phase.
+    term on a non-constant parity becomes ``qcirc.exact_form`` of its summed
+    angle (at most two Clifford+T gates), or else one ``p``, at its first
+    gate, unless its gates are those already; a term on a constant parity
+    is deleted. No term gains gates, and the circuit is unchanged up to a
+    global phase.
     """
     for fn in m.functions.values():
         _fold_fn(fn)
@@ -288,60 +274,24 @@ def _fold_fn(fn: QCircFn) -> None:
         for r, p in zip(op.results, outs):
             parity[r] = p
 
-    emit: dict[int, tuple] = {}
+    forms: dict[int, tuple[list[Gate], int]] = {}
     for key, (angle, indices, const) in terms.items():
         if not key:
-            emit.update((i, ()) for i in indices)
+            forms.update((i, ([], 0)) for i in indices)
         elif len(indices) > 1:
-            gates = _phase_gates(-angle if const else angle)
-            if gates != tuple((fn.ops[i].gate, fn.ops[i].param)
-                              for i in indices):
-                emit[indices[0]] = gates
-                emit.update((i, ()) for i in indices[1:])
-    if not emit:
-        return
-    # Rebuild the ops, forwarding each deleted gate's operand to its result's
-    # one consumer.
-    rename: dict[int, int] = {}
-    ops = []
-    for i, op in enumerate(fn.ops):
-        if rename:
-            op.operands = tuple([rename.pop(v, v) for v in op.operands])
-        if i not in emit:
-            ops.append(op)
-            continue
-        (v,), (r,) = op.operands, op.results
-        gates = emit[i]
-        if not gates:
-            rename[r] = v
-        for n, (kind, param) in enumerate(gates, 1):
-            out = r if n == len(gates) else fn.new_id()
-            ops.append(QOp("gate", (v,), (out,), gate=kind, param=param))
-            v = out
-    fn.ops = ops
+            theta = -angle if const else angle
+            gates = exact_form(P, (), (0,), theta)
+            if gates is None:
+                gates = [g(P, 0, param=math.remainder(theta, 2 * math.pi))]
+            if [(gt.kind, gt.param) for gt in gates] != [
+                    (fn.ops[i].gate, fn.ops[i].param) for i in indices]:
+                forms[indices[0]] = gates, 0
+                forms.update((i, ([], 0)) for i in indices[1:])
+    substitute(fn, forms)
 
 
 # ---------------------------------------------------------------------------
 # Multi-controlled gate decomposition
-
-
-def ccx_gates(a: int, b: int, t: int) -> list[Gate]:
-    """The exact Toffoli, 7 T."""
-    return [
-        g(H, t),
-        g(X, t, controls=(b,)), g(TDG, t),
-        g(X, t, controls=(a,)), g(T, t),
-        g(X, t, controls=(b,)), g(TDG, t),
-        g(X, t, controls=(a,)), g(T, t),
-        g(T, b), g(H, t),
-        g(X, b, controls=(a,)), g(T, a), g(TDG, b),
-        g(X, b, controls=(a,)),
-    ]
-
-
-def ccz_gates(a: int, b: int, t: int) -> list[Gate]:
-    """The exact CCZ: ``ccx_gates`` without its two H gates on the target."""
-    return [gt for gt in ccx_gates(a, b, t) if gt.kind is not H]
 
 
 def rccx_gates(a: int, b: int, t: int) -> list[Gate]:
@@ -363,12 +313,6 @@ def rccx_gates(a: int, b: int, t: int) -> list[Gate]:
     ]
 
 
-def _is_z_phase(op: QOp) -> bool:
-    """P(+-pi), which is Z."""
-    return op.gate is P and math.isclose(
-        abs(math.remainder(op.param, 2 * math.pi)), math.pi, abs_tol=1e-12)
-
-
 def decompose_multicontrol(m: QCircModule) -> QCircModule:
     """Rewrite every gate with two or more controls into <=1-control gates.
 
@@ -376,61 +320,44 @@ def decompose_multicontrol(m: QCircModule) -> QCircModule:
     mirrored ladder (Selinger, PRA 87, 042302, 2013). The ladder ANDs
     controls into fresh ancillas with ``rccx_gates``; each rung's relative
     phase sits on its controls, which neither later rungs nor the core
-    change, so its mirror cancels it exactly. C^kX ANDs its first ``k - 1``
-    controls into ``k - 2`` ancillas, and its core is ``ccx_gates`` on that
-    AND and the last control; C^kZ and C^kP(+-pi) use ``ccz_gates`` and C^kY
-    Sdg.ccx.S there. Any other C^kU ANDs all ``k`` controls into ``k - 1``
-    ancillas and controls U on the last. A Toffoli flagged as the compute
-    (uncompute) half of a mirrored pair becomes one ``rccx_gates`` (its
-    adjoint).
+    change, so its mirror cancels it exactly. The ladder ANDs the first
+    ``k - 1`` controls into ``k - 2`` ancillas, and the core is
+    ``qcirc.exact_form`` of the gate on that AND and the last control, with
+    any Toffoli in it (C^kY's) expanded by the table too. A gate the table
+    has no two-control form for takes one more rung, ANDing all ``k``
+    controls, and is controlled on that AND alone. A Toffoli flagged as the
+    compute (uncompute) half of a mirrored pair becomes one ``rccx_gates``
+    (its adjoint).
     """
     for fn in m.functions.values():
-        old_ops, fn.ops = fn.ops, []
-        rename: dict[int, int] = {}
-
-        def resolve(v: int) -> int:
-            while v in rename:
-                v = rename[v]
-            return v
-
-        for op in old_ops:
-            op.operands = tuple(resolve(v) for v in op.operands)
-            if op.condition is not None:
-                op.condition = (resolve(op.condition[0]), op.condition[1])
-            if op.kind != "gate" or op.num_controls < 2:
-                fn.ops.append(op)
-                continue
-            k, n_vals = op.num_controls, len(op.operands)
-            # An exact core takes the last control itself; any other U is
-            # controlled on the AND of all k. Rung i ANDs control i into
-            # ancilla position n_vals + i - 1; ``a`` holds the AND so far.
-            exact = op.gate in (X, Z, Y) or _is_z_phase(op)
-            anded = k - 1 if exact else k
-            ladder, a = [], 0
-            for c, anc in enumerate(range(n_vals, n_vals + anded - 1), 1):
-                ladder += rccx_gates(a, c, anc)
-                a = anc
-            if op.gate is X and op.pair and k == 2:
-                core = rccx_gates(a, k - 1, k)
-                if op.pair < 0:
-                    core = adjoint_gates(core)
-            elif op.gate is X:
-                core = ccx_gates(a, k - 1, k)
-            elif op.gate is Y:
-                core = [g(SDG, k)] + ccx_gates(a, k - 1, k) + [g(S, k)]
-            elif exact:
-                core = ccz_gates(a, k - 1, k)
-            else:
-                core = [Gate(op.gate, tuple(range(k, n_vals)), (a,), op.param)]
-            gates = ladder + core + adjoint_gates(ladder)
-            wires = list(op.operands)
-            for _ in range(anded - 1):
-                anc = fn.new_id()
-                fn.ops.append(QOp("qalloc", results=(anc,)))
-                wires.append(anc)
-            append_gates(fn, wires, gates, op.condition)
-            for pos in range(n_vals, len(wires)):
-                fn.ops.append(QOp("qfreez", (wires[pos],)))
-            for old, new in zip(op.results, wires[:n_vals]):
-                rename[old] = new
+        substitute(fn, {i: _decomposed(op) for i, op in enumerate(fn.ops)
+                        if op.kind == "gate" and op.num_controls >= 2})
     return m
+
+
+def _decomposed(op: QOp) -> tuple[list[Gate], int]:
+    """A multi-controlled gate as (gates, ancillas) for ``substitute``."""
+    k, n_vals = op.num_controls, len(op.operands)
+    targets = tuple(range(k, n_vals))
+
+    def anded(c: int) -> int:
+        """The position of the AND of controls 0..c: rung c's ancilla."""
+        return n_vals + c - 1 if c else 0
+
+    rungs = k - 2
+    if op.gate is X and op.pair and k == 2:
+        core = rccx_gates(0, 1, 2)
+        if op.pair < 0:
+            core = adjoint_gates(core)
+    else:
+        core = exact_form(op.gate, (anded(k - 2), k - 1), targets, op.param)
+        if core is None:
+            rungs = k - 1
+            core = [Gate(op.gate, targets, (anded(k - 1),), op.param)]
+        else:
+            core = [step for gt in core for step in (
+                exact_form(gt.kind, gt.controls, gt.targets, gt.param)
+                if len(gt.controls) == 2 else [gt])]
+    ladder = [gt for c in range(1, rungs + 1)
+              for gt in rccx_gates(anded(c - 1), c, anded(c))]
+    return ladder + core + adjoint_gates(ladder), rungs

@@ -113,8 +113,7 @@ def compile_source(source: str, file: str, opts: Options, emit: str) -> str:
         return print_qcirc(qc)
     try:
         if emit == "qasm":
-            return emit_qasm3(qc, reuse_qubits=_reuse(opts),
-                              allow_multi_control=not opts.decompose)
+            return emit_qasm3(qc, reuse_qubits=_reuse(opts))
         if emit == "qir":
             return emit_qir_base(qc, reuse_qubits=_reuse(opts))
     except BackendError as e:

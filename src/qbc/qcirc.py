@@ -18,6 +18,13 @@ value is its OpenQASM name, ``N_TARGETS`` its target count,
 ``ADJOINT_KIND`` its inverse and ``PHASE`` the phase a diagonal kind puts
 on |1>. The peephole pass and both backends read these tables rather than
 keeping their own.
+
+It is the one home of gate identities and of gate replacement too.
+``exact_form`` is the table of exact Clifford+T forms: phase folding emits
+its merged phases through it, multi-control decomposition takes its cores
+from it, and the QIR backend legalizes every gate it has no intrinsic for
+with it. ``substitute`` is the one walk that replaces ops by gate lists:
+folding and decomposition both hand it their rewrites.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ class GateKind(Enum):
     P = "p"
     SWAP = "swap"
 
+
+X, Y, Z, H, S, SDG, T, TDG, P, SWAP = GateKind
 
 ADJOINT_KIND = {
     GateKind.X: GateKind.X,
@@ -121,6 +130,85 @@ def g(kind: GateKind, *targets: int, controls: tuple[int, ...] = (), param: floa
 
 def adjoint_gates(gates: list[Gate]) -> list[Gate]:
     return [gt.adjoint() for gt in reversed(gates)]
+
+
+# ---------------------------------------------------------------------------
+# Exact gate forms
+
+# The fewest of t, tdg, s, sdg and z that make P(k * pi/4), for k = 0..7.
+_EIGHTHS = ((), (T,), (S,), (S, T), (Z,), (Z, T), (SDG,), (TDG,))
+
+
+def exact_form(kind: GateKind, controls: tuple[int, ...],
+               targets: tuple[int, ...],
+               param: float = 0.0) -> Optional[list[Gate]]:
+    """One exact rewrite step of a gate over positions, or None.
+
+    - P(k * pi/4) with no control: at most two of t, s, z, sdg and tdg
+      (none for 0);
+    - SWAP: 3 CX, the first on the second target;
+    - one control: CSWAP is CX.CCX.CX (the CX on the first target), CY
+      Sdg.CX.S, CH S.H.T.CX.T+.H.S+, and a diagonal (Z, S, T, their
+      adjoints, P) 3 P and 2 CX;
+    - two controls: CCX is the 7-T Toffoli; CCZ and CCP(+-pi) are the same
+      without its two H gates on the target, and CCY is Sdg.CCX.S.
+
+    Each entry equals its gate exactly, with no global phase (the
+    controlled-gate identities of Barenco et al., PRA 52, 3457, 1995).
+    A step may leave gates that have a form of their own (CSWAP's and
+    CCY's CCX); each user expands until it reaches its own gate set.
+    """
+    if not controls:
+        if kind is SWAP:
+            a, b = targets
+            return [g(X, b, controls=(a,)), g(X, a, controls=(b,)),
+                    g(X, b, controls=(a,))]
+        if kind is P:
+            theta = math.remainder(param, 2 * math.pi)
+            k = round(theta / (math.pi / 4))
+            if abs(theta - k * math.pi / 4) <= 1e-12:
+                return [g(eighth, *targets) for eighth in _EIGHTHS[k % 8]]
+        return None
+    if len(controls) == 1:
+        (c,) = controls
+        if kind is SWAP:
+            a, b = targets
+            return [g(X, a, controls=(b,)), g(X, b, controls=(c, a)),
+                    g(X, a, controls=(b,))]
+        (t,) = targets
+        if kind is Y:
+            return [g(SDG, t), g(X, t, controls=(c,)), g(S, t)]
+        if kind is H:
+            return [g(S, t), g(H, t), g(T, t), g(X, t, controls=(c,)),
+                    g(TDG, t), g(H, t), g(SDG, t)]
+        if kind is P or kind in PHASE:
+            theta = PHASE.get(kind, param)
+            return [g(P, c, param=theta / 2), g(X, t, controls=(c,)),
+                    g(P, t, param=-theta / 2), g(X, t, controls=(c,)),
+                    g(P, t, param=theta / 2)]
+        return None
+    if len(controls) == 2 and kind is not SWAP:
+        a, b = controls
+        (t,) = targets
+        if kind is Y:
+            return [g(SDG, t), g(X, t, controls=(a, b)), g(S, t)]
+        toffoli = [  # 7 T
+            g(H, t),
+            g(X, t, controls=(b,)), g(TDG, t),
+            g(X, t, controls=(a,)), g(T, t),
+            g(X, t, controls=(b,)), g(TDG, t),
+            g(X, t, controls=(a,)), g(T, t),
+            g(T, b), g(H, t),
+            g(X, b, controls=(a,)), g(T, a), g(TDG, b),
+            g(X, b, controls=(a,)),
+        ]
+        if kind is X:
+            return toffoli
+        if kind is Z or kind is P and math.isclose(
+                abs(math.remainder(param, 2 * math.pi)), math.pi,
+                abs_tol=1e-12):
+            return [gt for gt in toffoli if gt.kind is not H]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +374,37 @@ def append_gates(fn: QCircFn, wires: list[int], gates: Sequence[Gate],
         )
         for p, r in zip(positions, results):
             wires[p] = r
+
+
+def substitute(fn: QCircFn, forms: dict[int, tuple[Sequence[Gate], int]]) -> None:
+    """Replace each op ``i`` in ``forms`` by ``forms[i] = (gates, ancillas)``.
+
+    The gates' positions are the op's operands, controls first, then
+    ``ancillas`` fresh qubits, which are ``qalloc``'d before the gates and
+    ``qfreez``'d after them (so the gates must return them to |0>). The
+    gates run under the op's condition, and later operands are renamed to
+    the wires the gates leave: an empty gate list forwards the operands.
+    With no forms, ``fn`` is left as it is.
+    """
+    if not forms:
+        return
+    ops, fn.ops = fn.ops, []
+    rename: dict[int, int] = {}
+    for i, op in enumerate(ops):
+        if rename:
+            op.operands = tuple([rename.pop(v, v) for v in op.operands])
+        if i not in forms:
+            fn.ops.append(op)
+            continue
+        gates, ancillas = forms[i]
+        wires = list(op.operands)
+        for _ in range(ancillas):
+            wires.append(fn.new_id())
+            fn.ops.append(QOp("qalloc", results=(wires[-1],)))
+        append_gates(fn, wires, gates, op.condition)
+        for v in wires[len(op.operands):]:
+            fn.ops.append(QOp("qfreez", (v,)))
+        rename.update(zip(op.results, wires))
 
 
 def wire_starts(fn: QCircFn) -> dict[int, int]:

@@ -648,15 +648,6 @@ def _phase_kick(segments: list[list[Gate]], bag: _Bag) -> Optional[list[Gate]]:
     return [Gate(Z, (b,), (a,)) if gt is toffoli else gt for gt in segments[-1]]
 
 
-def synth_classical(cfn: ClassicalFn, mode: str) -> tuple[list[Gate], int, int, int]:
-    """Build U_f gates; returns (gates, n_inputs, n_outputs, n_ancillas).
-    The gates are ``_classical_parts``' compute, middle and uncompute.
-    """
-    compute, middle, n, anc = _classical_parts(cfn, mode)
-    gates = compute + middle + adjoint_gates(compute)
-    return gates, n, cfn.embed_width(mode) - n, anc
-
-
 def _classical_parts(cfn: ClassicalFn,
                      mode: str) -> tuple[list[Gate], list[Gate], int, int]:
     """U_f as (compute, middle, n_inputs, n_ancillas); the uncompute is the

@@ -24,11 +24,21 @@ from qbc.bases import (
     BuiltinBasis,
     Prim,
     builtin_vectors,
+    vector_from_chars,
 )
 from qbc.qcirc import Gate, GateKind, QCircFn, QOp, append_gates, wire_starts
 from qbc.run import SimulationError, _exec_op
 from qbc.simulator import StateVector, apply_gate
 from qbc.synth import _transform_gates
+
+
+def lit(*specs) -> BasisLiteral:
+    """A literal from qubit-literal strings like '01', or pairs like
+    ('1', pi) that give a vector its phase."""
+    return BasisLiteral(tuple(
+        vector_from_chars(*spec) if isinstance(spec, tuple)
+        else vector_from_chars(spec) for spec in specs))
+
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 

@@ -59,7 +59,7 @@ def allocated_unitary(m: QCircModule) -> np.ndarray:
                          ids=[f"{k.name}-c{c}" for k, c in ONE_GATE])
 def test_qasm_round_trip_keeps_each_gates_unitary(kind, nctrl):
     m = one_gate_module(one_gate(kind, nctrl))
-    qasm = emit_qasm3(m, allow_multi_control=True)
+    qasm = emit_qasm3(m)
     assert np.allclose(allocated_unitary(read_qasm3(qasm)),
                        allocated_unitary(m), atol=1e-12), qasm
 
@@ -67,8 +67,7 @@ def test_qasm_round_trip_keeps_each_gates_unitary(kind, nctrl):
 def test_qasm_round_trip_covers_every_gate_name():
     names = set()
     for kind, nctrl in ONE_GATE:
-        qasm = emit_qasm3(one_gate_module(one_gate(kind, nctrl)),
-                          allow_multi_control=True)
+        qasm = emit_qasm3(one_gate_module(one_gate(kind, nctrl)))
         names.add(qasm.splitlines()[-1].split(" q[")[0].split("(")[0])
     assert {"cx", "cy", "cz", "ch", "cswap", "cp", "ctrl"} <= names
 

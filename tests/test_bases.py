@@ -21,12 +21,11 @@ from qbc.bases import (
     factor_element,
     factor_ordered,
     fully_spans,
-    lit,
     normalize_element,
     validate_literal,
 )
 
-from oracles import factor_literal_by_counts, span_projector, spans_equal
+from oracles import factor_literal_by_counts, lit, span_projector, spans_equal
 
 
 def test_normalize_sorts_vectors():

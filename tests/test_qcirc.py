@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from qbc.qcirc import (
-    Gate, GateKind, QCircFn, QCircModule, QOp, adjoint_gates, append_gates, g,
-    print_qcirc, verify_circuit, wire_starts, CircuitError,
+    Gate, GateKind, QCircFn, QCircModule, QOp, adjoint_gates, append_gates,
+    exact_form, g, print_qcirc, substitute, verify_circuit, wire_starts,
+    CircuitError,
 )
 from qbc.backends import BackendError
 from qbc.peephole import (
-    ccx_gates, decompose_multicontrol, fold_phases, peephole, rccx_gates,
+    decompose_multicontrol, fold_phases, peephole, rccx_gates,
 )
 from qbc.pipeline import Options, compile_source, compile_to_circuit, stats_for
 from qasm_reader import read_qasm3
@@ -239,11 +240,83 @@ def test_peephole_qft_round_trip_cancels_to_nothing():
     assert gate_count(m) == 0
 
 
-def test_ccx_gates_match_toffoli():
-    u = unitary_of(ccx_gates(0, 1, 2), 3)
-    want = np.eye(8)
-    want[[6, 7]] = want[[7, 6]]
-    assert np.allclose(u, want, atol=1e-9)
+# (kind, controls) -> the params at which ``exact_form`` has an entry, or
+# None for every param; at any other (kind, controls, param) it has none.
+_FORMS = {
+    (SWAP, 0): None,
+    (P, 0): [k * math.pi / 4 for k in range(8)] + [-math.pi],
+    **{(kind, 1): None for kind in (Y, H, SWAP, Z, S, SDG, T, TDG, P)},
+    (X, 2): None, (Y, 2): None, (Z, 2): None,
+    (P, 2): [math.pi, -math.pi],
+}
+_FORM_CASES = sorted(
+    {(kind, nc, 0.0) for kind in GateKind for nc in range(3)}
+    | {(P, nc, param) for nc in range(3) for param in (0.3, -math.pi)}
+    | {(P, 0, param) for param in _FORMS[P, 0]}
+    | {(P, 2, param) for param in _FORMS[P, 2]},
+    key=lambda c: (c[0].value, c[1], c[2]))
+
+
+@pytest.mark.parametrize("kind, nc, param", _FORM_CASES, ids=[
+    f"{k.name}-c{nc}-{param:.3f}" for k, nc, param in _FORM_CASES])
+def test_exact_form_equals_its_gate(kind, nc, param):
+    # Positions in reverse, so a form that mixes up its positions shows.
+    n = nc + (2 if kind is SWAP else 1)
+    qs = tuple(reversed(range(n)))
+    form = exact_form(kind, qs[:nc], qs[nc:], param)
+    params = _FORMS.get((kind, nc), [])
+    if params is not None and param not in params:
+        assert form is None
+        return
+    want = unitary_of([Gate(kind, qs[nc:], qs[:nc], param)], n)
+    assert np.allclose(unitary_of(form, n), want, atol=1e-9)
+
+
+def test_exact_form_has_no_entry_for_other_gates():
+    assert exact_form(H, (0, 1), (2,)) is None
+    assert exact_form(S, (0, 1), (2,)) is None
+    assert exact_form(P, (), (0,), 0.3) is None
+    assert exact_form(P, (), (0,), 0.0) == []
+    assert [gt.kind for gt in exact_form(P, (), (0,), 3 * math.pi / 4)] == [
+        S, T]
+
+
+def test_substitute_wires_forms_in_place_of_ops():
+    fn = QCircFn("main")
+    wires = [fn.new_id() for _ in range(3)]
+    fn.ops = [QOp("qalloc", results=(v,)) for v in wires]
+    bit = fn.new_id()
+    fn.ops.append(QOp("measure", (wires.pop(),), (bit,)))
+    append_gates(fn, wires, [g(H, 0)])
+    append_gates(fn, wires, [g(Z, 1, controls=(0,))], condition=(bit, True))
+    append_gates(fn, wires, [g(T, 0), g(X, 1)])
+    out = [fn.new_id(), fn.new_id()]
+    fn.ops += [QOp("measure", (wires[0],), (out[0],)),
+               QOp("measure", (wires[1],), (out[1],)), QOp("ret", tuple(out))]
+    m = QCircModule({"main": fn})
+    ops, text = fn.ops, print_qcirc(m)
+    substitute(fn, {})
+    assert fn.ops is ops and print_qcirc(m) == text
+
+    # CZ through an ancilla that copies its control; the T goes.
+    cz, t = 5, 6
+    assert (ops[cz].gate, ops[t].gate) == (Z, T)
+    form = [g(X, 2, controls=(0,)), g(Z, 1, controls=(2,)),
+            g(X, 2, controls=(0,))]
+    substitute(fn, {cz: (form, 1), t: ([], 0)})
+    verify_circuit(m)
+    kinds = [(op.kind, op.gate, op.condition) for op in fn.ops[4:10]]
+    assert kinds == [("gate", H, None), ("qalloc", None, None),
+                     ("gate", X, (bit, True)), ("gate", Z, (bit, True)),
+                     ("gate", X, (bit, True)), ("qfreez", None, None)]
+    anc = fn.ops[5].results[0]
+    assert fn.ops[6].operands[1] == anc and fn.ops[9].operands == (
+        fn.ops[8].results[1],)
+    # Later ops read the wires the form leaves: the forwarded T's operand
+    # goes straight to the measurement, the X reads the form's target.
+    x, measure = fn.ops[10], fn.ops[11]
+    assert x.gate is X and x.operands == (fn.ops[7].results[1],)
+    assert measure.operands == (fn.ops[8].results[0],)
 
 
 def test_rccx_gates_are_toffoli_times_a_control_phase():

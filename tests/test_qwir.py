@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbc.bases import (
-    Basis, BasisLiteral, BasisVector, BuiltinBasis, PhaseParam, Prim, basis, lit,
+    Basis, BasisLiteral, BasisVector, BuiltinBasis, PhaseParam, Prim, basis,
 )
+from oracles import lit
 from qbc.qwir import (
     ANGLE, FnBuilder, QwBlock, QwFunc, QwModule, QwOp, VerifyError, bit,
     func, print_module, qubit, verify,

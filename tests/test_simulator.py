@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbc.bases import Basis, BuiltinBasis, Prim, basis, lit
+from qbc.bases import Basis, BuiltinBasis, Prim, basis
 from qbc.qcirc import Gate, GateKind, g
 from qbc.pipeline import Options, compile_to_circuit
 from qbc.run import SimulationError, distribution, simulate
@@ -15,7 +15,7 @@ from qbc.qcirc import QCircFn, QCircModule, QOp
 from qbc.simulator import StateVector, apply_gate
 
 from oracles import (
-    fourier_column, module_unitary, translation_unitary, unitary_of,
+    fourier_column, lit, module_unitary, translation_unitary, unitary_of,
 )
 
 H = GateKind.H

@@ -15,7 +15,7 @@ from qbc.ast_nodes import (
     ParamNode, TypeNode,
 )
 from qbc.bases import (
-    Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, factor_ordered, lit,
+    Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, factor_ordered,
 )
 from qbc.peephole import decompose_multicontrol, peephole
 from qbc.pipeline import Options, compile_source, stats_for
@@ -23,12 +23,12 @@ from qbc.qcirc import Gate, GateKind, QCircModule, adjoint_gates, g, verify_circ
 from qbc.synth import (
     AlignedPair, align, collect_vector_phases, embed_gates,
     emit_standardization, iqft_gates, lower_translation,
-    pair_permutation, plan_standardization, qft_gates, synth_classical,
+    pair_permutation, plan_standardization, qft_gates,
     synth_permutation, StdEntry, _transform_gates,
 )
 
 from oracles import (
-    gates_to_fn, module_unitary, pipe_chain_source, span_projector,
+    gates_to_fn, lit, module_unitary, pipe_chain_source, span_projector,
     synth_permutation_by_arrays, translation_unitary, unitary_of,
 )
 
@@ -466,8 +466,8 @@ def _cfn(name, widths, ret, body):
 
 
 def _truth_check(cfn, fn_py, n, k):
-    gates, got_n, got_k, anc = synth_classical(cfn, "xor")
-    assert (got_n, got_k) == (n, k)
+    gates, width, anc = embed_gates(cfn, "xor", None)
+    assert width == n + k
     total = n + k + anc
     u = u_of(gates, total)
     for x in range(1 << n):
@@ -482,7 +482,7 @@ def test_classical_identity():
     body = CVar("x0")
     cfn = _cfn("ident", [3], 3, body)
     _truth_check(cfn, lambda x: x, 3, 3)
-    gates, *_ = synth_classical(cfn, "xor")
+    gates, *_ = embed_gates(cfn, "xor", None)
     assert all(gt.kind is GateKind.X and len(gt.controls) == 1 for gt in gates)
 
 
@@ -500,7 +500,7 @@ def test_classical_bv_inner_product_structure():
     # dot(s, x) with s = 101 folds to CNOTs from bits 0 and 2; no ancillas.
     body = CReduce("xor", CBin("&", CLit("101"), CVar("x0")))
     cfn = _cfn("dot", [3], 1, body)
-    gates, n, k, anc = synth_classical(cfn, "xor")
+    gates, _, anc = embed_gates(cfn, "xor", None)
     assert anc == 0
     assert [gt.controls[0] for gt in gates] == [0, 2]
     assert all(gt.targets == (3,) for gt in gates)
@@ -511,7 +511,7 @@ def test_classical_sign_mode_cz():
     # f(x) = x0 & x1 in sign mode acts as CZ.
     body = CBin("&", CIndex(CVar("x0"), DimLit(0)), CIndex(CVar("x0"), DimLit(1)))
     cfn = _cfn("andf", [2], 1, body)
-    gates, n, k, anc = synth_classical(cfn, "sign")
+    gates, _, anc = embed_gates(cfn, "sign", None)
     u = u_of(gates, 2 + anc)
     want_small = np.diag([1, 1, 1, -1])
     got = u[:: 1 << anc, :: 1 << anc] if anc else u
@@ -750,8 +750,8 @@ def test_sign_oracle_of_one_and_kicks_phase_without_target():
     # and_reduce of three bits: one AND into an ancilla, then a CZ on that
     # ancilla and the third bit; no |-> target and no second ancilla.
     cfn = _cfn("conj", [3], 1, CReduce("and", CVar("x0")))
-    gates, n, k, anc = synth_classical(cfn, "sign")
-    assert (n, k, anc) == (3, 0, 1)
+    gates, width, anc = embed_gates(cfn, "sign", None)
+    assert (width, anc) == (3, 1)
     assert [(gt.kind, gt.controls, gt.targets, gt.pair) for gt in gates] == [
         (GateKind.X, (0, 1), (3,), 1),
         (GateKind.Z, (3,), (2,), 0),
@@ -760,8 +760,8 @@ def test_sign_oracle_of_one_and_kicks_phase_without_target():
     # A negated output computes both ANDs and kicks -Z = X.Z.X onto the
     # last one's wire (position 4); there is still no phase target.
     cfn = _cfn("nand", [3], 1, CNot(CReduce("and", CVar("x0"))))
-    gates, n, k, anc = synth_classical(cfn, "sign")
-    assert (n, k, anc) == (3, 0, 2)
+    gates, width, anc = embed_gates(cfn, "sign", None)
+    assert (width, anc) == (3, 2)
     assert [(gt.kind, gt.controls, gt.targets, gt.pair) for gt in gates] == [
         (GateKind.X, (0, 1), (3,), 1),
         (GateKind.X, (3, 2), (4,), 1),
@@ -778,14 +778,14 @@ def test_sign_oracle_of_a_constant_puts_its_phase_on_a_fresh_ancilla():
     # ancilla, so a predicate's controls turn it into a relative phase.
     x0 = CIndex(CVar("x0"), DimLit(0))
     cfn = _cfn("one", [1], 1, CNot(CBin("^", x0, x0)))
-    gates, n, k, anc = synth_classical(cfn, "sign")
-    assert (n, k, anc) == (1, 0, 1)
+    gates, width, anc = embed_gates(cfn, "sign", None)
+    assert (width, anc) == (1, 1)
     assert gates == [g(GateKind.X, 1), g(GateKind.Z, 1), g(GateKind.X, 1),
                      g(GateKind.Z, 1)]
     assert np.allclose(u_of(gates, 2), -np.eye(4), atol=1e-9)
     # A constant-false f kicks nothing.
-    gates, n, k, anc = synth_classical(_cfn("zero", [1], 1, CBin("^", x0, x0)),
-                                       "sign")
+    gates, _, anc = embed_gates(_cfn("zero", [1], 1, CBin("^", x0, x0)),
+                                "sign", None)
     assert (gates, anc) == ([], 0)
 
 
