@@ -48,16 +48,6 @@ PRIM_BIT_TO_CHAR = {(p, b): c for c, (p, b) in CHAR_TO_PRIM_BIT.items()}
 
 
 @dataclass(frozen=True)
-class PhaseParam:
-    """Reference to an angle operand of the owning IR op (symbolic phase)."""
-
-    index: int
-
-
-Phase = Union[float, PhaseParam]
-
-
-@dataclass(frozen=True)
 class BasisVector:
     """One vector of a basis literal: a prim, eigenbits, and optional phase.
 
@@ -68,12 +58,12 @@ class BasisVector:
 
     prim: Prim
     eigenbits: str
-    phase: Optional[Phase] = None
+    phase: Optional[float] = None
 
     def __post_init__(self):
         assert self.prim is not Prim.FOURIER
         assert self.eigenbits and set(self.eigenbits) <= {"0", "1"}
-        if isinstance(self.phase, float):
+        if self.phase is not None:
             object.__setattr__(self, "phase", self.phase + 0.0)
 
     @property
@@ -90,14 +80,8 @@ class BasisVector:
     def __str__(self) -> str:
         s = f"'{self.chars()}'"
         if self.phase is not None:
-            s += f"@{_fmt_phase(self.phase)}"
+            s += f"@{self.phase!r}"
         return s
-
-
-def _fmt_phase(phase: Phase) -> str:
-    if isinstance(phase, PhaseParam):
-        return f"$({phase.index})"
-    return repr(phase)
 
 
 @dataclass(frozen=True)
@@ -160,7 +144,7 @@ def basis(*elements: BasisElement) -> Basis:
     return Basis(tuple(elements))
 
 
-def vector_from_chars(chars: str, phase: Optional[Phase] = None) -> BasisVector:
+def vector_from_chars(chars: str, phase: Optional[float] = None) -> BasisVector:
     """Parse a uniform-prim qubit literal such as '01' or 'pm' into a vector."""
     prims = {CHAR_TO_PRIM_BIT[c][0] for c in chars}
     if len(prims) != 1:

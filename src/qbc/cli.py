@@ -7,7 +7,6 @@ start without it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .diagnostics import CompileError
@@ -56,17 +55,9 @@ def _run(args, source: str, opts: Options) -> int:
     ``main``."""
     from .run import SimulationError, simulate
 
-    seed = args.seed
-    if "QBC_SEED" in os.environ:
-        try:
-            seed = int(os.environ["QBC_SEED"])
-        except ValueError:
-            print(f"qbc: bad QBC_SEED {os.environ['QBC_SEED']!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
     qc = compile_to_circuit(source, args.file, opts)
     try:
-        hist = simulate(qc, shots=args.shots, seed=seed)
+        hist = simulate(qc, shots=args.shots, seed=args.seed)
     except SimulationError as e:
         print(f"qbc: simulation error: {e}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
@@ -105,7 +96,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--shots", type=int, default=1024,
                        help="number of shots (>= 0; default 1024)")
     p_run.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0; QBC_SEED overrides)")
+                       help="sampling seed (default 0)")
 
     p_stats = sub.add_parser(
         "stats", help="print compile statistics",

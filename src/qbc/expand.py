@@ -171,28 +171,22 @@ class Expander:
         captures: dict[str, ExprNode],
         keep_name: Optional[str] = None,
     ) -> str:
+        """The name of ``fn``'s instance at ``dim_env`` with ``captures``
+        baked in, expanded the first time it is asked for. Every bit or
+        angle parameter is a capture, so the instance keeps only its qubit
+        parameter and no angle outlives expansion."""
         key = (fn.name, tuple(sorted(dim_env.items())), self._capture_key(captures))
         if key in self.qpu_instances:
             return self.qpu_instances[key]
         name = keep_name or self._fresh_name(fn.name, dim_env)
         self.qpu_instances[key] = name
 
-        value_env: dict[str, Optional[_Info]] = {}
-        new_params = []
-        for p in fn.params:
-            if p.name in captures:
-                continue
-            ty = self._subst_type(p.type, dim_env)
-            if p.type.kind == "qubit":
-                value_env[p.name] = _Info.value(eval_dim(ty.dim, {}, self.file))
-            elif p.type.kind == "bit":
-                value_env[p.name] = _Info(_BITS, out_dim=eval_dim(ty.dim, {}, self.file))
-            else:
-                value_env[p.name] = _Info(_ANGLE)
-            new_params.append(ParamNode(p.name, ty, None, pos=p.pos))
-        qubit_params = [p for p in new_params if p.type.kind == "qubit"]
-        if len(qubit_params) > 1:
+        new_params = [ParamNode(p.name, self._subst_type(p.type, dim_env), None,
+                                pos=p.pos)
+                      for p in fn.params if p.type.kind == "qubit"]
+        if len(new_params) > 1:
             raise err(f"kernel {fn.name} has more than one qubit parameter", fn.pos, self.file)
+        value_env = {p.name: _Info.value(p.type.dim.value) for p in new_params}
         body, _ = self._expand_expr(fn.body, dim_env, captures, value_env)
         out = QpuFn(
             name, (), (), tuple(new_params),
@@ -202,8 +196,6 @@ class Expander:
         return name
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:
-        if t.kind == "angle":
-            return t
         try:
             dim = eval_dim(t.dim, dim_env, self.file)
         except _Unbound as u:
@@ -370,39 +362,39 @@ class Expander:
             raise err("expected a function value", getattr(e, "pos", Pos()), self.file)
         return new_e, info
 
-    def _instantiate_call(self, call: CallNode, target: QpuFn, dims, captures, env, hint):
-        inner_dims: dict[str, int] = {}
-        for var, d in zip(target.dim_vars, call.dim_args):
-            inner_dims[var] = self._eval(d, dims, call.pos)
-        if len(call.dim_args) > len(target.dim_vars):
-            raise err(f"too many dimension bindings for {target.name}", call.pos, self.file)
-        cap_params = [p for p in target.params if p.type.kind != "qubit"]
-        qubit_params = [p for p in target.params if p.type.kind == "qubit"]
-        if len(call.args) > len(cap_params):
-            raise err(f"too many capture arguments for {target.name}", call.pos, self.file)
-        if len(call.args) < len(cap_params):
-            raise err(
-                f"kernel {target.name} needs {len(cap_params)} capture argument(s)",
-                call.pos, self.file,
-            )
+    def _bind(self, target, site, cap_params, in_dim: Optional[DimExpr],
+              dims, captures, env, hint: Optional[int]):
+        """Bind the dimension variables and captures of ``target`` (a kernel
+        or classical function) at ``site`` (a call or embed of it).
+
+        They are bound from, in order: the ``[[...]]`` bindings, the capture
+        arguments (to ``cap_params`` in order), the declared defaults, and
+        the piped-in width ``hint`` against ``in_dim``, target's input width
+        (None if it takes no qubits). Returns (dimensions, captures).
+        """
+        pos = site.pos
+        if len(site.dim_args) > len(target.dim_vars):
+            raise err(f"too many dimension bindings for {target.name}", pos, self.file)
+        inner_dims = {var: self._eval(d, dims, pos)
+                      for var, d in zip(target.dim_vars, site.dim_args)}
+        if len(site.args) > len(cap_params):
+            raise err(f"too many capture arguments for {target.name}", pos, self.file)
         inner_captures: dict[str, ExprNode] = {}
-        for p, a in zip(cap_params, call.args):
+        for p, a in zip(cap_params, site.args):
             na, info = self._expand_expr(a, dims, captures, env)
             if p.type.kind == "bit":
                 if info.kind != _BITS or not isinstance(na, BitsNode):
-                    raise err(f"capture '{p.name}' must be a constant bit string", call.pos, self.file)
-                _solve_dim(p.type.dim, len(na.bits), inner_dims, call.pos, self.file)
-                inner_captures[p.name] = na
-            else:
-                if info.kind != _ANGLE:
-                    raise err(f"capture '{p.name}' must be an angle", call.pos, self.file)
-                inner_captures[p.name] = na if isinstance(na, AngleNode) else AngleNode(na, pos=a.pos)
+                    raise err(f"capture '{p.name}' must be a constant bit string", pos, self.file)
+                _solve_dim(p.type.dim, len(na.bits), inner_dims, pos, self.file)
+            elif info.kind != _ANGLE:
+                raise err(f"capture '{p.name}' must be an angle", pos, self.file)
+            inner_captures[p.name] = na
         for name, default in zip(target.dim_vars, target.dim_defaults):
             if name not in inner_dims and default is not None:
                 inner_dims[name] = default
-        if hint is not None and qubit_params:
+        if hint is not None and in_dim is not None:
             try:
-                _solve_dim(qubit_params[0].type.dim, hint, inner_dims, call.pos, self.file)
+                _solve_dim(in_dim, hint, inner_dims, pos, self.file)
             except _Unbound:
                 pass
         missing = [v for v in target.dim_vars if v not in inner_dims]
@@ -410,10 +402,23 @@ class Expander:
             raise err(
                 f"cannot infer dimension(s) {', '.join(missing)} for {target.name}; "
                 f"bind them explicitly with {target.name}[[...]]",
+                pos, self.file,
+            )
+        return inner_dims, inner_captures
+
+    def _instantiate_call(self, call: CallNode, target: QpuFn, dims, captures, env, hint):
+        cap_params = [p for p in target.params if p.type.kind != "qubit"]
+        qubit_params = [p for p in target.params if p.type.kind == "qubit"]
+        if len(call.args) < len(cap_params):
+            raise err(
+                f"kernel {target.name} needs {len(cap_params)} capture argument(s)",
                 call.pos, self.file,
             )
+        q_dim = qubit_params[0].type.dim if qubit_params else None
+        inner_dims, inner_captures = self._bind(
+            target, call, cap_params, q_dim, dims, captures, env, hint)
         inst = self._instantiate_qpu(target, inner_dims, inner_captures)
-        in_dim = eval_dim(qubit_params[0].type.dim, inner_dims, self.file) if qubit_params else 0
+        in_dim = eval_dim(q_dim, inner_dims, self.file) if qubit_params else 0
         ret = target.ret_type
         out_dim = eval_dim(ret.dim, inner_dims, self.file)
         return VarNode(inst, pos=call.pos), _Info.fn(in_dim, out_dim)
@@ -422,40 +427,19 @@ class Expander:
         target = self.program.classical(e.fn)
         if target is None:
             raise err(f"unknown classical function '{e.fn}'", e.pos, self.file)
-        inner_dims: dict[str, int] = {}
-        for var, d in zip(target.dim_vars, e.dim_args):
-            inner_dims[var] = self._eval(d, dims, e.pos)
-        cap_params = list(target.params[: len(e.args)])
-        inner_captures: dict[str, str] = {}
-        for p, a in zip(cap_params, e.args):
-            na, info = self._expand_expr(a, dims, captures, env)
-            if info.kind != _BITS or not isinstance(na, BitsNode):
-                raise err(f"capture '{p.name}' must be a constant bit string", e.pos, self.file)
-            _solve_dim(p.type.dim, len(na.bits), inner_dims, e.pos, self.file)
-            inner_captures[p.name] = na.bits
-        for name, default in zip(target.dim_vars, target.dim_defaults):
-            if name not in inner_dims and default is not None:
-                inner_dims[name] = default
+        # Captures bind the leading parameters; the rest are the inputs.
         free_params = target.params[len(e.args):]
-        if hint is not None:
-            # xor embeds act on inputs+outputs; sign embeds on inputs alone.
-            in_expr: DimExpr = DimLit(0)
-            for p in free_params:
-                in_expr = DimBin("+", in_expr, p.type.dim)
-            if e.mode == "xor":
-                in_expr = DimBin("+", in_expr, target.ret_type.dim)
-            try:
-                _solve_dim(in_expr, hint, inner_dims, e.pos, self.file)
-            except _Unbound:
-                pass
-        missing = [v for v in target.dim_vars if v not in inner_dims]
-        if missing:
-            raise err(
-                f"cannot infer dimension(s) {', '.join(missing)} for {target.name}; "
-                f"bind them explicitly with {target.name}[[...]]",
-                e.pos, self.file,
-            )
-        inst = self._instantiate_classical(target, inner_dims, inner_captures)
+        # xor embeds act on inputs+outputs; sign embeds on inputs alone.
+        in_dim: DimExpr = DimLit(0)
+        for p in free_params:
+            in_dim = DimBin("+", in_dim, p.type.dim)
+        if e.mode == "xor":
+            in_dim = DimBin("+", in_dim, target.ret_type.dim)
+        inner_dims, inner_captures = self._bind(
+            target, e, target.params, in_dim, dims, captures, env, hint)
+        inst = self._instantiate_classical(
+            target, inner_dims,
+            {name: c.bits for name, c in inner_captures.items()})
         n = sum(eval_dim(p.type.dim, inner_dims, self.file) for p in free_params)
         k = eval_dim(target.ret_type.dim, inner_dims, self.file)
         if e.mode == "sign" and k != 1:

@@ -1,8 +1,9 @@
 """
 Lowering the basis-level IR to the gate-level dataflow IR: preps become
-allocations plus fixed rotations, translations become synthesized circuits,
-embeds become compute-copy-uncompute networks with clean ancillas, and
-measurement destandardizes into the computational basis.
+allocations plus fixed rotations, translations become circuits synthesized
+from their two bases alone (every phase in them is already a float), embeds
+become compute-copy-uncompute networks with clean ancillas, and measurement
+destandardizes into the computational basis.
 
 Requires an inlined module: any surviving call or indirect call is a
 diagnostic, since the gate level has no call ops.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bases import Basis, BasisLiteral, BasisVector, PhaseParam, Prim
+from .bases import Prim
 from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
 )
@@ -27,25 +28,6 @@ from .synth import embed_gates, lower_translation, measurement_rotation
 
 class LowerError(Exception):
     pass
-
-
-def _resolve_basis(b: Basis, angles: dict[int, float], operands: list[int]) -> Basis:
-    """Substitute symbolic phase operands with their constant values."""
-    def fix(v: BasisVector) -> BasisVector:
-        if isinstance(v.phase, PhaseParam):
-            ref = operands[1 + v.phase.index]
-            if ref not in angles:
-                raise LowerError("phase operand is not a known constant")
-            return BasisVector(v.prim, v.eigenbits, angles[ref])
-        return v
-
-    elements = []
-    for e in b.elements:
-        if isinstance(e, BasisLiteral):
-            elements.append(BasisLiteral(tuple(fix(v) for v in e.vectors)))
-        else:
-            elements.append(e)
-    return Basis(tuple(elements))
 
 
 _PREP_DESTD = {
@@ -62,7 +44,6 @@ class _GateLowerer:
         self.fn = QCircFn(src.name)
         self.qmap: dict[int, list[int]] = {}  # IR value -> wire slots
         self.bmap: dict[int, list[int]] = {}  # IR value -> bit value ids
-        self.angles: dict[int, float] = {}
         self.slot_val: list[int] = []  # slot -> current dataflow id
 
     def alloc_slot(self) -> int:
@@ -100,9 +81,8 @@ class _GateLowerer:
             self.qmap[op.results[0]] = slots
         elif k == "qbtrans":
             slots = list(self.qmap[op.operands[0]])
-            b_in = _resolve_basis(op.attrs["b_in"], self.angles, op.operands)
-            b_out = _resolve_basis(op.attrs["b_out"], self.angles, op.operands)
-            self.emit_gates(slots, lower_translation(b_in, b_out), condition)
+            gates = lower_translation(op.attrs["b_in"], op.attrs["b_out"])
+            self.emit_gates(slots, gates, condition)
             self.qmap[op.results[0]] = slots
         elif k == "qbmeas":
             if condition is not None:
@@ -120,9 +100,6 @@ class _GateLowerer:
                 raise LowerError("discard inside a conditional")
             for s in self.qmap[op.operands[0]]:
                 self.fn.ops.append(QOp("qfree", (self.slot_val[s],)))
-        elif k == "qbdiscardz":
-            for s in self.qmap[op.operands[0]]:
-                self.fn.ops.append(QOp("qfreez", (self.slot_val[s],)))
         elif k in ("qbpack", "bitpack"):
             vmap = self.qmap if k == "qbpack" else self.bmap
             vmap[op.results[0]] = [x for v in op.operands for x in vmap[v]]
@@ -144,8 +121,6 @@ class _GateLowerer:
             for s in anc_slots:
                 self.fn.ops.append(QOp("qfreez", (self.slot_val[s],)))
             self.qmap[op.results[0]] = slots
-        elif k == "fconst":
-            self.angles[op.results[0]] = op.attrs["value"]
         elif k == "cond":
             self.lower_cond(op, condition)
         elif k == "ret":

@@ -113,7 +113,10 @@ class Parser:
             self.expect("]")
         return tuple(names), tuple(defaults)
 
-    def parse_type(self) -> TypeNode:
+    def parse_type(self, angle: bool = False) -> TypeNode:
+        """A qubit[N] or bit[N] type, or with ``angle`` also ``angle``: an
+        angle is only ever a kernel's capture parameter, which expansion
+        bakes away."""
         t = self.peek()
         if t.kind in ("qubit", "bit"):
             self.take()
@@ -122,18 +125,20 @@ class Parser:
             self.expect("]")
             return TypeNode(t.kind, dim, pos=t.pos)
         if t.kind == "angle":
+            if not angle:
+                raise err("only kernel parameters may be angles", t.pos, self.file)
             self.take()
             return TypeNode("angle", None, pos=t.pos)
         raise err(f"expected a type, found {t.text!r}", t.pos, self.file)
 
-    def parse_params(self) -> tuple[ParamNode, ...]:
+    def parse_params(self, angle: bool = False) -> tuple[ParamNode, ...]:
         params = []
         self.expect("(")
         if not self.at(")"):
             while True:
                 name = self.expect("IDENT")
                 self.expect(":")
-                ty = self.parse_type()
+                ty = self.parse_type(angle)
                 default = None
                 if self.accept("="):
                     default = self.parse_default_value(ty)
@@ -158,7 +163,7 @@ class Parser:
         kw = self.expect("qpu")
         name = self.expect("IDENT")
         dim_vars, dim_defaults = self.parse_dim_vars()
-        params = self.parse_params()
+        params = self.parse_params(angle=True)
         self.expect("->")
         ret = self.parse_type()
         reversible = self.accept("rev") is not None

@@ -8,8 +8,9 @@ multi-control decomposition (unless disabled) -> backend.
 Each rewrite has one home. The front end typechecks the expanded program
 once, so diagnostics point into the source as written; the only AST rewrite,
 tensor flattening (``canon_ast``), cannot change a type, so its output is
-handed on with that typecheck's signatures. Adjoints, predicates and constant
-angles are resolved in the basis IR (``qwir_passes``), whose canonicalization
+handed on with that typecheck's signatures. Every angle is a float by the
+time ``lower_ast`` builds the basis IR; adjoints and predicates are resolved
+there (``qwir_passes``), whose canonicalization
 also fuses each run of chained translations into one and drops identity
 translations, at every -O level, so gate lowering synthesizes a run once.
 Gate-level rewrites happen in ``peephole``. Phase folding runs just before its rewrite

@@ -18,7 +18,12 @@ from .bases import Basis, check_span_equivalence
 
 @dataclass(frozen=True)
 class QwTy:
-    kind: str  # qubit | bit | angle | func
+    """A value's type: ``qubit[dim]``, ``bit[dim]``, or a function value
+    ``func(qubit[fin] -> fout_kind[fout_dim])``. There is no angle type:
+    expansion bakes every captured angle into its kernel instance and
+    lowering folds each phase into a float of a basis vector."""
+
+    kind: str  # qubit | bit | func
     dim: int = 0
     fin: int = 0
     fout_kind: str = ""
@@ -28,8 +33,6 @@ class QwTy:
     def __str__(self) -> str:
         if self.kind in ("qubit", "bit"):
             return f"{self.kind}[{self.dim}]"
-        if self.kind == "angle":
-            return "angle"
         arrow = "->rev" if self.rev else "->"
         out = "()" if self.fout_kind == "none" else f"{self.fout_kind}[{self.fout_dim}]"
         return f"func(qubit[{self.fin}] {arrow} {out})"
@@ -41,9 +44,6 @@ def qubit(n: int) -> QwTy:
 
 def bit(n: int) -> QwTy:
     return QwTy("bit", n)
-
-
-ANGLE = QwTy("angle")
 
 
 def func(fin: int, fout_kind: str, fout_dim: int, rev: bool) -> QwTy:
@@ -206,15 +206,16 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
             raise VerifyError(
                 f"{op_location(fn, op)}: translation not span-checked ({mismatch})"
             )
+        if len(op.operands) != 1:
+            raise VerifyError(f"{op_location(fn, op)}: takes one operand, "
+                              f"found {len(op.operands)}")
         want(op.operands[0], "qubit", b_in.dim, "operand")
         want(op.results[0], "qubit", b_in.dim, "result")
-        for a in op.operands[1:]:
-            want(a, "angle", None, "phase operand")
     elif k == "qbmeas":
         b: Basis = op.attrs["basis"]
         want(op.operands[0], "qubit", b.dim, "operand")
         want(op.results[0], "bit", b.dim, "result")
-    elif k in ("qbdiscard", "qbdiscardz"):
+    elif k == "qbdiscard":
         want(op.operands[0], "qubit", None, "operand")
     elif k == "qbpack":
         total = 0
@@ -239,8 +240,6 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
             raise VerifyError(f"{op_location(fn, op)}: unknown classical {name}")
         want(op.operands[0], "qubit", None, "operand")
         want(op.results[0], "qubit", t(op.operands[0]).dim, "result")
-    elif k == "fconst":
-        want(op.results[0], "angle", None, "result")
     elif k == "func_const":
         sym = op.attrs["sym"]
         if sym not in m.functions:
@@ -303,8 +302,6 @@ def _print_op(fn: QwFunc, op: QwOp, ind: str) -> list[str]:
         body = f"embed {op.attrs['mode']} @{op.attrs['fn']}({args})"
         if op.attrs.get("pred") is not None:
             body += f" pred({op.attrs['pred']})"
-    elif k == "fconst":
-        body = f"fconst {op.attrs['value']!r}"
     elif k == "func_const":
         body = f"func_const @{op.attrs['sym']}({args})"
     elif k == "func_pred":
@@ -337,7 +334,7 @@ def _print_op(fn: QwFunc, op: QwOp, ind: str) -> list[str]:
         return lines
     else:
         body = f"{k}({args})" if op.operands or op.results else k
-    if k in ("ret", "yield", "qbdiscard", "qbdiscardz", "qbpack", "bitpack",
+    if k in ("ret", "yield", "qbdiscard", "qbpack", "bitpack",
              "call_indirect", "func_adj"):
         body = f"{k}({args})"
     line = f"{ind}{eq}{body}"

@@ -108,7 +108,8 @@ def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
 def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -> None:
     """Append the inverse of ``op`` to ``new``: it consumes the values
     ``val_map`` gives op's results, and ``val_map`` then maps op's qubit
-    operands to its results."""
+    operands to its results. Every op but a pack or unpack takes its one
+    qubit value last, after any captures or function value."""
     t = fn.types
     if op.kind == "qbpack":
         results = fn.emit(new, "qbunpack", [val_map[op.results[0]]],
@@ -121,12 +122,8 @@ def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -
         (val_map[q],) = fn.emit(new, "qbpack", [val_map[r] for r in op.results],
                                 [t[q]])
         return
-    # The rest consume one qubit value, after any captures or function
-    # value and before any phase angles, and yield one.
-    qpos = 0 if op.kind == "qbtrans" else len(op.operands) - 1
-    q = op.operands[qpos]
-    operands = [val_map[op.results[0] if i == qpos else v]
-                for i, v in enumerate(op.operands)]
+    q = op.operands[-1]
+    operands = [val_map[v] for v in op.operands[:-1]] + [val_map[op.results[0]]]
     attrs = op.attrs
     if op.kind == "qbtrans":
         attrs = {"b_in": attrs["b_out"], "b_out": attrs["b_in"]}
@@ -219,12 +216,11 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
             val_map[a] = na
 
     def pred_apply(kind: str, body_vals: list[int], attrs: dict, pre=(),
-                   post=(), predicated: bool = True) -> list[int]:
-        """Pack the predicate and ``body_vals``, run ``kind`` on the packed
-        value between ``pre`` and ``post`` operands, unpack, and return the
-        new body values. A qbtrans gets the predicate prepended to its
-        bases. With ``predicated=False`` the op runs on ``body_vals``
-        alone."""
+                   predicated: bool = True) -> list[int]:
+        """Pack the predicate and ``body_vals``, run ``kind`` on ``pre``
+        then the packed value, unpack, and return the new body values. A
+        qbtrans gets the predicate prepended to its bases. With
+        ``predicated=False`` the op runs on ``body_vals`` alone."""
         nonlocal pred_q
         if predicated:
             body_vals = [pred_q] + body_vals
@@ -233,8 +229,7 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
                          for k in ("b_in", "b_out")}
         dims = [fn.types[v].dim for v in body_vals]
         (packed,) = fn.emit(new, "qbpack", body_vals, [qubit(sum(dims))])
-        (out,) = fn.emit(new, kind, [*pre, packed, *post], [qubit(sum(dims))],
-                         attrs)
+        (out,) = fn.emit(new, kind, [*pre, packed], [qubit(sum(dims))], attrs)
         outs = fn.emit(new, "qbunpack", [out], [qubit(d) for d in dims],
                        {"sizes": tuple(dims)})
         if predicated:
@@ -246,8 +241,7 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
             _copy_op(fn, new, op, val_map)
             continue
         if op.kind == "qbtrans":
-            (nq,) = pred_apply("qbtrans", [val_map[op.operands[0]]], op.attrs,
-                               post=[val_map[a] for a in op.operands[1:]])
+            (nq,) = pred_apply("qbtrans", [val_map[op.operands[0]]], op.attrs)
         elif op.kind in ("embed", "call"):
             attrs = {**op.attrs, "pred": _concat_pred(pred, op.attrs.get("pred"))}
             (nq,) = pred_apply(op.kind, [val_map[op.operands[-1]]], attrs,
@@ -339,9 +333,9 @@ def _add_function(m: QwModule, fn: QwFunc, block: QwBlock) -> None:
 # of one prim with one set of eigenbits (a std/pm/ij builtin counts as its
 # full literal) and ``D_k`` is a literal too, vector i of ``D'_k`` is the
 # ``D_k`` vector j at which ``C_k`` holds the eigenbits of ``B_k``'s vector
-# i, with phase phi(B_k, i) - phi(C_k, j) + phi(D_k, j). Any other shape, or
-# an op with angle operands, is left unfused. A run composes into one
-# ``_Chain`` and builds its ``Basis`` once, at the end of the walk.
+# i, with phase phi(B_k, i) - phi(C_k, j) + phi(D_k, j). Any other shape is
+# left unfused. A run composes into one ``_Chain`` and builds its ``Basis``
+# once, at the end of the walk.
 
 
 def canonicalize_ir(m: QwModule) -> None:
@@ -485,7 +479,7 @@ class _Chain:
         return Basis(tuple(out))
 
 
-DROPPABLE = {"func_const", "func_adj", "func_pred", "fconst", "lambda",
+DROPPABLE = {"func_const", "func_adj", "func_pred", "lambda",
              "qbpack", "qbunpack", "bitpack", "bitunpack"}
 
 
@@ -516,8 +510,7 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                 changed = True
                 continue
             src = defs.get(q)
-            if src is not None and src.kind == "qbtrans" \
-                    and len(src.operands) == len(op.operands) == 1:
+            if src is not None and src.kind == "qbtrans":
                 chain = chains.get(q) or _Chain(src)
                 if chain.fuse(op.attrs["b_in"], op.attrs["b_out"]):
                     chains[q] = chain

@@ -34,12 +34,7 @@ from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Padding,
     Prim, basis, builtin_vectors, factor_ordered, fully_spans,
 )
-from .qcirc import Gate, GateKind, adjoint_gates, g
-
-X, Z, H, S, SDG, P, SWAP = (
-    GateKind.X, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG, GateKind.P,
-    GateKind.SWAP,
-)
+from .qcirc import Gate, H, P, S, SDG, SWAP, X, Z, adjoint_gates, g
 
 PERMUTATION_LIMIT = 12
 
@@ -202,8 +197,6 @@ def collect_vector_phases(b: Basis) -> list[PhaseTuple]:
         if isinstance(e, BasisLiteral):
             for v in e.vectors:
                 if v.phase is not None and v.phase != 0.0:
-                    if not isinstance(v.phase, float):
-                        raise SynthError("unresolved symbolic phase")
                     out.append(PhaseTuple(v.eigenbits, v.phase, at, i))
     return out
 

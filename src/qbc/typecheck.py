@@ -27,11 +27,11 @@ from .diagnostics import err
 
 @dataclass(frozen=True)
 class VTy:
-    kind: str  # qubit | bit | angle | basis | none
+    kind: str  # qubit | bit | basis | none; an angle never reaches here
     dim: int = 0
 
     def __str__(self) -> str:
-        if self.kind in ("angle", "none"):
+        if self.kind == "none":
             return self.kind
         return f"{self.kind}[{self.dim}]"
 
@@ -218,7 +218,7 @@ class TypeChecker:
             parts = [self._expr(p, env, uses, rev) for p in e.parts]
             if all(isinstance(t, VTy) for t in parts):
                 kinds = {t.kind for t in parts}
-                if len(kinds) != 1 or kinds <= {"angle", "none"}:
+                if len(kinds) != 1 or "none" in kinds:
                     raise err("cannot tensor mixed kinds", e.pos, self.file)
                 return VTy(kinds.pop(), sum(t.dim for t in parts))
             if all(isinstance(t, FTy) for t in parts):

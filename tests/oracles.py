@@ -58,8 +58,6 @@ def vector_state(v: BasisVector) -> np.ndarray:
     for bit in v.eigenbits:
         out = np.kron(out, _SINGLE_STATES[(v.prim, bit)])
     if v.phase is not None:
-        if not isinstance(v.phase, float):
-            raise ValueError("symbolic phase cannot be materialized")
         out = out * np.exp(1j * v.phase)
     return out
 

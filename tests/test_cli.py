@@ -197,12 +197,6 @@ def test_recursion_is_a_diagnostic(tmp_path, capsys):
         assert err == f"{path}: error: recursive call cycle {cycle}\n"
 
 
-def test_bad_seed_variable_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("QBC_SEED", "abc")
-    assert main(["run", str(BENCH / "bell.qw")]) == 2
-    assert capsys.readouterr().err == "qbc: bad QBC_SEED 'abc'\n"
-
-
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.qasm"
     assert main(["compile", str(BENCH / "bell.qw"), "-o", str(out)]) == 2

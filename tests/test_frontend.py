@@ -310,6 +310,35 @@ def test_capture_angle_error_points_at_the_argument():
     assert str(e.value) == "<input>:2:34: error: division by zero in angle"
 
 
+@pytest.mark.parametrize("embed, message", [
+    ("f[[2, 3]].sign", "2:40: error: too many dimension bindings for f"),
+    ("f('1', '0').sign", "2:42: error: too many capture arguments for f"),
+], ids=["dims", "captures"])
+def test_embed_binds_its_arguments_like_a_kernel_call(embed, message):
+    # One binding helper serves kernel calls and embeds, so an embed given
+    # more bindings than its function declares is refused, not truncated.
+    src = ("classical f[N](x: bit[N]) -> bit[1] { xor_reduce(x) }\n"
+           f"qpu main() -> bit[2] {{ 'pp' | {embed} | pm[2].measure }}\n")
+    with pytest.raises(CompileError) as e:
+        full_front(src)
+    assert str(e.value) == f"<input>:{message}"
+
+
+@pytest.mark.parametrize("src, where", [
+    ("qpu main() -> angle { '0' | std.measure }\n", "1:15"),
+    ("qpu main() -> bit[1] { let a: angle = '0'; a | std.measure }\n", "1:31"),
+    ("classical c(a: angle) -> bit[1] { a }\n"
+     "qpu main() -> bit[1] { 'p' | c.sign | pm.measure }\n", "1:16"),
+], ids=["return", "let", "classical"])
+def test_angle_type_outside_kernel_parameters_is_a_diagnostic(src, where):
+    # An angle is a capture that expansion bakes away, so no value, result
+    # or classical input has that type.
+    with pytest.raises(CompileError) as e:
+        parse(src)
+    assert str(e.value) == \
+        f"<input>:{where}: error: only kernel parameters may be angles"
+
+
 def _shape(e):
     """A binary expression tree as nested (lhs, op, rhs) tuples."""
     if hasattr(e, "left"):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from qbc.qcirc import (
-    Gate, GateKind, QCircFn, QCircModule, QOp, adjoint_gates, append_gates,
-    exact_form, g, print_qcirc, substitute, verify_circuit, wire_starts,
-    CircuitError,
+    H, P, S, SDG, SWAP, T, TDG, X, Y, Z, Gate, GateKind, QCircFn, QCircModule,
+    QOp, adjoint_gates, append_gates, exact_form, g, print_qcirc, substitute,
+    verify_circuit, wire_starts, CircuitError,
 )
 from qbc.backends import BackendError
 from qbc.peephole import (
@@ -22,11 +22,6 @@ from qasm_reader import read_qasm3
 from oracles import (
     equal_up_to_global_phase, gates_to_fn, module_unitary, pipe_chain_source,
     unitary_of,
-)
-
-H, X, Y, Z, S, SDG, T, TDG, P, SWAP = (
-    GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
-    GateKind.T, GateKind.TDG, GateKind.P, GateKind.SWAP,
 )
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -398,7 +393,7 @@ def test_decompose_flagged_pair_is_exact_with_half_the_t():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("kind, param", [
-    (X, 0.0), (Z, 0.0), (GateKind.Y, 0.0), (P, math.pi), (P, 0.7), (H, 0.0),
+    (X, 0.0), (Z, 0.0), (Y, 0.0), (P, math.pi), (P, 0.7), (H, 0.0),
 ], ids=["x", "z", "y", "p_pi", "p_0.7", "h"])
 def test_decompose_ladder_is_exact(k, kind, param):
     m = fn_module([Gate(kind, (k,), tuple(range(k)), param)], k + 1)
@@ -407,7 +402,7 @@ def test_decompose_ladder_is_exact(k, kind, param):
     verify_circuit(m)
     assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
     ancillas = sum(op.kind == "qalloc" for op in m.entry_fn.ops)
-    if kind in (X, Z, GateKind.Y) or param == math.pi:
+    if kind in (X, Z, Y) or param == math.pi:
         # k - 2 relative-phase ANDs and their mirrors around an exact
         # Toffoli (CCZ for Z and P(pi)).
         assert (_t_count(m), ancillas) == (8 * (k - 2) + 7, k - 2)

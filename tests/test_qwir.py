@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbc.bases import (
-    Basis, BasisLiteral, BasisVector, BuiltinBasis, PhaseParam, Prim, basis,
+    Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis,
 )
 from oracles import lit
 from qbc.qwir import (
-    ANGLE, FnBuilder, QwBlock, QwFunc, QwModule, QwOp, VerifyError, bit,
+    FnBuilder, QwBlock, QwFunc, QwModule, QwOp, QwTy, VerifyError, bit,
     func, print_module, qubit, verify,
 )
 from qbc.qwir_passes import (
@@ -42,16 +42,9 @@ def block_unitary(fn: QwFunc, block: QwBlock) -> np.ndarray:
             counter += d
     n = counter
     u = np.eye(1 << n, dtype=complex)
-    angles: dict[int, float] = {}
     for op in block.ops[:-1]:
-        if op.kind == "fconst":
-            angles[op.results[0]] = op.attrs["value"]
-        elif op.kind == "qbtrans":
-            from qbc.lower_gates import _resolve_basis
-
-            b_in = _resolve_basis(op.attrs["b_in"], angles, op.operands)
-            b_out = _resolve_basis(op.attrs["b_out"], angles, op.operands)
-            mat = translation_unitary(b_in, b_out)
+        if op.kind == "qbtrans":
+            mat = translation_unitary(op.attrs["b_in"], op.attrs["b_out"])
             u = apply_unitary_at(u, mat, pos[op.operands[0]], n)
             pos[op.results[0]] = pos[op.operands[0]]
         elif op.kind == "qbpack":
@@ -143,6 +136,30 @@ def test_verify_rejects_span_mismatch():
         verify(QwModule({"f": b.finish([qubit(1)])}, entry="f"))
 
 
+@pytest.mark.parametrize("ty", [qubit(1), bit(1)], ids=["qubit", "bit"])
+def test_verify_rejects_a_translation_with_a_second_operand(ty):
+    b = simple_fn(n=1)
+    second = b.param(ty)
+    (v,) = b.emit("qbtrans", [b.fn.params[0], second], [qubit(1)],
+                  {"b_in": basis(BuiltinBasis(STD, 1)),
+                   "b_out": basis(BuiltinBasis(PM, 1))})
+    b.emit("ret", [v])
+    m = QwModule({"f": b.finish([qubit(1)])}, entry="f")
+    with pytest.raises(VerifyError, match="qbtrans: takes one operand, found 2"):
+        verify(m)
+
+
+def test_verify_rejects_an_fconst_op():
+    # Phases are floats inside a translation's bases; the IR has no angle
+    # values and no op that makes one.
+    b = simple_fn(n=1)
+    b.emit("fconst", [], [QwTy("angle")], {"value": 0.5})
+    b.emit("ret", [b.fn.params[0]])
+    m = QwModule({"f": b.finish([qubit(1)])}, entry="f")
+    with pytest.raises(VerifyError, match="unknown op kind fconst"):
+        verify(m)
+
+
 # -- adjoint -------------------------------------------------------------------
 
 
@@ -219,25 +236,23 @@ def test_adjoint_swaps_bases():
     assert tr.attrs["b_out"] == basis(BuiltinBasis(STD, 1))
 
 
-def test_adjoint_stationary_angle_stays_phase_negated():
-    from qbc.bases import PhaseParam
-
+def test_adjoint_copies_stationary_ops_ahead_of_the_reversed_ones():
+    # A function value is stationary: the adjoint copies its func_const
+    # first, then adjoints the indirect call through it.
     b = FnBuilder("f", True)
     arg = b.param(qubit(1))
-    (theta,) = b.emit("fconst", [], [ANGLE], {"value": math.pi / 2})
-    phased = basis(BasisLiteral((BasisVector(STD, "1", PhaseParam(0)),)))
-    plain = basis(lit("1"))
-    (r,) = b.emit("qbtrans", [arg, theta], [qubit(1)],
-                  {"b_in": phased, "b_out": plain})
+    (fv,) = b.emit("func_const", [], [func(1, "qubit", 1, True)], {"sym": "g"})
+    (r,) = b.emit("call_indirect", [fv, arg], [qubit(1)])
     b.emit("ret", [r])
     fn = b.finish([qubit(1)])
     adj = adjoint_block(fn, fn.block)
-    kinds = [op.kind for op in adj.ops]
-    assert "fconst" in kinds  # the constant survives in place
-    u = block_unitary(fn, fn.block)
-    ua = block_unitary(fn, adj)
-    assert np.allclose(ua, u.conj().T, atol=1e-9)
-    assert np.allclose(ua, np.diag([1, 1j]), atol=1e-9)
+    assert [op.kind for op in adj.ops] == [
+        "func_const", "func_adj", "call_indirect", "ret"]
+    const, fadj, call, ret = adj.ops
+    assert const.attrs == {"sym": "g"} and const.results != [fv]
+    assert fadj.operands == const.results
+    assert call.operands == fadj.results + adj.args
+    assert ret.operands == call.results
 
 
 def test_adjoint_involution_and_inverse_random():
@@ -408,7 +423,7 @@ def test_canonicalize_folds_adj_pred_chain():
     (fpred,) = b.emit("func_pred", [fadj], [func(3, "qubit", 3, True)],
                       {"basis": pred})
     (out,) = b.emit("call_indirect", [fpred, q], [qubit(3)])
-    b.emit("qbdiscardz", [out], [])
+    b.emit("qbdiscard", [out], [])
     b.emit("ret", [])
     main = b.finish([])
 
@@ -432,7 +447,7 @@ def test_double_adjoint_cancels():
     (f1,) = b.emit("func_adj", [fv], [func(1, "qubit", 1, True)])
     (f2,) = b.emit("func_adj", [f1], [func(1, "qubit", 1, True)])
     (out,) = b.emit("call_indirect", [f2, q], [qubit(1)])
-    b.emit("qbdiscardz", [out], [])
+    b.emit("qbdiscard", [out], [])
     b.emit("ret", [])
     g_b = FnBuilder("g", True)
     arg = g_b.param(qubit(1))
@@ -770,16 +785,11 @@ def test_inline_rejects_recursion():
 
 
 def _chain(*pairs, n):
-    """A function over one qubit[n] that runs each (b_in, b_out) in turn;
-    a pair may carry a third item, the value of an angle operand."""
+    """A function over one qubit[n] that runs each (b_in, b_out) in turn."""
     b = simple_fn(n=n)
     v = b.fn.params[0]
-    for pair in pairs:
-        angles = []
-        if len(pair) == 3:
-            angles = b.emit("fconst", [], [ANGLE], {"value": pair[2]})
-        (v,) = b.emit("qbtrans", [v] + angles, [qubit(n)],
-                      {"b_in": pair[0], "b_out": pair[1]})
+    for b_in, b_out in pairs:
+        v = trans_op(b, v, b_in, b_out)
     b.emit("ret", [v])
     return b.finish([qubit(n)])
 
@@ -829,18 +839,13 @@ def test_fusion_counts_a_builtin_as_its_full_literal():
      (basis(lit("0", "1")), basis(lit("1", "0")))),
     ((basis(lit("0", "1")), basis(lit("1", "0"))),
      (basis(lit("0", "1")), basis(BuiltinBasis(Prim.FOURIER, 1)))),
-    # an angle operand on either op
-    ((basis(lit("0", "1")), basis(lit(("1", PhaseParam(0)), "0")), 0.5),
-     (basis(lit("0", "1")), basis(lit("1", "0")))),
-    ((basis(lit("0", "1")), basis(lit("1", "0"))),
-     (basis(lit("0", "1")), basis(lit(("1", PhaseParam(0)), "0")), 0.5)),
     # different eigenbits, and a partial literal against a full one
     ((basis(lit("00", "11")), basis(lit("11", "00"))),
      (basis(lit("01", "10")), basis(lit("10", "01")))),
     ((basis(lit("0")), basis(lit(("0", 1.0)))),
      (basis(lit("0", "1")), basis(lit("1", "0")))),
-], ids=["prims", "fourier-literal", "literal-fourier", "angle-first",
-        "angle-second", "eigenbits", "partial"])
+], ids=["prims", "fourier-literal", "literal-fourier", "eigenbits",
+        "partial"])
 def test_fusion_leaves_unfusable_pairs(first, second):
     n = first[0].dim
     assert len(_canonicalized(_chain(first, second, n=n))) == 2

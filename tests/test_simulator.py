@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbc.bases import Basis, BuiltinBasis, Prim, basis
-from qbc.qcirc import Gate, GateKind, g
+from qbc.qcirc import H, P, SWAP, T, X, Gate, g
 from qbc.pipeline import Options, compile_to_circuit
 from qbc.run import SimulationError, distribution, simulate
 from qbc.qcirc import QCircFn, QCircModule, QOp
@@ -17,9 +17,6 @@ from qbc.simulator import StateVector, apply_gate
 from oracles import (
     fourier_column, lit, module_unitary, translation_unitary, unitary_of,
 )
-
-H = GateKind.H
-X = GateKind.X
 
 
 def test_unitary_of_empty_is_identity():
@@ -50,13 +47,13 @@ def test_controlled_gate():
 
 
 def test_swap_gate():
-    u = unitary_of([g(GateKind.SWAP, 0, 1)], 2)
+    u = unitary_of([g(SWAP, 0, 1)], 2)
     want = np.eye(4)[[0, 2, 1, 3]]
     assert np.allclose(u, want)
 
 
 def test_phase_gate():
-    u = unitary_of([g(GateKind.P, 0, param=math.pi / 2)], 1)
+    u = unitary_of([g(P, 0, param=math.pi / 2)], 1)
     assert np.allclose(u, [[1, 0], [0, 1j]])
 
 
@@ -209,7 +206,7 @@ def test_norm_preserved_random_circuit():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_gate_unitarity(a, b):
-    gates = [g(H, a), g(GateKind.T, b), g(X, (a + 1) % 4, controls=(a,))]
+    gates = [g(H, a), g(T, b), g(X, (a + 1) % 4, controls=(a,))]
     u = unitary_of(gates, 4)
     assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-9)
 
