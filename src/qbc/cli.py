@@ -87,10 +87,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser(
         "run", help="simulate and print a histogram",
         description="Compile and simulate the entry kernel, printing how "
-        "often each returned bitstring was seen. The simulator runs each "
-        "measurement branch once and shares the shots out binomially at "
-        "each measurement, so the same seed always gives the same "
-        "histogram.")
+        "often each returned bitstring was seen. The simulator stores only "
+        "the nonzero amplitudes (at most 2^20, over at most 62 live "
+        "qubits). It runs each measurement branch once and shares the shots "
+        "out binomially at each measurement, so the same seed always gives "
+        "the same histogram.")
     _add_common(p_run)
     _add_opt_flags(p_run)
     p_run.add_argument("--shots", type=int, default=1024,

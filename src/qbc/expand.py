@@ -290,10 +290,8 @@ class Expander:
             return CondNode(then, flag, els, pos=e.pos), ti
         if isinstance(e, VarNode):
             if e.name in captures:
-                c = captures[e.name]
-                if isinstance(c, BitsNode):
-                    return c, _Info(_BITS, out_dim=len(c.bits))
-                return c, _Info(_ANGLE)
+                raise err(f"capture '{e.name}' cannot be used as a value",
+                          e.pos, self.file)
             if e.name in env:
                 return e, env[e.name]
             if self.program.qpu(e.name) is not None:
@@ -381,7 +379,11 @@ class Expander:
             raise err(f"too many capture arguments for {target.name}", pos, self.file)
         inner_captures: dict[str, ExprNode] = {}
         for p, a in zip(cap_params, site.args):
-            na, info = self._expand_expr(a, dims, captures, env)
+            if isinstance(a, VarNode) and a.name in captures:
+                na = captures[a.name]  # a capture passed on as a capture
+                info = _Info(_BITS if isinstance(na, BitsNode) else _ANGLE)
+            else:
+                na, info = self._expand_expr(a, dims, captures, env)
             if p.type.kind == "bit":
                 if info.kind != _BITS or not isinstance(na, BitsNode):
                     raise err(f"capture '{p.name}' must be a constant bit string", pos, self.file)

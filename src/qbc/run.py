@@ -12,10 +12,15 @@ zero are dropped, so a sampled run never keeps more live branches than it
 has shots. Children are visited depth first in outcome order, which draws
 the binomials in a fixed order: the same seed gives the same histogram.
 
-Which qubit an op acts on depends only on the program, so it is read from
-``qcirc.wire_starts``, computed once per call: a qubit's state-vector key is
-the value its wire began at. A branch carries only its state, its measured
-bits and its weight.
+A branch's state is the sparse state of ``qbc.simulator``: it stores only
+the nonzero amplitudes, so a program's cost follows its data qubits rather
+than its register width. Which qubit an op acts on depends only on the
+program, so it is read from ``qcirc.wire_starts``, computed once per call: a
+qubit's key in the simulator state is the value its wire began at. A branch
+carries only its state, its measured bits and its weight.
+
+The simulator's limits (2^20 stored amplitudes, 62 live qubits) and a
+``qfreez`` on a qubit that is not |0> end in ``SimulationError``.
 
 This module and ``qbc.simulator`` are qbc's only numpy users: the compiler
 never imports them, and ``qbc.cli`` loads them for ``qbc run`` alone.
@@ -28,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcirc import QCircModule, QOp, wire_starts
-from .simulator import AncillaNotClean, StateVector
+from .simulator import AncillaNotClean, LimitError, StateVector
 
 
 class SimulationError(Exception):
@@ -39,11 +44,11 @@ def _exec_op(sv: StateVector, op: QOp, start: dict[int, int],
              bits: dict[int, int]) -> None:
     """Run one op that does not branch the state (neither ``measure`` nor
     ``qfree``). ``start`` is ``wire_starts`` of the function: a qubit's
-    state-vector key is the value its wire began at."""
+    key in the simulator state is the value its wire began at."""
     if op.kind == "qalloc":
         try:
             sv.alloc(op.results[0])
-        except ValueError as e:
+        except LimitError as e:
             raise SimulationError(f"qalloc %{op.results[0]}: {e}") from e
     elif op.kind == "gate":
         if op.condition is not None:
@@ -51,12 +56,16 @@ def _exec_op(sv: StateVector, op: QOp, start: dict[int, int],
             if bits[bit] != int(want):
                 return
         keys = [start[v] for v in op.operands]
-        sv.gate(
-            op.gate.name,
-            keys[op.num_controls:],
-            keys[: op.num_controls],
-            op.param,
-        )
+        try:
+            sv.gate(
+                op.gate.name,
+                keys[op.num_controls:],
+                keys[: op.num_controls],
+                op.param,
+            )
+        except LimitError as e:
+            raise SimulationError(f"{op.gate.value} %{op.results[0]}: {e}") \
+                from e
     elif op.kind == "qfreez":
         try:
             sv.freez(start[op.operands[0]])

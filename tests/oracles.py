@@ -1,6 +1,7 @@
 """Numeric oracles the tests check the compiler against: statevectors of
-basis vectors, span projectors, translation unitaries, gate-list unitaries,
-the unitary of a gate-level function and equality up to a global phase;
+basis vectors, span projectors, translation unitaries, the dense gate kernel
+and gate-list unitaries, the dense view of a sparse simulator state, the
+unitary of a gate-level function and equality up to a global phase;
 a reference prefix factoring of basis literals by prefix and suffix counts;
 a reference permutation synthesis over numpy tables; also the source of a
 pipe chain of single-qubit stages.
@@ -28,7 +29,7 @@ from qbc.bases import (
 )
 from qbc.qcirc import Gate, GateKind, QCircFn, QOp, append_gates, wire_starts
 from qbc.run import SimulationError, _exec_op
-from qbc.simulator import StateVector, apply_gate
+from qbc.simulator import StateVector
 from qbc.synth import _transform_gates
 
 
@@ -158,6 +159,69 @@ def apply_unitary_at(state: np.ndarray, mat: np.ndarray,
     return out
 
 
+# One-qubit gate matrices; gates act on register positions (0 = MSB).
+_GATE_1Q = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+    "TDG": np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=complex),
+}
+
+
+def apply_gate(
+    state: np.ndarray,
+    n: int,
+    kind: str,
+    targets: Sequence[int],
+    controls: Sequence[int] = (),
+    param: float = 0.0,
+) -> None:
+    """Apply one gate in place to a dense ``state`` (shape (2^n,) or
+    (2^n, cols)); qubit 0 is the most significant bit of an index.
+
+    The gate acts on a view with one axis per qubit and a last axis for the
+    columns (of length 1 for a vector): controls fix their axis to 1 and
+    each target axis is split into its 0 and 1 halves. This is the reference
+    the sparse kernel of ``qbc.simulator`` is checked against.
+    """
+    assert state.flags.c_contiguous, "gates apply to a contiguous state"
+    view = state.reshape((2,) * n + (-1,))
+    idx: list = [slice(None)] * n
+    for c in controls:
+        idx[c] = 1
+
+    def at(*bits: int) -> tuple:
+        sub = list(idx)
+        for t, b in zip(targets, bits):
+            sub[t] = b
+        return tuple(sub)
+
+    if kind == "P":
+        view[at(1)] *= np.exp(1j * param)
+        return
+    if kind in ("SWAP", "X"):
+        lo, hi = (at(1, 0), at(0, 1)) if kind == "SWAP" else (at(0), at(1))
+        tmp = view[lo].copy()
+        view[lo] = view[hi]
+        view[hi] = tmp
+        return
+    m = _GATE_1Q[kind]
+    s0, s1 = at(0), at(1)
+    if m[0, 1] == 0 and m[1, 0] == 0:
+        if m[0, 0] != 1:
+            view[s0] *= m[0, 0]
+        view[s1] *= m[1, 1]
+        return
+    a0 = view[s0].copy()
+    a1 = view[s1]
+    view[s0] = m[0, 0] * a0 + m[0, 1] * a1
+    view[s1] = m[1, 0] * a0 + m[1, 1] * a1
+
+
 def unitary_of(gates: Iterable, n: int) -> np.ndarray:
     """Exact 2^n x 2^n unitary of a gate list, by columnwise application."""
     if n > 10:
@@ -187,6 +251,24 @@ def gates_to_fn(name: str, n: int, gates: Iterable[Gate],
     return fn
 
 
+def dense_state(sv: StateVector) -> np.ndarray:
+    """The amplitudes of ``sv`` scattered into a dense 2^n vector whose
+    index has one bit per key of ``sv.order``, the first key most
+    significant."""
+    n = sv.n
+    pos = np.zeros(len(sv.idx), dtype=np.int64)
+    for i, key in enumerate(sv.order):
+        pos |= ((sv.idx >> sv.bits[key]) & 1) << (n - 1 - i)
+    out = np.zeros(1 << n, dtype=complex)
+    out[pos] = sv.amp
+    return out
+
+
+# The module-unitary oracle reads the final state as a dense 2^(2n) matrix,
+# so it stops at 20 live qubits: a dense vector of 2^20 amplitudes.
+MODULE_UNITARY_LIVE = 20
+
+
 def module_unitary(fn: QCircFn) -> np.ndarray:
     """Unitary of ``fn`` over ``fn.qubit_params``, from one simulation.
 
@@ -195,17 +277,22 @@ def module_unitary(fn: QCircFn) -> np.ndarray:
     sum_x U|x>|x> / sqrt(2^n); read with the parameters as rows, that is
     U / sqrt(2^n). Ancillas must come back to |0> at their ``qfreez``, and
     ``measure`` or ``qfree`` has no unitary: both raise ``SimulationError``,
-    as does a circuit that needs more than the simulator's 20 live qubits
-    (references included).
+    as does a circuit that needs more than ``MODULE_UNITARY_LIVE`` live
+    qubits (references included).
     """
     params = list(fn.qubit_params)
     refs = [("ref", p) for p in params]
     sv = StateVector()
-    try:
-        for key in params + refs:
-            sv.alloc(key)
-    except ValueError as e:
-        raise SimulationError(f"{len(params)} parameters: {e}") from e
+
+    def check_live() -> None:
+        if sv.n > MODULE_UNITARY_LIVE:
+            raise SimulationError(
+                f"{len(params)} parameters: module-unitary oracle limited "
+                f"to {MODULE_UNITARY_LIVE} live qubits")
+
+    for key in params + refs:
+        sv.alloc(key)
+    check_live()
     for p, ref in zip(params, refs):
         sv.gate("H", [ref])
         sv.gate("X", [p], [ref])
@@ -213,10 +300,11 @@ def module_unitary(fn: QCircFn) -> np.ndarray:
     for op in fn.ops:
         if op.kind != "ret":
             _exec_op(sv, op, start, {})
+            check_live()
     if sv.order != params + refs:
         raise SimulationError("qubits other than the parameters live at end")
     size = 1 << len(params)
-    return sv.state.reshape(size, size) * math.sqrt(size)
+    return dense_state(sv).reshape(size, size) * math.sqrt(size)
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray,

@@ -77,11 +77,31 @@ def test_run_negative_shots_is_a_diagnostic(capsys):
     assert "-5" in err
 
 
-def test_run_past_live_qubit_limit_is_a_diagnostic(capsys):
-    assert main(["run", str(BENCH / "dj.qw"), "-D", "N=22"]) == 1
+def test_run_past_amplitude_limit_is_a_diagnostic(tmp_path, capsys):
+    # 21 qubits in |+> need 2^21 stored amplitudes, one H past the limit.
+    path = tmp_path / "wide.qw"
+    path.write_text("qpu main() -> bit[21] { 'p'[21] | std[21].measure }\n")
+    assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("qbc: simulation error:")
-    assert "20 live qubits" in err
+    assert err.startswith("qbc: simulation error: h %"), err
+    assert "limited to 1048576 stored amplitudes" in err
+
+
+def test_run_past_live_qubit_limit_is_a_diagnostic(tmp_path, capsys):
+    # 63 qubits in |0> hold one amplitude but need 63 index bits.
+    path = tmp_path / "tall.qw"
+    path.write_text("qpu main() -> bit[63] { '0'[63] | std[63].measure }\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qbc: simulation error: qalloc %"), err
+    assert "limited to 62 live qubits" in err
+
+
+def test_run_holds_only_the_nonzero_amplitudes(capsys):
+    # dj at N=22 declares more qubits than a dense state could hold, but
+    # its state is one basis vector after every gate.
+    assert main(["run", str(BENCH / "dj.qw"), "-D", "N=22"]) == 0
+    assert capsys.readouterr().out == "1" * 22 + "\t1024\n"
 
 
 def test_backend_rejection_is_a_diagnostic(capsys):

@@ -310,6 +310,19 @@ def test_capture_angle_error_points_at_the_argument():
     assert str(e.value) == "<input>:2:34: error: division by zero in angle"
 
 
+@pytest.mark.parametrize("src, message", [
+    ("qpu main(s: bit[2] = '10') -> bit[2] { s }\n",
+     "1:40: error: capture 's' cannot be used as a value"),
+    ("qpu main(a: angle = pi) -> bit[1] { a | std.measure }\n",
+     "1:37: error: capture 'a' cannot be used as a value"),
+], ids=["bits", "angle"])
+def test_capture_used_as_a_value_is_named(src, message):
+    # A capture is baked into its instance; it only binds another capture.
+    with pytest.raises(CompileError) as e:
+        full_front(src)
+    assert str(e.value) == f"<input>:{message}"
+
+
 @pytest.mark.parametrize("embed, message", [
     ("f[[2, 3]].sign", "2:40: error: too many dimension bindings for f"),
     ("f('1', '0').sign", "2:42: error: too many capture arguments for f"),

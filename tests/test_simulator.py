@@ -1,4 +1,5 @@
-"""Statevector simulation, gate application, and the translation oracle."""
+"""The sparse statevector kernel against the dense reference kernel, the
+executor, and the translation and module-unitary oracles."""
 
 import math
 import pathlib
@@ -12,10 +13,11 @@ from qbc.qcirc import H, P, SWAP, T, X, Gate, g
 from qbc.pipeline import Options, compile_to_circuit
 from qbc.run import SimulationError, distribution, simulate
 from qbc.qcirc import QCircFn, QCircModule, QOp
-from qbc.simulator import StateVector, apply_gate
+from qbc.simulator import ZERO_TOL, AncillaNotClean, StateVector
 
 from oracles import (
-    fourier_column, lit, module_unitary, translation_unitary, unitary_of,
+    apply_gate, dense_state, fourier_column, lit, module_unitary,
+    translation_unitary, unitary_of,
 )
 
 
@@ -200,7 +202,7 @@ def test_norm_preserved_random_circuit():
         kind = rng.choice(["H", "X", "T", "S"])
         q = int(rng.integers(0, 4))
         sv.gate(kind, [q])
-    assert abs(np.linalg.norm(sv.state) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(sv.amp) - 1.0) < 1e-9
 
 
 @settings(max_examples=50, deadline=None)
@@ -306,19 +308,129 @@ def test_measure_samples_and_collapses():
 
 def test_branch_leaves_state_unchanged():
     sv = _bell_state()
-    before = sv.state.copy()
+    before = dense_state(sv)
     children = sv.branch("a")
     assert [(o, round(p, 12)) for o, p, _ in children] == [(0, 0.5), (1, 0.5)]
-    assert np.array_equal(sv.state, before) and sv.order == ["a", "b"]
+    assert np.array_equal(dense_state(sv), before)
+    assert sv.order == ["a", "b"]
     for outcome, _, sub in children:
         assert sub.order == ["b"]
-        assert np.allclose(sub.state, np.eye(2)[outcome])
+        assert np.allclose(dense_state(sub), np.eye(2)[outcome])
 
 
 def test_branch_drops_impossible_outcome():
     sv = StateVector()
     sv.alloc("a")
     assert [o for o, _, _ in sv.branch("a")] == [0]
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel against the dense reference, step by step.
+
+
+class _DenseRegister:
+    """The dense reference: a vector with one bit per key of ``order``, the
+    first key most significant; gates go through ``oracles.apply_gate``."""
+
+    def __init__(self):
+        self.vec = np.array([1.0 + 0j])
+        self.order = []
+
+    def alloc(self, key):
+        self.vec = np.kron(self.vec, [1.0 + 0j, 0.0])
+        self.order.append(key)
+
+    def gate(self, kind, targets, controls, param):
+        pos = self.order.index
+        apply_gate(self.vec, len(self.order), kind, [pos(k) for k in targets],
+                   [pos(k) for k in controls], param)
+
+    def prob_one(self, key):
+        halves = self.vec.reshape(1 << self.order.index(key), 2, -1)
+        return float(np.sum(np.abs(halves[:, 1, :]) ** 2))
+
+    def project(self, key, outcome):
+        halves = self.vec.reshape(1 << self.order.index(key), 2, -1)
+        kept = halves[:, outcome, :].reshape(-1)
+        self.vec = kept / np.linalg.norm(kept)
+        self.order.remove(key)
+
+
+_KINDS = ["X", "Y", "Z", "H", "S", "SDG", "T", "TDG", "P", "SWAP"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_kernel_matches_dense_reference(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sv, ref = StateVector(rng), _DenseRegister()
+    next_key = 0
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        live = list(ref.order)
+        step = data.draw(st.sampled_from(
+            ["alloc", "gate", "gate", "gate", "measure", "branch", "freez"]))
+        if step == "alloc" or not live:
+            if len(live) < 6:
+                sv.alloc(next_key)
+                ref.alloc(next_key)
+                next_key += 1
+        elif step == "gate":
+            kind = data.draw(st.sampled_from(_KINDS))
+            k = 2 if kind == "SWAP" else 1
+            if len(live) < k:
+                continue
+            keys = data.draw(st.permutations(live))
+            nctl = data.draw(st.integers(0, min(2, len(live) - k)))
+            targets, controls = keys[:k], keys[k:k + nctl]
+            param = data.draw(st.floats(-math.pi, math.pi))
+            sv.gate(kind, targets, controls, param)
+            ref.gate(kind, targets, controls, param)
+        else:
+            key = data.draw(st.sampled_from(live))
+            p1 = ref.prob_one(key)
+            if step == "measure":
+                outcome = sv.measure(key)
+                assert (p1 if outcome else 1.0 - p1) > 1e-12
+                ref.project(key, outcome)
+            elif step == "branch":
+                children = sv.branch(key)
+                assert [p for _, p, _ in children] == pytest.approx(
+                    [p for p in (1.0 - p1, p1) if p > 1e-12], abs=1e-9)
+                outcome, _, sv = data.draw(st.sampled_from(children))
+                ref.project(key, outcome)
+            elif p1 <= 1e-12:
+                sv.freez(key)
+                ref.project(key, 0)
+            elif p1 > 1e-6:
+                with pytest.raises(AncillaNotClean):
+                    sv.freez(key)
+        assert sv.order == ref.order
+        assert np.abs(dense_state(sv) - ref.vec).max() <= 1e-9
+        assert (np.abs(sv.amp) > ZERO_TOL).all()
+
+
+def test_h_drops_the_row_it_cancels():
+    # H Z H |0> = |1>: the second H cancels the |0> row exactly.
+    sv = StateVector()
+    sv.alloc("a")
+    sv.alloc("b")
+    sv.gate("H", ["b"])
+    sv.gate("Z", ["b"])
+    sv.gate("H", ["b"])
+    assert sv.idx.tolist() == [1 << sv.bits["b"]]
+    assert np.allclose(sv.amp, [1.0])
+
+
+def test_alloc_reuses_the_lowest_freed_bit_without_moving_rows():
+    sv = StateVector()
+    for key in "abc":
+        sv.alloc(key)
+    sv.gate("X", ["c"])
+    sv.freez("a")
+    assert sv.idx.tolist() == [1 << sv.bits["c"]]
+    sv.alloc("d")
+    assert sv.bits == {"b": 1, "c": 2, "d": 0}
+    assert sv.idx.tolist() == [4]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +480,19 @@ def test_qfree_branches_without_recording_a_bit():
     assert abs(hist["0"] - 2000) < 5 * math.sqrt(1000) + 1
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_grover_past_twenty_qubits_matches_closed_form(n):
+    # At -O1 grover declares 2N - 2 qubits, past a dense 20-qubit state,
+    # but holds at most 2^(N+1) nonzero amplitudes.
+    path = BENCH / "grover.qw"
+    qc = compile_to_circuit(path.read_text(), str(path),
+                            Options(dims={"N": n}))
+    dist = distribution(qc)
+    assert abs(sum(dist.values()) - 1.0) <= 1e-9
+    hit = math.sin(7 * math.asin(2.0 ** (-n / 2))) ** 2
+    assert abs(dist["1" * n] - hit) <= 1e-9
+
+
 def test_simulate_million_shots():
     hist = simulate(_compiled("grover"), shots=10**6, seed=5)
     assert sum(hist.values()) == 10**6
@@ -384,9 +509,10 @@ def test_simulate_negative_shots_raises():
 
 
 def test_live_qubit_limit_raises_simulation_error():
+    # Each live qubit owns one bit of an int64 index: 63 > 62.
     fn = QCircFn("main")
-    fn.ops = [QOp("qalloc", results=(i,)) for i in range(21)]
+    fn.ops = [QOp("qalloc", results=(i,)) for i in range(63)]
     fn.ops.append(QOp("ret", ()))
-    fn.next_id = 21
-    with pytest.raises(SimulationError, match="20 live qubits"):
+    fn.next_id = 63
+    with pytest.raises(SimulationError, match="qalloc %62: .*62 live qubits"):
         distribution(QCircModule({"main": fn}, "main"))
