@@ -2,13 +2,19 @@
 Typed AST for the surface language: programs are lists of qpu kernels and
 classical (combinational) functions whose bodies are expression trees.
 
+The tree has the grammar's shape, so a long program is wide, not deep: a
+pipe is one ``PipeNode`` holding its value and a tuple of all its stages,
+and a kernel holds its ``let`` bindings as a tuple ahead of its result
+expression (a ``LetNode`` is a statement, never an expression). The walks
+over it loop over stages and bindings, so neither costs a stack frame.
+
 Node equality ignores source positions so printer/parser round trips can be
 compared structurally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 
@@ -157,9 +163,17 @@ class TransNode:
 
 @dataclass(frozen=True)
 class PipeNode:
+    """``value | fns[0] | fns[1] | ...``, where ``bars[i]`` is the position
+    of the ``|`` before ``fns[i]``. The pipe as a whole is at its last
+    ``|``."""
+
     value: "ExprNode"
-    fn: "ExprNode"
-    pos: Pos = _pos_field()
+    fns: tuple["ExprNode", ...]
+    bars: tuple[Pos, ...] = field(compare=False, repr=False)
+
+    @property
+    def pos(self) -> Pos:
+        return self.bars[-1]
 
 
 @dataclass(frozen=True)
@@ -238,20 +252,41 @@ class BitsNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class LetNode:
-    names: tuple[str, ...]
-    types: tuple[Optional[TypeNode], ...]
-    value: "ExprNode"
-    body: "ExprNode"
-    pos: Pos = _pos_field()
-
-
 ExprNode = Union[
     QubitLitNode, BasisLitNode, BuiltinBasisNode, TensorNode, RepeatNode,
     TransNode, PipeNode, AdjointNode, PredNode, MeasureNode, DiscardNode,
-    EmbedNode, CondNode, VarNode, CallNode, AngleNode, BitsNode, LetNode,
+    EmbedNode, CondNode, VarNode, CallNode, AngleNode, BitsNode,
 ]
+
+# The expression-valued fields of each node; ``parts``, ``fns`` and ``args``
+# hold tuples of expressions.
+_CHILD_FIELDS = {
+    TensorNode: ("parts",), RepeatNode: ("operand",),
+    TransNode: ("b_in", "b_out"), PipeNode: ("value", "fns"),
+    AdjointNode: ("fn",), PredNode: ("basis", "fn"), MeasureNode: ("basis",),
+    EmbedNode: ("args",), CondNode: ("then", "flag", "els"),
+    CallNode: ("args",),
+}
+
+
+def map_children(e: ExprNode, f) -> ExprNode:
+    """``e`` with each of its child expressions ``c`` replaced by ``f(c)``,
+    applied in field order."""
+    kids = {}
+    for name in _CHILD_FIELDS.get(type(e), ()):
+        v = getattr(e, name)
+        kids[name] = tuple(map(f, v)) if isinstance(v, tuple) else f(v)
+    return replace(e, **kids) if kids else e
+
+
+@dataclass(frozen=True)
+class LetNode:
+    """``let names = value;`` (with ``types`` for a destructuring let)."""
+
+    names: tuple[str, ...]
+    types: tuple[Optional[TypeNode], ...]
+    value: ExprNode
+    pos: Pos = _pos_field()
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +371,8 @@ class QpuFn:
     params: tuple[ParamNode, ...]
     ret_type: TypeNode
     reversible: bool
-    body: ExprNode
+    lets: tuple[LetNode, ...]  # in order; each sees the bindings before it
+    body: ExprNode  # the result, which sees every binding
     pos: Pos = _pos_field()
 
 

@@ -15,35 +15,23 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .ast_nodes import (
-    AdjointNode, CondNode, ExprNode, LetNode, MeasureNode, PipeNode, PredNode,
-    Program, TensorNode, TransNode,
-)
-
-# The expression-valued fields of each node that can hold a tensor.
-_CHILDREN = {
-    TransNode: ("b_in", "b_out"),
-    PipeNode: ("value", "fn"),
-    AdjointNode: ("fn",),
-    PredNode: ("basis", "fn"),
-    MeasureNode: ("basis",),
-    CondNode: ("then", "flag", "els"),
-    LetNode: ("value", "body"),
-}
+from .ast_nodes import ExprNode, Program, TensorNode, map_children
 
 
 def canonicalize_ast(program: Program) -> Program:
-    qpus = tuple(replace(q, body=_flatten(q.body)) for q in program.qpus)
+    qpus = tuple(
+        replace(q, lets=tuple(replace(let, value=_flatten(let.value))
+                              for let in q.lets),
+                body=_flatten(q.body))
+        for q in program.qpus)
     return Program(qpus, program.classicals, program.entry)
 
 
 def _flatten(e: ExprNode) -> ExprNode:
-    if isinstance(e, TensorNode):
-        parts: list[ExprNode] = []
-        for p in map(_flatten, e.parts):
-            parts.extend(p.parts if isinstance(p, TensorNode) else (p,))
-        return TensorNode(tuple(parts), pos=e.pos)
-    kids = {}
-    for f in _CHILDREN.get(type(e), ()):
-        kids[f] = _flatten(getattr(e, f))  # not a comprehension: one frame per level
-    return replace(e, **kids) if kids else e
+    e = map_children(e, _flatten)
+    if not isinstance(e, TensorNode):
+        return e
+    parts: list[ExprNode] = []
+    for p in e.parts:
+        parts.extend(p.parts if isinstance(p, TensorNode) else (p,))
+    return TensorNode(tuple(parts), pos=e.pos)

@@ -186,11 +186,14 @@ class Expander:
                       for p in fn.params if p.type.kind == "qubit"]
         if len(new_params) > 1:
             raise err(f"kernel {fn.name} has more than one qubit parameter", fn.pos, self.file)
-        value_env = {p.name: _Info.value(p.type.dim.value) for p in new_params}
-        body, _ = self._expand_expr(fn.body, dim_env, captures, value_env)
+        env = {p.name: _Info.value(p.type.dim.value) for p in new_params}
+        lets = tuple(self._expand_let(let, dim_env, captures, env)
+                     for let in fn.lets)
+        body, _ = self._expand_expr(fn.body, dim_env, captures, env)
         out = QpuFn(
             name, (), (), tuple(new_params),
-            self._subst_type(fn.ret_type, dim_env), fn.reversible, body, pos=fn.pos,
+            self._subst_type(fn.ret_type, dim_env), fn.reversible, lets, body,
+            pos=fn.pos,
         )
         self.out_qpus.append(out)
         return name
@@ -203,6 +206,25 @@ class Expander:
         if dim < 1:
             raise err(f"non-positive dimension {dim}", t.pos, self.file)
         return TypeNode(t.kind, DimLit(dim), pos=t.pos)
+
+    def _expand_let(self, let: LetNode, dims, captures, env) -> LetNode:
+        """Expand ``let``'s value in ``env``, then bind its names there."""
+        value, vi = self._expand_expr(let.value, dims, captures, env)
+        split = len(let.names) > 1
+        types = []
+        for ty in let.types:
+            if ty is None and split:
+                raise err("destructuring let requires types", let.pos, self.file)
+            types.append(None if ty is None else self._subst_type(ty, dims))
+        widths = [vi.out_dim if ty is None else ty.dim.value for ty in types]
+        if sum(widths) != vi.out_dim:
+            raise err(
+                f"destructuring splits {sum(widths)} of {vi.out_dim} qubits/bits"
+                if split else "let type does not match value", let.pos, self.file,
+            )
+        env.update((name, _Info(vi.kind, out_dim=w))
+                   for name, w in zip(let.names, widths))
+        return LetNode(let.names, tuple(types), value, pos=let.pos)
 
     # -- expression expansion ---------------------------------------------------
 
@@ -261,9 +283,15 @@ class Expander:
                 raise err("translation operands must be bases", e.pos, self.file)
             return TransNode(b_in, b_out, pos=e.pos), _Info.fn(i1.out_dim, i1.out_dim)
         if isinstance(e, PipeNode):
-            value, vi = self._expand_expr(e.value, dims, captures, env)
-            fn, fi = self._resolve_fn(e.fn, dims, captures, env, hint=vi.out_dim)
-            return PipeNode(value, fn, pos=e.pos), _Info.value(fi.out_dim)
+            # Each stage's input width is the hint for inferring its
+            # dimensions.
+            value, info = self._expand_expr(e.value, dims, captures, env)
+            fns = []
+            for fn in e.fns:
+                fn, info = self._resolve_fn(fn, dims, captures, env,
+                                            hint=info.out_dim)
+                fns.append(fn)
+            return PipeNode(value, tuple(fns), e.bars), _Info.value(info.out_dim)
         if isinstance(e, AdjointNode):
             fn, fi = self._resolve_fn(e.fn, dims, captures, env, hint=None)
             return AdjointNode(fn, pos=e.pos), fi
@@ -303,37 +331,6 @@ class Expander:
             return AngleNode(_subst_angle(e.angle, captures, self.file), pos=e.pos), _Info(_ANGLE)
         if isinstance(e, BitsNode):
             return e, _Info(_BITS, out_dim=len(e.bits))
-        if isinstance(e, LetNode):
-            value, vi = self._expand_expr(e.value, dims, captures, env)
-            inner_env = dict(env)
-            types = []
-            if len(e.names) == 1:
-                ty = e.types[0]
-                if ty is not None:
-                    ty = self._subst_type(ty, dims)
-                    if eval_dim(ty.dim, {}, self.file) != vi.out_dim:
-                        raise err("let type does not match value", e.pos, self.file)
-                inner_env[e.names[0]] = _Info(
-                    _BITS if vi.kind == _BITS else vi.kind, out_dim=vi.out_dim
-                )
-                types.append(ty)
-            else:
-                total = 0
-                for name, ty in zip(e.names, e.types):
-                    if ty is None:
-                        raise err("destructuring let requires types", e.pos, self.file)
-                    sty = self._subst_type(ty, dims)
-                    d = eval_dim(sty.dim, {}, self.file)
-                    inner_env[name] = _Info(vi.kind, out_dim=d)
-                    types.append(sty)
-                    total += d
-                if total != vi.out_dim:
-                    raise err(
-                        f"destructuring splits {total} of {vi.out_dim} qubits/bits",
-                        e.pos, self.file,
-                    )
-            body, bi = self._expand_expr(e.body, dims, captures, inner_env)
-            return LetNode(e.names, tuple(types), value, body, pos=e.pos), bi
         raise err(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()), self.file)
 
     def _eval(self, d: DimExpr, dims: dict[str, int], pos: Pos) -> int:

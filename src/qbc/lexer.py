@@ -1,7 +1,18 @@
-"""Tokenizer for .qw source files."""
+"""
+Tokenizer for .qw source files.
+
+One compiled pattern of named groups, walked with ``finditer``, splits the
+source into tokens: its alternatives are tried in order at each offset, so
+``[[`` wins over ``[`` and a float over an integer. Identifiers are letters,
+digits and ``_`` in the sense of ``str.isalnum``, not starting with a digit;
+numbers take only ASCII digits, so a ``²`` that ``int()`` would reject is an
+unexpected character. ``#`` starts a comment to the end of the line, and
+positions count every character, tabs and ``\\r`` included, as one column.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ast_nodes import Pos
@@ -14,13 +25,17 @@ KEYWORDS = {
     "measure", "flip", "xor", "sign",
 }
 
-DIGITS = "0123456789"  # not str.isdigit(), which accepts '²' that int() rejects
-
 # "]]" is intentionally absent: it lexes as two "]" so nested indexing works.
-PUNCT = [
-    "[[", ">>", "->", "|", "&", "~", "+", "-", "*", "/", "@",
-    "(", ")", "{", "}", "[", "]", ",", ":", ";", "=", "^", ".",
-]
+_TOKEN = re.compile(r"""
+    (?P<NL>\n)
+  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+  | (?P<QLIT>'[^'\n]*'?)
+  | (?P<FLOAT>[0-9]+\.[0-9]+)
+  | (?P<INT>[0-9]+)
+  | (?P<IDENT>\w+)
+  | (?P<PUNCT>\[\[|>>|->|[|&~+\-*/@(){}\[\],:;=^.])
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -32,70 +47,35 @@ class Token:
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        pos = Pos(line, col)
-        if c == "'":
-            j = i + 1
-            while j < n and source[j] != "'":
-                if source[j] == "\n":
-                    raise err("unterminated qubit literal", pos, file)
-                j += 1
-            if j >= n:
+        text = m.group()
+        pos = Pos(line, m.start() - start + 1)
+        if kind == "IDENT":
+            if not (text[0].isalpha() or text[0] == "_"):
+                kind = "BAD"  # a digit that is not ASCII, such as '²'
+            elif text in KEYWORDS:
+                kind = text
+        elif kind == "PUNCT":
+            kind = text
+        elif kind == "QLIT":
+            if len(text) == 1 or text[-1] != "'":
                 raise err("unterminated qubit literal", pos, file)
-            body = source[i + 1 : j]
-            if not body or any(ch not in "01pmij" for ch in body):
-                raise err(f"bad qubit literal '{body}'", pos, file)
-            tokens.append(Token("QLIT", body, pos))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c in DIGITS:
-            j = i
-            while j < n and source[j] in DIGITS:
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in DIGITS:
-                j += 1
-                while j < n and source[j] in DIGITS:
-                    j += 1
-                tokens.append(Token("FLOAT", source[i:j], pos))
-            else:
-                tokens.append(Token("INT", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, pos))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, pos))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise err(f"unexpected character {c!r}", pos, file)
-    tokens.append(Token("EOF", "", Pos(line, col)))
+            text = text[1:-1]
+            if not text or text.strip("01pmij"):
+                raise err(f"bad qubit literal '{text}'", pos, file)
+        if kind == "BAD":
+            raise err(f"unexpected character {text[0]!r}", pos, file)
+        tokens.append(Token(kind, text, pos))
+    # A comment does not advance the column, so a source that ends in one
+    # ends where the comment starts.
+    tail = source[start:]
+    end = tail.find("#")
+    tokens.append(Token("EOF", "", Pos(line, (len(tail) if end < 0 else end) + 1)))
     return tokens

@@ -13,9 +13,9 @@ from typing import Optional
 
 from . import bases
 from .ast_nodes import (
-    CondNode, DiscardNode, EmbedNode, ExprNode, LetNode, MeasureNode,
-    PipeNode, Pos, PredNode, Program, QpuFn, QubitLitNode, TensorNode,
-    TransNode, AdjointNode, VarNode,
+    CondNode, DiscardNode, EmbedNode, ExprNode, MeasureNode, PipeNode, Pos,
+    PredNode, QpuFn, QubitLitNode, TensorNode, TransNode, AdjointNode,
+    VarNode,
 )
 from .bases import Prim
 from .diagnostics import err
@@ -44,6 +44,19 @@ class _Lowerer:
         env: dict[str, int] = {}
         for p in q.params:
             env[p.name] = b.param(qubit(p.type.dim.value))
+        for let in q.lets:
+            v = self.value(b, let.value, env)
+            if len(let.names) == 1:
+                env[let.names[0]] = v
+                continue
+            vty = b.fn.types[v]
+            sizes = tuple(t.dim.value for t in let.types)
+            kinds = [qubit(s) if vty.kind == "qubit" else bit(s) for s in sizes]
+            results = b.emit(
+                "qbunpack" if vty.kind == "qubit" else "bitunpack",
+                [v], kinds, {"sizes": sizes},
+            )
+            env.update(zip(let.names, results))
         out = self.value(b, q.body, env)
         operands = [out] if out is not None else []
         b.emit("ret", operands)
@@ -63,35 +76,21 @@ class _Lowerer:
                 return b.emit("bitpack", parts, [bit(dim)])[0]
             return b.emit("qbpack", parts, [qubit(dim)])[0]
         if isinstance(e, PipeNode):
+            # Typechecking leaves a discard (no result) only as the last stage.
             v = self.value(b, e.value, env)
-            fv = self.fn_value(b, e.fn, env)
-            fty = b.fn.types[fv]
-            if fty.fout_kind == "none":
-                b.emit("call_indirect", [fv, v], [])
-                return None
-            out_ty = qubit(fty.fout_dim) if fty.fout_kind == "qubit" else bit(fty.fout_dim)
-            (r,) = b.emit("call_indirect", [fv, v], [out_ty])
-            return r
+            for fn in e.fns:
+                fv = self.fn_value(b, fn, env)
+                fty = b.fn.types[fv]
+                if fty.fout_kind == "none":
+                    b.emit("call_indirect", [fv, v], [])
+                    return None
+                out_ty = qubit(fty.fout_dim) if fty.fout_kind == "qubit" else bit(fty.fout_dim)
+                (v,) = b.emit("call_indirect", [fv, v], [out_ty])
+            return v
         if isinstance(e, VarNode):
             if e.name in env:
                 return env[e.name]
             raise err(f"unknown value '{e.name}'", e.pos, self.file)
-        if isinstance(e, LetNode):
-            v = self.value(b, e.value, env)
-            inner = dict(env)
-            if len(e.names) == 1:
-                inner[e.names[0]] = v
-            else:
-                vty = b.fn.types[v]
-                sizes = tuple(t.dim.value for t in e.types)
-                kinds = [qubit(s) if vty.kind == "qubit" else bit(s) for s in sizes]
-                results = b.emit(
-                    "qbunpack" if vty.kind == "qubit" else "bitunpack",
-                    [v], kinds, {"sizes": sizes},
-                )
-                for name, r in zip(e.names, results):
-                    inner[name] = r
-            return self.value(b, e.body, inner)
         # Remaining expression forms denote function values.
         return self.fn_value(b, e, env)
 

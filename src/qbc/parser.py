@@ -1,9 +1,11 @@
 """
 Recursive-descent parser for .qw programs.
 
-Expression precedence, loosest to tightest:
+A kernel body is a run of ``let`` bindings, each ended by ``;``, and then
+its result expression; the bindings are parsed in a loop into
+``QpuFn.lets``. Expression precedence, loosest to tightest:
     e if c else e2
-    |                 (pipe)
+    |                 (pipe; a chain of stages is one n-ary PipeNode)
     >>                (basis translation)
     &                 (predication)
     +                 (tensor product)
@@ -168,39 +170,35 @@ class Parser:
         ret = self.parse_type()
         reversible = self.accept("rev") is not None
         self.expect("{")
-        body = self.parse_body()
+        lets = []
+        while self.at("let"):
+            lets.append(self.parse_let())
+        body = self.parse_expr()
         self.expect("}")
         return QpuFn(
-            name.text, dim_vars, dim_defaults, params, ret, reversible, body,
-            pos=kw.pos,
+            name.text, dim_vars, dim_defaults, params, ret, reversible,
+            tuple(lets), body, pos=kw.pos,
         )
 
-    def parse_body(self) -> ExprNode:
-        if self.at("let"):
-            kw = self.take()
-            names, types = [], []
-            if self.accept("("):
-                while True:
-                    n = self.expect("IDENT")
-                    self.expect(":")
-                    types.append(self.parse_type())
-                    names.append(n.text)
-                    if not self.accept(","):
-                        break
-                self.expect(")")
-            else:
+    def parse_let(self) -> LetNode:
+        kw = self.expect("let")
+        names, types = [], []
+        if self.accept("("):
+            while True:
                 n = self.expect("IDENT")
+                self.expect(":")
+                types.append(self.parse_type())
                 names.append(n.text)
-                if self.accept(":"):
-                    types.append(self.parse_type())
-                else:
-                    types.append(None)
-            self.expect("=")
-            value = self.parse_expr()
-            self.expect(";")
-            body = self.parse_body()
-            return LetNode(tuple(names), tuple(types), value, body, pos=kw.pos)
-        return self.parse_expr()
+                if not self.accept(","):
+                    break
+            self.expect(")")
+        else:
+            names.append(self.expect("IDENT").text)
+            types.append(self.parse_type() if self.accept(":") else None)
+        self.expect("=")
+        value = self.parse_expr()
+        self.expect(";")
+        return LetNode(tuple(names), tuple(types), value, pos=kw.pos)
 
     # -- quantum expressions ----------------------------------------------
 
@@ -216,11 +214,11 @@ class Parser:
 
     def parse_pipe(self) -> ExprNode:
         e = self.parse_trans()
+        fns, bars = [], []
         while self.at("|"):
-            t = self.take()
-            rhs = self.parse_trans()
-            e = PipeNode(e, rhs, pos=t.pos)
-        return e
+            bars.append(self.take().pos)
+            fns.append(self.parse_trans())
+        return PipeNode(e, tuple(fns), tuple(bars)) if fns else e
 
     def parse_trans(self) -> ExprNode:
         e = self.parse_pred()

@@ -8,8 +8,8 @@ from .ast_nodes import (
     AngleBin, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
     BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CIndex, CLit,
     CNot, CondNode, CReduce, CRepeat, CSlice, CVar, DimBin, DimLit, DimVar,
-    DiscardNode, EmbedNode, LetNode, MeasureNode, ParamNode, PipeNode,
-    PredNode, Program, QubitLitNode, RepeatNode, TensorNode, TransNode,
+    DiscardNode, EmbedNode, MeasureNode, ParamNode, PipeNode, PredNode,
+    Program, QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode,
     TypeNode, AdjointNode, VarNode, VecNode,
 )
 
@@ -86,10 +86,8 @@ def _expr(e):
             _TRANS,
         )
     if isinstance(e, PipeNode):
-        return (
-            f"{print_expr(e.value, _PIPE)} | {print_expr(e.fn, _TRANS)}",
-            _PIPE,
-        )
+        # A piped value that is itself a pipe was parenthesized.
+        return " | ".join(print_expr(x, _TRANS) for x in (e.value, *e.fns)), _PIPE
     if isinstance(e, AdjointNode):
         return f"~{print_expr(e.fn, _UNARY)}", _UNARY
     if isinstance(e, PredNode):
@@ -126,8 +124,6 @@ def _expr(e):
         return f"({print_angle(e.angle)})", _POSTFIX
     if isinstance(e, BitsNode):
         return f"'{e.bits}'", _POSTFIX
-    if isinstance(e, LetNode):
-        raise AssertionError("let printed at statement level")
     raise AssertionError(f"unhandled node {type(e).__name__}")
 
 
@@ -188,18 +184,17 @@ def _dim_vars(f) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _body_lines(e, indent: str) -> list[str]:
+def _body_lines(q: QpuFn, indent: str) -> list[str]:
     lines = []
-    while isinstance(e, LetNode):
-        if len(e.names) == 1 and e.types[0] is None:
-            pat = e.names[0]
+    for let in q.lets:
+        if len(let.names) == 1 and let.types[0] is None:
+            pat = let.names[0]
         else:
             pat = "(" + ", ".join(
-                f"{n}: {print_type(t)}" for n, t in zip(e.names, e.types)
+                f"{n}: {print_type(t)}" for n, t in zip(let.names, let.types)
             ) + ")"
-        lines.append(f"{indent}let {pat} = {print_expr(e.value)};")
-        e = e.body
-    lines.append(f"{indent}{print_expr(e)}")
+        lines.append(f"{indent}let {pat} = {print_expr(let.value)};")
+    lines.append(f"{indent}{print_expr(q.body)}")
     return lines
 
 
@@ -211,5 +206,5 @@ def print_program(p: Program) -> str:
     for q in p.qpus:
         rev = " rev" if q.reversible else ""
         head = f"qpu {q.name}{_dim_vars(q)}({_params(q.params)}) -> {print_type(q.ret_type)}{rev} {{"
-        chunks.append("\n".join([head] + _body_lines(q.body, "    ") + ["}"]))
+        chunks.append("\n".join([head] + _body_lines(q, "    ") + ["}"]))
     return "\n\n".join(chunks) + "\n"

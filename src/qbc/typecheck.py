@@ -16,10 +16,10 @@ from . import bases
 from .ast_nodes import (
     AngleBin, AngleLit, AngleNeg, AnglePi, AngleExpr,
     BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode, EmbedNode,
-    ExprNode, LetNode, MeasureNode, PipeNode, Pos, PredNode, Program, QpuFn,
+    ExprNode, MeasureNode, PipeNode, Pos, PredNode, Program, QpuFn,
     QubitLitNode, RepeatNode, TensorNode, TransNode, AdjointNode, VarNode,
     CallNode, BitsNode, AngleNode, ClassicalFn, CExpr, CVar, CLit, CBin,
-    CNot, CIndex, CSlice, CReduce, CRepeat,
+    CNot, CIndex, CSlice, CReduce, CRepeat, map_children,
 )
 from .bases import Prim, check_span_equivalence, fully_spans, validate_literal
 from .diagnostics import err
@@ -66,8 +66,9 @@ def fold_angle(a: AngleExpr, pos: Pos, file: str) -> float:
     raise err("angle is not constant", pos, file)
 
 
-def basis_of(e: ExprNode, file: str, fold: bool = True) -> bases.Basis:
-    """Convert a basis-typed expression into a canon-form Basis value."""
+def basis_of(e: ExprNode, file: str) -> bases.Basis:
+    """Convert a basis-typed expression into a canon-form Basis value, with
+    its phases folded."""
     elements: list[bases.BasisElement] = []
 
     def walk(node):
@@ -82,7 +83,7 @@ def basis_of(e: ExprNode, file: str, fold: bool = True) -> bases.Basis:
             vecs = []
             for v in node.vectors:
                 phase = None
-                if v.phase is not None and fold:
+                if v.phase is not None:
                     phase = fold_angle(v.phase, v.pos, file)
                 try:
                     vecs.append(bases.vector_from_chars(v.chars, phase))
@@ -182,32 +183,58 @@ class TypeChecker:
     # -- qpu kernels -----------------------------------------------------------
 
     def _check_qpu(self, q: QpuFn) -> None:
-        uses: dict[str, int] = {}
-        env: dict[str, VTy] = {}
-        for p in q.params:
-            env[p.name] = VTy("qubit", p.type.dim.value)
-            uses[p.name] = 0
-        ty = self._expr(q.body, env, uses, rev=q.reversible)
+        # Each name maps to [type, uses] of its latest binding, so a let that
+        # rebinds a name starts a count of its own.
+        env: dict[str, list] = {
+            p.name: [VTy("qubit", p.type.dim.value), 0] for p in q.params}
+        params = list(env.items())
+        scopes = []  # (let, its bindings) in order
+        for let in q.lets:
+            vty = self._expr(let.value, env, q.reversible)
+            if not isinstance(vty, VTy) or vty.kind not in ("qubit", "bit"):
+                raise err("let binds qubit or bit values", let.pos, self.file)
+            bound, total = [], 0
+            for name, tnode in zip(let.names, let.types):
+                if tnode is not None and tnode.kind != vty.kind:
+                    raise err(
+                        f"let pattern kind {tnode.kind} does not match {vty}",
+                        let.pos, self.file,
+                    )
+                ty = vty if tnode is None else VTy(tnode.kind, tnode.dim.value)
+                total += ty.dim
+                bound.append((name, [ty, 0]))
+            if total != vty.dim:
+                raise err(
+                    f"let pattern covers {total} of {vty.dim}", let.pos, self.file
+                )
+            env.update(bound)
+            scopes.append((let, bound))
+        ty = self._expr(q.body, env, q.reversible)
+        for let, bound in reversed(scopes):
+            self._check_used_once(bound, let.pos)
         want = VTy(q.ret_type.kind, q.ret_type.dim.value)
         if not isinstance(ty, VTy) or ty != want:
             raise err(
                 f"kernel {q.name} returns {ty}, declared {want}", q.pos, self.file
             )
-        for name, ty in env.items():
-            if ty.kind == "qubit" and uses.get(name, 0) != 1:
+        self._check_used_once(params, q.pos)
+
+    def _check_used_once(self, bound, pos: Pos) -> None:
+        for name, (ty, uses) in bound:
+            if ty.kind == "qubit" and uses != 1:
                 raise err(
-                    f"qubit '{name}' used {uses.get(name, 0)} times; "
-                    "must be used exactly once",
-                    q.pos, self.file,
+                    f"qubit '{name}' used {uses} times; must be used exactly once",
+                    pos, self.file,
                 )
 
-    def _expr(self, e: ExprNode, env, uses, rev: bool) -> Ty:
+    def _expr(self, e: ExprNode, env, rev: bool) -> Ty:
         if isinstance(e, QubitLitNode):
             if e.phase is not None:
                 fold_angle(e.phase, e.pos, self.file)
             return VTy("qubit", len(e.chars))
         if isinstance(e, BasisLitNode):
-            b = basis_of(e, self.file, fold=False)
+            # Every literal is validated here, as the walk reaches it.
+            b = basis_of(e, self.file)
             msg = validate_literal(b.elements[0])
             if msg is not None:
                 raise err(msg, e.pos, self.file)
@@ -215,7 +242,7 @@ class TypeChecker:
         if isinstance(e, BuiltinBasisNode):
             return VTy("basis", e.dim.value)
         if isinstance(e, TensorNode):
-            parts = [self._expr(p, env, uses, rev) for p in e.parts]
+            parts = [self._expr(p, env, rev) for p in e.parts]
             if all(isinstance(t, VTy) for t in parts):
                 kinds = {t.kind for t in parts}
                 if len(kinds) != 1 or "none" in kinds:
@@ -237,8 +264,8 @@ class TypeChecker:
                 )
             raise err("cannot tensor values with functions", e.pos, self.file)
         if isinstance(e, TransNode):
-            ti = self._expr(e.b_in, env, uses, rev)
-            to = self._expr(e.b_out, env, uses, rev)
+            ti = self._expr(e.b_in, env, rev)
+            to = self._expr(e.b_out, env, rev)
             if not (isinstance(ti, VTy) and ti.kind == "basis") or not (
                 isinstance(to, VTy) and to.kind == "basis"
             ):
@@ -248,11 +275,8 @@ class TypeChecker:
                     f"translation dimensions differ: {ti.dim} vs {to.dim}",
                     e.pos, self.file,
                 )
-            b_in = basis_of(e.b_in, self.file, fold=False)
-            b_out = basis_of(e.b_out, self.file, fold=False)
-            self._validate_basis(b_in, e.b_in)
-            self._validate_basis(b_out, e.b_out)
-            mismatch = check_span_equivalence(b_in, b_out)
+            mismatch = check_span_equivalence(
+                basis_of(e.b_in, self.file), basis_of(e.b_out, self.file))
             if mismatch is not None:
                 raise err(
                     f"translation sides span different spaces ({mismatch})",
@@ -260,47 +284,45 @@ class TypeChecker:
                 )
             return FTy(ti.dim, VTy("qubit", ti.dim), True)
         if isinstance(e, PipeNode):
-            vty = self._expr(e.value, env, uses, rev)
-            fty = self._expr(e.fn, env, uses, rev)
-            if not isinstance(vty, VTy) or vty.kind != "qubit":
-                raise err(f"pipe input must be qubits, found {vty}", e.pos, self.file)
-            if not isinstance(fty, FTy):
-                raise err(f"pipe target must be a function, found {fty}", e.pos, self.file)
-            if rev and not fty.rev:
-                raise err(
-                    "irreversible operation inside a reversible kernel", e.pos, self.file
-                )
-            if vty.dim != fty.in_dim:
-                raise err(
-                    f"function takes qubit[{fty.in_dim}], found qubit[{vty.dim}]",
-                    e.pos, self.file,
-                )
-            return fty.out
+            vty = self._expr(e.value, env, rev)
+            for fn, bar in zip(e.fns, e.bars):
+                fty = self._expr(fn, env, rev)
+                if not isinstance(vty, VTy) or vty.kind != "qubit":
+                    raise err(f"pipe input must be qubits, found {vty}", bar, self.file)
+                if not isinstance(fty, FTy):
+                    raise err(f"pipe target must be a function, found {fty}", bar, self.file)
+                if rev and not fty.rev:
+                    raise err(
+                        "irreversible operation inside a reversible kernel", bar, self.file
+                    )
+                if vty.dim != fty.in_dim:
+                    raise err(
+                        f"function takes qubit[{fty.in_dim}], found qubit[{vty.dim}]",
+                        bar, self.file,
+                    )
+                vty = fty.out
+            return vty
         if isinstance(e, AdjointNode):
-            fty = self._expr(e.fn, env, uses, rev)
+            fty = self._expr(e.fn, env, rev)
             if not isinstance(fty, FTy) or not fty.rev or fty.out.kind != "qubit":
                 raise err("~ takes a reversible qubit function", e.pos, self.file)
             return fty
         if isinstance(e, PredNode):
-            bty = self._expr(e.basis, env, uses, rev)
-            fty = self._expr(e.fn, env, uses, rev)
+            bty = self._expr(e.basis, env, rev)
+            fty = self._expr(e.fn, env, rev)
             if not isinstance(bty, VTy) or bty.kind != "basis":
                 raise err("predicate must be a basis", e.pos, self.file)
             if not isinstance(fty, FTy) or not fty.rev or fty.out.kind != "qubit":
                 raise err("& takes a reversible qubit function", e.pos, self.file)
-            b = basis_of(e.basis, self.file, fold=False)
-            self._validate_basis(b, e.basis)
             n = bty.dim + fty.in_dim
             return FTy(n, VTy("qubit", n), True)
         if isinstance(e, MeasureNode):
-            bty = self._expr(e.basis, env, uses, rev)
+            bty = self._expr(e.basis, env, rev)
             if not isinstance(bty, VTy) or bty.kind != "basis":
                 raise err(".measure applies to a basis", e.pos, self.file)
             if rev:
                 raise err("measurement inside a reversible kernel", e.pos, self.file)
-            b = basis_of(e.basis, self.file, fold=False)
-            self._validate_basis(b, e.basis)
-            if not all(fully_spans(el) for el in b.elements):
+            if not all(fully_spans(el) for el in basis_of(e.basis, self.file).elements):
                 raise err(
                     "measurement basis must fully span its space", e.pos, self.file
                 )
@@ -324,9 +346,9 @@ class TypeChecker:
                 )
             self._forbid_qubit_vars(e.then, env)
             self._forbid_qubit_vars(e.els, env)
-            tt = self._expr(e.then, env, uses, rev)
-            ft = self._expr(e.flag, env, uses, rev)
-            et = self._expr(e.els, env, uses, rev)
+            tt = self._expr(e.then, env, rev)
+            ft = self._expr(e.flag, env, rev)
+            et = self._expr(e.els, env, rev)
             if not isinstance(ft, VTy) or ft.kind != "bit" or ft.dim != 1:
                 raise err("conditional flag must be bit[1]", e.pos, self.file)
             if not isinstance(tt, FTy) or tt != et:
@@ -337,10 +359,10 @@ class TypeChecker:
             return tt
         if isinstance(e, VarNode):
             if e.name in env:
-                ty = env[e.name]
-                if ty.kind == "qubit":
-                    uses[e.name] = uses.get(e.name, 0) + 1
-                return ty
+                binding = env[e.name]
+                if binding[0].kind == "qubit":
+                    binding[1] += 1
+                return binding[0]
             if e.name in self.fn_types:
                 fty = self.fn_types[e.name]
                 if rev and not fty.rev:
@@ -350,68 +372,20 @@ class TypeChecker:
                     )
                 return fty
             raise err(f"unknown name '{e.name}'", e.pos, self.file)
-        if isinstance(e, LetNode):
-            vty = self._expr(e.value, env, uses, rev)
-            if not isinstance(vty, VTy) or vty.kind not in ("qubit", "bit"):
-                raise err("let binds qubit or bit values", e.pos, self.file)
-            inner_env = dict(env)
-            total = 0
-            for name, tnode in zip(e.names, e.types):
-                if tnode is None:
-                    inner_env[name] = vty
-                    total += vty.dim
-                else:
-                    if tnode.kind != vty.kind:
-                        raise err(
-                            f"let pattern kind {tnode.kind} does not match {vty}",
-                            e.pos, self.file,
-                        )
-                    inner_env[name] = VTy(tnode.kind, tnode.dim.value)
-                    total += tnode.dim.value
-                uses.setdefault(name, 0)
-            if total != vty.dim:
-                raise err(
-                    f"let pattern covers {total} of {vty.dim}", e.pos, self.file
-                )
-            bty = self._expr(e.body, inner_env, uses, rev)
-            for name in e.names:
-                if inner_env[name].kind == "qubit" and uses.get(name, 0) != 1:
-                    raise err(
-                        f"qubit '{name}' used {uses.get(name, 0)} times; "
-                        "must be used exactly once",
-                        e.pos, self.file,
-                    )
-            return bty
         if isinstance(e, (BitsNode, AngleNode, CallNode, RepeatNode)):
             raise err(
                 f"unexpected {type(e).__name__} after expansion", e.pos, self.file
             )
         raise err(f"unhandled node {type(e).__name__}", getattr(e, "pos", Pos()), self.file)
 
-    def _validate_basis(self, b: bases.Basis, node) -> None:
-        for el in b.elements:
-            if isinstance(el, bases.BasisLiteral):
-                msg = validate_literal(el)
-                if msg is not None:
-                    raise err(msg, getattr(node, "pos", Pos()), self.file)
-
-    def _forbid_qubit_vars(self, e, env) -> None:
-        for node in _walk_exprs(e):
-            if isinstance(node, VarNode) and node.name in env \
-                    and env[node.name].kind == "qubit":
-                raise err(
-                    "conditional branches cannot capture qubits", node.pos, self.file
-                )
-
-
-def _walk_exprs(e):
-    yield e
-    for f in getattr(e, "__dataclass_fields__", {}):
-        v = getattr(e, f)
-        items = v if isinstance(v, tuple) else (v,)
-        for item in items:
-            if hasattr(item, "__dataclass_fields__") and not isinstance(item, Pos):
-                yield from _walk_exprs(item)
+    def _forbid_qubit_vars(self, e: ExprNode, env) -> ExprNode:
+        """``e``, once no variable in it names a qubit."""
+        if isinstance(e, VarNode) and e.name in env \
+                and env[e.name][0].kind == "qubit":
+            raise err(
+                "conditional branches cannot capture qubits", e.pos, self.file
+            )
+        return map_children(e, lambda c: self._forbid_qubit_vars(c, env))
 
 
 @dataclass

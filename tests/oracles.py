@@ -3,8 +3,8 @@ basis vectors, span projectors, translation unitaries, the dense gate kernel
 and gate-list unitaries, the dense view of a sparse simulator state, the
 unitary of a gate-level function and equality up to a global phase;
 a reference prefix factoring of basis literals by prefix and suffix counts;
-a reference permutation synthesis over numpy tables; also the source of a
-pipe chain of single-qubit stages.
+a reference permutation synthesis over numpy tables; a per-character
+reference lexer; also the source of a pipe chain of single-qubit stages.
 
 These are brute force on purpose and live beside the tests, not in the
 compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from qbc.ast_nodes import Pos
 from qbc.bases import (
     Basis,
     BasisElement,
@@ -27,6 +28,8 @@ from qbc.bases import (
     builtin_vectors,
     vector_from_chars,
 )
+from qbc.diagnostics import err
+from qbc.lexer import KEYWORDS, Token
 from qbc.qcirc import Gate, GateKind, QCircFn, QOp, append_gates, wire_starts
 from qbc.run import SimulationError, _exec_op
 from qbc.simulator import StateVector
@@ -417,3 +420,84 @@ def pipe_chain_source(stages: Sequence[str]) -> str:
     calls = "".join(f"    | {s}\n" for s in stages)
     return ("\n".join(defs) + "\nqpu main() -> bit[1] {\n    '0'\n" + calls
             + "    | std.measure\n}\n")
+
+
+REFERENCE_DIGITS = "0123456789"  # not str.isdigit(), which accepts '²'
+REFERENCE_PUNCT = [
+    "[[", ">>", "->", "|", "&", "~", "+", "-", "*", "/", "@",
+    "(", ")", "{", "}", "[", "]", ",", ":", ";", "=", "^", ".",
+]
+
+
+def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
+    """``qbc.lexer.tokenize`` written as a scan of one character at a time:
+    the same tokens, positions and diagnostics."""
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        pos = Pos(line, col)
+        if c == "'":
+            j = i + 1
+            while j < n and source[j] != "'":
+                if source[j] == "\n":
+                    raise err("unterminated qubit literal", pos, file)
+                j += 1
+            if j >= n:
+                raise err("unterminated qubit literal", pos, file)
+            body = source[i + 1 : j]
+            if not body or any(ch not in "01pmij" for ch in body):
+                raise err(f"bad qubit literal '{body}'", pos, file)
+            tokens.append(Token("QLIT", body, pos))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if c in REFERENCE_DIGITS:
+            j = i
+            while j < n and source[j] in REFERENCE_DIGITS:
+                j += 1
+            if (j < n and source[j] == "." and j + 1 < n
+                    and source[j + 1] in REFERENCE_DIGITS):
+                j += 1
+                while j < n and source[j] in REFERENCE_DIGITS:
+                    j += 1
+                tokens.append(Token("FLOAT", source[i:j], pos))
+            else:
+                tokens.append(Token("INT", source[i:j], pos))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = text if text in KEYWORDS else "IDENT"
+            tokens.append(Token(kind, text, pos))
+            col += j - i
+            i = j
+            continue
+        for p in REFERENCE_PUNCT:
+            if source.startswith(p, i):
+                tokens.append(Token(p, p, pos))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise err(f"unexpected character {c!r}", pos, file)
+    tokens.append(Token("EOF", "", Pos(line, col)))
+    return tokens

@@ -2,6 +2,10 @@
 
 import glob
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,7 +246,7 @@ qpu main() -> bit[4] {
     tp = full_front(src)
     flat = canonicalize_ast(tp.program)
     body = flat.qpu("main").body
-    assert [len(t.parts) for t in (body.value.value, body.value.fn, body.fn)] == [4, 3, 3]
+    assert [len(t.parts) for t in (body.value, *body.fns)] == [4, 3, 3]
     assert typecheck(flat).fn_types == tp.fn_types
     ir = compile_source(open("benchmarks/period.qw").read(), "period.qw",
                         Options(), "qwerty-ir")
@@ -255,6 +259,62 @@ def test_deep_pipe_compiles():
         + "    | std.measure\n}\n"
     qc = compile_to_circuit(src, "deep.qw", Options())
     assert distribution(qc) == {"0": 1.0}
+
+
+def _long_pipe(stages):
+    return ("qpu main() -> bit[1] {\n    '0'\n" + "    | std.flip\n" * (stages - 1)
+            + "    | std.measure\n}\n")
+
+
+def _long_lets(bindings):
+    lets = "".join(f"    let q{i} = q{i - 1} | std.flip;\n"
+                   for i in range(1, bindings))
+    return (f"qpu main() -> bit[1] {{\n    let q0 = '0';\n{lets}"
+            f"    q{bindings - 1} | std.measure\n}}\n")
+
+
+# Runs `qbc run` on each file three times in one fresh interpreter, the
+# runs of different files interleaved, and reports the least wall time of
+# each file's runs.
+_TIMER = """\
+import gc, sys, time
+from qbc.cli import main
+best = {path: float("inf") for path in sys.argv[1:]}
+for _ in range(3):
+    for path in best:
+        gc.collect()
+        start = time.perf_counter()
+        assert main(["run", path]) == 0
+        best[path] = min(best[path], time.perf_counter() - start)
+print(*best.values(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("make", [_long_pipe, _long_lets],
+                         ids=["stages", "bindings"])
+def test_long_programs_run_in_near_linear_time(tmp_path, make):
+    # A pipe stage or a let costs no stack frame of its own, so 3200 of
+    # them compile, and compile time stays near-linear in their number.
+    # A fresh interpreter times them as the command runs, apart from the
+    # objects the pytest process holds.
+    paths = []
+    for n in (800, 3200):
+        paths.append(tmp_path / f"long{n}.qw")
+        paths[-1].write_text(make(n))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    # The host is shared, and a burst of load can slow all three runs of
+    # one size, so a measurement that misses the bound is taken again, up
+    # to three times in all. Time quadratic in the length would give 16x.
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-c", _TIMER, *map(str, paths)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "1\t1024\n" * 6  # '0' flipped 799 or 3199 times
+        short, long = map(float, proc.stderr.split())
+        if long < 6 * short:
+            break
+    assert long < 6 * short, (short, long)
 
 
 def _nested_parens(depth):
@@ -276,7 +336,7 @@ def test_nesting_at_the_limit_compiles():
 def test_else_chain_at_the_limit_parses():
     # Each else arm nests one level. (Expansion, not the parser, rejects
     # conditionals whose arms are not function values.)
-    cond, arms = parse(_else_chain(100)).qpus[0].body.body.value, 0
+    cond, arms = parse(_else_chain(100)).qpus[0].lets[1].value, 0
     while isinstance(cond, CondNode):
         cond, arms = cond.els, arms + 1
     assert arms == 100
@@ -300,6 +360,56 @@ def test_nesting_past_the_limit_is_a_diagnostic(src, where):
         parse(src)
     assert str(e.value) == \
         f"<input>:{where}: error: expression nests deeper than 100 levels"
+
+
+def test_check_folds_basis_vector_phases(tmp_path, capsys):
+    # Type checking folds every phase, so check stops where compile does.
+    path = tmp_path / "phase.qw"
+    path.write_text("qpu main() -> bit[1] {\n"
+                    "  '0' | ({'0', '1'} >> {'0' @ (pi / 0), '1'}) | std.measure\n"
+                    "}\n")
+    for cmd in ("check", "compile"):
+        assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"{path}:2:25: error: division by zero in angle\n"
+
+
+def test_rebinding_a_consumed_qubit_compiles():
+    # Uses are counted per binding: the second q is a new qubit.
+    src = ("qpu main() -> bit[1] { let q = '0'; let q = q | std.flip;"
+           " q | std.measure }")
+    qc = compile_to_circuit(src, "rebind.qw", Options())
+    assert distribution(qc) == {"1": 1.0}
+
+
+@pytest.mark.parametrize("src, message", [
+    ("qpu main() -> bit[2] { let q = '0'; (q + q) | std[2].measure }",
+     "1:24: error: qubit 'q' used 2 times; must be used exactly once"),
+    ("qpu main() -> bit[2] { let q = '0'; let q = q | std.flip;"
+     " (q + q) | std[2].measure }",
+     "1:37: error: qubit 'q' used 2 times; must be used exactly once"),
+    ("qpu main() -> bit[1] { let q = '0'; let q = '1'; q | std.measure }",
+     "1:24: error: qubit 'q' used 0 times; must be used exactly once"),
+    ("qpu main() -> bit[1] { let (a: qubit[1], a: qubit[1]) = '01';"
+     " a | std.measure }",
+     "1:24: error: qubit 'a' used 0 times; must be used exactly once"),
+], ids=["double_use", "double_use_of_a_rebinding", "shadowed_unused",
+        "name_split_twice"])
+def test_each_binding_is_used_exactly_once(src, message):
+    with pytest.raises(CompileError) as e:
+        full_front(src)
+    assert str(e.value) == f"<input>:{message}"
+
+
+def test_conditional_branch_cannot_capture_a_qubit():
+    # The walk over the branch reaches the flag of a nested conditional.
+    src = ("qpu main() -> bit[1] {\n    let m = '1' | std.measure;\n"
+           "    let q = '0';\n"
+           "    q | ((std.flip if q else id) if m else id) | std.measure\n}\n")
+    with pytest.raises(CompileError) as e:
+        full_front(src)
+    assert str(e.value) == \
+        "<input>:4:23: error: conditional branches cannot capture qubits"
 
 
 def test_capture_angle_error_points_at_the_argument():
@@ -372,7 +482,7 @@ def test_parse_binary_precedence_and_left_associativity():
     x = "CIndex"
     assert _shape(c.body) == (
         (x, "^", (x, "&", x)), "|", ((x, "^", x), "^", x))
-    angle = prog.qpu("main").body.value.fn.b_out.vectors[1].phase
+    angle = prog.qpu("main").body.fns[0].b_out.vectors[1].phase
     assert _shape(angle) == (
         ("AnglePi", "-", (("AnglePi", "/", 2.0), "/", 4.0)), "+", 1.0)
 
@@ -381,16 +491,16 @@ def test_parse_precedence_pipe_vs_trans():
     src = "qpu main() -> bit[1] { '0' | std >> pm | pm.measure }"
     prog = parse(src)
     body = prog.qpu("main").body
-    # '|' binds loosest: (('0' | (std >> pm)) | pm.measure)
+    # '|' binds loosest: '0' | (std >> pm) | pm.measure, one pipe
     assert isinstance(body, PipeNode)
-    assert isinstance(body.value, PipeNode)
-    assert isinstance(body.value.fn, TransNode)
+    assert len(body.fns) == 2
+    assert isinstance(body.fns[0], TransNode)
 
 
 def test_parse_tensor_binds_tighter_than_trans():
     src = "qpu main() -> bit[2] { '00' | {'1'} + std >> {'1'} + std | std[2].measure }"
     prog = parse(src)
-    stage = prog.qpu("main").body.value.fn
+    stage = prog.qpu("main").body.fns[0]
     assert isinstance(stage, TransNode)
     assert isinstance(stage.b_in, TensorNode)
 
@@ -399,7 +509,7 @@ def test_parse_conditional():
     src = "qpu main(q: qubit[1]) -> qubit[1] { q | (id if '1' else id) }"
     # Parses; the flag type error surfaces at type checking, not parsing.
     prog = parse(src)
-    stage = prog.qpu("main").body.fn
+    stage = prog.qpu("main").body.fns[0]
     assert isinstance(stage, CondNode)
 
 
