@@ -44,7 +44,7 @@ def output(source: str, file: str, opts: Options, emit: str) -> str:
     try:
         return compile_source(source, file, opts, emit)
     except CompileError as e:
-        return "\n".join(d.render() for d in e.diagnostics)
+        return str(e)
 
 
 def main() -> int:

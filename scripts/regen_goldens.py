@@ -27,7 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from qasm_reader import read_qasm3  # noqa: E402
-from qbc.backends import BackendError, allocate  # noqa: E402
+from qbc.backends import allocate  # noqa: E402
 from qbc.diagnostics import CompileError  # noqa: E402
 from qbc.pipeline import Options, compile_source, compile_to_circuit  # noqa: E402
 from qbc.run import distribution  # noqa: E402
@@ -132,7 +132,7 @@ def _shape(qasm: str) -> str | None:
         return None
     try:
         fn = read_qasm3(qasm).entry_fn
-    except BackendError:
+    except CompileError:
         return None
     return f"qubit[{width.group(1)}] depth {allocate(fn, reuse=False).depth}"
 

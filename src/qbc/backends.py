@@ -24,14 +24,11 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
+from .diagnostics import CompileError
 from .qcirc import (
     PHASE, Gate, H, P, QCircFn, QCircModule, QOp, S, SDG, SWAP, T, TDG, X, Y,
     Z, exact_form,
 )
-
-
-class BackendError(Exception):
-    pass
 
 
 class Registers(NamedTuple):
@@ -95,7 +92,7 @@ _C_PREFIXED = (X, Y, Z, H, SWAP)
 def emit_qasm3(m: QCircModule, reuse_qubits: bool = False) -> str:
     fn = m.entry_fn
     if fn.qubit_params:
-        raise BackendError("cannot emit a function that takes qubits")
+        raise CompileError("cannot emit a function that takes qubits")
     index_of, n, creg, _ = allocate(fn, reuse_qubits)
     k = len(creg)
     lines = ['OPENQASM 3.0;', 'include "stdgates.inc";', f"qubit[{n}] q;"]
@@ -114,7 +111,7 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False) -> str:
         elif op.kind in ("qalloc", "qfree", "qfreez", "ret"):
             continue
         else:
-            raise BackendError(f"cannot emit op {op.kind}")
+            raise CompileError(f"cannot emit op {op.kind}")
     return "\n".join(lines) + "\n"
 
 
@@ -157,7 +154,7 @@ def _legalize_for_qir(op: QOp) -> list[Gate]:
     if (kind, nctrl) in _QIR_INTRINSICS:
         return [Gate(kind, tgts, ctrls, op.param)]
     if nctrl > 1:
-        raise BackendError(
+        raise CompileError(
             "multi-controlled gate survived; run decomposition before the "
             "QIR backend"
         )
@@ -167,10 +164,10 @@ def _legalize_for_qir(op: QOp) -> list[Gate]:
 def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
     fn = m.entry_fn
     if fn.qubit_params:
-        raise BackendError("cannot emit a function that takes qubits")
+        raise CompileError("cannot emit a function that takes qubits")
     for op in fn.ops:
         if op.kind == "gate" and op.condition is not None:
-            raise BackendError(
+            raise CompileError(
                 "Base-Profile QIR cannot branch on measurement results; "
                 "use the OpenQASM backend"
             )

@@ -141,8 +141,7 @@ def main(argv=None) -> int:
             print(stats_for(source, args.file, opts).render())
             return EXIT_OK
     except CompileError as e:
-        for d in e.diagnostics:
-            print(d.render(), file=sys.stderr)
+        print(e, file=sys.stderr)
         return EXIT_DIAGNOSTICS
     return EXIT_USAGE
 

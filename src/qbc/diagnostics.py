@@ -1,36 +1,31 @@
-"""Positioned diagnostics shared by every pipeline stage."""
+"""The one error type of compiling.
+
+Every stage, from the lexer to the backends, raises ``CompileError`` with a
+message and, where the stage knows it, a source position. No stage knows
+which file it compiles: ``qbc.pipeline`` puts the file name on the error as
+it leaves the pipeline. The error renders as ``file:line:col: error:
+message``, with ``<input>`` for a missing file name and no ``line:col`` for a
+missing position.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .ast_nodes import Pos
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # error | warning
-    message: str
-    pos: Optional[Pos] = None
-    file: Optional[str] = None
+class CompileError(Exception):
+    """A diagnostic that stops compilation."""
 
-    def render(self) -> str:
+    def __init__(self, message: str, pos: Optional[Pos] = None):
+        super().__init__(message)
+        self.message = message
+        self.pos = pos
+        self.file: Optional[str] = None
+
+    def __str__(self) -> str:
         where = self.file or "<input>"
         if self.pos is not None:
             where += f":{self.pos.line}:{self.pos.col}"
-        return f"{where}: {self.severity}: {self.message}"
-
-
-class CompileError(Exception):
-    """Carries one or more diagnostics out of a failing stage."""
-
-    def __init__(self, diags):
-        if isinstance(diags, Diagnostic):
-            diags = [diags]
-        self.diagnostics = list(diags)
-        super().__init__("\n".join(d.render() for d in self.diagnostics))
-
-
-def err(message: str, pos: Optional[Pos] = None, file: Optional[str] = None) -> CompileError:
-    return CompileError(Diagnostic("error", message, pos, file))
+        return f"{where}: error: {self.message}"

@@ -20,7 +20,7 @@ from .ast_nodes import (
     QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode,
     AdjointNode, VarNode, VecNode,
 )
-from .diagnostics import err
+from .diagnostics import CompileError
 from .typecheck import fold_angle
 
 
@@ -29,7 +29,7 @@ class _Unbound(Exception):
         self.name = name
 
 
-def eval_dim(d: DimExpr, env: dict[str, int], file: str) -> int:
+def eval_dim(d: DimExpr, env: dict[str, int]) -> int:
     if isinstance(d, DimLit):
         return d.value
     if isinstance(d, DimVar):
@@ -37,7 +37,7 @@ def eval_dim(d: DimExpr, env: dict[str, int], file: str) -> int:
             raise _Unbound(d.name)
         return env[d.name]
     assert isinstance(d, DimBin)
-    a, b = eval_dim(d.left, env, file), eval_dim(d.right, env, file)
+    a, b = eval_dim(d.left, env), eval_dim(d.right, env)
     if d.op == "+":
         return a + b
     if d.op == "-":
@@ -45,29 +45,28 @@ def eval_dim(d: DimExpr, env: dict[str, int], file: str) -> int:
     if d.op == "*":
         return a * b
     if b == 0 or a % b != 0:
-        raise err(f"dimension {a}/{b} is not an integer", d.pos, file)
+        raise CompileError(f"dimension {a}/{b} is not an integer", d.pos)
     return a // b
 
 
-def _solve_dim(d: DimExpr, target: int, env: dict[str, int], pos: Pos,
-               file: str) -> None:
+def _solve_dim(d: DimExpr, target: int, env: dict[str, int], pos: Pos) -> None:
     """Unify eval(d) = target, binding at most one new variable (affine)."""
     try:
-        got = eval_dim(d, env, file)
+        got = eval_dim(d, env)
         if got != target:
-            raise err(f"dimension mismatch: expected {target}, found {got}", pos, file)
+            raise CompileError(f"dimension mismatch: expected {target}, found {got}", pos)
         return
     except _Unbound as u:
         var = u.name
-    probe1 = eval_dim(d, {**env, var: 1}, file)
-    probe2 = eval_dim(d, {**env, var: 2}, file)
+    probe1 = eval_dim(d, {**env, var: 1})
+    probe2 = eval_dim(d, {**env, var: 2})
     slope = probe2 - probe1
     intercept = probe1 - slope
     if slope == 0 or (target - intercept) % slope != 0:
-        raise err(f"cannot solve dimension for {var}", pos, file)
+        raise CompileError(f"cannot solve dimension for {var}", pos)
     value = (target - intercept) // slope
     if value < 1:
-        raise err(f"inferred non-positive dimension {var} = {value}", pos, file)
+        raise CompileError(f"inferred non-positive dimension {var} = {value}", pos)
     env[var] = value
 
 
@@ -96,10 +95,9 @@ class _Info:
 
 
 class Expander:
-    def __init__(self, program: Program, bindings: dict[str, int], file: str = "<input>"):
+    def __init__(self, program: Program, bindings: dict[str, int]):
         self.program = program
         self.bindings = dict(bindings)
-        self.file = file
         self.qpu_instances: dict[tuple, str] = {}
         self.classical_instances: dict[tuple, str] = {}
         self.out_qpus: list[QpuFn] = []
@@ -111,7 +109,7 @@ class Expander:
     def run(self) -> Program:
         main = self.program.qpu("main")
         if main is None:
-            raise err("missing entry kernel 'main'", Pos(1, 1), self.file)
+            raise CompileError("missing entry kernel 'main'", Pos(1, 1))
         dim_env: dict[str, int] = {}
         for name, default in zip(main.dim_vars, main.dim_defaults):
             if name in self.bindings:
@@ -120,22 +118,22 @@ class Expander:
                 dim_env[name] = default
         unknown = set(self.bindings) - set(main.dim_vars)
         if unknown:
-            raise err(
+            raise CompileError(
                 "unknown dimension variable(s) in -D: " + ", ".join(sorted(unknown)),
-                main.pos, self.file,
+                main.pos,
             )
         captures: dict[str, ExprNode] = {}
         for p in main.params:
             if p.type.kind == "qubit":
-                raise err("entry kernel 'main' cannot take qubits", p.pos, self.file)
+                raise CompileError("entry kernel 'main' cannot take qubits", p.pos)
             if p.default is None:
-                raise err(f"entry capture '{p.name}' needs a default value", p.pos, self.file)
+                raise CompileError(f"entry capture '{p.name}' needs a default value", p.pos)
             if isinstance(p.default, BitsNode):
-                _solve_dim(p.type.dim, len(p.default.bits), dim_env, p.pos, self.file)
+                _solve_dim(p.type.dim, len(p.default.bits), dim_env, p.pos)
             captures[p.name] = p.default
         for name in main.dim_vars:
             if name not in dim_env:
-                raise err(f"dimension variable {name} is unbound; pass -D {name}=...", main.pos, self.file)
+                raise CompileError(f"dimension variable {name} is unbound; pass -D {name}=...", main.pos)
         entry = self._instantiate_qpu(main, dim_env, captures, keep_name="main")
         return Program(tuple(self.out_qpus), tuple(self.out_classicals), entry=entry)
 
@@ -159,7 +157,7 @@ class Expander:
                 out.append((k, "bits", v.bits))
             else:
                 assert isinstance(v, AngleNode)
-                out.append((k, "angle", fold_angle(v.angle, v.pos, self.file)))
+                out.append((k, "angle", fold_angle(v.angle, v.pos)))
         return tuple(out)
 
     # -- qpu instantiation -----------------------------------------------------
@@ -185,7 +183,7 @@ class Expander:
                                 pos=p.pos)
                       for p in fn.params if p.type.kind == "qubit"]
         if len(new_params) > 1:
-            raise err(f"kernel {fn.name} has more than one qubit parameter", fn.pos, self.file)
+            raise CompileError(f"kernel {fn.name} has more than one qubit parameter", fn.pos)
         env = {p.name: _Info.value(p.type.dim.value) for p in new_params}
         lets = tuple(self._expand_let(let, dim_env, captures, env)
                      for let in fn.lets)
@@ -200,11 +198,11 @@ class Expander:
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:
         try:
-            dim = eval_dim(t.dim, dim_env, self.file)
+            dim = eval_dim(t.dim, dim_env)
         except _Unbound as u:
-            raise err(f"dimension variable {u.name} is unbound", t.pos, self.file)
+            raise CompileError(f"dimension variable {u.name} is unbound", t.pos)
         if dim < 1:
-            raise err(f"non-positive dimension {dim}", t.pos, self.file)
+            raise CompileError(f"non-positive dimension {dim}", t.pos)
         return TypeNode(t.kind, DimLit(dim), pos=t.pos)
 
     def _expand_let(self, let: LetNode, dims, captures, env) -> LetNode:
@@ -214,13 +212,13 @@ class Expander:
         types = []
         for ty in let.types:
             if ty is None and split:
-                raise err("destructuring let requires types", let.pos, self.file)
+                raise CompileError("destructuring let requires types", let.pos)
             types.append(None if ty is None else self._subst_type(ty, dims))
         widths = [vi.out_dim if ty is None else ty.dim.value for ty in types]
         if sum(widths) != vi.out_dim:
-            raise err(
+            raise CompileError(
                 f"destructuring splits {sum(widths)} of {vi.out_dim} qubits/bits"
-                if split else "let type does not match value", let.pos, self.file,
+                if split else "let type does not match value", let.pos,
             )
         env.update((name, _Info(vi.kind, out_dim=w))
                    for name, w in zip(let.names, widths))
@@ -231,7 +229,7 @@ class Expander:
     def _expand_expr(self, e, dims, captures, env):
         """Return (expanded expr, shape info)."""
         if isinstance(e, QubitLitNode):
-            phase = _subst_angle(e.phase, captures, self.file)
+            phase = _subst_angle(e.phase, captures)
             return QubitLitNode(e.chars, phase, pos=e.pos), _Info.value(len(e.chars))
         if isinstance(e, BasisLitNode):
             vecs = []
@@ -239,14 +237,14 @@ class Expander:
                 chars = v.chars
                 if v.repeat is not None:
                     chars = chars * self._eval(v.repeat, dims, v.pos)
-                phase = _subst_angle(v.phase, captures, self.file)
+                phase = _subst_angle(v.phase, captures)
                 vecs.append(VecNode(chars, None, phase, pos=v.pos))
             dim = len(vecs[0].chars) if vecs else 0
             return BasisLitNode(tuple(vecs), pos=e.pos), _Info.basis(dim)
         if isinstance(e, BuiltinBasisNode):
             dim = self._eval(e.dim, dims, e.pos)
             if dim < 1:
-                raise err("basis dimension must be positive", e.pos, self.file)
+                raise CompileError("basis dimension must be positive", e.pos)
             return BuiltinBasisNode(e.prim, DimLit(dim), pos=e.pos), _Info.basis(dim)
         if isinstance(e, TensorNode):
             parts, infos = [], []
@@ -264,11 +262,11 @@ class Expander:
                 total = sum(i.out_dim for i in infos)
                 k = _VALUE if kinds == {_VALUE} else _BASIS
                 return TensorNode(tuple(parts), pos=e.pos), _Info(k, out_dim=total)
-            raise err("tensor operands must all be values, bases, or functions", e.pos, self.file)
+            raise CompileError("tensor operands must all be values, bases, or functions", e.pos)
         if isinstance(e, RepeatNode):
             n = self._eval(e.count, dims, e.pos)
             if n < 1:
-                raise err("repeat count must be positive", e.pos, self.file)
+                raise CompileError("repeat count must be positive", e.pos)
             inner, info = self._expand_expr(e.operand, dims, captures, env)
             if n == 1:
                 return inner, info
@@ -280,7 +278,7 @@ class Expander:
             b_in, i1 = self._expand_expr(e.b_in, dims, captures, env)
             b_out, i2 = self._expand_expr(e.b_out, dims, captures, env)
             if i1.kind not in (_BASIS,) or i2.kind not in (_BASIS,):
-                raise err("translation operands must be bases", e.pos, self.file)
+                raise CompileError("translation operands must be bases", e.pos)
             return TransNode(b_in, b_out, pos=e.pos), _Info.fn(i1.out_dim, i1.out_dim)
         if isinstance(e, PipeNode):
             # Each stage's input width is the hint for inferring its
@@ -298,13 +296,13 @@ class Expander:
         if isinstance(e, PredNode):
             b, bi = self._expand_expr(e.basis, dims, captures, env)
             if bi.kind != _BASIS:
-                raise err("predicate must be a basis", e.pos, self.file)
+                raise CompileError("predicate must be a basis", e.pos)
             fn, fi = self._resolve_fn(e.fn, dims, captures, env, hint=None)
             return PredNode(b, fn, pos=e.pos), _Info.fn(bi.out_dim + fi.in_dim, bi.out_dim + fi.out_dim)
         if isinstance(e, MeasureNode):
             b, bi = self._expand_expr(e.basis, dims, captures, env)
             if bi.kind != _BASIS:
-                raise err(".measure applies to a basis", e.pos, self.file)
+                raise CompileError(".measure applies to a basis", e.pos)
             return MeasureNode(b, pos=e.pos), _Info.fn(bi.out_dim, bi.out_dim)
         if isinstance(e, DiscardNode):
             dim = self._eval(e.dim, dims, e.pos)
@@ -318,26 +316,26 @@ class Expander:
             return CondNode(then, flag, els, pos=e.pos), ti
         if isinstance(e, VarNode):
             if e.name in captures:
-                raise err(f"capture '{e.name}' cannot be used as a value",
-                          e.pos, self.file)
+                raise CompileError(
+                    f"capture '{e.name}' cannot be used as a value", e.pos)
             if e.name in env:
                 return e, env[e.name]
             if self.program.qpu(e.name) is not None:
                 return self._resolve_fn(e, dims, captures, env, hint=None)
-            raise err(f"unknown name '{e.name}'", e.pos, self.file)
+            raise CompileError(f"unknown name '{e.name}'", e.pos)
         if isinstance(e, CallNode):
             return self._resolve_fn(e, dims, captures, env, hint=None)
         if isinstance(e, AngleNode):
-            return AngleNode(_subst_angle(e.angle, captures, self.file), pos=e.pos), _Info(_ANGLE)
+            return AngleNode(_subst_angle(e.angle, captures), pos=e.pos), _Info(_ANGLE)
         if isinstance(e, BitsNode):
             return e, _Info(_BITS, out_dim=len(e.bits))
-        raise err(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()), self.file)
+        raise CompileError(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()))
 
     def _eval(self, d: DimExpr, dims: dict[str, int], pos: Pos) -> int:
         try:
-            return eval_dim(d, dims, self.file)
+            return eval_dim(d, dims)
         except _Unbound as u:
-            raise err(f"dimension variable {u.name} is unbound", pos, self.file)
+            raise CompileError(f"dimension variable {u.name} is unbound", pos)
 
     # -- function-position resolution -------------------------------------------
 
@@ -348,13 +346,13 @@ class Expander:
         if isinstance(e, CallNode):
             target = self.program.qpu(e.fn)
             if target is None:
-                raise err(f"unknown kernel '{e.fn}'", e.pos, self.file)
+                raise CompileError(f"unknown kernel '{e.fn}'", e.pos)
             return self._instantiate_call(e, target, dims, captures, env, hint)
         if isinstance(e, EmbedNode):
             return self._resolve_embed(e, dims, captures, env, hint)
         new_e, info = self._expand_expr(e, dims, captures, env)
         if info.kind != _FN:
-            raise err("expected a function value", getattr(e, "pos", Pos()), self.file)
+            raise CompileError("expected a function value", getattr(e, "pos", Pos()))
         return new_e, info
 
     def _bind(self, target, site, cap_params, in_dim: Optional[DimExpr],
@@ -369,11 +367,11 @@ class Expander:
         """
         pos = site.pos
         if len(site.dim_args) > len(target.dim_vars):
-            raise err(f"too many dimension bindings for {target.name}", pos, self.file)
+            raise CompileError(f"too many dimension bindings for {target.name}", pos)
         inner_dims = {var: self._eval(d, dims, pos)
                       for var, d in zip(target.dim_vars, site.dim_args)}
         if len(site.args) > len(cap_params):
-            raise err(f"too many capture arguments for {target.name}", pos, self.file)
+            raise CompileError(f"too many capture arguments for {target.name}", pos)
         inner_captures: dict[str, ExprNode] = {}
         for p, a in zip(cap_params, site.args):
             if isinstance(a, VarNode) and a.name in captures:
@@ -383,25 +381,25 @@ class Expander:
                 na, info = self._expand_expr(a, dims, captures, env)
             if p.type.kind == "bit":
                 if info.kind != _BITS or not isinstance(na, BitsNode):
-                    raise err(f"capture '{p.name}' must be a constant bit string", pos, self.file)
-                _solve_dim(p.type.dim, len(na.bits), inner_dims, pos, self.file)
+                    raise CompileError(f"capture '{p.name}' must be a constant bit string", pos)
+                _solve_dim(p.type.dim, len(na.bits), inner_dims, pos)
             elif info.kind != _ANGLE:
-                raise err(f"capture '{p.name}' must be an angle", pos, self.file)
+                raise CompileError(f"capture '{p.name}' must be an angle", pos)
             inner_captures[p.name] = na
         for name, default in zip(target.dim_vars, target.dim_defaults):
             if name not in inner_dims and default is not None:
                 inner_dims[name] = default
         if hint is not None and in_dim is not None:
             try:
-                _solve_dim(in_dim, hint, inner_dims, pos, self.file)
+                _solve_dim(in_dim, hint, inner_dims, pos)
             except _Unbound:
                 pass
         missing = [v for v in target.dim_vars if v not in inner_dims]
         if missing:
-            raise err(
+            raise CompileError(
                 f"cannot infer dimension(s) {', '.join(missing)} for {target.name}; "
                 f"bind them explicitly with {target.name}[[...]]",
-                pos, self.file,
+                pos,
             )
         return inner_dims, inner_captures
 
@@ -409,23 +407,23 @@ class Expander:
         cap_params = [p for p in target.params if p.type.kind != "qubit"]
         qubit_params = [p for p in target.params if p.type.kind == "qubit"]
         if len(call.args) < len(cap_params):
-            raise err(
+            raise CompileError(
                 f"kernel {target.name} needs {len(cap_params)} capture argument(s)",
-                call.pos, self.file,
+                call.pos,
             )
         q_dim = qubit_params[0].type.dim if qubit_params else None
         inner_dims, inner_captures = self._bind(
             target, call, cap_params, q_dim, dims, captures, env, hint)
         inst = self._instantiate_qpu(target, inner_dims, inner_captures)
-        in_dim = eval_dim(q_dim, inner_dims, self.file) if qubit_params else 0
+        in_dim = eval_dim(q_dim, inner_dims) if qubit_params else 0
         ret = target.ret_type
-        out_dim = eval_dim(ret.dim, inner_dims, self.file)
+        out_dim = eval_dim(ret.dim, inner_dims)
         return VarNode(inst, pos=call.pos), _Info.fn(in_dim, out_dim)
 
     def _resolve_embed(self, e: EmbedNode, dims, captures, env, hint):
         target = self.program.classical(e.fn)
         if target is None:
-            raise err(f"unknown classical function '{e.fn}'", e.pos, self.file)
+            raise CompileError(f"unknown classical function '{e.fn}'", e.pos)
         # Captures bind the leading parameters; the rest are the inputs.
         free_params = target.params[len(e.args):]
         # xor embeds act on inputs+outputs; sign embeds on inputs alone.
@@ -439,10 +437,10 @@ class Expander:
         inst = self._instantiate_classical(
             target, inner_dims,
             {name: c.bits for name, c in inner_captures.items()})
-        n = sum(eval_dim(p.type.dim, inner_dims, self.file) for p in free_params)
-        k = eval_dim(target.ret_type.dim, inner_dims, self.file)
+        n = sum(eval_dim(p.type.dim, inner_dims) for p in free_params)
+        k = eval_dim(target.ret_type.dim, inner_dims)
         if e.mode == "sign" and k != 1:
-            raise err(".sign requires a single output bit", e.pos, self.file)
+            raise CompileError(".sign requires a single output bit", e.pos)
         width = n + k if e.mode == "xor" else n
         return EmbedNode(inst, e.mode, (), (), pos=e.pos), _Info.fn(width, width)
 
@@ -457,7 +455,7 @@ class Expander:
             for p in fn.params
             if p.name not in captures
         )
-        body = _expand_cexpr(fn.body, dim_env, captures, self.file)
+        body = _expand_cexpr(fn.body, dim_env, captures)
         self.out_classicals.append(
             ClassicalFn(
                 name, (), (), params, self._subst_type(fn.ret_type, dim_env),
@@ -467,7 +465,7 @@ class Expander:
         return name
 
 
-def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str], file: str) -> CExpr:
+def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str]) -> CExpr:
     if isinstance(e, CVar):
         if e.name in captures:
             return CLit(captures[e.name], pos=e.pos)
@@ -477,54 +475,54 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str], file
     if isinstance(e, CBin):
         return CBin(
             e.op,
-            _expand_cexpr(e.left, dims, captures, file),
-            _expand_cexpr(e.right, dims, captures, file),
+            _expand_cexpr(e.left, dims, captures),
+            _expand_cexpr(e.right, dims, captures),
             pos=e.pos,
         )
     if isinstance(e, CNot):
-        return CNot(_expand_cexpr(e.operand, dims, captures, file), pos=e.pos)
+        return CNot(_expand_cexpr(e.operand, dims, captures), pos=e.pos)
     if isinstance(e, CIndex):
         return CIndex(
-            _expand_cexpr(e.operand, dims, captures, file),
-            DimLit(eval_dim(e.index, dims, file)),
+            _expand_cexpr(e.operand, dims, captures),
+            DimLit(eval_dim(e.index, dims)),
             pos=e.pos,
         )
     if isinstance(e, CSlice):
         return CSlice(
-            _expand_cexpr(e.operand, dims, captures, file),
-            DimLit(eval_dim(e.lo, dims, file)),
-            DimLit(eval_dim(e.hi, dims, file)),
+            _expand_cexpr(e.operand, dims, captures),
+            DimLit(eval_dim(e.lo, dims)),
+            DimLit(eval_dim(e.hi, dims)),
             pos=e.pos,
         )
     if isinstance(e, CReduce):
-        return CReduce(e.op, _expand_cexpr(e.operand, dims, captures, file), pos=e.pos)
+        return CReduce(e.op, _expand_cexpr(e.operand, dims, captures), pos=e.pos)
     if isinstance(e, CRepeat):
         return CRepeat(
-            _expand_cexpr(e.operand, dims, captures, file),
-            DimLit(eval_dim(e.count, dims, file)),
+            _expand_cexpr(e.operand, dims, captures),
+            DimLit(eval_dim(e.count, dims)),
             pos=e.pos,
         )
-    raise err(f"unexpected classical node {type(e).__name__}", getattr(e, "pos", Pos()), file)
+    raise CompileError(f"unexpected classical node {type(e).__name__}", getattr(e, "pos", Pos()))
 
 
-def _subst_angle(a, captures, file):
+def _subst_angle(a, captures):
     """``a`` (an angle expression or None) with captured angles substituted."""
     if isinstance(a, AngleVar):
         if a.name in captures and isinstance(captures[a.name], AngleNode):
             return captures[a.name].angle
-        raise err(f"unknown angle '{a.name}'", a.pos, file)
+        raise CompileError(f"unknown angle '{a.name}'", a.pos)
     if isinstance(a, AngleNeg):
-        return AngleNeg(_subst_angle(a.operand, captures, file), pos=a.pos)
+        return AngleNeg(_subst_angle(a.operand, captures), pos=a.pos)
     if isinstance(a, AngleBin):
         return AngleBin(
             a.op,
-            _subst_angle(a.left, captures, file),
-            _subst_angle(a.right, captures, file),
+            _subst_angle(a.left, captures),
+            _subst_angle(a.right, captures),
             pos=a.pos,
         )
     return a
 
 
-def expand(program: Program, bindings: dict[str, int], file: str = "<input>") -> Program:
+def expand(program: Program, bindings: dict[str, int]) -> Program:
     """Monomorphize ``program`` starting from its entry kernel."""
-    return Expander(program, bindings, file).run()
+    return Expander(program, bindings).run()

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .ast_nodes import Pos
-from .diagnostics import err
+from .diagnostics import CompileError
 
 KEYWORDS = {
     "qpu", "classical", "rev", "let", "if", "else", "pi", "discard", "id",
@@ -45,7 +45,7 @@ class Token:
     pos: Pos
 
 
-def tokenize(source: str, file: str = "<input>") -> list[Token]:
+def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, start = 1, 0  # the current line and the offset it starts at
     for m in _TOKEN.finditer(source):
@@ -66,12 +66,12 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             kind = text
         elif kind == "QLIT":
             if len(text) == 1 or text[-1] != "'":
-                raise err("unterminated qubit literal", pos, file)
+                raise CompileError("unterminated qubit literal", pos)
             text = text[1:-1]
             if not text or text.strip("01pmij"):
-                raise err(f"bad qubit literal '{text}'", pos, file)
+                raise CompileError(f"bad qubit literal '{text}'", pos)
         if kind == "BAD":
-            raise err(f"unexpected character {text[0]!r}", pos, file)
+            raise CompileError(f"unexpected character {text[0]!r}", pos)
         tokens.append(Token(kind, text, pos))
     # A comment does not advance the column, so a source that ends in one
     # ends where the comment starts.

@@ -18,7 +18,7 @@ from .ast_nodes import (
     VarNode,
 )
 from .bases import Prim
-from .diagnostics import err
+from .diagnostics import CompileError
 from .qwir import FnBuilder, QwModule, bit, func, qubit
 from .typecheck import TypedProgram, basis_of, fold_angle
 
@@ -37,7 +37,6 @@ class _Lowerer:
     def __init__(self, tp: TypedProgram, m: QwModule):
         self.tp = tp
         self.m = m
-        self.file = tp.file
 
     def lower_fn(self, q: QpuFn) -> None:
         b = FnBuilder(q.name, q.reversible)
@@ -90,7 +89,7 @@ class _Lowerer:
         if isinstance(e, VarNode):
             if e.name in env:
                 return env[e.name]
-            raise err(f"unknown value '{e.name}'", e.pos, self.file)
+            raise CompileError(f"unknown value '{e.name}'", e.pos)
         # Remaining expression forms denote function values.
         return self.fn_value(b, e, env)
 
@@ -109,7 +108,7 @@ class _Lowerer:
                                                   [qubit(len(e.chars))])
         if e.phase is not None:
             # The phase goes on the first run's vector.
-            theta = fold_angle(e.phase, e.pos, self.file)
+            theta = fold_angle(e.phase, e.pos)
             prim0, bits0 = runs[0]
             parts = [v] if len(runs) == 1 else b.emit(
                 "qbunpack", [v], [qubit(len(r[1])) for r in runs],
@@ -129,12 +128,12 @@ class _Lowerer:
 
     def fn_value(self, b: FnBuilder, e: ExprNode, env) -> int:
         if isinstance(e, TransNode):
-            b_in = basis_of(e.b_in, self.file)
-            b_out = basis_of(e.b_out, self.file)
+            b_in = basis_of(e.b_in)
+            b_out = basis_of(e.b_out)
             return self._op_lambda(b, "qbtrans", b_in.dim, [qubit(b_in.dim)],
                                    {"b_in": b_in, "b_out": b_out})
         if isinstance(e, MeasureNode):
-            basis = basis_of(e.basis, self.file)
+            basis = basis_of(e.basis)
             return self._op_lambda(b, "qbmeas", basis.dim, [bit(basis.dim)],
                                    {"basis": basis})
         if isinstance(e, DiscardNode):
@@ -146,7 +145,7 @@ class _Lowerer:
         if isinstance(e, VarNode):
             fty = self.tp.fn_types.get(e.name)
             if fty is None:
-                raise err(f"unknown function '{e.name}'", e.pos, self.file)
+                raise CompileError(f"unknown function '{e.name}'", e.pos)
             (fv,) = b.emit(
                 "func_const", [],
                 [func(fty.in_dim, fty.out.kind, fty.out.dim, fty.rev)],
@@ -158,7 +157,7 @@ class _Lowerer:
             (fv,) = b.emit("func_adj", [inner], [b.fn.types[inner]])
             return fv
         if isinstance(e, PredNode):
-            basis = basis_of(e.basis, self.file)
+            basis = basis_of(e.basis)
             inner = self.fn_value(b, e.fn, env)
             ity = b.fn.types[inner]
             n = basis.dim + ity.fin
@@ -180,9 +179,9 @@ class _Lowerer:
             b.pop_block()
             (fv,) = b.emit("cond", [flag], [tty], {}, [then_region, else_region])
             return fv
-        raise err(
+        raise CompileError(
             f"cannot lower {type(e).__name__} as a function value",
-            getattr(e, "pos", Pos()), self.file,
+            getattr(e, "pos", Pos()),
         )
 
     def _op_lambda(self, b: FnBuilder, kind: str, n: int, result_tys: list,

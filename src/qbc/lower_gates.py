@@ -18,16 +18,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bases import Prim
+from .diagnostics import CompileError
 from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
 )
 from .qwir import QwFunc, QwModule, QwOp
 from .qwir_passes import undo_swaps
 from .synth import embed_gates, lower_translation, measurement_rotation
-
-
-class LowerError(Exception):
-    pass
 
 
 _PREP_DESTD = {
@@ -60,7 +57,7 @@ class _GateLowerer:
 
     def run(self) -> QCircFn:
         if any(self.src.types[p].kind == "qubit" for p in self.src.params):
-            raise LowerError("entry takes qubits")
+            raise CompileError("entry takes qubits")
         for op in self.src.block.ops:
             self.lower_op(op, None)
         return self.fn
@@ -86,7 +83,7 @@ class _GateLowerer:
             self.qmap[op.results[0]] = slots
         elif k == "qbmeas":
             if condition is not None:
-                raise LowerError("measurement inside a conditional")
+                raise CompileError("measurement inside a conditional")
             slots = list(self.qmap[op.operands[0]])
             self.emit_gates(slots, measurement_rotation(op.attrs["basis"]), None)
             bits = []
@@ -97,7 +94,7 @@ class _GateLowerer:
             self.bmap[op.results[0]] = bits
         elif k == "qbdiscard":
             if condition is not None:
-                raise LowerError("discard inside a conditional")
+                raise CompileError("discard inside a conditional")
             for s in self.qmap[op.operands[0]]:
                 self.fn.ops.append(QOp("qfree", (self.slot_val[s],)))
         elif k in ("qbpack", "bitpack"):
@@ -115,7 +112,7 @@ class _GateLowerer:
             gates, width, anc = embed_gates(cfn, op.attrs["mode"], op.attrs.get("pred"))
             slots = list(self.qmap[op.operands[0]])
             if width != len(slots):
-                raise LowerError("embed width mismatch")
+                raise CompileError("embed width mismatch")
             anc_slots = [self.alloc_slot() for _ in range(anc)]
             self.emit_gates(slots + anc_slots, gates, condition)
             for s in anc_slots:
@@ -127,21 +124,21 @@ class _GateLowerer:
             bits = []
             for v in op.operands:
                 if self.src.types[v].kind != "bit":
-                    raise LowerError("entry must return bits")
+                    raise CompileError("entry must return bits")
                 bits.extend(self.bmap[v])
             self.fn.ops.append(QOp("ret", tuple(bits)))
         elif k in ("call", "call_indirect", "func_const", "func_adj",
                    "func_pred", "lambda"):
-            raise LowerError(
+            raise CompileError(
                 f"residual {k} op; gate-level lowering needs a fully "
                 "inlined module"
             )
         else:
-            raise LowerError(f"cannot lower op {k}")
+            raise CompileError(f"cannot lower op {k}")
 
     def lower_cond(self, op: QwOp, condition) -> None:
         if condition is not None:
-            raise LowerError("nested conditionals are not supported")
+            raise CompileError("nested conditionals are not supported")
         (flag,) = self.bmap[op.operands[0]]
         branch_slots = []
         for region, truth in ((op.regions[0], True), (op.regions[1], False)):

@@ -34,7 +34,7 @@ from .ast_nodes import (
     QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode,
     AdjointNode, VarNode, VecNode,
 )
-from .diagnostics import err
+from .diagnostics import CompileError
 from .lexer import Token, tokenize
 
 MAX_NESTING = 100
@@ -44,10 +44,9 @@ CLASSICAL_LEVELS = {"|": 0, "^": 1, "&": 2}
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
-        self.file = file
         self.depth = 0  # open parentheses, ~, unary - and else arms
 
     # -- token plumbing ---------------------------------------------------
@@ -66,7 +65,7 @@ class Parser:
     def expect(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise err(f"expected {kind!r}, found {t.text or t.kind!r}", t.pos, self.file)
+            raise CompileError(f"expected {kind!r}, found {t.text or t.kind!r}", t.pos)
         return self.take()
 
     def accept(self, kind: str) -> Optional[Token]:
@@ -78,8 +77,8 @@ class Parser:
     def nested(self, t: Token):
         """Parse one level deeper than ``t``, which opens the level."""
         if self.depth == MAX_NESTING:
-            raise err(f"expression nests deeper than {MAX_NESTING} levels",
-                      t.pos, self.file)
+            raise CompileError(
+                f"expression nests deeper than {MAX_NESTING} levels", t.pos)
         self.depth += 1
         try:
             yield
@@ -97,7 +96,7 @@ class Parser:
                 qpus.append(self.parse_qpu())
             else:
                 t = self.peek()
-                raise err(f"expected 'qpu' or 'classical', found {t.text!r}", t.pos, self.file)
+                raise CompileError(f"expected 'qpu' or 'classical', found {t.text!r}", t.pos)
         return Program(tuple(qpus), tuple(classicals))
 
     def parse_dim_vars(self) -> tuple[tuple[str, ...], tuple[Optional[int], ...]]:
@@ -128,10 +127,10 @@ class Parser:
             return TypeNode(t.kind, dim, pos=t.pos)
         if t.kind == "angle":
             if not angle:
-                raise err("only kernel parameters may be angles", t.pos, self.file)
+                raise CompileError("only kernel parameters may be angles", t.pos)
             self.take()
             return TypeNode("angle", None, pos=t.pos)
-        raise err(f"expected a type, found {t.text!r}", t.pos, self.file)
+        raise CompileError(f"expected a type, found {t.text!r}", t.pos)
 
     def parse_params(self, angle: bool = False) -> tuple[ParamNode, ...]:
         params = []
@@ -155,11 +154,11 @@ class Parser:
         if ty.kind == "bit":
             tok = self.expect("QLIT")
             if any(c not in "01" for c in tok.text):
-                raise err("bit literal may only contain 0 and 1", tok.pos, self.file)
+                raise CompileError("bit literal may only contain 0 and 1", tok.pos)
             return BitsNode(tok.text, pos=tok.pos)
         if ty.kind == "angle":
             return AngleNode(self.parse_angle_expr(), pos=t.pos)
-        raise err("only bit and angle parameters may have defaults", t.pos, self.file)
+        raise CompileError("only bit and angle parameters may have defaults", t.pos)
 
     def parse_qpu(self) -> QpuFn:
         kw = self.expect("qpu")
@@ -267,7 +266,7 @@ class Parser:
                 elif isinstance(e, CallNode) and not e.dim_args:
                     e = CallNode(e.fn, tuple(dims), e.args, pos=t.pos)
                 else:
-                    raise err("dimension bindings apply to function names", t.pos, self.file)
+                    raise CompileError("dimension bindings apply to function names", t.pos)
             elif self.at("["):
                 t = self.take()
                 count = self.parse_dim_expr()
@@ -287,7 +286,7 @@ class Parser:
                 elif isinstance(e, CallNode) and not e.args:
                     e = CallNode(e.fn, e.dim_args, tuple(args), pos=t.pos)
                 else:
-                    raise err("only function names can be called", t.pos, self.file)
+                    raise CompileError("only function names can be called", t.pos)
             elif self.at("."):
                 t = self.take()
                 method = self.peek()
@@ -304,14 +303,12 @@ class Parser:
                     elif isinstance(e, CallNode):
                         e = EmbedNode(e.fn, method.kind, e.args, e.dim_args, pos=t.pos)
                     else:
-                        raise err(
+                        raise CompileError(
                             f".{method.kind} applies to classical function names",
-                            t.pos, self.file,
+                            t.pos,
                         )
                 else:
-                    raise err(
-                        f"unknown method .{method.text}", method.pos, self.file
-                    )
+                    raise CompileError(f"unknown method .{method.text}", method.pos)
             elif self.at("@"):
                 t = self.take()
                 angle = self.parse_angle_unary()
@@ -321,7 +318,7 @@ class Parser:
                     inner = QubitLitNode(e.operand.chars, angle, pos=e.operand.pos)
                     e = RepeatNode(inner, e.count, pos=e.pos)
                 else:
-                    raise err("@ phase applies to qubit literals", t.pos, self.file)
+                    raise CompileError("@ phase applies to qubit literals", t.pos)
             else:
                 return e
 
@@ -332,14 +329,14 @@ class Parser:
             chars = {"std": ("0", "1"), "pm": ("p", "m"), "ij": ("i", "j")}[e.prim]
             flipped = BasisLitNode((VecNode(chars[1]), VecNode(chars[0])), pos=pos)
             return TransNode(BuiltinBasisNode(e.prim, DimLit(1), pos=e.pos), flipped, pos=pos)
-        raise err(".flip applies to the single-qubit bases std, pm, ij", pos, self.file)
+        raise CompileError(".flip applies to the single-qubit bases std, pm, ij", pos)
 
     def parse_capture_arg(self) -> ExprNode:
         t = self.peek()
         if t.kind == "QLIT":
             self.take()
             if any(c not in "01" for c in t.text):
-                raise err("bit literal may only contain 0 and 1", t.pos, self.file)
+                raise CompileError("bit literal may only contain 0 and 1", t.pos)
             return BitsNode(t.text, pos=t.pos)
         if t.kind == "IDENT":
             self.take()
@@ -399,7 +396,7 @@ class Parser:
                 e = self.parse_expr()
             self.expect(")")
             return e
-        raise err(f"unexpected token {t.text or t.kind!r}", t.pos, self.file)
+        raise CompileError(f"unexpected token {t.text or t.kind!r}", t.pos)
 
     def parse_vec(self) -> VecNode:
         t = self.expect("QLIT")
@@ -444,7 +441,7 @@ class Parser:
                 e = self.parse_dim_expr()
             self.expect(")")
             return e
-        raise err(f"expected a dimension, found {t.text!r}", t.pos, self.file)
+        raise CompileError(f"expected a dimension, found {t.text!r}", t.pos)
 
     def parse_angle_expr(self):
         return self.binary(self.parse_angle_unary, ARITH_LEVELS, AngleBin)
@@ -467,7 +464,7 @@ class Parser:
         if t.kind in ("FLOAT", "INT"):
             self.take()
             if not math.isfinite(value := float(t.text)):
-                raise err("angle literal is too large", t.pos, self.file)
+                raise CompileError("angle literal is too large", t.pos)
             return AngleLit(value, pos=t.pos)
         if t.kind == "IDENT":
             self.take()
@@ -478,7 +475,7 @@ class Parser:
                 e = self.parse_angle_expr()
             self.expect(")")
             return e
-        raise err(f"expected an angle, found {t.text!r}", t.pos, self.file)
+        raise CompileError(f"expected an angle, found {t.text!r}", t.pos)
 
     # -- classical ----------------------------------------------------------
 
@@ -490,7 +487,7 @@ class Parser:
         self.expect("->")
         ret = self.parse_type()
         if ret.kind != "bit":
-            raise err("classical functions return bit[?]", ret.pos, self.file)
+            raise CompileError("classical functions return bit[?]", ret.pos)
         self.expect("{")
         body = self.parse_cexpr()
         self.expect("}")
@@ -528,7 +525,7 @@ class Parser:
         if t.kind == "QLIT":
             self.take()
             if any(c not in "01" for c in t.text):
-                raise err("bit literal may only contain 0 and 1", t.pos, self.file)
+                raise CompileError("bit literal may only contain 0 and 1", t.pos)
             return CLit(t.text, pos=t.pos)
         if t.kind in ("xor_reduce", "and_reduce", "or_reduce"):
             self.take()
@@ -555,13 +552,13 @@ class Parser:
                 e = self.parse_cexpr()
             self.expect(")")
             return e
-        raise err(f"unexpected token {t.text!r} in classical body", t.pos, self.file)
+        raise CompileError(f"unexpected token {t.text!r} in classical body", t.pos)
 
 
-def parse(source: str, file: str = "<input>") -> Program:
+def parse(source: str) -> Program:
     """Parse source text into a Program; raises CompileError on bad syntax."""
-    p = Parser(tokenize(source, file), file)
+    p = Parser(tokenize(source))
     prog = p.parse_program()
     if not prog.qpus and not prog.classicals:
-        raise err("empty program: missing entry kernel 'main'", Pos(1, 1), file)
+        raise CompileError("empty program: missing entry kernel 'main'", Pos(1, 1))
     return prog

@@ -24,27 +24,32 @@ gate sits lowest in depth (``backends.allocate``) and a fresh one only when
 none is free. On every benchmark program that keeps the depth of fresh
 registers. -O0 alone gives every ``qalloc`` a fresh register. ``qbc stats``
 reports the width the backends declare under the same options.
+
+Every stage reports bad input by raising ``CompileError``, positioned where
+the stage knows the source position. No stage takes the file name: the
+entry points that do (``front``, ``compile_source``, ``compile_to_circuit``)
+are wrapped by ``_names_file``, which puts it on the error as it leaves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
-from .backends import BackendError, allocate, emit_qasm3, emit_qir_base
+from .backends import allocate, emit_qasm3, emit_qir_base
 from .canon_ast import canonicalize_ast
-from .diagnostics import CompileError, Diagnostic
+from .diagnostics import CompileError
 from .expand import expand
 from .lower_ast import lower_to_ir
-from .lower_gates import LowerError, lower_module
+from .lower_gates import lower_module
 from .parser import parse
 from .peephole import decompose_multicontrol, fold_phases, peephole
 from .printer import print_program
 from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
 from .qwir_passes import (
-    PassError, canonicalize_ir, check_acyclic, generate_specializations,
-    inline, lift_lambdas, prune_unreachable,
+    canonicalize_ir, check_acyclic, generate_specializations, inline,
+    lift_lambdas, prune_unreachable,
 )
 from .typecheck import typecheck
 
@@ -62,36 +67,42 @@ def _reuse(opts: Options) -> bool:
     return opts.reuse_qubits or opts.opt_level >= 1
 
 
+def _names_file(compile_fn):
+    """``compile_fn(source, file, ...)`` with ``file`` put on the
+    CompileError that any stage raises: the one place a diagnostic gets its
+    file name."""
+    @functools.wraps(compile_fn)
+    def wrapper(source: str, file: str, *args):
+        try:
+            return compile_fn(source, file, *args)
+        except CompileError as e:
+            e.file = file
+            raise
+    return wrapper
+
+
+@_names_file
 def front(source: str, file: str, opts: Options):
-    prog = parse(source, file)
-    prog = expand(prog, opts.dims, file)
-    tp = typecheck(prog, file)
+    tp = typecheck(expand(parse(source), opts.dims))
     return replace(tp, program=canonicalize_ast(tp.program))
 
 
 def to_qwir(tp, opts: Options) -> QwModule:
     m = lower_to_ir(tp)
     verify(m)
-    try:
-        lift_lambdas(m)
-        canonicalize_ir(m)
-        prune_unreachable(m)
-        check_acyclic(m)
-        generate_specializations(m)
-        verify(m)
-        inline(m)
-    except PassError as e:
-        raise CompileError(Diagnostic("error", str(e), file=tp.file))
+    lift_lambdas(m)
+    canonicalize_ir(m)
+    prune_unreachable(m)
+    check_acyclic(m)
+    generate_specializations(m)
+    verify(m)
+    inline(m)
     verify(m)
     return m
 
 
-def to_gates(m: QwModule, opts: Options,
-             file: Optional[str] = None) -> QCircModule:
-    try:
-        qc = lower_module(m)
-    except LowerError as e:
-        raise CompileError(Diagnostic("error", str(e), file=file))
+def to_gates(m: QwModule, opts: Options) -> QCircModule:
+    qc = lower_module(m)
     verify_circuit(qc)
     if opts.opt_level >= 1:
         qc = peephole(fold_phases(qc))
@@ -102,6 +113,7 @@ def to_gates(m: QwModule, opts: Options,
     return qc
 
 
+@_names_file
 def compile_source(source: str, file: str, opts: Options, emit: str) -> str:
     tp = front(source, file, opts)
     if emit == "ast":
@@ -109,23 +121,19 @@ def compile_source(source: str, file: str, opts: Options, emit: str) -> str:
     m = to_qwir(tp, opts)
     if emit == "qwerty-ir":
         return print_module(m)
-    qc = to_gates(m, opts, file)
+    qc = to_gates(m, opts)
     if emit == "qcircuit-ir":
         return print_qcirc(qc)
-    try:
-        if emit == "qasm":
-            return emit_qasm3(qc, reuse_qubits=_reuse(opts))
-        if emit == "qir":
-            return emit_qir_base(qc, reuse_qubits=_reuse(opts))
-    except BackendError as e:
-        raise CompileError(Diagnostic("error", str(e), file=file))
-    raise CompileError(Diagnostic("error", f"unknown emit target {emit!r}"))
+    if emit == "qasm":
+        return emit_qasm3(qc, reuse_qubits=_reuse(opts))
+    if emit == "qir":
+        return emit_qir_base(qc, reuse_qubits=_reuse(opts))
+    raise CompileError(f"unknown emit target {emit!r}")
 
 
+@_names_file
 def compile_to_circuit(source: str, file: str, opts: Options) -> QCircModule:
-    tp = front(source, file, opts)
-    m = to_qwir(tp, opts)
-    return to_gates(m, opts, file)
+    return to_gates(to_qwir(front(source, file, opts), opts), opts)
 
 
 @dataclass

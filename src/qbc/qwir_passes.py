@@ -22,13 +22,10 @@ from typing import Optional
 from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, Prim, builtin_vectors,
 )
+from .diagnostics import CompileError
 from .qwir import (
     QwBlock, QwFunc, QwModule, QwOp, bit, func, is_stationary, qubit,
 )
-
-
-class PassError(Exception):
-    pass
 
 
 # The qbtrans attributes of a two-qubit SWAP.
@@ -75,7 +72,7 @@ def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
         elif op.kind in ADJOINTABLE:
             quantum_ops.append(op)
         else:
-            raise PassError(f"op {op.kind} is not adjointable")
+            raise CompileError(f"op {op.kind} is not adjointable")
 
     new = QwBlock()
     val_map: dict[int, int] = {}
@@ -94,7 +91,7 @@ def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
 
     term_qubits = [v for v in term.operands if fn.types[v].kind == "qubit"]
     if len(term_qubits) != len(qubit_args):
-        raise PassError("block does not return its qubit arguments")
+        raise CompileError("block does not return its qubit arguments")
     for (_, new_arg), old_out in zip(qubit_args, term_qubits):
         val_map[old_out] = new_arg
 
@@ -169,7 +166,7 @@ def qubit_index_analysis(fn: QwFunc, block: QwBlock) -> dict[int, tuple[int, ...
             if len(qs) == 1 and op.results and fn.types[op.results[0]].kind == "qubit":
                 idx[op.results[0]] = idx[qs[0]]
         else:
-            raise PassError(f"cannot analyze qubit indices through {op.kind}")
+            raise CompileError(f"cannot analyze qubit indices through {op.kind}")
     return idx
 
 
@@ -202,7 +199,7 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
     val_map: dict[int, int] = {}
     qubit_args = [a for a in block.args if fn.types[a].kind == "qubit"]
     if len(qubit_args) != 1:
-        raise PassError("predication expects a single qubit argument")
+        raise CompileError("predication expects a single qubit argument")
     n = fn.types[qubit_args[0]].dim
     for a in block.args:
         if fn.types[a].kind == "qubit":
@@ -253,7 +250,7 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
             (nq,) = pred_apply("call_indirect", [val_map[op.operands[-1]]], {},
                                pre=pfv)
         else:
-            raise PassError(f"op {op.kind} cannot be predicated")
+            raise CompileError(f"op {op.kind} cannot be predicated")
         val_map[op.results[0]] = nq
 
     # Undo renaming-based swaps outside the predicated space.
@@ -648,7 +645,7 @@ def inline(m: QwModule) -> None:
     spliced body, then canonicalizes the functions it changed; resolving a
     ``call_indirect`` there can leave new calls for the next round. The one
     error is a call cycle reachable from the entry, which raises
-    ``PassError`` before anything is spliced.
+    ``CompileError`` before anything is spliced.
     """
     prune_unreachable(m)
     check_acyclic(m)
@@ -697,7 +694,7 @@ def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
 
 
 def check_acyclic(m: QwModule) -> None:
-    """Raise PassError on a cycle of calls and function values reachable
+    """Raise CompileError on a cycle of calls and function values reachable
     from the entry, naming it; an iterative depth-first search."""
     on_path: dict[str, bool] = {}  # True while on the path, False once done
     path: list[str] = []
@@ -710,8 +707,8 @@ def check_acyclic(m: QwModule) -> None:
                 on_path[path.pop()] = False
         elif on_path.get(sym):
             cycle = path[path.index(sym):] + [sym]
-            raise PassError("recursive call cycle "
-                            + " -> ".join(f"@{s}" for s in cycle))
+            raise CompileError("recursive call cycle "
+                               + " -> ".join(f"@{s}" for s in cycle))
         elif sym not in on_path and sym in m.functions:
             on_path[sym] = True
             path.append(sym)
@@ -749,7 +746,7 @@ def _specialize(m: QwModule, call: QwOp) -> QwFunc:
     if name not in m.functions:
         callee = m.functions[call.attrs["sym"]]
         if not callee.reversible:
-            raise PassError(f"cannot specialize irreversible @{callee.name}")
+            raise CompileError(f"cannot specialize irreversible @{callee.name}")
         fn = QwFunc(name, [], [], True, QwBlock())
         block = _clone_into(fn, callee, callee.block)
         if call.attrs.get("adj"):

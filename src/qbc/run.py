@@ -19,8 +19,11 @@ program, so it is read from ``qcirc.wire_starts``, computed once per call: a
 qubit's key in the simulator state is the value its wire began at. A branch
 carries only its state, its measured bits and its weight.
 
-The simulator's limits (2^20 stored amplitudes, 62 live qubits) and a
-``qfreez`` on a qubit that is not |0> end in ``SimulationError``.
+Running has one error type, ``SimulationError`` of ``qbc.simulator``, which
+this module re-exports. The simulator raises it at its limits (2^20 stored
+amplitudes, 62 live qubits) and at a ``qfreez`` on a qubit that is not |0>;
+``_execute`` puts the failing op in front of its message in one place, as
+``qalloc %62:``, ``h %7:`` or ``qfreez %9:``.
 
 This module and ``qbc.simulator`` are qbc's only numpy users: the compiler
 never imports them, and ``qbc.cli`` loads them for ``qbc run`` alone.
@@ -33,11 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcirc import QCircModule, QOp, wire_starts
-from .simulator import AncillaNotClean, LimitError, StateVector
-
-
-class SimulationError(Exception):
-    pass
+from .simulator import SimulationError, StateVector
 
 
 def _exec_op(sv: StateVector, op: QOp, start: dict[int, int],
@@ -46,31 +45,17 @@ def _exec_op(sv: StateVector, op: QOp, start: dict[int, int],
     ``qfree``). ``start`` is ``wire_starts`` of the function: a qubit's
     key in the simulator state is the value its wire began at."""
     if op.kind == "qalloc":
-        try:
-            sv.alloc(op.results[0])
-        except LimitError as e:
-            raise SimulationError(f"qalloc %{op.results[0]}: {e}") from e
+        sv.alloc(op.results[0])
     elif op.kind == "gate":
         if op.condition is not None:
             bit, want = op.condition
             if bits[bit] != int(want):
                 return
         keys = [start[v] for v in op.operands]
-        try:
-            sv.gate(
-                op.gate.name,
-                keys[op.num_controls:],
-                keys[: op.num_controls],
-                op.param,
-            )
-        except LimitError as e:
-            raise SimulationError(f"{op.gate.value} %{op.results[0]}: {e}") \
-                from e
+        sv.gate(op.gate.name, keys[op.num_controls:],
+                keys[: op.num_controls], op.param)
     elif op.kind == "qfreez":
-        try:
-            sv.freez(start[op.operands[0]])
-        except AncillaNotClean as e:
-            raise SimulationError(f"qfreez %{op.operands[0]}: {e}") from e
+        sv.freez(start[op.operands[0]])
     else:
         raise SimulationError(f"cannot execute op kind {op.kind}")
 
@@ -99,9 +84,17 @@ def _execute(m: QCircModule, weight: float,
     stack = [(0, StateVector(), {}, weight)] if weight else []
     while stack:
         i, sv, bits, w = stack.pop()
-        while i < len(ops) and ops[i].kind not in _STOPS:
-            _exec_op(sv, ops[i], start, bits)
-            i += 1
+        try:
+            while i < len(ops) and ops[i].kind not in _STOPS:
+                _exec_op(sv, ops[i], start, bits)
+                i += 1
+        except SimulationError as e:
+            # Name the failing op by its kind (a gate by its name) and the
+            # first value it defines, or uses when it defines none.
+            op = ops[i]
+            name = op.gate.value if op.kind == "gate" else op.kind
+            raise SimulationError(
+                f"{name} %{(op.results or op.operands)[0]}: {e}") from e
         if i == len(ops):
             key = ""
         elif ops[i].kind == "ret":

@@ -29,8 +29,10 @@ of probability, so even a state at the amplitude limit loses at most about
 Limits. A state stores at most ``MAX_AMPS`` = 2^20 amplitudes (the memory of
 a dense 20-qubit state) and holds at most ``MAX_LIVE`` = 62 live qubits (the
 bits of a nonnegative int64 index below bit 62). Reaching either raises
-``LimitError``: an H that would grow the state past 2^20 rows, or a qalloc
-past 62 live qubits.
+``SimulationError``: an H that would grow the state past 2^20 rows, or a
+qalloc past 62 live qubits. So does a ``freez`` of a qubit whose |1>
+probability passes ``FREEZ_TOL``. ``SimulationError`` is the one error of
+running a program; ``qbc.run`` names the op that raised it.
 
 qbc's only numpy users are this module and ``qbc.run``; compiling imports
 neither.
@@ -62,13 +64,9 @@ _PHASE = {
 }
 
 
-class LimitError(Exception):
-    """Raised when a state would pass ``MAX_AMPS`` rows or ``MAX_LIVE``
-    live qubits."""
-
-
-class AncillaNotClean(Exception):
-    """Raised when qfreez sees a qubit with non-negligible |1> amplitude."""
+class SimulationError(Exception):
+    """A program the simulator cannot run: a state past ``MAX_AMPS`` rows
+    or ``MAX_LIVE`` live qubits, or a qfreez on a qubit that is not |0>."""
 
 
 class StateVector:
@@ -96,7 +94,7 @@ class StateVector:
     def alloc(self, key: object) -> None:
         assert key not in self.bits
         if len(self.bits) >= MAX_LIVE:
-            raise LimitError(f"simulator limited to {MAX_LIVE} live qubits")
+            raise SimulationError(f"simulator limited to {MAX_LIVE} live qubits")
         used = self.used
         free = ~used & (used + 1)
         self.bits[key] = free.bit_length() - 1
@@ -160,7 +158,7 @@ class StateVector:
             lone = ~paired
             rows = len(self.idx) + int(np.count_nonzero(lone))
             if rows > MAX_AMPS:
-                raise LimitError(
+                raise SimulationError(
                     f"simulator limited to {MAX_AMPS} stored amplitudes, "
                     f"this gate needs {rows}")
             # A lone row's missing partner gets amp / sqrt2 either way.
@@ -174,13 +172,15 @@ class StateVector:
             new = np.concatenate((rest[1], new))
         self.idx, self.amp = idx, new
 
-    def _split(self, key: object) -> tuple[int, np.ndarray, float]:
-        """The key's bit mask, which rows have that bit set, and the
-        probability of reading 1."""
+    def _split(self, key: object) -> tuple[int, np.ndarray]:
+        """The key's bit mask and which rows have that bit set."""
         m = 1 << self.bits[key]
-        hit = (self.idx & m) != 0
-        a = self.amp[hit]
-        return m, hit, float(np.vdot(a, a).real)
+        return m, (self.idx & m) != 0
+
+    def _prob(self, rows: np.ndarray) -> float:
+        """The probability the given rows carry."""
+        a = self.amp[rows]
+        return float(np.vdot(a, a).real)
 
     def _projected(self, key: object, m: int, rows: np.ndarray,
                    prob: float) -> "StateVector":
@@ -200,29 +200,32 @@ class StateVector:
         self.bits, self.used = other.bits, other.used
 
     def measure(self, key: object) -> int:
-        m, hit, p1 = self._split(key)
-        outcome = 1 if self.rng.random() < p1 else 0
+        m, hit = self._split(key)
+        outcome = 1 if self.rng.random() < self._prob(hit) else 0
         rows = hit if outcome else ~hit
-        self._become(self._projected(key, m, rows,
-                                     p1 if outcome else 1.0 - p1))
+        self._become(self._projected(key, m, rows, self._prob(rows)))
         return outcome
 
     def freez(self, key: object) -> None:
-        m, hit, p1 = self._split(key)
+        m, hit = self._split(key)
+        p1 = self._prob(hit)
         if p1 > FREEZ_TOL:
-            raise AncillaNotClean(
+            raise SimulationError(
                 f"qfreez on qubit with |1> probability {p1:.3e}"
             )
-        self._become(self._projected(key, m, ~hit, 1.0 - p1))
+        self._become(self._projected(key, m, ~hit, self._prob(~hit)))
 
     def branch(self, key: object) -> list[tuple[int, float, "StateVector"]]:
         """Each measurement outcome of nonzero probability, with that
-        probability and the projected state; ``self`` is left unchanged."""
-        m, hit, p1 = self._split(key)
+        probability and the projected state; ``self`` is left unchanged.
+        Each outcome's probability is read from its own rows, so an
+        outcome with no rows is never a child: ``1 - p1`` would leave it
+        the rounding error of the other outcome's probability."""
+        m, hit = self._split(key)
         out = []
-        for outcome, prob in ((0, 1.0 - p1), (1, p1)):
-            if prob <= 1e-15:
-                continue
-            rows = hit if outcome else ~hit
-            out.append((outcome, prob, self._projected(key, m, rows, prob)))
+        for outcome, rows in ((0, ~hit), (1, hit)):
+            prob = self._prob(rows)
+            if prob > 1e-15:
+                out.append((outcome, prob,
+                            self._projected(key, m, rows, prob)))
         return out

@@ -34,13 +34,10 @@ from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Padding,
     Prim, basis, builtin_vectors, factor_ordered, fully_spans,
 )
+from .diagnostics import CompileError
 from .qcirc import Gate, H, P, S, SDG, SWAP, X, Z, adjoint_gates, g
 
 PERMUTATION_LIMIT = 12
-
-
-class SynthError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def plan_standardization(b_in: Basis, b_out: Basis) -> tuple[StdPlan, StdPlan]:
                 bigstd.append(StdEntry(big.prim, big.dim, bo, True))
             bigdq.appendleft((Padding(delta), bo + small.dim))
     if ldq or rdq:
-        raise SynthError("standardization planning saw mismatched dims")
+        raise CompileError("standardization planning saw mismatched dims")
     return StdPlan(tuple(lstd)), StdPlan(tuple(rstd))
 
 
@@ -319,16 +316,16 @@ def align(b_in: Basis, b_out: Basis) -> list[AlignedPair]:
         while lv.dim != rv.dim:
             if lv.dim < rv.dim:
                 if not ldq:
-                    raise SynthError("alignment ran out of elements")
+                    raise CompileError("alignment ran out of elements")
                 lv = _literal_product(lv, _as_literal(ldq.popleft()))
             else:
                 if not rdq:
-                    raise SynthError("alignment ran out of elements")
+                    raise CompileError("alignment ran out of elements")
                 rv = _literal_product(rv, _as_literal(rdq.popleft()))
         pairs.append(AlignedPair(lv, rv, offset))
         offset += lv.dim
     if ldq or rdq:
-        raise SynthError("alignment saw mismatched dims")
+        raise CompileError("alignment saw mismatched dims")
     return pairs
 
 
@@ -418,11 +415,11 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
     size = len(perm)
     d = size.bit_length() - 1
     if 1 << d != size:
-        raise SynthError("permutation table size must be a power of two")
+        raise CompileError("permutation table size must be a power of two")
     if d > PERMUTATION_LIMIT:
-        raise SynthError(f"permutation too wide ({d} > {PERMUTATION_LIMIT})")
+        raise CompileError(f"permutation too wide ({d} > {PERMUTATION_LIMIT})")
     if sorted(perm) != list(range(size)):
-        raise SynthError("not a permutation")
+        raise CompileError("not a permutation")
     f = [int(v) for v in perm]
     inv = [0] * size
     for x, y in enumerate(f):
@@ -505,7 +502,7 @@ def _check_predicates_unconditional(lstd: StdPlan, rstd: StdPlan,
                 conditional.update(range(e.offset, e.offset + e.dim))
     for qs, _ in groups:
         if conditional & set(qs):
-            raise SynthError(
+            raise CompileError(
                 "predicate qubits overlap a conditional standardization; "
                 "the translation is not well-typed"
             )
@@ -626,7 +623,7 @@ class _ClassicalSynth:
         if isinstance(e, CRepeat):
             (b,) = self.eval(e.operand, env)
             return [b] * e.count.value
-        raise SynthError(f"bad classical node {type(e).__name__}")
+        raise CompileError(f"bad classical node {type(e).__name__}")
 
 
 def _phase_kick(segments: list[list[Gate]], bag: _Bag) -> Optional[list[Gate]]:

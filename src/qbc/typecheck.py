@@ -22,7 +22,7 @@ from .ast_nodes import (
     CNot, CIndex, CSlice, CReduce, CRepeat, map_children,
 )
 from .bases import Prim, check_span_equivalence, fully_spans, validate_literal
-from .diagnostics import err
+from .diagnostics import CompileError
 
 
 @dataclass(frozen=True)
@@ -50,23 +50,23 @@ class FTy:
 Ty = Union[VTy, FTy]
 
 
-def fold_angle(a: AngleExpr, pos: Pos, file: str) -> float:
+def fold_angle(a: AngleExpr, pos: Pos) -> float:
     if isinstance(a, AngleLit):
         return a.value
     if isinstance(a, AnglePi):
         return math.pi
     if isinstance(a, AngleNeg):
-        return -fold_angle(a.operand, pos, file)
+        return -fold_angle(a.operand, pos)
     if isinstance(a, AngleBin):
-        x = fold_angle(a.left, pos, file)
-        y = fold_angle(a.right, pos, file)
+        x = fold_angle(a.left, pos)
+        y = fold_angle(a.right, pos)
         if a.op == "/" and y == 0:
-            raise err("division by zero in angle", pos, file)
+            raise CompileError("division by zero in angle", pos)
         return {"+": x + y, "-": x - y, "*": x * y, "/": x / y}[a.op]
-    raise err("angle is not constant", pos, file)
+    raise CompileError("angle is not constant", pos)
 
 
-def basis_of(e: ExprNode, file: str) -> bases.Basis:
+def basis_of(e: ExprNode) -> bases.Basis:
     """Convert a basis-typed expression into a canon-form Basis value, with
     its phases folded."""
     elements: list[bases.BasisElement] = []
@@ -84,23 +84,22 @@ def basis_of(e: ExprNode, file: str) -> bases.Basis:
             for v in node.vectors:
                 phase = None
                 if v.phase is not None:
-                    phase = fold_angle(v.phase, v.pos, file)
+                    phase = fold_angle(v.phase, v.pos)
                 try:
                     vecs.append(bases.vector_from_chars(v.chars, phase))
                 except ValueError as ex:
-                    raise err(str(ex), v.pos, file)
+                    raise CompileError(str(ex), v.pos)
             elements.append(bases.BasisLiteral(tuple(vecs)))
             return
-        raise err("expected a basis expression", getattr(node, "pos", Pos()), file)
+        raise CompileError("expected a basis expression", getattr(node, "pos", Pos()))
 
     walk(e)
     return bases.Basis(tuple(elements))
 
 
 class TypeChecker:
-    def __init__(self, program: Program, file: str = "<input>"):
+    def __init__(self, program: Program):
         self.program = program
-        self.file = file
         self.fn_types: dict[str, FTy] = {}
         self.classicals: dict[str, ClassicalFn] = {}
 
@@ -114,10 +113,10 @@ class TypeChecker:
             self._check_qpu(q)
         entry = self.program.qpu(self.program.entry)
         if entry is None:
-            raise err(f"missing entry kernel '{self.program.entry}'", Pos(1, 1), self.file)
+            raise CompileError(f"missing entry kernel '{self.program.entry}'", Pos(1, 1))
         if self.fn_types[entry.name].in_dim != 0:
-            raise err("entry kernel must take no qubits", entry.pos, self.file)
-        return TypedProgram(self.program, self.fn_types, self.classicals, self.file)
+            raise CompileError("entry kernel must take no qubits", entry.pos)
+        return TypedProgram(self.program, self.fn_types, self.classicals)
 
     def _signature(self, q: QpuFn) -> FTy:
         in_dim = 0
@@ -125,9 +124,7 @@ class TypeChecker:
             if p.type.kind == "qubit":
                 in_dim = p.type.dim.value
             else:
-                raise err(
-                    f"unexpanded capture parameter '{p.name}'", p.pos, self.file
-                )
+                raise CompileError(f"unexpanded capture parameter '{p.name}'", p.pos)
         out = VTy(q.ret_type.kind, q.ret_type.dim.value)
         return FTy(in_dim, out, q.reversible)
 
@@ -138,16 +135,16 @@ class TypeChecker:
         width = self._cwidth(c.body, env)
         want = c.ret_type.dim.value
         if width != want:
-            raise err(
+            raise CompileError(
                 f"classical function {c.name} returns bit[{width}], "
                 f"declared bit[{want}]",
-                c.pos, self.file,
+                c.pos,
             )
 
     def _cwidth(self, e: CExpr, env: dict[str, int]) -> int:
         if isinstance(e, CVar):
             if e.name not in env:
-                raise err(f"unknown name '{e.name}'", e.pos, self.file)
+                raise CompileError(f"unknown name '{e.name}'", e.pos)
             return env[e.name]
         if isinstance(e, CLit):
             return len(e.bits)
@@ -155,20 +152,20 @@ class TypeChecker:
             lw = self._cwidth(e.left, env)
             rw = self._cwidth(e.right, env)
             if lw != rw:
-                raise err(f"operand widths differ: {lw} vs {rw}", e.pos, self.file)
+                raise CompileError(f"operand widths differ: {lw} vs {rw}", e.pos)
             return lw
         if isinstance(e, CNot):
             return self._cwidth(e.operand, env)
         if isinstance(e, CIndex):
             w = self._cwidth(e.operand, env)
             if not 0 <= e.index.value < w:
-                raise err(f"bit index {e.index.value} out of range", e.pos, self.file)
+                raise CompileError(f"bit index {e.index.value} out of range", e.pos)
             return 1
         if isinstance(e, CSlice):
             w = self._cwidth(e.operand, env)
             lo, hi = e.lo.value, e.hi.value
             if not (0 <= lo < hi <= w):
-                raise err(f"bad slice [{lo}:{hi}] of bit[{w}]", e.pos, self.file)
+                raise CompileError(f"bad slice [{lo}:{hi}] of bit[{w}]", e.pos)
             return hi - lo
         if isinstance(e, CReduce):
             self._cwidth(e.operand, env)
@@ -176,9 +173,9 @@ class TypeChecker:
         if isinstance(e, CRepeat):
             w = self._cwidth(e.operand, env)
             if w != 1:
-                raise err("repeat() takes a single bit", e.pos, self.file)
+                raise CompileError("repeat() takes a single bit", e.pos)
             return e.count.value
-        raise err("bad classical expression", getattr(e, "pos", Pos()), self.file)
+        raise CompileError("bad classical expression", getattr(e, "pos", Pos()))
 
     # -- qpu kernels -----------------------------------------------------------
 
@@ -192,21 +189,19 @@ class TypeChecker:
         for let in q.lets:
             vty = self._expr(let.value, env, q.reversible)
             if not isinstance(vty, VTy) or vty.kind not in ("qubit", "bit"):
-                raise err("let binds qubit or bit values", let.pos, self.file)
+                raise CompileError("let binds qubit or bit values", let.pos)
             bound, total = [], 0
             for name, tnode in zip(let.names, let.types):
                 if tnode is not None and tnode.kind != vty.kind:
-                    raise err(
+                    raise CompileError(
                         f"let pattern kind {tnode.kind} does not match {vty}",
-                        let.pos, self.file,
+                        let.pos,
                     )
                 ty = vty if tnode is None else VTy(tnode.kind, tnode.dim.value)
                 total += ty.dim
                 bound.append((name, [ty, 0]))
             if total != vty.dim:
-                raise err(
-                    f"let pattern covers {total} of {vty.dim}", let.pos, self.file
-                )
+                raise CompileError(f"let pattern covers {total} of {vty.dim}", let.pos)
             env.update(bound)
             scopes.append((let, bound))
         ty = self._expr(q.body, env, q.reversible)
@@ -214,30 +209,28 @@ class TypeChecker:
             self._check_used_once(bound, let.pos)
         want = VTy(q.ret_type.kind, q.ret_type.dim.value)
         if not isinstance(ty, VTy) or ty != want:
-            raise err(
-                f"kernel {q.name} returns {ty}, declared {want}", q.pos, self.file
-            )
+            raise CompileError(f"kernel {q.name} returns {ty}, declared {want}", q.pos)
         self._check_used_once(params, q.pos)
 
     def _check_used_once(self, bound, pos: Pos) -> None:
         for name, (ty, uses) in bound:
             if ty.kind == "qubit" and uses != 1:
-                raise err(
+                raise CompileError(
                     f"qubit '{name}' used {uses} times; must be used exactly once",
-                    pos, self.file,
+                    pos,
                 )
 
     def _expr(self, e: ExprNode, env, rev: bool) -> Ty:
         if isinstance(e, QubitLitNode):
             if e.phase is not None:
-                fold_angle(e.phase, e.pos, self.file)
+                fold_angle(e.phase, e.pos)
             return VTy("qubit", len(e.chars))
         if isinstance(e, BasisLitNode):
             # Every literal is validated here, as the walk reaches it.
-            b = basis_of(e, self.file)
+            b = basis_of(e)
             msg = validate_literal(b.elements[0])
             if msg is not None:
-                raise err(msg, e.pos, self.file)
+                raise CompileError(msg, e.pos)
             return VTy("basis", b.dim)
         if isinstance(e, BuiltinBasisNode):
             return VTy("basis", e.dim.value)
@@ -246,7 +239,7 @@ class TypeChecker:
             if all(isinstance(t, VTy) for t in parts):
                 kinds = {t.kind for t in parts}
                 if len(kinds) != 1 or "none" in kinds:
-                    raise err("cannot tensor mixed kinds", e.pos, self.file)
+                    raise CompileError("cannot tensor mixed kinds", e.pos)
                 return VTy(kinds.pop(), sum(t.dim for t in parts))
             if all(isinstance(t, FTy) for t in parts):
                 if all(t.rev and t.out.kind == "qubit" for t in parts):
@@ -258,29 +251,29 @@ class TypeChecker:
                         VTy("bit", sum(t.out.dim for t in parts if t.out.kind == "bit")),
                         False,
                     )
-                raise err(
+                raise CompileError(
                     "tensor operands must be all reversible or all measuring/discarding",
-                    e.pos, self.file,
+                    e.pos,
                 )
-            raise err("cannot tensor values with functions", e.pos, self.file)
+            raise CompileError("cannot tensor values with functions", e.pos)
         if isinstance(e, TransNode):
             ti = self._expr(e.b_in, env, rev)
             to = self._expr(e.b_out, env, rev)
             if not (isinstance(ti, VTy) and ti.kind == "basis") or not (
                 isinstance(to, VTy) and to.kind == "basis"
             ):
-                raise err("translation operands must be bases", e.pos, self.file)
+                raise CompileError("translation operands must be bases", e.pos)
             if ti.dim != to.dim:
-                raise err(
+                raise CompileError(
                     f"translation dimensions differ: {ti.dim} vs {to.dim}",
-                    e.pos, self.file,
+                    e.pos,
                 )
             mismatch = check_span_equivalence(
-                basis_of(e.b_in, self.file), basis_of(e.b_out, self.file))
+                basis_of(e.b_in), basis_of(e.b_out))
             if mismatch is not None:
-                raise err(
+                raise CompileError(
                     f"translation sides span different spaces ({mismatch})",
-                    e.pos, self.file,
+                    e.pos,
                 )
             return FTy(ti.dim, VTy("qubit", ti.dim), True)
         if isinstance(e, PipeNode):
@@ -288,73 +281,67 @@ class TypeChecker:
             for fn, bar in zip(e.fns, e.bars):
                 fty = self._expr(fn, env, rev)
                 if not isinstance(vty, VTy) or vty.kind != "qubit":
-                    raise err(f"pipe input must be qubits, found {vty}", bar, self.file)
+                    raise CompileError(f"pipe input must be qubits, found {vty}", bar)
                 if not isinstance(fty, FTy):
-                    raise err(f"pipe target must be a function, found {fty}", bar, self.file)
+                    raise CompileError(f"pipe target must be a function, found {fty}", bar)
                 if rev and not fty.rev:
-                    raise err(
-                        "irreversible operation inside a reversible kernel", bar, self.file
-                    )
+                    raise CompileError("irreversible operation inside a reversible kernel", bar)
                 if vty.dim != fty.in_dim:
-                    raise err(
+                    raise CompileError(
                         f"function takes qubit[{fty.in_dim}], found qubit[{vty.dim}]",
-                        bar, self.file,
+                        bar,
                     )
                 vty = fty.out
             return vty
         if isinstance(e, AdjointNode):
             fty = self._expr(e.fn, env, rev)
             if not isinstance(fty, FTy) or not fty.rev or fty.out.kind != "qubit":
-                raise err("~ takes a reversible qubit function", e.pos, self.file)
+                raise CompileError("~ takes a reversible qubit function", e.pos)
             return fty
         if isinstance(e, PredNode):
             bty = self._expr(e.basis, env, rev)
             fty = self._expr(e.fn, env, rev)
             if not isinstance(bty, VTy) or bty.kind != "basis":
-                raise err("predicate must be a basis", e.pos, self.file)
+                raise CompileError("predicate must be a basis", e.pos)
             if not isinstance(fty, FTy) or not fty.rev or fty.out.kind != "qubit":
-                raise err("& takes a reversible qubit function", e.pos, self.file)
+                raise CompileError("& takes a reversible qubit function", e.pos)
             n = bty.dim + fty.in_dim
             return FTy(n, VTy("qubit", n), True)
         if isinstance(e, MeasureNode):
             bty = self._expr(e.basis, env, rev)
             if not isinstance(bty, VTy) or bty.kind != "basis":
-                raise err(".measure applies to a basis", e.pos, self.file)
+                raise CompileError(".measure applies to a basis", e.pos)
             if rev:
-                raise err("measurement inside a reversible kernel", e.pos, self.file)
-            if not all(fully_spans(el) for el in basis_of(e.basis, self.file).elements):
-                raise err(
-                    "measurement basis must fully span its space", e.pos, self.file
-                )
+                raise CompileError("measurement inside a reversible kernel", e.pos)
+            if not all(fully_spans(el) for el in basis_of(e.basis).elements):
+                raise CompileError("measurement basis must fully span its space", e.pos)
             return FTy(bty.dim, VTy("bit", bty.dim), False)
         if isinstance(e, DiscardNode):
             if rev:
-                raise err("discard inside a reversible kernel", e.pos, self.file)
+                raise CompileError("discard inside a reversible kernel", e.pos)
             return FTy(e.dim.value, VTy("none", 0), False)
         if isinstance(e, EmbedNode):
             c = self.program.classical(e.fn)
             if c is None:
-                raise err(f"unknown classical function '{e.fn}'", e.pos, self.file)
+                raise CompileError(f"unknown classical function '{e.fn}'", e.pos)
             if e.mode == "sign" and c.ret_type.dim.value != 1:
-                raise err(".sign requires one output bit", e.pos, self.file)
+                raise CompileError(".sign requires one output bit", e.pos)
             w = c.embed_width(e.mode)
             return FTy(w, VTy("qubit", w), True)
         if isinstance(e, CondNode):
             if rev:
-                raise err(
-                    "classical conditional inside a reversible kernel", e.pos, self.file
-                )
+                raise CompileError("classical conditional inside a reversible kernel", e.pos)
             self._forbid_qubit_vars(e.then, env)
             self._forbid_qubit_vars(e.els, env)
             tt = self._expr(e.then, env, rev)
             ft = self._expr(e.flag, env, rev)
             et = self._expr(e.els, env, rev)
             if not isinstance(ft, VTy) or ft.kind != "bit" or ft.dim != 1:
-                raise err("conditional flag must be bit[1]", e.pos, self.file)
+                raise CompileError("conditional flag must be bit[1]", e.pos)
             if not isinstance(tt, FTy) or tt != et:
-                raise err(
+                raise CompileError(
                     f"conditional branches have different types: {tt} vs {et}",
-                    e.pos, self.file,
+                    e.pos,
                 )
             return tt
         if isinstance(e, VarNode):
@@ -366,25 +353,21 @@ class TypeChecker:
             if e.name in self.fn_types:
                 fty = self.fn_types[e.name]
                 if rev and not fty.rev:
-                    raise err(
+                    raise CompileError(
                         f"reversible kernel calls irreversible '{e.name}'",
-                        e.pos, self.file,
+                        e.pos,
                     )
                 return fty
-            raise err(f"unknown name '{e.name}'", e.pos, self.file)
+            raise CompileError(f"unknown name '{e.name}'", e.pos)
         if isinstance(e, (BitsNode, AngleNode, CallNode, RepeatNode)):
-            raise err(
-                f"unexpected {type(e).__name__} after expansion", e.pos, self.file
-            )
-        raise err(f"unhandled node {type(e).__name__}", getattr(e, "pos", Pos()), self.file)
+            raise CompileError(f"unexpected {type(e).__name__} after expansion", e.pos)
+        raise CompileError(f"unhandled node {type(e).__name__}", getattr(e, "pos", Pos()))
 
     def _forbid_qubit_vars(self, e: ExprNode, env) -> ExprNode:
         """``e``, once no variable in it names a qubit."""
         if isinstance(e, VarNode) and e.name in env \
                 and env[e.name][0].kind == "qubit":
-            raise err(
-                "conditional branches cannot capture qubits", e.pos, self.file
-            )
+            raise CompileError("conditional branches cannot capture qubits", e.pos)
         return map_children(e, lambda c: self._forbid_qubit_vars(c, env))
 
 
@@ -393,8 +376,7 @@ class TypedProgram:
     program: Program
     fn_types: dict[str, FTy]
     classicals: dict[str, ClassicalFn]
-    file: str
 
 
-def typecheck(program: Program, file: str = "<input>") -> TypedProgram:
-    return TypeChecker(program, file).run()
+def typecheck(program: Program) -> TypedProgram:
+    return TypeChecker(program).run()

@@ -28,7 +28,7 @@ from qbc.bases import (
     builtin_vectors,
     vector_from_chars,
 )
-from qbc.diagnostics import err
+from qbc.diagnostics import CompileError
 from qbc.lexer import KEYWORDS, Token
 from qbc.qcirc import Gate, GateKind, QCircFn, QOp, append_gates, wire_starts
 from qbc.run import SimulationError, _exec_op
@@ -429,7 +429,7 @@ REFERENCE_PUNCT = [
 ]
 
 
-def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
+def reference_tokenize(source: str) -> list[Token]:
     """``qbc.lexer.tokenize`` written as a scan of one character at a time:
     the same tokens, positions and diagnostics."""
     tokens: list[Token] = []
@@ -455,13 +455,13 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
             j = i + 1
             while j < n and source[j] != "'":
                 if source[j] == "\n":
-                    raise err("unterminated qubit literal", pos, file)
+                    raise CompileError("unterminated qubit literal", pos)
                 j += 1
             if j >= n:
-                raise err("unterminated qubit literal", pos, file)
+                raise CompileError("unterminated qubit literal", pos)
             body = source[i + 1 : j]
             if not body or any(ch not in "01pmij" for ch in body):
-                raise err(f"bad qubit literal '{body}'", pos, file)
+                raise CompileError(f"bad qubit literal '{body}'", pos)
             tokens.append(Token("QLIT", body, pos))
             col += j - i + 1
             i = j + 1
@@ -498,6 +498,6 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[Token]:
                 i += len(p)
                 break
         else:
-            raise err(f"unexpected character {c!r}", pos, file)
+            raise CompileError(f"unexpected character {c!r}", pos)
     tokens.append(Token("EOF", "", Pos(line, col)))
     return tokens

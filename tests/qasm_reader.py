@@ -3,14 +3,15 @@
 The tests and ``scripts/regen_goldens.py`` re-read emitted QASM with it, so
 a round trip checks register allocation and the gate naming: it inverts the
 writer's names, which come from ``qcirc.GateKind``. Text outside the subset
-raises ``BackendError`` naming the statement.
+raises ``CompileError`` naming the statement.
 """
 
 from __future__ import annotations
 
 import re
 
-from qbc.backends import BackendError, _C_PREFIXED
+from qbc.backends import _C_PREFIXED
+from qbc.diagnostics import CompileError
 from qbc.qcirc import (
     N_TARGETS, Gate, GateKind, QCircFn, QCircModule, QOp, append_gates,
 )
@@ -37,7 +38,7 @@ def read_qasm3(text: str) -> QCircModule:
         """The index's current value, allocated just before its first use."""
         if i not in wires:
             if i >= n_qubits or i in measured:
-                raise BackendError(f"unallocated qubit q[{i}]")
+                raise CompileError(f"unallocated qubit q[{i}]")
             wires[i] = fn.new_id()
             fn.ops.append(QOp("qalloc", results=(wires[i],)))
         return wires[i]
@@ -73,28 +74,28 @@ def read_qasm3(text: str) -> QCircModule:
         if mt:
             bit = cbits.get(int(mt.group(1)))
             if bit is None:
-                raise BackendError(f"condition on an unmeasured bit: {stmt}")
+                raise CompileError(f"condition on an unmeasured bit: {stmt}")
             run_stmt(mt.group(3), (bit, bool(int(mt.group(2)))))
             return
         mt = gate_re.match(stmt)
         if not mt:
-            raise BackendError(f"cannot parse: {stmt}")
+            raise CompileError(f"cannot parse: {stmt}")
         nctrl_mod, name, param_s, args = mt.groups()
         idxs = q_indices(args)
         if name not in _QASM_GATES:
-            raise BackendError(f"unknown gate {name}")
+            raise CompileError(f"unknown gate {name}")
         kind, nctrl = _QASM_GATES[name]
         # P takes exactly one angle and every other kind none.
         if (param_s is not None) != (kind is GateKind.P) or param_s == "":
-            raise BackendError(f"bad parameter list: {stmt}")
+            raise CompileError(f"bad parameter list: {stmt}")
         try:
             param = float(param_s) if param_s else 0.0
         except ValueError:  # the emitter writes angles as float reprs
-            raise BackendError(f"angle is not a number: {stmt}") from None
+            raise CompileError(f"angle is not a number: {stmt}") from None
         if nctrl_mod is not None:
             nctrl = int(nctrl_mod)
         if len(idxs) != nctrl + N_TARGETS[kind] or len(set(idxs)) != len(idxs):
-            raise BackendError(f"bad qubit operands: {stmt}")
+            raise CompileError(f"bad qubit operands: {stmt}")
         # Allocate every operand before the gate takes its result ids.
         vals = [wire(i) for i in idxs]
         positions = tuple(range(len(idxs)))

@@ -140,6 +140,25 @@ def test_gate_lowering_error_names_the_file(tmp_path, capsys):
     assert err.startswith(f"{path}: error: nested conditionals are not supported")
 
 
+# Swapping two 13-qubit vectors is a 13-qubit permutation, one past what
+# synthesis takes. Only gate lowering knows that limit, so check accepts it.
+SWAP13 = """qpu main() -> bit[13] {
+    '0000000000000'
+        | ({'0000000000000', '1111111111111'} >> {'1111111111111', '0000000000000'})
+        | std[13].measure
+}
+"""
+
+
+def test_permutation_limit_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "swap13.qw"
+    path.write_text(SWAP13)
+    assert main(["check", str(path)]) == 0
+    assert main(["compile", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"{path}: error: permutation too wide (13 > 12)\n"
+
+
 # Each program ends in one of the dimension solver's four messages.
 DIM_ERRORS = {
     "not an integer": "qpu main() -> bit[1] {\n    '0'[3 / 2] | std.measure\n}\n",

@@ -5,13 +5,17 @@ tensor flattening.
 The programs are the benchmarks, three that give phase folding work (a
 pipe chain, a predicated oracle and a phase conditioned on a measurement),
 two that allocate after a measurement or a discard, four sign oracles
-whose phase kick has no target wire, and a conditional that swaps wires.
+whose phase kick has no target wire, a conditional that swaps wires, a
+measurement whose one outcome is left only rounding error, and the
+generated programs of ``test_front_fuzz``.
 Where a program's distribution is known, every way must give it."""
 
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from qbc.backends import emit_qasm3
 from qbc.expand import expand
 from qbc.parser import parse
 from qbc.pipeline import Options, compile_source, front, to_gates, to_qwir
@@ -19,6 +23,7 @@ from qbc.run import distribution
 from qbc.typecheck import typecheck
 from oracles import pipe_chain_source
 from qasm_reader import read_qasm3
+from test_front_fuzz import programs
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 BENCHMARKS = ["bell", "bv", "dj", "grover", "period", "simon", "teleport"]
@@ -111,6 +116,16 @@ qpu main[N]() -> bit[N + 1] {
     ('p' + 'p'[N]) | ({'1'} & nand[[N]].sign) | pm[N + 1].measure
 }
 """, {"N": 3}),
+    # Three std >> pm layers leave the norm just under 1, so reading b as 1
+    # has probability 1 - 4e-15 at -O0: outcome 0 must not become a branch
+    # with no rows.
+    "rounded_branch": ("""\
+qpu main() -> bit[4] {
+    let v = '000' | (std[3] >> pm[3]) | (std[3] >> pm[3]) | (std[3] >> pm[3]);
+    let b = '1' | std.measure;
+    (v + '0') | (std[4] >> pm[4]) | std[4].measure
+}
+""", {}),
     # A conditional whose then-branch renames its qubits: gate lowering
     # routes the branches' slots into one order with a conditioned swap.
     "conditional_wire_swap": ("""\
@@ -137,12 +152,38 @@ EXPECTED = {
     "predicated_negated_sign_oracle": {"1000": 0.765625} | {
         f"{i:04b}": 0.015625 for i in range(16) if i != 8},
     "conditional_wire_swap": {"001": 0.5, "110": 0.5},
+    "rounded_branch": {"10000": 0.5, "10001": 0.5},
 }
 
 
 def _assert_close(want, got):
     for key in set(want) | set(got):
         assert abs(want.get(key, 0.0) - got.get(key, 0.0)) < 1e-9, key
+
+
+def _assert_ways_agree(src, path, dims, want=None):
+    """Every way of compiling ``src`` gives the exact distribution ``want``
+    over all measured bits, or agrees with the first way without one."""
+    tp = front(src, path, Options(dims=dims))
+    # Flattening keeps every signature the one typecheck computed.
+    assert typecheck(tp.program).fn_types == tp.fn_types
+    for opt_level in (0, 1):
+        for decompose in (False, True):
+            opts = Options(opt_level=opt_level, decompose=decompose,
+                           dims=dims)
+            qc = to_gates(to_qwir(tp, opts), opts)
+            got = distribution(qc, all_bits=True)
+            want = want or got
+            _assert_close(want, got)
+            # compile_source's QASM for these options, with and without
+            # reuse_qubits (the same QASM at -O1, which always reuses).
+            for reuse in {opt_level >= 1, True}:
+                qasm = emit_qasm3(qc, reuse_qubits=reuse)
+                _assert_close(want, distribution(read_qasm3(qasm), all_bits=True))
+    unflattened = typecheck(expand(parse(src), dims))
+    opts = Options(dims=dims)
+    _assert_close(want, distribution(
+        to_gates(to_qwir(unflattened, opts), opts), all_bits=True))
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -152,26 +193,14 @@ def test_compile_options_agree_on_distribution(name):
         path, src = str(src), src.read_text()
     else:
         path = f"{name}.qw"
-    tp = front(src, path, Options(dims=dims))
-    # Flattening keeps every signature the one typecheck computed.
-    assert typecheck(tp.program, path).fn_types == tp.fn_types
-    want = EXPECTED.get(name)
-    for opt_level in (0, 1):
-        for decompose in (False, True):
-            opts = Options(opt_level=opt_level, decompose=decompose,
-                           dims=dims)
-            got = distribution(to_gates(to_qwir(tp, opts), opts, path),
-                               all_bits=True)
-            want = want or got
-            _assert_close(want, got)
-            for reuse in (False, True):
-                opts.reuse_qubits = reuse
-                qasm = compile_source(src, path, opts, "qasm")
-                _assert_close(want, distribution(read_qasm3(qasm), all_bits=True))
-    unflattened = typecheck(expand(parse(src, path), dims, path), path)
-    opts = Options(dims=dims)
-    _assert_close(want, distribution(
-        to_gates(to_qwir(unflattened, opts), opts, path), all_bits=True))
+    _assert_ways_agree(src, path, dims, EXPECTED.get(name))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(programs())
+def test_generated_programs_agree_on_distribution(source):
+    _assert_ways_agree(source, "fuzz.qw", {})
 
 
 def test_idle_ancilla_is_dropped_at_O1():

@@ -519,8 +519,14 @@ def test_position_reporting():
         full_front(src)
         assert False
     except CompileError as e:
-        d = e.diagnostics[0]
-        assert d.pos is not None and d.pos.line == 2
+        assert e.pos is not None and e.pos.line == 2
+
+
+def test_errors_name_the_file_given_to_the_pipeline():
+    # The stages know no file name; the pipeline names it on every error.
+    with pytest.raises(CompileError) as e:
+        compile_source(BV, "bv.qw", Options(), "nope")
+    assert str(e.value) == "bv.qw: error: unknown emit target 'nope'"
 
 
 def _zero_phases(first, second):

@@ -13,7 +13,7 @@ from qbc.qcirc import (
     QOp, adjoint_gates, append_gates, exact_form, g, print_qcirc, substitute,
     verify_circuit, wire_starts, CircuitError,
 )
-from qbc.backends import BackendError
+from qbc.diagnostics import CompileError
 from qbc.peephole import (
     decompose_multicontrol, fold_phases, peephole, rccx_gates,
 )
@@ -628,5 +628,5 @@ def test_grover_n8_counts_are_unchanged_by_folding():
 ])
 def test_read_qasm3_rejects_bad_qubit_operands(stmt):
     text = f"OPENQASM 3.0;\nqubit[3] q;\nbit[1] c;\n{stmt}\n"
-    with pytest.raises(BackendError, match=re.escape(stmt)):
+    with pytest.raises(CompileError, match=re.escape(stmt)):
         read_qasm3(text)

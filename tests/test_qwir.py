@@ -13,12 +13,13 @@ from qbc.bases import (
     Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis,
 )
 from oracles import lit
+from qbc.diagnostics import CompileError
 from qbc.qwir import (
     FnBuilder, QwBlock, QwFunc, QwModule, QwOp, QwTy, VerifyError, bit,
     func, print_module, qubit, verify,
 )
 from qbc.qwir_passes import (
-    PassError, adjoint_block, canonicalize_ir, count_calls,
+    adjoint_block, canonicalize_ir, count_calls,
     generate_specializations, inline, lift_lambdas, predicate_block,
     qubit_index_analysis,
 )
@@ -274,7 +275,7 @@ def test_adjoint_rejects_measurement():
     (r,) = b.emit("qbmeas", [arg], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [r])
     fn = b.finish([bit(1)])
-    with pytest.raises(PassError):
+    with pytest.raises(CompileError):
         adjoint_block(fn, fn.block)
 
 
@@ -777,7 +778,7 @@ def test_inline_rejects_recursion():
     b.emit("ret", [v])
     m = _chain_module()
     m.functions["f"] = b.finish([qubit(1)])
-    with pytest.raises(PassError, match="recursive call cycle @f -> @f"):
+    with pytest.raises(CompileError, match="recursive call cycle @f -> @f"):
         inline(m)
 
 

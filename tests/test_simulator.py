@@ -13,7 +13,7 @@ from qbc.qcirc import H, P, SWAP, T, X, Gate, g
 from qbc.pipeline import Options, compile_to_circuit
 from qbc.run import SimulationError, distribution, simulate
 from qbc.qcirc import QCircFn, QCircModule, QOp
-from qbc.simulator import ZERO_TOL, AncillaNotClean, StateVector
+from qbc.simulator import ZERO_TOL, StateVector
 
 from oracles import (
     apply_gate, dense_state, fourier_column, lit, module_unitary,
@@ -138,7 +138,8 @@ def test_qfreez_on_one_raises():
     ]
     fn.next_id = 2
     m = QCircModule({"main": fn}, "main")
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError,
+                       match=r"^qfreez %1: qfreez on qubit with \|1> prob"):
         simulate(m, shots=1, seed=0)
 
 
@@ -324,6 +325,21 @@ def test_branch_drops_impossible_outcome():
     assert [o for o, _, _ in sv.branch("a")] == [0]
 
 
+def test_branch_has_no_child_without_rows():
+    # Every row has a's bit set, and 40 gates of rounding leave the norm
+    # just under 1: 1 - p1 is about 3e-15, but no row reads 0.
+    rng = np.random.default_rng(0)
+    sv = StateVector()
+    for k in "abcd":
+        sv.alloc(k)
+    sv.gate("X", ["a"])
+    for _ in range(40):
+        sv.gate(str(rng.choice(["H", "T", "S"])), [str(rng.choice(list("bcd")))])
+    children = sv.branch("a")
+    assert [o for o, _, _ in children] == [1]
+    assert all(len(sub.idx) for _, _, sub in children)
+
+
 # ---------------------------------------------------------------------------
 # The sparse kernel against the dense reference, step by step.
 
@@ -402,7 +418,7 @@ def test_sparse_kernel_matches_dense_reference(data):
                 sv.freez(key)
                 ref.project(key, 0)
             elif p1 > 1e-6:
-                with pytest.raises(AncillaNotClean):
+                with pytest.raises(SimulationError, match="qfreez on qubit"):
                     sv.freez(key)
         assert sv.order == ref.order
         assert np.abs(dense_state(sv) - ref.vec).max() <= 1e-9
