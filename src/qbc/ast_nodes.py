@@ -8,6 +8,11 @@ and a kernel holds its ``let`` bindings as a tuple ahead of its result
 expression (a ``LetNode`` is a statement, never an expression). The walks
 over it loop over stages and bindings, so neither costs a stack frame.
 
+Dimensions and angles are one arithmetic family (``Num``, ``Pi``, ``Name``,
+``Neg``, ``Bin``) with one evaluator (``expand.evaluate``), one
+substitution (``expand.substitute``) and one printer
+(``printer.print_arith``).
+
 Node equality ignores source positions so printer/parser round trips can be
 compared structurally.
 """
@@ -32,68 +37,43 @@ def _pos_field():
 
 
 # --------------------------------------------------------------------------
-# Dimension expressions (integer-valued, over dimension variables)
+# Arithmetic. A dimension is built of int ``Num``s, ``Name``s (dimension
+# variables) and ``Bin``s; an angle of float ``Num``s, ``Pi``, ``Name``s
+# (angle captures), ``Neg``s and ``Bin``s.
 
 
 @dataclass(frozen=True)
-class DimLit:
-    value: int
+class Num:
+    value: Union[int, float]
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
-class DimVar:
+class Pi:
+    pos: Pos = _pos_field()
+
+
+@dataclass(frozen=True)
+class Name:
     name: str
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
-class DimBin:
+class Neg:
+    operand: "Arith"
+    pos: Pos = _pos_field()
+
+
+@dataclass(frozen=True)
+class Bin:
     op: str  # + - * /
-    left: "DimExpr"
-    right: "DimExpr"
+    left: "Arith"
+    right: "Arith"
     pos: Pos = _pos_field()
 
 
-DimExpr = Union[DimLit, DimVar, DimBin]
-
-
-# --------------------------------------------------------------------------
-# Angle expressions (float-valued; evaluated by typecheck.fold_angle)
-
-
-@dataclass(frozen=True)
-class AngleLit:
-    value: float
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class AnglePi:
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class AngleVar:
-    name: str
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class AngleNeg:
-    operand: "AngleExpr"
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class AngleBin:
-    op: str  # + - * /
-    left: "AngleExpr"
-    right: "AngleExpr"
-    pos: Pos = _pos_field()
-
-
-AngleExpr = Union[AngleLit, AnglePi, AngleVar, AngleNeg, AngleBin]
+Arith = Union[Num, Pi, Name, Neg, Bin]
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +83,7 @@ AngleExpr = Union[AngleLit, AnglePi, AngleVar, AngleNeg, AngleBin]
 @dataclass(frozen=True)
 class TypeNode:
     kind: str  # qubit | bit | angle
-    dim: Optional[DimExpr] = None
+    dim: Optional[Arith] = None
     pos: Pos = _pos_field()
 
 
@@ -116,15 +96,15 @@ class VecNode:
     """A basis-literal vector: chars, optional repeat count, optional phase."""
 
     chars: str
-    repeat: Optional[DimExpr] = None
-    phase: Optional[AngleExpr] = None
+    repeat: Optional[Arith] = None
+    phase: Optional[Arith] = None
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
 class QubitLitNode:
     chars: str
-    phase: Optional[AngleExpr] = None
+    phase: Optional[Arith] = None
     pos: Pos = _pos_field()
 
 
@@ -137,7 +117,7 @@ class BasisLitNode:
 @dataclass(frozen=True)
 class BuiltinBasisNode:
     prim: str  # std | pm | ij | fourier
-    dim: DimExpr = DimLit(1)
+    dim: Arith = Num(1)
     pos: Pos = _pos_field()
 
 
@@ -150,7 +130,7 @@ class TensorNode:
 @dataclass(frozen=True)
 class RepeatNode:
     operand: "ExprNode"
-    count: DimExpr
+    count: Arith
     pos: Pos = _pos_field()
 
 
@@ -197,7 +177,7 @@ class MeasureNode:
 
 @dataclass(frozen=True)
 class DiscardNode:
-    dim: DimExpr = DimLit(1)
+    dim: Arith = Num(1)
     pos: Pos = _pos_field()
 
 
@@ -208,7 +188,7 @@ class EmbedNode:
     fn: str
     mode: str  # xor | sign
     args: tuple["ExprNode", ...] = ()
-    dim_args: tuple[DimExpr, ...] = ()
+    dim_args: tuple[Arith, ...] = ()
     pos: Pos = _pos_field()
 
 
@@ -231,7 +211,7 @@ class CallNode:
     """Reference to a qpu kernel, optionally binding dims and captures."""
 
     fn: str
-    dim_args: tuple[DimExpr, ...] = ()
+    dim_args: tuple[Arith, ...] = ()
     args: tuple["ExprNode", ...] = ()
     pos: Pos = _pos_field()
 
@@ -240,7 +220,7 @@ class CallNode:
 class AngleNode:
     """An angle expression in value position (capture argument)."""
 
-    angle: AngleExpr
+    angle: Arith
     pos: Pos = _pos_field()
 
 
@@ -322,15 +302,15 @@ class CNot:
 @dataclass(frozen=True)
 class CIndex:
     operand: "CExpr"
-    index: DimExpr
+    index: Arith
     pos: Pos = _pos_field()
 
 
 @dataclass(frozen=True)
 class CSlice:
     operand: "CExpr"
-    lo: DimExpr
-    hi: DimExpr
+    lo: Arith
+    hi: Arith
     pos: Pos = _pos_field()
 
 
@@ -344,7 +324,7 @@ class CReduce:
 @dataclass(frozen=True)
 class CRepeat:
     operand: "CExpr"
-    count: DimExpr
+    count: Arith
     pos: Pos = _pos_field()
 
 

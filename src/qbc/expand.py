@@ -5,23 +5,28 @@ and bake captured bit/angle constants into monomorphic function instances.
 Runs before type checking. Dimension variables are bound from, in order:
 explicit [[...]] bindings, -D command-line bindings (entry only), declared
 defaults, and inference from capture lengths or the piped-in register width.
+
+Dimensions and angles are one arithmetic family, with one evaluator
+(``evaluate``, which folds every dimension here and every angle for
+typecheck and lowering) and one substitution (``substitute``, which puts
+captured angles in place of their names). Expanded dimensions are ``Num``s
+holding ints; expanded angles stay expressions, which ``--emit ast`` prints.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Union
 
 from .ast_nodes import (
-    AngleBin, AngleNeg, AngleVar, AngleNode,
-    BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CExpr, CIndex,
-    ClassicalFn, CLit, CNot, CondNode, CReduce, CRepeat, CSlice, CVar,
-    DimBin, DimExpr, DimLit, DimVar, DiscardNode, EmbedNode, ExprNode,
-    LetNode, MeasureNode, ParamNode, PipeNode, Pos, PredNode, Program,
-    QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode,
-    AdjointNode, VarNode, VecNode,
+    AngleNode, Arith, BasisLitNode, Bin, BitsNode, BuiltinBasisNode,
+    CallNode, CBin, CExpr, CIndex, ClassicalFn, CLit, CNot, CondNode,
+    CReduce, CRepeat, CSlice, CVar, DiscardNode, EmbedNode, ExprNode,
+    LetNode, MeasureNode, Name, Neg, Num, ParamNode, Pi, PipeNode, Pos,
+    PredNode, Program, QpuFn, QubitLitNode, RepeatNode, TensorNode,
+    TransNode, TypeNode, AdjointNode, VarNode, VecNode,
 )
 from .diagnostics import CompileError
-from .typecheck import fold_angle
 
 
 class _Unbound(Exception):
@@ -29,37 +34,75 @@ class _Unbound(Exception):
         self.name = name
 
 
-def eval_dim(d: DimExpr, env: dict[str, int]) -> int:
-    if isinstance(d, DimLit):
-        return d.value
-    if isinstance(d, DimVar):
-        if d.name not in env:
-            raise _Unbound(d.name)
-        return env[d.name]
-    assert isinstance(d, DimBin)
-    a, b = eval_dim(d.left, env), eval_dim(d.right, env)
-    if d.op == "+":
-        return a + b
-    if d.op == "-":
-        return a - b
-    if d.op == "*":
-        return a * b
-    if b == 0 or a % b != 0:
-        raise CompileError(f"dimension {a}/{b} is not an integer", d.pos)
-    return a // b
+def evaluate(a: Arith, env: dict[str, int],
+             pos: Optional[Pos] = None) -> Union[int, float]:
+    """The value of ``a`` with its names read from ``env``; a name that
+    ``env`` lacks raises ``_Unbound``. The operands choose the division:
+    exact integer division for two ints, as in a dimension, and float
+    division otherwise, as in an angle, whose division by zero is reported
+    at ``pos``."""
+    if isinstance(a, Num):
+        return a.value
+    if isinstance(a, Pi):
+        return math.pi
+    if isinstance(a, Name):
+        if a.name not in env:
+            raise _Unbound(a.name)
+        return env[a.name]
+    if isinstance(a, Neg):
+        return -evaluate(a.operand, env, pos)
+    x, y = evaluate(a.left, env, pos), evaluate(a.right, env, pos)
+    if a.op == "+":
+        return x + y
+    if a.op == "-":
+        return x - y
+    if a.op == "*":
+        return x * y
+    if not (isinstance(x, int) and isinstance(y, int)):
+        if y == 0:
+            raise CompileError("division by zero in angle", pos)
+        return x / y
+    if y == 0 or x % y != 0:
+        raise CompileError(f"dimension {x}/{y} is not an integer", a.pos)
+    return x // y
 
 
-def _solve_dim(d: DimExpr, target: int, env: dict[str, int], pos: Pos) -> None:
-    """Unify eval(d) = target, binding at most one new variable (affine)."""
+def substitute(a: Optional[Arith],
+               captures: dict[str, ExprNode]) -> Optional[Arith]:
+    """``a`` (an angle or None) with each name replaced by the angle
+    captured under it."""
+    if isinstance(a, Name):
+        if a.name in captures and isinstance(captures[a.name], AngleNode):
+            return captures[a.name].angle
+        raise CompileError(f"unknown angle '{a.name}'", a.pos)
+    if isinstance(a, Neg):
+        return Neg(substitute(a.operand, captures), pos=a.pos)
+    if isinstance(a, Bin):
+        return Bin(a.op, substitute(a.left, captures),
+                   substitute(a.right, captures), pos=a.pos)
+    return a
+
+
+def _dimension(d: Arith, dims: dict[str, int], pos: Pos) -> int:
+    """The value of dimension ``d`` in ``dims``, which must bind its names."""
     try:
-        got = eval_dim(d, env)
+        return evaluate(d, dims)
+    except _Unbound as u:
+        raise CompileError(f"dimension variable {u.name} is unbound", pos)
+
+
+def _solve_dim(d: Arith, target: int, env: dict[str, int], pos: Pos) -> None:
+    """Unify evaluate(d) = target, binding at most one new variable
+    (affine)."""
+    try:
+        got = evaluate(d, env)
         if got != target:
             raise CompileError(f"dimension mismatch: expected {target}, found {got}", pos)
         return
     except _Unbound as u:
         var = u.name
-    probe1 = eval_dim(d, {**env, var: 1})
-    probe2 = eval_dim(d, {**env, var: 2})
+    probe1 = evaluate(d, {**env, var: 1})
+    probe2 = evaluate(d, {**env, var: 2})
     slope = probe2 - probe1
     intercept = probe1 - slope
     if slope == 0 or (target - intercept) % slope != 0:
@@ -157,7 +200,10 @@ class Expander:
                 out.append((k, "bits", v.bits))
             else:
                 assert isinstance(v, AngleNode)
-                out.append((k, "angle", fold_angle(v.angle, v.pos)))
+                try:
+                    out.append((k, "angle", evaluate(v.angle, {}, v.pos)))
+                except _Unbound:  # a name in an entry kernel's default
+                    raise CompileError("angle is not constant", v.pos)
         return tuple(out)
 
     # -- qpu instantiation -----------------------------------------------------
@@ -197,13 +243,10 @@ class Expander:
         return name
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:
-        try:
-            dim = eval_dim(t.dim, dim_env)
-        except _Unbound as u:
-            raise CompileError(f"dimension variable {u.name} is unbound", t.pos)
+        dim = _dimension(t.dim, dim_env, t.pos)
         if dim < 1:
             raise CompileError(f"non-positive dimension {dim}", t.pos)
-        return TypeNode(t.kind, DimLit(dim), pos=t.pos)
+        return TypeNode(t.kind, Num(dim), pos=t.pos)
 
     def _expand_let(self, let: LetNode, dims, captures, env) -> LetNode:
         """Expand ``let``'s value in ``env``, then bind its names there."""
@@ -229,23 +272,23 @@ class Expander:
     def _expand_expr(self, e, dims, captures, env):
         """Return (expanded expr, shape info)."""
         if isinstance(e, QubitLitNode):
-            phase = _subst_angle(e.phase, captures)
+            phase = substitute(e.phase, captures)
             return QubitLitNode(e.chars, phase, pos=e.pos), _Info.value(len(e.chars))
         if isinstance(e, BasisLitNode):
             vecs = []
             for v in e.vectors:
                 chars = v.chars
                 if v.repeat is not None:
-                    chars = chars * self._eval(v.repeat, dims, v.pos)
-                phase = _subst_angle(v.phase, captures)
+                    chars = chars * _dimension(v.repeat, dims, v.pos)
+                phase = substitute(v.phase, captures)
                 vecs.append(VecNode(chars, None, phase, pos=v.pos))
             dim = len(vecs[0].chars) if vecs else 0
             return BasisLitNode(tuple(vecs), pos=e.pos), _Info.basis(dim)
         if isinstance(e, BuiltinBasisNode):
-            dim = self._eval(e.dim, dims, e.pos)
+            dim = _dimension(e.dim, dims, e.pos)
             if dim < 1:
                 raise CompileError("basis dimension must be positive", e.pos)
-            return BuiltinBasisNode(e.prim, DimLit(dim), pos=e.pos), _Info.basis(dim)
+            return BuiltinBasisNode(e.prim, Num(dim), pos=e.pos), _Info.basis(dim)
         if isinstance(e, TensorNode):
             parts, infos = [], []
             for p in e.parts:
@@ -264,7 +307,7 @@ class Expander:
                 return TensorNode(tuple(parts), pos=e.pos), _Info(k, out_dim=total)
             raise CompileError("tensor operands must all be values, bases, or functions", e.pos)
         if isinstance(e, RepeatNode):
-            n = self._eval(e.count, dims, e.pos)
+            n = _dimension(e.count, dims, e.pos)
             if n < 1:
                 raise CompileError("repeat count must be positive", e.pos)
             inner, info = self._expand_expr(e.operand, dims, captures, env)
@@ -305,8 +348,8 @@ class Expander:
                 raise CompileError(".measure applies to a basis", e.pos)
             return MeasureNode(b, pos=e.pos), _Info.fn(bi.out_dim, bi.out_dim)
         if isinstance(e, DiscardNode):
-            dim = self._eval(e.dim, dims, e.pos)
-            return DiscardNode(DimLit(dim), pos=e.pos), _Info.fn(dim, 0)
+            dim = _dimension(e.dim, dims, e.pos)
+            return DiscardNode(Num(dim), pos=e.pos), _Info.fn(dim, 0)
         if isinstance(e, EmbedNode):
             return self._resolve_embed(e, dims, captures, env, hint=None)
         if isinstance(e, CondNode):
@@ -326,16 +369,10 @@ class Expander:
         if isinstance(e, CallNode):
             return self._resolve_fn(e, dims, captures, env, hint=None)
         if isinstance(e, AngleNode):
-            return AngleNode(_subst_angle(e.angle, captures), pos=e.pos), _Info(_ANGLE)
+            return AngleNode(substitute(e.angle, captures), pos=e.pos), _Info(_ANGLE)
         if isinstance(e, BitsNode):
             return e, _Info(_BITS, out_dim=len(e.bits))
         raise CompileError(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()))
-
-    def _eval(self, d: DimExpr, dims: dict[str, int], pos: Pos) -> int:
-        try:
-            return eval_dim(d, dims)
-        except _Unbound as u:
-            raise CompileError(f"dimension variable {u.name} is unbound", pos)
 
     # -- function-position resolution -------------------------------------------
 
@@ -355,7 +392,7 @@ class Expander:
             raise CompileError("expected a function value", getattr(e, "pos", Pos()))
         return new_e, info
 
-    def _bind(self, target, site, cap_params, in_dim: Optional[DimExpr],
+    def _bind(self, target, site, cap_params, in_dim: Optional[Arith],
               dims, captures, env, hint: Optional[int]):
         """Bind the dimension variables and captures of ``target`` (a kernel
         or classical function) at ``site`` (a call or embed of it).
@@ -368,7 +405,7 @@ class Expander:
         pos = site.pos
         if len(site.dim_args) > len(target.dim_vars):
             raise CompileError(f"too many dimension bindings for {target.name}", pos)
-        inner_dims = {var: self._eval(d, dims, pos)
+        inner_dims = {var: _dimension(d, dims, pos)
                       for var, d in zip(target.dim_vars, site.dim_args)}
         if len(site.args) > len(cap_params):
             raise CompileError(f"too many capture arguments for {target.name}", pos)
@@ -415,9 +452,9 @@ class Expander:
         inner_dims, inner_captures = self._bind(
             target, call, cap_params, q_dim, dims, captures, env, hint)
         inst = self._instantiate_qpu(target, inner_dims, inner_captures)
-        in_dim = eval_dim(q_dim, inner_dims) if qubit_params else 0
+        in_dim = evaluate(q_dim, inner_dims) if qubit_params else 0
         ret = target.ret_type
-        out_dim = eval_dim(ret.dim, inner_dims)
+        out_dim = evaluate(ret.dim, inner_dims)
         return VarNode(inst, pos=call.pos), _Info.fn(in_dim, out_dim)
 
     def _resolve_embed(self, e: EmbedNode, dims, captures, env, hint):
@@ -427,18 +464,18 @@ class Expander:
         # Captures bind the leading parameters; the rest are the inputs.
         free_params = target.params[len(e.args):]
         # xor embeds act on inputs+outputs; sign embeds on inputs alone.
-        in_dim: DimExpr = DimLit(0)
+        in_dim: Arith = Num(0)
         for p in free_params:
-            in_dim = DimBin("+", in_dim, p.type.dim)
+            in_dim = Bin("+", in_dim, p.type.dim)
         if e.mode == "xor":
-            in_dim = DimBin("+", in_dim, target.ret_type.dim)
+            in_dim = Bin("+", in_dim, target.ret_type.dim)
         inner_dims, inner_captures = self._bind(
             target, e, target.params, in_dim, dims, captures, env, hint)
         inst = self._instantiate_classical(
             target, inner_dims,
             {name: c.bits for name, c in inner_captures.items()})
-        n = sum(eval_dim(p.type.dim, inner_dims) for p in free_params)
-        k = eval_dim(target.ret_type.dim, inner_dims)
+        n = sum(evaluate(p.type.dim, inner_dims) for p in free_params)
+        k = evaluate(target.ret_type.dim, inner_dims)
         if e.mode == "sign" and k != 1:
             raise CompileError(".sign requires a single output bit", e.pos)
         width = n + k if e.mode == "xor" else n
@@ -484,14 +521,14 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str]) -> C
     if isinstance(e, CIndex):
         return CIndex(
             _expand_cexpr(e.operand, dims, captures),
-            DimLit(eval_dim(e.index, dims)),
+            Num(_dimension(e.index, dims, e.pos)),
             pos=e.pos,
         )
     if isinstance(e, CSlice):
         return CSlice(
             _expand_cexpr(e.operand, dims, captures),
-            DimLit(eval_dim(e.lo, dims)),
-            DimLit(eval_dim(e.hi, dims)),
+            Num(_dimension(e.lo, dims, e.pos)),
+            Num(_dimension(e.hi, dims, e.pos)),
             pos=e.pos,
         )
     if isinstance(e, CReduce):
@@ -499,28 +536,10 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str]) -> C
     if isinstance(e, CRepeat):
         return CRepeat(
             _expand_cexpr(e.operand, dims, captures),
-            DimLit(eval_dim(e.count, dims)),
+            Num(_dimension(e.count, dims, e.pos)),
             pos=e.pos,
         )
     raise CompileError(f"unexpected classical node {type(e).__name__}", getattr(e, "pos", Pos()))
-
-
-def _subst_angle(a, captures):
-    """``a`` (an angle expression or None) with captured angles substituted."""
-    if isinstance(a, AngleVar):
-        if a.name in captures and isinstance(captures[a.name], AngleNode):
-            return captures[a.name].angle
-        raise CompileError(f"unknown angle '{a.name}'", a.pos)
-    if isinstance(a, AngleNeg):
-        return AngleNeg(_subst_angle(a.operand, captures), pos=a.pos)
-    if isinstance(a, AngleBin):
-        return AngleBin(
-            a.op,
-            _subst_angle(a.left, captures),
-            _subst_angle(a.right, captures),
-            pos=a.pos,
-        )
-    return a
 
 
 def expand(program: Program, bindings: dict[str, int]) -> Program:

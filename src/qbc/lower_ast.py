@@ -20,7 +20,8 @@ from .ast_nodes import (
 from .bases import Prim
 from .diagnostics import CompileError
 from .qwir import FnBuilder, QwModule, bit, func, qubit
-from .typecheck import TypedProgram, basis_of, fold_angle
+from .expand import evaluate
+from .typecheck import TypedProgram, basis_of
 
 
 def lower_to_ir(tp: TypedProgram) -> QwModule:
@@ -108,7 +109,7 @@ class _Lowerer:
                                                   [qubit(len(e.chars))])
         if e.phase is not None:
             # The phase goes on the first run's vector.
-            theta = fold_angle(e.phase, e.pos)
+            theta = evaluate(e.phase, {}, e.pos)
             prim0, bits0 = runs[0]
             parts = [v] if len(runs) == 1 else b.emit(
                 "qbunpack", [v], [qubit(len(r[1])) for r in runs],

@@ -17,21 +17,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bases import Prim
 from .diagnostics import CompileError
 from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
 )
 from .qwir import QwFunc, QwModule, QwOp
 from .qwir_passes import undo_swaps
-from .synth import embed_gates, lower_translation, measurement_rotation
-
-
-_PREP_DESTD = {
-    Prim.STD: [],
-    Prim.PM: [GateKind.H],
-    Prim.IJ: [GateKind.H, GateKind.S],
-}
+from .synth import (
+    embed_gates, lower_translation, measurement_rotation, std_gates,
+)
 
 
 class _GateLowerer:
@@ -72,8 +66,7 @@ class _GateLowerer:
             for i, bitc in enumerate(eigenbits):
                 if bitc == "1":
                     gates.append(g(GateKind.X, i))
-                for kind in _PREP_DESTD[prim]:
-                    gates.append(g(kind, i))
+                gates += std_gates(prim, (i,), stdward=False)
             self.emit_gates(slots, gates, condition)
             self.qmap[op.results[0]] = slots
         elif k == "qbtrans":

@@ -13,10 +13,23 @@ its result expression; the bindings are parsed in a loop into
     postfix: [N] repeat, [[N]] dim bindings, (args), .measure/.flip/.xor/.sign, @angle
 Classical bodies use | ^ & ~ with indexing, slicing, and reductions.
 
-Parentheses, ``~``, unary ``-`` and the ``else`` arms of a chained
-conditional may nest at most ``MAX_NESTING`` levels deep, counted together
-across quantum, classical, angle and dimension expressions; deeper input is
-a positioned diagnostic, not a RecursionError.
+Dimensions and angles build the same arithmetic nodes; each has its own
+entry point (``parse_dim_expr``, ``parse_angle_expr``) for its own
+diagnostics.
+
+Expressions may nest at most ``MAX_NESTING`` levels deep, counted together
+across quantum, classical, angle and dimension expressions. A level is
+opened by each of:
+    a parenthesis, ``~`` or unary ``-``, until it closes;
+    the ``else`` arm of a conditional, so a chain of ``else``s nests;
+    each link after the first of a chain, which nests the chain so far one
+    level deeper until the chain ends: a binary-operator chain
+    (``1 + 1 + 1``, ``x ^ x ^ x``) or a postfix chain (``'0'[1][1]``,
+    ``std.measure.measure``, ``x[0][0]``). A chain of k links holds k - 1
+    levels.
+Deeper input is a positioned diagnostic at the token that opens the level
+past the limit, not a RecursionError in the parser or in the recursive
+walks over the tree after it.
 """
 
 from __future__ import annotations
@@ -26,13 +39,12 @@ from contextlib import contextmanager
 from typing import Optional
 
 from .ast_nodes import (
-    AngleBin, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
-    BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CExpr, CIndex,
-    ClassicalFn, CLit, CNot, CondNode, CReduce, CRepeat, CSlice, CVar,
-    DimBin, DimExpr, DimLit, DimVar, DiscardNode, EmbedNode, ExprNode,
-    LetNode, MeasureNode, ParamNode, PipeNode, Pos, PredNode, Program,
-    QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode,
-    AdjointNode, VarNode, VecNode,
+    AngleNode, Arith, BasisLitNode, Bin, BitsNode, BuiltinBasisNode,
+    CallNode, CBin, CExpr, CIndex, ClassicalFn, CLit, CNot, CondNode,
+    CReduce, CRepeat, CSlice, CVar, DiscardNode, EmbedNode, ExprNode,
+    LetNode, MeasureNode, Name, Neg, Num, ParamNode, Pi, PipeNode, Pos,
+    PredNode, Program, QpuFn, QubitLitNode, RepeatNode, TensorNode,
+    TransNode, TypeNode, AdjointNode, VarNode, VecNode,
 )
 from .diagnostics import CompileError
 from .lexer import Token, tokenize
@@ -47,7 +59,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
-        self.depth = 0  # open parentheses, ~, unary - and else arms
+        self.depth = 0  # open nesting levels, see the module docstring
 
     # -- token plumbing ---------------------------------------------------
 
@@ -73,17 +85,20 @@ class Parser:
             return self.take()
         return None
 
-    @contextmanager
-    def nested(self, t: Token):
-        """Parse one level deeper than ``t``, which opens the level."""
+    def enter(self, t: Token) -> None:
+        """Open one more level at ``t``. A parse error ends the parse, so
+        only the level's owner closes it, by lowering ``depth``."""
         if self.depth == MAX_NESTING:
             raise CompileError(
                 f"expression nests deeper than {MAX_NESTING} levels", t.pos)
         self.depth += 1
-        try:
-            yield
-        finally:
-            self.depth -= 1
+
+    @contextmanager
+    def nested(self, t: Token):
+        """Parse one level deeper than ``t``, which opens the level."""
+        self.enter(t)
+        yield
+        self.depth -= 1
 
     # -- program ----------------------------------------------------------
 
@@ -252,10 +267,13 @@ class Parser:
         return self.parse_postfix()
 
     def parse_postfix(self) -> ExprNode:
-        e = self.parse_atom()
-        while True:
-            if self.at("[["):
-                t = self.take()
+        first = e = self.parse_atom()
+        start = self.depth
+        while self.peek().kind in ("[[", "[", "(", ".", "@"):
+            t = self.take()
+            if e is not first:  # this link nests the chain so far
+                self.enter(t)
+            if t.kind == "[[":
                 dims = [self.parse_dim_expr()]
                 while self.accept(","):
                     dims.append(self.parse_dim_expr())
@@ -267,13 +285,11 @@ class Parser:
                     e = CallNode(e.fn, tuple(dims), e.args, pos=t.pos)
                 else:
                     raise CompileError("dimension bindings apply to function names", t.pos)
-            elif self.at("["):
-                t = self.take()
+            elif t.kind == "[":
                 count = self.parse_dim_expr()
                 self.expect("]")
                 e = RepeatNode(e, count, pos=t.pos)
-            elif self.at("("):
-                t = self.take()
+            elif t.kind == "(":
                 args = []
                 if not self.at(")"):
                     while True:
@@ -287,8 +303,7 @@ class Parser:
                     e = CallNode(e.fn, e.dim_args, tuple(args), pos=t.pos)
                 else:
                     raise CompileError("only function names can be called", t.pos)
-            elif self.at("."):
-                t = self.take()
+            elif t.kind == ".":
                 method = self.peek()
                 if method.kind == "measure":
                     self.take()
@@ -309,8 +324,7 @@ class Parser:
                         )
                 else:
                     raise CompileError(f"unknown method .{method.text}", method.pos)
-            elif self.at("@"):
-                t = self.take()
+            else:
                 angle = self.parse_angle_unary()
                 if isinstance(e, QubitLitNode) and e.phase is None:
                     e = QubitLitNode(e.chars, angle, pos=e.pos)
@@ -319,16 +333,16 @@ class Parser:
                     e = RepeatNode(inner, e.count, pos=e.pos)
                 else:
                     raise CompileError("@ phase applies to qubit literals", t.pos)
-            else:
-                return e
+        self.depth = start
+        return e
 
     def desugar_flip(self, e: ExprNode, pos: Pos) -> ExprNode:
         # b.flip on a single-qubit builtin basis swaps its two vectors.
         if isinstance(e, BuiltinBasisNode) and e.prim in ("std", "pm", "ij") \
-                and e.dim == DimLit(1):
+                and e.dim == Num(1):
             chars = {"std": ("0", "1"), "pm": ("p", "m"), "ij": ("i", "j")}[e.prim]
             flipped = BasisLitNode((VecNode(chars[1]), VecNode(chars[0])), pos=pos)
-            return TransNode(BuiltinBasisNode(e.prim, DimLit(1), pos=e.pos), flipped, pos=pos)
+            return TransNode(BuiltinBasisNode(e.prim, Num(1), pos=e.pos), flipped, pos=pos)
         raise CompileError(".flip applies to the single-qubit bases std, pm, ij", pos)
 
     def parse_capture_arg(self) -> ExprNode:
@@ -358,7 +372,7 @@ class Parser:
             return BasisLitNode(tuple(vecs), pos=t.pos)
         if t.kind in ("std", "pm", "ij"):
             self.take()
-            dim: DimExpr = DimLit(1)
+            dim: Arith = Num(1)
             if self.at("[") and not self.at("[["):
                 self.take()
                 dim = self.parse_dim_expr()
@@ -372,7 +386,7 @@ class Parser:
             return BuiltinBasisNode("fourier", dim, pos=t.pos)
         if t.kind == "id":
             self.take()
-            dim = DimLit(1)
+            dim = Num(1)
             if self.at("["):
                 self.take()
                 dim = self.parse_dim_expr()
@@ -381,7 +395,7 @@ class Parser:
             return TransNode(std, std, pos=t.pos)
         if t.kind == "discard":
             self.take()
-            dim = DimLit(1)
+            dim = Num(1)
             if self.at("["):
                 self.take()
                 dim = self.parse_dim_expr()
@@ -417,24 +431,28 @@ class Parser:
         in ``levels`` (operator kind -> binding level, loosest 0) binding at
         ``lowest`` or tighter; ``node(kind, lhs, rhs, pos=...)`` builds each
         link."""
-        e = operand()
+        first = e = operand()
+        start = self.depth
         while levels.get(self.peek().kind, -1) >= lowest:
             t = self.take()
+            if e is not first:  # this link nests the chain so far
+                self.enter(t)
             rhs = self.binary(operand, levels, node, levels[t.kind] + 1)
             e = node(t.kind, e, rhs, pos=t.pos)
+        self.depth = start
         return e
 
-    def parse_dim_expr(self) -> DimExpr:
-        return self.binary(self.parse_dim_atom, ARITH_LEVELS, DimBin)
+    def parse_dim_expr(self) -> Arith:
+        return self.binary(self.parse_dim_atom, ARITH_LEVELS, Bin)
 
-    def parse_dim_atom(self) -> DimExpr:
+    def parse_dim_atom(self) -> Arith:
         t = self.peek()
         if t.kind == "INT":
             self.take()
-            return DimLit(int(t.text), pos=t.pos)
+            return Num(int(t.text), pos=t.pos)
         if t.kind == "IDENT":
             self.take()
-            return DimVar(t.text, pos=t.pos)
+            return Name(t.text, pos=t.pos)
         if t.kind == "(":
             self.take()
             with self.nested(t):
@@ -443,32 +461,32 @@ class Parser:
             return e
         raise CompileError(f"expected a dimension, found {t.text!r}", t.pos)
 
-    def parse_angle_expr(self):
-        return self.binary(self.parse_angle_unary, ARITH_LEVELS, AngleBin)
+    def parse_angle_expr(self) -> Arith:
+        return self.binary(self.parse_angle_unary, ARITH_LEVELS, Bin)
 
-    def parse_angle_unary(self):
+    def parse_angle_unary(self) -> Arith:
         # Also the angle directly after '@': a single, possibly negated
         # factor unless parenthesized.
         t = self.peek()
         if t.kind == "-":
             self.take()
             with self.nested(t):
-                return AngleNeg(self.parse_angle_unary(), pos=t.pos)
+                return Neg(self.parse_angle_unary(), pos=t.pos)
         return self.parse_angle_factor()
 
-    def parse_angle_factor(self):
+    def parse_angle_factor(self) -> Arith:
         t = self.peek()
         if t.kind == "pi":
             self.take()
-            return AnglePi(pos=t.pos)
+            return Pi(pos=t.pos)
         if t.kind in ("FLOAT", "INT"):
             self.take()
             if not math.isfinite(value := float(t.text)):
                 raise CompileError("angle literal is too large", t.pos)
-            return AngleLit(value, pos=t.pos)
+            return Num(value, pos=t.pos)
         if t.kind == "IDENT":
             self.take()
-            return AngleVar(t.text, pos=t.pos)
+            return Name(t.text, pos=t.pos)
         if t.kind == "(":
             self.take()
             with self.nested(t):
@@ -507,9 +525,12 @@ class Parser:
         return self.parse_cpostfix()
 
     def parse_cpostfix(self) -> CExpr:
-        e = self.parse_catom()
+        first = e = self.parse_catom()
+        start = self.depth
         while self.at("["):
             t = self.take()
+            if e is not first:  # this link nests the chain so far
+                self.enter(t)
             lo = self.parse_dim_expr()
             if self.accept(":"):
                 hi = self.parse_dim_expr()
@@ -518,6 +539,7 @@ class Parser:
             else:
                 self.expect("]")
                 e = CIndex(e, lo, pos=t.pos)
+        self.depth = start
         return e
 
     def parse_catom(self) -> CExpr:

@@ -5,55 +5,46 @@ from __future__ import annotations
 from decimal import Decimal
 
 from .ast_nodes import (
-    AngleBin, AngleLit, AngleNeg, AnglePi, AngleVar, AngleNode,
-    BasisLitNode, BitsNode, BuiltinBasisNode, CallNode, CBin, CIndex, CLit,
-    CNot, CondNode, CReduce, CRepeat, CSlice, CVar, DimBin, DimLit, DimVar,
-    DiscardNode, EmbedNode, MeasureNode, ParamNode, PipeNode, PredNode,
-    Program, QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode,
-    TypeNode, AdjointNode, VarNode, VecNode,
+    AngleNode, Arith, BasisLitNode, Bin, BitsNode, BuiltinBasisNode,
+    CallNode, CBin, CIndex, CLit, CNot, CondNode, CReduce, CRepeat, CSlice,
+    CVar, DiscardNode, EmbedNode, MeasureNode, Name, Neg, Num, ParamNode, Pi,
+    PipeNode, PredNode, Program, QpuFn, QubitLitNode, RepeatNode, TensorNode,
+    TransNode, TypeNode, AdjointNode, VarNode, VecNode,
 )
 
 # Precedence levels for deciding parenthesization (higher binds tighter).
 _IF, _PIPE, _TRANS, _PRED, _TENSOR, _UNARY, _POSTFIX = range(7)
 
 
-def print_dim(d) -> str:
-    if isinstance(d, DimLit):
-        return str(d.value)
-    if isinstance(d, DimVar):
-        return d.name
-    assert isinstance(d, DimBin)
-    return f"({print_dim(d.left)} {d.op} {print_dim(d.right)})"
-
-
-def print_angle(a) -> str:
-    if isinstance(a, AngleLit):
-        # Positional digits, which the lexer reads back to the same float;
+def print_arith(a: Arith) -> str:
+    """A dimension or an angle, with one parenthesis per ``Bin``."""
+    if isinstance(a, Num):
+        # Positional digits, which the lexer reads back to the same number;
         # repr would write 1e-05.
         v = a.value
         return str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f")
-    if isinstance(a, AnglePi):
+    if isinstance(a, Pi):
         return "pi"
-    if isinstance(a, AngleVar):
+    if isinstance(a, Name):
         return a.name
-    if isinstance(a, AngleNeg):
-        return f"-{print_angle(a.operand)}"
-    assert isinstance(a, AngleBin)
-    return f"({print_angle(a.left)} {a.op} {print_angle(a.right)})"
+    if isinstance(a, Neg):
+        return f"-{print_arith(a.operand)}"
+    assert isinstance(a, Bin)
+    return f"({print_arith(a.left)} {a.op} {print_arith(a.right)})"
 
 
 def print_type(t: TypeNode) -> str:
     if t.kind == "angle":
         return "angle"
-    return f"{t.kind}[{print_dim(t.dim)}]"
+    return f"{t.kind}[{print_arith(t.dim)}]"
 
 
 def _vec(v: VecNode) -> str:
     s = f"'{v.chars}'"
     if v.repeat is not None:
-        s += f"[{print_dim(v.repeat)}]"
+        s += f"[{print_arith(v.repeat)}]"
     if v.phase is not None:
-        s += f"@({print_angle(v.phase)})"
+        s += f"@({print_arith(v.phase)})"
     return s
 
 
@@ -68,18 +59,18 @@ def _expr(e):
     if isinstance(e, QubitLitNode):
         s = f"'{e.chars}'"
         if e.phase is not None:
-            s += f"@({print_angle(e.phase)})"
+            s += f"@({print_arith(e.phase)})"
         return s, _POSTFIX
     if isinstance(e, BasisLitNode):
         return "{" + ", ".join(_vec(v) for v in e.vectors) + "}", _POSTFIX
     if isinstance(e, BuiltinBasisNode):
-        if e.prim != "fourier" and e.dim == DimLit(1):
+        if e.prim != "fourier" and e.dim == Num(1):
             return e.prim, _POSTFIX
-        return f"{e.prim}[{print_dim(e.dim)}]", _POSTFIX
+        return f"{e.prim}[{print_arith(e.dim)}]", _POSTFIX
     if isinstance(e, TensorNode):
         return " + ".join(print_expr(p, _UNARY) for p in e.parts), _TENSOR
     if isinstance(e, RepeatNode):
-        return f"{print_expr(e.operand, _POSTFIX)}[{print_dim(e.count)}]", _POSTFIX
+        return f"{print_expr(e.operand, _POSTFIX)}[{print_arith(e.count)}]", _POSTFIX
     if isinstance(e, TransNode):
         return (
             f"{print_expr(e.b_in, _PRED)} >> {print_expr(e.b_out, _PRED)}",
@@ -98,11 +89,11 @@ def _expr(e):
     if isinstance(e, MeasureNode):
         return f"{print_expr(e.basis, _POSTFIX)}.measure", _POSTFIX
     if isinstance(e, DiscardNode):
-        return f"discard[{print_dim(e.dim)}]", _POSTFIX
+        return f"discard[{print_arith(e.dim)}]", _POSTFIX
     if isinstance(e, EmbedNode):
         base = e.fn
         if e.dim_args:
-            base += "[[" + ", ".join(print_dim(d) for d in e.dim_args) + "]]"
+            base += "[[" + ", ".join(print_arith(d) for d in e.dim_args) + "]]"
         if e.args:
             base += "(" + ", ".join(print_expr(a) for a in e.args) + ")"
         return f"{base}.{e.mode}", _POSTFIX
@@ -117,11 +108,11 @@ def _expr(e):
     if isinstance(e, CallNode):
         s = e.fn
         if e.dim_args:
-            s += "[[" + ", ".join(print_dim(d) for d in e.dim_args) + "]]"
+            s += "[[" + ", ".join(print_arith(d) for d in e.dim_args) + "]]"
         s += "(" + ", ".join(print_expr(a) for a in e.args) + ")"
         return s, _POSTFIX
     if isinstance(e, AngleNode):
-        return f"({print_angle(e.angle)})", _POSTFIX
+        return f"({print_arith(e.angle)})", _POSTFIX
     if isinstance(e, BitsNode):
         return f"'{e.bits}'", _POSTFIX
     raise AssertionError(f"unhandled node {type(e).__name__}")
@@ -145,16 +136,16 @@ def _cexpr(e):
     if isinstance(e, CNot):
         return f"~{print_cexpr(e.operand, 3)}", 3
     if isinstance(e, CIndex):
-        return f"{print_cexpr(e.operand, 4)}[{print_dim(e.index)}]", 4
+        return f"{print_cexpr(e.operand, 4)}[{print_arith(e.index)}]", 4
     if isinstance(e, CSlice):
         return (
-            f"{print_cexpr(e.operand, 4)}[{print_dim(e.lo)}:{print_dim(e.hi)}]",
+            f"{print_cexpr(e.operand, 4)}[{print_arith(e.lo)}:{print_arith(e.hi)}]",
             4,
         )
     if isinstance(e, CReduce):
         return f"{e.op}_reduce({print_cexpr(e.operand)})", 4
     if isinstance(e, CRepeat):
-        return f"repeat({print_cexpr(e.operand)}, {print_dim(e.count)})", 4
+        return f"repeat({print_cexpr(e.operand)}, {print_arith(e.count)})", 4
     if isinstance(e, CVar):
         return e.name, 4
     if isinstance(e, CLit):
@@ -170,7 +161,7 @@ def _params(params: tuple[ParamNode, ...]) -> str:
             if isinstance(p.default, BitsNode):
                 s += f" = '{p.default.bits}'"
             elif isinstance(p.default, AngleNode):
-                s += f" = ({print_angle(p.default.angle)})"
+                s += f" = ({print_arith(p.default.angle)})"
         out.append(s)
     return ", ".join(out)
 

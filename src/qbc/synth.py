@@ -52,12 +52,9 @@ class StdEntry:
     conditional: bool
 
 
-@dataclass(frozen=True)
-class StdPlan:
-    entries: tuple[StdEntry, ...]
-
-
-def plan_standardization(b_in: Basis, b_out: Basis) -> tuple[StdPlan, StdPlan]:
+def plan_standardization(
+    b_in: Basis, b_out: Basis
+) -> tuple[tuple[StdEntry, ...], tuple[StdEntry, ...]]:
     """Standardizations (left) and destandardizations (right) with offsets.
 
     Inseparable fourier elements standardize as one conditional unit, with
@@ -100,7 +97,7 @@ def plan_standardization(b_in: Basis, b_out: Basis) -> tuple[StdPlan, StdPlan]:
             bigdq.appendleft((Padding(delta), bo + small.dim))
     if ldq or rdq:
         raise CompileError("standardization planning saw mismatched dims")
-    return StdPlan(tuple(lstd)), StdPlan(tuple(rstd))
+    return tuple(lstd), tuple(rstd)
 
 
 def qft_gates(qs: Sequence[int]) -> list[Gate]:
@@ -120,13 +117,14 @@ def iqft_gates(qs: Sequence[int]) -> list[Gate]:
     return adjoint_gates(qft_gates(qs))
 
 
-def _entry_gates(entry: StdEntry, stdward: bool) -> list[Gate]:
-    qs = list(range(entry.offset, entry.offset + entry.dim))
-    if entry.prim is Prim.STD:
+def std_gates(prim: Prim, qs: Sequence[int], stdward: bool) -> list[Gate]:
+    """Gates taking qubits ``qs`` from basis ``prim`` to std (``stdward``),
+    or from std back to ``prim``."""
+    if prim is Prim.STD:
         return []
-    if entry.prim is Prim.PM:
+    if prim is Prim.PM:
         return [g(H, q) for q in qs]
-    if entry.prim is Prim.IJ:
+    if prim is Prim.IJ:
         out = []
         for q in qs:
             out += [g(SDG, q), g(H, q)] if stdward else [g(H, q), g(S, q)]
@@ -159,12 +157,13 @@ def with_predicates(gates: list[Gate], groups: Sequence[PredGroup]) -> list[Gate
 
 
 def emit_standardization(
-    plan: StdPlan, stdward: bool, groups: Sequence[PredGroup] = ()
+    plan: Sequence[StdEntry], stdward: bool, groups: Sequence[PredGroup] = ()
 ) -> list[Gate]:
     """Unconditional entries outermost, conditional entries controlled."""
     first, second = [], []
-    for entry in plan.entries:
-        gates = _entry_gates(entry, stdward)
+    for entry in plan:
+        qs = range(entry.offset, entry.offset + entry.dim)
+        gates = std_gates(entry.prim, qs, stdward)
         if entry.conditional:
             second.extend(with_predicates(gates, groups))
         else:
@@ -493,13 +492,13 @@ def lower_translation(b_in: Basis, b_out: Basis) -> tuple[Gate, ...]:
     return tuple(gates)
 
 
-def _check_predicates_unconditional(lstd: StdPlan, rstd: StdPlan,
+def _check_predicates_unconditional(lstd: tuple[StdEntry, ...],
+                                    rstd: tuple[StdEntry, ...],
                                     groups: Sequence[PredGroup]) -> None:
     conditional = set()
-    for plan in (lstd, rstd):
-        for e in plan.entries:
-            if e.conditional:
-                conditional.update(range(e.offset, e.offset + e.dim))
+    for e in lstd + rstd:
+        if e.conditional:
+            conditional.update(range(e.offset, e.offset + e.dim))
     for qs, _ in groups:
         if conditional & set(qs):
             raise CompileError(
@@ -716,11 +715,9 @@ def embed_gates(cfn: ClassicalFn, mode: str,
         return compute + middle + uncompute, width, anc
     p = pred.dim
     groups = _element_groups(pred, skip_index=-1)
-    plan = StdPlan(tuple(
-        StdEntry(e.prim, e.dim, off, False)
-        for e, off in _with_offsets(pred)
-        if not isinstance(e, Padding)
-    ))
+    plan = tuple(StdEntry(e.prim, e.dim, off, False)
+                 for e, off in _with_offsets(pred)
+                 if not isinstance(e, Padding))
     gates = [gt.shifted(p) for gt in compute]
     gates += emit_standardization(plan, stdward=True)
     for conj, run in groupby(middle,

@@ -2,19 +2,19 @@
 Type checking for expanded programs: linear qubit usage, reversibility
 restrictions, basis-literal validity, and span equivalence of translations.
 
-Runs on the output of expansion, so every dimension is a concrete integer
-and captures have been baked away.
+Runs on the output of expansion, so every dimension is a ``Num`` holding
+an int and captures have been baked away. Each angle is still an
+expression; the check folds it with ``expand.evaluate``, the one evaluator
+of dimensions and angles, so a bad angle is reported here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 from . import bases
 from .ast_nodes import (
-    AngleBin, AngleLit, AngleNeg, AnglePi, AngleExpr,
     BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode, EmbedNode,
     ExprNode, MeasureNode, PipeNode, Pos, PredNode, Program, QpuFn,
     QubitLitNode, RepeatNode, TensorNode, TransNode, AdjointNode, VarNode,
@@ -23,6 +23,7 @@ from .ast_nodes import (
 )
 from .bases import Prim, check_span_equivalence, fully_spans, validate_literal
 from .diagnostics import CompileError
+from .expand import evaluate
 
 
 @dataclass(frozen=True)
@@ -50,22 +51,6 @@ class FTy:
 Ty = Union[VTy, FTy]
 
 
-def fold_angle(a: AngleExpr, pos: Pos) -> float:
-    if isinstance(a, AngleLit):
-        return a.value
-    if isinstance(a, AnglePi):
-        return math.pi
-    if isinstance(a, AngleNeg):
-        return -fold_angle(a.operand, pos)
-    if isinstance(a, AngleBin):
-        x = fold_angle(a.left, pos)
-        y = fold_angle(a.right, pos)
-        if a.op == "/" and y == 0:
-            raise CompileError("division by zero in angle", pos)
-        return {"+": x + y, "-": x - y, "*": x * y, "/": x / y}[a.op]
-    raise CompileError("angle is not constant", pos)
-
-
 def basis_of(e: ExprNode) -> bases.Basis:
     """Convert a basis-typed expression into a canon-form Basis value, with
     its phases folded."""
@@ -84,7 +69,7 @@ def basis_of(e: ExprNode) -> bases.Basis:
             for v in node.vectors:
                 phase = None
                 if v.phase is not None:
-                    phase = fold_angle(v.phase, v.pos)
+                    phase = evaluate(v.phase, {}, v.pos)
                 try:
                     vecs.append(bases.vector_from_chars(v.chars, phase))
                 except ValueError as ex:
@@ -223,7 +208,7 @@ class TypeChecker:
     def _expr(self, e: ExprNode, env, rev: bool) -> Ty:
         if isinstance(e, QubitLitNode):
             if e.phase is not None:
-                fold_angle(e.phase, e.pos)
+                evaluate(e.phase, {}, e.pos)
             return VTy("qubit", len(e.chars))
         if isinstance(e, BasisLitNode):
             # Every literal is validated here, as the walk reaches it.

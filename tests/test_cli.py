@@ -159,14 +159,28 @@ def test_permutation_limit_is_a_diagnostic(tmp_path, capsys):
         f"{path}: error: permutation too wide (13 > 12)\n"
 
 
-# Each program ends in one of the dimension solver's four messages.
+def test_long_chain_is_a_diagnostic_under_every_emit(tmp_path, capsys):
+    # A 600-term XOR compiled to QASM, but its AST crashed the printer.
+    path = tmp_path / "xor600.qw"
+    path.write_text("classical c(x: bit[1]) -> bit[1] {\n    "
+                    + " ^ ".join(["x"] * 600) + "\n}\n"
+                    "qpu main() -> bit[2] { '00' | c.xor | std[2].measure }\n")
+    for emit in ("qasm", "ast"):
+        assert main(["compile", "--emit", emit, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:2:411: error: expression nests deeper than 100 levels\n")
+
+
+# Each program ends in one of the dimension solver's four messages, at the
+# position it names.
 DIM_ERRORS = {
-    "not an integer": "qpu main() -> bit[1] {\n    '0'[3 / 2] | std.measure\n}\n",
-    "cannot solve dimension for N": """
+    "2:11: error: dimension 3/2 is not an integer":
+        "qpu main() -> bit[1] {\n    '0'[3 / 2] | std.measure\n}\n",
+    "3:32: error: cannot solve dimension for N": """
 qpu f[N](q: qubit[2 * N]) -> qubit[2 * N] rev { q }
 qpu main() -> bit[3] { '000' | f | std[3].measure }
 """,
-    "inferred non-positive dimension N = -1": """
+    "3:31: error: inferred non-positive dimension N = -1": """
 qpu f[N](q: qubit[N + 3]) -> qubit[N + 3] rev { q }
 qpu main() -> bit[2] { '00' | f | std[2].measure }
 """,
@@ -182,8 +196,7 @@ def test_dimension_errors_name_the_file(tmp_path, capsys):
         path = tmp_path / "dims.qw"
         path.write_text(source)
         assert main(["compile", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"{path}:") and message in err, err
+        assert capsys.readouterr().err == f"{path}:{message}\n"
 
 
 def test_stats_prints_circuit_counts(capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qbc.ast_nodes import (
-    BasisLitNode, BuiltinBasisNode, CondNode, DimLit, PipeNode, Program,
+    BasisLitNode, BuiltinBasisNode, CondNode, Num, PipeNode, Program,
     QubitLitNode, TensorNode, TransNode, AdjointNode, PredNode,
 )
 from qbc.canon_ast import canonicalize_ast
@@ -57,13 +57,25 @@ def test_missing_entry_kernel():
     assert "main" in str(e.value)
 
 
+# Every arithmetic form of dimensions and angles: chained and parenthesized
+# dimensions, a negated pi, a fractional and an integral angle literal, and
+# an angle capture passed on to a kernel.
+ARITH_FORMS = """\
+qpu f[N](q: qubit[N - 1 - 1 * 2]) -> qubit[(N + 2) / 2] rev { q }
+qpu rot(a: angle, q: qubit[1]) -> qubit[1] rev { q | ({'1'} >> {'1' @ a}) }
+qpu main(t: angle = (1.5)) -> bit[6] {
+    '0' @ (-pi / 4) + '1' @ 2 + '0000' | rot(t) + f[[8]] | std[6].measure
+}
+"""
+
+
 @pytest.mark.parametrize("path", [
     "benchmarks/bv.qw", "benchmarks/dj.qw", "benchmarks/grover.qw",
     "benchmarks/simon.qw", "benchmarks/period.qw", "benchmarks/bell.qw",
-    "benchmarks/teleport.qw",
+    "benchmarks/teleport.qw", "tests/goldens/forms.qw", "arith_forms",
 ])
 def test_print_parse_roundtrip(path):
-    prog = parse(open(path).read())
+    prog = parse(ARITH_FORMS if path == "arith_forms" else open(path).read())
     text = print_program(prog)
     again = parse(text)
     assert again == prog
@@ -84,12 +96,32 @@ qpu main() -> bit[2] { '0'[2] | std[2].measure }
 def test_expand_infers_dim_from_capture():
     prog = expand(parse(BV), {})
     main = prog.qpu("main")
-    assert main.ret_type.dim == DimLit(4)
+    # Num(4) == Num(4.0), so the type is checked apart.
+    assert main.ret_type.dim == Num(4)
+    assert type(main.ret_type.dim.value) is int
+
+
+def test_arithmetic_forms_compile():
+    prog = full_front(ARITH_FORMS).program
+    f = prog.qpu("f__N8")
+    for dim in (f.params[0].type.dim, f.ret_type.dim):
+        assert dim == Num(5) and type(dim.value) is int
+    qc = compile_to_circuit(ARITH_FORMS, "forms.qw", Options())
+    assert distribution(qc) == {"010000": 1.0}
+
+
+def test_unbound_dimension_in_a_classical_body_is_a_diagnostic():
+    src = ("classical c(x: bit[1]) -> bit[1] {\n    x[M]\n}\n"
+           "qpu main() -> bit[2] { '00' | c.xor | std[2].measure }\n")
+    with pytest.raises(CompileError) as e:
+        full_front(src)
+    assert str(e.value) == "<input>:2:6: error: dimension variable M is unbound"
 
 
 def test_expand_explicit_bindings_override():
     prog = expand(parse(open("benchmarks/dj.qw").read()), {"N": 6})
-    assert prog.qpu("main").ret_type.dim == DimLit(6)
+    dim = prog.qpu("main").ret_type.dim
+    assert dim == Num(6) and type(dim.value) is int
 
 
 def test_expand_conflicting_binding_errors():
@@ -342,6 +374,40 @@ def test_else_chain_at_the_limit_parses():
     assert arms == 100
 
 
+# Chains of ``n`` links, each link a node around the chain so far. A chain's
+# first link opens no level, so a chain at the top of an expression may have
+# 101 links; the phase's parenthesis takes one level, leaving it 100.
+CHAINS = {
+    "repeats": (lambda n: "qpu main() -> bit[1] {\n    '0'" + "[1]" * n
+                + " | std.measure\n}\n", 101),
+    "measures": (lambda n: "qpu main() -> bit[1] {\n    '0' | std"
+                 + ".measure" * n + "\n}\n", 101),
+    "dimension": (lambda n: f"qpu main() -> bit[{n + 1}] {{\n    '0'[{n + 1}]"
+                  f" | std[{'+'.join(['1'] * (n + 1))}].measure\n}}\n", 101),
+    "phase": (lambda n: "qpu main() -> bit[1] {\n    '0' @ ("
+              + "+".join(["1"] * (n + 1)) + ") | std.measure\n}\n", 100),
+    "xor": (lambda n: "classical c(x: bit[1]) -> bit[1] {\n    "
+            + " ^ ".join(["x"] * (n + 1)) + "\n}\n"
+            "qpu main() -> bit[2] { '00' | c.xor | std[2].measure }\n", 101),
+    "indices": (lambda n: "classical c(x: bit[1]) -> bit[1] {\n    x"
+                + "[0]" * n + "\n}\n"
+                "qpu main() -> bit[2] { '00' | c.xor | std[2].measure }\n",
+                101),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chains_at_the_limit_compile(name):
+    make, limit = CHAINS[name]
+    if name == "measures":  # parses, but a measured value is not a basis
+        with pytest.raises(CompileError, match=r"\.measure applies to a basis"):
+            compile_source(make(limit), "chain.qw", Options(), "qasm")
+    else:
+        compile_source(make(limit), "chain.qw", Options(), "qasm")
+    with pytest.raises(CompileError, match="nests deeper than 100 levels"):
+        parse(make(limit + 1))
+
+
 @pytest.mark.parametrize("src, where", [
     (_nested_parens(101), "1:124"),
     ("qpu f(q: qubit[1]) -> qubit[1] rev { q | std.flip }\n"
@@ -351,11 +417,19 @@ def test_else_chain_at_the_limit_parses():
      + " }\nqpu main() -> bit[1] { '0' | c.xor | std.measure }\n", "1:136"),
     (_else_chain(101), "3:1422"),
     (_else_chain(1200), "3:1422"),
+    (CHAINS["repeats"][0](1000), "2:311"),
+    (CHAINS["measures"][0](1000), "2:822"),
+    (CHAINS["dimension"][0](1999), "2:224"),
+    (CHAINS["phase"][0](1999), "2:213"),
+    (CHAINS["xor"][0](1999), "2:411"),
+    (CHAINS["indices"][0](1000), "2:309"),
 ], ids=["parentheses", "adjoints", "classical_parentheses", "else_chain",
-        "long_else_chain"])
+        "long_else_chain", "repeat_chain", "measure_chain", "dimension_chain",
+        "phase_chain", "xor_chain", "index_chain"])
 def test_nesting_past_the_limit_is_a_diagnostic(src, where):
     # The diagnostic points at the token that opens the 101st level: a
-    # parenthesis, a ~ or an else.
+    # parenthesis, a ~, an else, or the link of a chain (the 102nd link of
+    # a chain at the top, the 101st of the parenthesized phase).
     with pytest.raises(CompileError) as e:
         parse(src)
     assert str(e.value) == \
@@ -372,6 +446,14 @@ def test_check_folds_basis_vector_phases(tmp_path, capsys):
         assert main([cmd, str(path)]) == 1
         assert capsys.readouterr().err == \
             f"{path}:2:25: error: division by zero in angle\n"
+
+
+@pytest.mark.parametrize("angle", ["pi + 0", "pi - 0", "pi * 0"])
+def test_zero_angle_operand_folds_outside_a_division(angle):
+    # Only a division by zero is an error; a 0 under another operator folds.
+    src = f"qpu main() -> bit[1] {{ '1' @ ({angle}) | std.measure }}"
+    qc = compile_to_circuit(src, "zero.qw", Options())
+    assert distribution(qc) == {"1": 1.0}
 
 
 def test_rebinding_a_consumed_qubit_compiles():
@@ -484,7 +566,7 @@ def test_parse_binary_precedence_and_left_associativity():
         (x, "^", (x, "&", x)), "|", ((x, "^", x), "^", x))
     angle = prog.qpu("main").body.fns[0].b_out.vectors[1].phase
     assert _shape(angle) == (
-        ("AnglePi", "-", (("AnglePi", "/", 2.0), "/", 4.0)), "+", 1.0)
+        ("Pi", "-", (("Pi", "/", 2.0), "/", 4.0)), "+", 1.0)
 
 
 def test_parse_precedence_pipe_vs_trans():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qbc.ast_nodes import (
-    ClassicalFn, CBin, CIndex, CLit, CNot, CReduce, CSlice, CVar, DimLit,
+    ClassicalFn, CBin, CIndex, CLit, CNot, CReduce, CSlice, CVar, Num,
     ParamNode, TypeNode,
 )
 from qbc.bases import (
@@ -63,10 +63,10 @@ def test_plan_conditional_and_unconditional():
     b_in = basis(lit("p", "m"), BuiltinBasis(IJ, 1))
     b_out = basis(lit("p", "m"), BuiltinBasis(PM, 1))
     lstd, rstd = plan_standardization(b_in, b_out)
-    assert [(e.prim, e.dim, e.conditional) for e in lstd.entries] == [
+    assert [(e.prim, e.dim, e.conditional) for e in lstd] == [
         (PM, 1, False), (IJ, 1, True)
     ]
-    assert [(e.prim, e.dim, e.conditional) for e in rstd.entries] == [
+    assert [(e.prim, e.dim, e.conditional) for e in rstd] == [
         (PM, 1, False), (PM, 1, True)
     ]
 
@@ -76,20 +76,20 @@ def test_plan_inseparable_fourier():
     b_in = basis(BuiltinBasis(STD, 1), BuiltinBasis(FOURIER, 3))
     b_out = basis(BuiltinBasis(FOURIER, 3), BuiltinBasis(STD, 1))
     lstd, rstd = plan_standardization(b_in, b_out)
-    assert [(e.prim, e.dim, e.conditional) for e in lstd.entries] == [
+    assert [(e.prim, e.dim, e.conditional) for e in lstd] == [
         (STD, 1, True), (FOURIER, 3, True)
     ]
-    assert [(e.prim, e.dim, e.conditional) for e in rstd.entries] == [
+    assert [(e.prim, e.dim, e.conditional) for e in rstd] == [
         (FOURIER, 3, True), (STD, 1, True)
     ]
-    assert [e.offset for e in lstd.entries] == [0, 1]
-    assert [e.offset for e in rstd.entries] == [0, 3]
+    assert [e.offset for e in lstd] == [0, 1]
+    assert [e.offset for e in rstd] == [0, 3]
 
 
 def test_plan_trivial_std():
     b = basis(BuiltinBasis(STD, 2))
     lstd, rstd = plan_standardization(b, b)
-    assert [(e.prim, e.dim, e.conditional) for e in lstd.entries] == [(STD, 2, False)]
+    assert [(e.prim, e.dim, e.conditional) for e in lstd] == [(STD, 2, False)]
     assert lstd == rstd
 
 
@@ -97,8 +97,8 @@ def test_plan_symmetry_of_unconditional_entries():
     b_in = basis(lit("p", "m"), BuiltinBasis(IJ, 2), lit("0"))
     b_out = basis(lit("m", "p"), BuiltinBasis(PM, 2), lit("0"))
     lstd, rstd = plan_standardization(b_in, b_out)
-    lu = [(e.prim, e.dim) for e in lstd.entries if not e.conditional]
-    ru = [(e.prim, e.dim) for e in rstd.entries if not e.conditional]
+    lu = [(e.prim, e.dim) for e in lstd if not e.conditional]
+    ru = [(e.prim, e.dim) for e in rstd if not e.conditional]
     assert lu == ru
 
 
@@ -460,9 +460,9 @@ def test_translation_randomized_corpus():
 
 def _cfn(name, widths, ret, body):
     params = tuple(
-        ParamNode(f"x{i}", TypeNode("bit", DimLit(w))) for i, w in enumerate(widths)
+        ParamNode(f"x{i}", TypeNode("bit", Num(w))) for i, w in enumerate(widths)
     )
-    return ClassicalFn(name, (), (), params, TypeNode("bit", DimLit(ret)), body)
+    return ClassicalFn(name, (), (), params, TypeNode("bit", Num(ret)), body)
 
 
 def _truth_check(cfn, fn_py, n, k):
@@ -509,7 +509,7 @@ def test_classical_bv_inner_product_structure():
 
 def test_classical_sign_mode_cz():
     # f(x) = x0 & x1 in sign mode acts as CZ.
-    body = CBin("&", CIndex(CVar("x0"), DimLit(0)), CIndex(CVar("x0"), DimLit(1)))
+    body = CBin("&", CIndex(CVar("x0"), Num(0)), CIndex(CVar("x0"), Num(1)))
     cfn = _cfn("andf", [2], 1, body)
     gates, _, anc = embed_gates(cfn, "sign", None)
     u = u_of(gates, 2 + anc)
@@ -522,7 +522,7 @@ def test_classical_sign_mode_cz():
 
 
 def test_classical_or_demorgan():
-    body = CBin("|", CIndex(CVar("x0"), DimLit(0)), CIndex(CVar("x0"), DimLit(1)))
+    body = CBin("|", CIndex(CVar("x0"), Num(0)), CIndex(CVar("x0"), Num(1)))
     cfn = _cfn("orf", [2], 1, body)
     _truth_check(cfn, lambda x: int(x != 0), 2, 1)
 
@@ -530,7 +530,7 @@ def test_classical_or_demorgan():
 def test_classical_and_of_a_wire_with_itself():
     # x & x and x & ~x fold before synthesis (a Toffoli with one control
     # twice is not a gate).
-    x = CIndex(CVar("x0"), DimLit(0))
+    x = CIndex(CVar("x0"), Num(0))
     _truth_check(_cfn("same", [2], 1, CBin("&", x, x)), lambda v: v >> 1, 2, 1)
     _truth_check(_cfn("never", [2], 1, CBin("&", x, CNot(x))), lambda v: 0, 2, 1)
     _truth_check(_cfn("always", [2], 1, CBin("|", CNot(x), x)), lambda v: 1, 2, 1)
@@ -539,8 +539,8 @@ def test_classical_and_of_a_wire_with_itself():
 def test_classical_slices_and_repeat():
     from qbc.ast_nodes import CSlice, CRepeat, CIndex
 
-    body = CBin("^", CSlice(CVar("x0"), DimLit(0), DimLit(2)),
-                CRepeat(CIndex(CVar("x0"), DimLit(2)), DimLit(2)))
+    body = CBin("^", CSlice(CVar("x0"), Num(0), Num(2)),
+                CRepeat(CIndex(CVar("x0"), Num(2)), Num(2)))
     cfn = _cfn("mix", [3], 2, body)
 
     def fpy(x):
@@ -562,10 +562,10 @@ def _bit_exprs(n):
         st.just(x0), st.just(CNot(x0)),
         st.tuples(st.integers(0, n - 2), st.integers(2, n)).filter(
             lambda t: t[1] - t[0] >= 2).map(
-            lambda t: CSlice(x0, DimLit(t[0]), DimLit(t[1]))),
+            lambda t: CSlice(x0, Num(t[0]), Num(t[1]))),
     )
     leaves = st.one_of(
-        st.integers(0, n - 1).map(lambda i: CIndex(x0, DimLit(i))),
+        st.integers(0, n - 1).map(lambda i: CIndex(x0, Num(i))),
         st.tuples(st.sampled_from(["and", "or", "xor"]), vectors).map(
             lambda t: CReduce(*t)),
     )
@@ -669,7 +669,7 @@ def test_predicated_embed_controls_only_its_copy_or_kick(mode, pred):
             (peep, dec)
 
 
-_A, _B = CIndex(CVar("x0"), DimLit(0)), CIndex(CVar("x0"), DimLit(1))
+_A, _B = CIndex(CVar("x0"), Num(0)), CIndex(CVar("x0"), Num(1))
 
 
 @pytest.mark.parametrize("body,widths,ands", [
@@ -776,7 +776,7 @@ def test_sign_oracle_of_one_and_kicks_phase_without_target():
 def test_sign_oracle_of_a_constant_puts_its_phase_on_a_fresh_ancilla():
     # A constant-true f has no wire to kick: -I = X.Z.X.Z goes on a fresh
     # ancilla, so a predicate's controls turn it into a relative phase.
-    x0 = CIndex(CVar("x0"), DimLit(0))
+    x0 = CIndex(CVar("x0"), Num(0))
     cfn = _cfn("one", [1], 1, CNot(CBin("^", x0, x0)))
     gates, width, anc = embed_gates(cfn, "sign", None)
     assert (width, anc) == (1, 1)
