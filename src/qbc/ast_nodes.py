@@ -238,27 +238,6 @@ ExprNode = Union[
     EmbedNode, CondNode, VarNode, CallNode, AngleNode, BitsNode,
 ]
 
-# The expression-valued fields of each node; ``parts``, ``fns`` and ``args``
-# hold tuples of expressions.
-_CHILD_FIELDS = {
-    TensorNode: ("parts",), RepeatNode: ("operand",),
-    TransNode: ("b_in", "b_out"), PipeNode: ("value", "fns"),
-    AdjointNode: ("fn",), PredNode: ("basis", "fn"), MeasureNode: ("basis",),
-    EmbedNode: ("args",), CondNode: ("then", "flag", "els"),
-    CallNode: ("args",),
-}
-
-
-def map_children(e: ExprNode, f) -> ExprNode:
-    """``e`` with each of its child expressions ``c`` replaced by ``f(c)``,
-    applied in field order."""
-    kids = {}
-    for name in _CHILD_FIELDS.get(type(e), ()):
-        v = getattr(e, name)
-        kids[name] = tuple(map(f, v)) if isinstance(v, tuple) else f(v)
-    return replace(e, **kids) if kids else e
-
-
 @dataclass(frozen=True)
 class LetNode:
     """``let names = value;`` (with ``types`` for a destructuring let)."""
@@ -329,6 +308,29 @@ class CRepeat:
 
 
 CExpr = Union[CVar, CLit, CBin, CNot, CIndex, CSlice, CReduce, CRepeat]
+
+
+# The expression-valued fields of each node, quantum and classical;
+# ``parts``, ``fns`` and ``args`` hold tuples of expressions.
+_CHILD_FIELDS = {
+    TensorNode: ("parts",), RepeatNode: ("operand",),
+    TransNode: ("b_in", "b_out"), PipeNode: ("value", "fns"),
+    AdjointNode: ("fn",), PredNode: ("basis", "fn"), MeasureNode: ("basis",),
+    EmbedNode: ("args",), CondNode: ("then", "flag", "els"),
+    CallNode: ("args",),
+    CBin: ("left", "right"), CNot: ("operand",), CIndex: ("operand",),
+    CSlice: ("operand",), CReduce: ("operand",), CRepeat: ("operand",),
+}
+
+
+def map_children(e: Union[ExprNode, CExpr], f) -> Union[ExprNode, CExpr]:
+    """``e`` with each of its child expressions ``c`` replaced by ``f(c)``,
+    applied in field order."""
+    kids = {}
+    for name in _CHILD_FIELDS.get(type(e), ()):
+        v = getattr(e, name)
+        kids[name] = tuple(map(f, v)) if isinstance(v, tuple) else f(v)
+    return replace(e, **kids) if kids else e
 
 
 # --------------------------------------------------------------------------

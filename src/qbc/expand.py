@@ -5,6 +5,14 @@ and bake captured bit/angle constants into monomorphic function instances.
 Runs before type checking. Dimension variables are bound from, in order:
 explicit [[...]] bindings, -D command-line bindings (entry only), declared
 defaults, and inference from capture lengths or the piped-in register width.
+A name in a parameter or result type must be one of its function's
+declared dimension variables.
+
+Expansion types each expression with ``qwir.QwTy`` and the rules next to
+it as far as shapes go (value, basis or function, and the width piped into
+a stage), and reports the shape errors; the checker reports the rest.
+Capture arguments have no type: ``BitsNode`` and ``AngleNode`` tell them
+apart.
 
 Dimensions and angles are one arithmetic family, with one evaluator
 (``evaluate``, which folds every dimension here and every angle for
@@ -16,17 +24,22 @@ holding ints; expanded angles stay expressions, which ``--emit ast`` prints.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional, Union
 
 from .ast_nodes import (
     AngleNode, Arith, BasisLitNode, Bin, BitsNode, BuiltinBasisNode,
-    CallNode, CBin, CExpr, CIndex, ClassicalFn, CLit, CNot, CondNode,
-    CReduce, CRepeat, CSlice, CVar, DiscardNode, EmbedNode, ExprNode,
-    LetNode, MeasureNode, Name, Neg, Num, ParamNode, Pi, PipeNode, Pos,
-    PredNode, Program, QpuFn, QubitLitNode, RepeatNode, TensorNode,
-    TransNode, TypeNode, AdjointNode, VarNode, VecNode,
+    CallNode, CExpr, CIndex, ClassicalFn, CLit, CondNode, CRepeat, CSlice,
+    CVar, DiscardNode, EmbedNode, ExprNode, LetNode, MeasureNode, Name, Neg,
+    Num, ParamNode, Pi, PipeNode, Pos, PredNode, Program, QpuFn,
+    QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode, AdjointNode,
+    VarNode, VecNode, map_children,
 )
 from .diagnostics import CompileError
+from .qwir import (
+    QwTy, discard_fn, embed_fn, measure_fn, pred_fn, qubit, rev_fn,
+    signature, tensor_fn,
+)
 
 
 class _Unbound(Exception):
@@ -113,28 +126,27 @@ def _solve_dim(d: Arith, target: int, env: dict[str, int], pos: Pos) -> None:
     env[var] = value
 
 
-_VALUE, _FN, _BASIS, _ANGLE, _BITS = "value", "fn", "basis", "angle", "bits"
+def _check_declared(fn: Union[QpuFn, ClassicalFn]) -> None:
+    """Every name in ``fn``'s parameter and result types, leftmost first,
+    is one of its dimension variables."""
+    todo = [fn.ret_type.dim, *(p.type.dim for p in reversed(fn.params))]
+    while todo:
+        a = todo.pop()
+        if isinstance(a, Bin):
+            todo += (a.right, a.left)
+        elif isinstance(a, Name) and a.name not in fn.dim_vars:
+            raise CompileError(f"undeclared dimension variable {a.name}", a.pos)
 
 
-class _Info:
-    """Shape info carried during expansion (a light pre-typing pass)."""
-
-    def __init__(self, kind, in_dim=None, out_dim=None):
-        self.kind = kind
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    @staticmethod
-    def value(dim):
-        return _Info(_VALUE, out_dim=dim)
-
-    @staticmethod
-    def fn(in_dim, out_dim):
-        return _Info(_FN, in_dim, out_dim)
-
-    @staticmethod
-    def basis(dim):
-        return _Info(_BASIS, out_dim=dim)
+def _tensor(tys: list[QwTy], pos: Pos) -> QwTy:
+    """The type of a tensor whose parts are all functions, all bases, or
+    all values; the checker tells qubits from bits."""
+    kinds = {t.kind for t in tys}
+    if kinds == {"func"}:
+        return tensor_fn(tys)
+    if kinds == {"basis"} or not kinds & {"basis", "func"}:
+        return QwTy(tys[0].kind, sum(t.dim for t in tys))
+    raise CompileError("tensor operands must all be values, bases, or functions", pos)
 
 
 class Expander:
@@ -153,6 +165,8 @@ class Expander:
         main = self.program.qpu("main")
         if main is None:
             raise CompileError("missing entry kernel 'main'", Pos(1, 1))
+        for fn in (*self.program.qpus, *self.program.classicals):
+            _check_declared(fn)
         dim_env: dict[str, int] = {}
         for name, default in zip(main.dim_vars, main.dim_defaults):
             if name in self.bindings:
@@ -177,7 +191,7 @@ class Expander:
         for name in main.dim_vars:
             if name not in dim_env:
                 raise CompileError(f"dimension variable {name} is unbound; pass -D {name}=...", main.pos)
-        entry = self._instantiate_qpu(main, dim_env, captures, keep_name="main")
+        entry, _ = self._instantiate_qpu(main, dim_env, captures, keep_name="main")
         return Program(tuple(self.out_qpus), tuple(self.out_classicals), entry=entry)
 
     def _fresh_name(self, base: str, dim_env: dict[str, int]) -> str:
@@ -214,33 +228,31 @@ class Expander:
         dim_env: dict[str, int],
         captures: dict[str, ExprNode],
         keep_name: Optional[str] = None,
-    ) -> str:
-        """The name of ``fn``'s instance at ``dim_env`` with ``captures``
-        baked in, expanded the first time it is asked for. Every bit or
-        angle parameter is a capture, so the instance keeps only its qubit
-        parameter and no angle outlives expansion."""
+    ) -> tuple[str, QwTy]:
+        """The name and type of ``fn``'s instance at ``dim_env`` with
+        ``captures`` baked in, expanded the first time it is asked for.
+        Every bit or angle parameter is a capture, so the instance keeps
+        only its qubit parameter and no angle outlives expansion. The type
+        is known before the body is expanded, so a recursive call finds
+        it."""
         key = (fn.name, tuple(sorted(dim_env.items())), self._capture_key(captures))
         if key in self.qpu_instances:
             return self.qpu_instances[key]
         name = keep_name or self._fresh_name(fn.name, dim_env)
-        self.qpu_instances[key] = name
-
-        new_params = [ParamNode(p.name, self._subst_type(p.type, dim_env), None,
-                                pos=p.pos)
-                      for p in fn.params if p.type.kind == "qubit"]
-        if len(new_params) > 1:
+        params = tuple(ParamNode(p.name, self._subst_type(p.type, dim_env),
+                                 None, pos=p.pos)
+                       for p in fn.params if p.type.kind == "qubit")
+        if len(params) > 1:
             raise CompileError(f"kernel {fn.name} has more than one qubit parameter", fn.pos)
-        env = {p.name: _Info.value(p.type.dim.value) for p in new_params}
+        head = QpuFn(name, (), (), params, self._subst_type(fn.ret_type, dim_env),
+                     fn.reversible, (), fn.body, pos=fn.pos)
+        self.qpu_instances[key] = name, signature(head)
+        env = {p.name: qubit(p.type.dim.value) for p in params}
         lets = tuple(self._expand_let(let, dim_env, captures, env)
                      for let in fn.lets)
         body, _ = self._expand_expr(fn.body, dim_env, captures, env)
-        out = QpuFn(
-            name, (), (), tuple(new_params),
-            self._subst_type(fn.ret_type, dim_env), fn.reversible, lets, body,
-            pos=fn.pos,
-        )
-        self.out_qpus.append(out)
-        return name
+        self.out_qpus.append(replace(head, lets=lets, body=body))
+        return self.qpu_instances[key]
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:
         dim = _dimension(t.dim, dim_env, t.pos)
@@ -250,30 +262,30 @@ class Expander:
 
     def _expand_let(self, let: LetNode, dims, captures, env) -> LetNode:
         """Expand ``let``'s value in ``env``, then bind its names there."""
-        value, vi = self._expand_expr(let.value, dims, captures, env)
+        value, vty = self._expand_expr(let.value, dims, captures, env)
         split = len(let.names) > 1
         types = []
         for ty in let.types:
             if ty is None and split:
                 raise CompileError("destructuring let requires types", let.pos)
             types.append(None if ty is None else self._subst_type(ty, dims))
-        widths = [vi.out_dim if ty is None else ty.dim.value for ty in types]
-        if sum(widths) != vi.out_dim:
+        widths = [vty.dim if ty is None else ty.dim.value for ty in types]
+        if sum(widths) != vty.dim:
             raise CompileError(
-                f"destructuring splits {sum(widths)} of {vi.out_dim} qubits/bits"
+                f"destructuring splits {sum(widths)} of {vty.dim} qubits/bits"
                 if split else "let type does not match value", let.pos,
             )
-        env.update((name, _Info(vi.kind, out_dim=w))
-                   for name, w in zip(let.names, widths))
+        env.update((name, vty if ty is None else QwTy(vty.kind, w))
+                   for name, ty, w in zip(let.names, types, widths))
         return LetNode(let.names, tuple(types), value, pos=let.pos)
 
     # -- expression expansion ---------------------------------------------------
 
     def _expand_expr(self, e, dims, captures, env):
-        """Return (expanded expr, shape info)."""
+        """Return (expanded expr, its type)."""
         if isinstance(e, QubitLitNode):
             phase = substitute(e.phase, captures)
-            return QubitLitNode(e.chars, phase, pos=e.pos), _Info.value(len(e.chars))
+            return QubitLitNode(e.chars, phase, pos=e.pos), qubit(len(e.chars))
         if isinstance(e, BasisLitNode):
             vecs = []
             for v in e.vectors:
@@ -283,80 +295,68 @@ class Expander:
                 phase = substitute(v.phase, captures)
                 vecs.append(VecNode(chars, None, phase, pos=v.pos))
             dim = len(vecs[0].chars) if vecs else 0
-            return BasisLitNode(tuple(vecs), pos=e.pos), _Info.basis(dim)
+            return BasisLitNode(tuple(vecs), pos=e.pos), QwTy("basis", dim)
         if isinstance(e, BuiltinBasisNode):
             dim = _dimension(e.dim, dims, e.pos)
             if dim < 1:
                 raise CompileError("basis dimension must be positive", e.pos)
-            return BuiltinBasisNode(e.prim, Num(dim), pos=e.pos), _Info.basis(dim)
+            return BuiltinBasisNode(e.prim, Num(dim), pos=e.pos), QwTy("basis", dim)
         if isinstance(e, TensorNode):
-            parts, infos = [], []
+            parts, tys = [], []
             for p in e.parts:
-                np_, info = self._expand_expr(p, dims, captures, env)
-                parts.append(np_)
-                infos.append(info)
-            kinds = {i.kind for i in infos}
-            if kinds == {_FN}:
-                return (
-                    TensorNode(tuple(parts), pos=e.pos),
-                    _Info.fn(sum(i.in_dim for i in infos), sum(i.out_dim for i in infos)),
-                )
-            if kinds <= {_VALUE, _BASIS} and len(kinds) == 1:
-                total = sum(i.out_dim for i in infos)
-                k = _VALUE if kinds == {_VALUE} else _BASIS
-                return TensorNode(tuple(parts), pos=e.pos), _Info(k, out_dim=total)
-            raise CompileError("tensor operands must all be values, bases, or functions", e.pos)
+                part, ty = self._expand_expr(p, dims, captures, env)
+                parts.append(part)
+                tys.append(ty)
+            return TensorNode(tuple(parts), pos=e.pos), _tensor(tys, e.pos)
         if isinstance(e, RepeatNode):
             n = _dimension(e.count, dims, e.pos)
             if n < 1:
                 raise CompileError("repeat count must be positive", e.pos)
-            inner, info = self._expand_expr(e.operand, dims, captures, env)
+            inner, ty = self._expand_expr(e.operand, dims, captures, env)
             if n == 1:
-                return inner, info
-            parts = tuple(inner for _ in range(n))
-            if info.kind == _FN:
-                return TensorNode(parts, pos=e.pos), _Info.fn(n * info.in_dim, n * info.out_dim)
-            return TensorNode(parts, pos=e.pos), _Info(info.kind, out_dim=n * info.out_dim)
+                return inner, ty
+            return TensorNode((inner,) * n, pos=e.pos), _tensor([ty] * n, e.pos)
         if isinstance(e, TransNode):
-            b_in, i1 = self._expand_expr(e.b_in, dims, captures, env)
-            b_out, i2 = self._expand_expr(e.b_out, dims, captures, env)
-            if i1.kind not in (_BASIS,) or i2.kind not in (_BASIS,):
+            b_in, t1 = self._expand_expr(e.b_in, dims, captures, env)
+            b_out, t2 = self._expand_expr(e.b_out, dims, captures, env)
+            if t1.kind != "basis" or t2.kind != "basis":
                 raise CompileError("translation operands must be bases", e.pos)
-            return TransNode(b_in, b_out, pos=e.pos), _Info.fn(i1.out_dim, i1.out_dim)
+            return TransNode(b_in, b_out, pos=e.pos), rev_fn(t1.dim)
         if isinstance(e, PipeNode):
             # Each stage's input width is the hint for inferring its
-            # dimensions.
-            value, info = self._expand_expr(e.value, dims, captures, env)
+            # dimensions; a piped function, which the checker rejects,
+            # hints its result width.
+            value, ty = self._expand_expr(e.value, dims, captures, env)
             fns = []
             for fn in e.fns:
-                fn, info = self._resolve_fn(fn, dims, captures, env,
-                                            hint=info.out_dim)
+                fn, ty = self._resolve_fn(fn, dims, captures, env,
+                                          hint=ty.fout_dim or ty.dim)
                 fns.append(fn)
-            return PipeNode(value, tuple(fns), e.bars), _Info.value(info.out_dim)
+            return PipeNode(value, tuple(fns), e.bars), ty.out
         if isinstance(e, AdjointNode):
-            fn, fi = self._resolve_fn(e.fn, dims, captures, env, hint=None)
-            return AdjointNode(fn, pos=e.pos), fi
+            fn, fty = self._resolve_fn(e.fn, dims, captures, env, hint=None)
+            return AdjointNode(fn, pos=e.pos), fty
         if isinstance(e, PredNode):
-            b, bi = self._expand_expr(e.basis, dims, captures, env)
-            if bi.kind != _BASIS:
+            b, bty = self._expand_expr(e.basis, dims, captures, env)
+            if bty.kind != "basis":
                 raise CompileError("predicate must be a basis", e.pos)
-            fn, fi = self._resolve_fn(e.fn, dims, captures, env, hint=None)
-            return PredNode(b, fn, pos=e.pos), _Info.fn(bi.out_dim + fi.in_dim, bi.out_dim + fi.out_dim)
+            fn, fty = self._resolve_fn(e.fn, dims, captures, env, hint=None)
+            return PredNode(b, fn, pos=e.pos), pred_fn(bty.dim, fty)
         if isinstance(e, MeasureNode):
-            b, bi = self._expand_expr(e.basis, dims, captures, env)
-            if bi.kind != _BASIS:
+            b, bty = self._expand_expr(e.basis, dims, captures, env)
+            if bty.kind != "basis":
                 raise CompileError(".measure applies to a basis", e.pos)
-            return MeasureNode(b, pos=e.pos), _Info.fn(bi.out_dim, bi.out_dim)
+            return MeasureNode(b, pos=e.pos), measure_fn(bty.dim)
         if isinstance(e, DiscardNode):
             dim = _dimension(e.dim, dims, e.pos)
-            return DiscardNode(Num(dim), pos=e.pos), _Info.fn(dim, 0)
+            return DiscardNode(Num(dim), pos=e.pos), discard_fn(dim)
         if isinstance(e, EmbedNode):
             return self._resolve_embed(e, dims, captures, env, hint=None)
         if isinstance(e, CondNode):
-            then, ti = self._resolve_fn(e.then, dims, captures, env, hint=None)
-            flag, fi = self._expand_expr(e.flag, dims, captures, env)
-            els, ei = self._resolve_fn(e.els, dims, captures, env, hint=ti.in_dim)
-            return CondNode(then, flag, els, pos=e.pos), ti
+            then, tty = self._resolve_fn(e.then, dims, captures, env, hint=None)
+            flag, _ = self._expand_expr(e.flag, dims, captures, env)
+            els, _ = self._resolve_fn(e.els, dims, captures, env, hint=tty.fin)
+            return CondNode(then, flag, els, pos=e.pos), tty
         if isinstance(e, VarNode):
             if e.name in captures:
                 raise CompileError(
@@ -368,10 +368,6 @@ class Expander:
             raise CompileError(f"unknown name '{e.name}'", e.pos)
         if isinstance(e, CallNode):
             return self._resolve_fn(e, dims, captures, env, hint=None)
-        if isinstance(e, AngleNode):
-            return AngleNode(substitute(e.angle, captures), pos=e.pos), _Info(_ANGLE)
-        if isinstance(e, BitsNode):
-            return e, _Info(_BITS, out_dim=len(e.bits))
         raise CompileError(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()))
 
     # -- function-position resolution -------------------------------------------
@@ -387,10 +383,10 @@ class Expander:
             return self._instantiate_call(e, target, dims, captures, env, hint)
         if isinstance(e, EmbedNode):
             return self._resolve_embed(e, dims, captures, env, hint)
-        new_e, info = self._expand_expr(e, dims, captures, env)
-        if info.kind != _FN:
+        new_e, ty = self._expand_expr(e, dims, captures, env)
+        if ty.kind != "func":
             raise CompileError("expected a function value", getattr(e, "pos", Pos()))
-        return new_e, info
+        return new_e, ty
 
     def _bind(self, target, site, cap_params, in_dim: Optional[Arith],
               dims, captures, env, hint: Optional[int]):
@@ -413,14 +409,17 @@ class Expander:
         for p, a in zip(cap_params, site.args):
             if isinstance(a, VarNode) and a.name in captures:
                 na = captures[a.name]  # a capture passed on as a capture
-                info = _Info(_BITS if isinstance(na, BitsNode) else _ANGLE)
-            else:
-                na, info = self._expand_expr(a, dims, captures, env)
+            elif isinstance(a, AngleNode):
+                na = AngleNode(substitute(a.angle, captures), pos=a.pos)
+            elif isinstance(a, BitsNode):
+                na = a
+            else:  # an unknown name is reported as one
+                na, _ = self._expand_expr(a, dims, captures, env)
             if p.type.kind == "bit":
-                if info.kind != _BITS or not isinstance(na, BitsNode):
+                if not isinstance(na, BitsNode):
                     raise CompileError(f"capture '{p.name}' must be a constant bit string", pos)
                 _solve_dim(p.type.dim, len(na.bits), inner_dims, pos)
-            elif info.kind != _ANGLE:
+            elif not isinstance(na, AngleNode):
                 raise CompileError(f"capture '{p.name}' must be an angle", pos)
             inner_captures[p.name] = na
         for name, default in zip(target.dim_vars, target.dim_defaults):
@@ -442,20 +441,17 @@ class Expander:
 
     def _instantiate_call(self, call: CallNode, target: QpuFn, dims, captures, env, hint):
         cap_params = [p for p in target.params if p.type.kind != "qubit"]
-        qubit_params = [p for p in target.params if p.type.kind == "qubit"]
         if len(call.args) < len(cap_params):
             raise CompileError(
                 f"kernel {target.name} needs {len(cap_params)} capture argument(s)",
                 call.pos,
             )
-        q_dim = qubit_params[0].type.dim if qubit_params else None
+        q_dim = next((p.type.dim for p in target.params
+                      if p.type.kind == "qubit"), None)
         inner_dims, inner_captures = self._bind(
             target, call, cap_params, q_dim, dims, captures, env, hint)
-        inst = self._instantiate_qpu(target, inner_dims, inner_captures)
-        in_dim = evaluate(q_dim, inner_dims) if qubit_params else 0
-        ret = target.ret_type
-        out_dim = evaluate(ret.dim, inner_dims)
-        return VarNode(inst, pos=call.pos), _Info.fn(in_dim, out_dim)
+        inst, ty = self._instantiate_qpu(target, inner_dims, inner_captures)
+        return VarNode(inst, pos=call.pos), ty
 
     def _resolve_embed(self, e: EmbedNode, dims, captures, env, hint):
         target = self.program.classical(e.fn)
@@ -474,72 +470,47 @@ class Expander:
         inst = self._instantiate_classical(
             target, inner_dims,
             {name: c.bits for name, c in inner_captures.items()})
-        n = sum(evaluate(p.type.dim, inner_dims) for p in free_params)
-        k = evaluate(target.ret_type.dim, inner_dims)
-        if e.mode == "sign" and k != 1:
+        if e.mode == "sign" and inst.ret_type.dim.value != 1:
             raise CompileError(".sign requires a single output bit", e.pos)
-        width = n + k if e.mode == "xor" else n
-        return EmbedNode(inst, e.mode, (), (), pos=e.pos), _Info.fn(width, width)
+        return (EmbedNode(inst.name, e.mode, (), (), pos=e.pos),
+                embed_fn(inst, e.mode))
 
-    def _instantiate_classical(self, fn: ClassicalFn, dim_env, captures: dict[str, str]) -> str:
+    def _instantiate_classical(self, fn: ClassicalFn, dim_env,
+                               captures: dict[str, str]) -> ClassicalFn:
         key = (fn.name, tuple(sorted(dim_env.items())), tuple(sorted(captures.items())))
         if key in self.classical_instances:
             return self.classical_instances[key]
         name = self._fresh_name(fn.name, dim_env)
-        self.classical_instances[key] = name
         params = tuple(
             ParamNode(p.name, self._subst_type(p.type, dim_env), None, pos=p.pos)
             for p in fn.params
             if p.name not in captures
         )
         body = _expand_cexpr(fn.body, dim_env, captures)
-        self.out_classicals.append(
-            ClassicalFn(
-                name, (), (), params, self._subst_type(fn.ret_type, dim_env),
-                body, pos=fn.pos,
-            )
-        )
-        return name
+        inst = ClassicalFn(name, (), (), params,
+                           self._subst_type(fn.ret_type, dim_env), body,
+                           pos=fn.pos)
+        self.classical_instances[key] = inst
+        self.out_classicals.append(inst)
+        return inst
 
 
 def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str]) -> CExpr:
-    if isinstance(e, CVar):
-        if e.name in captures:
-            return CLit(captures[e.name], pos=e.pos)
-        return e
-    if isinstance(e, CLit):
-        return e
-    if isinstance(e, CBin):
-        return CBin(
-            e.op,
-            _expand_cexpr(e.left, dims, captures),
-            _expand_cexpr(e.right, dims, captures),
-            pos=e.pos,
-        )
-    if isinstance(e, CNot):
-        return CNot(_expand_cexpr(e.operand, dims, captures), pos=e.pos)
+    """``e`` with each captured name replaced by its bits and each
+    dimension folded."""
+    if isinstance(e, CVar) and e.name in captures:
+        return CLit(captures[e.name], pos=e.pos)
+    e = map_children(e, lambda c: _expand_cexpr(c, dims, captures))
+
+    def fold(d: Arith) -> Num:
+        return Num(_dimension(d, dims, e.pos))
     if isinstance(e, CIndex):
-        return CIndex(
-            _expand_cexpr(e.operand, dims, captures),
-            Num(_dimension(e.index, dims, e.pos)),
-            pos=e.pos,
-        )
+        return replace(e, index=fold(e.index))
     if isinstance(e, CSlice):
-        return CSlice(
-            _expand_cexpr(e.operand, dims, captures),
-            Num(_dimension(e.lo, dims, e.pos)),
-            Num(_dimension(e.hi, dims, e.pos)),
-            pos=e.pos,
-        )
-    if isinstance(e, CReduce):
-        return CReduce(e.op, _expand_cexpr(e.operand, dims, captures), pos=e.pos)
+        return replace(e, lo=fold(e.lo), hi=fold(e.hi))
     if isinstance(e, CRepeat):
-        return CRepeat(
-            _expand_cexpr(e.operand, dims, captures),
-            Num(_dimension(e.count, dims, e.pos)),
-            pos=e.pos,
-        )
-    raise CompileError(f"unexpected classical node {type(e).__name__}", getattr(e, "pos", Pos()))
+        return replace(e, count=fold(e.count))
+    return e
 
 
 def expand(program: Program, bindings: dict[str, int]) -> Program:

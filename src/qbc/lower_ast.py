@@ -5,6 +5,12 @@ Tensor products of function values become lambdas that unpack, call each
 part, and repack; translations, measurements, discards and embeds in value
 position become lambdas wrapping that one op (``_op_lambda``); the pipe
 operator always emits indirect calls. Ops are built with ``FnBuilder``.
+
+The input has passed expansion and the checker, so every name is bound and
+every node is one that lowering handles; nothing is checked again here.
+Each function value's type comes from the rules next to ``qwir.QwTy``, the
+ones the checker applied, and a kernel's is its ``TypedProgram.fn_types``
+entry.
 """
 
 from __future__ import annotations
@@ -13,13 +19,14 @@ from typing import Optional
 
 from . import bases
 from .ast_nodes import (
-    CondNode, DiscardNode, EmbedNode, ExprNode, MeasureNode, PipeNode, Pos,
-    PredNode, QpuFn, QubitLitNode, TensorNode, TransNode, AdjointNode,
-    VarNode,
+    DiscardNode, EmbedNode, ExprNode, MeasureNode, PipeNode, PredNode, QpuFn,
+    QubitLitNode, TensorNode, TransNode, AdjointNode, VarNode,
 )
 from .bases import Prim
-from .diagnostics import CompileError
-from .qwir import FnBuilder, QwModule, bit, func, qubit
+from .qwir import (
+    FnBuilder, QwModule, QwTy, discard_fn, embed_fn, measure_fn, pred_fn,
+    qubit, rev_fn, tensor_fn,
+)
 from .expand import evaluate
 from .typecheck import TypedProgram, basis_of
 
@@ -49,12 +56,11 @@ class _Lowerer:
             if len(let.names) == 1:
                 env[let.names[0]] = v
                 continue
-            vty = b.fn.types[v]
+            kind = b.fn.types[v].kind
             sizes = tuple(t.dim.value for t in let.types)
-            kinds = [qubit(s) if vty.kind == "qubit" else bit(s) for s in sizes]
             results = b.emit(
-                "qbunpack" if vty.kind == "qubit" else "bitunpack",
-                [v], kinds, {"sizes": sizes},
+                "qbunpack" if kind == "qubit" else "bitunpack",
+                [v], [QwTy(kind, s) for s in sizes], {"sizes": sizes},
             )
             env.update(zip(let.names, results))
         out = self.value(b, q.body, env)
@@ -71,10 +77,10 @@ class _Lowerer:
         if isinstance(e, TensorNode):
             parts = [self.value(b, p, env) for p in e.parts]
             # Typechecking makes the parts all qubits or all bits.
-            dim = sum(b.fn.types[p].dim for p in parts)
-            if b.fn.types[parts[0]].kind == "bit":
-                return b.emit("bitpack", parts, [bit(dim)])[0]
-            return b.emit("qbpack", parts, [qubit(dim)])[0]
+            ty = QwTy(b.fn.types[parts[0]].kind,
+                      sum(b.fn.types[p].dim for p in parts))
+            return b.emit("bitpack" if ty.kind == "bit" else "qbpack",
+                          parts, [ty])[0]
         if isinstance(e, PipeNode):
             # Typechecking leaves a discard (no result) only as the last stage.
             v = self.value(b, e.value, env)
@@ -84,13 +90,10 @@ class _Lowerer:
                 if fty.fout_kind == "none":
                     b.emit("call_indirect", [fv, v], [])
                     return None
-                out_ty = qubit(fty.fout_dim) if fty.fout_kind == "qubit" else bit(fty.fout_dim)
-                (v,) = b.emit("call_indirect", [fv, v], [out_ty])
+                (v,) = b.emit("call_indirect", [fv, v], [fty.out])
             return v
-        if isinstance(e, VarNode):
-            if e.name in env:
-                return env[e.name]
-            raise CompileError(f"unknown value '{e.name}'", e.pos)
+        if isinstance(e, VarNode) and e.name in env:
+            return env[e.name]
         # Remaining expression forms denote function values.
         return self.fn_value(b, e, env)
 
@@ -131,27 +134,21 @@ class _Lowerer:
         if isinstance(e, TransNode):
             b_in = basis_of(e.b_in)
             b_out = basis_of(e.b_out)
-            return self._op_lambda(b, "qbtrans", b_in.dim, [qubit(b_in.dim)],
+            return self._op_lambda(b, "qbtrans", rev_fn(b_in.dim),
                                    {"b_in": b_in, "b_out": b_out})
         if isinstance(e, MeasureNode):
             basis = basis_of(e.basis)
-            return self._op_lambda(b, "qbmeas", basis.dim, [bit(basis.dim)],
+            return self._op_lambda(b, "qbmeas", measure_fn(basis.dim),
                                    {"basis": basis})
         if isinstance(e, DiscardNode):
-            return self._op_lambda(b, "qbdiscard", e.dim.value, [])
+            return self._op_lambda(b, "qbdiscard", discard_fn(e.dim.value))
         if isinstance(e, EmbedNode):
-            w = self.tp.classicals[e.fn].embed_width(e.mode)
-            return self._op_lambda(b, "embed", w, [qubit(w)],
+            fty = embed_fn(self.tp.classicals[e.fn], e.mode)
+            return self._op_lambda(b, "embed", fty,
                                    {"fn": e.fn, "mode": e.mode, "pred": None})
         if isinstance(e, VarNode):
-            fty = self.tp.fn_types.get(e.name)
-            if fty is None:
-                raise CompileError(f"unknown function '{e.name}'", e.pos)
-            (fv,) = b.emit(
-                "func_const", [],
-                [func(fty.in_dim, fty.out.kind, fty.out.dim, fty.rev)],
-                {"sym": e.name},
-            )
+            (fv,) = b.emit("func_const", [], [self.tp.fn_types[e.name]],
+                           {"sym": e.name})
             return fv
         if isinstance(e, AdjointNode):
             inner = self.fn_value(b, e.fn, env)
@@ -160,84 +157,59 @@ class _Lowerer:
         if isinstance(e, PredNode):
             basis = basis_of(e.basis)
             inner = self.fn_value(b, e.fn, env)
-            ity = b.fn.types[inner]
-            n = basis.dim + ity.fin
             (fv,) = b.emit("func_pred", [inner],
-                           [func(n, "qubit", n, True)], {"basis": basis})
+                           [pred_fn(basis.dim, b.fn.types[inner])],
+                           {"basis": basis})
             return fv
         if isinstance(e, TensorNode):
             return self._tensor_fn(b, e, env)
-        if isinstance(e, CondNode):
-            flag = self.value(b, e.flag, env)
-            then_region = b.push_block([])
-            tv = self.fn_value(b, e.then, env)
-            b.emit("yield", [tv])
-            b.pop_block()
-            tty = b.fn.types[tv]
-            else_region = b.push_block([])
-            ev = self.fn_value(b, e.els, env)
-            b.emit("yield", [ev])
-            b.pop_block()
-            (fv,) = b.emit("cond", [flag], [tty], {}, [then_region, else_region])
-            return fv
-        raise CompileError(
-            f"cannot lower {type(e).__name__} as a function value",
-            getattr(e, "pos", Pos()),
-        )
-
-    def _op_lambda(self, b: FnBuilder, kind: str, n: int, result_tys: list,
-                   attrs=None) -> int:
-        """A lambda whose body runs one ``kind`` op on its qubit[n] argument
-        and yields the op's results; it is reversible exactly when it
-        yields qubits."""
-        region = b.push_block([qubit(n)])
-        b.emit("yield", b.emit(kind, region.args, result_tys, attrs))
+        # What is left is a conditional.
+        flag = self.value(b, e.flag, env)
+        then_region = b.push_block([])
+        tv = self.fn_value(b, e.then, env)
+        b.emit("yield", [tv])
         b.pop_block()
-        kind, dim = ((result_tys[0].kind, result_tys[0].dim) if result_tys
-                     else ("none", 0))
-        (fv,) = b.emit("lambda", [], [func(n, kind, dim, kind == "qubit")], {},
-                       [region])
+        else_region = b.push_block([])
+        ev = self.fn_value(b, e.els, env)
+        b.emit("yield", [ev])
+        b.pop_block()
+        (fv,) = b.emit("cond", [flag], [b.fn.types[tv]], {},
+                       [then_region, else_region])
+        return fv
+
+    def _op_lambda(self, b: FnBuilder, kind: str, fty: QwTy,
+                   attrs=None) -> int:
+        """A lambda of type ``fty`` whose body runs one ``kind`` op on its
+        qubit argument and yields the op's results."""
+        region = b.push_block([qubit(fty.fin)])
+        outs = [] if fty.fout_kind == "none" else [fty.out]
+        b.emit("yield", b.emit(kind, region.args, outs, attrs))
+        b.pop_block()
+        (fv,) = b.emit("lambda", [], [fty], {}, [region])
         return fv
 
     def _tensor_fn(self, b: FnBuilder, e: TensorNode, env) -> int:
         parts = [self.fn_value(b, p, env) for p in e.parts]
         ptys = [b.fn.types[p] for p in parts]
-        total_in = sum(t.fin for t in ptys)
-        all_rev = all(t.rev and t.fout_kind == "qubit" for t in ptys)
-        out_kind = "qubit" if all_rev else ("bit" if any(
-            t.fout_kind == "bit" for t in ptys) else "none")
-        total_out = sum(t.fout_dim for t in ptys)
+        fty = tensor_fn(ptys)
         # Lambda captures the part function values; its body unpacks the
         # combined register, calls each part, and repacks the results.
-        region = b.push_block([b.fn.types[p] for p in parts] + [qubit(total_in)])
+        region = b.push_block(ptys + [qubit(fty.fin)])
         cap_args = region.args[: len(parts)]
         qarg = region.args[-1]
         pieces = b.emit(
             "qbunpack", [qarg], [qubit(t.fin) for t in ptys],
             {"sizes": tuple(t.fin for t in ptys)},
         )
-        outs, out_tys = [], []
+        outs = []
         for cap, piece, ty in zip(cap_args, pieces, ptys):
             if ty.fout_kind == "none":
                 b.emit("call_indirect", [cap, piece], [])
             else:
-                oty = qubit(ty.fout_dim) if ty.fout_kind == "qubit" else bit(ty.fout_dim)
-                (r,) = b.emit("call_indirect", [cap, piece], [oty])
-                outs.append(r)
-                out_tys.append(oty)
-        if out_kind == "none":
-            b.emit("yield", [])
-        elif len(outs) == 1:
-            b.emit("yield", [outs[0]])
-        else:
-            pack_kind = "qbpack" if out_kind == "qubit" else "bitpack"
-            (packed,) = b.emit(pack_kind, outs, [
-                qubit(total_out) if out_kind == "qubit" else bit(total_out)
-            ])
-            b.emit("yield", [packed])
+                outs += b.emit("call_indirect", [cap, piece], [ty.out])
+        if len(outs) > 1:
+            outs = b.emit("qbpack" if fty.rev else "bitpack", outs, [fty.out])
+        b.emit("yield", outs)
         b.pop_block()
-        (fv,) = b.emit(
-            "lambda", parts,
-            [func(total_in, out_kind, total_out, all_rev)], {}, [region],
-        )
+        (fv,) = b.emit("lambda", parts, [fty], {}, [region])
         return fv

@@ -5,32 +5,41 @@ from __future__ import annotations
 from decimal import Decimal
 
 from .ast_nodes import (
-    AngleNode, Arith, BasisLitNode, Bin, BitsNode, BuiltinBasisNode,
+    AngleNode, Arith, BasisLitNode, BitsNode, BuiltinBasisNode,
     CallNode, CBin, CIndex, CLit, CNot, CondNode, CReduce, CRepeat, CSlice,
     CVar, DiscardNode, EmbedNode, MeasureNode, Name, Neg, Num, ParamNode, Pi,
     PipeNode, PredNode, Program, QpuFn, QubitLitNode, RepeatNode, TensorNode,
     TransNode, TypeNode, AdjointNode, VarNode, VecNode,
 )
+from .parser import ARITH_LEVELS, CLASSICAL_LEVELS
 
 # Precedence levels for deciding parenthesization (higher binds tighter).
 _IF, _PIPE, _TRANS, _PRED, _TENSOR, _UNARY, _POSTFIX = range(7)
 
 
-def print_arith(a: Arith) -> str:
-    """A dimension or an angle, with one parenthesis per ``Bin``."""
+def print_arith(a: Arith, prec: int = 0) -> str:
+    """A dimension or an angle, parenthesized only where the grammar needs
+    it: around a looser ``Bin``, a right operand at its own level, and any
+    ``Bin`` under a ``Neg``."""
+    text, level = _arith(a)
+    return f"({text})" if level < prec else text
+
+
+def _arith(a: Arith):
     if isinstance(a, Num):
         # Positional digits, which the lexer reads back to the same number;
         # repr would write 1e-05.
         v = a.value
-        return str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f")
+        return str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f"), 3
     if isinstance(a, Pi):
-        return "pi"
+        return "pi", 3
     if isinstance(a, Name):
-        return a.name
+        return a.name, 3
     if isinstance(a, Neg):
-        return f"-{print_arith(a.operand)}"
-    assert isinstance(a, Bin)
-    return f"({print_arith(a.left)} {a.op} {print_arith(a.right)})"
+        return f"-{print_arith(a.operand, 2)}", 2
+    lvl = ARITH_LEVELS[a.op]
+    return (f"{print_arith(a.left, lvl)} {a.op} {print_arith(a.right, lvl + 1)}",
+            lvl)
 
 
 def print_type(t: TypeNode) -> str:
@@ -126,9 +135,8 @@ def print_cexpr(e, prec: int = 0) -> str:
 
 
 def _cexpr(e):
-    order = {"|": 0, "^": 1, "&": 2}
     if isinstance(e, CBin):
-        lvl = order[e.op]
+        lvl = CLASSICAL_LEVELS[e.op]
         return (
             f"{print_cexpr(e.left, lvl)} {e.op} {print_cexpr(e.right, lvl + 1)}",
             lvl,

@@ -11,30 +11,42 @@ arguments); cond blocks may reference values from the enclosing block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .ast_nodes import ClassicalFn
+from .ast_nodes import ClassicalFn, QpuFn
 from .bases import Basis, check_span_equivalence
 
 
-@dataclass(frozen=True)
-class QwTy:
-    """A value's type: ``qubit[dim]``, ``bit[dim]``, or a function value
-    ``func(qubit[fin] -> fout_kind[fout_dim])``. There is no angle type:
-    expansion bakes every captured angle into its kernel instance and
-    lowering folds each phase into a float of a basis vector."""
+class QwTy(NamedTuple):
+    """The one type from expansion to the basis IR: ``qubit[dim]`` and
+    ``bit[dim]`` values, function values ``func(qubit[fin] ->
+    fout_kind[fout_dim])`` (reversible when ``rev``), and two kinds only the
+    front end sees, ``basis[dim]`` and ``none`` (what a discard leaves).
+    There is no angle type: expansion bakes every captured angle into its
+    kernel instance and lowering folds each phase into a float of a basis
+    vector. The typing rules that expansion, the checker and lowering share
+    follow the class, so each is written once. It is a named tuple because
+    the front end makes one or two per pipe stage."""
 
-    kind: str  # qubit | bit | func
+    kind: str  # qubit | bit | basis | none | func
     dim: int = 0
     fin: int = 0
     fout_kind: str = ""
     fout_dim: int = 0
     rev: bool = False
 
+    @property
+    def out(self) -> "QwTy":
+        """A function's result: ``qubit[...]``, ``bit[...]`` or ``none``."""
+        return QwTy(self.fout_kind, self.fout_dim)
+
     def __str__(self) -> str:
-        if self.kind in ("qubit", "bit"):
+        if self.kind == "none":
+            return "none"
+        if self.kind != "func":
             return f"{self.kind}[{self.dim}]"
         arrow = "->rev" if self.rev else "->"
-        out = "()" if self.fout_kind == "none" else f"{self.fout_kind}[{self.fout_dim}]"
+        out = "()" if self.fout_kind == "none" else str(self.out)
         return f"func(qubit[{self.fin}] {arrow} {out})"
 
 
@@ -48,6 +60,50 @@ def bit(n: int) -> QwTy:
 
 def func(fin: int, fout_kind: str, fout_dim: int, rev: bool) -> QwTy:
     return QwTy("func", 0, fin, fout_kind, fout_dim, rev)
+
+
+def rev_fn(n: int) -> QwTy:
+    """A translation's type, and an embed's: reversible on ``qubit[n]``."""
+    return func(n, "qubit", n, True)
+
+
+def measure_fn(n: int) -> QwTy:
+    return func(n, "bit", n, False)
+
+
+def discard_fn(n: int) -> QwTy:
+    return func(n, "none", 0, False)
+
+
+def embed_fn(c: ClassicalFn, mode: str) -> QwTy:
+    """``c.xor`` or ``c.sign`` of an expanded classical function."""
+    return rev_fn(c.embed_width(mode))
+
+
+def pred_fn(p: int, f: QwTy) -> QwTy:
+    """``b & f`` for a basis ``b`` of dimension ``p``: ``b``'s qubits come
+    first, then ``f``'s."""
+    return rev_fn(p + f.fin)
+
+
+def tensor_fn(parts: list[QwTy]) -> QwTy:
+    """``f1 + f2 + ...``: each part runs on its own slice of the input, and
+    the results are packed in order. It is reversible when every part is;
+    otherwise its result is the parts' bits, and ``none`` when every part
+    discards. The checker rejects a tensor whose parts mix the two."""
+    fin = sum(t.fin for t in parts)
+    fout = sum(t.fout_dim for t in parts)
+    if all(t.rev and t.fout_kind == "qubit" for t in parts):
+        return func(fin, "qubit", fout, True)
+    kind = "bit" if any(t.fout_kind == "bit" for t in parts) else "none"
+    return func(fin, kind, fout, False)
+
+
+def signature(q: QpuFn) -> QwTy:
+    """An expanded kernel's type: from its qubit parameter, if any, to its
+    declared result."""
+    fin = sum(p.type.dim.value for p in q.params)
+    return func(fin, q.ret_type.kind, q.ret_type.dim.value, q.reversible)
 
 
 @dataclass

@@ -3,52 +3,37 @@ Type checking for expanded programs: linear qubit usage, reversibility
 restrictions, basis-literal validity, and span equivalence of translations.
 
 Runs on the output of expansion, so every dimension is a ``Num`` holding
-an int and captures have been baked away. Each angle is still an
-expression; the check folds it with ``expand.evaluate``, the one evaluator
-of dimensions and angles, so a bad angle is reported here.
+an int and captures have been baked away. Expansion has already rejected
+what it can see from shapes alone (a missing or qubit-taking entry kernel,
+an unknown name or classical function, a non-basis where a basis belongs,
+a value where a function belongs, a ``.sign`` of more than one output bit),
+so those are not checked again here. Types are ``qwir.QwTy``s, built by the
+rules next to it that expansion and lowering call too.
+
+Each angle is still an expression; the check folds it with
+``expand.evaluate``, the one evaluator of dimensions and angles, so a bad
+angle is reported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from . import bases
 from .ast_nodes import (
     BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode, EmbedNode,
     ExprNode, MeasureNode, PipeNode, Pos, PredNode, Program, QpuFn,
-    QubitLitNode, RepeatNode, TensorNode, TransNode, AdjointNode, VarNode,
-    CallNode, BitsNode, AngleNode, ClassicalFn, CExpr, CVar, CLit, CBin,
-    CNot, CIndex, CSlice, CReduce, CRepeat, map_children,
+    QubitLitNode, TensorNode, TransNode, AdjointNode, VarNode, ClassicalFn,
+    CExpr, CVar, CLit, CBin, CNot, CIndex, CSlice, CReduce, CRepeat,
+    map_children,
 )
 from .bases import Prim, check_span_equivalence, fully_spans, validate_literal
 from .diagnostics import CompileError
 from .expand import evaluate
-
-
-@dataclass(frozen=True)
-class VTy:
-    kind: str  # qubit | bit | basis | none; an angle never reaches here
-    dim: int = 0
-
-    def __str__(self) -> str:
-        if self.kind == "none":
-            return self.kind
-        return f"{self.kind}[{self.dim}]"
-
-
-@dataclass(frozen=True)
-class FTy:
-    in_dim: int
-    out: VTy
-    rev: bool
-
-    def __str__(self) -> str:
-        arrow = "->rev" if self.rev else "->"
-        return f"qubit[{self.in_dim}] {arrow} {self.out}"
-
-
-Ty = Union[VTy, FTy]
+from .qwir import (
+    QwTy, discard_fn, embed_fn, measure_fn, pred_fn, qubit, rev_fn,
+    signature, tensor_fn,
+)
 
 
 def basis_of(e: ExprNode) -> bases.Basis:
@@ -85,33 +70,15 @@ def basis_of(e: ExprNode) -> bases.Basis:
 class TypeChecker:
     def __init__(self, program: Program):
         self.program = program
-        self.fn_types: dict[str, FTy] = {}
-        self.classicals: dict[str, ClassicalFn] = {}
+        self.fn_types = {q.name: signature(q) for q in program.qpus}
+        self.classicals = {c.name: c for c in program.classicals}
 
     def run(self) -> "TypedProgram":
         for c in self.program.classicals:
             self._check_classical(c)
-            self.classicals[c.name] = c
-        for q in self.program.qpus:
-            self.fn_types[q.name] = self._signature(q)
         for q in self.program.qpus:
             self._check_qpu(q)
-        entry = self.program.qpu(self.program.entry)
-        if entry is None:
-            raise CompileError(f"missing entry kernel '{self.program.entry}'", Pos(1, 1))
-        if self.fn_types[entry.name].in_dim != 0:
-            raise CompileError("entry kernel must take no qubits", entry.pos)
         return TypedProgram(self.program, self.fn_types, self.classicals)
-
-    def _signature(self, q: QpuFn) -> FTy:
-        in_dim = 0
-        for p in q.params:
-            if p.type.kind == "qubit":
-                in_dim = p.type.dim.value
-            else:
-                raise CompileError(f"unexpanded capture parameter '{p.name}'", p.pos)
-        out = VTy(q.ret_type.kind, q.ret_type.dim.value)
-        return FTy(in_dim, out, q.reversible)
 
     # -- classical functions --------------------------------------------------
 
@@ -168,12 +135,12 @@ class TypeChecker:
         # Each name maps to [type, uses] of its latest binding, so a let that
         # rebinds a name starts a count of its own.
         env: dict[str, list] = {
-            p.name: [VTy("qubit", p.type.dim.value), 0] for p in q.params}
+            p.name: [qubit(p.type.dim.value), 0] for p in q.params}
         params = list(env.items())
         scopes = []  # (let, its bindings) in order
         for let in q.lets:
             vty = self._expr(let.value, env, q.reversible)
-            if not isinstance(vty, VTy) or vty.kind not in ("qubit", "bit"):
+            if vty.kind not in ("qubit", "bit"):
                 raise CompileError("let binds qubit or bit values", let.pos)
             bound, total = [], 0
             for name, tnode in zip(let.names, let.types):
@@ -182,7 +149,7 @@ class TypeChecker:
                         f"let pattern kind {tnode.kind} does not match {vty}",
                         let.pos,
                     )
-                ty = vty if tnode is None else VTy(tnode.kind, tnode.dim.value)
+                ty = vty if tnode is None else QwTy(tnode.kind, tnode.dim.value)
                 total += ty.dim
                 bound.append((name, [ty, 0]))
             if total != vty.dim:
@@ -192,8 +159,8 @@ class TypeChecker:
         ty = self._expr(q.body, env, q.reversible)
         for let, bound in reversed(scopes):
             self._check_used_once(bound, let.pos)
-        want = VTy(q.ret_type.kind, q.ret_type.dim.value)
-        if not isinstance(ty, VTy) or ty != want:
+        want = self.fn_types[q.name].out
+        if ty != want:
             raise CompileError(f"kernel {q.name} returns {ty}, declared {want}", q.pos)
         self._check_used_once(params, q.pos)
 
@@ -205,49 +172,36 @@ class TypeChecker:
                     pos,
                 )
 
-    def _expr(self, e: ExprNode, env, rev: bool) -> Ty:
+    def _expr(self, e: ExprNode, env, rev: bool) -> QwTy:
         if isinstance(e, QubitLitNode):
             if e.phase is not None:
                 evaluate(e.phase, {}, e.pos)
-            return VTy("qubit", len(e.chars))
+            return qubit(len(e.chars))
         if isinstance(e, BasisLitNode):
             # Every literal is validated here, as the walk reaches it.
             b = basis_of(e)
             msg = validate_literal(b.elements[0])
             if msg is not None:
                 raise CompileError(msg, e.pos)
-            return VTy("basis", b.dim)
+            return QwTy("basis", b.dim)
         if isinstance(e, BuiltinBasisNode):
-            return VTy("basis", e.dim.value)
+            return QwTy("basis", e.dim.value)
         if isinstance(e, TensorNode):
             parts = [self._expr(p, env, rev) for p in e.parts]
-            if all(isinstance(t, VTy) for t in parts):
-                kinds = {t.kind for t in parts}
-                if len(kinds) != 1 or "none" in kinds:
-                    raise CompileError("cannot tensor mixed kinds", e.pos)
-                return VTy(kinds.pop(), sum(t.dim for t in parts))
-            if all(isinstance(t, FTy) for t in parts):
-                if all(t.rev and t.out.kind == "qubit" for t in parts):
-                    n = sum(t.in_dim for t in parts)
-                    return FTy(n, VTy("qubit", n), True)
-                if all(t.out.kind in ("bit", "none") for t in parts):
-                    return FTy(
-                        sum(t.in_dim for t in parts),
-                        VTy("bit", sum(t.out.dim for t in parts if t.out.kind == "bit")),
-                        False,
-                    )
-                raise CompileError(
-                    "tensor operands must be all reversible or all measuring/discarding",
-                    e.pos,
-                )
-            raise CompileError("cannot tensor values with functions", e.pos)
+            kinds = {t.kind for t in parts}
+            if kinds == {"func"}:
+                fty = tensor_fn(parts)
+                if not fty.rev and any(t.fout_kind == "qubit" for t in parts):
+                    raise CompileError(
+                        "tensor operands must be all reversible or all "
+                        "measuring/discarding", e.pos)
+                return fty
+            if len(kinds) != 1 or kinds & {"none", "func"}:
+                raise CompileError("cannot tensor mixed kinds", e.pos)
+            return QwTy(kinds.pop(), sum(t.dim for t in parts))
         if isinstance(e, TransNode):
             ti = self._expr(e.b_in, env, rev)
             to = self._expr(e.b_out, env, rev)
-            if not (isinstance(ti, VTy) and ti.kind == "basis") or not (
-                isinstance(to, VTy) and to.kind == "basis"
-            ):
-                raise CompileError("translation operands must be bases", e.pos)
             if ti.dim != to.dim:
                 raise CompileError(
                     f"translation dimensions differ: {ti.dim} vs {to.dim}",
@@ -260,59 +214,46 @@ class TypeChecker:
                     f"translation sides span different spaces ({mismatch})",
                     e.pos,
                 )
-            return FTy(ti.dim, VTy("qubit", ti.dim), True)
+            return rev_fn(ti.dim)
         if isinstance(e, PipeNode):
             vty = self._expr(e.value, env, rev)
             for fn, bar in zip(e.fns, e.bars):
                 fty = self._expr(fn, env, rev)
-                if not isinstance(vty, VTy) or vty.kind != "qubit":
+                if vty.kind != "qubit":
                     raise CompileError(f"pipe input must be qubits, found {vty}", bar)
-                if not isinstance(fty, FTy):
-                    raise CompileError(f"pipe target must be a function, found {fty}", bar)
                 if rev and not fty.rev:
                     raise CompileError("irreversible operation inside a reversible kernel", bar)
-                if vty.dim != fty.in_dim:
+                if vty.dim != fty.fin:
                     raise CompileError(
-                        f"function takes qubit[{fty.in_dim}], found qubit[{vty.dim}]",
+                        f"function takes qubit[{fty.fin}], found qubit[{vty.dim}]",
                         bar,
                     )
                 vty = fty.out
             return vty
         if isinstance(e, AdjointNode):
             fty = self._expr(e.fn, env, rev)
-            if not isinstance(fty, FTy) or not fty.rev or fty.out.kind != "qubit":
+            if not fty.rev or fty.fout_kind != "qubit":
                 raise CompileError("~ takes a reversible qubit function", e.pos)
             return fty
         if isinstance(e, PredNode):
             bty = self._expr(e.basis, env, rev)
             fty = self._expr(e.fn, env, rev)
-            if not isinstance(bty, VTy) or bty.kind != "basis":
-                raise CompileError("predicate must be a basis", e.pos)
-            if not isinstance(fty, FTy) or not fty.rev or fty.out.kind != "qubit":
+            if not fty.rev or fty.fout_kind != "qubit":
                 raise CompileError("& takes a reversible qubit function", e.pos)
-            n = bty.dim + fty.in_dim
-            return FTy(n, VTy("qubit", n), True)
+            return pred_fn(bty.dim, fty)
         if isinstance(e, MeasureNode):
             bty = self._expr(e.basis, env, rev)
-            if not isinstance(bty, VTy) or bty.kind != "basis":
-                raise CompileError(".measure applies to a basis", e.pos)
             if rev:
                 raise CompileError("measurement inside a reversible kernel", e.pos)
             if not all(fully_spans(el) for el in basis_of(e.basis).elements):
                 raise CompileError("measurement basis must fully span its space", e.pos)
-            return FTy(bty.dim, VTy("bit", bty.dim), False)
+            return measure_fn(bty.dim)
         if isinstance(e, DiscardNode):
             if rev:
                 raise CompileError("discard inside a reversible kernel", e.pos)
-            return FTy(e.dim.value, VTy("none", 0), False)
+            return discard_fn(e.dim.value)
         if isinstance(e, EmbedNode):
-            c = self.program.classical(e.fn)
-            if c is None:
-                raise CompileError(f"unknown classical function '{e.fn}'", e.pos)
-            if e.mode == "sign" and c.ret_type.dim.value != 1:
-                raise CompileError(".sign requires one output bit", e.pos)
-            w = c.embed_width(e.mode)
-            return FTy(w, VTy("qubit", w), True)
+            return embed_fn(self.classicals[e.fn], e.mode)
         if isinstance(e, CondNode):
             if rev:
                 raise CompileError("classical conditional inside a reversible kernel", e.pos)
@@ -321,9 +262,9 @@ class TypeChecker:
             tt = self._expr(e.then, env, rev)
             ft = self._expr(e.flag, env, rev)
             et = self._expr(e.els, env, rev)
-            if not isinstance(ft, VTy) or ft.kind != "bit" or ft.dim != 1:
+            if ft != QwTy("bit", 1):
                 raise CompileError("conditional flag must be bit[1]", e.pos)
-            if not isinstance(tt, FTy) or tt != et:
+            if tt != et:
                 raise CompileError(
                     f"conditional branches have different types: {tt} vs {et}",
                     e.pos,
@@ -337,6 +278,8 @@ class TypeChecker:
                 return binding[0]
             if e.name in self.fn_types:
                 fty = self.fn_types[e.name]
+                if fty.fin == 0:  # lowering would hand it a qubit[0]
+                    raise CompileError(f"kernel '{e.name}' takes no qubits", e.pos)
                 if rev and not fty.rev:
                     raise CompileError(
                         f"reversible kernel calls irreversible '{e.name}'",
@@ -344,8 +287,6 @@ class TypeChecker:
                     )
                 return fty
             raise CompileError(f"unknown name '{e.name}'", e.pos)
-        if isinstance(e, (BitsNode, AngleNode, CallNode, RepeatNode)):
-            raise CompileError(f"unexpected {type(e).__name__} after expansion", e.pos)
         raise CompileError(f"unhandled node {type(e).__name__}", getattr(e, "pos", Pos()))
 
     def _forbid_qubit_vars(self, e: ExprNode, env) -> ExprNode:
@@ -359,7 +300,7 @@ class TypeChecker:
 @dataclass
 class TypedProgram:
     program: Program
-    fn_types: dict[str, FTy]
+    fn_types: dict[str, QwTy]  # each kernel's func(...) type
     classicals: dict[str, ClassicalFn]
 
 

@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from qbc.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -197,6 +199,83 @@ def test_dimension_errors_name_the_file(tmp_path, capsys):
         path.write_text(source)
         assert main(["compile", str(path)]) == 1
         assert capsys.readouterr().err == f"{path}:{message}\n"
+
+
+# Each program ends in one diagnostic, whichever front-end stage reports it:
+# expansion for the shape errors, the checker for the rest.
+SHAPE_AND_TYPE_ERRORS = [
+    ("qpu main() -> bit[1] { '0' | ('0' >> std) | std.measure }",
+     "1:35: error: translation operands must be bases"),
+    ("qpu main() -> bit[2] { '00' | ('0' & std.flip) | std[2].measure }",
+     "1:36: error: predicate must be a basis"),
+    ("qpu main() -> bit[1] { '0' | ('0').measure }",
+     "1:35: error: .measure applies to a basis"),
+    ("classical f(x: bit[1]) -> bit[2] { repeat(x, 2) }\n"
+     "qpu main() -> bit[1] { '0' | f.sign | std.measure }",
+     "2:31: error: .sign requires a single output bit"),
+    ("qpu main() -> bit[1] { '0' | g.sign | std.measure }",
+     "1:31: error: unknown classical function 'g'"),
+    ("qpu main() -> bit[1] { '0' | '0' }",
+     "1:30: error: expected a function value"),
+    ("qpu main() -> bit[2] { ('0' + std) | std[2].measure }",
+     "1:25: error: tensor operands must all be values, bases, or functions"),
+    ("qpu main() -> bit[1] { zz | std.measure }",
+     "1:24: error: unknown name 'zz'"),
+    ("qpu f() -> bit[1] { '0' | std.measure }",
+     "1:1: error: missing entry kernel 'main'"),
+    ("qpu main(q: qubit[1]) -> qubit[1] rev { q }",
+     "1:10: error: entry kernel 'main' cannot take qubits"),
+    ("qpu main() -> bit[1] { std | std.measure }",
+     "1:28: error: pipe input must be qubits, found basis[1]"),
+    ("qpu main() -> bit[2] { let m = '0' | std.measure; "
+     "('0' + m) | std[2].measure }",
+     "1:52: error: cannot tensor mixed kinds"),
+    ("qpu main() -> bit[1] { '0' | (std >> std[2]) | std.measure }",
+     "1:35: error: translation dimensions differ: 1 vs 2"),
+    ("qpu main() -> bit[2] { '00' | (std.flip + std.measure) | std[2].measure }",
+     "1:35: error: tensor operands must be all reversible or all "
+     "measuring/discarding"),
+    ("qpu main() -> bit[2] { let m = '0' | std.measure; "
+     "'00' | (std.flip + id if m else id) | std[2].measure }",
+     "1:73: error: conditional branches have different types: "
+     "func(qubit[2] ->rev qubit[2]) vs func(qubit[1] ->rev qubit[1])"),
+    ("qpu main() -> bit[1] { '0' }",
+     "1:1: error: kernel main returns qubit[1], declared bit[1]"),
+    # A kernel that takes no qubits is no function value.
+    ("qpu f() -> qubit[1] rev { '0' }\n"
+     "qpu main() -> bit[2] { '0' | (f + std.flip) | std[2].measure }",
+     "2:31: error: kernel 'f' takes no qubits"),
+    ("qpu f() -> qubit[1] rev { '0' }\n"
+     "qpu main() -> bit[1] { '0' | (f + std.flip) | std.measure }",
+     "2:31: error: kernel 'f' takes no qubits"),
+    # A discard leaves nothing to bind, and so does a tensor of discards.
+    ("qpu main() -> bit[1] { let x = '0' | discard; '0' | std.measure }",
+     "1:24: error: let binds qubit or bit values"),
+    ("qpu main() -> bit[1] { let x = '00' | (discard + discard); "
+     "'0' | std.measure }",
+     "1:24: error: let binds qubit or bit values"),
+    # A name in a signature must be a declared dimension variable.
+    ("qpu f(q: qubit[M]) -> qubit[M] rev { q | (std[M] >> pm[M]) }\n"
+     "qpu main() -> bit[2] { '00' | f | std[2].measure }",
+     "1:16: error: undeclared dimension variable M"),
+    ("classical c(x: bit[1]) -> bit[M] { x }\n"
+     "qpu main() -> bit[2] { '00' | c.xor | std[2].measure }",
+     "1:31: error: undeclared dimension variable M"),
+    ("qpu f[N](q: qubit[N]) -> qubit[N + K] rev { q }\n"
+     "qpu main() -> bit[1] { '0' | f | std.measure }",
+     "1:36: error: undeclared dimension variable K"),
+]
+
+
+@pytest.mark.parametrize("source, message", SHAPE_AND_TYPE_ERRORS)
+def test_front_end_error_is_one_positioned_line(tmp_path, capsys, source,
+                                                message):
+    path = tmp_path / "bad.qw"
+    path.write_text(source + "\n")
+    assert main(["compile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"{path}:{message}\n"
 
 
 def test_stats_prints_circuit_counts(capsys):

@@ -82,6 +82,27 @@ def test_print_parse_roundtrip(path):
     assert print_program(again) == text
 
 
+def test_arith_prints_only_the_parentheses_it_needs():
+    # Left-nested links print flat; a right operand at its own level, a
+    # looser operand and a negated sum keep their parentheses.
+    forms = ["N - 1 - 1", "N - (1 - 1)", "(N + 1) * 2", "N * (2 / 2)",
+             "N + 2 * 3"]
+    angles = ["-pi / 4", "-(pi / 4)", "pi - (1 - 2)", "--pi * 3 / 8"]
+    src = ("qpu f[N](q: qubit[N]) -> qubit[N] rev {\n    q | ("
+           + " + ".join(f"std[{d}]" for d in forms) + ") >> ("
+           + " + ".join(f"std[{d}]" for d in forms) + ")\n}\n"
+           "qpu main() -> bit[4] {\n    "
+           + " + ".join(f"'1' @ ({a})" for a in angles)
+           + " | std[4].measure\n}\n")
+    prog = parse(src)
+    text = print_program(prog)
+    for form in forms:
+        assert f"std[{form}]" in text
+    for angle in angles:
+        assert f"'1'@({angle})" in text
+    assert parse(text) == prog
+
+
 def test_expand_repeat_to_tensor():
     src = """
 qpu main() -> bit[2] { '0'[2] | std[2].measure }
@@ -404,6 +425,9 @@ def test_chains_at_the_limit_compile(name):
             compile_source(make(limit), "chain.qw", Options(), "qasm")
     else:
         compile_source(make(limit), "chain.qw", Options(), "qasm")
+    # The printer adds no nesting level, so the chain parses back.
+    prog = parse(make(limit))
+    assert parse(print_program(prog)) == prog
     with pytest.raises(CompileError, match="nests deeper than 100 levels"):
         parse(make(limit + 1))
 
