@@ -1,6 +1,5 @@
-"""
-Typed AST for the surface language: programs are lists of qpu kernels and
-classical (combinational) functions whose bodies are expression trees.
+"""Typed AST for the surface language: programs are lists of qpu kernels
+and classical (combinational) functions whose bodies are expression trees.
 
 The tree has the grammar's shape, so a long program is wide, not deep: a
 pipe is one ``PipeNode`` holding its value and a tuple of all its stages,
@@ -13,17 +12,18 @@ Dimensions and angles are one arithmetic family (``Num``, ``Pi``, ``Name``,
 substitution (``expand.substitute``) and one printer
 (``printer.print_arith``).
 
-Node equality ignores source positions so printer/parser round trips can be
-compared structurally.
+Nodes are frozen records (``qbc.record``), which load faster than dataclasses.
+Equality ignores source positions, so printer/parser round trips compare.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
+from .record import field, record, replace
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Pos:
     line: int = 0
     col: int = 0
@@ -33,7 +33,7 @@ class Pos:
 
 
 def _pos_field():
-    return field(default=Pos(), compare=False, repr=False)
+    return field(default=Pos(), compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -42,30 +42,30 @@ def _pos_field():
 # (angle captures), ``Neg``s and ``Bin``s.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Num:
     value: Union[int, float]
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pi:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Name:
     name: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg:
     operand: "Arith"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Bin:
     op: str  # + - * /
     left: "Arith"
@@ -80,7 +80,7 @@ Arith = Union[Num, Pi, Name, Neg, Bin]
 # Types
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeNode:
     kind: str  # qubit | bit | angle
     dim: Optional[Arith] = None
@@ -91,7 +91,7 @@ class TypeNode:
 # Quantum expressions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VecNode:
     """A basis-literal vector: chars, optional repeat count, optional phase."""
 
@@ -101,47 +101,47 @@ class VecNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QubitLitNode:
     chars: str
     phase: Optional[Arith] = None
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasisLitNode:
     vectors: tuple[VecNode, ...]
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BuiltinBasisNode:
     prim: str  # std | pm | ij | fourier
     dim: Arith = Num(1)
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TensorNode:
     parts: tuple["ExprNode", ...]
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RepeatNode:
     operand: "ExprNode"
     count: Arith
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransNode:
     b_in: "ExprNode"
     b_out: "ExprNode"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PipeNode:
     """``value | fns[0] | fns[1] | ...``, where ``bars[i]`` is the position
     of the ``|`` before ``fns[i]``. The pipe as a whole is at its last
@@ -149,39 +149,39 @@ class PipeNode:
 
     value: "ExprNode"
     fns: tuple["ExprNode", ...]
-    bars: tuple[Pos, ...] = field(compare=False, repr=False)
+    bars: tuple[Pos, ...] = field(compare=False)
 
     @property
     def pos(self) -> Pos:
         return self.bars[-1]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdjointNode:
     fn: "ExprNode"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PredNode:
     basis: "ExprNode"
     fn: "ExprNode"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MeasureNode:
     basis: "ExprNode"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscardNode:
     dim: Arith = Num(1)
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmbedNode:
     """f.xor / f.sign of a classical function, captures already applied."""
 
@@ -192,7 +192,7 @@ class EmbedNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CondNode:
     then: "ExprNode"
     flag: "ExprNode"
@@ -200,13 +200,13 @@ class CondNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarNode:
     name: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallNode:
     """Reference to a qpu kernel, optionally binding dims and captures."""
 
@@ -216,7 +216,7 @@ class CallNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AngleNode:
     """An angle expression in value position (capture argument)."""
 
@@ -224,7 +224,7 @@ class AngleNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BitsNode:
     """A bit-string literal in value position (capture argument)."""
 
@@ -238,7 +238,7 @@ ExprNode = Union[
     EmbedNode, CondNode, VarNode, CallNode, AngleNode, BitsNode,
 ]
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LetNode:
     """``let names = value;`` (with ``types`` for a destructuring let)."""
 
@@ -252,19 +252,19 @@ class LetNode:
 # Classical (combinational) expressions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CVar:
     name: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CLit:
     bits: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CBin:
     op: str  # & | ^
     left: "CExpr"
@@ -272,20 +272,20 @@ class CBin:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CNot:
     operand: "CExpr"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CIndex:
     operand: "CExpr"
     index: Arith
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CSlice:
     operand: "CExpr"
     lo: Arith
@@ -293,14 +293,14 @@ class CSlice:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CReduce:
     op: str  # xor | and | or
     operand: "CExpr"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CRepeat:
     operand: "CExpr"
     count: Arith
@@ -337,7 +337,7 @@ def map_children(e: Union[ExprNode, CExpr], f) -> Union[ExprNode, CExpr]:
 # Functions and programs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamNode:
     name: str
     type: TypeNode
@@ -345,7 +345,7 @@ class ParamNode:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QpuFn:
     name: str
     dim_vars: tuple[str, ...]
@@ -358,7 +358,7 @@ class QpuFn:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassicalFn:
     name: str
     dim_vars: tuple[str, ...]
@@ -375,7 +375,7 @@ class ClassicalFn:
         return n + self.ret_type.dim.value if mode == "xor" else n
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     qpus: tuple[QpuFn, ...]
     classicals: tuple[ClassicalFn, ...]

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
+
+from .record import record
 
 
 class Prim(Enum):
@@ -47,7 +48,7 @@ CHAR_TO_PRIM_BIT = {
 PRIM_BIT_TO_CHAR = {(p, b): c for c, (p, b) in CHAR_TO_PRIM_BIT.items()}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasisVector:
     """One vector of a basis literal: a prim, eigenbits, and optional phase.
 
@@ -84,7 +85,7 @@ class BasisVector:
         return s
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasisLiteral:
     """A nonempty set of same-prim, same-dim basis vectors written {bv, ...}."""
 
@@ -102,7 +103,7 @@ class BasisLiteral:
         return "{" + ",".join(str(v) for v in self.vectors) + "}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BuiltinBasis:
     """std[N], pm[N], ij[N], or fourier[N]; always fully spans."""
 
@@ -113,7 +114,7 @@ class BuiltinBasis:
         return f"{self.prim}[{self.dim}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Padding:
     """Placeholder element used only inside standardization planning."""
 
@@ -126,7 +127,7 @@ class Padding:
 BasisElement = Union[BuiltinBasis, BasisLiteral, Padding]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Basis:
     """Canon form: a flat, nonempty tensor-product list of basis elements."""
 
@@ -251,7 +252,7 @@ def factor_element(
     return False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpanMismatch:
     """Why a span-equivalence check failed."""
 

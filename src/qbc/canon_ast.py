@@ -13,9 +13,8 @@ in the basis IR: ``qwir_passes`` (``canonicalize_ir``, ``inline``,
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .ast_nodes import ExprNode, Program, TensorNode, map_children
+from .record import replace
 
 
 def canonicalize_ast(program: Program) -> Program:

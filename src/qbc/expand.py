@@ -24,7 +24,6 @@ holding ints; expanded angles stay expressions, which ``--emit ast`` prints.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Optional, Union
 
 from .ast_nodes import (
@@ -40,6 +39,7 @@ from .qwir import (
     QwTy, discard_fn, embed_fn, measure_fn, pred_fn, qubit, rev_fn,
     signature, tensor_fn,
 )
+from .record import replace
 
 
 class _Unbound(Exception):
@@ -244,14 +244,14 @@ class Expander:
                        for p in fn.params if p.type.kind == "qubit")
         if len(params) > 1:
             raise CompileError(f"kernel {fn.name} has more than one qubit parameter", fn.pos)
-        head = QpuFn(name, (), (), params, self._subst_type(fn.ret_type, dim_env),
+        head = QpuFn(fn.name, (), (), params, self._subst_type(fn.ret_type, dim_env),
                      fn.reversible, (), fn.body, pos=fn.pos)
         self.qpu_instances[key] = name, signature(head)
         env = {p.name: qubit(p.type.dim.value) for p in params}
         lets = tuple(self._expand_let(let, dim_env, captures, env)
                      for let in fn.lets)
         body, _ = self._expand_expr(fn.body, dim_env, captures, env)
-        self.out_qpus.append(replace(head, lets=lets, body=body))
+        self.out_qpus.append(replace(head, name=name, lets=lets, body=body))
         return self.qpu_instances[key]
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:

@@ -13,10 +13,10 @@ positions count every character, tabs and ``\\r`` included, as one column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .ast_nodes import Pos
 from .diagnostics import CompileError
+from .record import record
 
 KEYWORDS = {
     "qpu", "classical", "rev", "let", "if", "else", "pi", "discard", "id",
@@ -38,7 +38,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # IDENT, INT, FLOAT, QLIT, keyword, punctuation, EOF
     text: str

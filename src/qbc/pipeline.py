@@ -34,7 +34,6 @@ are wrapped by ``_names_file``, which puts it on the error as it leaves.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 
 from .backends import allocate, emit_qasm3, emit_qir_base
 from .canon_ast import canonicalize_ast
@@ -51,10 +50,11 @@ from .qwir_passes import (
     canonicalize_ir, check_acyclic, generate_specializations, inline,
     lift_lambdas, prune_unreachable,
 )
+from .record import field, record, replace
 from .typecheck import typecheck
 
 
-@dataclass
+@record
 class Options:
     opt_level: int = 1
     decompose: bool = True
@@ -136,7 +136,7 @@ def compile_to_circuit(source: str, file: str, opts: Options) -> QCircModule:
     return to_gates(to_qwir(front(source, file, opts), opts), opts)
 
 
-@dataclass
+@record
 class Stats:
     gates: int
     t_count: int

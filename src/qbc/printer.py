@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .ast_nodes import (
     AngleNode, Arith, BasisLitNode, BitsNode, BuiltinBasisNode,
     CallNode, CBin, CIndex, CLit, CNot, CondNode, CReduce, CRepeat, CSlice,
@@ -28,9 +26,12 @@ def print_arith(a: Arith, prec: int = 0) -> str:
 def _arith(a: Arith):
     if isinstance(a, Num):
         # Positional digits, which the lexer reads back to the same number;
-        # repr would write 1e-05.
+        # repr would write 1e-05. Imported here, decimal stays off start-up.
         v = a.value
-        return str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f"), 3
+        if v == int(v):
+            return str(int(v)), 3
+        from decimal import Decimal
+        return format(Decimal(repr(v)), "f"), 3
     if isinstance(a, Pi):
         return "pi", 3
     if isinstance(a, Name):

@@ -30,9 +30,10 @@ folding and decomposition both hand it their rewrites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
+
+from .record import field, record
 
 
 class GateKind(Enum):
@@ -77,7 +78,7 @@ PHASE = {
 N_TARGETS = {k: (2 if k is GateKind.SWAP else 1) for k in GateKind}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Gate:
     """A gate over register positions (synthesis-level, not dataflow).
 
@@ -215,7 +216,7 @@ def exact_form(kind: GateKind, controls: tuple[int, ...],
 # Dataflow module
 
 
-@dataclass
+@record
 class QOp:
     """One op in a single-block gate-level function body.
 
@@ -239,7 +240,7 @@ class QOp:
     pair: int = 0
 
 
-@dataclass
+@record
 class QCircFn:
     name: str
     ops: list[QOp] = field(default_factory=list)
@@ -255,7 +256,7 @@ class QCircFn:
         return sum(1 for op in self.ops if op.kind == "gate")
 
 
-@dataclass
+@record
 class QCircModule:
     functions: dict[str, QCircFn] = field(default_factory=dict)
     entry: str = "main"

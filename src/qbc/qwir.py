@@ -10,11 +10,12 @@ arguments); cond blocks may reference values from the enclosing block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ast_nodes import ClassicalFn, QpuFn
 from .bases import Basis, check_span_equivalence
+from .diagnostics import CompileError
+from .record import field, record
 
 
 class QwTy(NamedTuple):
@@ -101,12 +102,18 @@ def tensor_fn(parts: list[QwTy]) -> QwTy:
 
 def signature(q: QpuFn) -> QwTy:
     """An expanded kernel's type: from its qubit parameter, if any, to its
-    declared result."""
+    declared result. A reversible kernel that takes qubits must return as
+    many, since its adjoint and its predicated form keep the width."""
     fin = sum(p.type.dim.value for p in q.params)
-    return func(fin, q.ret_type.kind, q.ret_type.dim.value, q.reversible)
+    kind, fout = q.ret_type.kind, q.ret_type.dim.value
+    if q.reversible and fin and (kind, fout) != ("qubit", fin):
+        raise CompileError(
+            f"reversible kernel {q.name} takes {fin} qubit{'s' * (fin != 1)} "
+            f"but returns {kind}[{fout}]", q.pos)
+    return func(fin, kind, fout, q.reversible)
 
 
-@dataclass
+@record
 class QwOp:
     kind: str
     operands: list[int] = field(default_factory=list)
@@ -115,13 +122,13 @@ class QwOp:
     regions: list["QwBlock"] = field(default_factory=list)
 
 
-@dataclass
+@record
 class QwBlock:
     args: list[int] = field(default_factory=list)
     ops: list[QwOp] = field(default_factory=list)
 
 
-@dataclass
+@record
 class QwFunc:
     name: str
     params: list[int]
@@ -148,7 +155,7 @@ class QwFunc:
         return results
 
 
-@dataclass
+@record
 class QwModule:
     functions: dict[str, QwFunc] = field(default_factory=dict)
     classicals: dict[str, ClassicalFn] = field(default_factory=dict)

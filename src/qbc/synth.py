@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import groupby, product as iproduct
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -36,6 +35,7 @@ from .bases import (
 )
 from .diagnostics import CompileError
 from .qcirc import Gate, H, P, S, SDG, SWAP, X, Z, adjoint_gates, g
+from .record import record
 
 PERMUTATION_LIMIT = 12
 
@@ -44,7 +44,7 @@ PERMUTATION_LIMIT = 12
 # Standardization planning
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StdEntry:
     prim: Prim
     dim: int
@@ -177,7 +177,7 @@ def emit_standardization(
 # Vector phases
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhaseTuple:
     eigenbits: str
     theta: float
@@ -252,7 +252,7 @@ def _literal_product(a: BasisLiteral, b: BasisLiteral) -> BasisLiteral:
     ))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlignedPair:
     b_in: BasisElement
     b_out: BasisElement
@@ -516,7 +516,7 @@ def measurement_rotation(b: Basis) -> tuple[Gate, ...]:
 # Classical synthesis
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Bag:
     """XOR of a set of wire positions plus a constant flip."""
 

@@ -17,8 +17,6 @@ angle is reported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bases
 from .ast_nodes import (
     BasisLitNode, BuiltinBasisNode, CondNode, DiscardNode, EmbedNode,
@@ -34,6 +32,7 @@ from .qwir import (
     QwTy, discard_fn, embed_fn, measure_fn, pred_fn, qubit, rev_fn,
     signature, tensor_fn,
 )
+from .record import record
 
 
 def basis_of(e: ExprNode) -> bases.Basis:
@@ -297,7 +296,7 @@ class TypeChecker:
         return map_children(e, lambda c: self._forbid_qubit_vars(c, env))
 
 
-@dataclass
+@record
 class TypedProgram:
     program: Program
     fn_types: dict[str, QwTy]  # each kernel's func(...) type

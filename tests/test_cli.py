@@ -16,8 +16,8 @@ BENCH = ROOT / "benchmarks"
 
 # Runs `qbc check` and every `qbc compile --emit` on each benchmark, then
 # `qbc run` on the first, in one fresh interpreter, and reports the exit
-# codes, the histogram, and whether numpy was loaded before and after the
-# run.
+# codes, the histogram, which of numpy and the modules compiling never
+# needs were loaded before the run, and whether numpy was loaded after it.
 _NUMPY_PROBE = """\
 import contextlib, io, json, sys
 from qbc import cli
@@ -28,13 +28,13 @@ for path in sys.argv[1:]:
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             codes[" ".join(argv + [path])] = cli.main(argv + [path])
-compiled_without_numpy = "numpy" not in sys.modules
+compile_loaded = [m for m in ("numpy", "dataclasses", "inspect", "decimal")
+                  if m in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     run_code = cli.main(["run", sys.argv[1], "--shots", "16"])
-print(json.dumps({"codes": codes, "compiled_without_numpy":
-                  compiled_without_numpy, "run_code": run_code,
-                  "run_out": out.getvalue(),
+print(json.dumps({"codes": codes, "compile_loaded": compile_loaded,
+                  "run_code": run_code, "run_out": out.getvalue(),
                   "run_loaded_numpy": "numpy" in sys.modules}))
 """
 
@@ -52,7 +52,10 @@ def test_compiling_never_imports_numpy():
     # Only the QIR backend's rejection of teleport ends in a diagnostic.
     assert {k: v for k, v in report["codes"].items() if v} == {
         f"compile --emit qir {BENCH / 'teleport.qw'}": 1}
-    assert report["compiled_without_numpy"]
+    # Compiling loads neither numpy nor what would only slow start-up:
+    # dataclasses, the inspect it imports, and decimal, which --emit ast
+    # loads on demand.
+    assert report["compile_loaded"] == []
     assert report["run_code"] == 0 and report["run_loaded_numpy"]
     counts = dict(line.split("\t") for line in report["run_out"].splitlines())
     assert set(counts) <= {"00", "11"}
@@ -248,6 +251,14 @@ SHAPE_AND_TYPE_ERRORS = [
     ("qpu f() -> qubit[1] rev { '0' }\n"
      "qpu main() -> bit[1] { '0' | (f + std.flip) | std.measure }",
      "2:31: error: kernel 'f' takes no qubits"),
+    # A reversible kernel keeps its width, which its adjoint and predicated
+    # forms assume.
+    ("qpu g(q: qubit[1]) -> qubit[2] rev { q + '0' }\n"
+     "qpu main() -> bit[2] { '00' | ({'1'} & g) | std[2].measure }",
+     "1:1: error: reversible kernel g takes 1 qubit but returns qubit[2]"),
+    ("qpu g[N](q: qubit[N]) -> qubit[N + 1] rev { q + '0' }\n"
+     "qpu main() -> bit[2] { '0' | g | std[2].measure }",
+     "1:1: error: reversible kernel g takes 1 qubit but returns qubit[2]"),
     # A discard leaves nothing to bind, and so does a tensor of discards.
     ("qpu main() -> bit[1] { let x = '0' | discard; '0' | std.measure }",
      "1:24: error: let binds qubit or bit values"),
