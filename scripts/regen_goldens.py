@@ -2,7 +2,9 @@
 """Regenerate, or with --check verify, the golden basis IR, QASM and QIR
 outputs of the benchmark programs and of ``tests/goldens/forms.qw``, which
 reaches every exact gate form of ``qbc.qcirc.exact_form`` that the
-backends and multi-control decomposition use.
+backends and multi-control decomposition use, and the results of the
+pinned front-end diagnostics corpus (``front_diagnostics.txt``, whose
+sources are kept as they are).
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
@@ -19,6 +21,7 @@ for byte with ``tests/goldens/`` and exits 1 naming every mismatch.
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import re
 import sys
@@ -29,7 +32,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from qasm_reader import read_qasm3  # noqa: E402
 from qbc.backends import allocate  # noqa: E402
 from qbc.diagnostics import CompileError  # noqa: E402
-from qbc.pipeline import Options, compile_source, compile_to_circuit  # noqa: E402
+from qbc.pipeline import (  # noqa: E402
+    Options, compile_source, compile_to_circuit, front,
+)
 from qbc.run import distribution  # noqa: E402
 
 BENCHMARKS = ["bell", "bv", "dj", "grover", "simon", "period", "teleport"]
@@ -37,6 +42,7 @@ GOLDEN_DIR = ROOT / "tests" / "goldens"
 # Golden name -> the program it compiles.
 SOURCES = {name: ROOT / "benchmarks" / f"{name}.qw" for name in BENCHMARKS}
 SOURCES["forms"] = GOLDEN_DIR / "forms.qw"
+FRONT_CORPUS = GOLDEN_DIR / "front_diagnostics.txt"
 
 
 class GoldenError(Exception):
@@ -68,9 +74,41 @@ def goldens(name: str) -> dict[str, str | None]:
     return {f"{name}.qwir": qwir, f"{name}.qasm": qasm, f"{name}.ll": qir}
 
 
+def front_result(source: str) -> str:
+    """What the front end makes of ``source``: ``ok``, or its diagnostic
+    as ``line:col: message``."""
+    try:
+        front(source, "corpus.qw", Options())
+    except CompileError as e:
+        return e.message if e.pos is None else f"{e.pos}: {e.message}"
+    return "ok"
+
+
+def front_corpus() -> list[tuple[str, str | None, str]]:
+    """Each line of the front-end corpus as (line, its source or None for a
+    comment, its pinned result)."""
+    out = []
+    for line in FRONT_CORPUS.read_text().splitlines():
+        if line.startswith("#"):
+            out.append((line, None, ""))
+        else:
+            source, result = line.split("\t", 1)
+            out.append((line, json.loads(source), result))
+    return out
+
+
+def front_mismatches() -> list[str]:
+    """Every source of the front-end corpus whose result differs from the
+    pinned one."""
+    return [f"{FRONT_CORPUS.name}: {source!r} gave {front_result(source)!r}, "
+            f"pinned {result!r}"
+            for _, source, result in front_corpus()
+            if source is not None and front_result(source) != result]
+
+
 def check() -> list[str]:
     """Every way the goldens differ from the compiler's output."""
-    problems = []
+    problems = front_mismatches()
     for name in SOURCES:
         try:
             files = goldens(name)
@@ -122,6 +160,13 @@ def main(argv=None) -> int:
                         status += f" ({was} -> {_shape(text)})"
             path.write_bytes(data)
             print(f"{fname}: {status}")
+    lines = [line if source is None else
+             f"{json.dumps(source, ensure_ascii=False)}\t{front_result(source)}"
+             for line, source, _ in front_corpus()]
+    text = "".join(f"{line}\n" for line in lines)
+    changed = text != FRONT_CORPUS.read_text()
+    FRONT_CORPUS.write_text(text)
+    print(f"{FRONT_CORPUS.name}: {'changed' if changed else 'unchanged'}")
     return 0
 
 

@@ -1,5 +1,6 @@
 """The compiler's output for each benchmark equals its golden byte for byte,
-the re-ingested golden QASM has the compiled circuit's distribution, and
+the pinned front-end diagnostics corpus gives its pinned results, the
+re-ingested golden QASM has the compiled circuit's distribution, and
 with qubit reuse the emitted register is no wider than the circuit's peak
 of live qubits and no deeper than with a fresh register per allocation."""
 
@@ -25,6 +26,12 @@ def _regen_goldens():
 
 def test_goldens_match_compiler_output():
     assert _regen_goldens().check() == []
+
+
+def test_front_end_diagnostics_match_the_pinned_corpus():
+    # Every source of tests/goldens/front_diagnostics.txt still ends as
+    # pinned: ok, or the same diagnostic text at the same line:col.
+    assert _regen_goldens().front_mismatches() == []
 
 
 def _peak_live(m) -> int:
