@@ -18,13 +18,14 @@ Equality ignores source positions, so printer/parser round trips compare.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .record import field, record, replace
 
 
-@record(frozen=True)
-class Pos:
+class Pos(NamedTuple):
+    """A source position, line and column from 1; ``Pos()`` is none. A
+    tuple, so the lexer and parser build one cheaply."""
     line: int = 0
     col: int = 0
 

@@ -138,6 +138,17 @@ def _check_declared(fn: Union[QpuFn, ClassicalFn]) -> None:
             raise CompileError(f"undeclared dimension variable {a.name}", a.pos)
 
 
+def _by_name(fns, what: str) -> dict:
+    """``fns`` (kernels or classical functions) by name; a name declared
+    twice is a diagnostic at its second declaration."""
+    out = {}
+    for fn in fns:
+        if fn.name in out:
+            raise CompileError(f"duplicate {what} '{fn.name}'", fn.pos)
+        out[fn.name] = fn
+    return out
+
+
 def _tensor(tys: list[QwTy], pos: Pos) -> QwTy:
     """The type of a tensor whose parts are all functions, all bases, or
     all values; the checker tells qubits from bits."""
@@ -151,10 +162,13 @@ def _tensor(tys: list[QwTy], pos: Pos) -> QwTy:
 
 class Expander:
     def __init__(self, program: Program, bindings: dict[str, int]):
-        self.program = program
+        self.qpus = _by_name(program.qpus, "kernel")
+        self.classicals = _by_name(program.classicals, "classical function")
         self.bindings = dict(bindings)
-        self.qpu_instances: dict[tuple, str] = {}
-        self.classical_instances: dict[tuple, str] = {}
+        self.qpu_instances: dict[tuple, tuple[str, QwTy]] = {}
+        # (kernel, piped width) -> the instance a bare kernel name calls
+        self.named_calls: dict[tuple[str, Optional[int]], tuple[str, QwTy]] = {}
+        self.classical_instances: dict[tuple, ClassicalFn] = {}
         self.out_qpus: list[QpuFn] = []
         self.out_classicals: list[ClassicalFn] = []
         self.used_names: set[str] = set()
@@ -162,10 +176,10 @@ class Expander:
     # -- entry ---------------------------------------------------------------
 
     def run(self) -> Program:
-        main = self.program.qpu("main")
+        main = self.qpus.get("main")
         if main is None:
             raise CompileError("missing entry kernel 'main'", Pos(1, 1))
-        for fn in (*self.program.qpus, *self.program.classicals):
+        for fn in (*self.qpus.values(), *self.classicals.values()):
             _check_declared(fn)
         dim_env: dict[str, int] = {}
         for name, default in zip(main.dim_vars, main.dim_defaults):
@@ -363,7 +377,7 @@ class Expander:
                     f"capture '{e.name}' cannot be used as a value", e.pos)
             if e.name in env:
                 return e, env[e.name]
-            if self.program.qpu(e.name) is not None:
+            if e.name in self.qpus:
                 return self._resolve_fn(e, dims, captures, env, hint=None)
             raise CompileError(f"unknown name '{e.name}'", e.pos)
         if isinstance(e, CallNode):
@@ -373,14 +387,21 @@ class Expander:
     # -- function-position resolution -------------------------------------------
 
     def _resolve_fn(self, e, dims, captures, env, hint: Optional[int]):
-        """Expand an expression in function position, instantiating kernels."""
-        if isinstance(e, VarNode) and self.program.qpu(e.name) is not None:
-            e = CallNode(e.name, (), (), pos=e.pos)
+        """Expand an expression in function position, instantiating kernels.
+
+        A bare kernel name binds no dimension and no capture, so the
+        instance it calls depends only on the kernel and ``hint``: the
+        first such call finds it, and the others look it up."""
+        if isinstance(e, VarNode) and e.name in self.qpus:
+            called = self.named_calls.get((e.name, hint))
+            if called is None:
+                called = self._instantiate_call(
+                    CallNode(e.name, (), (), pos=e.pos), dims, captures, env, hint)
+                self.named_calls[e.name, hint] = called
+            return VarNode(called[0], pos=e.pos), called[1]
         if isinstance(e, CallNode):
-            target = self.program.qpu(e.fn)
-            if target is None:
-                raise CompileError(f"unknown kernel '{e.fn}'", e.pos)
-            return self._instantiate_call(e, target, dims, captures, env, hint)
+            inst, ty = self._instantiate_call(e, dims, captures, env, hint)
+            return VarNode(inst, pos=e.pos), ty
         if isinstance(e, EmbedNode):
             return self._resolve_embed(e, dims, captures, env, hint)
         new_e, ty = self._expand_expr(e, dims, captures, env)
@@ -439,7 +460,11 @@ class Expander:
             )
         return inner_dims, inner_captures
 
-    def _instantiate_call(self, call: CallNode, target: QpuFn, dims, captures, env, hint):
+    def _instantiate_call(self, call: CallNode, dims, captures, env, hint):
+        """The name and type of the instance that ``call`` calls."""
+        target = self.qpus.get(call.fn)
+        if target is None:
+            raise CompileError(f"unknown kernel '{call.fn}'", call.pos)
         cap_params = [p for p in target.params if p.type.kind != "qubit"]
         if len(call.args) < len(cap_params):
             raise CompileError(
@@ -450,11 +475,10 @@ class Expander:
                       if p.type.kind == "qubit"), None)
         inner_dims, inner_captures = self._bind(
             target, call, cap_params, q_dim, dims, captures, env, hint)
-        inst, ty = self._instantiate_qpu(target, inner_dims, inner_captures)
-        return VarNode(inst, pos=call.pos), ty
+        return self._instantiate_qpu(target, inner_dims, inner_captures)
 
     def _resolve_embed(self, e: EmbedNode, dims, captures, env, hint):
-        target = self.program.classical(e.fn)
+        target = self.classicals.get(e.fn)
         if target is None:
             raise CompileError(f"unknown classical function '{e.fn}'", e.pos)
         # Captures bind the leading parameters; the rest are the inputs.

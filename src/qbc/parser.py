@@ -13,6 +13,13 @@ its result expression; the bindings are parsed in a loop into
     postfix: [N] repeat, [[N]] dim bindings, (args), .measure/.flip/.xor/.sign, @angle
 Classical bodies use | ^ & ~ with indexing, slicing, and reductions.
 
+The parser holds its current token and that token's kind, and each rule
+decides by comparing the kind it holds; it never looks further ahead. A
+pipe stage (``>>``, ``&`` and ``+``) is one rule that reads its operators
+after its first operand, and a postfix chain is read only when the token
+after an atom starts one, so an atom with no operator is reached through
+five calls from ``parse_expr``.
+
 Dimensions and angles build the same arithmetic nodes; each has its own
 entry point (``parse_dim_expr``, ``parse_angle_expr``) for its own
 diagnostics.
@@ -29,13 +36,13 @@ opened by each of:
     levels.
 Deeper input is a positioned diagnostic at the token that opens the level
 past the limit, not a RecursionError in the parser or in the recursive
-walks over the tree after it.
+walks over the tree after it. A parse error ends the parse, so a rule
+that opens a level closes it by lowering ``depth`` when it returns.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Optional
 
 from .ast_nodes import (
@@ -53,64 +60,66 @@ MAX_NESTING = 100
 # Binary operators' binding levels, loosest 0.
 ARITH_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1}
 CLASSICAL_LEVELS = {"|": 0, "^": 1, "&": 2}
+_POSTFIX = frozenset(("[[", "[", "(", ".", "@"))
+# Kinds of the tokens that start an atom, apart from "(".
+_ATOMS = frozenset(("IDENT", "QLIT", "{", "std", "pm", "ij", "fourier", "id",
+                    "discard"))
+_ONE = Num(1)
+# The vectors of each single-qubit builtin basis that .flip swaps, swapped.
+_FLIPPED = {prim: (VecNode(one), VecNode(zero)) for prim, zero, one in
+            (("std", "0", "1"), ("pm", "p", "m"), ("ij", "i", "j"))}
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.i = 0
+        self.next_token = iter(tokens).__next__
+        self.tok = self.next_token()  # the current token
+        self.kind = self.tok.kind
         self.depth = 0  # open nesting levels, see the module docstring
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def take(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
+    def advance(self) -> Token:
+        """The current token; the one after it becomes current."""
+        t = self.tok
+        self.tok = self.next_token()
+        self.kind = self.tok.kind
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
+        if self.kind != kind:
+            t = self.tok
             raise CompileError(f"expected {kind!r}, found {t.text or t.kind!r}", t.pos)
-        return self.take()
+        return self.advance()
 
     def accept(self, kind: str) -> Optional[Token]:
-        if self.at(kind):
-            return self.take()
-        return None
+        return self.advance() if self.kind == kind else None
 
     def enter(self, t: Token) -> None:
-        """Open one more level at ``t``. A parse error ends the parse, so
-        only the level's owner closes it, by lowering ``depth``."""
+        """Open one more level at ``t``; its owner closes it."""
         if self.depth == MAX_NESTING:
             raise CompileError(
                 f"expression nests deeper than {MAX_NESTING} levels", t.pos)
         self.depth += 1
 
-    @contextmanager
-    def nested(self, t: Token):
-        """Parse one level deeper than ``t``, which opens the level."""
-        self.enter(t)
-        yield
-        self.depth -= 1
+    def bracketed_dim(self) -> Arith:
+        """A dimension in brackets."""
+        self.expect("[")
+        dim = self.parse_dim_expr()
+        self.expect("]")
+        return dim
 
     # -- program ----------------------------------------------------------
 
     def parse_program(self) -> Program:
         qpus, classicals = [], []
-        while not self.at("EOF"):
-            if self.at("classical"):
+        while self.kind != "EOF":
+            if self.kind == "classical":
                 classicals.append(self.parse_classical())
-            elif self.at("qpu"):
+            elif self.kind == "qpu":
                 qpus.append(self.parse_qpu())
             else:
-                t = self.peek()
+                t = self.tok
                 raise CompileError(f"expected 'qpu' or 'classical', found {t.text!r}", t.pos)
         return Program(tuple(qpus), tuple(classicals))
 
@@ -118,12 +127,13 @@ class Parser:
         names, defaults = [], []
         if self.accept("["):
             while True:
-                t = self.expect("IDENT")
-                names.append(t.text)
-                if self.accept("="):
-                    defaults.append(int(self.expect("INT").text))
-                else:
-                    defaults.append(None)
+                name = self.expect("IDENT")
+                if name.text in names:
+                    raise CompileError(
+                        f"duplicate dimension variable {name.text}", name.pos)
+                names.append(name.text)
+                defaults.append(int(self.expect("INT").text)
+                                if self.accept("=") else None)
                 if not self.accept(","):
                     break
             self.expect("]")
@@ -133,26 +143,25 @@ class Parser:
         """A qubit[N] or bit[N] type, or with ``angle`` also ``angle``: an
         angle is only ever a kernel's capture parameter, which expansion
         bakes away."""
-        t = self.peek()
+        t = self.tok
         if t.kind in ("qubit", "bit"):
-            self.take()
-            self.expect("[")
-            dim = self.parse_dim_expr()
-            self.expect("]")
-            return TypeNode(t.kind, dim, pos=t.pos)
+            self.advance()
+            return TypeNode(t.kind, self.bracketed_dim(), pos=t.pos)
         if t.kind == "angle":
             if not angle:
                 raise CompileError("only kernel parameters may be angles", t.pos)
-            self.take()
+            self.advance()
             return TypeNode("angle", None, pos=t.pos)
         raise CompileError(f"expected a type, found {t.text!r}", t.pos)
 
     def parse_params(self, angle: bool = False) -> tuple[ParamNode, ...]:
         params = []
         self.expect("(")
-        if not self.at(")"):
+        if self.kind != ")":
             while True:
                 name = self.expect("IDENT")
+                if any(p.name == name.text for p in params):
+                    raise CompileError(f"duplicate parameter '{name.text}'", name.pos)
                 self.expect(":")
                 ty = self.parse_type(angle)
                 default = None
@@ -165,15 +174,18 @@ class Parser:
         return tuple(params)
 
     def parse_default_value(self, ty: TypeNode) -> ExprNode:
-        t = self.peek()
+        t = self.tok
         if ty.kind == "bit":
-            tok = self.expect("QLIT")
-            if any(c not in "01" for c in tok.text):
-                raise CompileError("bit literal may only contain 0 and 1", tok.pos)
-            return BitsNode(tok.text, pos=tok.pos)
+            return self.bits(self.expect("QLIT"), BitsNode)
         if ty.kind == "angle":
             return AngleNode(self.parse_angle_expr(), pos=t.pos)
         raise CompileError("only bit and angle parameters may have defaults", t.pos)
+
+    def bits(self, t: Token, node):
+        """``node`` of a bit literal token."""
+        if t.text.strip("01"):
+            raise CompileError("bit literal may only contain 0 and 1", t.pos)
+        return node(t.text, pos=t.pos)
 
     def parse_qpu(self) -> QpuFn:
         kw = self.expect("qpu")
@@ -185,7 +197,7 @@ class Parser:
         reversible = self.accept("rev") is not None
         self.expect("{")
         lets = []
-        while self.at("let"):
+        while self.kind == "let":
             lets.append(self.parse_let())
         body = self.parse_expr()
         self.expect("}")
@@ -199,10 +211,9 @@ class Parser:
         names, types = [], []
         if self.accept("("):
             while True:
-                n = self.expect("IDENT")
+                names.append(self.expect("IDENT").text)
                 self.expect(":")
                 types.append(self.parse_type())
-                names.append(n.text)
                 if not self.accept(","):
                     break
             self.expect(")")
@@ -218,59 +229,57 @@ class Parser:
 
     def parse_expr(self) -> ExprNode:
         e = self.parse_pipe()
-        if self.at("if"):
-            kw = self.take()
-            flag = self.parse_pipe()
-            with self.nested(self.expect("else")):
-                els = self.parse_expr()
-            return CondNode(e, flag, els, pos=kw.pos)
-        return e
+        if self.kind != "if":
+            return e
+        kw = self.advance()
+        flag = self.parse_pipe()
+        self.enter(self.expect("else"))
+        els = self.parse_expr()
+        self.depth -= 1
+        return CondNode(e, flag, els, pos=kw.pos)
 
     def parse_pipe(self) -> ExprNode:
-        e = self.parse_trans()
-        fns, bars = [], []
-        while self.at("|"):
-            bars.append(self.take().pos)
-            fns.append(self.parse_trans())
-        return PipeNode(e, tuple(fns), tuple(bars)) if fns else e
-
-    def parse_trans(self) -> ExprNode:
-        e = self.parse_pred()
-        if self.at(">>"):
-            t = self.take()
-            rhs = self.parse_pred()
-            return TransNode(e, rhs, pos=t.pos)
-        return e
-
-    def parse_pred(self) -> ExprNode:
-        e = self.parse_tensor()
-        if self.at("&"):
-            t = self.take()
-            rhs = self.parse_tensor()
-            return PredNode(e, rhs, pos=t.pos)
-        return e
-
-    def parse_tensor(self) -> ExprNode:
-        e = self.parse_unary()
-        if not self.at("+"):
+        e = self.parse_stage()
+        if self.kind != "|":
             return e
-        parts = [e]
-        while self.accept("+"):
-            parts.append(self.parse_unary())
-        return TensorNode(tuple(parts), pos=parts[0].pos)
+        fns, bars = [], []
+        while self.kind == "|":
+            bars.append(self.advance().pos)
+            fns.append(self.parse_stage())
+        return PipeNode(e, tuple(fns), tuple(bars))
+
+    def parse_stage(self, lowest: int = 0) -> ExprNode:
+        """A pipe stage's operators that bind at ``lowest`` or tighter:
+        ``>>`` (0) joins two ``&`` operands, ``&`` (1) two ``+`` operands,
+        and ``+`` (2) any number of unary operands."""
+        e = self.parse_unary()
+        if self.kind == "+":
+            parts = [e]
+            while self.accept("+"):
+                parts.append(self.parse_unary())
+            e = TensorNode(tuple(parts), pos=e.pos)
+        if self.kind == "&" and lowest <= 1:
+            t = self.advance()
+            e = PredNode(e, self.parse_stage(2), pos=t.pos)
+        if self.kind == ">>" and lowest == 0:
+            t = self.advance()
+            e = TransNode(e, self.parse_stage(1), pos=t.pos)
+        return e
 
     def parse_unary(self) -> ExprNode:
-        if self.at("~"):
-            t = self.take()
-            with self.nested(t):
-                return AdjointNode(self.parse_unary(), pos=t.pos)
-        return self.parse_postfix()
+        if self.kind == "~":
+            t = self.advance()
+            self.enter(t)
+            e = AdjointNode(self.parse_unary(), pos=t.pos)
+            self.depth -= 1
+            return e
+        e = self.parse_atom()
+        return self.parse_postfix(e) if self.kind in _POSTFIX else e
 
-    def parse_postfix(self) -> ExprNode:
-        first = e = self.parse_atom()
-        start = self.depth
-        while self.peek().kind in ("[[", "[", "(", ".", "@"):
-            t = self.take()
+    def parse_postfix(self, e: ExprNode) -> ExprNode:
+        first, start = e, self.depth
+        while self.kind in _POSTFIX:
+            t = self.advance()
             if e is not first:  # this link nests the chain so far
                 self.enter(t)
             if t.kind == "[[":
@@ -291,11 +300,10 @@ class Parser:
                 e = RepeatNode(e, count, pos=t.pos)
             elif t.kind == "(":
                 args = []
-                if not self.at(")"):
-                    while True:
+                if self.kind != ")":
+                    args.append(self.parse_capture_arg())
+                    while self.accept(","):
                         args.append(self.parse_capture_arg())
-                        if not self.accept(","):
-                            break
                 self.expect(")")
                 if isinstance(e, VarNode):
                     e = CallNode(e.name, (), tuple(args), pos=t.pos)
@@ -304,26 +312,21 @@ class Parser:
                 else:
                     raise CompileError("only function names can be called", t.pos)
             elif t.kind == ".":
-                method = self.peek()
+                method = self.tok
                 if method.kind == "measure":
-                    self.take()
                     e = MeasureNode(e, pos=t.pos)
                 elif method.kind == "flip":
-                    self.take()
                     e = self.desugar_flip(e, t.pos)
-                elif method.kind in ("xor", "sign"):
-                    self.take()
-                    if isinstance(e, VarNode):
-                        e = EmbedNode(e.name, method.kind, (), (), pos=t.pos)
-                    elif isinstance(e, CallNode):
-                        e = EmbedNode(e.fn, method.kind, e.args, e.dim_args, pos=t.pos)
-                    else:
-                        raise CompileError(
-                            f".{method.kind} applies to classical function names",
-                            t.pos,
-                        )
-                else:
+                elif method.kind not in ("xor", "sign"):
                     raise CompileError(f"unknown method .{method.text}", method.pos)
+                elif isinstance(e, VarNode):
+                    e = EmbedNode(e.name, method.kind, (), (), pos=t.pos)
+                elif isinstance(e, CallNode):
+                    e = EmbedNode(e.fn, method.kind, e.args, e.dim_args, pos=t.pos)
+                else:
+                    raise CompileError(
+                        f".{method.kind} applies to classical function names", t.pos)
+                self.advance()
             else:
                 angle = self.parse_angle_unary()
                 if isinstance(e, QubitLitNode) and e.phase is None:
@@ -338,90 +341,54 @@ class Parser:
 
     def desugar_flip(self, e: ExprNode, pos: Pos) -> ExprNode:
         # b.flip on a single-qubit builtin basis swaps its two vectors.
-        if isinstance(e, BuiltinBasisNode) and e.prim in ("std", "pm", "ij") \
-                and e.dim == Num(1):
-            chars = {"std": ("0", "1"), "pm": ("p", "m"), "ij": ("i", "j")}[e.prim]
-            flipped = BasisLitNode((VecNode(chars[1]), VecNode(chars[0])), pos=pos)
-            return TransNode(BuiltinBasisNode(e.prim, Num(1), pos=e.pos), flipped, pos=pos)
+        if isinstance(e, BuiltinBasisNode) and e.prim in _FLIPPED \
+                and e.dim == _ONE:
+            flipped = BasisLitNode(_FLIPPED[e.prim], pos=pos)
+            return TransNode(BuiltinBasisNode(e.prim, _ONE, pos=e.pos), flipped, pos=pos)
         raise CompileError(".flip applies to the single-qubit bases std, pm, ij", pos)
 
     def parse_capture_arg(self) -> ExprNode:
-        t = self.peek()
+        t = self.tok
         if t.kind == "QLIT":
-            self.take()
-            if any(c not in "01" for c in t.text):
-                raise CompileError("bit literal may only contain 0 and 1", t.pos)
-            return BitsNode(t.text, pos=t.pos)
+            return self.bits(self.advance(), BitsNode)
         if t.kind == "IDENT":
-            self.take()
+            self.advance()
             return VarNode(t.text, pos=t.pos)
         # Anything else must be an angle expression.
         return AngleNode(self.parse_angle_expr(), pos=t.pos)
 
     def parse_atom(self) -> ExprNode:
-        t = self.peek()
-        if t.kind == "QLIT":
-            self.take()
+        t = self.tok
+        kind = t.kind
+        if kind == "(":
+            return self.parenthesized(self.parse_expr)
+        if kind not in _ATOMS:
+            raise CompileError(f"unexpected token {t.text or kind!r}", t.pos)
+        self.advance()
+        if kind == "IDENT":
+            return VarNode(t.text, pos=t.pos)
+        if kind == "QLIT":
             return QubitLitNode(t.text, pos=t.pos)
-        if t.kind == "{":
-            self.take()
+        if kind == "{":
             vecs = [self.parse_vec()]
             while self.accept(","):
                 vecs.append(self.parse_vec())
             self.expect("}")
             return BasisLitNode(tuple(vecs), pos=t.pos)
-        if t.kind in ("std", "pm", "ij"):
-            self.take()
-            dim: Arith = Num(1)
-            if self.at("[") and not self.at("[["):
-                self.take()
-                dim = self.parse_dim_expr()
-                self.expect("]")
-            return BuiltinBasisNode(t.kind, dim, pos=t.pos)
-        if t.kind == "fourier":
-            self.take()
-            self.expect("[")
-            dim = self.parse_dim_expr()
-            self.expect("]")
-            return BuiltinBasisNode("fourier", dim, pos=t.pos)
-        if t.kind == "id":
-            self.take()
-            dim = Num(1)
-            if self.at("["):
-                self.take()
-                dim = self.parse_dim_expr()
-                self.expect("]")
+        if kind == "fourier":
+            return BuiltinBasisNode("fourier", self.bracketed_dim(), pos=t.pos)
+        dim = self.bracketed_dim() if self.kind == "[" else _ONE
+        if kind == "discard":
+            return DiscardNode(dim, pos=t.pos)
+        if kind == "id":
             std = BuiltinBasisNode("std", dim, pos=t.pos)
             return TransNode(std, std, pos=t.pos)
-        if t.kind == "discard":
-            self.take()
-            dim = Num(1)
-            if self.at("["):
-                self.take()
-                dim = self.parse_dim_expr()
-                self.expect("]")
-            return DiscardNode(dim, pos=t.pos)
-        if t.kind == "IDENT":
-            self.take()
-            return VarNode(t.text, pos=t.pos)
-        if t.kind == "(":
-            self.take()
-            with self.nested(t):
-                e = self.parse_expr()
-            self.expect(")")
-            return e
-        raise CompileError(f"unexpected token {t.text or t.kind!r}", t.pos)
+        return BuiltinBasisNode(kind, dim, pos=t.pos)
 
     def parse_vec(self) -> VecNode:
         t = self.expect("QLIT")
-        repeat = None
-        if self.at("[") and not self.at("[["):
-            self.take()
-            repeat = self.parse_dim_expr()
-            self.expect("]")
-        phase = None
-        if self.accept("@"):
-            phase = self.parse_angle_unary()
+        repeat = self.bracketed_dim() if self.kind == "[" else None
+        phase = self.parse_angle_unary() if self.accept("@") else None
         return VecNode(t.text, repeat, phase, pos=t.pos)
 
     # -- dims and angles ----------------------------------------------------
@@ -433,8 +400,8 @@ class Parser:
         link."""
         first = e = operand()
         start = self.depth
-        while levels.get(self.peek().kind, -1) >= lowest:
-            t = self.take()
+        while levels.get(self.kind, -1) >= lowest:
+            t = self.advance()
             if e is not first:  # this link nests the chain so far
                 self.enter(t)
             rhs = self.binary(operand, levels, node, levels[t.kind] + 1)
@@ -446,20 +413,24 @@ class Parser:
         return self.binary(self.parse_dim_atom, ARITH_LEVELS, Bin)
 
     def parse_dim_atom(self) -> Arith:
-        t = self.peek()
+        t = self.tok
         if t.kind == "INT":
-            self.take()
+            self.advance()
             return Num(int(t.text), pos=t.pos)
         if t.kind == "IDENT":
-            self.take()
+            self.advance()
             return Name(t.text, pos=t.pos)
         if t.kind == "(":
-            self.take()
-            with self.nested(t):
-                e = self.parse_dim_expr()
-            self.expect(")")
-            return e
+            return self.parenthesized(self.parse_dim_expr)
         raise CompileError(f"expected a dimension, found {t.text!r}", t.pos)
+
+    def parenthesized(self, inner):
+        """``( inner )`` one level deeper than the ``(`` it starts at."""
+        self.enter(self.advance())
+        e = inner()
+        self.depth -= 1
+        self.expect(")")
+        return e
 
     def parse_angle_expr(self) -> Arith:
         return self.binary(self.parse_angle_unary, ARITH_LEVELS, Bin)
@@ -467,32 +438,25 @@ class Parser:
     def parse_angle_unary(self) -> Arith:
         # Also the angle directly after '@': a single, possibly negated
         # factor unless parenthesized.
-        t = self.peek()
+        t = self.tok
         if t.kind == "-":
-            self.take()
-            with self.nested(t):
-                return Neg(self.parse_angle_unary(), pos=t.pos)
-        return self.parse_angle_factor()
-
-    def parse_angle_factor(self) -> Arith:
-        t = self.peek()
+            self.enter(self.advance())
+            e = Neg(self.parse_angle_unary(), pos=t.pos)
+            self.depth -= 1
+            return e
         if t.kind == "pi":
-            self.take()
+            self.advance()
             return Pi(pos=t.pos)
         if t.kind in ("FLOAT", "INT"):
-            self.take()
+            self.advance()
             if not math.isfinite(value := float(t.text)):
                 raise CompileError("angle literal is too large", t.pos)
             return Num(value, pos=t.pos)
         if t.kind == "IDENT":
-            self.take()
+            self.advance()
             return Name(t.text, pos=t.pos)
         if t.kind == "(":
-            self.take()
-            with self.nested(t):
-                e = self.parse_angle_expr()
-            self.expect(")")
-            return e
+            return self.parenthesized(self.parse_angle_expr)
         raise CompileError(f"expected an angle, found {t.text!r}", t.pos)
 
     # -- classical ----------------------------------------------------------
@@ -517,18 +481,18 @@ class Parser:
         return self.binary(self.parse_cunary, CLASSICAL_LEVELS, CBin)
 
     def parse_cunary(self) -> CExpr:
-        t = self.peek()
-        if t.kind == "~":
-            self.take()
-            with self.nested(t):
-                return CNot(self.parse_cunary(), pos=t.pos)
-        return self.parse_cpostfix()
-
-    def parse_cpostfix(self) -> CExpr:
-        first = e = self.parse_catom()
-        start = self.depth
-        while self.at("["):
-            t = self.take()
+        if self.kind == "~":
+            t = self.advance()
+            self.enter(t)
+            e = CNot(self.parse_cunary(), pos=t.pos)
+            self.depth -= 1
+            return e
+        e = self.parse_catom()
+        if self.kind != "[":
+            return e
+        first, start = e, self.depth
+        while self.kind == "[":
+            t = self.advance()
             if e is not first:  # this link nests the chain so far
                 self.enter(t)
             lo = self.parse_dim_expr()
@@ -543,44 +507,33 @@ class Parser:
         return e
 
     def parse_catom(self) -> CExpr:
-        t = self.peek()
+        t = self.tok
+        if t.kind == "IDENT":
+            self.advance()
+            return CVar(t.text, pos=t.pos)
         if t.kind == "QLIT":
-            self.take()
-            if any(c not in "01" for c in t.text):
-                raise CompileError("bit literal may only contain 0 and 1", t.pos)
-            return CLit(t.text, pos=t.pos)
-        if t.kind in ("xor_reduce", "and_reduce", "or_reduce"):
-            self.take()
+            return self.bits(self.advance(), CLit)
+        if t.kind in ("xor_reduce", "and_reduce", "or_reduce", "repeat"):
+            self.advance()
             self.expect("(")
-            with self.nested(t):
-                inner = self.parse_cexpr()
-            self.expect(")")
-            return CReduce(t.kind.split("_")[0], inner, pos=t.pos)
-        if t.kind == "repeat":
-            self.take()
-            self.expect("(")
-            with self.nested(t):
-                inner = self.parse_cexpr()
+            self.enter(t)
+            inner = self.parse_cexpr()
+            self.depth -= 1
+            if t.kind != "repeat":
+                self.expect(")")
+                return CReduce(t.kind.split("_")[0], inner, pos=t.pos)
             self.expect(",")
             count = self.parse_dim_expr()
             self.expect(")")
             return CRepeat(inner, count, pos=t.pos)
-        if t.kind == "IDENT":
-            self.take()
-            return CVar(t.text, pos=t.pos)
         if t.kind == "(":
-            self.take()
-            with self.nested(t):
-                e = self.parse_cexpr()
-            self.expect(")")
-            return e
+            return self.parenthesized(self.parse_cexpr)
         raise CompileError(f"unexpected token {t.text!r} in classical body", t.pos)
 
 
 def parse(source: str) -> Program:
     """Parse source text into a Program; raises CompileError on bad syntax."""
-    p = Parser(tokenize(source))
-    prog = p.parse_program()
+    prog = Parser(tokenize(source)).parse_program()
     if not prog.qpus and not prog.classicals:
         raise CompileError("empty program: missing entry kernel 'main'", Pos(1, 1))
     return prog

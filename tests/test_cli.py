@@ -275,6 +275,26 @@ SHAPE_AND_TYPE_ERRORS = [
     ("qpu f[N](q: qubit[N]) -> qubit[N + K] rev { q }\n"
      "qpu main() -> bit[1] { '0' | f | std.measure }",
      "1:36: error: undeclared dimension variable K"),
+    # A name declared twice is reported at its second declaration.
+    ("qpu f(q: qubit[1]) -> qubit[1] rev { q }\n"
+     "qpu f(q: qubit[1]) -> qubit[1] rev { q | std.flip }\n"
+     "qpu main() -> bit[1] { '0' | f | std.measure }",
+     "2:1: error: duplicate kernel 'f'"),
+    ("classical c(x: bit[1]) -> bit[1] { x }\n"
+     "classical c(x: bit[1]) -> bit[1] { ~x }\n"
+     "qpu main() -> bit[2] { '00' | c.xor | std[2].measure }",
+     "2:1: error: duplicate classical function 'c'"),
+    ("qpu main[N=2, N=3]() -> bit[N] { '0'[N] | std[N].measure }",
+     "1:15: error: duplicate dimension variable N"),
+    ("qpu main(a: bit[1] = '1', a: bit[1] = '0') -> bit[1] "
+     "{ '0' | std.measure }",
+     "1:27: error: duplicate parameter 'a'"),
+    ("qpu f(a: bit[1], a: bit[1], q: qubit[1]) -> qubit[1] rev { q }\n"
+     "qpu main() -> bit[1] { '0' | f('1', '0') | std.measure }",
+     "1:18: error: duplicate parameter 'a'"),
+    ("classical c(x: bit[1], x: bit[1]) -> bit[1] { x }\n"
+     "qpu main() -> bit[3] { '000' | c.xor | std[3].measure }",
+     "1:24: error: duplicate parameter 'x'"),
 ]
 
 

@@ -50,6 +50,15 @@ def test_empty_file_is_an_error():
         parse("")
 
 
+def test_a_kernel_and_a_classical_function_may_share_a_name():
+    # Syntax tells their uses apart: an embed names the classical function.
+    src = ("classical f(x: bit[1]) -> bit[1] { x }\n"
+           "qpu f(q: qubit[1]) -> qubit[1] rev { q | std.flip }\n"
+           "qpu main() -> bit[3] { '100' | (f + f.xor) | std[3].measure }\n")
+    qc = compile_to_circuit(src, "shared.qw", Options())
+    assert distribution(qc) == {"000": 1.0}
+
+
 def test_missing_entry_kernel():
     src = "qpu helper(q: qubit[1]) -> qubit[1] rev { q | id }"
     with pytest.raises(CompileError) as e:
@@ -326,6 +335,15 @@ def _long_lets(bindings):
             f"    q{bindings - 1} | std.measure\n}}\n")
 
 
+def _many_kernels(kernels):
+    # main and kernels - 1 one-stage kernels, each called once from main.
+    defs = "".join(f"qpu k{i}(q: qubit[1]) -> qubit[1] rev {{ q | std.flip }}\n"
+                   for i in range(1, kernels))
+    calls = "".join(f"    | k{i}\n" for i in range(1, kernels))
+    return (f"{defs}qpu main() -> bit[1] {{\n    '0'\n{calls}"
+            "    | std.measure\n}\n")
+
+
 # Runs `qbc run` on each file three times in one fresh interpreter, the
 # runs of different files interleaved, and reports the least wall time of
 # each file's runs.
@@ -343,15 +361,18 @@ print(*best.values(), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("make", [_long_pipe, _long_lets],
-                         ids=["stages", "bindings"])
-def test_long_programs_run_in_near_linear_time(tmp_path, make):
+@pytest.mark.parametrize("make, sizes", [
+    (_long_pipe, (800, 3200)), (_long_lets, (800, 3200)),
+    (_many_kernels, (200, 800)),
+], ids=["stages", "bindings", "kernels"])
+def test_long_programs_run_in_near_linear_time(tmp_path, make, sizes):
     # A pipe stage or a let costs no stack frame of its own, so 3200 of
-    # them compile, and compile time stays near-linear in their number.
-    # A fresh interpreter times them as the command runs, apart from the
-    # objects the pytest process holds.
+    # them compile, and compile time stays near-linear in their number; a
+    # kernel is found by its name in one step, so it stays near-linear in
+    # the number of kernels too. A fresh interpreter times them as the
+    # command runs, apart from the objects the pytest process holds.
     paths = []
-    for n in (800, 3200):
+    for n in sizes:
         paths.append(tmp_path / f"long{n}.qw")
         paths[-1].write_text(make(n))
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -363,7 +384,7 @@ def test_long_programs_run_in_near_linear_time(tmp_path, make):
     for _ in range(3):
         proc = subprocess.run([sys.executable, "-c", _TIMER, *map(str, paths)],
                               env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout == "1\t1024\n" * 6  # '0' flipped 799 or 3199 times
+        assert proc.stdout == "1\t1024\n" * 6  # '0' flipped an odd number of times
         short, long = map(float, proc.stderr.split())
         if long < 6 * short:
             break
