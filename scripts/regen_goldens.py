@@ -4,7 +4,8 @@ outputs of the benchmark programs and of ``tests/goldens/forms.qw``, which
 reaches every exact gate form of ``qbc.qcirc.exact_form`` that the
 backends and multi-control decomposition use, and the results of the
 pinned front-end diagnostics corpus (``front_diagnostics.txt``, whose
-sources are kept as they are).
+sources are kept as they are). Rewriting also rewrites
+``output_digest.txt``, which ``scripts/output_digest.py --check`` reads.
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
@@ -27,8 +28,9 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 
+import output_digest  # noqa: E402
 from qasm_reader import read_qasm3  # noqa: E402
 from qbc.backends import allocate  # noqa: E402
 from qbc.diagnostics import CompileError  # noqa: E402
@@ -42,7 +44,7 @@ GOLDEN_DIR = ROOT / "tests" / "goldens"
 # Golden name -> the program it compiles.
 SOURCES = {name: ROOT / "benchmarks" / f"{name}.qw" for name in BENCHMARKS}
 SOURCES["forms"] = GOLDEN_DIR / "forms.qw"
-FRONT_CORPUS = GOLDEN_DIR / "front_diagnostics.txt"
+FRONT_CORPUS = "front_diagnostics.txt"  # in GOLDEN_DIR
 
 
 class GoldenError(Exception):
@@ -88,7 +90,7 @@ def front_corpus() -> list[tuple[str, str | None, str]]:
     """Each line of the front-end corpus as (line, its source or None for a
     comment, its pinned result)."""
     out = []
-    for line in FRONT_CORPUS.read_text().splitlines():
+    for line in (GOLDEN_DIR / FRONT_CORPUS).read_text("utf-8").splitlines():
         if line.startswith("#"):
             out.append((line, None, ""))
         else:
@@ -100,7 +102,7 @@ def front_corpus() -> list[tuple[str, str | None, str]]:
 def front_mismatches() -> list[str]:
     """Every source of the front-end corpus whose result differs from the
     pinned one."""
-    return [f"{FRONT_CORPUS.name}: {source!r} gave {front_result(source)!r}, "
+    return [f"{FRONT_CORPUS}: {source!r} gave {front_result(source)!r}, "
             f"pinned {result!r}"
             for _, source, result in front_corpus()
             if source is not None and front_result(source) != result]
@@ -142,31 +144,33 @@ def main(argv=None) -> int:
         print("goldens: ok")
         return 0
     GOLDEN_DIR.mkdir(exist_ok=True)
+    files = {}
     for name in SOURCES:
         for fname, text in goldens(name).items():
-            path = GOLDEN_DIR / fname
             if text is None:
                 print(f"{name}: no {fname}")
-                continue
-            data = text.encode("utf-8")
-            old = path.read_bytes() if path.exists() else None
-            if old == data:
-                status = "unchanged"
             else:
-                status = "changed"
-                if fname.endswith(".qasm") and old is not None:
-                    was = _shape(old.decode("utf-8", "replace"))
-                    if was:
-                        status += f" ({was} -> {_shape(text)})"
-            path.write_bytes(data)
-            print(f"{fname}: {status}")
-    lines = [line if source is None else
-             f"{json.dumps(source, ensure_ascii=False)}\t{front_result(source)}"
-             for line, source, _ in front_corpus()]
-    text = "".join(f"{line}\n" for line in lines)
-    changed = text != FRONT_CORPUS.read_text()
-    FRONT_CORPUS.write_text(text)
-    print(f"{FRONT_CORPUS.name}: {'changed' if changed else 'unchanged'}")
+                files[fname] = text
+    files[FRONT_CORPUS] = "".join(
+        f"{line}\n" if source is None else
+        f"{json.dumps(source, ensure_ascii=False)}\t{front_result(source)}\n"
+        for line, source, _ in front_corpus())
+    files[output_digest.GOLDEN.name] = "".join(
+        f"{line}\n" for line in output_digest.digest())
+    for fname, text in files.items():
+        path = GOLDEN_DIR / fname
+        data = text.encode("utf-8")
+        old = path.read_bytes() if path.exists() else None
+        if old == data:
+            status = "unchanged"
+        else:
+            status = "changed"
+            if fname.endswith(".qasm") and old is not None:
+                was = _shape(old.decode("utf-8", "replace"))
+                if was:
+                    status += f" ({was} -> {_shape(text)})"
+        path.write_bytes(data)
+        print(f"{fname}: {status}")
     return 0
 
 

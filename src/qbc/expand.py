@@ -14,6 +14,13 @@ a stage), and reports the shape errors; the checker reports the rest.
 Capture arguments have no type: ``BitsNode`` and ``AngleNode`` tell them
 apart.
 
+Kernels and classical functions are found by name in one dict each, built
+once per program; a name declared twice is a diagnostic there. A bare
+kernel name in function position binds no dimension and no capture, so
+the instance it calls depends only on the kernel and the width piped into
+it: the first such call binds and instantiates, and each later one looks
+the instance up, one dict lookup per repeated call site.
+
 Dimensions and angles are one arithmetic family, with one evaluator
 (``evaluate``, which folds every dimension here and every angle for
 typecheck and lowering) and one substitution (``substitute``, which puts
@@ -391,7 +398,7 @@ class Expander:
 
         A bare kernel name binds no dimension and no capture, so the
         instance it calls depends only on the kernel and ``hint``: the
-        first such call finds it, and the others look it up."""
+        first such call instantiates it, and later ones look it up."""
         if isinstance(e, VarNode) and e.name in self.qpus:
             called = self.named_calls.get((e.name, hint))
             if called is None:

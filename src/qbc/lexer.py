@@ -62,9 +62,6 @@ class Token(tuple):
     def pos(self) -> Pos:
         return _new(Pos, self[2:])
 
-    def __repr__(self) -> str:
-        return f"Token({self[0]!r}, {self[1]!r}, {self.pos!r})"
-
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
