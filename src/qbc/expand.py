@@ -176,6 +176,9 @@ class Expander:
         # (kernel, piped width) -> the instance a bare kernel name calls
         self.named_calls: dict[tuple[str, Optional[int]], tuple[str, QwTy]] = {}
         self.classical_instances: dict[tuple, ClassicalFn] = {}
+        # (instance head, kernel, dimensions, captures) of each instance
+        # whose body ``run`` has still to expand.
+        self.bodies: list[tuple[QpuFn, QpuFn, dict, dict]] = []
         self.out_qpus: list[QpuFn] = []
         self.out_classicals: list[ClassicalFn] = []
         self.used_names: set[str] = set()
@@ -213,7 +216,13 @@ class Expander:
             if name not in dim_env:
                 raise CompileError(f"dimension variable {name} is unbound; pass -D {name}=...", main.pos)
         entry, _ = self._instantiate_qpu(main, dim_env, captures, keep_name="main")
-        return Program(tuple(self.out_qpus), tuple(self.out_classicals), entry=entry)
+        # Expanding a body can queue more instances. Bodies are expanded last
+        # queued first and listed in reverse, so where the calls form a tree
+        # each instance is listed after the instances it calls.
+        while self.bodies:
+            self._expand_body(*self.bodies.pop())
+        return Program(tuple(reversed(self.out_qpus)), tuple(self.out_classicals),
+                       entry=entry)
 
     def _fresh_name(self, base: str, dim_env: dict[str, int]) -> str:
         name = base
@@ -251,11 +260,11 @@ class Expander:
         keep_name: Optional[str] = None,
     ) -> tuple[str, QwTy]:
         """The name and type of ``fn``'s instance at ``dim_env`` with
-        ``captures`` baked in, expanded the first time it is asked for.
+        ``captures`` baked in. The first time it is asked for, its body is
+        queued for ``run`` to expand, so a chain of calls costs no stack
+        frame per kernel, and a recursive call finds the name and type.
         Every bit or angle parameter is a capture, so the instance keeps
-        only its qubit parameter and no angle outlives expansion. The type
-        is known before the body is expanded, so a recursive call finds
-        it."""
+        only its qubit parameter and no angle outlives expansion."""
         key = (fn.name, tuple(sorted(dim_env.items())), self._capture_key(captures))
         if key in self.qpu_instances:
             return self.qpu_instances[key]
@@ -268,12 +277,17 @@ class Expander:
         head = QpuFn(fn.name, (), (), params, self._subst_type(fn.ret_type, dim_env),
                      fn.reversible, (), fn.body, pos=fn.pos)
         self.qpu_instances[key] = name, signature(head)
-        env = {p.name: qubit(p.type.dim.value) for p in params}
+        self.bodies.append((replace(head, name=name), fn, dim_env, captures))
+        return self.qpu_instances[key]
+
+    def _expand_body(self, head: QpuFn, fn: QpuFn, dim_env: dict[str, int],
+                     captures: dict[str, ExprNode]) -> None:
+        """Expand the lets and body of ``fn`` into its instance ``head``."""
+        env = {p.name: qubit(p.type.dim.value) for p in head.params}
         lets = tuple(self._expand_let(let, dim_env, captures, env)
                      for let in fn.lets)
         body, _ = self._expand_expr(fn.body, dim_env, captures, env)
-        self.out_qpus.append(replace(head, name=name, lets=lets, body=body))
-        return self.qpu_instances[key]
+        self.out_qpus.append(replace(head, lets=lets, body=body))
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:
         dim = _dimension(t.dim, dim_env, t.pos)

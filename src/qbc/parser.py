@@ -211,7 +211,10 @@ class Parser:
         names, types = [], []
         if self.accept("("):
             while True:
-                names.append(self.expect("IDENT").text)
+                name = self.expect("IDENT")
+                if name.text in names:
+                    raise CompileError(f"duplicate binding '{name.text}'", name.pos)
+                names.append(name.text)
                 self.expect(":")
                 types.append(self.parse_type())
                 if not self.accept(","):

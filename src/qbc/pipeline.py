@@ -1,9 +1,11 @@
 """
 Fixed compilation pipeline: parse -> expand -> typecheck -> flatten tensors
--> lower to basis IR -> lift lambdas, canonicalize, reject recursion ->
-specialize each adjoint/predicated callee once -> inline, canonicalizing
-each round -> lower to gates -> fold phases and peephole (at -O1) ->
-multi-control decomposition (unless disabled) -> backend.
+-> lower to basis IR -> lift lambdas, canonicalize -> inline bottom-up
+(reject recursion, make each adjoint/predicated form once, canonicalize each
+function once) -> drop unreachable functions -> lower to gates -> fold
+phases and peephole (at -O1) -> multi-control decomposition (unless
+disabled) -> backend. The basis IR is verified after lowering, before
+inlining and after pruning.
 
 Each rewrite has one home. The front end typechecks the expanded program
 once, so diagnostics point into the source as written; the only AST rewrite,
@@ -47,11 +49,13 @@ from .printer import print_program
 from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
 from .qwir_passes import (
-    canonicalize_ir, check_acyclic, generate_specializations, inline,
-    lift_lambdas, prune_unreachable,
+    canonicalize_ir, inline, lift_lambdas, prune_unreachable, specialize,
 )
 from .record import field, record, replace
 from .typecheck import typecheck
+
+# Only perfbench/spans.py still looks this name up (ROADMAP item 15).
+generate_specializations = specialize
 
 
 @record
@@ -92,11 +96,9 @@ def to_qwir(tp, opts: Options) -> QwModule:
     verify(m)
     lift_lambdas(m)
     canonicalize_ir(m)
-    prune_unreachable(m)
-    check_acyclic(m)
-    generate_specializations(m)
     verify(m)
     inline(m)
+    prune_unreachable(m)
     verify(m)
     return m
 

@@ -3,9 +3,12 @@ Rewrites on the basis-level IR: adjointing and predicating single blocks,
 lambda lifting, canonicalization, the adjoint and predicated forms of
 functions, and inlining.
 
-The pipeline lifts lambdas, canonicalizes, rejects call cycles
-(``check_acyclic``), makes each adjoint or predicated form a decorated call
-needs once (``generate_specializations``), then inlines (``inline``).
+The pipeline lifts lambdas, canonicalizes, inlines, then drops the
+functions the entry no longer reaches (``prune_unreachable``). ``inline``
+walks the call graph once from the entry, callees first: it rejects a call
+cycle, and flattens each function once by splicing its callees' flat bodies.
+An adjoint or predicated form is made from the callee's flat body the first
+time a call asks for it (``specialize``).
 
 Every op these rewrites build with fresh results comes from
 ``QwFunc.emit``; ``_copy_op`` copies one with its operands renamed, and
@@ -636,67 +639,16 @@ def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
 
 
 def inline(m: QwModule) -> None:
-    """Inline every call, then drop the functions the entry no longer
-    reaches.
+    """Flatten the entry and every function it reaches, callees first.
 
-    ``m`` must already be canonicalized (``canonicalize_ir``). A splice
-    copies the body of the function the call runs (``_specialize``). Each
-    round splices every call of every function, and every call inside a
-    spliced body, then canonicalizes the functions it changed; resolving a
-    ``call_indirect`` there can leave new calls for the next round. The one
-    error is a call cycle reachable from the entry, which raises
-    ``CompileError`` before anything is spliced.
+    ``m`` must already be canonicalized (``canonicalize_ir``). One iterative
+    depth-first walk over the calls and function values from the entry
+    flattens each function as it leaves it (``_flatten``), so every callee
+    is flat before its callers are. A call cycle raises ``CompileError``,
+    naming it, before any function on it is flattened. Functions the entry
+    does not reach are left as they are, for ``prune_unreachable``.
     """
-    prune_unreachable(m)
-    check_acyclic(m)
-    pending = True
-    while pending:
-        pending = False
-        for fn in list(m.functions.values()):
-            subst: dict[int, int] = {}
-            if _splice_calls(m, fn, fn.block, subst):
-                _canonicalize_fn(fn, subst)
-                pending = True
-    prune_unreachable(m)
-
-
-def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
-                  subst: dict[int, int]) -> bool:
-    """Replace each call in ``block`` and its regions by a copy of the body
-    of the function it runs, visiting the spliced ops next; returns whether
-    any call was spliced.
-
-    ``subst`` maps the body's args to the call's operands and the call's
-    results to the values the body returns.
-    """
-    spliced = False
-    ops: list[QwOp] = []
-    todo = block.ops[::-1]
-    while todo:
-        op = todo.pop()
-        op.operands = [_lookup(subst, v) for v in op.operands]
-        if op.kind == "call":
-            # A call still decorated here was exposed after round one, when
-            # every body it can name has been spliced, so its form is not
-            # cloned from a retargeted call.
-            callee = _specialize(m, op)
-            body = _clone_into(fn, callee, callee.block)
-            subst.update(zip(body.args, op.operands))
-            subst.update(zip(op.results, body.ops[-1].operands))
-            todo.extend(reversed(body.ops[:-1]))
-            spliced = True
-            continue
-        for r in op.regions:
-            spliced = _splice_calls(m, fn, r, subst) or spliced
-        ops.append(op)
-    block.ops = ops
-    return spliced
-
-
-def check_acyclic(m: QwModule) -> None:
-    """Raise CompileError on a cycle of calls and function values reachable
-    from the entry, naming it; an iterative depth-first search."""
-    on_path: dict[str, bool] = {}  # True while on the path, False once done
+    on_path: dict[str, bool] = {}  # True while on the path, False once flat
     path: list[str] = []
     succs = [iter([m.entry])]  # succs[i + 1] walks the callees of path[i]
     while succs:
@@ -704,7 +656,9 @@ def check_acyclic(m: QwModule) -> None:
         if sym is None:
             succs.pop()
             if path:
-                on_path[path.pop()] = False
+                done = path.pop()
+                _flatten(m, m.functions[done])
+                on_path[done] = False
         elif on_path.get(sym):
             cycle = path[path.index(sym):] + [sym]
             raise CompileError("recursive call cycle "
@@ -713,6 +667,41 @@ def check_acyclic(m: QwModule) -> None:
             on_path[sym] = True
             path.append(sym)
             succs.append(iter(_callees(m.functions[sym])))
+
+
+def _flatten(m: QwModule, fn: QwFunc) -> None:
+    """Splice every call of ``fn``, whose callees are all flat, then
+    canonicalize it. Resolving a ``call_indirect`` there can expose a call,
+    which names a flat function too and is spliced in the same visit."""
+    subst: dict[int, int] = {}
+    while _splice_calls(m, fn, fn.block, subst):
+        _canonicalize_fn(fn, subst)
+
+
+def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
+                  subst: dict[int, int]) -> bool:
+    """Replace each call in ``block`` and its regions by a copy of the flat
+    body of the function it runs; returns whether any call was spliced.
+
+    ``subst`` maps the body's args to the call's operands and the call's
+    results to the values the body returns.
+    """
+    spliced = False
+    ops: list[QwOp] = []
+    for op in block.ops:
+        if op.kind == "call":
+            callee = specialize(m, op)
+            body = _clone_into(fn, callee, callee.block)
+            subst.update(zip(body.args, op.operands))
+            subst.update(zip(op.results, body.ops[-1].operands))
+            ops += body.ops[:-1]
+            spliced = True
+            continue
+        for r in op.regions:
+            spliced = _splice_calls(m, fn, r, subst) or spliced
+        ops.append(op)
+    block.ops = ops
+    return spliced
 
 
 def prune_unreachable(m: QwModule) -> None:
@@ -739,9 +728,10 @@ def _form_name(call: QwOp) -> str:
             + ("" if pred is None else f".pred{pred}"))
 
 
-def _specialize(m: QwModule, call: QwOp) -> QwFunc:
+def specialize(m: QwModule, call: QwOp) -> QwFunc:
     """The function ``call`` runs: its callee, or the callee's adjoint and/or
-    predicated form, which is made the first time a call asks for it."""
+    predicated form, which is made from the callee's body the first time a
+    call asks for it."""
     name = _form_name(call)
     if name not in m.functions:
         callee = m.functions[call.attrs["sym"]]
@@ -755,24 +745,3 @@ def _specialize(m: QwModule, call: QwOp) -> QwFunc:
             block = predicate_block(fn, block, call.attrs["pred"])
         _add_function(m, fn, block)
     return m.functions[name]
-
-
-def generate_specializations(m: QwModule) -> None:
-    """Make the adjoint/predicated form of each decorated call's callee,
-    then retarget every call at a forward call of the function it runs.
-
-    ``m`` must be free of call cycles (``check_acyclic``). Forms are made to
-    a closure, as a form may hold decorated calls itself, and all of them
-    before any call is retargeted, so each is cloned from a body whose
-    decorated calls still name the function they decorate.
-    """
-    calls: list[QwOp] = []
-    work = list(m.functions.values())
-    while work:
-        for op in _iter_ops(work.pop().block):
-            if op.kind == "call":
-                calls.append(op)
-                if _form_name(op) not in m.functions:
-                    work.append(_specialize(m, op))
-    for op in calls:
-        op.attrs = {"sym": _form_name(op), "adj": False, "pred": None}

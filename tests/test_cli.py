@@ -295,6 +295,9 @@ SHAPE_AND_TYPE_ERRORS = [
     ("classical c(x: bit[1], x: bit[1]) -> bit[1] { x }\n"
      "qpu main() -> bit[3] { '000' | c.xor | std[3].measure }",
      "1:24: error: duplicate parameter 'x'"),
+    ("qpu main() -> bit[1] { let (a: qubit[1], a: qubit[1]) = '01'; "
+     "a | std.measure }",
+     "1:42: error: duplicate binding 'a'"),
 ]
 
 

@@ -344,6 +344,15 @@ def _many_kernels(kernels):
             "    | std.measure\n}\n")
 
 
+def _call_chain(kernels):
+    # main and kernels - 1 kernels, each calling the adjoint of the one
+    # before it; the first flips its qubit.
+    defs = "".join(f"qpu k{i}(q: qubit[1]) -> qubit[1] rev {{ q | ~k{i - 1} }}\n"
+                   for i in range(1, kernels - 1))
+    return ("qpu k0(q: qubit[1]) -> qubit[1] rev { q | std.flip }\n" + defs
+            + f"qpu main() -> bit[1] {{\n    '0' | k{kernels - 2} | std.measure\n}}\n")
+
+
 # Runs `qbc run` on each file three times in one fresh interpreter, the
 # runs of different files interleaved, and reports the least wall time of
 # each file's runs.
@@ -363,13 +372,14 @@ print(*best.values(), file=sys.stderr)
 
 @pytest.mark.parametrize("make, sizes", [
     (_long_pipe, (800, 3200)), (_long_lets, (800, 3200)),
-    (_many_kernels, (200, 800)),
-], ids=["stages", "bindings", "kernels"])
+    (_many_kernels, (200, 800)), (_call_chain, (800, 3200)),
+], ids=["stages", "bindings", "kernels", "call_chain"])
 def test_long_programs_run_in_near_linear_time(tmp_path, make, sizes):
-    # A pipe stage or a let costs no stack frame of its own, so 3200 of
-    # them compile, and compile time stays near-linear in their number; a
-    # kernel is found by its name in one step, so it stays near-linear in
-    # the number of kernels too. A fresh interpreter times them as the
+    # A pipe stage, a let or a kernel in a chain of calls costs no stack
+    # frame of its own, so 3200 of them compile, and compile time stays
+    # near-linear in their number; a kernel is found by its name in one
+    # step, and each is inlined once, so it stays near-linear in the number
+    # of kernels too. A fresh interpreter times them as the
     # command runs, apart from the objects the pytest process holds.
     paths = []
     for n in sizes:
@@ -519,7 +529,7 @@ def test_rebinding_a_consumed_qubit_compiles():
      "1:24: error: qubit 'q' used 0 times; must be used exactly once"),
     ("qpu main() -> bit[1] { let (a: qubit[1], a: qubit[1]) = '01';"
      " a | std.measure }",
-     "1:24: error: qubit 'a' used 0 times; must be used exactly once"),
+     "1:42: error: duplicate binding 'a'"),
 ], ids=["double_use", "double_use_of_a_rebinding", "shadowed_unused",
         "name_split_twice"])
 def test_each_binding_is_used_exactly_once(src, message):

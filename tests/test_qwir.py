@@ -1,6 +1,6 @@
 """Basis-level IR: verifier, adjoint/predication rewrites, lambda lifting,
-canonicalization (fusing chained translations included), inlining, and the
-generated adjoint/predicated functions."""
+canonicalization (fusing chained translations included), and inlining with
+the adjoint/predicated forms it makes."""
 
 import itertools
 import math
@@ -19,9 +19,8 @@ from qbc.qwir import (
     func, print_module, qubit, verify,
 )
 from qbc.qwir_passes import (
-    adjoint_block, canonicalize_ir, count_calls,
-    generate_specializations, inline, lift_lambdas, predicate_block,
-    qubit_index_analysis,
+    adjoint_block, canonicalize_ir, count_calls, inline, lift_lambdas,
+    predicate_block, prune_unreachable, qubit_index_analysis,
 )
 
 from oracles import apply_unitary_at, span_projector, translation_unitary
@@ -487,22 +486,26 @@ def test_canonicalize_keeps_defs_that_cond_branches_reach_through_a_fold():
         assert region.ops[0].operands == [a]
 
 
-# -- generated specializations ---------------------------------------------------
+# -- inlining decorated calls ------------------------------------------------------
 
 
-def _chain_module() -> QwModule:
-    """f calls adj g; g calls h."""
-    def leaf(name):
-        b = FnBuilder(name, True)
-        arg = b.param(qubit(1))
-        v = trans_op(b, arg, basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(PM, 1)))
-        b.emit("ret", [v])
-        return b.finish([qubit(1)])
+# A phase translation, S on one qubit, which is not its own adjoint.
+PHASE = (basis(lit("0", "1")), basis(lit("0", ("1", math.pi / 2))))
 
-    h = leaf("h")
+
+def _chain_module(pred=None) -> QwModule:
+    """main calls f, predicated on ``pred`` if it is given; f calls adj g;
+    g calls h, then runs PHASE; h runs std >> pm."""
+    h_b = FnBuilder("h", True)
+    arg = h_b.param(qubit(1))
+    v = trans_op(h_b, arg, basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(PM, 1)))
+    h_b.emit("ret", [v])
+    h = h_b.finish([qubit(1)])
+
     g_b = FnBuilder("g", True)
     arg = g_b.param(qubit(1))
     (v,) = g_b.emit("call", [arg], [qubit(1)], {"sym": "h", "adj": False, "pred": None})
+    v = trans_op(g_b, v, *PHASE)
     g_b.emit("ret", [v])
     g = g_b.finish([qubit(1)])
 
@@ -512,74 +515,72 @@ def _chain_module() -> QwModule:
     f_b.emit("ret", [v])
     f = f_b.finish([qubit(1)])
 
-    main_b = FnBuilder("main", False)
-    (q,) = main_b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
-    (out,) = main_b.emit("call", [q], [qubit(1)], {"sym": "f", "adj": False, "pred": None})
-    (bits,) = main_b.emit("qbmeas", [out], [bit(1)],
-                          {"basis": basis(BuiltinBasis(STD, 1))})
-    main_b.emit("ret", [bits])
-    main = main_b.finish([bit(1)])
+    n = 1 if pred is None else 1 + pred.dim
+    main_b = FnBuilder("main", True)
+    arg = main_b.param(qubit(n))
+    (out,) = main_b.emit("call", [arg], [qubit(n)], {"sym": "f", "adj": False, "pred": pred})
+    main_b.emit("ret", [out])
+    main = main_b.finish([qubit(n)])
     return QwModule({"main": main, "f": f, "g": g, "h": h}, entry="main")
 
 
-def _forward_calls_only(m: QwModule) -> bool:
-    return all(not op.attrs.get("adj") and op.attrs.get("pred") is None
-               for fn in m.functions.values() for op in fn.block.ops
-               if op.kind == "call")
-
-
-def test_specialization_transitive_adjoint():
-    m = _chain_module()
-    generate_specializations(m)
-    # f calls adj g, and g.adj calls adj h: the adjoint is transitive.
-    assert {"g.adj", "h.adj"} <= set(m.functions)
-    assert not any(name.startswith("f.") for name in m.functions)
-    # Closure: a second run adds nothing.
-    names = set(m.functions)
-    generate_specializations(m)
-    assert set(m.functions) == names
-
-
-def test_generate_specializations_materializes_and_retargets():
-    m = _chain_module()
-    generate_specializations(m)
+@pytest.mark.parametrize("pred", [None, basis(lit("00", "11"))],
+                         ids=["adj", "pred-of-adj"])
+def test_inline_flattens_decorated_calls_into_their_product(pred):
+    m = _chain_module(pred)
+    inline(m)
+    prune_unreachable(m)
     verify(m)
-    assert _forward_calls_only(m)
-    # The adjoint specialization of h exists because g.adj calls it.
-    assert "h.adj" in m.functions
-    # Retargeted calls stay forward on a second run.
-    names = set(m.functions)
-    generate_specializations(m)
-    assert set(m.functions) == names
-
-
-def test_generate_specializations_without_calls_adds_nothing():
-    b = FnBuilder("main", False)
-    (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
-    (bits,) = b.emit("qbmeas", [q], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
-    b.emit("ret", [bits])
-    m = QwModule({"main": b.finish([bit(1)])}, entry="main")
-    generate_specializations(m)
     assert list(m.functions) == ["main"]
-    generate_specializations(m)
-    assert list(m.functions) == ["main"]
+    assert count_calls(m) == (0, 0)
+    # f runs the adjoint of g, which runs h and then PHASE.
+    g = translation_unitary(*PHASE) @ translation_unitary(
+        basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(PM, 1)))
+    want = g.conj().T if pred is None else pred_expected(pred, g.conj().T)
+    fn = m.entry_fn
+    assert np.allclose(block_unitary(fn, fn.block), want, atol=1e-9)
+    # A module without calls is left as it is: no form is made.
+    ops = list(fn.block.ops)
+    inline(m)
+    assert list(m.functions) == ["main"] and fn.block.ops == ops
 
 
-def test_generate_specializations_pred_of_adj_accumulates():
-    m = _chain_module()
-    # Predicate the call to f with a 2-qubit basis.
-    b = FnBuilder("main", False)
-    (q,) = b.emit("qbprep", [], [qubit(3)], {"prim": STD, "eigenbits": "000"})
-    (out,) = b.emit("call", [q], [qubit(3)],
-                    {"sym": "f", "adj": False, "pred": basis(lit("00", "11"))})
-    (bits,) = b.emit("qbmeas", [out], [bit(3)], {"basis": basis(BuiltinBasis(STD, 3))})
-    b.emit("ret", [bits])
-    m.functions["main"] = b.finish([bit(3)])
-    generate_specializations(m)
-    verify(m)
-    assert _forward_calls_only(m)
-    for prefix in ("f.pred{", "g.adj.pred{", "h.adj.pred{"):
-        assert any(name.startswith(prefix) for name in m.functions), prefix
+NESTED_DECORATED = """
+qpu h(q: qubit[1]) -> qubit[1] rev {
+    q | ({'0', '1'} >> {'1' @ (pi/4), '0'})
+}
+qpu g(q: qubit[2]) -> qubit[2] rev {
+    q | ({'1'} & h) | ({'1'} & ~h)
+}
+qpu f(q: qubit[3]) -> qubit[3] rev {
+    q | ({'1'} & g) | ({'1'} & ~g)
+}
+qpu main() -> bit[4] {
+    '1111' | ({'1'} & f) | ({'1'} & ~f) | std[4].measure
+}
+"""
+
+
+def test_each_call_is_spliced_once(monkeypatch):
+    from qbc import qwir_passes
+    from qbc.pipeline import Options, front, to_gates, to_qwir
+    from qbc.run import distribution
+
+    clones = []
+    clone_into = qwir_passes._clone_into
+
+    def counting(fn, src_fn, block):
+        clones.append((fn.name, src_fn.name))
+        return clone_into(fn, src_fn, block)
+
+    monkeypatch.setattr(qwir_passes, "_clone_into", counting)
+    m = to_qwir(front(NESTED_DECORATED, "nested.qw", Options()), Options())
+    assert distribution(to_gates(m, Options())) == {"1111": pytest.approx(1.0)}
+    # Two lifted lambdas, eight call ops (one in h, two in each of g, f and
+    # main, and main's measurement) each spliced once, and six forms (the
+    # predicated and the predicated adjoint of h, g and f) each made once
+    # from a flat body: no body is cloned twice into one function.
+    assert len(clones) == len(set(clones)) == 2 + 8 + 6
 
 
 def test_inline_preserves_distribution():
@@ -765,6 +766,7 @@ def test_inline_resolves_chains_of_pass_through_calls():
     m = QwModule({"main": b.finish([bit(1)]), "f": passing("f", "g"),
                   "g": passing("g", "h"), "h": passing("h", None)}, entry="main")
     inline(m)
+    prune_unreachable(m)
     verify(m)
     assert list(m.functions) == ["main"]
     assert [op.kind for op in m.entry_fn.block.ops] == ["qbprep", "qbmeas", "ret"]
