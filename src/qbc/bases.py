@@ -273,7 +273,7 @@ def check_span_equivalence(b_in: Basis, b_out: Basis) -> Optional[SpanMismatch]:
     Runs the two-deque pop/compare/factor loop; polynomial in the number of
     elements and vectors, never in 2^dim. Memoized on the pair: both bases
     and the result are frozen, and one compile checks each translation once
-    in the type checker and again in every ``qwir.verify``.
+    in expansion and again in every ``qwir.verify``.
     """
     ldeque: deque = deque(normalize_element(e) for e in b_in.elements)
     rdeque: deque = deque(normalize_element(e) for e in b_out.elements)

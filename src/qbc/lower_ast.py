@@ -6,11 +6,11 @@ part, and repack; translations, measurements, discards and embeds in value
 position become lambdas wrapping that one op (``_op_lambda``); the pipe
 operator always emits indirect calls. Ops are built with ``FnBuilder``.
 
-The input has passed expansion and the checker, so every name is bound and
-every node is one that lowering handles; nothing is checked again here.
-Each function value's type comes from the rules next to ``qwir.QwTy``, the
-ones the checker applied, and a kernel's is its ``TypedProgram.fn_types``
-entry.
+The input has been expanded and checked in one walk (``expand``), so every
+name is bound and every node is one that lowering handles; nothing is
+checked again here. Each function value's type comes from the rules next
+to ``qwir.QwTy``, the ones that walk applied, and a kernel's is its
+``TypedProgram.fn_types`` entry.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .qwir import (
     FnBuilder, QwModule, QwTy, discard_fn, embed_fn, measure_fn, pred_fn,
     qubit, rev_fn, tensor_fn,
 )
-from .expand import evaluate
-from .typecheck import TypedProgram, basis_of
+from .expand import TypedProgram, basis_of, evaluate
 
 
 def lower_to_ir(tp: TypedProgram) -> QwModule:
@@ -76,13 +75,13 @@ class _Lowerer:
             return self._qubit_literal(b, e)
         if isinstance(e, TensorNode):
             parts = [self.value(b, p, env) for p in e.parts]
-            # Typechecking makes the parts all qubits or all bits.
+            # Expansion makes the parts all qubits or all bits.
             ty = QwTy(b.fn.types[parts[0]].kind,
                       sum(b.fn.types[p].dim for p in parts))
             return b.emit("bitpack" if ty.kind == "bit" else "qbpack",
                           parts, [ty])[0]
         if isinstance(e, PipeNode):
-            # Typechecking leaves a discard (no result) only as the last stage.
+            # Expansion leaves a discard (no result) only as the last stage.
             v = self.value(b, e.value, env)
             for fn in e.fns:
                 fv = self.fn_value(b, fn, env)

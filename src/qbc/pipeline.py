@@ -1,5 +1,5 @@
 """
-Fixed compilation pipeline: parse -> expand -> typecheck -> flatten tensors
+Fixed compilation pipeline: parse -> expand-and-check -> flatten tensors
 -> lower to basis IR -> lift lambdas, canonicalize -> inline bottom-up
 (reject recursion, make each adjoint/predicated form once, canonicalize each
 function once) -> drop unreachable functions -> lower to gates -> fold
@@ -7,10 +7,11 @@ phases and peephole (at -O1) -> multi-control decomposition (unless
 disabled) -> backend. The basis IR is verified after lowering, before
 inlining and after pruning.
 
-Each rewrite has one home. The front end typechecks the expanded program
-once, so diagnostics point into the source as written; the only AST rewrite,
-tensor flattening (``canon_ast``), cannot change a type, so its output is
-handed on with that typecheck's signatures. Every angle is a float by the
+Each rewrite has one home. The front end types and checks each kernel and
+classical body once, in the walk that expands it, so diagnostics point into
+the source as written; the only AST rewrite, tensor flattening
+(``canon_ast``), cannot change a type, so its output is handed on with the
+signatures that walk computed. Every angle is a float by the
 time ``lower_ast`` builds the basis IR; adjoints and predicates are resolved
 there (``qwir_passes``), whose canonicalization
 also fuses each run of chained translations into one and drops identity
@@ -52,9 +53,12 @@ from .qwir_passes import (
     canonicalize_ir, inline, lift_lambdas, prune_unreachable, specialize,
 )
 from .record import field, record, replace
-from .typecheck import typecheck
 
-# Only perfbench/spans.py still looks this name up (ROADMAP item 15).
+# ``front`` calls the one walk that expands, types and checks by the name
+# whose span and call count the traced benchmark reports as typecheck.
+# Only perfbench/spans.py still looks up ``expand`` and
+# ``generate_specializations`` here (ROADMAP item 15).
+typecheck = expand
 generate_specializations = specialize
 
 
@@ -87,7 +91,7 @@ def _names_file(compile_fn):
 
 @_names_file
 def front(source: str, file: str, opts: Options):
-    tp = typecheck(expand(parse(source), opts.dims))
+    tp = typecheck(parse(source), opts.dims)
     return replace(tp, program=canonicalize_ast(tp.program))
 
 

@@ -25,7 +25,7 @@ class QwTy(NamedTuple):
     front end sees, ``basis[dim]`` and ``none`` (what a discard leaves).
     There is no angle type: expansion bakes every captured angle into its
     kernel instance and lowering folds each phase into a float of a basis
-    vector. The typing rules that expansion, the checker and lowering share
+    vector. The typing rules that expansion and lowering share
     follow the class, so each is written once. It is a named tuple because
     the front end makes one or two per pipe stage."""
 
@@ -91,7 +91,7 @@ def tensor_fn(parts: list[QwTy]) -> QwTy:
     """``f1 + f2 + ...``: each part runs on its own slice of the input, and
     the results are packed in order. It is reversible when every part is;
     otherwise its result is the parts' bits, and ``none`` when every part
-    discards. The checker rejects a tensor whose parts mix the two."""
+    discards. Expansion rejects a tensor whose parts mix the two."""
     fin = sum(t.fin for t in parts)
     fout = sum(t.fout_dim for t in parts)
     if all(t.rev and t.fout_kind == "qubit" for t in parts):

@@ -204,8 +204,8 @@ def test_dimension_errors_name_the_file(tmp_path, capsys):
         assert capsys.readouterr().err == f"{path}:{message}\n"
 
 
-# Each program ends in one diagnostic, whichever front-end stage reports it:
-# expansion for the shape errors, the checker for the rest.
+# Each program ends in one diagnostic from the front end, which expands,
+# types and checks each kernel in one walk.
 SHAPE_AND_TYPE_ERRORS = [
     ("qpu main() -> bit[1] { '0' | ('0' >> std) | std.measure }",
      "1:35: error: translation operands must be bases"),
@@ -298,6 +298,19 @@ SHAPE_AND_TYPE_ERRORS = [
     ("qpu main() -> bit[1] { let (a: qubit[1], a: qubit[1]) = '01'; "
      "a | std.measure }",
      "1:42: error: duplicate binding 'a'"),
+    # The entry kernel's result is what the program measures.
+    ("qpu main() -> qubit[1] { '0' }",
+     "1:15: error: entry kernel 'main' must return bits"),
+    # A branch that returns bits or nothing measures or discards.
+    ("qpu main() -> bit[1] { let m = '0' | std.measure; "
+     "'0' | (std.measure if m else std.measure) }",
+     "1:70: error: conditional branches cannot measure or discard"),
+    ("qpu g(q: qubit[1]) -> bit[1] { q | std.measure }\n"
+     "qpu main() -> bit[1] { let m = '0' | std.measure; '0' | (g if m else g) }",
+     "2:60: error: conditional branches cannot measure or discard"),
+    ("qpu main() -> bit[1] { let m = '0' | std.measure; "
+     "'01' | (std.measure + (discard if m else discard)) }",
+     "1:82: error: conditional branches cannot measure or discard"),
 ]
 
 

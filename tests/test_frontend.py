@@ -22,14 +22,12 @@ from qbc.parser import parse
 from qbc.pipeline import Options, compile_source, compile_to_circuit
 from qbc.printer import print_program
 from qbc.run import distribution
-from qbc.typecheck import typecheck
 
 BV = open("benchmarks/bv.qw").read()
 
 
 def full_front(src, dims=None):
-    prog = expand(parse(src), dims or {})
-    return typecheck(prog)
+    return expand(parse(src), dims or {})
 
 
 def test_parse_bv():
@@ -116,7 +114,7 @@ def test_expand_repeat_to_tensor():
     src = """
 qpu main() -> bit[2] { '0'[2] | std[2].measure }
 """
-    prog = expand(parse(src), {})
+    prog = expand(parse(src), {}).program
     body = prog.qpu("main").body
     assert isinstance(body, PipeNode)
     assert isinstance(body.value, TensorNode)
@@ -124,7 +122,7 @@ qpu main() -> bit[2] { '0'[2] | std[2].measure }
 
 
 def test_expand_infers_dim_from_capture():
-    prog = expand(parse(BV), {})
+    prog = expand(parse(BV), {}).program
     main = prog.qpu("main")
     # Num(4) == Num(4.0), so the type is checked apart.
     assert main.ret_type.dim == Num(4)
@@ -149,7 +147,7 @@ def test_unbound_dimension_in_a_classical_body_is_a_diagnostic():
 
 
 def test_expand_explicit_bindings_override():
-    prog = expand(parse(open("benchmarks/dj.qw").read()), {"N": 6})
+    prog = expand(parse(open("benchmarks/dj.qw").read()), {"N": 6}).program
     dim = prog.qpu("main").ret_type.dim
     assert dim == Num(6) and type(dim.value) is int
 
@@ -309,7 +307,7 @@ qpu main() -> bit[4] {
     flat = canonicalize_ast(tp.program)
     body = flat.qpu("main").body
     assert [len(t.parts) for t in (body.value, *body.fns)] == [4, 3, 3]
-    assert typecheck(flat).fn_types == tp.fn_types
+    assert expand(flat, {}).fn_types == tp.fn_types
     ir = compile_source(open("benchmarks/period.qw").read(), "period.qw",
                         Options(), "qwerty-ir")
     packs = [line for line in ir.splitlines() if "qbpack" in line]
