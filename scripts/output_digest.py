@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print a sha256 of every compiler output, one per program and one in total,
-so a change meant to keep output byte-identical can be checked by comparing
-the totals printed before and after it.
+"""Print a sha256 of every compiler output, one per program and emit target
+and one in total, so a change meant to keep output byte-identical can be
+checked by comparing the totals printed before and after it, and a change
+meant to alter one target's output can show that only that target moved.
 
 The programs are ``benchmarks/*.qw``, ``tests/goldens/*.qw`` and the
 compile_scale programs of ``perfbench/workloads.py`` at seeds 1-3 (with
 their dimension bindings). Each is compiled to every ``--emit`` target
 (ast, qwerty-ir, qcircuit-ir, qasm, qir) at -O0 and -O1, with and without
-multi-control decomposition. An output that ends in a diagnostic is hashed
-as the diagnostic's text.
+multi-control decomposition; a line's hash covers those four outputs of one
+program and target, and is labelled ``program target``. An output that ends
+in a diagnostic is hashed as the diagnostic's text.
 
 ``--check`` compares the lines with ``tests/goldens/output_digest.txt``,
 which ``scripts/regen_goldens.py`` rewrites, prints each line that
@@ -55,19 +57,20 @@ def output(source: str, file: str, opts: Options, emit: str) -> str:
 
 
 def digest() -> list[str]:
-    """``hash  label`` of every program, then ``hash  total``."""
+    """``hash  program target`` of every program and emit target, then
+    ``hash  total``."""
     lines, total = [], hashlib.sha256()
     for label, file, source, dims in programs():
-        h = hashlib.sha256()
-        for opt_level in (0, 1):
-            for decompose in (False, True):
-                opts = Options(opt_level=opt_level, decompose=decompose,
-                               dims=dict(dims))
-                for emit in EMITS:
+        for emit in EMITS:
+            h = hashlib.sha256()
+            for opt_level in (0, 1):
+                for decompose in (False, True):
+                    opts = Options(opt_level=opt_level, decompose=decompose,
+                                   dims=dict(dims))
                     h.update(output(source, file, opts, emit).encode("utf-8"))
                     h.update(b"\0")
-        lines.append(f"{h.hexdigest()}  {label}")
-        total.update(h.digest())
+            lines.append(f"{h.hexdigest()}  {label} {emit}")
+            total.update(h.digest())
     return lines + [f"{total.hexdigest()}  total"]
 
 
