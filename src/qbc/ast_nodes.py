@@ -381,15 +381,3 @@ class Program:
     qpus: tuple[QpuFn, ...]
     classicals: tuple[ClassicalFn, ...]
     entry: str = "main"
-
-    def qpu(self, name: str) -> Optional[QpuFn]:
-        for f in self.qpus:
-            if f.name == name:
-                return f
-        return None
-
-    def classical(self, name: str) -> Optional[ClassicalFn]:
-        for f in self.classicals:
-            if f.name == name:
-                return f
-        return None

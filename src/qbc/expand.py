@@ -2,7 +2,9 @@
 Expansion, which types and checks the program as it goes: resolve dimension
 variables, unroll repeats into tensor products, bake captured bit/angle
 constants into monomorphic function instances, and apply Qwerty's typing
-rules at each node on the way.
+rules at each node on the way. Every tensor it builds is flat
+(``_flat_tensor``), so lowering makes one ``qbpack``/``qbunpack`` per tensor,
+not one per nesting level; flattening cannot change a type.
 
 Dimension variables are bound from, in order: explicit [[...]] bindings, -D
 command-line bindings (entry only), declared defaults, and inference from
@@ -181,6 +183,16 @@ def _tensor(tys: list[QwTy], pos: Pos) -> QwTy:
     return QwTy(tys[0].kind, sum(t.dim for t in tys))
 
 
+def _flat_tensor(parts, pos: Pos) -> TensorNode:
+    """The tensor of expanded ``parts``, with the parts of each part that is
+    a tensor spliced in. Every tensor expansion builds comes from here, so
+    each is flat, and ``a + (b + c)`` is the single ``a + b + c``."""
+    flat: list[ExprNode] = []
+    for p in parts:
+        flat.extend(p.parts if isinstance(p, TensorNode) else (p,))
+    return TensorNode(tuple(flat), pos=pos)
+
+
 def _check_used_once(bound, pos: Pos) -> None:
     for name, (ty, uses) in bound:
         if ty.kind == "qubit" and uses != 1:
@@ -250,6 +262,14 @@ class Expander:
         self.captures: dict[str, ExprNode] = {}
         self.rev = False
         self.env: dict[str, list] = {}
+        # Whether the body being expanded measures or discards, and the
+        # instances it names; then the same per expanded instance, and the
+        # instances each conditional's branches name, with its position.
+        # ``run`` checks the branches once every body is expanded.
+        self.measured = False
+        self.named: list[str] = []
+        self.expanded: dict[str, tuple[bool, list[str]]] = {}
+        self.branches: list[tuple[list[str], Pos]] = []
 
     # -- entry ---------------------------------------------------------------
 
@@ -291,6 +311,8 @@ class Expander:
         # each instance is listed after the instances it calls.
         while self.bodies:
             self._expand_body(*self.bodies.pop())
+        if self.branches:
+            self._check_branches()
         program = Program(tuple(reversed(self.out_qpus)),
                           tuple(self.out_classicals), entry=entry)
         return TypedProgram(program, dict(self.qpu_instances.values()),
@@ -359,6 +381,7 @@ class Expander:
         first and the parameter's last, and that the body returns what
         ``head`` declares."""
         self.dims, self.captures, self.rev = dim_env, captures, fn.reversible
+        self.measured, self.named = False, []
         self.env = {p.name: [qubit(p.type.dim.value), 0] for p in head.params}
         params = list(self.env.items())
         lets = [self._expand_let(let) for let in fn.lets]
@@ -370,6 +393,7 @@ class Expander:
             raise CompileError(f"kernel {head.name} returns {ty}, declared {want}",
                                head.pos)
         _check_used_once(params, head.pos)
+        self.expanded[head.name] = self.measured, self.named
         self.out_qpus.append(replace(head, lets=tuple(let for let, _ in lets),
                                      body=body))
 
@@ -440,7 +464,7 @@ class Expander:
                 part, ty = self._expand_expr(p)
                 parts.append(part)
                 tys.append(ty)
-            return TensorNode(tuple(parts), pos=e.pos), _tensor(tys, e.pos)
+            return _flat_tensor(parts, e.pos), _tensor(tys, e.pos)
         if isinstance(e, RepeatNode):
             n = _dimension(e.count, self.dims, e.pos)
             if n < 1:
@@ -452,7 +476,7 @@ class Expander:
             inner, ty = self._expand_expr(e.operand)
             for b, uses in before:
                 b[1] = uses + (b[1] - uses) * n
-            return TensorNode((inner,) * n, pos=e.pos), _tensor([ty] * n, e.pos)
+            return _flat_tensor((inner,) * n, e.pos), _tensor([ty] * n, e.pos)
         if isinstance(e, TransNode):
             b_in, t1 = self._expand_expr(e.b_in)
             b_out, t2 = self._expand_expr(e.b_out)
@@ -506,11 +530,13 @@ class Expander:
                 raise CompileError("measurement inside a reversible kernel", e.pos)
             if not all(fully_spans(el) for el in basis_of(b).elements):
                 raise CompileError("measurement basis must fully span its space", e.pos)
+            self.measured = True
             return MeasureNode(b, pos=e.pos), measure_fn(bty.dim)
         if isinstance(e, DiscardNode):
             dim = _dimension(e.dim, self.dims, e.pos)
             if self.rev:
                 raise CompileError("discard inside a reversible kernel", e.pos)
+            self.measured = True
             return DiscardNode(Num(dim), pos=e.pos), discard_fn(dim)
         if isinstance(e, EmbedNode):
             return self._resolve_embed(e, hint=None)
@@ -521,9 +547,13 @@ class Expander:
             # qubit is reported as that, not as a fault expanding it finds.
             self._forbid_qubit_vars(e.then)
             self._forbid_qubit_vars(e.els)
+            start = len(self.named)
             then, tty = self._resolve_fn(e.then, hint=None)
+            branch_names = self.named[start:]
             flag, fty = self._expand_expr(e.flag)
+            start = len(self.named)
             els, ety = self._resolve_fn(e.els, hint=tty.fin)
+            branch_names += self.named[start:]
             if fty != QwTy("bit", 1):
                 raise CompileError("conditional flag must be bit[1]", e.pos)
             if tty != ety:
@@ -535,6 +565,8 @@ class Expander:
             # or nothing measures or discards.
             if tty.fout_kind != "qubit":
                 raise CompileError("conditional branches cannot measure or discard", e.pos)
+            # A kernel that returns qubits may still measure inside.
+            self.branches.append((branch_names, e.pos))
             return CondNode(then, flag, els, pos=e.pos), tty
         if isinstance(e, VarNode):
             if e.name in self.captures:
@@ -551,6 +583,26 @@ class Expander:
         if isinstance(e, CallNode):
             return self._resolve_fn(e, hint=None)
         raise CompileError(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()))
+
+    def _check_branches(self) -> None:
+        """No conditional's branch names an instance that measures or
+        discards, itself or through the instances it names."""
+        callers: dict[str, list[str]] = {}
+        todo = []
+        for name, (measured, named) in self.expanded.items():
+            for callee in named:
+                callers.setdefault(callee, []).append(name)
+            if measured:
+                todo.append(name)
+        measuring = set(todo)
+        while todo:
+            for caller in callers.get(todo.pop(), ()):
+                if caller not in measuring:
+                    measuring.add(caller)
+                    todo.append(caller)
+        for named, pos in self.branches:
+            if measuring.intersection(named):
+                raise CompileError("conditional branches cannot measure or discard", pos)
 
     def _forbid_qubit_vars(self, e: ExprNode) -> ExprNode:
         """``e``, once no variable in it names a qubit."""
@@ -583,6 +635,7 @@ class Expander:
                 raise CompileError("expected a function value", getattr(e, "pos", Pos()))
             return new_e, ty
         name, fty = called
+        self.named.append(name)
         if fty.fin == 0:  # lowering would hand it a qubit[0]
             raise CompileError(f"kernel '{name}' takes no qubits", e.pos)
         if self.rev and not fty.rev:

@@ -1,10 +1,13 @@
 """
 Lowering of typed, tensor-flattened ASTs into the basis-level IR.
 
-Tensor products of function values become lambdas that unpack, call each
-part, and repack; translations, measurements, discards and embeds in value
-position become lambdas wrapping that one op (``_op_lambda``); the pipe
-operator always emits indirect calls. Ops are built with ``FnBuilder``.
+Each function value that is not a kernel gets a module function of its own,
+built here in its final shape (``_lambda``): a tensor product of function
+values becomes a function that takes the parts as captures, unpacks, calls
+each part and repacks (``_tensor_fn``); a translation, measurement, discard
+or embed in value position becomes a function running that one op
+(``_op_lambda``). The caller gets a ``func_const`` over the captures. The
+pipe operator always emits indirect calls. Ops are built with ``FnBuilder``.
 
 The input has been expanded and checked in one walk (``expand``), so every
 name is bound and every node is one that lowering handles; nothing is
@@ -44,6 +47,7 @@ class _Lowerer:
     def __init__(self, tp: TypedProgram, m: QwModule):
         self.tp = tp
         self.m = m
+        self.lambdas = 0  # function values made so far, for their names
 
     def lower_fn(self, q: QpuFn) -> None:
         b = FnBuilder(q.name, q.reversible)
@@ -164,11 +168,11 @@ class _Lowerer:
             return self._tensor_fn(b, e, env)
         # What is left is a conditional.
         flag = self.value(b, e.flag, env)
-        then_region = b.push_block([])
+        then_region = b.push_block()
         tv = self.fn_value(b, e.then, env)
         b.emit("yield", [tv])
         b.pop_block()
-        else_region = b.push_block([])
+        else_region = b.push_block()
         ev = self.fn_value(b, e.els, env)
         b.emit("yield", [ev])
         b.pop_block()
@@ -178,37 +182,45 @@ class _Lowerer:
 
     def _op_lambda(self, b: FnBuilder, kind: str, fty: QwTy,
                    attrs=None) -> int:
-        """A lambda of type ``fty`` whose body runs one ``kind`` op on its
-        qubit argument and yields the op's results."""
-        region = b.push_block([qubit(fty.fin)])
-        outs = [] if fty.fout_kind == "none" else [fty.out]
-        b.emit("yield", b.emit(kind, region.args, outs, attrs))
-        b.pop_block()
-        (fv,) = b.emit("lambda", [], [fty], {}, [region])
-        return fv
+        """A function value of type ``fty`` whose function runs one ``kind``
+        op on its qubit argument and returns the op's results."""
+        def body(fb, caps, q):
+            return fb.emit(kind, [q], [] if fty.fout_kind == "none"
+                           else [fty.out], attrs)
+        return self._lambda(b, fty, [], body)
 
     def _tensor_fn(self, b: FnBuilder, e: TensorNode, env) -> int:
         parts = [self.fn_value(b, p, env) for p in e.parts]
         ptys = [b.fn.types[p] for p in parts]
         fty = tensor_fn(ptys)
-        # Lambda captures the part function values; its body unpacks the
-        # combined register, calls each part, and repacks the results.
-        region = b.push_block(ptys + [qubit(fty.fin)])
-        cap_args = region.args[: len(parts)]
-        qarg = region.args[-1]
-        pieces = b.emit(
-            "qbunpack", [qarg], [qubit(t.fin) for t in ptys],
-            {"sizes": tuple(t.fin for t in ptys)},
-        )
-        outs = []
-        for cap, piece, ty in zip(cap_args, pieces, ptys):
-            if ty.fout_kind == "none":
-                b.emit("call_indirect", [cap, piece], [])
-            else:
-                outs += b.emit("call_indirect", [cap, piece], [ty.out])
-        if len(outs) > 1:
-            outs = b.emit("qbpack" if fty.rev else "bitpack", outs, [fty.out])
-        b.emit("yield", outs)
-        b.pop_block()
-        (fv,) = b.emit("lambda", parts, [fty], {}, [region])
+
+        # The function takes the part function values as captures; it
+        # unpacks the combined register, calls each part, and repacks the
+        # results.
+        def body(fb, caps, q):
+            pieces = fb.emit("qbunpack", [q], [qubit(t.fin) for t in ptys],
+                             {"sizes": tuple(t.fin for t in ptys)})
+            outs = []
+            for cap, piece, ty in zip(caps, pieces, ptys):
+                outs += fb.emit("call_indirect", [cap, piece],
+                                [] if ty.fout_kind == "none" else [ty.out])
+            if len(outs) > 1:
+                outs = fb.emit("qbpack" if fty.rev else "bitpack", outs,
+                               [fty.out])
+            return outs
+        return self._lambda(b, fty, parts, body)
+
+    def _lambda(self, b: FnBuilder, fty: QwTy, caps: list[int], body) -> int:
+        """A ``func_const`` over ``caps`` in ``b`` naming a new module
+        function ``{kernel}.lambda{k}``, the k-th of the module (a ``.`` no
+        identifier holds). Its parameters are one per capture, then
+        ``qubit[fty.fin]``; ``body(builder, capture params, qubit param)``
+        emits its ops and returns the values it returns."""
+        fb = FnBuilder(f"{b.fn.name}.lambda{self.lambdas}", fty.rev)
+        self.lambdas += 1
+        params = [fb.param(b.fn.types[c]) for c in caps]
+        outs = body(fb, params, fb.param(qubit(fty.fin)))
+        fb.emit("ret", outs)
+        self.m.functions[fb.fn.name] = fb.finish([fb.fn.types[v] for v in outs])
+        (fv,) = b.emit("func_const", caps, [fty], {"sym": fb.fn.name})
         return fv

@@ -121,7 +121,7 @@ class _GateLowerer:
                 bits.extend(self.bmap[v])
             self.fn.ops.append(QOp("ret", tuple(bits)))
         elif k in ("call", "call_indirect", "func_const", "func_adj",
-                   "func_pred", "lambda"):
+                   "func_pred"):
             raise CompileError(
                 f"residual {k} op; gate-level lowering needs a fully "
                 "inlined module"

@@ -1,17 +1,17 @@
 """
-Fixed compilation pipeline: parse -> expand-and-check -> flatten tensors
--> lower to basis IR -> lift lambdas, canonicalize -> inline bottom-up
-(reject recursion, make each adjoint/predicated form once, canonicalize each
-function once) -> drop unreachable functions -> lower to gates -> fold
-phases and peephole (at -O1) -> multi-control decomposition (unless
-disabled) -> backend. The basis IR is verified after lowering, before
-inlining and after pruning.
+Fixed compilation pipeline: parse -> expand-and-check -> lower to basis IR
+-> canonicalize -> inline bottom-up (reject recursion, make each
+adjoint/predicated form once, canonicalize each function once) -> drop
+unreachable functions -> lower to gates -> fold phases and peephole (at
+-O1) -> multi-control decomposition (unless disabled) -> backend. The basis
+IR is verified after lowering, before inlining and after pruning.
 
-Each rewrite has one home. The front end types and checks each kernel and
-classical body once, in the walk that expands it, so diagnostics point into
-the source as written; the only AST rewrite, tensor flattening
-(``canon_ast``), cannot change a type, so its output is handed on with the
-signatures that walk computed. Every angle is a float by the
+Each rewrite has one home, and each IR is built in the shape its consumers
+want. The front end types and checks each kernel and classical body once,
+in the walk that expands it, so diagnostics point into the source as
+written, and that walk builds every tensor flat, so ``a + (b + c)`` reaches
+lowering as ``a + b + c``. Lowering gives each function value its own module
+function as it meets it, so no pass lifts one. Every angle is a float by the
 time ``lower_ast`` builds the basis IR; adjoints and predicates are resolved
 there (``qwir_passes``), whose canonicalization
 also fuses each run of chained translations into one and drops identity
@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 
 from .backends import allocate, emit_qasm3, emit_qir_base
-from .canon_ast import canonicalize_ast
 from .diagnostics import CompileError
 from .expand import expand
 from .lower_ast import lower_to_ir
@@ -49,17 +48,18 @@ from .peephole import decompose_multicontrol, fold_phases, peephole
 from .printer import print_program
 from .qcirc import GateKind, QCircModule, print_qcirc, verify_circuit
 from .qwir import QwModule, print_module, verify
-from .qwir_passes import (
-    canonicalize_ir, inline, lift_lambdas, prune_unreachable, specialize,
-)
-from .record import field, record, replace
+from .qwir_passes import canonicalize_ir, inline, prune_unreachable, specialize
+from .record import field, record
 
 # ``front`` calls the one walk that expands, types and checks by the name
 # whose span and call count the traced benchmark reports as typecheck.
-# Only perfbench/spans.py still looks up ``expand`` and
-# ``generate_specializations`` here (ROADMAP item 15).
+# Only perfbench/spans.py still looks up ``expand``,
+# ``generate_specializations``, ``canonicalize_ast`` and ``lift_lambdas``
+# here (ROADMAP item 15); the pipeline calls none of them.
 typecheck = expand
 generate_specializations = specialize
+canonicalize_ast = expand
+lift_lambdas = lower_to_ir
 
 
 @record
@@ -91,14 +91,12 @@ def _names_file(compile_fn):
 
 @_names_file
 def front(source: str, file: str, opts: Options):
-    tp = typecheck(parse(source), opts.dims)
-    return replace(tp, program=canonicalize_ast(tp.program))
+    return typecheck(parse(source), opts.dims)
 
 
 def to_qwir(tp, opts: Options) -> QwModule:
     m = lower_to_ir(tp)
     verify(m)
-    lift_lambdas(m)
     canonicalize_ir(m)
     verify(m)
     inline(m)

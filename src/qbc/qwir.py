@@ -3,9 +3,10 @@ Basis-level SSA IR with dataflow qubits.
 
 Qubits flow through ops as linear values (each qbundle value has exactly one
 use), which makes adjointing and predicating rewrites plain DAG surgery.
-Functions have a single-region, single-block body; `lambda` and `cond` ops
-carry nested blocks. Lambda blocks are closed (they reference only their own
-arguments); cond blocks may reference values from the enclosing block.
+Functions have a single-region, single-block body; only `cond` ops carry
+nested blocks, one per branch, which take no arguments and may reference
+values from the enclosing block. A function value is a `func_const` naming a
+module function, with its captures as operands.
 """
 
 from __future__ import annotations
@@ -197,9 +198,8 @@ def _verify_block(m, fn, block, outer: set[int], top: bool) -> dict[int, int]:
     """Verify one block; returns use counts of values from ``outer`` scope.
 
     Linearity of values defined directly in this block (args and op
-    results) is checked here; lambda regions get a fresh scope and cond
-    regions see the enclosing scope, with each branch contributing one
-    combined use per consumed outer qubit.
+    results) is checked here; cond regions see the enclosing scope, with
+    each branch contributing one combined use per consumed outer qubit.
     """
     local = set(outer) | set(block.args)
     direct = set(block.args)
@@ -216,9 +216,7 @@ def _verify_block(m, fn, block, outer: set[int], top: bool) -> dict[int, int]:
                 raise VerifyError(f"{op_location(fn, op)}: use of undefined %{v}")
             uses[v] = uses.get(v, 0) + 1
         _check_op_types(m, fn, op)
-        if op.kind == "lambda":
-            _verify_block(m, fn, op.regions[0], set(), top=False)
-        elif op.kind == "cond":
+        if op.kind == "cond":
             branch_outer = []
             for region in op.regions:
                 r_uses = _verify_block(m, fn, region, local, top=False)
@@ -317,8 +315,6 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
             raise VerifyError(f"{op_location(fn, op)}: unknown function @{sym}")
     elif k == "call_indirect":
         want(op.operands[0], "func", None, "callee")
-    elif k == "lambda":
-        want(op.results[0], "func", None, "result")
     elif k == "cond":
         want(op.operands[0], "bit", 1, "flag")
         if len(op.regions) != 2:
@@ -380,20 +376,13 @@ def _print_op(fn: QwFunc, op: QwOp, ind: str) -> list[str]:
         body = f"qbunpack({args}) sizes={list(op.attrs['sizes'])}"
     elif k == "bitunpack":
         body = f"bitunpack({args}) sizes={list(op.attrs['sizes'])}"
-    elif k in ("lambda", "cond"):
-        lines = []
-        if k == "lambda":
-            largs = ", ".join(f"%{a}: {fn.types[a]}" for a in op.regions[0].args)
-            lines.append(f"{ind}{eq}lambda ({largs}) {{")
-            _print_block(fn, op.regions[0], lines, ind + "  ")
-            lines.append(f"{ind}}} : {fn.types[op.results[0]]}")
-        else:
-            lines.append(f"{ind}{eq}cond %{op.operands[0]} {{")
-            _print_block(fn, op.regions[0], lines, ind + "  ")
-            lines.append(f"{ind}}} else {{")
-            _print_block(fn, op.regions[1], lines, ind + "  ")
-            rts = ", ".join(str(fn.types[r]) for r in op.results) or "()"
-            lines.append(f"{ind}}} : {rts}")
+    elif k == "cond":
+        lines = [f"{ind}{eq}cond %{op.operands[0]} {{"]
+        _print_block(fn, op.regions[0], lines, ind + "  ")
+        lines.append(f"{ind}}} else {{")
+        _print_block(fn, op.regions[1], lines, ind + "  ")
+        rts = ", ".join(str(fn.types[r]) for r in op.results) or "()"
+        lines.append(f"{ind}}} : {rts}")
         return lines
     else:
         body = f"{k}({args})" if op.operands or op.results else k
@@ -429,8 +418,9 @@ class FnBuilder:
         return self.fn.emit(self.block, kind, operands, result_tys, attrs,
                             regions)
 
-    def push_block(self, arg_tys=()) -> QwBlock:
-        b = QwBlock(args=[self.fn.new_value(t) for t in arg_tys])
+    def push_block(self) -> QwBlock:
+        """Open a cond branch: an empty block, which takes no arguments."""
+        b = QwBlock()
         self.block_stack.append(b)
         return b
 

@@ -1,10 +1,11 @@
 """
 Rewrites on the basis-level IR: adjointing and predicating single blocks,
-lambda lifting, canonicalization, the adjoint and predicated forms of
-functions, and inlining.
+canonicalization, the adjoint and predicated forms of functions, and
+inlining. Lowering has already made every function value a module function
+(``lower_ast``), so no rewrite here builds or lifts one.
 
-The pipeline lifts lambdas, canonicalizes, inlines, then drops the
-functions the entry no longer reaches (``prune_unreachable``). ``inline``
+The pipeline canonicalizes, inlines, then drops the functions the entry no
+longer reaches (``prune_unreachable``). ``inline``
 walks the call graph once from the entry, callees first: it rejects a call
 cycle, and flattens each function once by splicing its callees' flat bodies.
 An adjoint or predicated form is made from the callee's flat body the first
@@ -277,47 +278,6 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
 
 
 # ---------------------------------------------------------------------------
-# Lambda lifting
-
-
-def lift_lambdas(m: QwModule) -> None:
-    counter = [0]
-    for name in list(m.functions):
-        fn = m.functions[name]
-        _lift_in_block(m, fn, fn.block, counter)
-
-
-def _lift_in_block(m: QwModule, fn: QwFunc, block: QwBlock, counter: list[int]) -> None:
-    for op in block.ops:
-        for region in op.regions:
-            _lift_in_block(m, fn, region, counter)
-        if op.kind == "lambda":
-            _lift_one(m, fn, op, counter)
-
-
-def _lift_one(m: QwModule, fn: QwFunc, op: QwOp, counter: list[int]) -> None:
-    sym = f"{fn.name}.lambda{counter[0]}"
-    counter[0] += 1
-    # Region values move into a fresh function with remapped ids.
-    new_fn = QwFunc(sym, [], [], fn.types[op.results[0]].rev, QwBlock())
-    _add_function(m, new_fn, _clone_into(new_fn, fn, op.regions[0]))
-    op.kind = "func_const"
-    op.attrs = {"sym": sym}
-    op.regions = []
-
-
-def _add_function(m: QwModule, fn: QwFunc, block: QwBlock) -> None:
-    """Make ``block`` the body of ``fn``, with its args as the parameters and
-    its terminator turned into ``ret``, and add ``fn`` to ``m``."""
-    fn.block = block
-    fn.params = list(block.args)
-    term = block.ops[-1]
-    term.kind = "ret"
-    fn.result_types = [fn.types[v] for v in term.operands]
-    m.functions[fn.name] = fn
-
-
-# ---------------------------------------------------------------------------
 # Canonicalization
 #
 # A rewrite that drops an op records what replaces each of its results in a
@@ -479,7 +439,7 @@ class _Chain:
         return Basis(tuple(out))
 
 
-DROPPABLE = {"func_const", "func_adj", "func_pred", "lambda",
+DROPPABLE = {"func_const", "func_adj", "func_pred",
              "qbpack", "qbunpack", "bitpack", "bitunpack"}
 
 
@@ -743,5 +703,7 @@ def specialize(m: QwModule, call: QwOp) -> QwFunc:
             block = adjoint_block(fn, block)
         if call.attrs.get("pred") is not None:
             block = predicate_block(fn, block, call.attrs["pred"])
-        _add_function(m, fn, block)
+        fn.block, fn.params = block, list(block.args)
+        fn.result_types = [fn.types[v] for v in block.ops[-1].operands]
+        m.functions[name] = fn
     return m.functions[name]

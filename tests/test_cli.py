@@ -311,6 +311,19 @@ SHAPE_AND_TYPE_ERRORS = [
     ("qpu main() -> bit[1] { let m = '0' | std.measure; "
      "'01' | (std.measure + (discard if m else discard)) }",
      "1:82: error: conditional branches cannot measure or discard"),
+    # A branch kernel that returns qubits but measures inside, itself or
+    # through a kernel it calls.
+    ("qpu k(q: qubit[2]) -> qubit[1] { let (a: qubit[1], b: qubit[1]) = q; "
+     "let m = a | std.measure; b }\n"
+     "qpu main() -> bit[1] { let c = '1' | std.measure; "
+     "'00' | (k if c else k) | std.measure }",
+     "2:61: error: conditional branches cannot measure or discard"),
+    ("qpu k(q: qubit[2]) -> qubit[1] { let (a: qubit[1], b: qubit[1]) = q; "
+     "let m = a | std.measure; b }\n"
+     "qpu j(q: qubit[2]) -> qubit[1] { q | k }\n"
+     "qpu main() -> bit[1] { let c = '1' | std.measure; "
+     "'00' | (j if c else j) | std.measure }",
+     "3:61: error: conditional branches cannot measure or discard"),
 ]
 
 

@@ -1,7 +1,6 @@
 """Every way of compiling a program gives the same exact distribution:
 -O0/-O1 x decompose on/off, each circuit re-read from its QASM with and
-without qubit reuse (-O1 always reuses), and the front end with and without
-tensor flattening.
+without qubit reuse (-O1 always reuses).
 The programs are the benchmarks, three that give phase folding work (a
 pipe chain, a predicated oracle and a phase conditioned on a measurement),
 two that allocate after a measurement or a discard, four sign oracles
@@ -17,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 
 from qbc.backends import emit_qasm3
 from qbc.expand import expand
-from qbc.parser import parse
 from qbc.pipeline import Options, compile_source, front, to_gates, to_qwir
 from qbc.run import distribution
 from oracles import pipe_chain_source
@@ -164,8 +162,8 @@ def _assert_ways_agree(src, path, dims, want=None):
     """Every way of compiling ``src`` gives the exact distribution ``want``
     over all measured bits, or agrees with the first way without one."""
     tp = front(src, path, Options(dims=dims))
-    # Flattening keeps every signature the front-end walk computed:
-    # expanding the flat program again gives the same ones.
+    # The front-end walk builds every tensor flat, which keeps each
+    # signature: expanding its flat output again gives the same ones.
     assert expand(tp.program, {}).fn_types == tp.fn_types
     for opt_level in (0, 1):
         for decompose in (False, True):
@@ -180,10 +178,6 @@ def _assert_ways_agree(src, path, dims, want=None):
             for reuse in {opt_level >= 1, True}:
                 qasm = emit_qasm3(qc, reuse_qubits=reuse)
                 _assert_close(want, distribution(read_qasm3(qasm), all_bits=True))
-    unflattened = expand(parse(src), dims)
-    opts = Options(dims=dims)
-    _assert_close(want, distribution(
-        to_gates(to_qwir(unflattened, opts), opts), all_bits=True))
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

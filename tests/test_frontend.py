@@ -14,12 +14,11 @@ from qbc.ast_nodes import (
     BasisLitNode, BuiltinBasisNode, CondNode, Num, PipeNode, Program,
     QubitLitNode, TensorNode, TransNode, AdjointNode, PredNode,
 )
-from qbc.canon_ast import canonicalize_ast
 from qbc.cli import main
 from qbc.diagnostics import CompileError
 from qbc.expand import expand
 from qbc.parser import parse
-from qbc.pipeline import Options, compile_source, compile_to_circuit
+from qbc.pipeline import Options, compile_source, compile_to_circuit, front
 from qbc.printer import print_program
 from qbc.run import distribution
 
@@ -30,10 +29,20 @@ def full_front(src, dims=None):
     return expand(parse(src), dims or {})
 
 
+def _qpu(prog, name):
+    """The kernel of ``prog`` named ``name``, or None."""
+    return next((f for f in prog.qpus if f.name == name), None)
+
+
+def _classical(prog, name):
+    """The classical function of ``prog`` named ``name``, or None."""
+    return next((f for f in prog.classicals if f.name == name), None)
+
+
 def test_parse_bv():
     prog = parse(BV)
-    assert prog.qpu("main") is not None
-    assert prog.classical("dot") is not None
+    assert _qpu(prog, "main") is not None
+    assert _classical(prog, "dot") is not None
 
 
 def test_parse_error_translation_of_states():
@@ -115,7 +124,7 @@ def test_expand_repeat_to_tensor():
 qpu main() -> bit[2] { '0'[2] | std[2].measure }
 """
     prog = expand(parse(src), {}).program
-    body = prog.qpu("main").body
+    body = _qpu(prog, "main").body
     assert isinstance(body, PipeNode)
     assert isinstance(body.value, TensorNode)
     assert len(body.value.parts) == 2
@@ -123,7 +132,7 @@ qpu main() -> bit[2] { '0'[2] | std[2].measure }
 
 def test_expand_infers_dim_from_capture():
     prog = expand(parse(BV), {}).program
-    main = prog.qpu("main")
+    main = _qpu(prog, "main")
     # Num(4) == Num(4.0), so the type is checked apart.
     assert main.ret_type.dim == Num(4)
     assert type(main.ret_type.dim.value) is int
@@ -131,7 +140,7 @@ def test_expand_infers_dim_from_capture():
 
 def test_arithmetic_forms_compile():
     prog = full_front(ARITH_FORMS).program
-    f = prog.qpu("f__N8")
+    f = _qpu(prog, "f__N8")
     for dim in (f.params[0].type.dim, f.ret_type.dim):
         assert dim == Num(5) and type(dim.value) is int
     qc = compile_to_circuit(ARITH_FORMS, "forms.qw", Options())
@@ -148,7 +157,7 @@ def test_unbound_dimension_in_a_classical_body_is_a_diagnostic():
 
 def test_expand_explicit_bindings_override():
     prog = expand(parse(open("benchmarks/dj.qw").read()), {"N": 6}).program
-    dim = prog.qpu("main").ret_type.dim
+    dim = _qpu(prog, "main").ret_type.dim
     assert dim == Num(6) and type(dim.value) is int
 
 
@@ -303,11 +312,14 @@ qpu main() -> bit[4] {
         | std[2].measure + (pm.measure + pm.measure)
 }
 """
-    tp = full_front(src)
-    flat = canonicalize_ast(tp.program)
-    body = flat.qpu("main").body
+    tp = front(src, "flat.qw", Options())
+    body = _qpu(tp.program, "main").body
     assert [len(t.parts) for t in (body.value, *body.fns)] == [4, 3, 3]
-    assert expand(flat, {}).fn_types == tp.fn_types
+    assert expand(tp.program, {}).fn_types == tp.fn_types
+    repeated = front("qpu main() -> bit[4] { ('0' + 'p')[2] | std[4].measure }",
+                     "flat.qw", Options())
+    value = _qpu(repeated.program, "main").body.value
+    assert [type(p) for p in value.parts] == [QubitLitNode] * 4
     ir = compile_source(open("benchmarks/period.qw").read(), "period.qw",
                         Options(), "qwerty-ir")
     packs = [line for line in ir.splitlines() if "qbpack" in line]
@@ -612,12 +624,12 @@ def test_parse_binary_precedence_and_left_associativity():
         "qpu main() -> bit[1] {"
         " '0' | ({'0', '1'} >> {'0', '1' @ (pi - pi / 2 / 4 + 1)})"
         " | std.measure }\n")
-    c = prog.classical("c")
+    c = _classical(prog, "c")
     assert _shape(c.params[0].type.dim) == (("N", "-", 1), "-", (1, "*", 2))
     x = "CIndex"
     assert _shape(c.body) == (
         (x, "^", (x, "&", x)), "|", ((x, "^", x), "^", x))
-    angle = prog.qpu("main").body.fns[0].b_out.vectors[1].phase
+    angle = _qpu(prog, "main").body.fns[0].b_out.vectors[1].phase
     assert _shape(angle) == (
         ("Pi", "-", (("Pi", "/", 2.0), "/", 4.0)), "+", 1.0)
 
@@ -625,7 +637,7 @@ def test_parse_binary_precedence_and_left_associativity():
 def test_parse_precedence_pipe_vs_trans():
     src = "qpu main() -> bit[1] { '0' | std >> pm | pm.measure }"
     prog = parse(src)
-    body = prog.qpu("main").body
+    body = _qpu(prog, "main").body
     # '|' binds loosest: '0' | (std >> pm) | pm.measure, one pipe
     assert isinstance(body, PipeNode)
     assert len(body.fns) == 2
@@ -635,7 +647,7 @@ def test_parse_precedence_pipe_vs_trans():
 def test_parse_tensor_binds_tighter_than_trans():
     src = "qpu main() -> bit[2] { '00' | {'1'} + std >> {'1'} + std | std[2].measure }"
     prog = parse(src)
-    stage = prog.qpu("main").body.fns[0]
+    stage = _qpu(prog, "main").body.fns[0]
     assert isinstance(stage, TransNode)
     assert isinstance(stage.b_in, TensorNode)
 
@@ -644,7 +656,7 @@ def test_parse_conditional():
     src = "qpu main(q: qubit[1]) -> qubit[1] { q | (id if '1' else id) }"
     # Parses; the flag type error surfaces at type checking, not parsing.
     prog = parse(src)
-    stage = prog.qpu("main").body.fns[0]
+    stage = _qpu(prog, "main").body.fns[0]
     assert isinstance(stage, CondNode)
 
 

@@ -1,4 +1,4 @@
-"""Basis-level IR: verifier, adjoint/predication rewrites, lambda lifting,
+"""Basis-level IR: verifier, adjoint/predication rewrites,
 canonicalization (fusing chained translations included), and inlining with
 the adjoint/predicated forms it makes."""
 
@@ -19,8 +19,7 @@ from qbc.qwir import (
     func, print_module, qubit, verify,
 )
 from qbc.qwir_passes import (
-    adjoint_block, canonicalize_ir, count_calls, inline, lift_lambdas,
-    predicate_block, prune_unreachable, qubit_index_analysis,
+    adjoint_block, canonicalize_ir, count_calls, inline, predicate_block, prune_unreachable, qubit_index_analysis,
 )
 
 from oracles import apply_unitary_at, span_projector, translation_unitary
@@ -377,29 +376,30 @@ def test_predicate_random_blocks():
         assert np.allclose(upb, pred_expected(pred, u), atol=1e-9)
 
 
-# -- lifting, canonicalization, inlining ----------------------------------------
+# -- canonicalization, inlining ---------------------------------------------------
 
 
 def _module_with_lambda() -> QwModule:
+    """main calls the function value of main.lambda0, std >> pm, as lowering
+    builds it: a func_const naming a module function."""
+    lb = FnBuilder("main.lambda0", True)
+    arg = lb.param(qubit(1))
+    lb.emit("ret", [trans_op(lb, arg, basis(BuiltinBasis(STD, 1)),
+                             basis(BuiltinBasis(PM, 1)))])
     b = FnBuilder("main", False)
     (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
-    region = b.push_block([qubit(1)])
-    inner = trans_op(b, region.args[0], basis(BuiltinBasis(STD, 1)),
-                     basis(BuiltinBasis(PM, 1)))
-    b.emit("yield", [inner])
-    b.pop_block()
-    (fv,) = b.emit("lambda", [], [func(1, "qubit", 1, True)], {}, [region])
+    (fv,) = b.emit("func_const", [], [func(1, "qubit", 1, True)],
+                   {"sym": "main.lambda0"})
     (out,) = b.emit("call_indirect", [fv, q], [qubit(1)])
     (bits,) = b.emit("qbmeas", [out], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [bits])
-    return QwModule({"main": b.finish([bit(1)])}, entry="main")
+    return QwModule({"main": b.finish([bit(1)]),
+                     "main.lambda0": lb.finish([qubit(1)])}, entry="main")
 
 
-def test_lift_and_canonicalize_to_direct_call():
+def test_canonicalize_to_direct_call():
     m = _module_with_lambda()
     verify(m)
-    lift_lambdas(m)
-    assert any(name.startswith("main.lambda") for name in m.functions)
     canonicalize_ir(m)
     kinds = [op.kind for op in m.functions["main"].block.ops]
     assert "call" in kinds and "call_indirect" not in kinds
@@ -407,7 +407,6 @@ def test_lift_and_canonicalize_to_direct_call():
 
 def test_inline_leaves_no_calls():
     m = _module_with_lambda()
-    lift_lambdas(m)
     canonicalize_ir(m)
     inline(m)
     verify(m)
@@ -576,11 +575,11 @@ def test_each_call_is_spliced_once(monkeypatch):
     monkeypatch.setattr(qwir_passes, "_clone_into", counting)
     m = to_qwir(front(NESTED_DECORATED, "nested.qw", Options()), Options())
     assert distribution(to_gates(m, Options())) == {"1111": pytest.approx(1.0)}
-    # Two lifted lambdas, eight call ops (one in h, two in each of g, f and
-    # main, and main's measurement) each spliced once, and six forms (the
-    # predicated and the predicated adjoint of h, g and f) each made once
-    # from a flat body: no body is cloned twice into one function.
-    assert len(clones) == len(set(clones)) == 2 + 8 + 6
+    # Eight call ops (one in h, two in each of g, f and main, and main's
+    # measurement) each spliced once, and six forms (the predicated and the
+    # predicated adjoint of h, g and f) each made once from a flat body: no
+    # body is cloned twice into one function.
+    assert len(clones) == len(set(clones)) == 8 + 6
 
 
 def test_inline_preserves_distribution():
@@ -588,7 +587,6 @@ def test_inline_preserves_distribution():
     from qbc.run import distribution
 
     m1 = _module_with_lambda()
-    lift_lambdas(m1)
     canonicalize_ir(m1)
     inline(m1)
     d1 = distribution(lower_module(m1))
