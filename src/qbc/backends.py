@@ -1,6 +1,10 @@
 """
-Text backends: OpenQASM 3 and Base-Profile QIR emission from a lowered,
-decomposed gate module.
+Text backends: OpenQASM 3 and Base-Profile QIR emission from the entry of
+a lowered gate module, which takes no qubits and holds only the op kinds
+``qcirc.verify_circuit`` knows. Base-Profile QIR reports the two programs
+it cannot express: a gate conditioned on a measurement, and a
+multi-controlled gate with no intrinsic, which only ``--no-decompose``
+leaves.
 
 Both emitters are deterministic: identical modules produce byte-identical
 text. One allocator, ``allocate``, places qubits for both. Without
@@ -91,8 +95,6 @@ _C_PREFIXED = (X, Y, Z, H, SWAP)
 
 def emit_qasm3(m: QCircModule, reuse_qubits: bool = False) -> str:
     fn = m.entry_fn
-    if fn.qubit_params:
-        raise CompileError("cannot emit a function that takes qubits")
     index_of, n, creg, _ = allocate(fn, reuse_qubits)
     k = len(creg)
     lines = ['OPENQASM 3.0;', 'include "stdgates.inc";', f"qubit[{n}] q;"]
@@ -108,10 +110,6 @@ def emit_qasm3(m: QCircModule, reuse_qubits: bool = False) -> str:
         elif op.kind == "measure":
             qi = index_of[op.operands[0]]
             lines.append(f"measure q[{qi}] -> c[{creg[op.results[0]]}];")
-        elif op.kind in ("qalloc", "qfree", "qfreez", "ret"):
-            continue
-        else:
-            raise CompileError(f"cannot emit op {op.kind}")
     return "\n".join(lines) + "\n"
 
 
@@ -163,8 +161,6 @@ def _legalize_for_qir(op: QOp) -> list[Gate]:
 
 def emit_qir_base(m: QCircModule, reuse_qubits: bool = False) -> str:
     fn = m.entry_fn
-    if fn.qubit_params:
-        raise CompileError("cannot emit a function that takes qubits")
     for op in fn.ops:
         if op.kind == "gate" and op.condition is not None:
             raise CompileError(

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .diagnostics import CompileError
-from .pipeline import Options, compile_source, compile_to_circuit, front, stats_for
+from .pipeline import Options, compile_source, compile_to_circuit, stats_for
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -72,7 +72,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_check = sub.add_parser("check", help="parse and type check")
+    p_check = sub.add_parser(
+        "check", help="compile without a backend and report any diagnostic",
+        description="Compile to the gate level, so check fails exactly where "
+        "compile does, but for the two programs only --emit qir rejects.")
     _add_common(p_check)
 
     p_compile = sub.add_parser("compile", help="compile to an output format")
@@ -121,7 +124,7 @@ def main(argv=None) -> int:
     opts = _options(args)
     try:
         if args.cmd == "check":
-            front(source, args.file, opts)
+            compile_to_circuit(source, args.file, opts)
             return EXIT_OK
         if args.cmd == "compile":
             text = compile_source(source, args.file, opts, args.emit)

@@ -15,8 +15,10 @@ One walk per kernel body and per classical body types each expression with
 ``qwir.QwTy`` and the rules next to it, and checks each node where it has
 the type: the shapes (value, basis or function, and the width piped into a
 stage), linear use of qubits, no measurement, discard or irreversible call
-inside a ``rev`` kernel, valid basis literals, span-equivalent translations,
-and the widths of classical expressions. ``expand`` returns the expanded
+inside a ``rev`` kernel, no conditional in another's branch, valid basis
+literals, span-equivalent translations, and the widths of classical
+expressions. A walk of the instance graph then finds a recursive call, and
+a branch that measures through a kernel. ``expand`` returns the expanded
 program with each kernel's type (``TypedProgram``). Capture arguments have no
 type: ``BitsNode`` and ``AngleNode`` tell them apart.
 
@@ -44,7 +46,7 @@ from . import bases
 from .ast_nodes import (
     AngleNode, Arith, BasisLitNode, Bin, BitsNode, BuiltinBasisNode,
     CallNode, CBin, CExpr, CIndex, ClassicalFn, CLit, CNot, CondNode,
-    CReduce, CRepeat, CSlice, CVar, DiscardNode, EmbedNode, ExprNode, LetNode,
+    CReduce, CSlice, CVar, DiscardNode, EmbedNode, ExprNode, LetNode,
     MeasureNode, Name, Neg, Num, ParamNode, Pi, PipeNode, Pos, PredNode,
     Program, QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode,
     AdjointNode, VarNode, VecNode, map_children,
@@ -203,33 +205,23 @@ def _check_used_once(bound, pos: Pos) -> None:
 
 
 def basis_of(e: ExprNode) -> bases.Basis:
-    """Convert an expanded basis expression into a canon-form Basis value,
-    with its phases folded."""
+    """Convert an expanded basis expression, a builtin, a literal or a flat
+    tensor of them, into a canon-form Basis value, with its phases folded."""
     elements: list[bases.BasisElement] = []
-
-    def walk(node):
-        if isinstance(node, TensorNode):
-            for p in node.parts:
-                walk(p)
-            return
+    for node in e.parts if isinstance(e, TensorNode) else (e,):
         if isinstance(node, BuiltinBasisNode):
             elements.append(bases.BuiltinBasis(Prim(node.prim), node.dim.value))
-            return
-        if isinstance(node, BasisLitNode):
-            vecs = []
-            for v in node.vectors:
-                phase = None
-                if v.phase is not None:
-                    phase = evaluate(v.phase, {}, v.pos)
-                try:
-                    vecs.append(bases.vector_from_chars(v.chars, phase))
-                except ValueError as ex:
-                    raise CompileError(str(ex), v.pos)
-            elements.append(bases.BasisLiteral(tuple(vecs)))
-            return
-        raise CompileError("expected a basis expression", getattr(node, "pos", Pos()))
-
-    walk(e)
+            continue
+        vecs = []
+        for v in node.vectors:
+            phase = None
+            if v.phase is not None:
+                phase = evaluate(v.phase, {}, v.pos)
+            try:
+                vecs.append(bases.vector_from_chars(v.chars, phase))
+            except ValueError as ex:
+                raise CompileError(str(ex), v.pos)
+        elements.append(bases.BasisLiteral(tuple(vecs)))
     return bases.Basis(tuple(elements))
 
 
@@ -263,13 +255,14 @@ class Expander:
         self.rev = False
         self.env: dict[str, list] = {}
         # Whether the body being expanded measures or discards, and the
-        # instances it names; then the same per expanded instance, and the
-        # instances each conditional's branches name, with its position.
-        # ``run`` checks the branches once every body is expanded.
+        # instances it names, each with where; then the same per expanded
+        # instance, and the instances each conditional's branches name, with
+        # its position, which ``run`` checks once every body is expanded.
         self.measured = False
-        self.named: list[str] = []
-        self.expanded: dict[str, tuple[bool, list[str]]] = {}
-        self.branches: list[tuple[list[str], Pos]] = []
+        self.named: list[tuple[str, Pos]] = []
+        self.expanded: dict[str, tuple[bool, list[tuple[str, Pos]]]] = {}
+        self.branches: list[tuple[list[tuple[str, Pos]], Pos]] = []
+        self.in_branch = False  # while a conditional's branch is expanded
 
     # -- entry ---------------------------------------------------------------
 
@@ -311,8 +304,7 @@ class Expander:
         # each instance is listed after the instances it calls.
         while self.bodies:
             self._expand_body(*self.bodies.pop())
-        if self.branches:
-            self._check_branches()
+        self._check_calls(entry)
         program = Program(tuple(reversed(self.out_qpus)),
                           tuple(self.out_classicals), entry=entry)
         return TypedProgram(program, dict(self.qpu_instances.values()),
@@ -543,17 +535,18 @@ class Expander:
         if isinstance(e, CondNode):
             if self.rev:
                 raise CompileError("classical conditional inside a reversible kernel", e.pos)
+            # A gate takes one condition. This is the one way to nest, since
+            # a kernel's flag is measured in it, which no branch may do.
+            if self.in_branch:
+                raise CompileError("nested conditionals are not supported", e.pos)
             # Before the branches are expanded, so a branch that captures a
             # qubit is reported as that, not as a fault expanding it finds.
             self._forbid_qubit_vars(e.then)
             self._forbid_qubit_vars(e.els)
-            start = len(self.named)
-            then, tty = self._resolve_fn(e.then, hint=None)
-            branch_names = self.named[start:]
+            (then, tty), branch_names = self._resolve_branch(e.then, None)
             flag, fty = self._expand_expr(e.flag)
-            start = len(self.named)
-            els, ety = self._resolve_fn(e.els, hint=tty.fin)
-            branch_names += self.named[start:]
+            (els, ety), els_names = self._resolve_branch(e.els, tty.fin)
+            branch_names += els_names
             if fty != QwTy("bit", 1):
                 raise CompileError("conditional flag must be bit[1]", e.pos)
             if tty != ety:
@@ -584,24 +577,43 @@ class Expander:
             return self._resolve_fn(e, hint=None)
         raise CompileError(f"unexpected node {type(e).__name__}", getattr(e, "pos", Pos()))
 
-    def _check_branches(self) -> None:
-        """No conditional's branch names an instance that measures or
-        discards, itself or through the instances it names."""
-        callers: dict[str, list[str]] = {}
-        todo = []
-        for name, (measured, named) in self.expanded.items():
-            for callee in named:
-                callers.setdefault(callee, []).append(name)
-            if measured:
-                todo.append(name)
-        measuring = set(todo)
+    def _resolve_branch(self, e, hint: Optional[int]):
+        """``_resolve_fn`` of a conditional's branch ``e``, and the
+        instances it names."""
+        start = len(self.named)
+        self.in_branch = True
+        resolved = self._resolve_fn(e, hint)
+        self.in_branch = False
+        return resolved, self.named[start:]
+
+    def _check_calls(self, entry: str) -> None:
+        """One depth-first walk of the instance graph from ``entry``, each
+        instance's callees in the order its body names them. A call that
+        closes a cycle is a diagnostic there, naming the cycle. Leaving an
+        instance settles whether it measures or discards, itself or
+        through an instance it names; no conditional's branch may name one
+        that does."""
+        # Each instance the walk has met: None while it is on the path.
+        measuring: dict[str, Optional[bool]] = {entry: None}
+        path = [entry]
+        todo = [iter(self.expanded[entry][1])]
         while todo:
-            for caller in callers.get(todo.pop(), ()):
-                if caller not in measuring:
-                    measuring.add(caller)
-                    todo.append(caller)
+            callee, pos = next(todo[-1], (None, None))
+            if callee is None:
+                todo.pop()
+                name = path.pop()
+                measured, named = self.expanded[name]
+                measuring[name] = measured or any(measuring[n] for n, _ in named)
+            elif callee not in measuring:
+                measuring[callee] = None
+                path.append(callee)
+                todo.append(iter(self.expanded[callee][1]))
+            elif measuring[callee] is None:
+                cycle = path[path.index(callee):] + [callee]
+                raise CompileError("recursive call cycle "
+                                   + " -> ".join(f"@{n}" for n in cycle), pos)
         for named, pos in self.branches:
-            if measuring.intersection(named):
+            if any(measuring[n] for n, _ in named):
                 raise CompileError("conditional branches cannot measure or discard", pos)
 
     def _forbid_qubit_vars(self, e: ExprNode) -> ExprNode:
@@ -635,7 +647,7 @@ class Expander:
                 raise CompileError("expected a function value", getattr(e, "pos", Pos()))
             return new_e, ty
         name, fty = called
-        self.named.append(name)
+        self.named.append((name, e.pos))
         if fty.fin == 0:  # lowering would hand it a qubit[0]
             raise CompileError(f"kernel '{name}' takes no qubits", e.pos)
         if self.rev and not fty.rev:
@@ -773,8 +785,6 @@ def _expand_cexpr(e: CExpr, dims: dict[str, int], captures: dict[str, str],
         if lw != rw:
             raise CompileError(f"operand widths differ: {lw} vs {rw}", e.pos)
         return replace(e, left=left, right=right), lw
-    if not isinstance(e, (CNot, CIndex, CSlice, CReduce, CRepeat)):
-        raise CompileError("bad classical expression", getattr(e, "pos", Pos()))
     operand, w = _expand_cexpr(e.operand, dims, captures, widths)
     if isinstance(e, CNot):
         return replace(e, operand=operand), w

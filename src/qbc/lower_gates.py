@@ -5,8 +5,9 @@ from their two bases alone (every phase in them is already a float), embeds
 become compute-copy-uncompute networks with clean ancillas, and measurement
 destandardizes into the computational basis.
 
-Requires an inlined module: any surviving call or indirect call is a
-diagnostic, since the gate level has no call ops.
+Requires a module that ``qwir.verify(m, inlined=True)`` accepts: no call
+or function value is left, and no cond's branch measures, discards or holds
+a cond. Only synthesis can still reject a translation here (``synth``).
 
 Qubits are tracked as physical wire slots; IR values map to slot lists and
 each slot remembers its current dataflow value id. Conditional regions then
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diagnostics import CompileError
 from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
 )
@@ -50,8 +50,6 @@ class _GateLowerer:
             self.slot_val[s] = v
 
     def run(self) -> QCircFn:
-        if any(self.src.types[p].kind == "qubit" for p in self.src.params):
-            raise CompileError("entry takes qubits")
         for op in self.src.block.ops:
             self.lower_op(op, None)
         return self.fn
@@ -75,8 +73,6 @@ class _GateLowerer:
             self.emit_gates(slots, gates, condition)
             self.qmap[op.results[0]] = slots
         elif k == "qbmeas":
-            if condition is not None:
-                raise CompileError("measurement inside a conditional")
             slots = list(self.qmap[op.operands[0]])
             self.emit_gates(slots, measurement_rotation(op.attrs["basis"]), None)
             bits = []
@@ -86,8 +82,6 @@ class _GateLowerer:
                 bits.append(b)
             self.bmap[op.results[0]] = bits
         elif k == "qbdiscard":
-            if condition is not None:
-                raise CompileError("discard inside a conditional")
             for s in self.qmap[op.operands[0]]:
                 self.fn.ops.append(QOp("qfree", (self.slot_val[s],)))
         elif k in ("qbpack", "bitpack"):
@@ -102,36 +96,20 @@ class _GateLowerer:
                 at += s
         elif k == "embed":
             cfn = self.m.classicals[op.attrs["fn"]]
-            gates, width, anc = embed_gates(cfn, op.attrs["mode"], op.attrs.get("pred"))
+            gates, _, anc = embed_gates(cfn, op.attrs["mode"], op.attrs.get("pred"))
             slots = list(self.qmap[op.operands[0]])
-            if width != len(slots):
-                raise CompileError("embed width mismatch")
             anc_slots = [self.alloc_slot() for _ in range(anc)]
             self.emit_gates(slots + anc_slots, gates, condition)
             for s in anc_slots:
                 self.fn.ops.append(QOp("qfreez", (self.slot_val[s],)))
             self.qmap[op.results[0]] = slots
         elif k == "cond":
-            self.lower_cond(op, condition)
-        elif k == "ret":
-            bits = []
-            for v in op.operands:
-                if self.src.types[v].kind != "bit":
-                    raise CompileError("entry must return bits")
-                bits.extend(self.bmap[v])
+            self.lower_cond(op)
+        else:  # ret, of the entry's bits
+            bits = [b for v in op.operands for b in self.bmap[v]]
             self.fn.ops.append(QOp("ret", tuple(bits)))
-        elif k in ("call", "call_indirect", "func_const", "func_adj",
-                   "func_pred"):
-            raise CompileError(
-                f"residual {k} op; gate-level lowering needs a fully "
-                "inlined module"
-            )
-        else:
-            raise CompileError(f"cannot lower op {k}")
 
-    def lower_cond(self, op: QwOp, condition) -> None:
-        if condition is not None:
-            raise CompileError("nested conditionals are not supported")
+    def lower_cond(self, op: QwOp) -> None:
         (flag,) = self.bmap[op.operands[0]]
         branch_slots = []
         for region, truth in ((op.regions[0], True), (op.regions[1], False)):

@@ -28,10 +28,16 @@ none is free. On every benchmark program that keeps the depth of fresh
 registers. -O0 alone gives every ``qalloc`` a fresh register. ``qbc stats``
 reports the width the backends declare under the same options.
 
-Every stage reports bad input by raising ``CompileError``, positioned where
-the stage knows the source position. No stage takes the file name: the
-entry points that do (``front``, ``compile_source``, ``compile_to_circuit``)
-are wrapped by ``_names_file``, which puts it on the error as it leaves.
+The front end reports each user error it can decide (types, recursion,
+nested conditionals) as a ``CompileError`` at its source position. Later
+stages rely on it; ``qwir.verify`` and ``verify_circuit`` hold what they
+assume, so their errors are compiler bugs. Only synthesis (a translation it
+cannot build) and Base-Profile QIR (a branch, or a multi-control that
+``--no-decompose`` leaves) still report unpositioned ``CompileError``s. ``qbc
+check`` runs ``compile_to_circuit``, so it agrees with ``qbc compile`` but
+for QIR's two. No stage takes the file name: the entry points that do
+(``front``, ``compile_source``, ``compile_to_circuit``) are wrapped by
+``_names_file``, which puts it on the error as it leaves.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ def to_qwir(tp, opts: Options) -> QwModule:
     verify(m)
     inline(m)
     prune_unreachable(m)
-    verify(m)
+    verify(m, inlined=True)
     return m
 
 

@@ -181,25 +181,44 @@ def op_location(fn: QwFunc, op: QwOp) -> str:
     return f"@{fn.name}:{op.kind}"
 
 
-def verify(m: QwModule) -> None:
-    """Check SSA, typing, linearity, and span invariants for every function."""
+# Calls and function values, which inlining removes; the ops a cond's
+# branch cannot hold, as a gate takes one condition and a measurement none;
+# and the ops a reversible function cannot hold, which have no inverse.
+CALL_KINDS = frozenset({"call", "call_indirect", "func_const", "func_adj",
+                        "func_pred"})
+UNCONDITIONAL = frozenset({"qbmeas", "qbdiscard", "cond"})
+IRREVERSIBLE = UNCONDITIONAL | {"qbprep"}
+
+
+def verify(m: QwModule, inlined: bool = False) -> None:
+    """Check SSA, typing, linearity, and span invariants for every function,
+    and with ``inlined`` that no call or function value is left."""
     for fn in m.functions.values():
-        _verify_fn(m, fn)
+        _verify_fn(m, fn, CALL_KINDS if inlined else frozenset())
 
 
-def _verify_fn(m: QwModule, fn: QwFunc) -> None:
+def _verify_fn(m: QwModule, fn: QwFunc, banned: frozenset) -> None:
     for p in fn.params:
         if p not in fn.types:
             raise VerifyError(f"@{fn.name}: untyped param %{p}")
-    _verify_block(m, fn, fn.block, set(), top=True)
+    _verify_block(m, fn, fn.block, set(),
+                  banned | IRREVERSIBLE if fn.reversible else banned)
+    # The adjoint and predicated forms of a reversible function take and
+    # return one qubit value.
+    qs = [fn.types[p] for p in fn.params if fn.types[p].kind == "qubit"]
+    if fn.reversible and (len(qs) != 1 or fn.result_types != qs):
+        raise VerifyError(f"@{fn.name}: reversible, but does not take and "
+                          "return one qubit value")
 
 
-def _verify_block(m, fn, block, outer: set[int], top: bool) -> dict[int, int]:
+def _verify_block(m, fn, block, outer: set[int],
+                  banned: frozenset, top: bool = True) -> dict[int, int]:
     """Verify one block; returns use counts of values from ``outer`` scope.
 
     Linearity of values defined directly in this block (args and op
     results) is checked here; cond regions see the enclosing scope, with
     each branch contributing one combined use per consumed outer qubit.
+    No op of a ``banned`` kind may appear.
     """
     local = set(outer) | set(block.args)
     direct = set(block.args)
@@ -215,11 +234,14 @@ def _verify_block(m, fn, block, outer: set[int], top: bool) -> dict[int, int]:
             if v not in local:
                 raise VerifyError(f"{op_location(fn, op)}: use of undefined %{v}")
             uses[v] = uses.get(v, 0) + 1
+        if op.kind in banned:
+            raise VerifyError(f"{op_location(fn, op)}: not allowed here")
         _check_op_types(m, fn, op)
         if op.kind == "cond":
             branch_outer = []
             for region in op.regions:
-                r_uses = _verify_block(m, fn, region, local, top=False)
+                r_uses = _verify_block(m, fn, region, local,
+                                       banned | UNCONDITIONAL, top=False)
                 branch_outer.append({
                     v for v in r_uses
                     if v in local and fn.types[v].kind == "qubit"
@@ -296,10 +318,11 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
         sizes = op.attrs["sizes"]
         want(op.operands[0], "bit", sum(sizes), "operand")
     elif k == "embed":
-        name = op.attrs["fn"]
+        name, pred = op.attrs["fn"], op.attrs.get("pred")
         if name not in m.classicals:
             raise VerifyError(f"{op_location(fn, op)}: unknown classical {name}")
-        want(op.operands[0], "qubit", None, "operand")
+        width = m.classicals[name].embed_width(op.attrs["mode"])
+        want(op.operands[0], "qubit", width + (pred.dim if pred else 0), "operand")
         want(op.results[0], "qubit", t(op.operands[0]).dim, "result")
     elif k == "func_const":
         sym = op.attrs["sym"]
@@ -313,6 +336,10 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
         sym = op.attrs["sym"]
         if sym not in m.functions:
             raise VerifyError(f"{op_location(fn, op)}: unknown function @{sym}")
+        if (op.attrs.get("adj") or op.attrs.get("pred") is not None) \
+                and not m.functions[sym].reversible:
+            raise VerifyError(f"{op_location(fn, op)}: adjoint or predicated "
+                              f"form of irreversible @{sym}")
     elif k == "call_indirect":
         want(op.operands[0], "func", None, "callee")
     elif k == "cond":

@@ -11,6 +11,12 @@ cycle, and flattens each function once by splicing its callees' flat bodies.
 An adjoint or predicated form is made from the callee's flat body the first
 time a call asks for it (``specialize``).
 
+The front end has reported every user error, and ``qwir.verify`` holds
+what these rewrites assume of their input: a reversible function takes and
+returns one qubit value and holds no op without an inverse, and only a
+reversible function is adjointed or predicated. So none of them reports a
+diagnostic.
+
 Every op these rewrites build with fresh results comes from
 ``QwFunc.emit``; ``_copy_op`` copies one with its operands renamed, and
 predication runs each op it controls through one pack, apply, unpack step
@@ -26,9 +32,8 @@ from typing import Optional
 from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, Prim, builtin_vectors,
 )
-from .diagnostics import CompileError
 from .qwir import (
-    QwBlock, QwFunc, QwModule, QwOp, bit, func, is_stationary, qubit,
+    QwBlock, QwFunc, QwModule, QwOp, VerifyError, is_stationary, qubit,
 )
 
 
@@ -41,20 +46,13 @@ SWAP = {
 }
 
 
-def _concat_pred(outer: Optional[Basis], inner: Optional[Basis]) -> Optional[Basis]:
+def _concat_pred(outer: Basis, inner: Optional[Basis]) -> Basis:
     # Outer predicates sit leftmost on the combined register.
-    if outer is None:
-        return inner
-    if inner is None:
-        return outer
-    return Basis(outer.elements + inner.elements)
+    return outer if inner is None else Basis(outer.elements + inner.elements)
 
 
 # ---------------------------------------------------------------------------
 # Adjoint
-
-
-ADJOINTABLE = {"qbtrans", "qbpack", "qbunpack", "embed", "call", "call_indirect"}
 
 
 def _copy_op(fn: QwFunc, block: QwBlock, op: QwOp, val_map: dict[int, int]) -> None:
@@ -68,15 +66,8 @@ def _copy_op(fn: QwFunc, block: QwBlock, op: QwOp, val_map: dict[int, int]) -> N
 def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
     """Rebuild ``block`` running backward; stationary ops stay in place."""
     term = block.ops[-1]
-    quantum_ops = []
-    stationary_ops = []
-    for op in block.ops[:-1]:
-        if is_stationary(op, fn):
-            stationary_ops.append(op)
-        elif op.kind in ADJOINTABLE:
-            quantum_ops.append(op)
-        else:
-            raise CompileError(f"op {op.kind} is not adjointable")
+    stationary_ops = [op for op in block.ops[:-1] if is_stationary(op, fn)]
+    quantum_ops = [op for op in block.ops[:-1] if not is_stationary(op, fn)]
 
     new = QwBlock()
     val_map: dict[int, int] = {}
@@ -94,8 +85,6 @@ def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
         _copy_op(fn, new, op, val_map)
 
     term_qubits = [v for v in term.operands if fn.types[v].kind == "qubit"]
-    if len(term_qubits) != len(qubit_args):
-        raise CompileError("block does not return its qubit arguments")
     for (_, new_arg), old_out in zip(qubit_args, term_qubits):
         val_map[old_out] = new_arg
 
@@ -163,14 +152,8 @@ def qubit_index_analysis(fn: QwFunc, block: QwBlock) -> dict[int, tuple[int, ...
             for r, s in zip(op.results, op.attrs["sizes"]):
                 idx[r] = src[at : at + s]
                 at += s
-        elif op.kind in ("qbtrans", "embed"):
-            idx[op.results[0]] = idx[op.operands[0]]
-        elif op.kind in ("call", "call_indirect"):
-            qs = [v for v in op.operands if fn.types[v].kind == "qubit"]
-            if len(qs) == 1 and op.results and fn.types[op.results[0]].kind == "qubit":
-                idx[op.results[0]] = idx[qs[0]]
-        else:
-            raise CompileError(f"cannot analyze qubit indices through {op.kind}")
+        else:  # qbtrans, embed, call or call_indirect: one qubit in and out
+            idx[op.results[0]] = idx[op.operands[-1]]
     return idx
 
 
@@ -201,10 +184,7 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
 
     new = QwBlock()
     val_map: dict[int, int] = {}
-    qubit_args = [a for a in block.args if fn.types[a].kind == "qubit"]
-    if len(qubit_args) != 1:
-        raise CompileError("predication expects a single qubit argument")
-    n = fn.types[qubit_args[0]].dim
+    (n,) = [fn.types[a].dim for a in block.args if fn.types[a].kind == "qubit"]
     for a in block.args:
         if fn.types[a].kind == "qubit":
             wide = fn.new_value(qubit(p + n))
@@ -247,14 +227,12 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
             attrs = {**op.attrs, "pred": _concat_pred(pred, op.attrs.get("pred"))}
             (nq,) = pred_apply(op.kind, [val_map[op.operands[-1]]], attrs,
                                pre=[val_map[c] for c in op.operands[:-1]])
-        elif op.kind == "call_indirect":
+        else:  # call_indirect
             fv = op.operands[0]
             pfv = fn.emit(new, "func_pred", [val_map[fv]], [fn.types[fv]],
                           {"basis": pred})
             (nq,) = pred_apply("call_indirect", [val_map[op.operands[-1]]], {},
                                pre=pfv)
-        else:
-            raise CompileError(f"op {op.kind} cannot be predicated")
         val_map[op.results[0]] = nq
 
     # Undo renaming-based swaps outside the predicated space.
@@ -546,7 +524,7 @@ def _push_into_cond(fn: QwFunc, cond_op: QwOp, op: QwOp) -> None:
     The cond then defines op's results, and the caller drops op; this is
     sound because every function value the front end lowers has exactly one
     use. Repeated, it turns every wrapped or called function value of a
-    cond, nested conds included, into a direct call inside each branch.
+    cond into a direct call inside each branch.
     """
     for region in cond_op.regions:
         term = region.ops.pop()
@@ -580,22 +558,28 @@ def count_calls(m: QwModule) -> tuple[int, int]:
 
 
 def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
-    remap: dict[int, int] = {}
+    """A copy of ``src_fn``'s ``block``, regions included, with fresh values
+    of ``fn``."""
+    return _clone_block(fn, src_fn, block, {})
 
-    def clone(b: QwBlock) -> QwBlock:
-        nb = QwBlock()
-        for a in b.args:
-            na = fn.new_value(src_fn.types[a])
-            remap[a] = na
-            nb.args.append(na)
-        for o in b.ops:
-            results = fn.emit(nb, o.kind, [remap[v] for v in o.operands],
-                              [src_fn.types[r] for r in o.results], o.attrs,
-                              [clone(r) for r in o.regions])
-            remap.update(zip(o.results, results))
-        return nb
 
-    return clone(block)
+def _clone_block(fn: QwFunc, src_fn: QwFunc, block: QwBlock,
+                 remap: dict[int, int]) -> QwBlock:
+    """``_clone_into``, with ``remap`` mapping each value of ``src_fn``
+    copied so far to its copy. A module-level function rather than a
+    closure, which would hold itself in a reference cycle."""
+    nb = QwBlock()
+    for a in block.args:
+        na = fn.new_value(src_fn.types[a])
+        remap[a] = na
+        nb.args.append(na)
+    for o in block.ops:
+        results = fn.emit(nb, o.kind, [remap[v] for v in o.operands],
+                          [src_fn.types[r] for r in o.results], o.attrs,
+                          [_clone_block(fn, src_fn, r, remap)
+                           for r in o.regions])
+        remap.update(zip(o.results, results))
+    return nb
 
 
 def inline(m: QwModule) -> None:
@@ -604,9 +588,11 @@ def inline(m: QwModule) -> None:
     ``m`` must already be canonicalized (``canonicalize_ir``). One iterative
     depth-first walk over the calls and function values from the entry
     flattens each function as it leaves it (``_flatten``), so every callee
-    is flat before its callers are. A call cycle raises ``CompileError``,
-    naming it, before any function on it is flattened. Functions the entry
-    does not reach are left as they are, for ``prune_unreachable``.
+    is flat before its callers are. Expansion reports a recursive kernel
+    at its call, so a call cycle here is a compiler bug: it raises
+    ``VerifyError``, naming the cycle, before any function on it is
+    flattened, rather than splicing forever. Functions the entry does not
+    reach are left as they are, for ``prune_unreachable``.
     """
     on_path: dict[str, bool] = {}  # True while on the path, False once flat
     path: list[str] = []
@@ -621,8 +607,8 @@ def inline(m: QwModule) -> None:
                 on_path[done] = False
         elif on_path.get(sym):
             cycle = path[path.index(sym):] + [sym]
-            raise CompileError("recursive call cycle "
-                               + " -> ".join(f"@{s}" for s in cycle))
+            raise VerifyError("call cycle "
+                              + " -> ".join(f"@{s}" for s in cycle))
         elif sym not in on_path and sym in m.functions:
             on_path[sym] = True
             path.append(sym)
@@ -695,8 +681,6 @@ def specialize(m: QwModule, call: QwOp) -> QwFunc:
     name = _form_name(call)
     if name not in m.functions:
         callee = m.functions[call.attrs["sym"]]
-        if not callee.reversible:
-            raise CompileError(f"cannot specialize irreversible @{callee.name}")
         fn = QwFunc(name, [], [], True, QwBlock())
         block = _clone_into(fn, callee, callee.block)
         if call.attrs.get("adj"):

@@ -14,6 +14,12 @@ uncomputed and released clean. Each AND's Toffoli is flagged as one half of
 a mirrored pair, which decomposition may realize with relative-phase
 Toffolis. A sign oracle has no target: it kicks its phase straight onto the
 wires f XORs, with one Z each, or with a CZ when f is one AND.
+
+The two bases of a translation span one space (expansion checks it, and
+``qwir.verify`` holds it), so alignment always pairs them up. Two
+translations are still diagnostics here: a permutation wider than
+``PERMUTATION_LIMIT`` qubits, and a predicate over a conditional
+standardization.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .ast_nodes import (
-    CBin, CExpr, CIndex, CLit, CNot, CReduce, CRepeat, CSlice, CVar,
-    ClassicalFn,
+    CBin, CExpr, CIndex, CLit, CNot, CReduce, CSlice, CVar, ClassicalFn,
 )
 from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Padding,
@@ -95,8 +100,6 @@ def plan_standardization(
             if not big_pad:
                 bigstd.append(StdEntry(big.prim, big.dim, bo, True))
             bigdq.appendleft((Padding(delta), bo + small.dim))
-    if ldq or rdq:
-        raise CompileError("standardization planning saw mismatched dims")
     return tuple(lstd), tuple(rstd)
 
 
@@ -314,17 +317,11 @@ def align(b_in: Basis, b_out: Basis) -> list[AlignedPair]:
             _as_literal(small), _as_literal(big))
         while lv.dim != rv.dim:
             if lv.dim < rv.dim:
-                if not ldq:
-                    raise CompileError("alignment ran out of elements")
                 lv = _literal_product(lv, _as_literal(ldq.popleft()))
             else:
-                if not rdq:
-                    raise CompileError("alignment ran out of elements")
                 rv = _literal_product(rv, _as_literal(rdq.popleft()))
         pairs.append(AlignedPair(lv, rv, offset))
         offset += lv.dim
-    if ldq or rdq:
-        raise CompileError("alignment saw mismatched dims")
     return pairs
 
 
@@ -402,7 +399,9 @@ def _map_values(steps: list[tuple[int, int]], f: list[int],
 
 
 def synth_permutation(perm: Sequence[int]) -> list[Gate]:
-    """Ancilla-free multi-controlled-X network realizing the permutation.
+    """Ancilla-free multi-controlled-X network realizing ``perm``, a
+    permutation of ``range(2**d)``; past ``PERMUTATION_LIMIT`` qubits it is
+    a diagnostic.
 
     Bidirectional transformation-based synthesis (Miller, Maslov and
     Dueck, DAC 2003): rows are fixed in index order, transforming whichever
@@ -413,12 +412,8 @@ def synth_permutation(perm: Sequence[int]) -> list[Gate]:
     """
     size = len(perm)
     d = size.bit_length() - 1
-    if 1 << d != size:
-        raise CompileError("permutation table size must be a power of two")
     if d > PERMUTATION_LIMIT:
         raise CompileError(f"permutation too wide ({d} > {PERMUTATION_LIMIT})")
-    if sorted(perm) != list(range(size)):
-        raise CompileError("not a permutation")
     f = [int(v) for v in perm]
     inv = [0] * size
     for x, y in enumerate(f):
@@ -619,10 +614,8 @@ class _ClassicalSynth:
             for b in bags[1:]:
                 acc = self.and_bags(acc, b) if e.op == "and" else self.or_bags(acc, b)
             return [acc]
-        if isinstance(e, CRepeat):
-            (b,) = self.eval(e.operand, env)
-            return [b] * e.count.value
-        raise CompileError(f"bad classical node {type(e).__name__}")
+        (b,) = self.eval(e.operand, env)  # CRepeat
+        return [b] * e.count.value
 
 
 def _phase_kick(segments: list[list[Gate]], bag: _Bag) -> Optional[list[Gate]]:

@@ -124,8 +124,8 @@ def test_non_utf8_input_is_a_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"qbc: {path}: not UTF-8")
 
 
-# A function-valued conditional nested in another reaches gate lowering,
-# which supports one level of conditions.
+# A function-valued conditional nested in another: a gate takes one
+# condition, so the front end rejects it at the inner conditional.
 NESTED_COND = """
 qpu g(q: qubit[1]) -> qubit[1] rev { q | std.flip }
 qpu h(q: qubit[1]) -> qubit[1] rev { q | ({'0', '1'} >> {'0', '1' @ (pi/2)}) }
@@ -136,17 +136,8 @@ qpu main() -> bit[2] {
 }
 """
 
-
-def test_gate_lowering_error_names_the_file(tmp_path, capsys):
-    path = tmp_path / "nested.qw"
-    path.write_text(NESTED_COND)
-    assert main(["compile", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"{path}: error: nested conditionals are not supported")
-
-
 # Swapping two 13-qubit vectors is a 13-qubit permutation, one past what
-# synthesis takes. Only gate lowering knows that limit, so check accepts it.
+# synthesis takes. Only gate lowering knows that limit, and check runs it.
 SWAP13 = """qpu main() -> bit[13] {
     '0000000000000'
         | ({'0000000000000', '1111111111111'} >> {'1111111111111', '0000000000000'})
@@ -155,13 +146,37 @@ SWAP13 = """qpu main() -> bit[13] {
 """
 
 
+def test_gate_lowering_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "swap13.qw"
+    path.write_text(SWAP13)
+    assert main(["compile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: error: permutation too wide")
+
+
 def test_permutation_limit_is_a_diagnostic(tmp_path, capsys):
     path = tmp_path / "swap13.qw"
     path.write_text(SWAP13)
-    assert main(["check", str(path)]) == 0
-    assert main(["compile", str(path)]) == 1
-    assert capsys.readouterr().err == \
-        f"{path}: error: permutation too wide (13 > 12)\n"
+    line = f"{path}: error: permutation too wide (13 > 12)\n"
+    for cmd in ("check", "compile"):
+        assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr().err == line
+
+
+def test_predicate_over_a_conditional_standardization_is_a_diagnostic(
+        tmp_path, capsys):
+    # The bases span one space, but synthesis standardizes the fourier
+    # element's qubits only where the predicate {'mp', 'pp'} holds, and
+    # that predicate's first qubit is one of them.
+    path = tmp_path / "overlap.qw"
+    path.write_text(
+        "qpu main() -> bit[4] {\n    '0000' | ({'jj', 'ii', 'ij', 'ji'} + "
+        "{'mp', 'pp'} >> pm[1] + fourier[2] + {'p'}) | std[4].measure\n}\n")
+    line = (f"{path}: error: predicate qubits overlap a conditional "
+            "standardization; the translation is not well-typed\n")
+    for cmd in ("check", "compile"):
+        assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr().err == line
 
 
 def test_long_chain_is_a_diagnostic_under_every_emit(tmp_path, capsys):
@@ -206,6 +221,7 @@ def test_dimension_errors_name_the_file(tmp_path, capsys):
 
 # Each program ends in one diagnostic from the front end, which expands,
 # types and checks each kernel in one walk.
+MAIN_F = "qpu main() -> bit[1] { '0' | f | std.measure }"
 SHAPE_AND_TYPE_ERRORS = [
     ("qpu main() -> bit[1] { '0' | ('0' >> std) | std.measure }",
      "1:35: error: translation operands must be bases"),
@@ -324,18 +340,44 @@ SHAPE_AND_TYPE_ERRORS = [
      "qpu main() -> bit[1] { let c = '1' | std.measure; "
      "'00' | (j if c else j) | std.measure }",
      "3:61: error: conditional branches cannot measure or discard"),
+    # A conditional met while expanding another's branch, at the inner
+    # one's `if`.
+    (NESTED_COND, "7:45: error: nested conditionals are not supported"),
+    ("qpu main() -> bit[1] { let a = '0' | std.measure; "
+     "let b = '1' | std.measure; "
+     "'0' | ((std.flip if a else id) if b else id) | std.measure }",
+     "1:95: error: nested conditionals are not supported"),
+    # A recursive kernel, at the call that closes the cycle, which names
+    # the kernel instances on it.
+    ("qpu f(q: qubit[1]) -> qubit[1] rev { q | f }\n" + MAIN_F,
+     "1:42: error: recursive call cycle @f -> @f"),
+    ("qpu f(q: qubit[1]) -> qubit[1] rev { q | g }\n"
+     "qpu g(q: qubit[1]) -> qubit[1] rev { q | f }\n" + MAIN_F,
+     "2:42: error: recursive call cycle @f -> @g -> @f"),
+    ("qpu g(q: qubit[1]) -> qubit[1] rev { q | ~g }\n"
+     "qpu main() -> bit[2] { '10' | ({'1'} & g) | std[2].measure }",
+     "1:43: error: recursive call cycle @g -> @g"),
+    ("qpu f[N](q: qubit[N]) -> qubit[N] rev { q | f }\n"
+     "qpu main() -> bit[2] { '00' | f | std[2].measure }",
+     "1:45: error: recursive call cycle @f__N2 -> @f__N2"),
+    ("qpu f(q: qubit[1]) -> qubit[1] rev { let m = q | std.measure; '0' }\n"
+     + MAIN_F, "1:53: error: measurement inside a reversible kernel"),
+    ("qpu main() -> bit[1] { '0' | k[[1]] | std.measure }",
+     "1:31: error: unknown kernel 'k'"),
 ]
 
 
 @pytest.mark.parametrize("source, message", SHAPE_AND_TYPE_ERRORS)
 def test_front_end_error_is_one_positioned_line(tmp_path, capsys, source,
                                                 message):
+    # check compiles as compile does, so both end in the one line.
     path = tmp_path / "bad.qw"
     path.write_text(source + "\n")
-    assert main(["compile", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err == f"{path}:{message}\n"
+    for cmd in ("check", "compile"):
+        assert main([cmd, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"{path}:{message}\n"
 
 
 def test_stats_prints_circuit_counts(capsys):
@@ -356,36 +398,12 @@ def test_stats_prints_circuit_counts(capsys):
 
 
 def test_stats_reports_gate_lowering_error(tmp_path, capsys):
-    path = tmp_path / "nested.qw"
-    path.write_text(NESTED_COND)
+    path = tmp_path / "swap13.qw"
+    path.write_text(SWAP13)
     assert main(["stats", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        f"{path}: error: nested conditionals are not supported")
+    assert captured.err.startswith(f"{path}: error: permutation too wide")
     assert captured.out == ""
-
-
-def test_recursion_is_a_diagnostic(tmp_path, capsys):
-    main_f = "qpu main() -> bit[1] { '0' | f | std.measure }\n"
-    cases = {
-        "self.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | f }\n" + main_f,
-                    "@f -> @f"),
-        "mutual.qw": ("qpu f(q: qubit[1]) -> qubit[1] rev { q | g }\n"
-                      "qpu g(q: qubit[1]) -> qubit[1] rev { q | f }\n" + main_f,
-                      "@f -> @g -> @f"),
-        # The cycle names the user's function, not its predicated and
-        # adjoint forms.
-        "specialized.qw": ("qpu g(q: qubit[1]) -> qubit[1] rev { q | ~g }\n"
-                           "qpu main() -> bit[2] "
-                           "{ '10' | ({'1'} & g) | std[2].measure }\n",
-                           "@g -> @g"),
-    }
-    for name, (source, cycle) in cases.items():
-        path = tmp_path / name
-        path.write_text(source)
-        assert main(["compile", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"{path}: error: recursive call cycle {cycle}\n"
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Property tests of the front end: the lexer against a per-character
 reference, random token streams, and small well-typed programs built from
 pipes, lets, destructuring lets, tensors, ``~``, ``&`` and conditionals on
-measured bits."""
+measured bits; and of ``qbc check``, which accepts only what compiles."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +11,7 @@ from oracles import reference_tokenize
 from qbc.diagnostics import CompileError
 from qbc.lexer import tokenize
 from qbc.parser import parse
-from qbc.pipeline import Options, compile_source, front
+from qbc.pipeline import Options, compile_source, compile_to_circuit, front
 from qbc.printer import print_program
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -58,10 +58,10 @@ def test_lexer_diagnostics(source, message):
 
 
 def _checked(source):
-    """Run ``qbc check``'s stages: True on success, False on a positioned
+    """Run what ``qbc check`` runs: True on success, False on a positioned
     diagnostic; anything else fails the test."""
     try:
-        front(source, "fuzz.qw", Options())
+        compile_to_circuit(source, "fuzz.qw", Options())
     except CompileError as e:
         assert e.pos is not None and e.pos.line >= 1 and e.pos.col >= 1, \
             str(e)
@@ -81,10 +81,15 @@ HEADS = ["", "qpu main() -> bit[1] { ", "qpu main() -> bit[1] { '0' | ",
          "qpu main() -> bit[1] { let q = '0'; "]
 
 
+TOKEN_STREAMS = st.builds(
+    lambda head, toks: head + " ".join(toks) + (" }" if head else ""),
+    st.sampled_from(HEADS), st.lists(st.sampled_from(TOKENS), max_size=16))
+
+
 @FUZZ
-@given(st.sampled_from(HEADS), st.lists(st.sampled_from(TOKENS), max_size=16))
-def test_token_streams_end_in_success_or_a_positioned_diagnostic(head, toks):
-    _checked(head + " ".join(toks) + (" }" if head else ""))
+@given(TOKEN_STREAMS)
+def test_token_streams_end_in_success_or_a_positioned_diagnostic(source):
+    _checked(source)
 
 
 # Programs of one reversible helper on a qubit, one with a dimension that
@@ -192,3 +197,24 @@ def test_generated_programs_check_and_print_back(source):
     text = compile_source(source, "fuzz.qw", Options(), "ast")
     assert parse(text) == front(source, "fuzz.qw", Options()).program
     assert compile_source(text, "again.qw", Options(), "ast") == text
+
+
+# The two programs that only Base-Profile QIR cannot express.
+QIR_ONLY = ("Base-Profile QIR cannot branch", "multi-controlled gate survived")
+
+
+@settings(FUZZ, max_examples=100)
+@given(st.one_of(TOKEN_STREAMS, programs()))
+def test_what_check_accepts_compiles(source):
+    # qbc check runs the compile up to its backend, so a program it accepts
+    # compiles to QASM every way, and to QIR but for what QIR cannot say.
+    if not _checked(source):
+        return
+    for opt_level in (0, 1):
+        for decompose in (False, True):
+            opts = Options(opt_level=opt_level, decompose=decompose)
+            assert compile_source(source, "fuzz.qw", opts, "qasm")
+            try:
+                compile_source(source, "fuzz.qw", opts, "qir")
+            except CompileError as e:
+                assert e.message.startswith(QIR_ONLY), str(e)

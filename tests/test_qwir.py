@@ -4,6 +4,7 @@ the adjoint/predicated forms it makes."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qbc.bases import (
     Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis,
 )
 from oracles import lit
-from qbc.diagnostics import CompileError
 from qbc.qwir import (
     FnBuilder, QwBlock, QwFunc, QwModule, QwOp, QwTy, VerifyError, bit,
     func, print_module, qubit, verify,
@@ -267,14 +267,90 @@ def test_adjoint_involution_and_inverse_random():
         assert np.allclose(block_unitary(fn, back), u, atol=1e-9)
 
 
-def test_adjoint_rejects_measurement():
-    b = FnBuilder("f", False)
+def _measuring(name, reversible):
+    """A function that measures its one qubit."""
+    b = FnBuilder(name, reversible)
     arg = b.param(qubit(1))
     (r,) = b.emit("qbmeas", [arg], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [r])
-    fn = b.finish([bit(1)])
-    with pytest.raises(CompileError):
-        adjoint_block(fn, fn.block)
+    return b.finish([bit(1)])
+
+
+def _in_a_branch(kind):
+    """main, whose cond's then-branch measures (``qbmeas``) or holds a
+    cond (``cond``)."""
+    b = FnBuilder("main", False)
+    (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
+    (flag,) = b.emit("qbmeas", [q], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+    (w,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
+    regions = []
+    for inner in (kind, None):
+        b.push_block()
+        if inner == "qbmeas":
+            b.emit("qbmeas", [w], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+        elif inner == "cond":
+            b.emit("cond", [flag], [], {}, [QwBlock([], [QwOp("yield")])] * 2)
+        b.emit("yield", [])
+        regions.append(b.pop_block())
+    b.emit("cond", [flag], [], {}, regions)
+    b.emit("ret", [])
+    return b.finish([])
+
+
+def _irreversible_adjoint_call():
+    b = FnBuilder("main", False)
+    (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
+    b.emit("call", [q], [bit(1)], {"sym": "g", "adj": True, "pred": None})
+    b.emit("ret", [])
+    return QwModule({"main": b.finish([]), "g": _measuring("g", False)})
+
+
+def _two_qubit_params():
+    b = FnBuilder("f", True)
+    qs = [b.param(qubit(1)), b.param(qubit(1))]
+    b.emit("ret", b.emit("qbpack", qs, [qubit(2)]))
+    return b.finish([qubit(2)])
+
+
+def _embed_of_width(n):
+    from qbc.ast_nodes import ClassicalFn, CVar, Num, ParamNode, TypeNode
+
+    def bits(k):
+        return TypeNode("bit", Num(k))
+
+    cfn = ClassicalFn("c", (), (), (ParamNode("x", bits(1), None),), bits(1),
+                      CVar("x"))
+    b = FnBuilder("main", False)
+    (q,) = b.emit("qbprep", [], [qubit(n)], {"prim": STD, "eigenbits": "0" * n})
+    (r,) = b.emit("embed", [q], [qubit(n)], {"fn": "c", "mode": "xor"})
+    b.emit("ret", [b.emit("qbmeas", [r], [bit(n)],
+                          {"basis": basis(BuiltinBasis(STD, n))})[0]])
+    return QwModule({"main": b.finish([bit(n)])}, {"c": cfn})
+
+
+# What the passes after the front end assume of their input, and the front
+# end guarantees: each breach is a compiler bug that ``verify`` reports.
+@pytest.mark.parametrize("module, inlined, message", [
+    (lambda: QwModule({"f": _measuring("f", True)}, entry="f"), False,
+     "@f:qbmeas: not allowed here"),
+    (lambda: QwModule({"main": _in_a_branch("qbmeas")}), False,
+     "@main:qbmeas: not allowed here"),
+    (lambda: QwModule({"main": _in_a_branch("cond")}), False,
+     "@main:cond: not allowed here"),
+    (lambda: QwModule({"f": _two_qubit_params()}, entry="f"), False,
+     "@f: reversible, but does not take and return one qubit value"),
+    (_irreversible_adjoint_call, False,
+     "@main:call: adjoint or predicated form of irreversible @g"),
+    (_irreversible_adjoint_call, True, "@main:call: not allowed here"),
+    (lambda: _embed_of_width(3), False,
+     "@main:embed: operand has type qubit[3], wanted qubit[2]"),
+], ids=["measure-in-rev", "measure-in-branch", "cond-in-branch",
+        "rev-signature", "adjoint-of-irreversible", "call-after-inlining",
+        "embed-width"])
+def test_verify_holds_what_the_passes_assume(module, inlined, message):
+    verify(_embed_of_width(2))
+    with pytest.raises(VerifyError, match=re.escape(message)):
+        verify(module(), inlined=inlined)
 
 
 # -- qubit index analysis and predication --------------------------------------
@@ -710,7 +786,7 @@ def test_predicated_conditional_function_value(m_bit, want, opt_level):
     assert distribution(qc) == {want: pytest.approx(1.0)}
 
 
-def test_wrapped_function_values_distribute_through_nested_conds():
+def test_wrapped_function_values_distribute_through_conds():
     from qbc.pipeline import Options, front, to_qwir
     from qbc.qwir_passes import _iter_ops
 
@@ -718,9 +794,9 @@ def test_wrapped_function_values_distribute_through_nested_conds():
         "qpu main() -> bit[2] {\n"
         "    let m = '0' | std.measure;\n"
         "    let n = '1' | std.measure;\n"
-        "    ('1' + '0') | ~({'1'} & (h if m else (g if n else ~h)))"
+        "    ('1' + '0') | ~({'1'} & (h if m else g)) | (g + ~h if n else id[2])"
         " | std[2].measure\n}\n")
-    m = to_qwir(front(src, "nested.qw", Options()), Options())
+    m = to_qwir(front(src, "conds.qw", Options()), Options())
     kinds = [op.kind for op in _iter_ops(m.entry_fn.block)]
     assert kinds.count("cond") == 2
     assert not set(kinds) & {"call", "call_indirect", "func_const",
@@ -778,7 +854,9 @@ def test_inline_rejects_recursion():
     b.emit("ret", [v])
     m = _chain_module()
     m.functions["f"] = b.finish([qubit(1)])
-    with pytest.raises(CompileError, match="recursive call cycle @f -> @f"):
+    # Expansion reports a recursive kernel at its call, so a cycle here is a
+    # compiler bug, refused rather than spliced forever.
+    with pytest.raises(VerifyError, match="^call cycle @f -> @f$"):
         inline(m)
 
 
