@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """Regenerate, or with --check verify, the golden basis IR, QASM and QIR
-outputs of the benchmark programs and of ``tests/goldens/forms.qw``, which
-reaches every exact gate form of ``qbc.qcirc.exact_form`` that the
-backends and multi-control decomposition use, and the results of the
-pinned front-end diagnostics corpus (``front_diagnostics.txt``, whose
-sources are kept as they are). Rewriting also rewrites
-``output_digest.txt``, which ``scripts/output_digest.py --check`` reads.
+outputs of the benchmark programs and of each ``tests/goldens/*.qw``:
+``forms.qw`` reaches every exact gate form of ``qbc.qcirc.exact_form``
+that the backends and multi-control decomposition use, and
+``composite.qw`` adjoints and predicates a kernel and a tensor. It also
+pins the results of the front-end diagnostics corpus
+(``front_diagnostics.txt``, whose sources are kept as they are).
+Rewriting also rewrites ``output_digest.txt``, which
+``scripts/output_digest.py --check`` reads.
 
 Each golden is verified before freezing: the QASM text is re-ingested and
 its exact output distribution compared against the directly compiled
 circuit. Rewriting prints, for each file it writes, whether its bytes
 changed; for a changed QASM golden it also prints the old and new declared
-width and depth, so a layout change shows in review. ``--check`` compiles
-and verifies the same way but writes nothing; it compares every output byte
-for byte with ``tests/goldens/`` and exits 1 naming every mismatch.
+width and depth, so a layout change shows in review, and for a changed
+basis IR golden whether the new text equals the old once each ``%`` value
+is renumbered by first appearance, so a change that only moves value
+numbers shows as such. ``--check`` compiles and verifies the same way but
+writes nothing; it compares every output byte for byte with
+``tests/goldens/`` and exits 1 naming every mismatch.
 
     python3 scripts/regen_goldens.py           # rewrite tests/goldens/
     python3 scripts/regen_goldens.py --check   # verify them
@@ -43,7 +48,7 @@ BENCHMARKS = ["bell", "bv", "dj", "grover", "simon", "period", "teleport"]
 GOLDEN_DIR = ROOT / "tests" / "goldens"
 # Golden name -> the program it compiles.
 SOURCES = {name: ROOT / "benchmarks" / f"{name}.qw" for name in BENCHMARKS}
-SOURCES["forms"] = GOLDEN_DIR / "forms.qw"
+SOURCES |= {path.stem: path for path in sorted(GOLDEN_DIR.glob("*.qw"))}
 FRONT_CORPUS = "front_diagnostics.txt"  # in GOLDEN_DIR
 
 
@@ -169,6 +174,10 @@ def main(argv=None) -> int:
                 was = _shape(old.decode("utf-8", "replace"))
                 if was:
                     status += f" ({was} -> {_shape(text)})"
+            elif fname.endswith(".qwir") and old is not None:
+                same = renumbered(old.decode("utf-8", "replace")) == renumbered(text)
+                status += (" (equal after renumbering values)" if same
+                           else " (differs after renumbering values)")
         path.write_bytes(data)
         print(f"{fname}: {status}")
     return 0
@@ -184,6 +193,14 @@ def _shape(qasm: str) -> str | None:
     except CompileError:
         return None
     return f"qubit[{width.group(1)}] depth {allocate(fn, reuse=False).depth}"
+
+
+def renumbered(qwir: str) -> str:
+    """``qwir`` with its ``%`` values numbered 0, 1, ... in the order they
+    first appear."""
+    names: dict[str, str] = {}
+    return re.sub(r"%\d+", lambda v: names.setdefault(v[0], f"%{len(names)}"),
+                  qwir)
 
 
 def _close(a: dict, b: dict) -> bool:

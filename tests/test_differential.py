@@ -5,8 +5,9 @@ The programs are the benchmarks, three that give phase folding work (a
 pipe chain, a predicated oracle and a phase conditioned on a measurement),
 two that allocate after a measurement or a discard, four sign oracles
 whose phase kick has no target wire, a conditional that swaps wires, a
-measurement whose one outcome is left only rounding error, and the
-generated programs of ``test_front_fuzz``.
+measurement whose one outcome is left only rounding error, adjoints and
+predicates of conditionals, tensors and kernels, and the generated
+programs of ``test_front_fuzz``.
 Where a program's distribution is known, every way must give it."""
 
 import pathlib
@@ -23,6 +24,7 @@ from qasm_reader import read_qasm3
 from test_front_fuzz import programs
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 BENCHMARKS = ["bell", "bv", "dj", "grover", "period", "simon", "teleport"]
 
 PROGRAMS = {name: (BENCH / f"{name}.qw", {}) for name in BENCHMARKS} | {
@@ -137,6 +139,17 @@ qpu main() -> bit[3] {
     m + r
 }
 """, {}),
+    # A predicate over a conditional and an adjoint of a conditional whose
+    # then-branch is a tensor: each branch is applied in its own region.
+    "composite_conditional": ("""\
+qpu main() -> bit[3] {
+    let m = 'p' | std.measure;
+    let q = '1p' | ({'1'} & (pm.flip if m else (std >> pm)))
+        | ~((std.flip + std.flip) if m else id[2]);
+    m + (q | std[2].measure)
+}
+""", {}),
+    "composite": (GOLDENS / "composite.qw", {}),
 }
 
 # Distributions that pin each sign oracle's phase, and the swap's routing.
@@ -150,6 +163,10 @@ EXPECTED = {
         f"{i:04b}": 0.015625 for i in range(16) if i != 8},
     "conditional_wire_swap": {"001": 0.5, "110": 0.5},
     "rounded_branch": {"10000": 0.5, "10001": 0.5},
+    "composite_conditional": {"010": 0.5, "100": 0.25, "101": 0.25},
+    "composite": {f"0{i:03b}110": 1 / 32 for i in range(8)}
+    | {f"1{i:03b}110": 1 / 32 for i in range(8)}
+    | {"0000110": 9 / 32, "0100110": 9 / 32},
 }
 
 

@@ -1,7 +1,8 @@
 """Property tests of the front end: the lexer against a per-character
 reference, random token streams, and small well-typed programs built from
-pipes, lets, destructuring lets, tensors, ``~``, ``&`` and conditionals on
-measured bits; and of ``qbc check``, which accepts only what compiles."""
+pipes, lets, destructuring lets, tensors, ``~`` and ``&`` of any of them,
+and conditionals on measured bits; and of ``qbc check``, which accepts
+only what compiles."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -105,11 +106,15 @@ ONE_QUBIT = ["std.flip", "pm.flip", "(std >> pm)", "(pm >> std)", "id", "f",
 @st.composite
 def functions(draw, width, stage=True):
     """A reversible function on ``qubit[width]``; with ``stage``, one that
-    may infer its dimension from the width piped into it."""
-    kind = draw(st.sampled_from(["g", "tensor", "pred", "id"]
-                                if stage else ["tensor", "pred", "id"]))
+    may infer its dimension from the width piped into it. Any function may
+    be adjointed, and any narrower one, tensors included, predicated on
+    ``{'1...'}``, ``{'0...', '1...'}`` or ``pm[k]``."""
+    kind = draw(st.sampled_from(["g", "tensor", "pred", "adj", "id"]
+                                if stage else ["tensor", "pred", "adj", "id"]))
     if kind == "g":
         return "g"
+    if kind == "adj":
+        return f"~({draw(functions(width, False))})"
     if width == 1:
         return draw(st.sampled_from(ONE_QUBIT))
     if kind == "tensor":
@@ -117,7 +122,11 @@ def functions(draw, width, stage=True):
         return (f"({draw(functions(k, False))} + "
                 f"{draw(functions(width - k, False))})")
     if kind == "pred":
-        return f"({{'{'1' * (width - 1)}'}} & {draw(functions(1, False))})"
+        k = draw(st.integers(1, width - 1))
+        basis = draw(st.sampled_from([f"{{'{'1' * k}'}}",
+                                      f"{{'{'0' * k}', '{'1' * k}'}}",
+                                      f"pm[{k}]"]))
+        return f"({basis} & {draw(functions(width - k, False))})"
     return f"id[{width}]"
 
 
