@@ -145,6 +145,14 @@ def basis(*elements: BasisElement) -> Basis:
     return Basis(tuple(elements))
 
 
+def concat(outer: Optional[Basis], inner: Optional[Basis]) -> Optional[Basis]:
+    """``outer + inner``, where None is no basis. A predicate is the outer
+    basis: its qubits come before those of what it predicates."""
+    if outer is None or inner is None:
+        return inner if outer is None else outer
+    return Basis(outer.elements + inner.elements)
+
+
 def vector_from_chars(chars: str, phase: Optional[float] = None) -> BasisVector:
     """Parse a uniform-prim qubit literal such as '01' or 'pm' into a vector."""
     prims = {CHAR_TO_PRIM_BIT[c][0] for c in chars}

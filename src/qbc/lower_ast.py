@@ -1,18 +1,19 @@
 """
 Lowering of typed, tensor-flattened ASTs into the basis-level IR.
 
-Each function value that is not a kernel gets a module function of its own,
-built here in its final shape (``_lambda``): a tensor product of function
-values becomes a function that takes the parts as captures, unpacks, calls
-each part and repacks (``_tensor_fn``); a translation, measurement, discard
-or embed in value position becomes a function running that one op
-(``_op_lambda``). The caller gets a ``func_const`` over the captures. The
-pipe operator always emits indirect calls. Ops are built with ``FnBuilder``.
+A function expression only ever stands in function position, so lowering
+applies each pipe stage to the value piped into it (``apply``), with an
+adjoint flag and a predicate basis carried down through ``~``, ``&``,
+tensors and conditionals. A translation, measurement, discard or embed is
+emitted in place, a kernel becomes one ``call`` with its ``adj`` and
+``pred`` attributes, a tensor unpacks, applies each part and repacks, and a
+conditional applies each branch inside its ``cond`` region. No function
+value reaches the basis IR. Ops are built with ``FnBuilder``.
 
 The input has been expanded and checked in one walk (``expand``), so every
 name is bound and every node is one that lowering handles; nothing is
-checked again here. Each function value's type comes from the rules next
-to ``qwir.QwTy``, the ones that walk applied, and a kernel's is its
+checked again here. A tensor part's input width comes from the rules next
+to ``qwir.QwTy``, the ones that walk applied, and a kernel's type is its
 ``TypedProgram.fn_types`` entry.
 """
 
@@ -22,12 +23,12 @@ from typing import Optional
 
 from . import bases
 from .ast_nodes import (
-    DiscardNode, EmbedNode, ExprNode, MeasureNode, PipeNode, PredNode, QpuFn,
-    QubitLitNode, TensorNode, TransNode, AdjointNode, VarNode,
+    AdjointNode, DiscardNode, EmbedNode, ExprNode, MeasureNode, PipeNode,
+    PredNode, QpuFn, QubitLitNode, TensorNode, TransNode, VarNode,
 )
-from .bases import Prim
+from .bases import Basis, Prim, concat
 from .qwir import (
-    FnBuilder, QwModule, QwTy, discard_fn, embed_fn, measure_fn, pred_fn,
+    FnBuilder, QwModule, QwTy, bit, discard_fn, embed_fn, measure_fn, pred_fn,
     qubit, rev_fn, tensor_fn,
 )
 from .expand import TypedProgram, basis_of, evaluate
@@ -47,7 +48,6 @@ class _Lowerer:
     def __init__(self, tp: TypedProgram, m: QwModule):
         self.tp = tp
         self.m = m
-        self.lambdas = 0  # function values made so far, for their names
 
     def lower_fn(self, q: QpuFn) -> None:
         b = FnBuilder(q.name, q.reversible)
@@ -78,27 +78,14 @@ class _Lowerer:
         if isinstance(e, QubitLitNode):
             return self._qubit_literal(b, e)
         if isinstance(e, TensorNode):
-            parts = [self.value(b, p, env) for p in e.parts]
-            # Expansion makes the parts all qubits or all bits.
-            ty = QwTy(b.fn.types[parts[0]].kind,
-                      sum(b.fn.types[p].dim for p in parts))
-            return b.emit("bitpack" if ty.kind == "bit" else "qbpack",
-                          parts, [ty])[0]
+            return _pack(b, [self.value(b, p, env) for p in e.parts])
         if isinstance(e, PipeNode):
             # Expansion leaves a discard (no result) only as the last stage.
             v = self.value(b, e.value, env)
             for fn in e.fns:
-                fv = self.fn_value(b, fn, env)
-                fty = b.fn.types[fv]
-                if fty.fout_kind == "none":
-                    b.emit("call_indirect", [fv, v], [])
-                    return None
-                (v,) = b.emit("call_indirect", [fv, v], [fty.out])
+                v = self.apply(b, fn, v, env)
             return v
-        if isinstance(e, VarNode) and e.name in env:
-            return env[e.name]
-        # Remaining expression forms denote function values.
-        return self.fn_value(b, e, env)
+        return env[e.name]  # expansion leaves only bound names as values
 
     def _qubit_literal(self, b: FnBuilder, e: QubitLitNode) -> int:
         runs: list[tuple[Prim, str]] = []
@@ -131,96 +118,105 @@ class _Lowerer:
                 "qbpack", parts, [qubit(len(e.chars))])
         return v
 
-    # -- function values ------------------------------------------------------
+    # -- function application -------------------------------------------------
 
-    def fn_value(self, b: FnBuilder, e: ExprNode, env) -> int:
-        if isinstance(e, TransNode):
-            b_in = basis_of(e.b_in)
-            b_out = basis_of(e.b_out)
-            return self._op_lambda(b, "qbtrans", rev_fn(b_in.dim),
-                                   {"b_in": b_in, "b_out": b_out})
-        if isinstance(e, MeasureNode):
-            basis = basis_of(e.basis)
-            return self._op_lambda(b, "qbmeas", measure_fn(basis.dim),
-                                   {"basis": basis})
-        if isinstance(e, DiscardNode):
-            return self._op_lambda(b, "qbdiscard", discard_fn(e.dim.value))
-        if isinstance(e, EmbedNode):
-            fty = embed_fn(self.tp.classicals[e.fn], e.mode)
-            return self._op_lambda(b, "embed", fty,
-                                   {"fn": e.fn, "mode": e.mode, "pred": None})
-        if isinstance(e, VarNode):
-            (fv,) = b.emit("func_const", [], [self.tp.fn_types[e.name]],
-                           {"sym": e.name})
-            return fv
+    def apply(self, b: FnBuilder, e: ExprNode, v: int, env, adj: bool = False,
+              pred: Optional[Basis] = None) -> Optional[int]:
+        """Emit the function expression ``e`` applied to the qubit value
+        ``v`` and return its result, None for a discard: the adjoint of
+        ``e`` with ``adj``, and with ``pred`` set, ``e`` predicated on it,
+        whose qubits come first in ``v``."""
         if isinstance(e, AdjointNode):
-            inner = self.fn_value(b, e.fn, env)
-            (fv,) = b.emit("func_adj", [inner], [b.fn.types[inner]])
-            return fv
+            return self.apply(b, e.fn, v, env, not adj, pred)
         if isinstance(e, PredNode):
-            basis = basis_of(e.basis)
-            inner = self.fn_value(b, e.fn, env)
-            (fv,) = b.emit("func_pred", [inner],
-                           [pred_fn(basis.dim, b.fn.types[inner])],
-                           {"basis": basis})
-            return fv
+            return self.apply(b, e.fn, v, env, adj, concat(pred, basis_of(e.basis)))
+        ty = b.fn.types[v]
+        if isinstance(e, TransNode):
+            sides = [concat(pred, basis_of(s)) for s in (e.b_in, e.b_out)]
+            if adj:
+                sides.reverse()
+            return b.emit("qbtrans", [v], [ty],
+                          {"b_in": sides[0], "b_out": sides[1]})[0]
+        if isinstance(e, EmbedNode):
+            # Bennett embeddings and sign flips are their own adjoints.
+            return b.emit("embed", [v], [ty],
+                          {"fn": e.fn, "mode": e.mode, "pred": pred})[0]
+        if isinstance(e, MeasureNode):
+            return b.emit("qbmeas", [v], [bit(ty.dim)],
+                          {"basis": basis_of(e.basis)})[0]
+        if isinstance(e, DiscardNode):
+            b.emit("qbdiscard", [v])
+            return None
+        if isinstance(e, VarNode):
+            out = self.tp.fn_types[e.name].out if pred is None else ty
+            results = b.emit("call", [v], [] if out.kind == "none" else [out],
+                             {"sym": e.name, "adj": adj, "pred": pred})
+            return results[0] if results else None
         if isinstance(e, TensorNode):
-            return self._tensor_fn(b, e, env)
-        # What is left is a conditional.
+            return self._apply_tensor(b, e, v, env, adj, pred)
+        # What is left is a conditional: each branch applies its function.
         flag = self.value(b, e.flag, env)
-        then_region = b.push_block()
-        tv = self.fn_value(b, e.then, env)
-        b.emit("yield", [tv])
-        b.pop_block()
-        else_region = b.push_block()
-        ev = self.fn_value(b, e.els, env)
-        b.emit("yield", [ev])
-        b.pop_block()
-        (fv,) = b.emit("cond", [flag], [b.fn.types[tv]], {},
-                       [then_region, else_region])
-        return fv
+        regions = []
+        for branch in (e.then, e.els):
+            regions.append(b.push_block())
+            out = self.apply(b, branch, v, env, adj, pred)
+            b.emit("yield", [out])
+            b.pop_block()
+        return b.emit("cond", [flag], [b.fn.types[out]], {}, regions)[0]
 
-    def _op_lambda(self, b: FnBuilder, kind: str, fty: QwTy,
-                   attrs=None) -> int:
-        """A function value of type ``fty`` whose function runs one ``kind``
-        op on its qubit argument and returns the op's results."""
-        def body(fb, caps, q):
-            return fb.emit(kind, [q], [] if fty.fout_kind == "none"
-                           else [fty.out], attrs)
-        return self._lambda(b, fty, [], body)
+    def _apply_tensor(self, b: FnBuilder, e: TensorNode, v: int, env,
+                      adj: bool, pred: Optional[Basis]) -> Optional[int]:
+        """``apply`` of a tensor: unpack ``v``, apply each part to its
+        slice (last part first for the adjoint), and repack the results.
+        Under a predicate, each part runs on the predicate's qubits and its
+        own slice."""
+        fins = [self.fn_type(p).fin for p in e.parts]
+        p = 0 if pred is None else pred.dim
+        if p:
+            pred_q, v = b.emit("qbunpack", [v], [qubit(p), qubit(sum(fins))],
+                               {"sizes": (p, sum(fins))})
+        pieces = b.emit("qbunpack", [v], [qubit(n) for n in fins],
+                        {"sizes": tuple(fins)})
+        outs: list[Optional[int]] = [None] * len(fins)
+        for i in reversed(range(len(fins))) if adj else range(len(fins)):
+            piece = pieces[i]
+            if p:
+                (piece,) = b.emit("qbpack", [pred_q, piece], [qubit(p + fins[i])])
+            outs[i] = self.apply(b, e.parts[i], piece, env, adj, pred)
+            if p:
+                pred_q, outs[i] = b.emit("qbunpack", [outs[i]],
+                                         [qubit(p), qubit(fins[i])],
+                                         {"sizes": (p, fins[i])})
+        out = _pack(b, [o for o in outs if o is not None])
+        if p:
+            (out,) = b.emit("qbpack", [pred_q, out], [qubit(p + sum(fins))])
+        return out
 
-    def _tensor_fn(self, b: FnBuilder, e: TensorNode, env) -> int:
-        parts = [self.fn_value(b, p, env) for p in e.parts]
-        ptys = [b.fn.types[p] for p in parts]
-        fty = tensor_fn(ptys)
+    def fn_type(self, e: ExprNode) -> QwTy:
+        """The type of the function expression ``e``."""
+        if isinstance(e, TransNode):
+            return rev_fn(basis_of(e.b_in).dim)
+        if isinstance(e, MeasureNode):
+            return measure_fn(basis_of(e.basis).dim)
+        if isinstance(e, DiscardNode):
+            return discard_fn(e.dim.value)
+        if isinstance(e, EmbedNode):
+            return embed_fn(self.tp.classicals[e.fn], e.mode)
+        if isinstance(e, VarNode):
+            return self.tp.fn_types[e.name]
+        if isinstance(e, AdjointNode):
+            return self.fn_type(e.fn)
+        if isinstance(e, PredNode):
+            return pred_fn(basis_of(e.basis).dim, self.fn_type(e.fn))
+        if isinstance(e, TensorNode):
+            return tensor_fn([self.fn_type(p) for p in e.parts])
+        return self.fn_type(e.then)
 
-        # The function takes the part function values as captures; it
-        # unpacks the combined register, calls each part, and repacks the
-        # results.
-        def body(fb, caps, q):
-            pieces = fb.emit("qbunpack", [q], [qubit(t.fin) for t in ptys],
-                             {"sizes": tuple(t.fin for t in ptys)})
-            outs = []
-            for cap, piece, ty in zip(caps, pieces, ptys):
-                outs += fb.emit("call_indirect", [cap, piece],
-                                [] if ty.fout_kind == "none" else [ty.out])
-            if len(outs) > 1:
-                outs = fb.emit("qbpack" if fty.rev else "bitpack", outs,
-                               [fty.out])
-            return outs
-        return self._lambda(b, fty, parts, body)
 
-    def _lambda(self, b: FnBuilder, fty: QwTy, caps: list[int], body) -> int:
-        """A ``func_const`` over ``caps`` in ``b`` naming a new module
-        function ``{kernel}.lambda{k}``, the k-th of the module (a ``.`` no
-        identifier holds). Its parameters are one per capture, then
-        ``qubit[fty.fin]``; ``body(builder, capture params, qubit param)``
-        emits its ops and returns the values it returns."""
-        fb = FnBuilder(f"{b.fn.name}.lambda{self.lambdas}", fty.rev)
-        self.lambdas += 1
-        params = [fb.param(b.fn.types[c]) for c in caps]
-        outs = body(fb, params, fb.param(qubit(fty.fin)))
-        fb.emit("ret", outs)
-        self.m.functions[fb.fn.name] = fb.finish([fb.fn.types[v] for v in outs])
-        (fv,) = b.emit("func_const", caps, [fty], {"sym": fb.fn.name})
-        return fv
+def _pack(b: FnBuilder, parts: list[int]) -> Optional[int]:
+    """One value of ``parts`` in order, all qubits or all bits: None for
+    none, the part itself for one."""
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    ty = QwTy(b.fn.types[parts[0]].kind, sum(b.fn.types[p].dim for p in parts))
+    return b.emit("bitpack" if ty.kind == "bit" else "qbpack", parts, [ty])[0]

@@ -6,8 +6,8 @@ become compute-copy-uncompute networks with clean ancillas, and measurement
 destandardizes into the computational basis.
 
 Requires a module that ``qwir.verify(m, inlined=True)`` accepts: no call
-or function value is left, and no cond's branch measures, discards or holds
-a cond. Only synthesis can still reject a translation here (``synth``).
+is left, and no cond's branch measures, discards or holds a cond. Only
+synthesis can still reject a translation here (``synth``).
 
 Qubits are tracked as physical wire slots; IR values map to slot lists and
 each slot remembers its current dataflow value id. Conditional regions then

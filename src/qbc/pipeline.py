@@ -10,12 +10,13 @@ Each rewrite has one home, and each IR is built in the shape its consumers
 want. The front end types and checks each kernel and classical body once,
 in the walk that expands it, so diagnostics point into the source as
 written, and that walk builds every tensor flat, so ``a + (b + c)`` reaches
-lowering as ``a + b + c``. Lowering gives each function value its own module
-function as it meets it, so no pass lifts one. Every angle is a float by the
-time ``lower_ast`` builds the basis IR; adjoints and predicates are resolved
-there (``qwir_passes``), whose canonicalization
-also fuses each run of chained translations into one and drops identity
-translations, at every -O level, so gate lowering synthesizes a run once.
+lowering as ``a + b + c``. Lowering applies each function expression where
+it stands, so the basis IR holds no function value and a kernel's adjoint
+or predicated form is asked for by one ``call``. Every angle is a float by
+the time ``lower_ast`` builds the basis IR; inlining makes each form a call
+asks for (``qwir_passes``), whose canonicalization also fuses each run of
+chained translations into one and drops identity translations, at every -O
+level, so gate lowering synthesizes a run once.
 Gate-level rewrites happen in ``peephole``. Phase folding runs just before its rewrite
 rules, which cancel the gates that folding leaves adjacent, and before
 decomposition: on the benchmark programs, folding a decomposed circuit again

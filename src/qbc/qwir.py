@@ -5,8 +5,9 @@ Qubits flow through ops as linear values (each qbundle value has exactly one
 use), which makes adjointing and predicating rewrites plain DAG surgery.
 Functions have a single-region, single-block body; only `cond` ops carry
 nested blocks, one per branch, which take no arguments and may reference
-values from the enclosing block. A function value is a `func_const` naming a
-module function, with its captures as operands.
+values from the enclosing block. Values are qubits and bits only: the one
+edge between functions is a `call` naming a kernel, with its adjoint and
+predicate as attributes, and there are no function values.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .record import field, record
 
 class QwTy(NamedTuple):
     """The one type from expansion to the basis IR: ``qubit[dim]`` and
-    ``bit[dim]`` values, function values ``func(qubit[fin] ->
-    fout_kind[fout_dim])`` (reversible when ``rev``), and two kinds only the
-    front end sees, ``basis[dim]`` and ``none`` (what a discard leaves).
+    ``bit[dim]`` values, which are all the basis IR holds, and three kinds
+    only the front end and lowering see: function types ``func(qubit[fin]
+    -> fout_kind[fout_dim])`` (reversible when ``rev``), ``basis[dim]`` and
+    ``none`` (what a discard leaves).
     There is no angle type: expansion bakes every captured angle into its
     kernel instance and lowering folds each phase into a float of a basis
     vector. The typing rules that expansion and lowering share
@@ -171,30 +173,23 @@ class VerifyError(Exception):
     pass
 
 
-def is_stationary(op: QwOp, fn: QwFunc) -> bool:
-    """An op is stationary iff it neither consumes nor produces qubit values."""
-    vals = list(op.operands) + list(op.results)
-    return all(fn.types[v].kind != "qubit" for v in vals)
-
-
 def op_location(fn: QwFunc, op: QwOp) -> str:
     return f"@{fn.name}:{op.kind}"
 
 
-# Calls and function values, which inlining removes; the ops a cond's
-# branch cannot hold, as a gate takes one condition and a measurement none;
-# and the ops a reversible function cannot hold, which have no inverse.
-CALL_KINDS = frozenset({"call", "call_indirect", "func_const", "func_adj",
-                        "func_pred"})
+# The ops a cond's branch cannot hold, as a gate takes one condition and a
+# measurement none; and the ops a reversible function cannot hold: those
+# with no inverse, and the bit ops, which a function without a measurement
+# has no use for, so that every op of a reversible function moves qubits.
 UNCONDITIONAL = frozenset({"qbmeas", "qbdiscard", "cond"})
-IRREVERSIBLE = UNCONDITIONAL | {"qbprep"}
+IRREVERSIBLE = UNCONDITIONAL | {"qbprep", "bitpack", "bitunpack"}
 
 
 def verify(m: QwModule, inlined: bool = False) -> None:
     """Check SSA, typing, linearity, and span invariants for every function,
-    and with ``inlined`` that no call or function value is left."""
+    and with ``inlined`` that no call is left."""
     for fn in m.functions.values():
-        _verify_fn(m, fn, CALL_KINDS if inlined else frozenset())
+        _verify_fn(m, fn, frozenset({"call"}) if inlined else frozenset())
 
 
 def _verify_fn(m: QwModule, fn: QwFunc, banned: frozenset) -> None:
@@ -205,8 +200,9 @@ def _verify_fn(m: QwModule, fn: QwFunc, banned: frozenset) -> None:
                   banned | IRREVERSIBLE if fn.reversible else banned)
     # The adjoint and predicated forms of a reversible function take and
     # return one qubit value.
-    qs = [fn.types[p] for p in fn.params if fn.types[p].kind == "qubit"]
-    if fn.reversible and (len(qs) != 1 or fn.result_types != qs):
+    tys = [fn.types[p] for p in fn.params]
+    if fn.reversible and (len(tys) != 1 or tys[0].kind != "qubit"
+                          or fn.result_types != tys):
         raise VerifyError(f"@{fn.name}: reversible, but does not take and "
                           "return one qubit value")
 
@@ -242,6 +238,10 @@ def _verify_block(m, fn, block, outer: set[int],
             for region in op.regions:
                 r_uses = _verify_block(m, fn, region, local,
                                        banned | UNCONDITIONAL, top=False)
+                yields = [fn.types[v] for v in region.ops[-1].operands]
+                if yields != [fn.types[r] for r in op.results]:
+                    raise VerifyError(f"{op_location(fn, op)}: a branch yields "
+                                      f"{', '.join(map(str, yields)) or '()'}")
                 branch_outer.append({
                     v for v in r_uses
                     if v in local and fn.types[v].kind == "qubit"
@@ -324,24 +324,24 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
         width = m.classicals[name].embed_width(op.attrs["mode"])
         want(op.operands[0], "qubit", width + (pred.dim if pred else 0), "operand")
         want(op.results[0], "qubit", t(op.operands[0]).dim, "result")
-    elif k == "func_const":
-        sym = op.attrs["sym"]
-        if sym not in m.functions:
-            raise VerifyError(f"{op_location(fn, op)}: unknown function @{sym}")
-        want(op.results[0], "func", None, "result")
-    elif k in ("func_adj", "func_pred"):
-        want(op.operands[0], "func", None, "operand")
-        want(op.results[0], "func", None, "result")
     elif k == "call":
-        sym = op.attrs["sym"]
+        sym, pred = op.attrs["sym"], op.attrs.get("pred")
         if sym not in m.functions:
             raise VerifyError(f"{op_location(fn, op)}: unknown function @{sym}")
-        if (op.attrs.get("adj") or op.attrs.get("pred") is not None) \
-                and not m.functions[sym].reversible:
+        callee = m.functions[sym]
+        if (op.attrs.get("adj") or pred is not None) and not callee.reversible:
             raise VerifyError(f"{op_location(fn, op)}: adjoint or predicated "
                               f"form of irreversible @{sym}")
-    elif k == "call_indirect":
-        want(op.operands[0], "func", None, "callee")
+        want_in = [callee.types[p] for p in callee.params]
+        want_out = callee.result_types
+        if pred is not None:
+            # A predicated form takes and returns the predicate's qubits
+            # first, and the callee, reversible, one qubit value.
+            want_in = want_out = [qubit(want_out[0].dim + pred.dim)]
+        if ([t(v) for v in op.operands] != want_in
+                or [t(r) for r in op.results] != want_out):
+            raise VerifyError(f"{op_location(fn, op)}: types differ from "
+                              f"those of @{sym}")
     elif k == "cond":
         want(op.operands[0], "bit", 1, "flag")
         if len(op.regions) != 2:
@@ -388,10 +388,6 @@ def _print_op(fn: QwFunc, op: QwOp, ind: str) -> list[str]:
         body = f"embed {op.attrs['mode']} @{op.attrs['fn']}({args})"
         if op.attrs.get("pred") is not None:
             body += f" pred({op.attrs['pred']})"
-    elif k == "func_const":
-        body = f"func_const @{op.attrs['sym']}({args})"
-    elif k == "func_pred":
-        body = f"func_pred({args}) {op.attrs['basis']}"
     elif k == "call":
         body = "call"
         if op.attrs.get("adj"):
@@ -413,8 +409,7 @@ def _print_op(fn: QwFunc, op: QwOp, ind: str) -> list[str]:
         return lines
     else:
         body = f"{k}({args})" if op.operands or op.results else k
-    if k in ("ret", "yield", "qbdiscard", "qbpack", "bitpack",
-             "call_indirect", "func_adj"):
+    if k in ("ret", "yield", "qbdiscard", "qbpack", "bitpack"):
         body = f"{k}({args})"
     line = f"{ind}{eq}{body}"
     if op.results:

@@ -1,21 +1,25 @@
 """
 Rewrites on the basis-level IR: adjointing and predicating single blocks,
 canonicalization, the adjoint and predicated forms of functions, and
-inlining. Lowering has already made every function value a module function
-(``lower_ast``), so no rewrite here builds or lifts one.
+inlining. Lowering applies every function expression where it stands
+(``lower_ast``), so the only edge between functions is a ``call`` of a
+kernel, with its ``adj`` and ``pred`` attributes, and no rewrite here meets
+a function value.
 
 The pipeline canonicalizes, inlines, then drops the functions the entry no
 longer reaches (``prune_unreachable``). ``inline``
 walks the call graph once from the entry, callees first: it rejects a call
 cycle, and flattens each function once by splicing its callees' flat bodies.
 An adjoint or predicated form is made from the callee's flat body the first
-time a call asks for it (``specialize``).
+time a call asks for it (``specialize``); a flat body holds no call, so
+neither does the form, and one splice pass leaves no call behind.
 
 The front end has reported every user error, and ``qwir.verify`` holds
 what these rewrites assume of their input: a reversible function takes and
-returns one qubit value and holds no op without an inverse, and only a
-reversible function is adjointed or predicated. So none of them reports a
-diagnostic.
+returns one qubit value and holds no op without an inverse and no bit op,
+so every op in it moves qubits; only a reversible function is adjointed or
+predicated; and each call's types match its callee's. So none of them
+reports a diagnostic.
 
 Every op these rewrites build with fresh results comes from
 ``QwFunc.emit``; ``_copy_op`` copies one with its operands renamed, and
@@ -31,9 +35,10 @@ from typing import Optional
 
 from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, Prim, builtin_vectors,
+    concat,
 )
 from .qwir import (
-    QwBlock, QwFunc, QwModule, QwOp, VerifyError, is_stationary, qubit,
+    QwBlock, QwFunc, QwModule, QwOp, VerifyError, qubit,
 )
 
 
@@ -44,11 +49,6 @@ SWAP = {
     "b_out": Basis((BasisLiteral((BasisVector(Prim.STD, "10"),
                                   BasisVector(Prim.STD, "01"))),)),
 }
-
-
-def _concat_pred(outer: Basis, inner: Optional[Basis]) -> Basis:
-    # Outer predicates sit leftmost on the combined register.
-    return outer if inner is None else Basis(outer.elements + inner.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -64,42 +64,23 @@ def _copy_op(fn: QwFunc, block: QwBlock, op: QwOp, val_map: dict[int, int]) -> N
 
 
 def adjoint_block(fn: QwFunc, block: QwBlock) -> QwBlock:
-    """Rebuild ``block`` running backward; stationary ops stay in place."""
+    """Rebuild ``block``, which takes and returns one qubit value, running
+    backward."""
     term = block.ops[-1]
-    stationary_ops = [op for op in block.ops[:-1] if is_stationary(op, fn)]
-    quantum_ops = [op for op in block.ops[:-1] if not is_stationary(op, fn)]
-
     new = QwBlock()
-    val_map: dict[int, int] = {}
-    # The adjoint block keeps the original argument list shape: classical
-    # arguments pass through, qubit arguments become the reversed outputs.
-    qubit_args = []
-    for a in block.args:
-        na = fn.new_value(fn.types[a])
-        new.args.append(na)
-        if fn.types[a].kind == "qubit":
-            qubit_args.append((a, na))
-        else:
-            val_map[a] = na
-    for op in stationary_ops:
-        _copy_op(fn, new, op, val_map)
-
-    term_qubits = [v for v in term.operands if fn.types[v].kind == "qubit"]
-    for (_, new_arg), old_out in zip(qubit_args, term_qubits):
-        val_map[old_out] = new_arg
-
-    for op in reversed(quantum_ops):
+    (a,) = block.args
+    new.args.append(fn.new_value(fn.types[a]))
+    val_map = {term.operands[0]: new.args[0]}
+    for op in reversed(block.ops[:-1]):
         _emit_adjoint(fn, new, op, val_map)
-
-    fn.emit(new, term.kind, [val_map[old_arg] for old_arg, _ in qubit_args])
+    fn.emit(new, term.kind, [val_map[a]])
     return new
 
 
 def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -> None:
     """Append the inverse of ``op`` to ``new``: it consumes the values
-    ``val_map`` gives op's results, and ``val_map`` then maps op's qubit
-    operands to its results. Every op but a pack or unpack takes its one
-    qubit value last, after any captures or function value."""
+    ``val_map`` gives op's results, and ``val_map`` then maps op's
+    operands to its results."""
     t = fn.types
     if op.kind == "qbpack":
         results = fn.emit(new, "qbunpack", [val_map[op.results[0]]],
@@ -107,22 +88,16 @@ def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -
                           {"sizes": tuple(t[v].dim for v in op.operands)})
         val_map.update(zip(op.operands, results))
         return
+    (q,) = op.operands
     if op.kind == "qbunpack":
-        q = op.operands[0]
         (val_map[q],) = fn.emit(new, "qbpack", [val_map[r] for r in op.results],
                                 [t[q]])
         return
-    q = op.operands[-1]
-    operands = [val_map[v] for v in op.operands[:-1]] + [val_map[op.results[0]]]
     attrs = op.attrs
     if op.kind == "qbtrans":
         attrs = {"b_in": attrs["b_out"], "b_out": attrs["b_in"]}
-    elif op.kind == "call":
-        attrs = {**attrs, "adj": not attrs.get("adj", False)}
-    elif op.kind == "call_indirect":
-        (operands[0],) = fn.emit(new, "func_adj", operands[:1], [t[op.operands[0]]])
     # Bennett embeddings and sign flips are self-adjoint.
-    (val_map[q],) = fn.emit(new, op.kind, operands, [t[q]], attrs)
+    (val_map[q],) = fn.emit(new, op.kind, [val_map[op.results[0]]], [t[q]], attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +106,9 @@ def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -
 
 def qubit_index_analysis(fn: QwFunc, block: QwBlock) -> dict[int, tuple[int, ...]]:
     """Map each qubit value to the input positions it carries (renaming map)."""
-    idx: dict[int, tuple[int, ...]] = {}
-    counter = 0
-    for a in block.args:
-        if fn.types[a].kind == "qubit":
-            d = fn.types[a].dim
-            idx[a] = tuple(range(counter, counter + d))
-            counter += d
+    (a,) = block.args
+    idx = {a: tuple(range(fn.types[a].dim))}
     for op in block.ops[:-1]:
-        if is_stationary(op, fn):
-            continue
         if op.kind == "qbpack":
             combined: tuple[int, ...] = ()
             for v in op.operands:
@@ -152,8 +120,8 @@ def qubit_index_analysis(fn: QwFunc, block: QwBlock) -> dict[int, tuple[int, ...
             for r, s in zip(op.results, op.attrs["sizes"]):
                 idx[r] = src[at : at + s]
                 at += s
-        else:  # qbtrans, embed, call or call_indirect: one qubit in and out
-            idx[op.results[0]] = idx[op.operands[-1]]
+        else:  # qbtrans or embed: one qubit in and out
+            idx[op.results[0]] = idx[op.operands[0]]
     return idx
 
 
@@ -172,9 +140,10 @@ def undo_swaps(perm: list[int]) -> list[tuple[int, int]]:
 
 
 def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
-    """Rebuild ``block`` so it acts only inside span(pred) of fresh qubits.
+    """Rebuild ``block``, which takes and returns one qubit value, so it
+    acts only inside span(pred) of fresh qubits prepended to it.
 
-    Every non-stationary op gets the predicate prepended; renaming-based
+    Every translation and embed gets the predicate prepended; renaming-based
     swaps are undone outside the predicated space with an uncontrolled SWAP
     followed by a predicated SWAP per transposition.
     """
@@ -183,34 +152,27 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
     index = qubit_index_analysis(fn, block)
 
     new = QwBlock()
-    val_map: dict[int, int] = {}
-    (n,) = [fn.types[a].dim for a in block.args if fn.types[a].kind == "qubit"]
-    for a in block.args:
-        if fn.types[a].kind == "qubit":
-            wide = fn.new_value(qubit(p + n))
-            new.args.append(wide)
-            pred_q, val_map[a] = fn.emit(new, "qbunpack", [wide],
-                                         [qubit(p), qubit(n)], {"sizes": (p, n)})
-        else:
-            na = fn.new_value(fn.types[a])
-            new.args.append(na)
-            val_map[a] = na
+    (a,) = block.args
+    n = fn.types[a].dim
+    new.args.append(fn.new_value(qubit(p + n)))
+    pred_q, body_q = fn.emit(new, "qbunpack", new.args, [qubit(p), qubit(n)],
+                             {"sizes": (p, n)})
+    val_map = {a: body_q}
 
-    def pred_apply(kind: str, body_vals: list[int], attrs: dict, pre=(),
+    def pred_apply(kind: str, body_vals: list[int], attrs: dict,
                    predicated: bool = True) -> list[int]:
-        """Pack the predicate and ``body_vals``, run ``kind`` on ``pre``
-        then the packed value, unpack, and return the new body values. A
-        qbtrans gets the predicate prepended to its bases. With
-        ``predicated=False`` the op runs on ``body_vals`` alone."""
+        """Pack the predicate and ``body_vals``, run ``kind`` on the packed
+        value, unpack, and return the new body values. A qbtrans gets the
+        predicate prepended to its bases. With ``predicated=False`` the op
+        runs on ``body_vals`` alone."""
         nonlocal pred_q
         if predicated:
             body_vals = [pred_q] + body_vals
             if kind == "qbtrans":
-                attrs = {k: Basis(pred.elements + attrs[k].elements)
-                         for k in ("b_in", "b_out")}
+                attrs = {k: concat(pred, attrs[k]) for k in ("b_in", "b_out")}
         dims = [fn.types[v].dim for v in body_vals]
         (packed,) = fn.emit(new, "qbpack", body_vals, [qubit(sum(dims))])
-        (out,) = fn.emit(new, kind, [*pre, packed], [qubit(sum(dims))], attrs)
+        (out,) = fn.emit(new, kind, [packed], [qubit(sum(dims))], attrs)
         outs = fn.emit(new, "qbunpack", [out], [qubit(d) for d in dims],
                        {"sizes": tuple(dims)})
         if predicated:
@@ -218,30 +180,18 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
         return outs
 
     for op in block.ops[:-1]:
-        if is_stationary(op, fn) or op.kind in ("qbpack", "qbunpack"):
+        if op.kind in ("qbpack", "qbunpack"):
             _copy_op(fn, new, op, val_map)
             continue
-        if op.kind == "qbtrans":
-            (nq,) = pred_apply("qbtrans", [val_map[op.operands[0]]], op.attrs)
-        elif op.kind in ("embed", "call"):
-            attrs = {**op.attrs, "pred": _concat_pred(pred, op.attrs.get("pred"))}
-            (nq,) = pred_apply(op.kind, [val_map[op.operands[-1]]], attrs,
-                               pre=[val_map[c] for c in op.operands[:-1]])
-        else:  # call_indirect
-            fv = op.operands[0]
-            pfv = fn.emit(new, "func_pred", [val_map[fv]], [fn.types[fv]],
-                          {"basis": pred})
-            (nq,) = pred_apply("call_indirect", [val_map[op.operands[-1]]], {},
-                               pre=pfv)
-        val_map[op.results[0]] = nq
+        attrs = op.attrs
+        if op.kind == "embed":
+            attrs = {**attrs, "pred": concat(pred, attrs.get("pred"))}
+        (val_map[op.results[0]],) = pred_apply(
+            op.kind, [val_map[op.operands[0]]], attrs)
 
     # Undo renaming-based swaps outside the predicated space.
-    out_vals = [val_map[v] for v in term.operands if fn.types[v].kind == "qubit"]
-    perm: list[int] = []
-    for v in term.operands:
-        if fn.types[v].kind == "qubit":
-            perm.extend(index[v])
-    swaps = undo_swaps(perm)
+    out_vals = [val_map[v] for v in term.operands]
+    swaps = undo_swaps([i for v in term.operands for i in index[v]])
     if swaps:
         (packed,) = fn.emit(new, "qbpack", out_vals, [qubit(n)])
         out_vals = fn.emit(new, "qbunpack", [packed], [qubit(1)] * n,
@@ -309,29 +259,6 @@ def _use_counts(block: QwBlock, counts: dict[int, int],
             counts[v] = counts.get(v, 0) + 1
         for r in op.regions:
             _use_counts(r, counts, subst)
-
-
-def _resolve_callee(defs: dict[int, QwOp], v: int):
-    """Peel func_adj/func_pred wrappers down to a func_const, if statically known."""
-    adj = False
-    preds: list[Basis] = []
-    while True:
-        op = defs.get(v)
-        if op is None:
-            return None
-        if op.kind == "func_adj":
-            adj = not adj
-            v = op.operands[0]
-        elif op.kind == "func_pred":
-            preds.append(op.attrs["basis"])
-            v = op.operands[0]
-        elif op.kind == "func_const":
-            pred = None
-            for b in reversed(preds):
-                pred = _concat_pred(b, pred)
-            return op.attrs["sym"], adj, pred, list(op.operands)
-        else:
-            return None
 
 
 def _vectors(e: BasisElement) -> tuple[BasisVector, ...]:
@@ -417,19 +344,15 @@ class _Chain:
         return Basis(tuple(out))
 
 
-DROPPABLE = {"func_const", "func_adj", "func_pred",
-             "qbpack", "qbunpack", "bitpack", "bitunpack"}
+DROPPABLE = {"qbpack", "qbunpack", "bitpack", "bitunpack"}
 
 
 def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
     """One walk of the rewrites over ``block`` and its regions; returns
-    whether any fired. The rewrites: a call_indirect of a statically known
-    function value becomes a call; a double func_adj goes; a qbunpack of a
-    qbpack, a one-operand qbpack and a qbpack of a qbunpack's results are
-    renamings and go; a qbtrans whose ``b_in == b_out`` goes and one fed by
-    a qbtrans is fused into it; a call_indirect, func_adj or func_pred of a
-    cond's function result moves into both branches; dead stationary ops
-    and pack/unpack ops go."""
+    whether any fired. The rewrites: a qbunpack of a qbpack, a one-operand
+    qbpack and a qbpack of a qbunpack's results are renamings and go; a
+    qbtrans whose ``b_in == b_out`` goes and one fed by a qbtrans is fused
+    into it; dead pack/unpack ops go."""
     changed = False
     for op in block.ops:
         for r in op.regions:
@@ -455,22 +378,6 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                     subst[op.results[0]] = q
                     changed = True
                     continue
-        elif op.kind == "call_indirect":
-            resolved = _resolve_callee(defs, op.operands[0])
-            if resolved is not None:
-                sym, adj, pred, caps = resolved
-                new_ops.append(QwOp(
-                    "call", caps + op.operands[1:], op.results,
-                    {"sym": sym, "adj": adj, "pred": pred},
-                ))
-                changed = True
-                continue
-        elif op.kind == "func_adj":
-            inner = defs.get(op.operands[0])
-            if inner is not None and inner.kind == "func_adj":
-                subst[op.results[0]] = inner.operands[0]
-                changed = True
-                continue
         elif op.kind == "qbunpack":
             src = defs.get(op.operands[0])
             if src is not None and src.kind == "qbpack":
@@ -490,22 +397,14 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
                 subst[op.results[0]] = src.operands[0]
                 changed = True
                 continue
-        if op.kind in ("call_indirect", "func_adj", "func_pred"):
-            cond_op = defs.get(op.operands[0])
-            if cond_op is not None and cond_op.kind == "cond" \
-                    and len(cond_op.results) == 1:
-                _push_into_cond(fn, cond_op, op)
-                defs.update((r, cond_op) for r in op.results)
-                changed = True
-                continue
         new_ops.append(op)
 
     # A fused head whose composite is its input goes in the next walk.
     for chain in chains.values():
         chain.head.attrs = {**chain.head.attrs, "b_out": chain.basis()}
 
-    # Drop dead stationary ops and dead pure-renaming pack/unpack ops
-    # (removing a dead pack releases its operands for their real consumer).
+    # Drop dead pure-renaming pack/unpack ops (removing a dead pack
+    # releases its operands for their real consumer).
     block.ops = new_ops
     counts: dict[int, int] = {}
     _use_counts(block, counts, subst)
@@ -515,23 +414,6 @@ def _canon_block(fn: QwFunc, block: QwBlock, subst: dict[int, int]) -> bool:
     changed = changed or len(kept) < len(block.ops)
     block.ops = kept
     return changed
-
-
-def _push_into_cond(fn: QwFunc, cond_op: QwOp, op: QwOp) -> None:
-    """Clone ``op`` (a call_indirect, func_adj or func_pred of the cond's
-    function result) into both branches.
-
-    The cond then defines op's results, and the caller drops op; this is
-    sound because every function value the front end lowers has exactly one
-    use. Repeated, it turns every wrapped or called function value of a
-    cond into a direct call inside each branch.
-    """
-    for region in cond_op.regions:
-        term = region.ops.pop()
-        term.operands = fn.emit(region, op.kind, term.operands + op.operands[1:],
-                                [fn.types[r] for r in op.results], op.attrs)
-        region.ops.append(term)
-    cond_op.results = list(op.results)
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +428,14 @@ def _iter_ops(block: QwBlock):
 
 
 def _callees(fn: QwFunc) -> list[str]:
-    """The functions ``fn`` calls or takes as a value, in op order."""
-    return [op.attrs["sym"] for op in _iter_ops(fn.block)
-            if op.kind in ("call", "func_const")]
+    """The functions ``fn`` calls, in op order."""
+    return [op.attrs["sym"] for op in _iter_ops(fn.block) if op.kind == "call"]
 
 
-def count_calls(m: QwModule) -> tuple[int, int]:
-    """(direct call count, indirect call count) across all functions."""
-    kinds = [op.kind for fn in m.functions.values() for op in _iter_ops(fn.block)]
-    return kinds.count("call"), kinds.count("call_indirect")
+def count_calls(m: QwModule) -> tuple[int]:
+    """(call count,) across all functions."""
+    return (sum(op.kind == "call" for fn in m.functions.values()
+                for op in _iter_ops(fn.block)),)
 
 
 def _clone_into(fn: QwFunc, src_fn: QwFunc, block: QwBlock) -> QwBlock:
@@ -586,7 +467,7 @@ def inline(m: QwModule) -> None:
     """Flatten the entry and every function it reaches, callees first.
 
     ``m`` must already be canonicalized (``canonicalize_ir``). One iterative
-    depth-first walk over the calls and function values from the entry
+    depth-first walk over the calls from the entry
     flattens each function as it leaves it (``_flatten``), so every callee
     is flat before its callers are. Expansion reports a recursive kernel
     at its call, so a call cycle here is a compiler bug: it raises
@@ -617,10 +498,9 @@ def inline(m: QwModule) -> None:
 
 def _flatten(m: QwModule, fn: QwFunc) -> None:
     """Splice every call of ``fn``, whose callees are all flat, then
-    canonicalize it. Resolving a ``call_indirect`` there can expose a call,
-    which names a flat function too and is spliced in the same visit."""
+    canonicalize it."""
     subst: dict[int, int] = {}
-    while _splice_calls(m, fn, fn.block, subst):
+    if _splice_calls(m, fn, fn.block, subst):
         _canonicalize_fn(fn, subst)
 
 

@@ -6,8 +6,8 @@ pipe chain, a predicated oracle and a phase conditioned on a measurement),
 two that allocate after a measurement or a discard, four sign oracles
 whose phase kick has no target wire, a conditional that swaps wires, a
 measurement whose one outcome is left only rounding error, adjoints and
-predicates of conditionals, tensors and kernels, and the generated
-programs of ``test_front_fuzz``.
+predicates of conditionals, tensors and kernels, a conditional inside a
+tensor, and the generated programs of ``test_front_fuzz``.
 Where a program's distribution is known, every way must give it."""
 
 import pathlib
@@ -150,6 +150,14 @@ qpu main() -> bit[3] {
 }
 """, {}),
     "composite": (GOLDENS / "composite.qw", {}),
+    # A conditional as one part of a tensor runs on that part's slice.
+    "conditional_in_tensor": ("""\
+qpu main() -> bit[3] {
+    let m = 'p' | std.measure;
+    let q = '10' | ((std.flip if m else id) + std.flip);
+    m + (q | std[2].measure)
+}
+""", {}),
 }
 
 # Distributions that pin each sign oracle's phase, and the swap's routing.
@@ -164,6 +172,7 @@ EXPECTED = {
     "conditional_wire_swap": {"001": 0.5, "110": 0.5},
     "rounded_branch": {"10000": 0.5, "10001": 0.5},
     "composite_conditional": {"010": 0.5, "100": 0.25, "101": 0.25},
+    "conditional_in_tensor": {"011": 0.5, "101": 0.5},
     "composite": {f"0{i:03b}110": 1 / 32 for i in range(8)}
     | {f"1{i:03b}110": 1 / 32 for i in range(8)}
     | {"0000110": 9 / 32, "0100110": 9 / 32},

@@ -144,3 +144,20 @@ def test_rewrite_shows_a_qasm_golden_layout_change(
                if ": changed" in line]
     assert changed == [
         "grover.qasm: changed (qubit[13] depth 180 -> qubit[6] depth 180)"]
+
+
+def test_rewrite_shows_whether_a_basis_ir_golden_only_renumbered(
+        tmp_path, monkeypatch, capsys):
+    regen = _regen_goldens()
+    _golden_copy(regen, tmp_path, monkeypatch)
+    bell = (tmp_path / "bell.qwir").read_text()
+    (tmp_path / "bell.qwir").write_text(
+        re.sub(r"%(\d+)", lambda v: f"%{int(v[1]) + 100}", bell))
+    dj = (tmp_path / "dj.qwir").read_text()
+    (tmp_path / "dj.qwir").write_text(dj.replace("qbmeas", "qbmeas2", 1))
+    assert regen.main([]) == 0
+    changed = [line for line in capsys.readouterr().out.splitlines()
+               if ": changed" in line]
+    assert changed == [
+        "bell.qwir: changed (equal after renumbering values)",
+        "dj.qwir: changed (differs after renumbering values)"]

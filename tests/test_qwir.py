@@ -16,7 +16,7 @@ from qbc.bases import (
 from oracles import lit
 from qbc.qwir import (
     FnBuilder, QwBlock, QwFunc, QwModule, QwOp, QwTy, VerifyError, bit,
-    func, print_module, qubit, verify,
+    print_module, qubit, verify,
 )
 from qbc.qwir_passes import (
     adjoint_block, canonicalize_ir, count_calls, inline, predicate_block, prune_unreachable, qubit_index_analysis,
@@ -235,25 +235,6 @@ def test_adjoint_swaps_bases():
     assert tr.attrs["b_out"] == basis(BuiltinBasis(STD, 1))
 
 
-def test_adjoint_copies_stationary_ops_ahead_of_the_reversed_ones():
-    # A function value is stationary: the adjoint copies its func_const
-    # first, then adjoints the indirect call through it.
-    b = FnBuilder("f", True)
-    arg = b.param(qubit(1))
-    (fv,) = b.emit("func_const", [], [func(1, "qubit", 1, True)], {"sym": "g"})
-    (r,) = b.emit("call_indirect", [fv, arg], [qubit(1)])
-    b.emit("ret", [r])
-    fn = b.finish([qubit(1)])
-    adj = adjoint_block(fn, fn.block)
-    assert [op.kind for op in adj.ops] == [
-        "func_const", "func_adj", "call_indirect", "ret"]
-    const, fadj, call, ret = adj.ops
-    assert const.attrs == {"sym": "g"} and const.results != [fv]
-    assert fadj.operands == const.results
-    assert call.operands == fadj.results + adj.args
-    assert ret.operands == call.results
-
-
 def test_adjoint_involution_and_inverse_random():
     rng = np.random.default_rng(7)
     for trial in range(40):
@@ -312,6 +293,45 @@ def _two_qubit_params():
     return b.finish([qubit(2)])
 
 
+def _rev_with_bits(param: bool):
+    """A reversible f that takes a bit after its qubit (``param``), or
+    packs no bits into one."""
+    b = FnBuilder("f", True)
+    q = b.param(qubit(1))
+    if param:
+        b.param(bit(1))
+    else:
+        b.emit("bitpack", [], [bit(0)])
+    b.emit("ret", [q])
+    return QwModule({"f": b.finish([qubit(1)])}, entry="f")
+
+
+def _unwidened_predicated_call():
+    """main calls g predicated on {'1'}, but on g's own width."""
+    m = _module_with_call()
+    (call,) = [op for op in m.entry_fn.block.ops if op.kind == "call"]
+    call.attrs["pred"] = basis(lit("1"))
+    return m
+
+
+def _cond_yielding(width: int):
+    """main, whose cond gives qubit[1] but whose branches yield a
+    qubit[width]."""
+    b = FnBuilder("main", False)
+    (c,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
+    (flag,) = b.emit("qbmeas", [c], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+    (w,) = b.emit("qbprep", [], [qubit(width)], {"prim": STD, "eigenbits": "0" * width})
+    regions = []
+    for _ in range(2):
+        b.push_block()
+        b.emit("yield", [w])
+        regions.append(b.pop_block())
+    (r,) = b.emit("cond", [flag], [qubit(1)], {}, regions)
+    (bits,) = b.emit("qbmeas", [r], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
+    b.emit("ret", [bits])
+    return QwModule({"main": b.finish([bit(1)])})
+
+
 def _embed_of_width(n):
     from qbc.ast_nodes import ClassicalFn, CVar, Num, ParamNode, TypeNode
 
@@ -339,16 +359,26 @@ def _embed_of_width(n):
      "@main:cond: not allowed here"),
     (lambda: QwModule({"f": _two_qubit_params()}, entry="f"), False,
      "@f: reversible, but does not take and return one qubit value"),
+    (lambda: _rev_with_bits(param=True), False,
+     "@f: reversible, but does not take and return one qubit value"),
+    (lambda: _rev_with_bits(param=False), False,
+     "@f:bitpack: not allowed here"),
+    (_unwidened_predicated_call, False,
+     "@main:call: types differ from those of @g"),
+    (lambda: _cond_yielding(2), False, "@main:cond: a branch yields qubit[2]"),
     (_irreversible_adjoint_call, False,
      "@main:call: adjoint or predicated form of irreversible @g"),
     (_irreversible_adjoint_call, True, "@main:call: not allowed here"),
     (lambda: _embed_of_width(3), False,
      "@main:embed: operand has type qubit[3], wanted qubit[2]"),
 ], ids=["measure-in-rev", "measure-in-branch", "cond-in-branch",
-        "rev-signature", "adjoint-of-irreversible", "call-after-inlining",
+        "rev-signature", "rev-bit-param", "bits-in-rev", "call-types",
+        "branch-yield", "adjoint-of-irreversible", "call-after-inlining",
         "embed-width"])
 def test_verify_holds_what_the_passes_assume(module, inlined, message):
     verify(_embed_of_width(2))
+    verify(_module_with_call())
+    verify(_cond_yielding(1))
     with pytest.raises(VerifyError, match=re.escape(message)):
         verify(module(), inlined=inlined)
 
@@ -455,83 +485,53 @@ def test_predicate_random_blocks():
 # -- canonicalization, inlining ---------------------------------------------------
 
 
-def _module_with_lambda() -> QwModule:
-    """main calls the function value of main.lambda0, std >> pm, as lowering
-    builds it: a func_const naming a module function."""
-    lb = FnBuilder("main.lambda0", True)
-    arg = lb.param(qubit(1))
-    lb.emit("ret", [trans_op(lb, arg, basis(BuiltinBasis(STD, 1)),
+def _module_with_call() -> QwModule:
+    """main calls g, which runs std >> pm."""
+    gb = FnBuilder("g", True)
+    arg = gb.param(qubit(1))
+    gb.emit("ret", [trans_op(gb, arg, basis(BuiltinBasis(STD, 1)),
                              basis(BuiltinBasis(PM, 1)))])
     b = FnBuilder("main", False)
     (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
-    (fv,) = b.emit("func_const", [], [func(1, "qubit", 1, True)],
-                   {"sym": "main.lambda0"})
-    (out,) = b.emit("call_indirect", [fv, q], [qubit(1)])
+    (out,) = b.emit("call", [q], [qubit(1)], {"sym": "g", "adj": False, "pred": None})
     (bits,) = b.emit("qbmeas", [out], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [bits])
-    return QwModule({"main": b.finish([bit(1)]),
-                     "main.lambda0": lb.finish([qubit(1)])}, entry="main")
-
-
-def test_canonicalize_to_direct_call():
-    m = _module_with_lambda()
-    verify(m)
-    canonicalize_ir(m)
-    kinds = [op.kind for op in m.functions["main"].block.ops]
-    assert "call" in kinds and "call_indirect" not in kinds
+    return QwModule({"main": b.finish([bit(1)]), "g": gb.finish([qubit(1)])},
+                    entry="main")
 
 
 def test_inline_leaves_no_calls():
-    m = _module_with_lambda()
+    m = _module_with_call()
+    verify(m)
     canonicalize_ir(m)
+    assert count_calls(m) == (1,)
     inline(m)
     verify(m)
-    assert count_calls(m) == (0, 0)
+    assert count_calls(m) == (0,)
 
 
-def test_canonicalize_folds_adj_pred_chain():
-    b = FnBuilder("main", False)
-    (q,) = b.emit("qbprep", [], [qubit(3)], {"prim": STD, "eigenbits": "000"})
-    (fv,) = b.emit("func_const", [], [func(1, "qubit", 1, True)], {"sym": "g"})
-    (fadj,) = b.emit("func_adj", [fv], [func(1, "qubit", 1, True)])
-    pred = basis(lit("10"))
-    (fpred,) = b.emit("func_pred", [fadj], [func(3, "qubit", 3, True)],
-                      {"basis": pred})
-    (out,) = b.emit("call_indirect", [fpred, q], [qubit(3)])
-    b.emit("qbdiscard", [out], [])
-    b.emit("ret", [])
-    main = b.finish([])
-
-    g_b = FnBuilder("g", True)
-    arg = g_b.param(qubit(1))
-    v = trans_op(g_b, arg, basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(PM, 1)))
-    g_b.emit("ret", [v])
-    m = QwModule({"main": main, "g": g_b.finish([qubit(1)])}, entry="main")
-    canonicalize_ir(m)
-    calls = [op for op in m.functions["main"].block.ops if op.kind == "call"]
-    assert len(calls) == 1
-    assert calls[0].attrs["sym"] == "g"
-    assert calls[0].attrs["adj"] is True
-    assert calls[0].attrs["pred"] == pred
+ADJOINTED = "qpu g(q: qubit[1]) -> qubit[1] rev {\n    q | (std >> pm)\n}\n"
 
 
-def test_double_adjoint_cancels():
-    b = FnBuilder("main", False)
-    (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
-    (fv,) = b.emit("func_const", [], [func(1, "qubit", 1, True)], {"sym": "g"})
-    (f1,) = b.emit("func_adj", [fv], [func(1, "qubit", 1, True)])
-    (f2,) = b.emit("func_adj", [f1], [func(1, "qubit", 1, True)])
-    (out,) = b.emit("call_indirect", [f2, q], [qubit(1)])
-    b.emit("qbdiscard", [out], [])
-    b.emit("ret", [])
-    g_b = FnBuilder("g", True)
-    arg = g_b.param(qubit(1))
-    v = trans_op(g_b, arg, basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(STD, 1)))
-    g_b.emit("ret", [v])
-    m = QwModule({"main": b.finish([]), "g": g_b.finish([qubit(1)])}, entry="main")
-    canonicalize_ir(m)
-    calls = [op for op in m.functions["main"].block.ops if op.kind == "call"]
-    assert calls and calls[0].attrs["adj"] is False
+@pytest.mark.parametrize("stage, adj, pred", [
+    ("~~g", False, None),
+    ("~({'1'} & ~g)", False, basis(lit("1"))),
+    ("({'1'} & ~({'0'} & g))", True, basis(lit("1"), lit("0"))),
+], ids=["double-adjoint", "adjoints-around-a-predicate", "outer-predicate-first"])
+def test_lowering_folds_adjoints_and_predicates_into_the_call(stage, adj, pred):
+    # Lowering carries each ~ and & down to the kernel it wraps: one call
+    # whose adj is the parity of the ~s and whose predicate puts the
+    # outermost basis leftmost.
+    from qbc.lower_ast import lower_to_ir
+    from qbc.pipeline import Options, front
+
+    n = 1 + (0 if pred is None else pred.dim)
+    src = ADJOINTED + (f"qpu main() -> bit[{n}] {{\n"
+                       f"    '{'0' * n}' | {stage} | std[{n}].measure\n}}\n")
+    m = lower_to_ir(front(src, "adj.qw", Options()))
+    verify(m)
+    calls = [op for op in m.entry_fn.block.ops if op.kind == "call"]
+    assert [op.attrs for op in calls] == [{"sym": "g", "adj": adj, "pred": pred}]
 
 
 def test_canonicalize_keeps_defs_that_cond_branches_reach_through_a_fold():
@@ -607,7 +607,7 @@ def test_inline_flattens_decorated_calls_into_their_product(pred):
     prune_unreachable(m)
     verify(m)
     assert list(m.functions) == ["main"]
-    assert count_calls(m) == (0, 0)
+    assert count_calls(m) == (0,)
     # f runs the adjoint of g, which runs h and then PHASE.
     g = translation_unitary(*PHASE) @ translation_unitary(
         basis(BuiltinBasis(STD, 1)), basis(BuiltinBasis(PM, 1)))
@@ -651,18 +651,17 @@ def test_each_call_is_spliced_once(monkeypatch):
     monkeypatch.setattr(qwir_passes, "_clone_into", counting)
     m = to_qwir(front(NESTED_DECORATED, "nested.qw", Options()), Options())
     assert distribution(to_gates(m, Options())) == {"1111": pytest.approx(1.0)}
-    # Eight call ops (one in h, two in each of g, f and main, and main's
-    # measurement) each spliced once, and six forms (the predicated and the
-    # predicated adjoint of h, g and f) each made once from a flat body: no
-    # body is cloned twice into one function.
-    assert len(clones) == len(set(clones)) == 8 + 6
+    # Six call ops (two in each of g, f and main) each spliced once, and six
+    # forms (the predicated and the predicated adjoint of h, g and f) each
+    # made once from a flat body: no body is cloned twice into one function.
+    assert len(clones) == len(set(clones)) == 6 + 6
 
 
 def test_inline_preserves_distribution():
     from qbc.lower_gates import lower_module
     from qbc.run import distribution
 
-    m1 = _module_with_lambda()
+    m1 = _module_with_call()
     canonicalize_ir(m1)
     inline(m1)
     d1 = distribution(lower_module(m1))
@@ -723,9 +722,9 @@ qpu main() -> bit[2] {
 """
 
 
-# Generated functions are named with a '.', which no identifier holds: main's
-# third lambda (std.flip) is main.lambda2 and the adjoint of g is g.adj, so
-# the user's functions keep their bodies.
+# Generated functions are named with a '.', which no identifier holds: the
+# adjoint of g is g.adj, so the user's g__adj keeps its body, as do kernels
+# named like the per-stage functions an earlier lowering made.
 @pytest.mark.parametrize("src, want", [
     (SHADOWED_IDENTITY.format(name="main__lambda2"), "00"),
     (SHADOWED_IDENTITY.format(name="main__lambda3"), "00"),
@@ -773,8 +772,8 @@ qpu h(q: qubit[1]) -> qubit[1] rev {
 @pytest.mark.parametrize("opt_level", [0, 1])
 @pytest.mark.parametrize("m_bit, want", [("1", "11"), ("0", "10")])
 def test_predicated_conditional_function_value(m_bit, want, opt_level):
-    # func_pred of a cond's function value: pushed into both branches,
-    # where it resolves to a direct call of g or of h's adjoint.
+    # A predicate over a conditional: each branch applies it, to a direct
+    # call of g or of h's adjoint.
     from qbc.pipeline import Options, compile_to_circuit
     from qbc.run import distribution
 
@@ -798,9 +797,7 @@ def test_wrapped_function_values_distribute_through_conds():
         " | std[2].measure\n}\n")
     m = to_qwir(front(src, "conds.qw", Options()), Options())
     kinds = [op.kind for op in _iter_ops(m.entry_fn.block)]
-    assert kinds.count("cond") == 2
-    assert not set(kinds) & {"call", "call_indirect", "func_const",
-                             "func_adj", "func_pred"}
+    assert kinds.count("cond") == 2 and "call" not in kinds
 
 
 def test_inline_more_call_sites_than_any_round_cap():
