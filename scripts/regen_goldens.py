@@ -36,6 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 
 import output_digest  # noqa: E402
+from oracles import returning_all_bits  # noqa: E402
 from qasm_reader import read_qasm3  # noqa: E402
 from qbc.backends import allocate  # noqa: E402
 from qbc.diagnostics import CompileError  # noqa: E402
@@ -70,8 +71,8 @@ def goldens(name: str) -> dict[str, str | None]:
     qwir = compile_source(source, str(src_path), opts, "qwerty-ir")
     qasm = compile_source(source, str(src_path), opts, "qasm")
     circuit = compile_to_circuit(source, str(src_path), opts)
-    want = distribution(circuit, all_bits=True)
-    got = distribution(read_qasm3(qasm), all_bits=True)
+    want = distribution(returning_all_bits(circuit))
+    got = distribution(read_qasm3(qasm))
     if not _close(want, got):
         raise GoldenError(f"{name}: re-ingested distribution differs")
     try:

@@ -19,8 +19,10 @@ inside a ``rev`` kernel, no conditional in another's branch, valid basis
 literals, span-equivalent translations, and the widths of classical
 expressions. A walk of the instance graph then finds a recursive call, and
 a branch that measures through a kernel. ``expand`` returns the expanded
-program with each kernel's type (``TypedProgram``). Capture arguments have no
-type: ``BitsNode`` and ``AngleNode`` tell them apart.
+program, its instances listed callee-first in the order that walk leaves
+them and the entry last, with each kernel's type (``TypedProgram``).
+Capture arguments have no type: ``BitsNode`` and ``AngleNode`` tell them
+apart.
 
 Kernels and classical functions are found by name in one dict each, built
 once per program; a name declared twice is a diagnostic there. A bare
@@ -244,7 +246,7 @@ class Expander:
         # (instance head, kernel, dimensions, captures) of each instance
         # whose body ``run`` has still to expand.
         self.bodies: list[tuple[QpuFn, QpuFn, dict, dict]] = []
-        self.out_qpus: list[QpuFn] = []
+        self.out_qpus: dict[str, QpuFn] = {}
         self.out_classicals: list[ClassicalFn] = []
         self.used_names: set[str] = set()
         # The body being expanded: its dimensions and captures, whether its
@@ -299,13 +301,11 @@ class Expander:
             if name not in dim_env:
                 raise CompileError(f"dimension variable {name} is unbound; pass -D {name}=...", main.pos)
         entry, _ = self._instantiate_qpu(main, dim_env, captures, keep_name="main")
-        # Expanding a body can queue more instances. Bodies are expanded last
-        # queued first and listed in reverse, so where the calls form a tree
-        # each instance is listed after the instances it calls.
+        # Expanding a body can queue more instances.
         while self.bodies:
             self._expand_body(*self.bodies.pop())
-        self._check_calls(entry)
-        program = Program(tuple(reversed(self.out_qpus)),
+        order = self._check_calls(entry)
+        program = Program(tuple(self.out_qpus[n] for n in order),
                           tuple(self.out_classicals), entry=entry)
         return TypedProgram(program, dict(self.qpu_instances.values()),
                             {c.name: c for c in self.out_classicals})
@@ -386,8 +386,8 @@ class Expander:
                                head.pos)
         _check_used_once(params, head.pos)
         self.expanded[head.name] = self.measured, self.named
-        self.out_qpus.append(replace(head, lets=tuple(let for let, _ in lets),
-                                     body=body))
+        self.out_qpus[head.name] = replace(
+            head, lets=tuple(let for let, _ in lets), body=body)
 
     def _subst_type(self, t: TypeNode, dim_env: dict[str, int]) -> TypeNode:
         dim = _dimension(t.dim, dim_env, t.pos)
@@ -586,22 +586,26 @@ class Expander:
         self.in_branch = False
         return resolved, self.named[start:]
 
-    def _check_calls(self, entry: str) -> None:
+    def _check_calls(self, entry: str) -> list[str]:
         """One depth-first walk of the instance graph from ``entry``, each
-        instance's callees in the order its body names them. A call that
-        closes a cycle is a diagnostic there, naming the cycle. Leaving an
-        instance settles whether it measures or discards, itself or
-        through an instance it names; no conditional's branch may name one
-        that does."""
+        instance's callees in the order its body names them; returns the
+        instances in the order the walk leaves them, so each comes after
+        every instance it calls and ``entry`` last. A call that closes a
+        cycle is a diagnostic there, naming the cycle. Leaving an instance
+        settles whether it measures or discards, itself or through an
+        instance it names; no conditional's branch may name one that
+        does."""
         # Each instance the walk has met: None while it is on the path.
         measuring: dict[str, Optional[bool]] = {entry: None}
         path = [entry]
         todo = [iter(self.expanded[entry][1])]
+        order = []
         while todo:
             callee, pos = next(todo[-1], (None, None))
             if callee is None:
                 todo.pop()
                 name = path.pop()
+                order.append(name)
                 measured, named = self.expanded[name]
                 measuring[name] = measured or any(measuring[n] for n, _ in named)
             elif callee not in measuring:
@@ -615,6 +619,7 @@ class Expander:
         for named, pos in self.branches:
             if any(measuring[n] for n, _ in named):
                 raise CompileError("conditional branches cannot measure or discard", pos)
+        return order
 
     def _forbid_qubit_vars(self, e: ExprNode) -> ExprNode:
         """``e``, once no variable in it names a qubit."""

@@ -5,9 +5,9 @@ from their two bases alone (every phase in them is already a float), embeds
 become compute-copy-uncompute networks with clean ancillas, and measurement
 destandardizes into the computational basis.
 
-Requires a module that ``qwir.verify(m, inlined=True)`` accepts: no call
-is left, and no cond's branch measures, discards or holds a cond. Only
-synthesis can still reject a translation here (``synth``).
+Requires an inlined module, holding the entry alone, that ``qwir.verify``
+accepts: no call is left, and no cond's branch measures, discards or holds
+a cond. Only synthesis can still reject a translation here (``synth``).
 
 Qubits are tracked as physical wire slots; IR values map to slot lists and
 each slot remembers its current dataflow value id. Conditional regions then

@@ -1,10 +1,13 @@
 """
 Fixed compilation pipeline: parse -> expand-and-check -> lower to basis IR
--> canonicalize -> inline bottom-up (reject recursion, make each
-adjoint/predicated form once, canonicalize each function once) -> drop
-unreachable functions -> lower to gates -> fold phases and peephole (at
--O1) -> multi-control decomposition (unless disabled) -> backend. The basis
-IR is verified after lowering, before inlining and after pruning.
+-> canonicalize -> inline in module order, callees first (make each
+adjoint/predicated form once, canonicalize each function once) -> keep the
+entry alone -> lower to gates -> fold phases and peephole (at -O1) ->
+multi-control decomposition (unless disabled) -> backend. The basis IR is
+verified after lowering, before inlining and after pruning. Expansion walks
+the kernel call graph once, rejecting recursion, and lists the kernels
+callee-first; ``qwir.verify`` holds that order, so no later pass walks the
+graph again.
 
 Each rewrite has one home, and each IR is built in the shape its consumers
 want. The front end types and checks each kernel and classical body once,
@@ -108,7 +111,7 @@ def to_qwir(tp, opts: Options) -> QwModule:
     verify(m)
     inline(m)
     prune_unreachable(m)
-    verify(m, inlined=True)
+    verify(m)
     return m
 
 

@@ -7,7 +7,10 @@ Functions have a single-region, single-block body; only `cond` ops carry
 nested blocks, one per branch, which take no arguments and may reference
 values from the enclosing block. Values are qubits and bits only: the one
 edge between functions is a `call` naming a kernel, with its adjoint and
-predicate as attributes, and there are no function values.
+predicate as attributes, and there are no function values. A module lists
+each function after every function it calls, callees first, so a verified
+module holds no call cycle, and its passes walk the call graph by looping
+over the module in order.
 """
 
 from __future__ import annotations
@@ -185,19 +188,22 @@ UNCONDITIONAL = frozenset({"qbmeas", "qbdiscard", "cond"})
 IRREVERSIBLE = UNCONDITIONAL | {"qbprep", "bitpack", "bitunpack"}
 
 
-def verify(m: QwModule, inlined: bool = False) -> None:
+def verify(m: QwModule) -> None:
     """Check SSA, typing, linearity, and span invariants for every function,
-    and with ``inlined`` that no call is left."""
-    for fn in m.functions.values():
-        _verify_fn(m, fn, frozenset({"call"}) if inlined else frozenset())
+    and that each call names a function listed before its caller, so no
+    call cycle is left. Once only the entry is left, no call is either."""
+    earlier: set[str] = set()
+    for name, fn in m.functions.items():
+        _verify_fn(m, fn, earlier)
+        earlier.add(name)
 
 
-def _verify_fn(m: QwModule, fn: QwFunc, banned: frozenset) -> None:
+def _verify_fn(m: QwModule, fn: QwFunc, earlier: set[str]) -> None:
     for p in fn.params:
         if p not in fn.types:
             raise VerifyError(f"@{fn.name}: untyped param %{p}")
-    _verify_block(m, fn, fn.block, set(),
-                  banned | IRREVERSIBLE if fn.reversible else banned)
+    _verify_block(m, fn, fn.block, set(), earlier,
+                  IRREVERSIBLE if fn.reversible else frozenset())
     # The adjoint and predicated forms of a reversible function take and
     # return one qubit value.
     tys = [fn.types[p] for p in fn.params]
@@ -207,14 +213,15 @@ def _verify_fn(m: QwModule, fn: QwFunc, banned: frozenset) -> None:
                           "return one qubit value")
 
 
-def _verify_block(m, fn, block, outer: set[int],
+def _verify_block(m, fn, block, outer: set[int], earlier: set[str],
                   banned: frozenset, top: bool = True) -> dict[int, int]:
     """Verify one block; returns use counts of values from ``outer`` scope.
 
     Linearity of values defined directly in this block (args and op
     results) is checked here; cond regions see the enclosing scope, with
     each branch contributing one combined use per consumed outer qubit.
-    No op of a ``banned`` kind may appear.
+    No op of a ``banned`` kind may appear, and a call may only name a
+    function in ``earlier``.
     """
     local = set(outer) | set(block.args)
     direct = set(block.args)
@@ -232,11 +239,11 @@ def _verify_block(m, fn, block, outer: set[int],
             uses[v] = uses.get(v, 0) + 1
         if op.kind in banned:
             raise VerifyError(f"{op_location(fn, op)}: not allowed here")
-        _check_op_types(m, fn, op)
+        _check_op_types(m, fn, op, earlier)
         if op.kind == "cond":
             branch_outer = []
             for region in op.regions:
-                r_uses = _verify_block(m, fn, region, local,
+                r_uses = _verify_block(m, fn, region, local, earlier,
                                        banned | UNCONDITIONAL, top=False)
                 yields = [fn.types[v] for v in region.ops[-1].operands]
                 if yields != [fn.types[r] for r in op.results]:
@@ -265,7 +272,8 @@ def _verify_block(m, fn, block, outer: set[int],
     return {v: c for v, c in uses.items() if v in outer}
 
 
-def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
+def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp,
+                    earlier: set[str]) -> None:
     t = lambda v: fn.types[v]
 
     def want(v, kind, dim=None, what=""):
@@ -326,8 +334,9 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp) -> None:
         want(op.results[0], "qubit", t(op.operands[0]).dim, "result")
     elif k == "call":
         sym, pred = op.attrs["sym"], op.attrs.get("pred")
-        if sym not in m.functions:
-            raise VerifyError(f"{op_location(fn, op)}: unknown function @{sym}")
+        if sym not in earlier:
+            raise VerifyError(f"{op_location(fn, op)}: @{sym} is not listed "
+                              f"before @{fn.name}")
         callee = m.functions[sym]
         if (op.attrs.get("adj") or pred is not None) and not callee.reversible:
             raise VerifyError(f"{op_location(fn, op)}: adjoint or predicated "

@@ -6,13 +6,14 @@ inlining. Lowering applies every function expression where it stands
 kernel, with its ``adj`` and ``pred`` attributes, and no rewrite here meets
 a function value.
 
-The pipeline canonicalizes, inlines, then drops the functions the entry no
-longer reaches (``prune_unreachable``). ``inline``
-walks the call graph once from the entry, callees first: it rejects a call
-cycle, and flattens each function once by splicing its callees' flat bodies.
-An adjoint or predicated form is made from the callee's flat body the first
-time a call asks for it (``specialize``); a flat body holds no call, so
-neither does the form, and one splice pass leaves no call behind.
+The pipeline canonicalizes, inlines, then keeps the entry alone
+(``prune_unreachable``). A module lists each function after every function
+it calls (``qwir.verify`` holds it), so ``inline`` needs no walk of the
+call graph: it flattens the functions in module order, each once, by
+splicing its callees' flat bodies. An adjoint or predicated form is made
+from the callee's flat body the first time a call asks for it
+(``specialize``); a flat body holds no call, so neither does the form, and
+one splice pass leaves no call behind.
 
 The front end has reported every user error, and ``qwir.verify`` holds
 what these rewrites assume of their input: a reversible function takes and
@@ -37,9 +38,7 @@ from .bases import (
     Basis, BasisElement, BasisLiteral, BasisVector, Prim, builtin_vectors,
     concat,
 )
-from .qwir import (
-    QwBlock, QwFunc, QwModule, QwOp, VerifyError, qubit,
-)
+from .qwir import QwBlock, QwFunc, QwModule, QwOp, qubit
 
 
 # The qbtrans attributes of a two-qubit SWAP.
@@ -427,11 +426,6 @@ def _iter_ops(block: QwBlock):
             yield from _iter_ops(r)
 
 
-def _callees(fn: QwFunc) -> list[str]:
-    """The functions ``fn`` calls, in op order."""
-    return [op.attrs["sym"] for op in _iter_ops(fn.block) if op.kind == "call"]
-
-
 def count_calls(m: QwModule) -> tuple[int]:
     """(call count,) across all functions."""
     return (sum(op.kind == "call" for fn in m.functions.values()
@@ -464,36 +458,16 @@ def _clone_block(fn: QwFunc, src_fn: QwFunc, block: QwBlock,
 
 
 def inline(m: QwModule) -> None:
-    """Flatten the entry and every function it reaches, callees first.
+    """Flatten every function, in module order.
 
-    ``m`` must already be canonicalized (``canonicalize_ir``). One iterative
-    depth-first walk over the calls from the entry
-    flattens each function as it leaves it (``_flatten``), so every callee
-    is flat before its callers are. Expansion reports a recursive kernel
-    at its call, so a call cycle here is a compiler bug: it raises
-    ``VerifyError``, naming the cycle, before any function on it is
-    flattened, rather than splicing forever. Functions the entry does not
-    reach are left as they are, for ``prune_unreachable``.
+    ``m`` must already be canonicalized (``canonicalize_ir``) and list each
+    function after its callees, as ``qwir.verify`` holds, so every callee is
+    flat before its callers are (``_flatten``). Each function's calls are
+    spliced once, so a call that breaks the order cannot make this loop
+    forever: it is left in place, for ``verify`` to reject.
     """
-    on_path: dict[str, bool] = {}  # True while on the path, False once flat
-    path: list[str] = []
-    succs = [iter([m.entry])]  # succs[i + 1] walks the callees of path[i]
-    while succs:
-        sym = next(succs[-1], None)
-        if sym is None:
-            succs.pop()
-            if path:
-                done = path.pop()
-                _flatten(m, m.functions[done])
-                on_path[done] = False
-        elif on_path.get(sym):
-            cycle = path[path.index(sym):] + [sym]
-            raise VerifyError("call cycle "
-                              + " -> ".join(f"@{s}" for s in cycle))
-        elif sym not in on_path and sym in m.functions:
-            on_path[sym] = True
-            path.append(sym)
-            succs.append(iter(_callees(m.functions[sym])))
+    for fn in list(m.functions.values()):
+        _flatten(m, fn)
 
 
 def _flatten(m: QwModule, fn: QwFunc) -> None:
@@ -531,14 +505,8 @@ def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
 
 
 def prune_unreachable(m: QwModule) -> None:
-    reachable: set[str] = set()
-    work = [m.entry]
-    while work:
-        name = work.pop()
-        if name not in reachable and name in m.functions:
-            reachable.add(name)
-            work.extend(_callees(m.functions[name]))
-    m.functions = {k: v for k, v in m.functions.items() if k in reachable}
+    """Keep the entry alone: once ``m`` is inlined it calls nothing."""
+    m.functions = {m.entry: m.entry_fn}
 
 
 # ---------------------------------------------------------------------------

@@ -65,20 +65,18 @@ _STOPS = ("measure", "qfree", "ret")
 
 
 def _execute(m: QCircModule, weight: float,
-             split: Callable[[float, Sequence[float]], Sequence[float]],
-             all_bits: bool = False) -> dict:
-    """Total weight of each output key over all measurement branches.
+             split: Callable[[float, Sequence[float]], Sequence[float]]) -> dict:
+    """Total weight of each string of returned bits over all measurement
+    branches.
 
     ``split(w, probs)`` shares a branch's weight ``w`` out over the outcome
-    probabilities of its children. Keys are the returned bits, or with
-    ``all_bits`` every measured bit in measurement order.
+    probabilities of its children.
     """
     fn = m.entry_fn
     if fn.qubit_params:
         raise SimulationError("entry function takes qubits")
     ops = fn.ops
     start = wire_starts(fn)
-    measure_order = [op.results[0] for op in ops if op.kind == "measure"]
     out: dict = {}
     # Each entry: next op index, state, measured bits, weight.
     stack = [(0, StateVector(), {}, weight)] if weight else []
@@ -98,8 +96,7 @@ def _execute(m: QCircModule, weight: float,
         if i == len(ops):
             key = ""
         elif ops[i].kind == "ret":
-            order = measure_order if all_bits else ops[i].operands
-            key = "".join(str(bits[v]) for v in order)
+            key = "".join(str(bits[v]) for v in ops[i].operands)
         else:
             op = ops[i]
             children = sv.branch(start[op.operands[0]])
@@ -137,13 +134,7 @@ def simulate(m: QCircModule, shots: int, seed: int) -> dict[str, int]:
     return _execute(m, shots, split)
 
 
-def distribution(m: QCircModule, all_bits: bool = False) -> dict[str, float]:
-    """Exact probability of each return bitstring (branches on measurement).
-
-    With ``all_bits`` the keys cover every measured bit in measurement order
-    rather than the returned bits, which is the view a classical register
-    file exposes.
-    """
-    return _execute(m, 1.0, lambda w, probs: [w * p for p in probs],
-                    all_bits)
+def distribution(m: QCircModule) -> dict[str, float]:
+    """Exact probability of each return bitstring (branches on measurement)."""
+    return _execute(m, 1.0, lambda w, probs: [w * p for p in probs])
 

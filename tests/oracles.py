@@ -1,7 +1,8 @@
 """Numeric oracles the tests check the compiler against: statevectors of
 basis vectors, span projectors, translation unitaries, the dense gate kernel
 and gate-list unitaries, the dense view of a sparse simulator state, the
-unitary of a gate-level function and equality up to a global phase;
+unitary of a gate-level function and equality up to a global phase; a
+circuit that returns every bit it measures;
 a reference prefix factoring of basis literals by prefix and suffix counts;
 a reference permutation synthesis over numpy tables; a per-character
 reference lexer; also the source of a pipe chain of single-qubit stages.
@@ -30,7 +31,9 @@ from qbc.bases import (
 )
 from qbc.diagnostics import CompileError
 from qbc.lexer import KEYWORDS, Token
-from qbc.qcirc import Gate, GateKind, QCircFn, QOp, append_gates, wire_starts
+from qbc.qcirc import (
+    Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, wire_starts,
+)
 from qbc.run import SimulationError, _exec_op
 from qbc.simulator import StateVector
 from qbc.synth import _transform_gates
@@ -252,6 +255,17 @@ def gates_to_fn(name: str, n: int, gates: Iterable[Gate],
     append_gates(fn, wires, list(gates))
     fn.ops.extend(QOp("qfreez", (w,)) for w in wires[n:])
     return fn
+
+
+def returning_all_bits(m: QCircModule) -> QCircModule:
+    """``m`` with its entry's ``ret`` reading every ``measure`` result in op
+    order: the bits a classical register file holds, as the circuit
+    ``qasm_reader`` builds from QASM returns them."""
+    fn = m.entry_fn
+    bits = tuple(op.results[0] for op in fn.ops if op.kind == "measure")
+    ops = [QOp("ret", bits) if op.kind == "ret" else op for op in fn.ops]
+    return QCircModule({m.entry: QCircFn(fn.name, ops, fn.qubit_params,
+                                         fn.next_id)}, m.entry)
 
 
 def dense_state(sv: StateVector) -> np.ndarray:

@@ -19,7 +19,7 @@ from qbc.backends import emit_qasm3
 from qbc.expand import expand
 from qbc.pipeline import Options, compile_source, front, to_gates, to_qwir
 from qbc.run import distribution
-from oracles import pipe_chain_source
+from oracles import pipe_chain_source, returning_all_bits
 from qasm_reader import read_qasm3
 from test_front_fuzz import programs
 
@@ -196,14 +196,14 @@ def _assert_ways_agree(src, path, dims, want=None):
             opts = Options(opt_level=opt_level, decompose=decompose,
                            dims=dims)
             qc = to_gates(to_qwir(tp, opts), opts)
-            got = distribution(qc, all_bits=True)
+            got = distribution(returning_all_bits(qc))
             want = want or got
             _assert_close(want, got)
             # compile_source's QASM for these options, with and without
             # reuse_qubits (the same QASM at -O1, which always reuses).
             for reuse in {opt_level >= 1, True}:
                 qasm = emit_qasm3(qc, reuse_qubits=reuse)
-                _assert_close(want, distribution(read_qasm3(qasm), all_bits=True))
+                _assert_close(want, distribution(read_qasm3(qasm)))
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

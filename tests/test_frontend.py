@@ -340,6 +340,20 @@ qpu main() -> bit[4] {
     assert len(packs) == 1 and packs[0].endswith(": qubit[8]")
 
 
+def test_kernels_are_listed_callee_first():
+    # main names a before b, and a calls b. Each instance is listed when the
+    # call walk leaves it, so b comes before its caller a, and lowering
+    # keeps that order.
+    from qbc.lower_ast import lower_to_ir
+
+    src = ("qpu b(q: qubit[1]) -> qubit[1] rev { q | std.flip }\n"
+           "qpu a(q: qubit[1]) -> qubit[1] rev { q | b }\n"
+           "qpu main() -> bit[2] { '00' | (a + b) | std[2].measure }\n")
+    tp = front(src, "order.qw", Options())
+    assert [q.name for q in tp.program.qpus] == ["b", "a", "main"]
+    assert list(lower_to_ir(tp).functions) == ["b", "a", "main"]
+
+
 def test_deep_pipe_compiles():
     src = "qpu main() -> bit[1] {\n    '0'\n" + "    | std.flip\n" * 800 \
         + "    | std.measure\n}\n"

@@ -46,6 +46,7 @@ def _peak_live(m) -> int:
 
 
 def test_reingested_golden_holds_no_more_live_qubits():
+    from oracles import returning_all_bits
     from qasm_reader import read_qasm3
     from qbc.run import distribution
 
@@ -53,8 +54,8 @@ def test_reingested_golden_holds_no_more_live_qubits():
     compiled = compile_to_circuit(path.read_text(), str(path), Options())
     golden = read_qasm3((ROOT / "tests" / "goldens" / "grover.qasm").read_text())
     assert _peak_live(golden) <= _peak_live(compiled)
-    want = distribution(compiled, all_bits=True)
-    got = distribution(golden, all_bits=True)
+    want = distribution(returning_all_bits(compiled))
+    got = distribution(golden)
     assert set(want) == set(got)
     assert all(abs(want[k] - got[k]) < 1e-9 for k in want)
 

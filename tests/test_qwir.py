@@ -283,7 +283,24 @@ def _irreversible_adjoint_call():
     (q,) = b.emit("qbprep", [], [qubit(1)], {"prim": STD, "eigenbits": "0"})
     b.emit("call", [q], [bit(1)], {"sym": "g", "adj": True, "pred": None})
     b.emit("ret", [])
-    return QwModule({"main": b.finish([]), "g": _measuring("g", False)})
+    return QwModule({"g": _measuring("g", False), "main": b.finish([])})
+
+
+def _caller_first():
+    """``_module_with_call`` listing main before the g it calls."""
+    m = _module_with_call()
+    m.functions = dict(reversed(m.functions.items()))
+    return m
+
+
+def _self_calling(name):
+    """A reversible function that calls itself."""
+    b = FnBuilder(name, True)
+    arg = b.param(qubit(1))
+    (v,) = b.emit("call", [arg], [qubit(1)],
+                  {"sym": name, "adj": False, "pred": None})
+    b.emit("ret", [v])
+    return b.finish([qubit(1)])
 
 
 def _two_qubit_params():
@@ -350,37 +367,37 @@ def _embed_of_width(n):
 
 # What the passes after the front end assume of their input, and the front
 # end guarantees: each breach is a compiler bug that ``verify`` reports.
-@pytest.mark.parametrize("module, inlined, message", [
-    (lambda: QwModule({"f": _measuring("f", True)}, entry="f"), False,
+@pytest.mark.parametrize("module, message", [
+    (lambda: QwModule({"f": _measuring("f", True)}, entry="f"),
      "@f:qbmeas: not allowed here"),
-    (lambda: QwModule({"main": _in_a_branch("qbmeas")}), False,
+    (lambda: QwModule({"main": _in_a_branch("qbmeas")}),
      "@main:qbmeas: not allowed here"),
-    (lambda: QwModule({"main": _in_a_branch("cond")}), False,
+    (lambda: QwModule({"main": _in_a_branch("cond")}),
      "@main:cond: not allowed here"),
-    (lambda: QwModule({"f": _two_qubit_params()}, entry="f"), False,
+    (lambda: QwModule({"f": _two_qubit_params()}, entry="f"),
      "@f: reversible, but does not take and return one qubit value"),
-    (lambda: _rev_with_bits(param=True), False,
+    (lambda: _rev_with_bits(param=True),
      "@f: reversible, but does not take and return one qubit value"),
-    (lambda: _rev_with_bits(param=False), False,
-     "@f:bitpack: not allowed here"),
-    (_unwidened_predicated_call, False,
-     "@main:call: types differ from those of @g"),
-    (lambda: _cond_yielding(2), False, "@main:cond: a branch yields qubit[2]"),
-    (_irreversible_adjoint_call, False,
+    (lambda: _rev_with_bits(param=False), "@f:bitpack: not allowed here"),
+    (_unwidened_predicated_call, "@main:call: types differ from those of @g"),
+    (lambda: _cond_yielding(2), "@main:cond: a branch yields qubit[2]"),
+    (_irreversible_adjoint_call,
      "@main:call: adjoint or predicated form of irreversible @g"),
-    (_irreversible_adjoint_call, True, "@main:call: not allowed here"),
-    (lambda: _embed_of_width(3), False,
+    (_caller_first, "@main:call: @g is not listed before @main"),
+    (lambda: QwModule({"f": _self_calling("f")}, entry="f"),
+     "@f:call: @f is not listed before @f"),
+    (lambda: _embed_of_width(3),
      "@main:embed: operand has type qubit[3], wanted qubit[2]"),
 ], ids=["measure-in-rev", "measure-in-branch", "cond-in-branch",
         "rev-signature", "rev-bit-param", "bits-in-rev", "call-types",
-        "branch-yield", "adjoint-of-irreversible", "call-after-inlining",
-        "embed-width"])
-def test_verify_holds_what_the_passes_assume(module, inlined, message):
+        "branch-yield", "adjoint-of-irreversible", "caller-before-callee",
+        "self-call", "embed-width"])
+def test_verify_holds_what_the_passes_assume(module, message):
     verify(_embed_of_width(2))
     verify(_module_with_call())
     verify(_cond_yielding(1))
     with pytest.raises(VerifyError, match=re.escape(message)):
-        verify(module(), inlined=inlined)
+        verify(module())
 
 
 # -- qubit index analysis and predication --------------------------------------
@@ -496,7 +513,7 @@ def _module_with_call() -> QwModule:
     (out,) = b.emit("call", [q], [qubit(1)], {"sym": "g", "adj": False, "pred": None})
     (bits,) = b.emit("qbmeas", [out], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [bits])
-    return QwModule({"main": b.finish([bit(1)]), "g": gb.finish([qubit(1)])},
+    return QwModule({"g": gb.finish([qubit(1)]), "main": b.finish([bit(1)])},
                     entry="main")
 
 
@@ -596,7 +613,7 @@ def _chain_module(pred=None) -> QwModule:
     (out,) = main_b.emit("call", [arg], [qubit(n)], {"sym": "f", "adj": False, "pred": pred})
     main_b.emit("ret", [out])
     main = main_b.finish([qubit(n)])
-    return QwModule({"main": main, "f": f, "g": g, "h": h}, entry="main")
+    return QwModule({"h": h, "g": g, "f": f, "main": main}, entry="main")
 
 
 @pytest.mark.parametrize("pred", [None, basis(lit("00", "11"))],
@@ -834,8 +851,9 @@ def test_inline_resolves_chains_of_pass_through_calls():
     (out,) = b.emit("call", [q], [qubit(1)], {"sym": "f", "adj": False, "pred": None})
     (bits,) = b.emit("qbmeas", [out], [bit(1)], {"basis": basis(BuiltinBasis(STD, 1))})
     b.emit("ret", [bits])
-    m = QwModule({"main": b.finish([bit(1)]), "f": passing("f", "g"),
-                  "g": passing("g", "h"), "h": passing("h", None)}, entry="main")
+    m = QwModule({"h": passing("h", None), "g": passing("g", "h"),
+                  "f": passing("f", "g"), "main": b.finish([bit(1)])},
+                 entry="main")
     inline(m)
     prune_unreachable(m)
     verify(m)
@@ -844,17 +862,17 @@ def test_inline_resolves_chains_of_pass_through_calls():
     assert m.entry_fn.block.ops[1].operands == [q]
 
 
-def test_inline_rejects_recursion():
-    b = FnBuilder("f", True)
-    arg = b.param(qubit(1))
-    (v,) = b.emit("call", [arg], [qubit(1)], {"sym": "f", "adj": False, "pred": None})
-    b.emit("ret", [v])
-    m = _chain_module()
-    m.functions["f"] = b.finish([qubit(1)])
+def test_inline_leaves_a_self_call_for_verify():
     # Expansion reports a recursive kernel at its call, so a cycle here is a
-    # compiler bug, refused rather than spliced forever.
-    with pytest.raises(VerifyError, match="^call cycle @f -> @f$"):
-        inline(m)
+    # compiler bug. Inlining splices each function's calls once, so it
+    # returns rather than splicing forever, and verify rejects the call left.
+    m = _chain_module()
+    m.functions["f"] = _self_calling("f")
+    inline(m)
+    assert "call" in [op.kind for op in m.functions["f"].block.ops]
+    with pytest.raises(VerifyError, match=re.escape(
+            "@f:call: @f is not listed before @f")):
+        verify(m)
 
 
 # -- fusing chained translations ------------------------------------------------

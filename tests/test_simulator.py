@@ -490,7 +490,6 @@ def test_qfree_branches_without_recording_a_bit():
     fn.next_id = 6
     m = QCircModule({"main": fn}, "main")
     assert distribution(m) == pytest.approx({"0": 0.5, "1": 0.5})
-    assert distribution(m, all_bits=True) == pytest.approx({"0": 0.5, "1": 0.5})
     hist = simulate(m, shots=4000, seed=2)
     assert set(hist) == {"0", "1"} and sum(hist.values()) == 4000
     assert abs(hist["0"] - 2000) < 5 * math.sqrt(1000) + 1
