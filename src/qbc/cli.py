@@ -92,13 +92,14 @@ def main(argv=None) -> int:
         description="Compile and simulate the entry kernel, printing how "
         "often each returned bitstring was seen. The simulator stores only "
         "the nonzero amplitudes (at most 2^20, over at most 62 live "
-        "qubits). It runs each measurement branch once and shares the shots "
-        "out binomially at each measurement, so the same seed always gives "
-        "the same histogram.")
+        "qubits). It runs each measurement branch once, reads the "
+        "measurements after the last gate off the state in one pass, and "
+        "shares each branch's shots out by one multinomial draw, so the "
+        "same seed always gives the same histogram.")
     _add_common(p_run)
     _add_opt_flags(p_run)
     p_run.add_argument("--shots", type=int, default=1024,
-                       help="number of shots (>= 0; default 1024)")
+                       help="number of shots (0 to 2^63 - 1; default 1024)")
     p_run.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default 0)")
 

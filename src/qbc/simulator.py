@@ -15,6 +15,17 @@ lowest free bit, which is 0 in every row, and moves no data. Projection
 outcome, clears the key's bit in them and frees the bit. Rows are in no
 particular order.
 
+Measurement. The executor in ``qbc.run`` reads outcomes two ways, and
+neither changes the state. ``branch`` splits it at one key into each
+outcome's projected state, for a measurement that later ops follow.
+``joint`` reads the joint distribution of several keys off the stored rows
+in one pass, for the measurements after the last gate: it packs each
+row's bits of those keys into an int64 outcome and sums |amp|^2 per
+distinct outcome, so its cost follows the stored rows, not 2^keys. Either
+way an outcome of probability at most ``MIN_PROB`` (1e-15) is dropped.
+``measure`` samples one outcome and collapses onto it; only the tests and
+the benchmark's traced run call it.
+
 Gates. X, CX, CCX and SWAP only XOR indices, and the diagonal gates (Z, S,
 SDG, T, TDG, P) only scale the rows whose control and target bits are all
 set. Y is a flip plus a phase of i on rows that had the bit clear and -i on
@@ -48,6 +59,9 @@ import numpy as np
 NORM_TOL = 1e-9
 FREEZ_TOL = 1e-9
 ZERO_TOL = 1e-12
+# An outcome of at most this probability is not a child of ``branch`` or an
+# outcome of ``joint``.
+MIN_PROB = 1e-15
 MAX_AMPS = 1 << 20
 MAX_LIVE = 62
 
@@ -200,6 +214,10 @@ class StateVector:
         self.bits, self.used = other.bits, other.used
 
     def measure(self, key: object) -> int:
+        """Sample the key's outcome from ``rng`` and collapse onto it.
+
+        ``qbc.run`` branches or reads ``joint`` instead; this stays bound
+        for the tests and for ``perfbench/spans.py``, which wraps it."""
         m, hit = self._split(key)
         outcome = 1 if self.rng.random() < self._prob(hit) else 0
         rows = hit if outcome else ~hit
@@ -225,7 +243,27 @@ class StateVector:
         out = []
         for outcome, rows in ((0, ~hit), (1, hit)):
             prob = self._prob(rows)
-            if prob > 1e-15:
+            if prob > MIN_PROB:
                 out.append((outcome, prob,
                             self._projected(key, m, rows, prob)))
         return out
+
+    def joint(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
+        """The joint distribution of measuring ``keys``, read off the
+        stored rows in one pass; ``self`` is left unchanged.
+
+        Returns each outcome of probability above ``MIN_PROB`` as an int64
+        whose bit ``len(keys) - 1 - j`` is the outcome of ``keys[j]``, in
+        ascending order, and the probability each outcome's rows carry.
+        Only outcomes that have rows are listed, so the arrays never grow
+        past the stored rows, whatever the number of keys."""
+        idx, bits = self.idx, self.bits
+        code = np.zeros(len(idx), dtype=np.int64)
+        for key in keys:
+            code <<= 1
+            code |= (idx >> bits[key]) & 1
+        outcomes, rows = np.unique(code, return_inverse=True)
+        amp = self.amp
+        probs = np.bincount(rows, weights=amp.real ** 2 + amp.imag ** 2)
+        keep = probs > MIN_PROB
+        return outcomes[keep], probs[keep]

@@ -2,7 +2,8 @@
 basis vectors, span projectors, translation unitaries, the dense gate kernel
 and gate-list unitaries, the dense view of a sparse simulator state, the
 unitary of a gate-level function and equality up to a global phase; a
-circuit that returns every bit it measures;
+circuit that returns every bit it measures; a reference walker that
+branches the state at every measurement;
 a reference prefix factoring of basis literals by prefix and suffix counts;
 a reference permutation synthesis over numpy tables; a per-character
 reference lexer; also the source of a pipe chain of single-qubit stages.
@@ -14,7 +15,7 @@ compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from qbc.lexer import KEYWORDS, Token
 from qbc.qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, wire_starts,
 )
-from qbc.run import SimulationError, _exec_op
+from qbc.run import SimulationError, _exec_op, distribution
 from qbc.simulator import StateVector
 from qbc.synth import _transform_gates
 
@@ -322,6 +323,78 @@ def module_unitary(fn: QCircFn) -> np.ndarray:
         raise SimulationError("qubits other than the parameters live at end")
     size = 1 << len(params)
     return dense_state(sv).reshape(size, size) * math.sqrt(size)
+
+
+# Ops that end a stretch of straight-line execution in the reference walker.
+_STOPS = ("measure", "qfree", "ret")
+
+
+def reference_execute(m: QCircModule, weight: float,
+                      split: Callable[[float, Sequence[float]],
+                                      Sequence[float]]) -> dict:
+    """Total weight of each string of returned bits over all measurement
+    branches, splitting the state at every ``measure`` and ``qfree``.
+
+    The executor ``qbc.run`` had before it read trailing measurements off
+    the stored rows: it makes 2^k - 1 ``branch`` calls for k measurements
+    after the last gate. ``split(w, probs)`` shares a branch's weight ``w``
+    out over the outcome probabilities of its children.
+    """
+    fn = m.entry_fn
+    if fn.qubit_params:
+        raise SimulationError("entry function takes qubits")
+    ops = fn.ops
+    start = wire_starts(fn)
+    out: dict = {}
+    # Each entry: next op index, state, measured bits, weight.
+    stack = [(0, StateVector(), {}, weight)] if weight else []
+    while stack:
+        i, sv, bits, w = stack.pop()
+        try:
+            while i < len(ops) and ops[i].kind not in _STOPS:
+                _exec_op(sv, ops[i], start, bits)
+                i += 1
+        except SimulationError as e:
+            # Name the failing op by its kind (a gate by its name) and the
+            # first value it defines, or uses when it defines none.
+            op = ops[i]
+            name = op.gate.value if op.kind == "gate" else op.kind
+            raise SimulationError(
+                f"{name} %{(op.results or op.operands)[0]}: {e}") from e
+        if i == len(ops):
+            key = ""
+        elif ops[i].kind == "ret":
+            key = "".join(str(bits[v]) for v in ops[i].operands)
+        else:
+            op = ops[i]
+            children = sv.branch(start[op.operands[0]])
+            weights = split(w, [p for _, p, _ in children])
+            # Pushed in reverse so that outcome 0 is visited first.
+            for (outcome, _, sub), cw in reversed(list(zip(children,
+                                                           weights))):
+                if cw:
+                    nbits = dict(bits)
+                    if op.kind == "measure":
+                        nbits[op.results[0]] = outcome
+                    stack.append((i + 1, sub, nbits, cw))
+            continue
+        out[key] = out.get(key, 0) + w
+    return out
+
+
+def reference_distribution(m: QCircModule) -> dict[str, float]:
+    """Exact probability of each return bitstring, branching on every
+    measurement: the oracle ``qbc.run.distribution`` is checked against."""
+    return reference_execute(m, 1.0, lambda w, probs: [w * p for p in probs])
+
+
+def checked_distribution(m: QCircModule) -> dict[str, float]:
+    """``qbc.run.distribution`` of ``m``, asserted equal to the reference
+    walker's within 1e-12 on every bitstring."""
+    want, got = reference_distribution(m), distribution(m)
+    for key in set(want) | set(got):
+        assert abs(want.get(key, 0.0) - got.get(key, 0.0)) <= 1e-12, key
+    return got
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray,

@@ -82,6 +82,14 @@ def test_run_negative_shots_is_a_diagnostic(capsys):
     assert "-5" in err
 
 
+def test_run_shots_past_int64_is_a_diagnostic(capsys):
+    shots = "100000000000000000000"
+    assert main(["run", str(BENCH / "bell.qw"), "--shots", shots]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qbc: simulation error:") and shots in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_run_past_amplitude_limit_is_a_diagnostic(tmp_path, capsys):
     # 21 qubits in |+> need 2^21 stored amplitudes, one H past the limit.
     path = tmp_path / "wide.qw"

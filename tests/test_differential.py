@@ -7,7 +7,9 @@ two that allocate after a measurement or a discard, four sign oracles
 whose phase kick has no target wire, a conditional that swaps wires, a
 measurement whose one outcome is left only rounding error, adjoints and
 predicates of conditionals, tensors and kernels, a conditional inside a
-tensor, and the generated programs of ``test_front_fuzz``.
+tensor, every ``tests/goldens/*.qw``, and the generated programs of
+``test_front_fuzz``. Each exact distribution also equals the reference
+walker's of ``oracles`` within 1e-12.
 Where a program's distribution is known, every way must give it."""
 
 import pathlib
@@ -18,8 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from qbc.backends import emit_qasm3
 from qbc.expand import expand
 from qbc.pipeline import Options, compile_source, front, to_gates, to_qwir
-from qbc.run import distribution
-from oracles import pipe_chain_source, returning_all_bits
+from oracles import checked_distribution, pipe_chain_source, returning_all_bits
 from qasm_reader import read_qasm3
 from test_front_fuzz import programs
 
@@ -149,7 +150,6 @@ qpu main() -> bit[3] {
     m + (q | std[2].measure)
 }
 """, {}),
-    "composite": (GOLDENS / "composite.qw", {}),
     # A conditional as one part of a tensor runs on that part's slice.
     "conditional_in_tensor": ("""\
 qpu main() -> bit[3] {
@@ -158,7 +158,7 @@ qpu main() -> bit[3] {
     m + (q | std[2].measure)
 }
 """, {}),
-}
+} | {path.stem: (path, {}) for path in sorted(GOLDENS.glob("*.qw"))}
 
 # Distributions that pin each sign oracle's phase, and the swap's routing.
 EXPECTED = {
@@ -196,14 +196,16 @@ def _assert_ways_agree(src, path, dims, want=None):
             opts = Options(opt_level=opt_level, decompose=decompose,
                            dims=dims)
             qc = to_gates(to_qwir(tp, opts), opts)
-            got = distribution(returning_all_bits(qc))
+            # The returned bits alone, marginalized over the others.
+            checked_distribution(qc)
+            got = checked_distribution(returning_all_bits(qc))
             want = want or got
             _assert_close(want, got)
             # compile_source's QASM for these options, with and without
             # reuse_qubits (the same QASM at -O1, which always reuses).
             for reuse in {opt_level >= 1, True}:
                 qasm = emit_qasm3(qc, reuse_qubits=reuse)
-                _assert_close(want, distribution(read_qasm3(qasm)))
+                _assert_close(want, checked_distribution(read_qasm3(qasm)))
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

@@ -16,8 +16,8 @@ from qbc.qcirc import QCircFn, QCircModule, QOp
 from qbc.simulator import ZERO_TOL, StateVector
 
 from oracles import (
-    apply_gate, dense_state, fourier_column, lit, module_unitary,
-    translation_unitary, unitary_of,
+    apply_gate, checked_distribution, dense_state, fourier_column, lit,
+    module_unitary, translation_unitary, unitary_of,
 )
 
 
@@ -467,7 +467,11 @@ def test_simulate_agrees_with_distribution(name):
     shots = 4096
     hist = simulate(qc, shots=shots, seed=11)
     dist = distribution(qc)
+    assert simulate(qc, shots=shots, seed=11) == hist
     assert sum(hist.values()) == shots
+    # Plain Python numbers, not numpy scalars.
+    assert {type(c) for c in hist.values()} == {int}
+    assert {type(p) for p in dist.values()} == {float}
     for key in set(hist) | set(dist):
         p = dist.get(key, 0.0)
         assert p > 0.0, f"{key} sampled but has probability 0"
@@ -508,6 +512,52 @@ def test_grover_past_twenty_qubits_matches_closed_form(n):
     assert abs(dist["1" * n] - hit) <= 1e-9
 
 
+@pytest.mark.parametrize("name, dims, calls", [
+    # Grover's 8 measurements all follow its last gate.
+    ("grover", {"N": 8}, 0),
+    # Teleport's two mid-circuit measurements make 1 + 2 splits; Bob's
+    # trailing measurement makes none.
+    ("teleport", {}, 3),
+], ids=["grover", "teleport"])
+def test_only_mid_circuit_measurements_branch(monkeypatch, name, dims,
+                                              calls):
+    path = BENCH / f"{name}.qw"
+    qc = compile_to_circuit(path.read_text(), str(path), Options(dims=dims))
+    made = []
+    branch = StateVector.branch
+
+    def counted(sv, key):
+        made.append(key)
+        return branch(sv, key)
+
+    monkeypatch.setattr(StateVector, "branch", counted)
+    distribution(qc)
+    assert len(made) == calls
+
+
+def test_forty_trailing_measurements_read_as_one_outcome():
+    # The outcomes are read off the one stored row: nothing of size 2^40.
+    qc = compile_to_circuit(
+        "qpu main() -> bit[40] { '1'[40] | std[40].measure }\n", "wide.qw",
+        Options())
+    assert distribution(qc) == {"1" * 40: 1.0}
+
+
+@pytest.mark.parametrize("source", [
+    # The unreturned bit is measured mid-circuit...
+    "qpu main() -> bit[1] { let m = 'p' | std.measure; '1' | std.measure }",
+    # ...among the trailing measurements...
+    "qpu main() -> bit[1] { let (a: qubit[1], b: qubit[1]) = 'p1';"
+    " let m = a | std.measure; b | std.measure }",
+    # ...and trailing, while the returned bit is measured mid-circuit.
+    "qpu main() -> bit[1] { let r = '1' | std.measure;"
+    " let m = 'p' | std.measure; r }",
+])
+def test_unreturned_measurements_are_marginalized(source):
+    qc = compile_to_circuit(source, "unreturned.qw", Options())
+    assert checked_distribution(qc) == pytest.approx({"1": 1.0}, abs=1e-12)
+
+
 def test_simulate_million_shots():
     hist = simulate(_compiled("grover"), shots=10**6, seed=5)
     assert sum(hist.values()) == 10**6
@@ -521,6 +571,14 @@ def test_simulate_zero_shots_is_empty():
 def test_simulate_negative_shots_raises():
     with pytest.raises(SimulationError, match="shot count"):
         simulate(_bell_module(), shots=-5, seed=1)
+
+
+def test_simulate_shots_past_int64_raise():
+    # 2^63 - 1 is the most shots numpy's multinomial takes.
+    hist = simulate(_bell_module(), shots=(1 << 63) - 1, seed=1)
+    assert sum(hist.values()) == (1 << 63) - 1
+    with pytest.raises(SimulationError, match="shot count"):
+        simulate(_bell_module(), shots=1 << 63, seed=1)
 
 
 def test_live_qubit_limit_raises_simulation_error():
