@@ -114,17 +114,7 @@ class BuiltinBasis:
         return f"{self.prim}[{self.dim}]"
 
 
-@record(frozen=True)
-class Padding:
-    """Placeholder element used only inside standardization planning."""
-
-    dim: int
-
-    def __str__(self) -> str:
-        return f"pad[{self.dim}]"
-
-
-BasisElement = Union[BuiltinBasis, BasisLiteral, Padding]
+BasisElement = Union[BuiltinBasis, BasisLiteral]
 
 
 @record(frozen=True)
@@ -185,11 +175,9 @@ def validate_literal(bl: BasisLiteral) -> Optional[str]:
 
 
 def fully_spans(e: BasisElement) -> bool:
-    if isinstance(e, BuiltinBasis):
-        return True
-    if isinstance(e, BasisLiteral):
-        return len(e.vectors) == 2 ** e.dim
-    raise ValueError("padding has no span")
+    """Whether a builtin or a literal spans its whole space: a builtin
+    always does, a literal when it holds all 2^dim vectors."""
+    return isinstance(e, BuiltinBasis) or len(e.vectors) == 2 ** e.dim
 
 
 def normalize_element(e: BasisElement) -> BasisElement:
@@ -247,8 +235,7 @@ def factor_element(
     if fully_spans(small) and isinstance(big, BasisLiteral):
         # A fully spanning prefix is every vector of its dimension in big's
         # prim; a literal is never Fourier, and the first of them is 0...0.
-        small = BasisLiteral(
-            tuple(builtin_vectors(BuiltinBasis(big.prim, small.dim))))
+        small = as_literal(BuiltinBasis(big.prim, small.dim))
     if isinstance(big, BasisLiteral) and isinstance(small, BasisLiteral):
         # Both are normalized, so big factors in order exactly when its
         # span does, and its prefixes must be small's vectors.
@@ -305,9 +292,12 @@ def check_span_equivalence(b_in: Basis, b_out: Basis) -> Optional[SpanMismatch]:
     return None
 
 
-def builtin_vectors(e: BuiltinBasis) -> list[BasisVector]:
-    """Enumerate a separable builtin's vectors in index order."""
-    assert e.prim is not Prim.FOURIER
-    return [
+def as_literal(e: BasisElement) -> BasisLiteral:
+    """The element as a literal: a literal itself, or a separable builtin's
+    vectors in index order."""
+    if isinstance(e, BasisLiteral):
+        return e
+    assert e.prim.separable
+    return BasisLiteral(tuple(
         BasisVector(e.prim, format(k, f"0{e.dim}b")) for k in range(1 << e.dim)
-    ]
+    ))

@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--shots", type=int, default=1024,
                        help="number of shots (0 to 2^63 - 1; default 1024)")
     p_run.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0)")
+                       help="sampling seed (0 or more; default 0)")
 
     p_stats = sub.add_parser(
         "stats", help="print compile statistics",

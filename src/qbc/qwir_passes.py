@@ -35,8 +35,7 @@ import math
 from typing import Optional
 
 from .bases import (
-    Basis, BasisElement, BasisLiteral, BasisVector, Prim, builtin_vectors,
-    concat,
+    Basis, BasisElement, BasisLiteral, BasisVector, Prim, as_literal, concat,
 )
 from .qwir import QwBlock, QwFunc, QwModule, QwOp, qubit
 
@@ -260,13 +259,6 @@ def _use_counts(block: QwBlock, counts: dict[int, int],
             _use_counts(r, counts, subst)
 
 
-def _vectors(e: BasisElement) -> tuple[BasisVector, ...]:
-    """A literal's vectors, or a std/pm/ij builtin's in index order."""
-    if isinstance(e, BasisLiteral):
-        return e.vectors
-    return tuple(builtin_vectors(e))
-
-
 def _size(e: BasisElement) -> int:
     return len(e.vectors) if isinstance(e, BasisLiteral) else 1 << e.dim
 
@@ -281,7 +273,7 @@ def _compose_literal(b: BasisElement, pick: Optional[list], c: BasisElement,
     size = _size(b) if pick is None else len(pick)
     if not size == _size(c) == _size(d):
         return None
-    bv, cv, dv = _vectors(b), _vectors(c), _vectors(d)
+    bv, cv, dv = (as_literal(e).vectors for e in (b, c, d))
     at = {v.eigenbits: j for j, v in enumerate(cv)}
     if pick is None:
         pick = [(i, v.phase) for i, v in enumerate(bv)]
@@ -336,7 +328,7 @@ class _Chain:
         out = []
         for e, pick in zip(self.elems, self.picks):
             if pick is not None:
-                ev = _vectors(e)
+                ev = as_literal(e).vectors
                 e = BasisLiteral(tuple(BasisVector(e.prim, ev[j].eigenbits, ph)
                                        for j, ph in pick))
             out.append(e)

@@ -155,6 +155,8 @@ def simulate(m: QCircModule, shots: int, seed: int) -> dict[str, int]:
     if not 0 <= shots <= MAX_SHOTS:
         raise SimulationError(
             f"shot count must be in [0, 2^63 - 1], got {shots}")
+    if seed < 0:
+        raise SimulationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     return _execute(m, shots, lambda n, probs: rng.multinomial(
         n, probs / probs.sum()).tolist())

@@ -5,7 +5,9 @@ A translation circuit has the shape: unconditional standardizations
 outermost, conditional standardizations controlled on predicate patterns,
 input vector phases (negated), one permutation circuit per aligned element
 pair (controlled on the other predicate pairs), output vector phases, and
-the destandardizations mirrored on the way out.
+the destandardizations mirrored on the way out. A standardization is
+unconditional where the other side puts the same prim on the same qubits:
+each side is planned against the other's element boundaries.
 
 Classical functions become compute-copy-uncompute networks: AND/OR nodes
 compute into fresh ancillas via (possibly negated) Toffolis, XOR structure
@@ -35,8 +37,8 @@ from .ast_nodes import (
     CBin, CExpr, CIndex, CLit, CNot, CReduce, CSlice, CVar, ClassicalFn,
 )
 from .bases import (
-    Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Padding,
-    Prim, basis, builtin_vectors, factor_ordered, fully_spans,
+    Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Prim,
+    as_literal, basis, factor_ordered, fully_spans,
 )
 from .diagnostics import CompileError
 from .qcirc import Gate, H, P, S, SDG, SWAP, X, Z, adjoint_gates, g
@@ -60,47 +62,32 @@ class StdEntry:
 def plan_standardization(
     b_in: Basis, b_out: Basis
 ) -> tuple[tuple[StdEntry, ...], tuple[StdEntry, ...]]:
-    """Standardizations (left) and destandardizations (right) with offsets.
+    """Standardizations (left) and destandardizations (right), each side
+    planned against the other side's element boundaries, in offset order.
 
-    Inseparable fourier elements standardize as one conditional unit, with
-    padding keeping both sides aligned on qubit positions.
+    A fourier element is one entry, unconditional only where the other side
+    has a fourier element on exactly its qubits. Any other element is cut
+    wherever an element of the other side starts or ends, and each piece is
+    conditional where the other side's element over it has another prim.
     """
-    ldq, rdq = deque(_with_offsets(b_in)), deque(_with_offsets(b_out))
-    lstd: list[StdEntry] = []
-    rstd: list[StdEntry] = []
-    while ldq and rdq:
-        l, lo = ldq.popleft()
-        r, ro = rdq.popleft()
-        l_pad = isinstance(l, Padding)
-        r_pad = isinstance(r, Padding)
-        unconditional = (not l_pad and not r_pad and l.prim is r.prim)
-        if l.dim == r.dim:
-            if not l_pad:
-                lstd.append(StdEntry(l.prim, l.dim, lo, not unconditional))
-            if not r_pad:
-                rstd.append(StdEntry(r.prim, r.dim, ro, not unconditional))
+    return _plan_side(b_in, b_out), _plan_side(b_out, b_in)
+
+
+def _plan_side(side: Basis, other: Basis) -> tuple[StdEntry, ...]:
+    spans = [(at, at + e.dim, e.prim) for e, at in _with_offsets(other)]
+    plan = []
+    for e, lo in _with_offsets(side):
+        hi = lo + e.dim
+        if not e.prim.separable:
+            exact = (lo, hi, e.prim) in spans
+            plan.append(StdEntry(e.prim, e.dim, lo, not exact))
             continue
-        if l.dim > r.dim:
-            big, bo, small, so = l, lo, r, ro
-            bigstd, smallstd, bigdq = lstd, rstd, ldq
-        else:
-            big, bo, small, so = r, ro, l, lo
-            bigstd, smallstd, bigdq = rstd, lstd, rdq
-        delta = big.dim - small.dim
-        big_pad = isinstance(big, Padding)
-        small_pad = isinstance(small, Padding)
-        if not big_pad and big.prim.separable:
-            if not small_pad:
-                smallstd.append(StdEntry(small.prim, small.dim, so, not unconditional))
-            bigstd.append(StdEntry(big.prim, small.dim, bo, not unconditional))
-            bigdq.appendleft((BuiltinBasis(big.prim, delta), bo + small.dim))
-        else:
-            if not small_pad:
-                smallstd.append(StdEntry(small.prim, small.dim, so, True))
-            if not big_pad:
-                bigstd.append(StdEntry(big.prim, big.dim, bo, True))
-            bigdq.appendleft((Padding(delta), bo + small.dim))
-    return tuple(lstd), tuple(rstd)
+        for start, end, prim in spans:
+            if start < hi and end > lo:
+                at = max(lo, start)
+                plan.append(StdEntry(e.prim, min(hi, end) - at, at,
+                                     prim is not e.prim))
+    return tuple(plan)
 
 
 def qft_gates(qs: Sequence[int]) -> list[Gate]:
@@ -240,13 +227,6 @@ def standardize_element(e: BasisElement) -> BasisElement:
     )
 
 
-def _as_literal(e: BasisElement) -> BasisLiteral:
-    if isinstance(e, BasisLiteral):
-        return e
-    assert isinstance(e, BuiltinBasis) and e.prim is Prim.STD
-    return BasisLiteral(tuple(builtin_vectors(e)))
-
-
 def _literal_product(a: BasisLiteral, b: BasisLiteral) -> BasisLiteral:
     return BasisLiteral(tuple(
         BasisVector(Prim.STD, u.eigenbits + v.eigenbits)
@@ -281,9 +261,9 @@ def align(b_in: Basis, b_out: Basis) -> list[AlignedPair]:
         r = rdq.popleft()
         if l.dim == r.dim:
             if isinstance(l, BuiltinBasis) and isinstance(r, BasisLiteral):
-                l = _as_literal(l)
+                l = as_literal(l)
             elif isinstance(r, BuiltinBasis) and isinstance(l, BasisLiteral):
-                r = _as_literal(r)
+                r = as_literal(r)
             pairs.append(AlignedPair(l, r, offset))
             offset += l.dim
             continue
@@ -295,7 +275,7 @@ def align(b_in: Basis, b_out: Basis) -> list[AlignedPair]:
         if isinstance(big, BuiltinBasis):
             factor: BasisElement = BuiltinBasis(Prim.STD, small.dim)
             if not isinstance(small, BuiltinBasis):
-                factor = _as_literal(factor)
+                factor = as_literal(factor)
             pair = (factor, small) if big_left else (small, factor)
             pairs.append(AlignedPair(pair[0], pair[1], offset))
             offset += small.dim
@@ -306,20 +286,20 @@ def align(b_in: Basis, b_out: Basis) -> list[AlignedPair]:
             prefix, remainder = factored
             small2: BasisElement = small
             if isinstance(small, BuiltinBasis):
-                small2 = _as_literal(small)
+                small2 = as_literal(small)
             pair = (prefix, small2) if big_left else (small2, prefix)
             pairs.append(AlignedPair(pair[0], pair[1], offset))
             offset += small.dim
             bigdq.appendleft(remainder)
             continue
         # Merge the smaller side with its next element until dims agree.
-        lv, rv = (_as_literal(big), _as_literal(small)) if big_left else (
-            _as_literal(small), _as_literal(big))
+        lv, rv = (as_literal(big), as_literal(small)) if big_left else (
+            as_literal(small), as_literal(big))
         while lv.dim != rv.dim:
             if lv.dim < rv.dim:
-                lv = _literal_product(lv, _as_literal(ldq.popleft()))
+                lv = _literal_product(lv, as_literal(ldq.popleft()))
             else:
-                rv = _literal_product(rv, _as_literal(rdq.popleft()))
+                rv = _literal_product(rv, as_literal(rdq.popleft()))
         pairs.append(AlignedPair(lv, rv, offset))
         offset += lv.dim
     return pairs
@@ -708,9 +688,7 @@ def embed_gates(cfn: ClassicalFn, mode: str,
         return compute + middle + uncompute, width, anc
     p = pred.dim
     groups = _element_groups(pred, skip_index=-1)
-    plan = tuple(StdEntry(e.prim, e.dim, off, False)
-                 for e, off in _with_offsets(pred)
-                 if not isinstance(e, Padding))
+    plan = plan_standardization(pred, pred)[0]
     gates = [gt.shifted(p) for gt in compute]
     gates += emit_standardization(plan, stdward=True)
     for conj, run in groupby(middle,

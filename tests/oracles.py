@@ -5,6 +5,7 @@ unitary of a gate-level function and equality up to a global phase; a
 circuit that returns every bit it measures; a reference walker that
 branches the state at every measurement;
 a reference prefix factoring of basis literals by prefix and suffix counts;
+a reference standardization planner that walks two deques of elements;
 a reference permutation synthesis over numpy tables; a per-character
 reference lexer; also the source of a pipe chain of single-qubit stages.
 
@@ -15,6 +16,7 @@ compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from qbc.bases import (
     BasisVector,
     BuiltinBasis,
     Prim,
-    builtin_vectors,
+    as_literal,
     vector_from_chars,
 )
 from qbc.diagnostics import CompileError
@@ -37,7 +39,7 @@ from qbc.qcirc import (
 )
 from qbc.run import SimulationError, _exec_op, distribution
 from qbc.simulator import StateVector
-from qbc.synth import _transform_gates
+from qbc.synth import StdEntry, _transform_gates, _with_offsets
 
 
 def lit(*specs) -> BasisLiteral:
@@ -78,12 +80,9 @@ def fourier_column(dim: int, k: int) -> np.ndarray:
 
 def element_states(e: BasisElement) -> list[np.ndarray]:
     """All vectors of an element as statevectors, in enumeration order."""
-    if isinstance(e, BuiltinBasis):
-        if e.prim is Prim.FOURIER:
-            return [fourier_column(e.dim, k) for k in range(1 << e.dim)]
-        return [vector_state(v) for v in builtin_vectors(e)]
-    assert isinstance(e, BasisLiteral)
-    return [vector_state(v) for v in e.vectors]
+    if e.prim is Prim.FOURIER:
+        return [fourier_column(e.dim, k) for k in range(1 << e.dim)]
+    return [vector_state(v) for v in as_literal(e).vectors]
 
 
 def basis_states(b: Basis) -> list[np.ndarray]:
@@ -440,6 +439,61 @@ def factor_literal_by_counts(bl: BasisLiteral,
         for v in bl.vectors
         if v.eigenbits[:n] == first
     ))
+
+
+class _Pad:
+    """The rest of an inseparable element that the walk below has consumed
+    on one side only: it standardizes nothing on that side, and whatever it
+    meets on the other side is conditional."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+
+def reference_plan_standardization(
+    b_in: Basis, b_out: Basis
+) -> tuple[tuple[StdEntry, ...], tuple[StdEntry, ...]]:
+    """``synth.plan_standardization`` as a walk of two deques: pop one
+    element per side, cut a larger separable element to the smaller one's
+    width, and pad on after an inseparable one. The planner once worked
+    this way; it is checked against it."""
+    ldq, rdq = deque(_with_offsets(b_in)), deque(_with_offsets(b_out))
+    lstd: list[StdEntry] = []
+    rstd: list[StdEntry] = []
+    while ldq and rdq:
+        l, lo = ldq.popleft()
+        r, ro = rdq.popleft()
+        l_pad = isinstance(l, _Pad)
+        r_pad = isinstance(r, _Pad)
+        unconditional = not l_pad and not r_pad and l.prim is r.prim
+        if l.dim == r.dim:
+            if not l_pad:
+                lstd.append(StdEntry(l.prim, l.dim, lo, not unconditional))
+            if not r_pad:
+                rstd.append(StdEntry(r.prim, r.dim, ro, not unconditional))
+            continue
+        if l.dim > r.dim:
+            big, bo, small, so = l, lo, r, ro
+            bigstd, smallstd, bigdq = lstd, rstd, ldq
+        else:
+            big, bo, small, so = r, ro, l, lo
+            bigstd, smallstd, bigdq = rstd, lstd, rdq
+        delta = big.dim - small.dim
+        big_pad = isinstance(big, _Pad)
+        small_pad = isinstance(small, _Pad)
+        if not big_pad and big.prim.separable:
+            if not small_pad:
+                smallstd.append(
+                    StdEntry(small.prim, small.dim, so, not unconditional))
+            bigstd.append(StdEntry(big.prim, small.dim, bo, not unconditional))
+            bigdq.appendleft((BuiltinBasis(big.prim, delta), bo + small.dim))
+        else:
+            if not small_pad:
+                smallstd.append(StdEntry(small.prim, small.dim, so, True))
+            if not big_pad:
+                bigstd.append(StdEntry(big.prim, big.dim, bo, True))
+            bigdq.appendleft((_Pad(delta), bo + small.dim))
+    return tuple(lstd), tuple(rstd)
 
 
 def synth_permutation_by_arrays(perm: Sequence[int]) -> list[Gate]:

@@ -15,9 +15,9 @@ from qbc.bases import (
     BasisVector,
     BuiltinBasis,
     Prim,
+    as_literal,
     basis,
     check_span_equivalence,
-    builtin_vectors,
     factor_element,
     factor_ordered,
     fully_spans,
@@ -77,7 +77,7 @@ def test_fully_spans():
 
 def full_span(prim: Prim, n: int) -> BasisLiteral:
     """Every n-qubit vector of ``prim``, as a sorted literal."""
-    return BasisLiteral(tuple(builtin_vectors(BuiltinBasis(prim, n))))
+    return as_literal(BuiltinBasis(prim, n))
 
 
 def test_factor_full_span_success():

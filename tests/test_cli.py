@@ -80,6 +80,10 @@ def test_run_negative_shots_is_a_diagnostic(capsys):
     err = capsys.readouterr().err
     assert err.startswith("qbc: simulation error:")
     assert "-5" in err
+    assert main(["run", str(BENCH / "bell.qw"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qbc: simulation error:") and "-1" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_run_shots_past_int64_is_a_diagnostic(capsys):

@@ -28,7 +28,8 @@ from qbc.synth import (
 )
 
 from oracles import (
-    gates_to_fn, lit, module_unitary, pipe_chain_source, span_projector,
+    gates_to_fn, lit, module_unitary, pipe_chain_source,
+    reference_plan_standardization, span_projector,
     synth_permutation_by_arrays, translation_unitary, unitary_of,
 )
 
@@ -72,25 +73,66 @@ def test_plan_conditional_and_unconditional():
 
 
 def test_plan_inseparable_fourier():
-    # std + fourier[3] >> fourier[3] + std
-    b_in = basis(BuiltinBasis(STD, 1), BuiltinBasis(FOURIER, 3))
-    b_out = basis(BuiltinBasis(FOURIER, 3), BuiltinBasis(STD, 1))
-    lstd, rstd = plan_standardization(b_in, b_out)
-    assert [(e.prim, e.dim, e.conditional) for e in lstd] == [
-        (STD, 1, True), (FOURIER, 3, True)
+    f1, f2, f3 = (BuiltinBasis(FOURIER, n) for n in (1, 2, 3))
+    cases = [
+        # std + fourier[3] >> fourier[3] + std
+        (basis(BuiltinBasis(STD, 1), f3), basis(f3, BuiltinBasis(STD, 1)),
+         [(STD, 1, 0, True), (FOURIER, 3, 1, True)],
+         [(FOURIER, 3, 0, True), (STD, 1, 3, True)]),
+        # fourier[2] >> fourier[1] + fourier[1]: no fourier element has
+        # the same qubits on the other side.
+        (basis(f2), basis(f1, f1),
+         [(FOURIER, 2, 0, True)],
+         [(FOURIER, 1, 0, True), (FOURIER, 1, 1, True)]),
     ]
-    assert [(e.prim, e.dim, e.conditional) for e in rstd] == [
-        (FOURIER, 3, True), (STD, 1, True)
-    ]
-    assert [e.offset for e in lstd] == [0, 1]
-    assert [e.offset for e in rstd] == [0, 3]
+    for b_in, b_out, want_l, want_r in cases:
+        lstd, rstd = plan_standardization(b_in, b_out)
+        assert [(e.prim, e.dim, e.offset, e.conditional) for e in lstd] == want_l
+        assert [(e.prim, e.dim, e.offset, e.conditional) for e in rstd] == want_r
 
 
 def test_plan_trivial_std():
-    b = basis(BuiltinBasis(STD, 2))
-    lstd, rstd = plan_standardization(b, b)
-    assert [(e.prim, e.dim, e.conditional) for e in lstd] == [(STD, 2, False)]
-    assert lstd == rstd
+    # fourier[2] >> fourier[2] is the inseparable trivial case.
+    for prim in (STD, FOURIER):
+        b = basis(BuiltinBasis(prim, 2))
+        lstd, rstd = plan_standardization(b, b)
+        assert [(e.prim, e.dim, e.conditional) for e in lstd] == [
+            (prim, 2, False)]
+        assert lstd == rstd
+
+
+@st.composite
+def _plan_basis(draw, width):
+    """A basis of ``width`` qubits: std/pm/ij/fourier builtins and literals
+    of up to four std/pm/ij vectors."""
+    elements = []
+    while width:
+        d = draw(st.integers(1, width))
+        prim = draw(st.sampled_from(Prim))
+        if prim is not FOURIER and draw(st.booleans()):
+            ks = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1,
+                               max_size=4, unique=True))
+            elements.append(BasisLiteral(tuple(
+                BasisVector(prim, format(k, f"0{d}b")) for k in ks)))
+        else:
+            elements.append(BuiltinBasis(prim, d))
+        width -= d
+    return Basis(tuple(elements))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(_plan_basis(n), _plan_basis(n))))
+def test_plan_matches_reference_walk(pair):
+    b_in, b_out = pair
+    assert plan_standardization(b_in, b_out) == \
+        reference_plan_standardization(b_in, b_out)
+    for b in pair:
+        offsets = [sum(e.dim for e in b.elements[:i])
+                   for i in range(len(b.elements))]
+        assert plan_standardization(b, b)[0] == tuple(
+            StdEntry(e.prim, e.dim, at, False)
+            for e, at in zip(b.elements, offsets))
 
 
 def test_plan_symmetry_of_unconditional_entries():
