@@ -328,15 +328,28 @@ def decompose_multicontrol(m: QCircModule) -> QCircModule:
     controls, and is controlled on that AND alone. A Toffoli flagged as the
     compute (uncompute) half of a mirrored pair becomes one ``rccx_gates``
     (its adjoint).
+
+    Each function builds one form per shape (kind, width, controls, angle,
+    ``pair``), shared by every op of it; ``-0.0`` is its own angle, since a
+    C^kP's core carries it into the output.
     """
     for fn in m.functions.values():
-        substitute(fn, {i: _decomposed(op) for i, op in enumerate(fn.ops)
-                        if op.kind == "gate" and op.num_controls >= 2})
+        forms: dict[tuple, tuple[tuple[Gate, ...], int]] = {}
+        subs = {}
+        for i, op in enumerate(fn.ops):
+            if op.kind == "gate" and op.num_controls >= 2:
+                shape = (op.gate, op.num_controls, len(op.operands), op.param,
+                         math.copysign(1.0, op.param), op.pair)
+                form = forms.get(shape)
+                if form is None:
+                    form = forms[shape] = _decomposed(op)
+                subs[i] = form
+        substitute(fn, subs)
     return m
 
 
-def _decomposed(op: QOp) -> tuple[list[Gate], int]:
-    """A multi-controlled gate as (gates, ancillas) for ``substitute``."""
+def _decomposed(op: QOp) -> tuple[tuple[Gate, ...], int]:
+    """A multi-controlled gate as a shared (gates, ancillas) form."""
     k, n_vals = op.num_controls, len(op.operands)
     targets = tuple(range(k, n_vals))
 
@@ -360,4 +373,4 @@ def _decomposed(op: QOp) -> tuple[list[Gate], int]:
                 if len(gt.controls) == 2 else [gt])]
     ladder = [gt for c in range(1, rungs + 1)
               for gt in rccx_gates(anded(c - 1), c, anded(c))]
-    return ladder + core + adjoint_gates(ladder), rungs
+    return tuple(ladder + core + adjoint_gates(ladder)), rungs

@@ -1,13 +1,13 @@
 """
 Fixed compilation pipeline: parse -> expand-and-check -> lower to basis IR
--> canonicalize -> inline in module order, callees first (make each
-adjoint/predicated form once, canonicalize each function once) -> keep the
-entry alone -> lower to gates -> fold phases and peephole (at -O1) ->
-multi-control decomposition (unless disabled) -> backend. The basis IR is
-verified after lowering, before inlining and after pruning. Expansion walks
-the kernel call graph once, rejecting recursion, and lists the kernels
-callee-first; ``qwir.verify`` holds that order, so no later pass walks the
-graph again.
+-> inline in module order, callees first (make each adjoint/predicated form
+once, canonicalize each function once, after its calls are spliced) -> keep
+the entry alone -> lower to gates -> fold phases and peephole (at -O1) ->
+multi-control decomposition, one form per shape (unless disabled) ->
+backend. The basis IR is verified after lowering and after pruning.
+Expansion walks the kernel call graph once, rejecting recursion, and lists
+the kernels callee-first; ``qwir.verify`` holds that order, so no later
+pass walks the graph again.
 
 Each rewrite has one home, and each IR is built in the shape its consumers
 want. The front end types and checks each kernel and classical body once,
@@ -64,8 +64,8 @@ from .record import field, record
 # ``front`` calls the one walk that expands, types and checks by the name
 # whose span and call count the traced benchmark reports as typecheck.
 # Only perfbench/spans.py still looks up ``expand``,
-# ``generate_specializations``, ``canonicalize_ast`` and ``lift_lambdas``
-# here (ROADMAP item 15); the pipeline calls none of them.
+# ``generate_specializations``, ``canonicalize_ast``, ``lift_lambdas`` and
+# ``canonicalize_ir`` here (ROADMAP item 15); the pipeline calls none of them.
 typecheck = expand
 generate_specializations = specialize
 canonicalize_ast = expand
@@ -106,8 +106,6 @@ def front(source: str, file: str, opts: Options):
 
 def to_qwir(tp, opts: Options) -> QwModule:
     m = lower_to_ir(tp)
-    verify(m)
-    canonicalize_ir(m)
     verify(m)
     inline(m)
     prune_unreachable(m)

@@ -358,21 +358,13 @@ def append_gates(fn: QCircFn, wires: list[int], gates: Sequence[Gate],
                  condition: Optional[tuple[int, bool]] = None) -> None:
     """Wire position-based gates into ``fn``, updating ``wires`` in place."""
     for gt in gates:
-        positions = list(gt.controls) + list(gt.targets)
-        operands = tuple(wires[p] for p in positions)
-        results = tuple(fn.new_id() for _ in positions)
-        fn.ops.append(
-            QOp(
-                "gate",
-                operands,
-                results,
-                gate=gt.kind,
-                param=gt.param,
-                num_controls=len(gt.controls),
-                condition=condition,
-                pair=gt.pair,
-            )
-        )
+        positions = gt.controls + gt.targets
+        start = fn.next_id
+        fn.next_id = start + len(positions)
+        results = tuple(range(start, fn.next_id))
+        fn.ops.append(QOp("gate", tuple([wires[p] for p in positions]),
+                          results, gt.kind, gt.param, len(gt.controls),
+                          condition, gt.pair))
         for p, r in zip(positions, results):
             wires[p] = r
 

@@ -6,11 +6,11 @@ inlining. Lowering applies every function expression where it stands
 kernel, with its ``adj`` and ``pred`` attributes, and no rewrite here meets
 a function value.
 
-The pipeline canonicalizes, inlines, then keeps the entry alone
-(``prune_unreachable``). A module lists each function after every function
-it calls (``qwir.verify`` holds it), so ``inline`` needs no walk of the
-call graph: it flattens the functions in module order, each once, by
-splicing its callees' flat bodies. An adjoint or predicated form is made
+The pipeline inlines, then keeps the entry alone (``prune_unreachable``).
+A module lists each function after every function it calls (``qwir.verify``
+holds it), so ``inline`` needs no walk of the call graph: it flattens the
+functions in module order, each once, by splicing its callees' flat bodies
+and then canonicalizing it. An adjoint or predicated form is made
 from the callee's flat body the first time a call asks for it
 (``specialize``); a flat body holds no call, so neither does the form, and
 one splice pass leaves no call behind.
@@ -450,13 +450,13 @@ def _clone_block(fn: QwFunc, src_fn: QwFunc, block: QwBlock,
 
 
 def inline(m: QwModule) -> None:
-    """Flatten every function, in module order.
+    """Flatten and canonicalize every function, in module order.
 
-    ``m`` must already be canonicalized (``canonicalize_ir``) and list each
-    function after its callees, as ``qwir.verify`` holds, so every callee is
-    flat before its callers are (``_flatten``). Each function's calls are
-    spliced once, so a call that breaks the order cannot make this loop
-    forever: it is left in place, for ``verify`` to reject.
+    ``m`` must list each function after its callees, as ``qwir.verify``
+    holds, so every callee is flat before its callers are (``_flatten``).
+    Each function's calls are spliced once, so a call that breaks the order
+    cannot make this loop forever: it is left in place, for ``verify`` to
+    reject.
     """
     for fn in list(m.functions.values()):
         _flatten(m, fn)
@@ -464,21 +464,20 @@ def inline(m: QwModule) -> None:
 
 def _flatten(m: QwModule, fn: QwFunc) -> None:
     """Splice every call of ``fn``, whose callees are all flat, then
-    canonicalize it."""
+    canonicalize it: the one canonicalization each function gets."""
     subst: dict[int, int] = {}
-    if _splice_calls(m, fn, fn.block, subst):
-        _canonicalize_fn(fn, subst)
+    _splice_calls(m, fn, fn.block, subst)
+    _canonicalize_fn(fn, subst)
 
 
 def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
-                  subst: dict[int, int]) -> bool:
+                  subst: dict[int, int]) -> None:
     """Replace each call in ``block`` and its regions by a copy of the flat
-    body of the function it runs; returns whether any call was spliced.
+    body of the function it runs.
 
     ``subst`` maps the body's args to the call's operands and the call's
     results to the values the body returns.
     """
-    spliced = False
     ops: list[QwOp] = []
     for op in block.ops:
         if op.kind == "call":
@@ -487,13 +486,11 @@ def _splice_calls(m: QwModule, fn: QwFunc, block: QwBlock,
             subst.update(zip(body.args, op.operands))
             subst.update(zip(op.results, body.ops[-1].operands))
             ops += body.ops[:-1]
-            spliced = True
             continue
         for r in op.regions:
-            spliced = _splice_calls(m, fn, r, subst) or spliced
+            _splice_calls(m, fn, r, subst)
         ops.append(op)
     block.ops = ops
-    return spliced
 
 
 def prune_unreachable(m: QwModule) -> None:

@@ -422,6 +422,35 @@ def test_decompose_controlled_pi_phase_as_controlled_z(param):
     assert np.allclose(module_unitary(m.entry_fn), want, atol=1e-9)
 
 
+def test_each_multicontrol_shape_is_decomposed_once(monkeypatch):
+    # Grover N = 8's 39 multi-controlled gates come in 3 shapes; each op of
+    # a shape shares the one form built for it.
+    from qbc import peephole as peephole_module
+
+    shapes = []
+    decomposed = peephole_module._decomposed
+
+    def counting(op):
+        shapes.append(op)
+        return decomposed(op)
+
+    monkeypatch.setattr(peephole_module, "_decomposed", counting)
+    path = BENCH / "grover.qw"
+    compile_to_circuit(path.read_text(), str(path), Options(dims={"N": 8}))
+    assert len(shapes) == 3
+
+
+def test_decomposition_keeps_the_sign_of_a_zero_angle():
+    # 0.0 == -0.0, but each is its own shape: the core of a C^3P carries
+    # its angle into the output as written.
+    gates = [Gate(P, (3,), (0, 1, 2), 0.0), Gate(P, (3,), (0, 1, 2), -0.0)]
+    m = QCircModule({"main": gates_to_fn("main", 4, gates)}, "main")
+    decompose_multicontrol(m)
+    verify_circuit(m)
+    cores = re.findall(r"gate p\((-?0\.0)\)", print_qcirc(m))
+    assert cores == ["0.0", "-0.0"]
+
+
 _PROGRAMS = ("bell", "bv", "dj", "grover", "period", "simon", "teleport")
 
 

@@ -4,6 +4,7 @@ the adjoint/predicated forms it makes."""
 
 import itertools
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -23,6 +24,11 @@ from qbc.qwir_passes import (
 )
 
 from oracles import apply_unitary_at, span_projector, translation_unitary
+from qbc.backends import emit_qasm3
+from qbc.lower_ast import lower_to_ir
+from qbc.pipeline import Options, _reuse, front, to_gates, to_qwir
+from qbc.qcirc import print_qcirc
+from test_front_fuzz import FUZZ, programs
 
 STD, PM, IJ = Prim.STD, Prim.PM, Prim.IJ
 
@@ -873,6 +879,58 @@ def test_inline_leaves_a_self_call_for_verify():
     with pytest.raises(VerifyError, match=re.escape(
             "@f:call: @f is not listed before @f")):
         verify(m)
+
+
+# -- one canonicalization per function -------------------------------------------
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = sorted((ROOT / "benchmarks").glob("*.qw")) + sorted(
+    (ROOT / "tests" / "goldens").glob("*.qw"))
+
+
+def _canonicalized_before_inlining(tp) -> QwModule:
+    """The basis IR as the pipeline built it when every function was
+    canonicalized and verified before ``inline`` canonicalized each caller
+    again."""
+    m = lower_to_ir(tp)
+    verify(m)
+    canonicalize_ir(m)
+    verify(m)
+    inline(m)
+    prune_unreachable(m)
+    verify(m)
+    return m
+
+
+def _both_orders(source: str, opts: Options) -> list[tuple[str, str, str]]:
+    """(basis IR, gate-level IR, QASM) from the old order, then the
+    pipeline."""
+    out = []
+    for build in (_canonicalized_before_inlining,
+                  lambda tp: to_qwir(tp, opts)):
+        m = build(front(source, "order.qw", opts))
+        qwir = print_module(m)
+        qc = to_gates(m, opts)
+        out.append((qwir, print_qcirc(qc),
+                    emit_qasm3(qc, reuse_qubits=_reuse(opts))))
+    return out
+
+
+@pytest.mark.parametrize("opt_level", [0, 1])
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_one_canonicalization_gives_the_corpus_its_output(path, opt_level):
+    old, new = _both_orders(path.read_text(), Options(opt_level=opt_level))
+    assert new == old
+
+
+@settings(FUZZ, max_examples=100)
+@given(programs(), st.sampled_from([0, 1]))
+def test_one_canonicalization_gives_generated_programs_their_circuits(
+        source, opt_level):
+    # Which basis-IR value survives a fusion may differ; the gates may not.
+    old, new = _both_orders(source, Options(opt_level=opt_level))
+    assert new[1:] == old[1:], source
 
 
 # -- fusing chained translations ------------------------------------------------
