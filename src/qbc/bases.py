@@ -1,12 +1,15 @@
 """
-Basis algebra: primitive bases, basis vectors, literals, and canon-form bases,
-plus polynomial-time span-equivalence checking.
+Basis algebra: primitive bases, basis vectors, literals and canon-form
+bases, and ``align``, the one walk that reads a translation's structure.
 
-Span checking works on two deques of normalized basis elements, popping one
-element from each side per iteration and factoring the larger element whenever
-dimensions disagree. Factoring is the inverse of taking row-major products of
-vector lists, so the whole check runs in polynomial time even for bases whose
-expanded vector lists would be exponentially large.
+``align`` pairs the elements of the two bases left to right, splitting the
+wider element of a step where it is a product in vector order and merging
+the two sides where it is not. The pairs are both the type rule (the bases
+span one space exactly when each pair holds one vector set, with one prim
+on each qubit that set pins) and what synthesis builds a translation from.
+No step expands a basis into its 2^dim vectors: a merge, the one step that
+builds vectors its literals do not hold, stops past ``PERMUTATION_LIMIT``
+qubits.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections import deque
 from enum import Enum
 from typing import Optional, Union
 
+from .diagnostics import CompileError
 from .record import record
 
 
@@ -169,8 +173,6 @@ def validate_literal(bl: BasisLiteral) -> Optional[str]:
         if v.eigenbits in seen:
             return f"duplicate eigenbits in basis literal: {seen[v.eigenbits]} vs {v}"
         seen[v.eigenbits] = v
-    if len(bl.vectors) > 2 ** bl.dim:
-        return "too many vectors in basis literal"
     return None
 
 
@@ -178,23 +180,6 @@ def fully_spans(e: BasisElement) -> bool:
     """Whether a builtin or a literal spans its whole space: a builtin
     always does, a literal when it holds all 2^dim vectors."""
     return isinstance(e, BuiltinBasis) or len(e.vectors) == 2 ** e.dim
-
-
-def normalize_element(e: BasisElement) -> BasisElement:
-    """Strip phases and sort literal vectors lexicographically by eigenbits."""
-    if isinstance(e, BuiltinBasis):
-        return e
-    assert isinstance(e, BasisLiteral)
-    stripped = [BasisVector(v.prim, v.eigenbits) for v in e.vectors]
-    stripped.sort(key=lambda v: v.eigenbits)
-    return BasisLiteral(tuple(stripped))
-
-
-def _is_sorted_literal(e: BasisElement) -> bool:
-    if not isinstance(e, BasisLiteral):
-        return True
-    bits = [v.eigenbits for v in e.vectors]
-    return all(v.phase is None for v in e.vectors) and bits == sorted(bits)
 
 
 def factor_ordered(lit: BasisLiteral, n: int) -> Optional[tuple[BasisLiteral, BasisLiteral]]:
@@ -217,79 +202,150 @@ def factor_ordered(lit: BasisLiteral, n: int) -> Optional[tuple[BasisLiteral, Ba
     return mk(prefixes), mk(suffixes)
 
 
-def factor_element(
-    big: BasisElement, small: BasisElement, bigdeque: deque
-) -> bool:
-    """Factor ``small`` from ``big``, pushing the remainder onto ``bigdeque``.
+# ---------------------------------------------------------------------------
+# Alignment: the one walk over a translation's structure
 
-    Dispatches over the three factoring cases; returns False on fallthrough
-    (which makes the enclosing span check fail).
-    """
-    assert big.dim > small.dim
-    delta = big.dim - small.dim
-    if fully_spans(big) and fully_spans(small):
-        # Full spans of equal dimension are all the same space, so the
-        # remainder can be named with big's prim regardless of structure.
-        bigdeque.appendleft(BuiltinBasis(big.prim, delta))
-        return True
-    if fully_spans(small) and isinstance(big, BasisLiteral):
-        # A fully spanning prefix is every vector of its dimension in big's
-        # prim; a literal is never Fourier, and the first of them is 0...0.
-        small = as_literal(BuiltinBasis(big.prim, small.dim))
-    if isinstance(big, BasisLiteral) and isinstance(small, BasisLiteral):
-        # Both are normalized, so big factors in order exactly when its
-        # span does, and its prefixes must be small's vectors.
-        factored = factor_ordered(big, small.dim)
-        if factored is not None and factored[0] == small:
-            assert _is_sorted_literal(factored[1])
-            bigdeque.appendleft(factored[1])
-            return True
-    return False
+# The widest permutation synthesis builds, in qubits.
+PERMUTATION_LIMIT = 12
+
+# A predicate: qubit positions and the bit patterns they may hold.
+PredGroup = tuple[tuple[int, ...], tuple[str, ...]]
 
 
 @record(frozen=True)
-class SpanMismatch:
-    """Why a span-equivalence check failed."""
+class AlignedPair:
+    """Qubits [offset, offset + dim), where ``b_in``'s vectors go to
+    ``b_out``'s in order. Both sides hold one vector set; ``predicate`` is
+    the factor of that set that is not full (the qubits it pins, and the
+    patterns it lets them hold), None if the set is full."""
 
-    message: str
-    left: Optional[BasisElement] = None
-    right: Optional[BasisElement] = None
+    b_in: BasisElement
+    b_out: BasisElement
+    offset: int
+    predicate: Optional[PredGroup] = None
 
-    def __str__(self) -> str:
-        if self.left is not None and self.right is not None:
-            return f"{self.message}: {self.left} vs {self.right}"
-        return self.message
+    @property
+    def dim(self) -> int:
+        return self.b_in.dim
 
 
 @functools.lru_cache(maxsize=1024)
-def check_span_equivalence(b_in: Basis, b_out: Basis) -> Optional[SpanMismatch]:
-    """Return None iff span(b_in) = span(b_out); else a mismatch diagnostic.
+def align(b_in: Basis, b_out: Basis) -> tuple[AlignedPair, ...]:
+    """Pair the elements of two bases of one dim, left to right: the type
+    rule of a translation, and the structure synthesis builds it from.
 
-    Runs the two-deque pop/compare/factor loop; polynomial in the number of
-    elements and vectors, never in 2^dim. Memoized on the pair: both bases
-    and the result are frozen, and one compile checks each translation once
-    in expansion and again in every ``qwir.verify``.
+    Each step pops one element per side (a builtin as its std builtin).
+    Equal dims pair up. Otherwise the wider one is split at the narrower
+    one's width, in vector order: a builtin always splits, a literal when
+    it is that prefix (x) remainder. Where it is not, the two sides merge
+    into std literals, the narrower side taking its next element until
+    both end on one qubit; a builtin gives only the qubits it needs.
+
+    The bases span one space exactly when each pair's two sides hold one
+    set of eigenbits and each qubit that set pins (its predicate) has one
+    prim on both sides, so that its standardization is unconditional. Cut
+    this way, both bases are tensor products over the pairs, each factor
+    spanned by its eigenbits in its prims; a pinned qubit with two prims
+    would leave that factor invariant under two projectors on the qubit
+    that do not commute, which would make the qubit free.
+
+    A mismatch, and a merge past ``PERMUTATION_LIMIT`` qubits, raise an
+    unpositioned ``CompileError``; no other step builds more vectors than
+    its literals hold. Memoized on the pair: expansion, ``qwir.verify``
+    and synthesis all read one alignment.
     """
-    ldeque: deque = deque(normalize_element(e) for e in b_in.elements)
-    rdeque: deque = deque(normalize_element(e) for e in b_out.elements)
-    while ldeque and rdeque:
-        left = ldeque.popleft()
-        right = rdeque.popleft()
-        if left.dim == right.dim:
-            # A builtin and a literal are never equal; they share a span
-            # only if both fully span.
-            if left == right or fully_spans(left) and fully_spans(right):
-                continue
-            return SpanMismatch("basis elements span different spaces", left, right)
-        if left.dim > right.dim:
-            big, small, bigdeque = left, right, ldeque
-        else:
-            big, small, bigdeque = right, left, rdeque
-        if not factor_element(big, small, bigdeque):
-            return SpanMismatch("cannot factor basis element", left, right)
-    if ldeque or rdeque:
-        return SpanMismatch("bases have mismatched dimensions")
-    return None
+    ldq: deque = deque(map(_std_builtin, b_in.elements))
+    rdq: deque = deque(map(_std_builtin, b_out.elements))
+    pairs: list[AlignedPair] = []
+    offset = 0
+    while ldq:
+        lparts, rparts = [ldq.popleft()], [rdq.popleft()]
+        l, r = lparts[0], rparts[0]
+        if l.dim != r.dim:
+            left_wider = l.dim > r.dim
+            big, small = (l, r) if left_wider else (r, l)
+            if isinstance(big, BuiltinBasis):
+                split = (BuiltinBasis(Prim.STD, small.dim),
+                         BuiltinBasis(Prim.STD, big.dim - small.dim))
+            else:
+                split = factor_ordered(big, small.dim)
+            if split is None:
+                _merge(lparts, rparts, ldq, rdq)
+            else:
+                (lparts if left_wider else rparts)[0] = split[0]
+                (ldq if left_wider else rdq).appendleft(split[1])
+        pairs.append(_pair(lparts, rparts, offset))
+        offset += pairs[-1].dim
+    return tuple(pairs)
+
+
+def _std_builtin(e: BasisElement) -> BasisElement:
+    return BuiltinBasis(Prim.STD, e.dim) if isinstance(e, BuiltinBasis) else e
+
+
+def _merge(lparts: list, rparts: list, ldq: deque, rdq: deque) -> None:
+    """Extend the narrower side with its next element until both sides end
+    on one qubit, taking from a builtin only the qubits it needs."""
+    sides = ((lparts, ldq), (rparts, rdq))
+    width = [lparts[0].dim, rparts[0].dim]
+    while width[0] != width[1]:
+        s = int(width[1] < width[0])
+        parts, dq = sides[s]
+        e = dq.popleft()
+        need = width[1 - s] - width[s]
+        if isinstance(e, BuiltinBasis) and e.dim > need:
+            dq.appendleft(BuiltinBasis(Prim.STD, e.dim - need))
+            e = BuiltinBasis(Prim.STD, need)
+        parts.append(e)
+        width[s] += e.dim
+    if width[0] > PERMUTATION_LIMIT:
+        raise CompileError(
+            f"permutation too wide ({width[0]} > {PERMUTATION_LIMIT})")
+
+
+def _product(parts: list) -> BasisElement:
+    """The one element of ``parts``, or their row-major product as a std
+    literal."""
+    if len(parts) == 1:
+        return parts[0]
+    bits = [""]
+    for e in parts:
+        bits = [a + v.eigenbits for a in bits for v in as_literal(e).vectors]
+    return BasisLiteral(tuple(BasisVector(Prim.STD, x) for x in bits))
+
+
+def _pair(lparts: list, rparts: list, offset: int) -> AlignedPair:
+    """The pair of two equal-width runs of elements, or a CompileError if
+    their spans differ. A builtin matches only a full element."""
+    l, r = _product(lparts), _product(rparts)
+    if isinstance(l, BuiltinBasis) or isinstance(r, BuiltinBasis):
+        if not (fully_spans(l) and fully_spans(r)):
+            raise _mismatch(lparts, rparts)
+        if isinstance(l, BasisLiteral) or isinstance(r, BasisLiteral):
+            l, r = as_literal(l), as_literal(r)
+        return AlignedPair(l, r, offset)
+    bits = {v.eigenbits for v in l.vectors}
+    if bits != {v.eigenbits for v in r.vectors}:
+        raise _mismatch(lparts, rparts)
+    if len(bits) == 1 << l.dim:
+        return AlignedPair(l, r, offset)
+    index = {int(x, 2) for x in bits}
+    pinned = [q for q in range(l.dim)
+              if any(i ^ (1 << (l.dim - 1 - q)) not in index for i in index)]
+    lprims, rprims = (
+        [e.prim for e in parts for _ in range(e.dim)] for parts in (lparts, rparts))
+    if any(lprims[q] is not rprims[q] for q in pinned):
+        raise _mismatch(lparts, rparts)
+    patterns = {"".join(x[q] for q in pinned) for x in bits}
+    return AlignedPair(l, r, offset,
+                       (tuple(offset + q for q in pinned), tuple(sorted(patterns))))
+
+
+def _mismatch(lparts: list, rparts: list) -> CompileError:
+    left, right = (" + ".join(map(str, parts)) for parts in (lparts, rparts))
+    return CompileError(
+        "translation sides span different spaces (basis elements span "
+        f"different spaces: {left} vs {right})")
 
 
 def as_literal(e: BasisElement) -> BasisLiteral:

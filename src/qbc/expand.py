@@ -16,13 +16,13 @@ One walk per kernel body and per classical body types each expression with
 the type: the shapes (value, basis or function, and the width piped into a
 stage), linear use of qubits, no measurement, discard or irreversible call
 inside a ``rev`` kernel, no conditional in another's branch, valid basis
-literals, span-equivalent translations, and the widths of classical
-expressions. A walk of the instance graph then finds a recursive call, and
-a branch that measures through a kernel. ``expand`` returns the expanded
-program, its instances listed callee-first in the order that walk leaves
-them and the entry last, with each kernel's type (``TypedProgram``).
-Capture arguments have no type: ``BitsNode`` and ``AngleNode`` tell them
-apart.
+literals, span-equivalent translations (``bases.align`` pairs them up), and
+the widths of classical expressions. A walk of the instance graph then
+finds a recursive call, and a branch that measures through a kernel.
+``expand`` returns the expanded program, its instances listed callee-first
+in the order that walk leaves them and the entry last, with each kernel's
+type (``TypedProgram``). Capture arguments have no type: ``BitsNode`` and
+``AngleNode`` tell them apart.
 
 Kernels and classical functions are found by name in one dict each, built
 once per program; a name declared twice is a diagnostic there. A bare
@@ -53,7 +53,7 @@ from .ast_nodes import (
     Program, QpuFn, QubitLitNode, RepeatNode, TensorNode, TransNode, TypeNode,
     AdjointNode, VarNode, VecNode, map_children,
 )
-from .bases import Prim, check_span_equivalence, fully_spans, validate_literal
+from .bases import Prim, align, fully_spans, validate_literal
 from .diagnostics import CompileError
 from .qwir import (
     QwTy, discard_fn, embed_fn, measure_fn, pred_fn, qubit, rev_fn,
@@ -477,10 +477,10 @@ class Expander:
             if t1.dim != t2.dim:
                 raise CompileError(
                     f"translation dimensions differ: {t1.dim} vs {t2.dim}", e.pos)
-            mismatch = check_span_equivalence(basis_of(b_in), basis_of(b_out))
-            if mismatch is not None:
-                raise CompileError(
-                    f"translation sides span different spaces ({mismatch})", e.pos)
+            try:
+                align(basis_of(b_in), basis_of(b_out))
+            except CompileError as err:
+                raise CompileError(err.message, e.pos) from None
             return TransNode(b_in, b_out, pos=e.pos), rev_fn(t1.dim)
         if isinstance(e, PipeNode):
             value, vty = self._expand_expr(e.value)

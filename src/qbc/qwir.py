@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ast_nodes import ClassicalFn, QpuFn
-from .bases import Basis, check_span_equivalence
+from .bases import Basis, align
 from .diagnostics import CompileError
 from .record import field, record
 
@@ -292,11 +292,11 @@ def _check_op_types(m: QwModule, fn: QwFunc, op: QwOp,
         b_out: Basis = op.attrs["b_out"]
         if b_in.dim != b_out.dim:
             raise VerifyError(f"{op_location(fn, op)}: basis dims differ")
-        mismatch = check_span_equivalence(b_in, b_out)
-        if mismatch is not None:
-            raise VerifyError(
-                f"{op_location(fn, op)}: translation not span-checked ({mismatch})"
-            )
+        try:
+            align(b_in, b_out)
+        except CompileError as err:
+            raise VerifyError(f"{op_location(fn, op)}: translation not "
+                              f"span-checked ({err.message})") from None
         if len(op.operands) != 1:
             raise VerifyError(f"{op_location(fn, op)}: takes one operand, "
                               f"found {len(op.operands)}")

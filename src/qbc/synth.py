@@ -17,18 +17,19 @@ a mirrored pair, which decomposition may realize with relative-phase
 Toffolis. A sign oracle has no target: it kicks its phase straight onto the
 wires f XORs, with one Z each, or with a CZ when f is one AND.
 
-The two bases of a translation span one space (expansion checks it, and
-``qwir.verify`` holds it), so alignment always pairs them up. Two
-translations are still diagnostics here: a permutation wider than
-``PERMUTATION_LIMIT`` qubits, and a predicate over a conditional
-standardization.
+A translation is built from ``bases.align``, the walk that is also its
+type rule in expansion and in ``qwir.verify``. Each aligned pair's
+predicate is the factor of its vector set that is not full, and the type
+rule standardizes every predicate qubit unconditionally, so every
+alignment synthesizes. One translation is still a diagnostic here: a pair
+wider than ``PERMUTATION_LIMIT`` qubits that no merge made (the type rule
+refuses a merge that wide), since canonicalization may fuse it away first.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from itertools import groupby, product as iproduct
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -37,14 +38,12 @@ from .ast_nodes import (
     CBin, CExpr, CIndex, CLit, CNot, CReduce, CSlice, CVar, ClassicalFn,
 )
 from .bases import (
-    Basis, BasisElement, BasisLiteral, BasisVector, BuiltinBasis, Prim,
-    as_literal, basis, factor_ordered, fully_spans,
+    PERMUTATION_LIMIT, AlignedPair, Basis, BasisLiteral, BuiltinBasis,
+    PredGroup, Prim, align, basis, fully_spans,
 )
 from .diagnostics import CompileError
 from .qcirc import Gate, H, P, S, SDG, SWAP, X, Z, adjoint_gates, g
 from .record import record
-
-PERMUTATION_LIMIT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +121,9 @@ def std_gates(prim: Prim, qs: Sequence[int], stdward: bool) -> list[Gate]:
     return iqft_gates(qs) if stdward else qft_gates(qs)
 
 
-# Predicate groups: (qubit positions, control bit patterns) per predicate
-# pair; a circuit copy is emitted for every combination of patterns.
-PredGroup = tuple[tuple[int, ...], tuple[str, ...]]
-
-
 def with_predicates(gates: list[Gate], groups: Sequence[PredGroup]) -> list[Gate]:
+    """``gates`` controlled on each group's qubits holding one of its
+    patterns: one copy per combination of patterns."""
     if not gates:
         return []
     if not groups:
@@ -214,95 +210,7 @@ def emit_vector_phases(b: Basis, sign: int) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
-# Alignment
-
-
-def standardize_element(e: BasisElement) -> BasisElement:
-    """Swap the element's primitive basis to std and strip vector phases."""
-    if isinstance(e, BuiltinBasis):
-        return BuiltinBasis(Prim.STD, e.dim)
-    assert isinstance(e, BasisLiteral)
-    return BasisLiteral(
-        tuple(BasisVector(Prim.STD, v.eigenbits) for v in e.vectors)
-    )
-
-
-def _literal_product(a: BasisLiteral, b: BasisLiteral) -> BasisLiteral:
-    return BasisLiteral(tuple(
-        BasisVector(Prim.STD, u.eigenbits + v.eigenbits)
-        for u in a.vectors
-        for v in b.vectors
-    ))
-
-
-@record(frozen=True)
-class AlignedPair:
-    b_in: BasisElement
-    b_out: BasisElement
-    offset: int
-
-    @property
-    def dim(self) -> int:
-        return self.b_in.dim
-
-    @property
-    def is_predicate(self) -> bool:
-        return isinstance(self.b_in, BasisLiteral) and not fully_spans(self.b_in)
-
-
-def align(b_in: Basis, b_out: Basis) -> list[AlignedPair]:
-    """Pair up equal-dimension, literal-matched elements (factored or merged)."""
-    ldq: deque = deque(standardize_element(e) for e in b_in.elements)
-    rdq: deque = deque(standardize_element(e) for e in b_out.elements)
-    pairs: list[AlignedPair] = []
-    offset = 0
-    while ldq and rdq:
-        l = ldq.popleft()
-        r = rdq.popleft()
-        if l.dim == r.dim:
-            if isinstance(l, BuiltinBasis) and isinstance(r, BasisLiteral):
-                l = as_literal(l)
-            elif isinstance(r, BuiltinBasis) and isinstance(l, BasisLiteral):
-                r = as_literal(r)
-            pairs.append(AlignedPair(l, r, offset))
-            offset += l.dim
-            continue
-        if l.dim > r.dim:
-            big, small, bigdq, big_left = l, r, ldq, True
-        else:
-            big, small, bigdq, big_left = r, l, rdq, False
-        delta = big.dim - small.dim
-        if isinstance(big, BuiltinBasis):
-            factor: BasisElement = BuiltinBasis(Prim.STD, small.dim)
-            if not isinstance(small, BuiltinBasis):
-                factor = as_literal(factor)
-            pair = (factor, small) if big_left else (small, factor)
-            pairs.append(AlignedPair(pair[0], pair[1], offset))
-            offset += small.dim
-            bigdq.appendleft(BuiltinBasis(Prim.STD, delta))
-            continue
-        factored = factor_ordered(big, small.dim)
-        if factored is not None:
-            prefix, remainder = factored
-            small2: BasisElement = small
-            if isinstance(small, BuiltinBasis):
-                small2 = as_literal(small)
-            pair = (prefix, small2) if big_left else (small2, prefix)
-            pairs.append(AlignedPair(pair[0], pair[1], offset))
-            offset += small.dim
-            bigdq.appendleft(remainder)
-            continue
-        # Merge the smaller side with its next element until dims agree.
-        lv, rv = (as_literal(big), as_literal(small)) if big_left else (
-            as_literal(small), as_literal(big))
-        while lv.dim != rv.dim:
-            if lv.dim < rv.dim:
-                lv = _literal_product(lv, as_literal(ldq.popleft()))
-            else:
-                rv = _literal_product(rv, as_literal(rdq.popleft()))
-        pairs.append(AlignedPair(lv, rv, offset))
-        offset += lv.dim
-    return pairs
+# Aligned pairs
 
 
 def pair_permutation(pair: AlignedPair) -> Optional[list[int]]:
@@ -443,43 +351,21 @@ def lower_translation(b_in: Basis, b_out: Basis) -> tuple[Gate, ...]:
     """
     lstd, rstd = plan_standardization(b_in, b_out)
     pairs = align(b_in, b_out)
-    pred_groups: dict[int, PredGroup] = {}
-    for i, pair in enumerate(pairs):
-        if pair.is_predicate:
-            qs = tuple(range(pair.offset, pair.offset + pair.dim))
-            patterns = tuple(sorted(v.eigenbits for v in pair.b_in.vectors))
-            pred_groups[i] = (qs, patterns)
-    all_groups = [pred_groups[i] for i in sorted(pred_groups)]
-    _check_predicates_unconditional(lstd, rstd, all_groups)
+    groups = [pair.predicate for pair in pairs if pair.predicate]
 
     gates: list[Gate] = []
-    gates += emit_standardization(lstd, stdward=True, groups=all_groups)
+    gates += emit_standardization(lstd, stdward=True, groups=groups)
     gates += emit_vector_phases(b_in, sign=-1)
-    for i, pair in enumerate(pairs):
+    for pair in pairs:
         perm = pair_permutation(pair)
         if perm is None:
             continue
         base = [gt.shifted(pair.offset) for gt in synth_permutation(perm)]
-        others = [pred_groups[j] for j in sorted(pred_groups) if j != i]
+        others = [p.predicate for p in pairs if p.predicate and p is not pair]
         gates += with_predicates(base, others)
     gates += emit_vector_phases(b_out, sign=+1)
-    gates += emit_standardization(rstd, stdward=False, groups=all_groups)
+    gates += emit_standardization(rstd, stdward=False, groups=groups)
     return tuple(gates)
-
-
-def _check_predicates_unconditional(lstd: tuple[StdEntry, ...],
-                                    rstd: tuple[StdEntry, ...],
-                                    groups: Sequence[PredGroup]) -> None:
-    conditional = set()
-    for e in lstd + rstd:
-        if e.conditional:
-            conditional.update(range(e.offset, e.offset + e.dim))
-    for qs, _ in groups:
-        if conditional & set(qs):
-            raise CompileError(
-                "predicate qubits overlap a conditional standardization; "
-                "the translation is not well-typed"
-            )
 
 
 def measurement_rotation(b: Basis) -> tuple[Gate, ...]:

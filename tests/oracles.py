@@ -2,12 +2,15 @@
 basis vectors, span projectors, translation unitaries, the dense gate kernel
 and gate-list unitaries, the dense view of a sparse simulator state, the
 unitary of a gate-level function and equality up to a global phase; a
-circuit that returns every bit it measures; a reference walker that
-branches the state at every measurement;
-a reference prefix factoring of basis literals by prefix and suffix counts;
-a reference standardization planner that walks two deques of elements;
-a reference permutation synthesis over numpy tables; a per-character
-reference lexer; also the source of a pipe chain of single-qubit stages.
+circuit that returns every bit it measures, and a gate lowering whose preps
+are parameters; a reference walker that branches the state at every
+measurement; the walk of vector sets that once decided span equivalence,
+with its prefix factoring of basis literals by prefix and suffix counts;
+random translations whose two bases span one space, and near misses of
+them; a reference standardization planner that walks two deques of
+elements; a reference permutation synthesis over numpy tables; a
+per-character reference lexer; also the source of a pipe chain of
+single-qubit stages.
 
 These are brute force on purpose and live beside the tests, not in the
 compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
@@ -16,6 +19,7 @@ compiler: ``qbc.simulator`` keeps only what ``qbc run`` executes.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
@@ -30,13 +34,16 @@ from qbc.bases import (
     BuiltinBasis,
     Prim,
     as_literal,
+    fully_spans,
     vector_from_chars,
 )
 from qbc.diagnostics import CompileError
 from qbc.lexer import KEYWORDS, Token
+from qbc.lower_gates import lower_module
 from qbc.qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, wire_starts,
 )
+from qbc.qwir import QwModule
 from qbc.run import SimulationError, _exec_op, distribution
 from qbc.simulator import StateVector
 from qbc.synth import StdEntry, _transform_gates, _with_offsets
@@ -268,6 +275,20 @@ def returning_all_bits(m: QCircModule) -> QCircModule:
                                          fn.next_id)}, m.entry)
 
 
+def lower_with_params(m: QwModule) -> QCircModule:
+    """Gate lowering whose prepped qubits become parameters and whose
+    measurements go, so that ``module_unitary`` reads the unitary between
+    them (for a program that preps std zeros and measures in std, neither
+    of which emits a gate)."""
+    qc = lower_module(m)
+    fn = qc.entry_fn
+    fn.qubit_params = tuple(op.results[0] for op in fn.ops
+                            if op.kind == "qalloc")
+    fn.ops = [op for op in fn.ops
+              if op.kind not in ("qalloc", "measure", "ret")] + [QOp("ret")]
+    return qc
+
+
 def dense_state(sv: StateVector) -> np.ndarray:
     """The amplitudes of ``sv`` scattered into a dense 2^n vector whose
     index has one bit per key of ``sv.order``, the first key most
@@ -413,9 +434,7 @@ def factor_literal_by_counts(bl: BasisLiteral,
                             bl2: BasisLiteral) -> BasisLiteral | None:
     """The remainder of factoring normalized literal ``bl2`` out of
     normalized literal ``bl`` as a prefix, or None: the prefixes must be
-    exactly ``bl2``'s and each suffix must follow every one of them. The
-    span check once factored this way; ``bases.factor_element`` is checked
-    against it."""
+    exactly ``bl2``'s and each suffix must follow every one of them."""
     assert bl.dim > bl2.dim
     if bl.prim is not bl2.prim:
         return None
@@ -439,6 +458,122 @@ def factor_literal_by_counts(bl: BasisLiteral,
         for v in bl.vectors
         if v.eigenbits[:n] == first
     ))
+
+
+def reference_span_equivalence(b_in: Basis, b_out: Basis) -> bool:
+    """Whether two bases of one dim span one space, by the walk of vector
+    sets that once decided it: strip each literal's phases and sort its
+    vectors, then pop one element per side and factor the wider one at the
+    narrower one's width (two full spans leave a builtin remainder; a
+    literal loses a prefix set by ``factor_literal_by_counts``). Polynomial
+    in the elements and vectors, so it reaches past the dense oracles;
+    ``bases.align`` is checked against it."""
+    def normal(e: BasisElement) -> BasisElement:
+        if isinstance(e, BuiltinBasis):
+            return e
+        return BasisLiteral(tuple(sorted(
+            (BasisVector(e.prim, v.eigenbits) for v in e.vectors),
+            key=lambda v: v.eigenbits)))
+
+    ldq, rdq = deque(map(normal, b_in.elements)), deque(map(normal, b_out.elements))
+    while ldq and rdq:
+        left, right = ldq.popleft(), rdq.popleft()
+        if left.dim == right.dim:
+            if left == right or fully_spans(left) and fully_spans(right):
+                continue
+            return False
+        big, small, bigdq = ((left, right, ldq) if left.dim > right.dim
+                             else (right, left, rdq))
+        if fully_spans(big) and fully_spans(small):
+            bigdq.appendleft(BuiltinBasis(big.prim, big.dim - small.dim))
+            continue
+        if isinstance(big, BuiltinBasis):
+            return False
+        if fully_spans(small):
+            small = as_literal(BuiltinBasis(big.prim, small.dim))
+        rest = factor_literal_by_counts(big, small)
+        if rest is None:
+            return False
+        bigdq.appendleft(rest)
+    return not ldq and not rdq
+
+
+_PHASES = (None, 0.0, math.pi, math.pi / 2, -math.pi / 4, 0.3)
+
+
+def random_span_pair(rng: random.Random, dim: int,
+                     widest: int = 5) -> tuple[Basis, Basis]:
+    """Two bases of ``dim`` qubits that span one space, drawn from ``rng``.
+
+    The space is a row of factors: free qubits, and sets of one to three
+    qubits that some std/pm/ij literal pins. Each side groups runs of
+    factors into its own elements, at most ``widest`` qubits wide: free
+    qubits alone become a std/pm/ij/fourier builtin or a full literal of
+    any std/pm/ij prim, a run with pinned factors of one prim a literal of
+    that prim holding their product. Literal vectors come shuffled, with
+    random phases, so the two sides cut the space at different qubits and
+    in different vector orders, which is where alignment merges.
+    """
+    factors: list[tuple[int, Prim | None, list[str]]] = []
+    while sum(w for w, _, _ in factors) < dim:
+        left = dim - sum(w for w, _, _ in factors)
+        if rng.random() < 0.5:
+            factors.append((1, None, ["0", "1"]))
+            continue
+        w = rng.randint(1, min(left, 3))
+        every = [format(k, f"0{w}b") for k in range(1 << w)]
+        factors.append((w, rng.choice([Prim.STD, Prim.PM, Prim.IJ]),
+                        rng.sample(every, rng.randint(1, len(every) - 1))))
+
+    def side() -> Basis:
+        elements: list[BasisElement] = []
+        i = 0
+        while i < len(factors):
+            j, width = i + 1, factors[i][0]
+            prims = {factors[i][1]} - {None}
+            while j < len(factors) and rng.random() < 0.6:
+                w, prim, _ = factors[j]
+                if width + w > widest or prim is not None and prims - {prim}:
+                    break
+                prims |= {prim} - {None}
+                width += w
+                j += 1
+            run = factors[i:j]
+            if not prims and rng.random() < 0.5:
+                elements.append(BuiltinBasis(rng.choice(list(Prim)), width))
+            else:
+                prim = prims.pop() if prims else rng.choice(
+                    [Prim.STD, Prim.PM, Prim.IJ])
+                bits = [""]
+                for _, _, fbits in run:
+                    bits = [a + b for a in bits for b in fbits]
+                rng.shuffle(bits)
+                elements.append(BasisLiteral(tuple(
+                    BasisVector(prim, b, rng.choice(_PHASES)) for b in bits)))
+            i = j
+        return Basis(tuple(elements))
+
+    return side(), side()
+
+
+def near_miss(rng: random.Random, b: Basis) -> Basis:
+    """``b`` with one literal changed: a vector dropped, or its prim
+    swapped for another std/pm/ij prim; ``b`` itself if it has no literal.
+    The result may still span what ``b`` spans."""
+    at = [i for i, e in enumerate(b.elements) if isinstance(e, BasisLiteral)]
+    if not at:
+        return b
+    i = rng.choice(at)
+    e = b.elements[i]
+    if len(e.vectors) > 1 and rng.random() < 0.5:
+        drop = rng.randrange(len(e.vectors))
+        new = BasisLiteral(e.vectors[:drop] + e.vectors[drop + 1:])
+    else:
+        prim = rng.choice([p for p in (Prim.STD, Prim.PM, Prim.IJ)
+                           if p is not e.prim])
+        new = BasisLiteral(tuple(BasisVector(prim, v.eigenbits, v.phase)
+                                 for v in e.vectors))
+    return Basis(b.elements[:i] + (new,) + b.elements[i + 1:])
 
 
 class _Pad:

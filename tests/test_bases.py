@@ -1,13 +1,12 @@
-"""Basis algebra: normalization, factoring, and span-equivalence checking."""
+"""Basis algebra: literals, order-preserving factoring, and alignment as
+the span-equivalence rule."""
 
-import math
 import time
-from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qbc.bases import (
     Basis,
@@ -15,39 +14,31 @@ from qbc.bases import (
     BasisVector,
     BuiltinBasis,
     Prim,
+    PERMUTATION_LIMIT,
+    align,
     as_literal,
     basis,
-    check_span_equivalence,
-    factor_element,
     factor_ordered,
     fully_spans,
-    normalize_element,
     validate_literal,
 )
+from qbc.diagnostics import CompileError
+from qbc.expand import expand
+from qbc.parser import parse
 
-from oracles import factor_literal_by_counts, lit, span_projector, spans_equal
-
-
-def test_normalize_sorts_vectors():
-    e = normalize_element(lit("10", "01"))
-    assert e == lit("01", "10")
-
-
-def test_normalize_strips_phases():
-    e = normalize_element(lit(("1", math.pi)))
-    assert e == lit("1")
+from oracles import (
+    lit, near_miss, random_span_pair, reference_span_equivalence,
+    span_projector, spans_equal,
+)
 
 
-def test_normalize_builtin_unchanged():
-    e = BuiltinBasis(Prim.PM, 3)
-    assert normalize_element(e) == e
-
-
-def test_normalize_preserves_span():
-    for e in [lit("10", "01"), lit(("1", math.pi)), lit("pm", "pp"), lit("ij")]:
-        p1 = span_projector(basis(e))
-        p2 = span_projector(basis(normalize_element(e)))
-        assert np.allclose(p1, p2, atol=1e-9)
+def spans_match(b1: Basis, b2: Basis) -> bool:
+    """The type rule of ``b1 >> b2``: whether ``align`` pairs them up."""
+    try:
+        align(b1, b2)
+    except CompileError:
+        return False
+    return True
 
 
 def test_validate_literal_ok():
@@ -103,9 +94,13 @@ def test_factor_full_span_entangled():
 
 
 def test_factor_literal_appendix_case():
-    dq = deque()
-    assert factor_element(lit("10", "11"), lit("1"), dq)
-    assert list(dq) == [lit("0", "1")]
+    # {'10', '11'} >> {'1'} + {'0', '1'}: the literal splits in order, and
+    # the pinned first qubit is the pair's predicate.
+    pairs = align(basis(lit("10", "11")), basis(lit("1"), lit("0", "1")))
+    assert [(p.b_in, p.b_out, p.predicate) for p in pairs] == [
+        (lit("1"), lit("1"), ((0,), ("1",))),
+        (lit("0", "1"), lit("0", "1"), None),
+    ]
 
 
 def test_factor_literal_full_prefix():
@@ -117,67 +112,33 @@ def test_factor_literal_full_prefix():
 
 
 def test_factor_literal_prim_mismatch():
+    # {'pp', 'pm'} splits into {'p'} (x) {'p', 'm'}, and its pinned qubit
+    # is |p>, not the |0> of the other side.
     pm_lit = lit("pp", "pm")
-    std_lit = lit("0")
     assert factor_ordered(pm_lit, 1) == (lit("p"), lit("p", "m"))
-    assert not factor_element(pm_lit, std_lit, deque())
-
-
-def test_factor_element_prefixes_must_be_the_small_literal():
-    # {10, 11} is |1> (x) H2 in order, but its prefix is not '0'.
-    assert factor_ordered(lit("10", "11"), 1) == (lit("1"), lit("0", "1"))
-    assert not factor_element(lit("10", "11"), lit("0"), deque())
-
-
-def test_factor_element_fourier():
-    dq = deque()
-    ok = factor_element(BuiltinBasis(Prim.FOURIER, 3), BuiltinBasis(Prim.FOURIER, 1), dq)
-    assert ok and dq[0] == BuiltinBasis(Prim.FOURIER, 2)
-
-
-def test_factor_element_literal_prefix_from_literal():
-    dq = deque()
-    ok = factor_element(lit("10", "11"), lit("1"), dq)
-    assert ok and dq[0] == lit("0", "1")
-
-
-def test_factor_element_full_span_prefix_requires_both_prefixes():
-    # span{|10>,|11>} = |1> (x) H2, so a fully-spanning 1-qubit *prefix*
-    # cannot be factored out; the rank oracle agrees.
-    dq = deque()
-    assert not factor_element(lit("10", "11"), BuiltinBasis(Prim.STD, 1), dq)
-    assert not spans_equal(
-        basis(lit("10", "11")), basis(BuiltinBasis(Prim.STD, 1), lit("0"))
-    )
-    assert not spans_equal(
-        basis(lit("10", "11")), basis(BuiltinBasis(Prim.STD, 1), lit("1"))
-    )
-    # A fully-spanning literal against a fully-spanning small hits the
-    # both-full-span case and pushes a builtin remainder.
-    ok = factor_element(lit("00", "01", "10", "11"), BuiltinBasis(Prim.STD, 1), dq)
-    assert ok and dq[0] == BuiltinBasis(Prim.STD, 1)
-
-
-def test_factor_element_failure():
-    dq = deque()
-    assert not factor_element(lit("00", "11"), lit("0"), dq)
+    assert not spans_match(basis(pm_lit), basis(lit("0"), BuiltinBasis(Prim.STD, 1)))
+    assert spans_match(basis(pm_lit), basis(lit("p"), BuiltinBasis(Prim.STD, 1)))
 
 
 def test_span_check_trivial_equal():
-    assert check_span_equivalence(basis(lit("01", "10")), basis(lit("10", "01"))) is None
+    assert spans_match(basis(lit("01", "10")), basis(lit("10", "01")))
 
 
 def test_span_check_order_matters():
     # span{|00>,|10>} != span{|00>,|01>}
     left = basis(BuiltinBasis(Prim.STD, 1), lit("0"))
     right = basis(lit("0"), BuiltinBasis(Prim.STD, 1))
-    assert check_span_equivalence(left, right) is not None
+    assert not spans_match(left, right)
     assert not spans_equal(left, right)
 
 
 def test_span_check_dimension_mismatch():
-    d = check_span_equivalence(basis(lit("0")), basis(lit("0"), lit("1")))
-    assert d is not None
+    # Bases of different dims never reach alignment: expansion compares
+    # the dims first.
+    src = ("qpu main() -> bit[1] { '0' | ({'0'} >> {'0'} + {'1'}) "
+           "| std.measure }")
+    with pytest.raises(CompileError, match="translation dimensions differ: 1 vs 2"):
+        expand(parse(src), {})
 
 
 def test_span_check_repeated_literal_scales():
@@ -185,20 +146,18 @@ def test_span_check_repeated_literal_scales():
     left = basis(*[lit("0", "1")] * n)
     right = basis(*[lit("1", "0")] * n)
     start = time.monotonic()
-    assert check_span_equivalence(left, right) is None
+    assert spans_match(left, right)
     assert time.monotonic() - start < 1.0
 
 
 def test_span_check_builtin_vs_full_literal():
-    assert check_span_equivalence(
-        basis(BuiltinBasis(Prim.PM, 2)), basis(lit("00", "01", "10", "11"))
-    ) is None
+    assert spans_match(
+        basis(BuiltinBasis(Prim.PM, 2)), basis(lit("00", "01", "10", "11")))
 
 
 def test_span_check_fourier_vs_std():
-    assert check_span_equivalence(
-        basis(BuiltinBasis(Prim.FOURIER, 2)), basis(BuiltinBasis(Prim.STD, 2))
-    ) is None
+    assert spans_match(
+        basis(BuiltinBasis(Prim.FOURIER, 2)), basis(BuiltinBasis(Prim.STD, 2)))
 
 
 def _all_elements_up_to(dim):
@@ -245,7 +204,7 @@ def test_span_check_agrees_with_oracle_exhaustive(dim):
     projs = [span_projector(b) for b in all_bases]
     for i, b1 in enumerate(all_bases):
         for j, b2 in enumerate(all_bases):
-            got = check_span_equivalence(b1, b2) is None
+            got = spans_match(b1, b2)
             want = bool(np.allclose(projs[i], projs[j], atol=1e-9))
             assert got == want, f"{b1} vs {b2}: checker {got}, oracle {want}"
 
@@ -275,7 +234,7 @@ def random_basis(draw, max_dim=3):
 def test_span_check_agrees_with_oracle_random(b1, b2):
     if b1.dim != b2.dim:
         return
-    got = check_span_equivalence(b1, b2) is None
+    got = spans_match(b1, b2)
     want = spans_equal(b1, b2)
     assert got == want
 
@@ -283,11 +242,14 @@ def test_span_check_agrees_with_oracle_random(b1, b2):
 @settings(max_examples=150, deadline=None)
 @given(random_basis(max_dim=4))
 def test_factoring_soundness(b):
-    # Whenever a full-span factor succeeds, projectors must agree.
+    # Whenever a sorted literal splits off a full one-qubit prefix, its
+    # span is that qubit's space times the remainder's.
     for e in b.elements:
         if not isinstance(e, BasisLiteral) or e.dim < 2:
             continue
-        norm = normalize_element(e)
+        norm = BasisLiteral(tuple(sorted(
+            (BasisVector(e.prim, v.eigenbits) for v in e.vectors),
+            key=lambda v: v.eigenbits)))
         factored = factor_ordered(norm, 1)
         if factored is not None and factored[0] == full_span(e.prim, 1):
             rem = factored[1]
@@ -296,39 +258,84 @@ def test_factoring_soundness(b):
             )
 
 
-@st.composite
-def normalized_literal_pair(draw):
-    """A normalized literal and a narrower one to factor out of it as a
-    prefix; half the time the wide one is a product with the narrow one's
-    vectors in front, so that factoring succeeds."""
-    prims = [Prim.STD, Prim.PM, Prim.IJ]
-
-    def eigenbits(d):
-        bits = [format(k, f"0{d}b") for k in range(1 << d)]
-        return sorted(draw(st.lists(st.sampled_from(bits), min_size=1,
-                                    unique=True)))
-
-    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    prim = draw(st.sampled_from(prims))
-    small = eigenbits(n)
-    if draw(st.booleans()):
-        big = sorted(p + s for p in small for s in eigenbits(k))
-    else:
-        big = eigenbits(n + k)
-    small_prim = prim if draw(st.booleans()) else draw(st.sampled_from(prims))
-    return (BasisLiteral(tuple(BasisVector(prim, b) for b in big)),
-            BasisLiteral(tuple(BasisVector(small_prim, b) for b in small)))
+# -- alignment ----------------------------------------------------------------
 
 
-@settings(max_examples=400, deadline=None)
-@given(normalized_literal_pair())
-def test_factor_element_agrees_with_factoring_by_counts(pair):
-    # Two full spans take factor_element's builtin shortcut instead.
-    big, small = pair
-    assume(not (fully_spans(big) and fully_spans(small)))
-    dq = deque()
-    got = dq[0] if factor_element(big, small, dq) else None
-    # A fully spanning prefix is every vector of its dimension in any prim.
-    if fully_spans(small):
-        small = full_span(big.prim, small.dim)
-    assert got == factor_literal_by_counts(big, small)
+def test_a_pairs_predicate_is_the_part_of_its_set_that_is_pinned():
+    # {'10', '11'} >> {'11', '10'} pins its first qubit only; both sides
+    # name one set in different orders.
+    (pair,) = align(basis(lit("10", "11")), basis(lit("11", "10")))
+    assert pair.predicate == ((0,), ("1",))
+    (pair,) = align(basis(lit("01", "10")), basis(lit("10", "01")))
+    assert pair.predicate == ((0, 1), ("01", "10"))
+    (pair,) = align(basis(lit("00", "01", "10", "11")), basis(lit("11", "10", "01", "00")))
+    assert pair.predicate is None
+
+
+def test_a_pinned_qubit_needs_one_prim_on_both_sides():
+    assert not spans_match(basis(lit("0")), basis(lit("p")))
+    assert not spans_match(basis(lit("01", "11")), basis(lit("pm", "mm")))
+    # Free qubits may change prim: {'0', '1'} and {'p', 'm'} are full.
+    assert spans_match(basis(lit("0", "1")), basis(lit("p", "m")))
+    assert spans_match(basis(lit("00", "10")), basis(BuiltinBasis(Prim.PM, 1), lit("0")))
+
+
+def test_a_merge_takes_only_what_it_needs_from_a_builtin():
+    # The literal {'100', '010', '101', '011'} is no product in vector
+    # order, so its first pair merges {'10', '01'} with one qubit of std[14].
+    b_in = basis(lit("10", "01"), BuiltinBasis(Prim.STD, 14))
+    b_out = basis(lit("100", "010", "101", "011"), BuiltinBasis(Prim.STD, 13))
+    pairs = align(b_in, b_out)
+    assert [(p.offset, p.dim) for p in pairs] == [(0, 3), (3, 13)]
+    assert pairs[0].b_in == lit("100", "101", "010", "011")
+    assert pairs[0].predicate == ((0, 1), ("01", "10"))
+    assert pairs[1].b_in == pairs[1].b_out == BuiltinBasis(Prim.STD, 13)
+
+
+def brickwork(n: int) -> tuple[Basis, Basis]:
+    """n/2 copies of {'11', '00', '01', '10'} against {'1', '0'}, n/2 - 1
+    copies, and {'1', '0'}: no two element boundaries meet inside."""
+    mix, one = lit("11", "00", "01", "10"), lit("1", "0")
+    k = n // 2
+    return basis(*[mix] * k), basis(one, *[mix] * (k - 1), one)
+
+
+def test_a_merge_wider_than_the_permutation_limit_is_refused():
+    assert len(align(*brickwork(PERMUTATION_LIMIT))) == 1
+    for n in (14, 40):
+        with pytest.raises(CompileError) as err:
+            align(*brickwork(n))
+        assert err.value.message == f"permutation too wide ({n} > 12)"
+
+
+def test_alignment_builds_no_vectors_a_literal_does_not_hold():
+    # A 40-qubit literal of two vectors against std[40] or a split of it:
+    # 2^40 vectors would not fit, so the rule must not build them.
+    wide = lit("0" * 40, "1" * 40)
+    for other in (basis(BuiltinBasis(Prim.STD, 40)),
+                  basis(BuiltinBasis(Prim.PM, 1), BuiltinBasis(Prim.STD, 39))):
+        assert not spans_match(basis(wide), other)
+        assert not spans_match(other, basis(wide))
+    big = basis(BuiltinBasis(Prim.STD, 60), lit("1"))
+    assert spans_match(big, basis(lit("0", "1"), BuiltinBasis(Prim.IJ, 59), lit("1")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_span_check_agrees_with_oracle_on_near_misses(rng, dim):
+    # Span-equivalent pairs, and the same with a vector dropped or a prim
+    # changed on one side or both.
+    b1, b2 = random_span_pair(rng, dim)
+    assert spans_match(b1, b2) and spans_equal(b1, b2)
+    b1, b2 = near_miss(rng, b1), near_miss(rng, b2) if rng.random() < 0.5 else b2
+    assert spans_match(b1, b2) == spans_equal(b1, b2), f"{b1} vs {b2}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_span_check_agrees_with_the_set_walk_past_the_dense_oracle(rng, dim):
+    b1, b2 = random_span_pair(rng, dim)
+    assert spans_match(b1, b2) and reference_span_equivalence(b1, b2)
+    b1 = near_miss(rng, b1)
+    assert spans_match(b1, b2) == reference_span_equivalence(b1, b2), f"{b1} vs {b2}"
+

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -175,20 +176,52 @@ def test_permutation_limit_is_a_diagnostic(tmp_path, capsys):
         assert capsys.readouterr().err == line
 
 
-def test_predicate_over_a_conditional_standardization_is_a_diagnostic(
+# Two span-equivalent translations whose merged pair was once refused as a
+# predicate over a conditional standardization. The predicate that set
+# pins is {'p'} on the last qubit in the first, and {'pm', 'mp'} on the
+# first two in the second.
+MERGED_PREDICATES = [
+    "qpu main() -> bit[4] {\n    '0000' | ({'jj', 'ii', 'ij', 'ji'} + "
+    "{'mp', 'pp'} >> pm[1] + fourier[2] + {'p'}) | std[4].measure\n}\n",
+    "qpu main() -> bit[4] {\n    '0000' | ({'pmm', 'mpm', 'mpp', 'pmp'} + "
+    "pm[1] >> {'mp', 'pm'} + {'11', '01', '10', '00'}) | std[4].measure\n}\n",
+]
+
+
+@pytest.mark.parametrize("source", MERGED_PREDICATES, ids=["fourier", "pm"])
+def test_a_merged_predicate_checks_compiles_and_runs(source, tmp_path, capsys):
+    path = tmp_path / "merged.qw"
+    path.write_text(source)
+    for argv in (["check"], ["compile"], ["run", "--shots", "64"]):
+        assert main(argv + [str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+    counts = [int(line.split("\t")[1]) for line in captured.out.splitlines()]
+    assert sum(counts) == 64
+
+
+def brickwork_source(n: int) -> str:
+    """A translation of n/2 copies of {'11','00','01','10'} against
+    {'1','0'}, n/2 - 1 copies and {'1','0'}: no element boundary of one side
+    meets one of the other, so alignment merges all n qubits."""
+    mix, one = "{'11','00','01','10'}", "{'1','0'}"
+    k = n // 2
+    return (f"qpu main() -> bit[{n}] {{ '0'[{n}] | ({' + '.join([mix] * k)} >> "
+            f"{' + '.join([one] + [mix] * (k - 1) + [one])}) "
+            f"| std[{n}].measure }}\n")
+
+
+def test_a_merge_past_the_permutation_limit_is_a_quick_positioned_diagnostic(
         tmp_path, capsys):
-    # The bases span one space, but synthesis standardizes the fourier
-    # element's qubits only where the predicate {'mp', 'pp'} holds, and
-    # that predicate's first qubit is one of them.
-    path = tmp_path / "overlap.qw"
-    path.write_text(
-        "qpu main() -> bit[4] {\n    '0000' | ({'jj', 'ii', 'ij', 'ji'} + "
-        "{'mp', 'pp'} >> pm[1] + fourier[2] + {'p'}) | std[4].measure\n}\n")
-    line = (f"{path}: error: predicate qubits overlap a conditional "
-            "standardization; the translation is not well-typed\n")
-    for cmd in ("check", "compile"):
-        assert main([cmd, str(path)]) == 1
-        assert capsys.readouterr().err == line
+    source = brickwork_source(20)
+    path = tmp_path / "brick20.qw"
+    path.write_text(source)
+    start = time.monotonic()
+    assert main(["check", str(path)]) == 1
+    assert time.monotonic() - start < 1.0
+    col = source.index(">>") + 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:{col}: error: permutation too wide (20 > 12)\n")
 
 
 def test_long_chain_is_a_diagnostic_under_every_emit(tmp_path, capsys):

@@ -23,7 +23,9 @@ from qbc.qwir_passes import (
     adjoint_block, canonicalize_ir, count_calls, inline, predicate_block, prune_unreachable, qubit_index_analysis,
 )
 
-from oracles import apply_unitary_at, span_projector, translation_unitary
+from oracles import (
+    apply_unitary_at, lower_with_params, span_projector, translation_unitary,
+)
 from qbc.backends import emit_qasm3
 from qbc.lower_ast import lower_to_ir
 from qbc.pipeline import Options, _reuse, front, to_gates, to_qwir
@@ -1089,23 +1091,6 @@ def _stage(draw, n):
     return b_in, b_out, text
 
 
-def _lower_with_params(m):
-    """Gate lowering whose prepped qubits become parameters and whose
-    measurements go, so that ``module_unitary`` reads the stages' unitary
-    (the program preps std zeros and measures in std: neither emits a
-    gate)."""
-    from qbc.lower_gates import lower_module
-    from qbc.qcirc import QOp
-
-    qc = lower_module(m)
-    fn = qc.entry_fn
-    fn.qubit_params = tuple(op.results[0] for op in fn.ops
-                            if op.kind == "qalloc")
-    fn.ops = [op for op in fn.ops
-              if op.kind not in ("qalloc", "measure", "ret")] + [QOp("ret")]
-    return qc
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_fused_runs_keep_the_product_of_their_stages(data):
@@ -1124,7 +1109,7 @@ def test_fused_runs_keep_the_product_of_their_stages(data):
            + "".join(f"    | {text}\n" for _, _, text in stages)
            + f"    | std[{n}].measure\n}}\n")
     tp = pipeline.front(src, "stages.qw", pipeline.Options())
-    with mock.patch.object(pipeline, "lower_module", _lower_with_params):
+    with mock.patch.object(pipeline, "lower_module", lower_with_params):
         for opt_level, decompose in itertools.product((0, 1), (False, True)):
             opts = pipeline.Options(opt_level=opt_level, decompose=decompose)
             qc = pipeline.to_gates(pipeline.to_qwir(tp, opts), opts)

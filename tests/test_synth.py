@@ -15,21 +15,22 @@ from qbc.ast_nodes import (
     ParamNode, TypeNode,
 )
 from qbc.bases import (
-    Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, basis, factor_ordered,
+    Basis, BasisLiteral, BasisVector, BuiltinBasis, Prim, align, basis,
+    factor_ordered,
 )
+from qbc.diagnostics import CompileError
 from qbc.peephole import decompose_multicontrol, peephole
 from qbc.pipeline import Options, compile_source, stats_for
 from qbc.qcirc import Gate, GateKind, QCircModule, adjoint_gates, g, verify_circuit
 from qbc.synth import (
-    AlignedPair, align, collect_vector_phases, embed_gates,
-    emit_standardization, iqft_gates, lower_translation,
-    pair_permutation, plan_standardization, qft_gates,
-    synth_permutation, StdEntry, _transform_gates,
+    embed_gates, iqft_gates, lower_translation, pair_permutation,
+    plan_standardization, qft_gates, synth_permutation, StdEntry,
+    _transform_gates,
 )
 
 from oracles import (
-    gates_to_fn, lit, module_unitary, pipe_chain_source,
-    reference_plan_standardization, span_projector,
+    gates_to_fn, lit, lower_with_params, module_unitary, pipe_chain_source,
+    random_span_pair, reference_plan_standardization, span_projector,
     synth_permutation_by_arrays, translation_unitary, unitary_of,
 )
 
@@ -152,7 +153,7 @@ def test_align_paper_case():
     assert len(pairs) == 2
     assert pairs[0].b_in == lit("1") and pairs[0].b_out == lit("1")
     assert pairs[1].b_in == lit("0", "1") and pairs[1].b_out == lit("1", "0")
-    assert pairs[0].is_predicate and not pairs[1].is_predicate
+    assert pairs[0].predicate == ((0,), ("1",)) and pairs[1].predicate is None
 
 
 def test_align_merges_when_unfactorable():
@@ -486,15 +487,68 @@ def _random_welltyped_pair(rng) -> tuple[Basis, Basis]:
 
 def test_translation_randomized_corpus():
     rng = np.random.default_rng(2024)
-    from qbc.bases import check_span_equivalence
-
     checked = 0
     while checked < 120:
         b_in, b_out = _random_welltyped_pair(rng)
-        if check_span_equivalence(b_in, b_out) is not None:
+        try:
+            align(b_in, b_out)
+        except CompileError:
             continue
         _check_translation(b_in, b_out)
         checked += 1
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_every_span_equivalent_pair_synthesizes_its_unitary(rng, dim):
+    # std/pm/ij/fourier builtins and literals, cut at different qubits on
+    # the two sides, with shuffled vectors and phases: where a literal is
+    # no product in vector order, alignment merges.
+    b_in, b_out = random_span_pair(rng, dim)
+    _check_translation(b_in, b_out)
+
+
+# Span-equivalent translations whose merged pair was once a predicate over
+# a conditional standardization.
+MERGED_PREDICATES = [
+    (basis(lit("jj", "ii", "ij", "ji"), lit("mp", "pp")),
+     basis(BuiltinBasis(PM, 1), BuiltinBasis(FOURIER, 2), lit("p"))),
+    (basis(lit("pmm", "mpm", "mpp", "pmp"), BuiltinBasis(PM, 1)),
+     basis(lit("mp", "pm"), lit("11", "01", "10", "00"))),
+]
+
+
+def translation_program(b_in: Basis, b_out: Basis) -> str:
+    n = b_in.dim
+    return (f"qpu main() -> bit[{n}] {{\n    '{'0' * n}' | ({b_in} >> {b_out})"
+            f" | std[{n}].measure\n}}\n")
+
+
+@pytest.mark.parametrize("b_in,b_out", MERGED_PREDICATES)
+@pytest.mark.parametrize("opt_level", [0, 1])
+def test_a_merged_pair_takes_its_predicate_from_its_set(b_in, b_out, opt_level):
+    from unittest import mock
+
+    from qbc import pipeline
+
+    opts = Options(opt_level=opt_level)
+    tp = pipeline.front(translation_program(b_in, b_out), "merged.qw", opts)
+    with mock.patch.object(pipeline, "lower_module", lower_with_params):
+        qc = pipeline.to_gates(pipeline.to_qwir(tp, opts), opts)
+    got = module_unitary(qc.entry_fn)
+    assert np.allclose(got, translation_unitary(b_in, b_out), atol=1e-9)
+
+
+def test_a_merge_splits_a_builtin_as_the_written_split_does():
+    # The first pair needs one qubit of std[14]: swallowing all of it made
+    # a 16-qubit permutation.
+    out = basis(lit("100", "010", "101", "011"), BuiltinBasis(STD, 13))
+    merged = basis(lit("10", "01"), BuiltinBasis(STD, 14))
+    split = basis(lit("10", "01"), BuiltinBasis(STD, 1), BuiltinBasis(STD, 13))
+    for b_in in (merged, split):
+        got = stats_for(translation_program(b_in, out), "split.qw", Options())
+        assert (got.gates, got.t_count, got.cx_count) == (77, 35, 32)
+    assert lower_translation(merged, out) == lower_translation(split, out)
 
 
 # -- classical synthesis ------------------------------------------------------
