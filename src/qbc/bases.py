@@ -8,8 +8,8 @@ the two sides where it is not. The pairs are both the type rule (the bases
 span one space exactly when each pair holds one vector set, with one prim
 on each qubit that set pins) and what synthesis builds a translation from.
 No step expands a basis into its 2^dim vectors: a merge, the one step that
-builds vectors its literals do not hold, stops past ``PERMUTATION_LIMIT``
-qubits.
+builds vectors its literals do not hold, builds them only up to
+``PERMUTATION_LIMIT`` qubits, and checks a wider one factor by factor.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from enum import Enum
+from itertools import accumulate
 from typing import Optional, Union
 
 from .diagnostics import CompileError
@@ -217,16 +218,15 @@ class AlignedPair:
     """Qubits [offset, offset + dim), where ``b_in``'s vectors go to
     ``b_out``'s in order. Both sides hold one vector set; ``predicate`` is
     the factor of that set that is not full (the qubits it pins, and the
-    patterns it lets them hold), None if the set is full."""
+    patterns it lets them hold), None if the set is full. A merge wider
+    than ``PERMUTATION_LIMIT`` has no vectors built: its sides are None,
+    and synthesis refuses it."""
 
-    b_in: BasisElement
-    b_out: BasisElement
     offset: int
+    dim: int
+    b_in: Optional[BasisElement]
+    b_out: Optional[BasisElement]
     predicate: Optional[PredGroup] = None
-
-    @property
-    def dim(self) -> int:
-        return self.b_in.dim
 
 
 @functools.lru_cache(maxsize=1024)
@@ -249,10 +249,12 @@ def align(b_in: Basis, b_out: Basis) -> tuple[AlignedPair, ...]:
     would leave that factor invariant under two projectors on the qubit
     that do not commute, which would make the qubit free.
 
-    A mismatch, and a merge past ``PERMUTATION_LIMIT`` qubits, raise an
-    unpositioned ``CompileError``; no other step builds more vectors than
-    its literals hold. Memoized on the pair: expansion, ``qwir.verify``
-    and synthesis all read one alignment.
+    A mismatch raises an unpositioned ``CompileError``. No step builds
+    more vectors than its literals hold but a merge, and that only up to
+    ``PERMUTATION_LIMIT`` qubits: that width limits synthesis, which may
+    never see the merge if canonicalization fuses the translation into a
+    narrower one. Memoized on the pair: expansion, ``qwir.verify`` and
+    synthesis all read one alignment.
     """
     ldq: deque = deque(map(_std_builtin, b_in.elements))
     rdq: deque = deque(map(_std_builtin, b_out.elements))
@@ -298,9 +300,6 @@ def _merge(lparts: list, rparts: list, ldq: deque, rdq: deque) -> None:
             e = BuiltinBasis(Prim.STD, need)
         parts.append(e)
         width[s] += e.dim
-    if width[0] > PERMUTATION_LIMIT:
-        raise CompileError(
-            f"permutation too wide ({width[0]} > {PERMUTATION_LIMIT})")
 
 
 def _product(parts: list) -> BasisElement:
@@ -316,29 +315,58 @@ def _product(parts: list) -> BasisElement:
 
 def _pair(lparts: list, rparts: list, offset: int) -> AlignedPair:
     """The pair of two equal-width runs of elements, or a CompileError if
-    their spans differ. A builtin matches only a full element."""
+    their spans differ (``_factors``). A merge past ``PERMUTATION_LIMIT``
+    keeps its sides unbuilt."""
+    cuts = set(accumulate(e.dim for e in lparts))
+    cuts |= set(accumulate(e.dim for e in rparts))
+    lf, rf = _factors(lparts, cuts), _factors(rparts, cuts)
+    if lf is None or rf is None or any(
+            ls != rs or (ls is not None and lp is not rp)
+            for (lp, ls), (rp, rs) in zip(lf, rf)):
+        raise _mismatch(lparts, rparts)
+    dim = sum(e.dim for e in lparts)
+    if dim > PERMUTATION_LIMIT and len(lparts) + len(rparts) > 2:
+        return AlignedPair(offset, dim, None, None)
     l, r = _product(lparts), _product(rparts)
-    if isinstance(l, BuiltinBasis) or isinstance(r, BuiltinBasis):
-        if not (fully_spans(l) and fully_spans(r)):
-            raise _mismatch(lparts, rparts)
-        if isinstance(l, BasisLiteral) or isinstance(r, BasisLiteral):
-            l, r = as_literal(l), as_literal(r)
-        return AlignedPair(l, r, offset)
-    bits = {v.eigenbits for v in l.vectors}
-    if bits != {v.eigenbits for v in r.vectors}:
-        raise _mismatch(lparts, rparts)
-    if len(bits) == 1 << l.dim:
-        return AlignedPair(l, r, offset)
-    index = {int(x, 2) for x in bits}
-    pinned = [q for q in range(l.dim)
-              if any(i ^ (1 << (l.dim - 1 - q)) not in index for i in index)]
-    lprims, rprims = (
-        [e.prim for e in parts for _ in range(e.dim)] for parts in (lparts, rparts))
-    if any(lprims[q] is not rprims[q] for q in pinned):
-        raise _mismatch(lparts, rparts)
-    patterns = {"".join(x[q] for q in pinned) for x in bits}
-    return AlignedPair(l, r, offset,
+    if isinstance(l, BuiltinBasis) and isinstance(r, BuiltinBasis):
+        return AlignedPair(offset, dim, l, r)
+    # A builtin opposite a literal: the literal is full.
+    l, r = as_literal(l), as_literal(r)
+    index = {v.index for v in l.vectors}
+    if len(index) == 1 << dim:
+        return AlignedPair(offset, dim, l, r)
+    pinned = [q for q in range(dim)
+              if any(i ^ (1 << (dim - 1 - q)) not in index for i in index)]
+    patterns = {"".join(v.eigenbits[q] for q in pinned) for v in l.vectors}
+    return AlignedPair(offset, dim, l, r,
                        (tuple(offset + q for q in pinned), tuple(sorted(patterns))))
+
+
+def _factors(parts: list, cuts: set[int]) -> Optional[list]:
+    """Each element of ``parts`` cut at the ``cuts`` inside it, as (prim,
+    eigenbit set) factors, a full set as None; None where a literal's set
+    is no product at a cut. Two runs span one space exactly when, cut at
+    both runs' element ends, their factors are equal, each set that is not
+    full in one prim on both sides: the product-set form of the rule in
+    ``align``, which builds no vector a literal does not hold."""
+    out = []
+    start = 0
+    for e in parts:
+        bits = None if isinstance(e, BuiltinBasis) else {
+            v.eigenbits for v in e.vectors}
+        ends = sorted(c for c in cuts if start < c <= start + e.dim)
+        for a, b in zip([start] + ends, ends):
+            n = b - a
+            if bits is None:
+                out.append((e.prim, None))
+                continue
+            head, tail = {x[:n] for x in bits}, {x[n:] for x in bits}
+            if len(head) * len(tail) != len(bits):
+                return None
+            out.append((e.prim, None if len(head) == 1 << n else head))
+            bits = tail
+        start += e.dim
+    return out
 
 
 def _mismatch(lparts: list, rparts: list) -> CompileError:

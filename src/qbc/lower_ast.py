@@ -135,8 +135,8 @@ class _Lowerer:
             sides = [concat(pred, basis_of(s)) for s in (e.b_in, e.b_out)]
             if adj:
                 sides.reverse()
-            return b.emit("qbtrans", [v], [ty],
-                          {"b_in": sides[0], "b_out": sides[1]})[0]
+            return b.emit("qbtrans", [v], [ty], {
+                "b_in": sides[0], "b_out": sides[1], "pos": e.pos})[0]
         if isinstance(e, EmbedNode):
             # Bennett embeddings and sign flips are their own adjoints.
             return b.emit("embed", [v], [ty],

@@ -7,7 +7,8 @@ destandardizes into the computational basis.
 
 Requires an inlined module, holding the entry alone, that ``qwir.verify``
 accepts: no call is left, and no cond's branch measures, discards or holds
-a cond. Only synthesis can still reject a translation here (``synth``).
+a cond. Only synthesis can still reject a translation here (``synth``),
+at the position the translation's op carries.
 
 Qubits are tracked as physical wire slots; IR values map to slot lists and
 each slot remembers its current dataflow value id. Conditional regions then
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .diagnostics import CompileError
 from .qcirc import (
     Gate, GateKind, QCircFn, QCircModule, QOp, append_gates, g,
 )
@@ -69,7 +71,10 @@ class _GateLowerer:
             self.qmap[op.results[0]] = slots
         elif k == "qbtrans":
             slots = list(self.qmap[op.operands[0]])
-            gates = lower_translation(op.attrs["b_in"], op.attrs["b_out"])
+            try:
+                gates = lower_translation(op.attrs["b_in"], op.attrs["b_out"])
+            except CompileError as err:
+                raise CompileError(err.message, op.attrs.get("pos")) from None
             self.emit_gates(slots, gates, condition)
             self.qmap[op.results[0]] = slots
         elif k == "qbmeas":

@@ -33,18 +33,19 @@ registers. -O0 alone gives every ``qalloc`` a fresh register. ``qbc stats``
 reports the width the backends declare under the same options.
 
 The front end reports each user error it can decide (types, recursion,
-nested conditionals, a translation whose alignment merges past 12 qubits) as
-a ``CompileError`` at its source position. A translation's type rule is
-``bases.align``, the walk that synthesis builds it from, and ``qwir.verify``
-holds it. Later stages rely on the front end; ``qwir.verify`` and
-``verify_circuit`` hold what they assume, so their errors are compiler bugs.
-Only synthesis (an unmerged pair wider than 12 qubits, which
-canonicalization may still fuse away) and Base-Profile QIR (a branch, or a
-multi-control that ``--no-decompose`` leaves) still report unpositioned
-``CompileError``s. ``qbc check`` runs ``compile_to_circuit``, so it agrees
-with ``qbc compile`` but for QIR's two. No stage takes the file name: the
-entry points that do (``front``, ``compile_source``, ``compile_to_circuit``)
-are wrapped by ``_names_file``, which puts it on the error as it leaves.
+nested conditionals) as a ``CompileError`` at its source position. A
+translation's type rule is ``bases.align``, the walk that synthesis builds
+it from, and ``qwir.verify`` holds it. Later stages rely on the front end;
+``qwir.verify`` and ``verify_circuit`` hold what they assume, so their
+errors are compiler bugs. Synthesis refuses a translation that, after
+canonicalization has fused it, still pairs more than 12 qubits in one
+permutation, at the position its ``qbtrans`` carries; only Base-Profile QIR
+(a branch, or a multi-control that ``--no-decompose`` leaves) still reports
+unpositioned ``CompileError``s. ``qbc check`` runs ``compile_to_circuit``,
+so it agrees with ``qbc compile`` but for QIR's two. No stage takes the
+file name: the entry points that do (``front``, ``compile_source``,
+``compile_to_circuit``) are wrapped by ``_names_file``, which puts it on the
+error as it leaves.
 """
 
 from __future__ import annotations

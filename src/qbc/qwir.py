@@ -10,7 +10,10 @@ edge between functions is a `call` naming a kernel, with its adjoint and
 predicate as attributes, and there are no function values. A module lists
 each function after every function it calls, callees first, so a verified
 module holds no call cycle, and its passes walk the call graph by looping
-over the module in order.
+over the module in order. A ``qbtrans`` lowered from source keeps the
+translation's position in its ``pos`` attribute, which adjoint,
+predication, inlining and fusion carry along, so that synthesis can point
+at it.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ def _emit_adjoint(fn: QwFunc, new: QwBlock, op: QwOp, val_map: dict[int, int]) -
         return
     attrs = op.attrs
     if op.kind == "qbtrans":
-        attrs = {"b_in": attrs["b_out"], "b_out": attrs["b_in"]}
+        attrs = {**attrs, "b_in": attrs["b_out"], "b_out": attrs["b_in"]}
     # Bennett embeddings and sign flips are self-adjoint.
     (val_map[q],) = fn.emit(new, op.kind, [val_map[op.results[0]]], [t[q]], attrs)
 
@@ -167,7 +167,8 @@ def predicate_block(fn: QwFunc, block: QwBlock, pred: Basis) -> QwBlock:
         if predicated:
             body_vals = [pred_q] + body_vals
             if kind == "qbtrans":
-                attrs = {k: concat(pred, attrs[k]) for k in ("b_in", "b_out")}
+                attrs = {**attrs, "b_in": concat(pred, attrs["b_in"]),
+                         "b_out": concat(pred, attrs["b_out"])}
         dims = [fn.types[v].dim for v in body_vals]
         (packed,) = fn.emit(new, "qbpack", body_vals, [qubit(sum(dims))])
         (out,) = fn.emit(new, kind, [packed], [qubit(sum(dims))], attrs)

@@ -22,8 +22,9 @@ type rule in expansion and in ``qwir.verify``. Each aligned pair's
 predicate is the factor of its vector set that is not full, and the type
 rule standardizes every predicate qubit unconditionally, so every
 alignment synthesizes. One translation is still a diagnostic here: a pair
-wider than ``PERMUTATION_LIMIT`` qubits that no merge made (the type rule
-refuses a merge that wide), since canonicalization may fuse it away first.
+wider than ``PERMUTATION_LIMIT`` qubits, merged or not, since
+canonicalization may fuse it into a narrower one first. The type rule
+checks a merge that wide without building its vectors.
 """
 
 from __future__ import annotations
@@ -214,7 +215,11 @@ def emit_vector_phases(b: Basis, sign: int) -> list[Gate]:
 
 
 def pair_permutation(pair: AlignedPair) -> Optional[list[int]]:
-    """Full-space permutation of the pair, identity-extended; None if trivial."""
+    """Full-space permutation of the pair, identity-extended; None if
+    trivial. A merge too wide to build is a diagnostic."""
+    if pair.b_in is None:
+        raise CompileError(
+            f"permutation too wide ({pair.dim} > {PERMUTATION_LIMIT})")
     if isinstance(pair.b_in, BuiltinBasis):
         assert isinstance(pair.b_out, BuiltinBasis)
         return None

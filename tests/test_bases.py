@@ -3,12 +3,15 @@ the span-equivalence rule."""
 
 import time
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbc import bases
 from qbc.bases import (
+    AlignedPair,
     Basis,
     BasisLiteral,
     BasisVector,
@@ -300,12 +303,38 @@ def brickwork(n: int) -> tuple[Basis, Basis]:
     return basis(*[mix] * k), basis(one, *[mix] * (k - 1), one)
 
 
-def test_a_merge_wider_than_the_permutation_limit_is_refused():
-    assert len(align(*brickwork(PERMUTATION_LIMIT))) == 1
+def test_a_merge_wider_than_the_permutation_limit_is_typed_unbuilt():
+    # Synthesis refuses a merge past the limit, but canonicalization may
+    # fuse it into a narrower one first, so the type rule decides it from
+    # the literals' sets, building no vector, and leaves its sides unbuilt.
+    (pair,) = align(*brickwork(PERMUTATION_LIMIT))
+    assert pair.b_in.dim == PERMUTATION_LIMIT
     for n in (14, 40):
-        with pytest.raises(CompileError) as err:
-            align(*brickwork(n))
-        assert err.value.message == f"permutation too wide ({n} > 12)"
+        b_in, b_out = brickwork(n)
+        assert align(b_in, b_out) == (AlignedPair(0, n, None, None),)
+        dropped = Basis(b_out.elements[:1] + (lit("11", "00", "01"),)
+                        + b_out.elements[2:])
+        assert not spans_match(b_in, dropped)
+        assert not reference_span_equivalence(b_in, dropped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 8))
+def test_a_merge_checked_unbuilt_agrees_with_the_set_walk(rng, dim):
+    # With the limit at 1, every merge is checked as one past 12 qubits
+    # is, factor by factor: span-equivalent pairs and near misses.
+    b1, b2 = random_span_pair(rng, dim)
+    if rng.random() < 0.7:
+        b1 = near_miss(rng, b1)
+    with mock.patch.object(bases, "PERMUTATION_LIMIT", 1):
+        try:
+            pairs = align.__wrapped__(b1, b2)
+        except CompileError:
+            pairs = None
+    assert (pairs is not None) == reference_span_equivalence(b1, b2), (
+        f"{b1} vs {b2}")
+    if pairs is not None and dim <= 6:
+        assert spans_equal(b1, b2)
 
 
 def test_alignment_builds_no_vectors_a_literal_does_not_hold():

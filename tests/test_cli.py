@@ -150,13 +150,15 @@ qpu main() -> bit[2] {
 """
 
 # Swapping two 13-qubit vectors is a 13-qubit permutation, one past what
-# synthesis takes. Only gate lowering knows that limit, and check runs it.
+# synthesis takes. Only gate lowering knows that limit, and check runs it;
+# the translation's op carries its position there.
 SWAP13 = """qpu main() -> bit[13] {
     '0000000000000'
         | ({'0000000000000', '1111111111111'} >> {'1111111111111', '0000000000000'})
         | std[13].measure
 }
 """
+SWAP13_AT = f"3:{SWAP13.splitlines()[2].index('>>') + 1}"
 
 
 def test_gate_lowering_error_names_the_file(tmp_path, capsys):
@@ -164,16 +166,57 @@ def test_gate_lowering_error_names_the_file(tmp_path, capsys):
     path.write_text(SWAP13)
     assert main(["compile", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{path}: error: permutation too wide")
+    assert err.startswith(f"{path}:{SWAP13_AT}: error: permutation too wide")
+
+
+def brick(elements: list[str]) -> str:
+    return " + ".join(elements)
+
+
+# Seven sorted two-qubit literals (A) against {'0','1'}, six of them and
+# {'0','1'} (B), or the same with its six written {'11','00','01','10'}
+# (D): A >> D merges its last 13 qubits, while A >> B and B >> D merge
+# nothing.
+SORTED, MIXED, ONE = "{'00','01','10','11'}", "{'11','00','01','10'}", "{'0','1'}"
+A14 = brick([SORTED] * 7)
+B14 = brick([ONE] + [SORTED] * 6 + [ONE])
+D14 = brick([ONE] + [MIXED] * 6 + [ONE])
+
+
+def fused14(first: str, second: str, third: str) -> str:
+    return (f"qpu main() -> bit[14] {{ '0'[14] | ({first} >> {second}) "
+            f"| ({second} >> {third}) | std[14].measure }}\n")
 
 
 def test_permutation_limit_is_a_diagnostic(tmp_path, capsys):
-    path = tmp_path / "swap13.qw"
-    path.write_text(SWAP13)
-    line = f"{path}: error: permutation too wide (13 > 12)\n"
-    for cmd in ("check", "compile"):
-        assert main([cmd, str(path)]) == 1
-        assert capsys.readouterr().err == line
+    # An unmerged 13-qubit pair, and two translations that merge nothing
+    # but fuse into A >> D, whose 13-qubit merge synthesis refuses at the
+    # first translation of the run.
+    fused = fused14(A14, B14, D14)
+    for source, at, width in ((SWAP13, SWAP13_AT, 13),
+                              (fused, f"1:{fused.index('>>') + 1}", 13)):
+        path = tmp_path / "wide.qw"
+        path.write_text(source)
+        line = f"{path}:{at}: error: permutation too wide ({width} > 12)\n"
+        for cmd in ("check", "compile"):
+            assert main([cmd, str(path)]) == 1
+            assert capsys.readouterr().err == line
+
+
+def test_a_wide_merge_that_fuses_into_a_narrow_translation_compiles(
+        tmp_path, capsys):
+    # A >> D merges 13 qubits, but D >> B fuses it into A >> B, whose
+    # vectors go to themselves: no gate is left.
+    path = tmp_path / "fused.qw"
+    path.write_text(fused14(A14, D14, B14))
+    for argv in (["check"], ["run", "--shots", "16"]):
+        assert main(argv + [str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+    assert captured.out == f"{'0' * 14}\t16\n"
+    assert main(["stats", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "gates=0", "t_count=0", "cx_count=0"]
 
 
 # Two span-equivalent translations whose merged pair was once refused as a
@@ -447,7 +490,7 @@ def test_stats_reports_gate_lowering_error(tmp_path, capsys):
     path.write_text(SWAP13)
     assert main(["stats", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"{path}: error: permutation too wide")
+    assert captured.err.startswith(f"{path}:{SWAP13_AT}: error: permutation too wide")
     assert captured.out == ""
 
 
